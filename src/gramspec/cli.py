@@ -416,11 +416,8 @@ def cmd_analyze(
             )
         report["finite"] = finite_block
         if inverse and not multiple:
-            p0c = (
-                _companion_initial(p0, resolved)
-                if p0 is not None
-                else InitialCondition(np.zeros((poly.degree, poly.degree)))
-            )
+            if p0 is None:
+                p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
             try:
                 state, inv_finite = finite_inverse(cr, spec, p0c, t)
                 gram_t = decomp_total(t=t)
@@ -436,9 +433,7 @@ def cmd_analyze(
                     "(normalization matrix ill-conditioned at this horizon)"
                 ]
             if p0 is not None:
-                gram_t = gram_t + sum(
-                    homogeneous_decomposition(cr, spec, p0c, t)[0].components.values()
-                )
+                gram_t = gram_t + sum(eigen_h.components.values())
             product_residual = float(
                 np.max(np.abs(inv_finite.total() @ gram_t - np.eye(poly.degree)))
             )

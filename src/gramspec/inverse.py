@@ -219,6 +219,12 @@ def inverse_pair_parts(
             "spectrum has multiple eigenvalues; use inverse_multiple_eig"
         )
     p = cr.poly
+    # the second factor's N(-lambda_j), N'(lambda_j) and y_j depend on j only
+    second = [
+        (eval_with_derivative(p, -lam)[0], eval_with_derivative(p, lam)[1],
+         left_eigenvector(lam, p))
+        for lam in spec.values
+    ]
     parts = {}
     for i, lam_i in enumerate(spec.values):
         # first factor is built at conj(lambda_i) throughout
@@ -226,9 +232,7 @@ def inverse_pair_parts(
         _, deriv_i = eval_with_derivative(p, np.conj(lam_i))
         y_i = left_eigenvector(np.conj(lam_i), p)
         for j, lam_j in enumerate(spec.values):
-            mirror_j, _ = eval_with_derivative(p, -lam_j)
-            _, deriv_j = eval_with_derivative(p, lam_j)
-            y_j = left_eigenvector(lam_j, p)
+            mirror_j, deriv_j, y_j = second[j]
             coefficient = (mirror_i * mirror_j) / (
                 -(deriv_i * deriv_j) * (np.conj(lam_i) + lam_j)
             )

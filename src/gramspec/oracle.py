@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .errors import SolvabilityError
 
@@ -107,7 +106,9 @@ def matrix_exp_reference(m, t: float = 1.0) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix must have finite entries")
-    return _scipy_expm(m * t)
+    from scipy.linalg import expm  # deferred: no CLI command needs scipy's import cost
+
+    return expm(m * t)
 
 
 def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError
 
@@ -253,12 +252,13 @@ def _initial_circle(p: Polynomial, offset: float) -> np.ndarray:
 def _pair_conjugates(roots: np.ndarray) -> np.ndarray:
     """Enforce exact conjugate symmetry on an (approximately symmetric) root set.
 
-    Roots are optimally matched against their own conjugates; matched 2-cycles
-    are averaged into exact conjugate pairs, fixed points are made real.
+    Nearest-conjugate matching (the optimal assignment whenever it is a
+    permutation): each root goes to the root nearest its conjugate; mutual
+    matches become exact conjugate pairs, fixed points are made real.
     """
     n = roots.size
     cost = np.abs(roots[:, None] - np.conj(roots)[None, :])
-    _, col = linear_sum_assignment(cost)
+    col = np.argmin(cost, axis=1)
     out = roots.copy()
     visited = np.zeros(n, dtype=bool)
     for i in range(n):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +280,24 @@ class TestRoots:
         assert [e["re"] for e in report["spectrum"]] == pytest.approx([1.0, 2.0, 3.0])
         assert report["solvability"]["ok"]
         assert len(report["roots"]) == 3
+
+
+class TestImportFootprint:
+    def test_commands_load_no_scipy_or_mpmath(self, example1_path):
+        # scipy and mpmath each cost a large share of a CLI process's start;
+        # only the oracle's reference exponential and the extended path use them
+        script = (
+            "import sys\n"
+            "from gramspec.cli import main\n"
+            f"main(['analyze', '--pairs', '--inverse', '--finite', '1', {example1_path!r}])\n"
+            f"main(['verify', {example1_path!r}])\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))\n"
+        )
+        src = str(Path(gs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import gramspec as gs
-from gramspec.spectrum import eval_with_derivative
+from gramspec.spectrum import _pair_conjugates, eval_with_derivative
 
-from conftest import random_companion
+from conftest import random_companion, random_stable_eigenvalues
 
 
 class TestCharPoly:
@@ -73,6 +73,72 @@ class TestFindRoots:
         roots = gs.find_roots(p)
         for z in roots:
             assert np.min(np.abs(roots - np.conj(z))) < 1e-12
+
+
+def _assignment_pairing(roots):
+    """Reference: conjugate pairing on the minimum-cost assignment of each
+    root to a conjugate, followed by the same averaging as _pair_conjugates."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(roots[:, None] - np.conj(roots)[None, :])
+    _, col = linear_sum_assignment(cost)
+    out = roots.copy()
+    visited = np.zeros(roots.size, dtype=bool)
+    for i in range(roots.size):
+        if visited[i]:
+            continue
+        j = col[i]
+        if j == i:
+            out[i] = roots[i].real
+            visited[i] = True
+        elif col[j] == i:
+            z = 0.5 * (roots[i] + np.conj(roots[j]))
+            out[i] = z
+            out[j] = np.conj(z)
+            visited[i] = visited[j] = True
+        else:
+            visited[i] = True
+    return out
+
+
+def _root_finder_like_set(rng):
+    """A conjugate-closed stable root set as a root finder returns it: some
+    eigenvalues (real ones and conjugate pairs) replaced by 2- or 3-root
+    clouds, every root perturbed by ~1e-12, real roots given +-1e-17
+    imaginary noise, and the order shuffled."""
+    centers = random_stable_eigenvalues(rng, int(rng.integers(2, 10)), separation=0.3,
+                                        re_range=(-5.0, -0.5))
+    roots = []
+    for lam in centers[centers.imag >= 0]:
+        m = int(rng.choice([1, 1, 2, 3]))
+        if lam.imag == 0:
+            # symmetric about the real axis: +-r or +-ir for m = 2, a triangle for m = 3
+            angles = 0.5 * np.pi * rng.integers(2) * (m == 2) + 2 * np.pi * np.arange(m) / m
+        else:
+            angles = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(m) / m
+        cloud = lam + (10.0 ** rng.uniform(-8, -5)) * np.exp(1j * angles) * (m > 1)
+        roots += list(cloud) + (list(np.conj(cloud)) if lam.imag != 0 else [])
+    roots = np.array(roots)
+    real = np.abs(roots.imag) < 1e-300
+    roots = roots + 1e-12 * (rng.standard_normal(roots.size) + 1j * rng.standard_normal(roots.size))
+    roots[real] = roots[real].real + 1j * rng.choice([-1e-17, 1e-17], size=int(real.sum()))
+    return roots[rng.permutation(roots.size)]
+
+
+class TestPairConjugates:
+    def test_matches_optimal_assignment(self):
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for _ in range(240):
+            roots = _root_finder_like_set(rng)
+            cost = np.abs(roots[:, None] - np.conj(roots)[None, :])
+            nearest = np.argmin(cost, axis=1)
+            out = _pair_conjugates(roots)
+            assert out.shape == roots.shape
+            if np.unique(nearest).size == roots.size:
+                assert np.array_equal(out, _assignment_pairing(roots))
+                compared += 1
+        assert compared >= 200
 
 
 class TestCluster:
