@@ -17,6 +17,7 @@ from .companion import (
     jordan_chains_companion,
     left_eigenvector,
     residue_companion,
+    require_controllable,
     residues_general,
     right_eigenvector,
     to_companion,
@@ -57,7 +58,6 @@ from .gramians import (
     zero_plaid_defect,
 )
 from .inverse import (
-    InverseComponentSet,
     NormalizationState,
     OrthogonalityReport,
     finite_inverse,

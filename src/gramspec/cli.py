@@ -191,22 +191,25 @@ class ResolvedSystem:
     cr: object
     sys: LtiSystem | None
     warnings: list
+    roots: np.ndarray | None  # unclustered roots; None for eigenvalue documents
 
 
 def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
     """Run the spectrum pipeline on a parsed document."""
     warnings = [SIGN_CONVENTION_NOTE]
     system = None
+    roots = None
     if doc.source == "eigenvalues":
         spec = doc.spectrum()
         poly = poly_from_roots(spec.expanded())
-    elif doc.source == "char_poly":
-        poly = Polynomial(doc.char_poly)
-        spec = cluster(find_roots(poly, tols.root), tols.cluster)
     else:
-        system = LtiSystem(*doc.matrices)
-        poly = char_poly(system.a)
-        spec = cluster(find_roots(poly, tols.root), tols.cluster)
+        if doc.source == "char_poly":
+            poly = Polynomial(doc.char_poly)
+        else:
+            system = LtiSystem(*doc.matrices)
+            poly = char_poly(system.a)
+        roots = find_roots(poly, tols.root)
+        spec = cluster(roots, tols.cluster)
     solvability = check_solvability(spec, tols.solvability)
     cr = build_companion(poly)
     if spec.is_simple and spec.n > 1:
@@ -224,7 +227,7 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
             f"pair-component exponents collide ({pairs}); pair components are "
             "not unique, their sums are"
         )
-    return ResolvedSystem(doc, poly, spec, solvability, cr, system, warnings)
+    return ResolvedSystem(doc, poly, spec, solvability, cr, system, warnings, roots)
 
 
 def _require_solvable_or_raise(resolved: ResolvedSystem):
@@ -422,8 +425,6 @@ def cmd_analyze(
                 state, inv_finite = finite_inverse(cr, spec, p0c, t)
                 gram_t = decomp_total(t=t)
             except ConditioningError:
-                if p0 is not None:
-                    raise
                 state, inv_finite = finite_inverse(
                     cr, spec, p0c, t, condition_cap=1e17, extended=True
                 )
@@ -723,9 +724,8 @@ def cmd_roots(doc: SystemDocument, tols: Tolerances = Tolerances()) -> dict:
         "solvability": _solvability_json(resolved.solvability),
         "warnings": resolved.warnings,
     }
-    if doc.source != "eigenvalues":
-        roots = find_roots(resolved.poly, tols.root)
-        report["roots"] = [{"re": float(r.real), "im": float(r.imag)} for r in roots]
+    if resolved.roots is not None:
+        report["roots"] = [{"re": float(r.real), "im": float(r.imag)} for r in resolved.roots]
     return report
 
 

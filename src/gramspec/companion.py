@@ -122,20 +122,28 @@ def controllability_matrix(sys: LtiSystem) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def to_companion(sys: LtiSystem, poly_tol: float = 1e-8):
-    """Similarity transform of a controllable SI system to companion form.
-
-    Returns (SimilarityTransform, CompanionRealization) with T = C * H_u and
-    verifies A T = T A_C and b = T b_C.  Raises ControllabilityError when the
-    controllability matrix is near-singular (condition above 1e12).
-    """
-    if sys.m != 1:
-        raise ValueError(f"companion transform requires a single-input system, got m={sys.m}")
+def require_controllable(sys: LtiSystem) -> np.ndarray:
+    """Controllability matrix of a system, checked to have condition at most
+    CONDITION_CAP; raises ControllabilityError carrying the condition (inf
+    when rank deficient) otherwise."""
     ctrb = controllability_matrix(sys)
     svals = np.linalg.svd(ctrb, compute_uv=False)
     if svals[-1] == 0.0 or svals[0] / svals[-1] > CONDITION_CAP:
         cond = np.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
         raise ControllabilityError("system is uncontrollable or nearly so", condition=cond)
+    return ctrb
+
+
+def to_companion(sys: LtiSystem, poly_tol: float = 1e-8):
+    """Similarity transform of a controllable SI system to companion form.
+
+    Returns (SimilarityTransform, CompanionRealization) with T = C * H_u and
+    verifies A T = T A_C and b = T b_C.  Raises ControllabilityError when the
+    controllability matrix is near-singular (see require_controllable).
+    """
+    if sys.m != 1:
+        raise ValueError(f"companion transform requires a single-input system, got m={sys.m}")
+    ctrb = require_controllable(sys)
     p = char_poly(sys.a)
     cr = build_companion(p)
     h_u = hankel_upper(p)

@@ -15,7 +15,7 @@ import numpy as np
 from .companion import CompanionRealization, build_companion, eigen_structure
 from .errors import StabilityError
 from .gramians import SpectralComponentSet
-from .inverse import InverseComponentSet, inverse_eigenparts, inverse_pair_parts
+from .inverse import inverse_eigenparts, inverse_pair_parts
 from .spectrum import Spectrum
 
 QUADRATURE_POINTS = 40_000
@@ -29,7 +29,7 @@ def _real_quadratic_form(x0: np.ndarray, matrix: np.ndarray, tol: float = 1e-9) 
     return value.real
 
 
-def min_energy(x0, inv: InverseComponentSet) -> float:
+def min_energy(x0, inv: SpectralComponentSet) -> float:
     """Quadratic form x_0^T P^{-1} x_0 from the summed inverse eigenparts.
 
     Equals the minimum control energy to reach x_0 from rest when the system
@@ -52,8 +52,8 @@ class EnergyPartition:
 
 def energy_partition(
     x0,
-    inv: InverseComponentSet,
-    inv_pairs: InverseComponentSet | None = None,
+    inv: SpectralComponentSet,
+    inv_pairs: SpectralComponentSet | None = None,
 ) -> EnergyPartition:
     """E_i = x_0^T P~_i^{-C} x_0 and E_ij = x_0^T P_ij^{-C} x_0.
 

@@ -29,13 +29,13 @@ from .companion import (
     JordanChainSet,
     LtiSystem,
     alternating_signs,
-    controllability_matrix,
     eigen_structure,
     hankel_upper,
     jordan_chains_companion,
+    require_controllable,
     residue_companion,
 )
-from .errors import ControllabilityError, MultipleEigenvalueError, SolvabilityError
+from .errors import MultipleEigenvalueError, SolvabilityError
 from .spectrum import (
     DEFAULT_TOLERANCES,
     Polynomial,
@@ -94,6 +94,11 @@ def require_solvable(spec: Spectrum, tol: float = DEFAULT_TOLERANCES.solvability
         raise SolvabilityError(report)
 
 
+def _require_horizon(t: float):
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {t}")
+
+
 def _require_simple(spec: Spectrum):
     if not spec.is_simple:
         raise MultipleEigenvalueError(
@@ -104,14 +109,17 @@ def _require_simple(spec: Spectrum):
 
 @dataclass(frozen=True)
 class SpectralComponentSet:
-    """Eigen- or pair-indexed spectral components of a Gramian.
+    """Eigen- or pair-indexed spectral components of a Gramian or of its
+    inverse.
 
     ``components`` maps an eigen index i (or an index pair (i, j)) to a
-    complex n x n matrix.  Raw components preserve orthogonality relations;
-    symmetrized components are the Hermitian parts and carry the physical
-    interpretation.  ``accurate_total`` (set by extended-precision
-    construction) is the component sum accumulated before rounding; near
-    degeneracy makes resummation of the stored components lossier.
+    complex n x n matrix.  Raw components preserve orthogonality relations
+    (raw inverse eigen components are rank one and orthogonal against the
+    Gramian eigenparts); symmetrized components are the Hermitian parts and
+    carry the physical (energy) interpretation.  ``accurate_total`` (set by
+    extended-precision construction) is the component sum accumulated before
+    rounding; near degeneracy makes resummation of the stored components
+    lossier.
     """
 
     components: dict
@@ -139,7 +147,8 @@ class SpectralComponentSet:
 
         For a real system with a conjugate-closed spectrum the sum over each
         conjugate orbit is real; the residual imaginary part must stay below
-        tol relative to the entry scale.
+        tol relative to the entry scale.  The zero-plaid structure of
+        complex-eigenvalue parts only shows on these merged components.
         """
         merged = merge_conjugate_components(self.components, self.spectrum, self.kind, tol)
         total = None if self.accurate_total is None else self.accurate_total.real
@@ -362,12 +371,11 @@ def infinite_pair_subgramians(
     cr: CompanionRealization,
     spec: Spectrum,
     solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-    extended: bool = False,
 ) -> SpectralComponentSet:
     """Pair-indexed decomposition; row sums reproduce the eigen components."""
     require_solvable(spec, solvability_tol)
     _require_simple(spec)
-    lams = _working_values(spec, extended, cr.poly)
+    lams = spec.values
     parts = {
         (i, j): _raw_pairpart(cr.poly, lam_i, lam_j)
         for i, lam_i in enumerate(lams)
@@ -390,8 +398,7 @@ def finite_subgramians(
     which the product identity with the finite inverse needs at stiff
     horizons.
     """
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {t}")
+    _require_horizon(t)
     require_solvable(spec, solvability_tol)
     _require_simple(spec)
     lams = _working_values(spec, extended, cr.poly)
@@ -414,8 +421,7 @@ def finite_pair_subgramians(
     """Pair-indexed finite decomposition; component (i, j) evaluates to
     (e^{(lambda_i + conj(lambda_j)) t} - 1)/(lambda_i + conj(lambda_j)) times
     the pair numerator, i.e. P_hat_ij (1 - e^{st})."""
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {t}")
+    _require_horizon(t)
     static = infinite_pair_subgramians(cr, spec, solvability_tol)
     terms = {}
     for (i, j), part in static.components.items():
@@ -475,11 +481,7 @@ def lift_to_original(
             raise ValueError(
                 "characteristic polynomial of the system does not match the decomposition"
             )
-    ctrb = controllability_matrix(sys)
-    svals = np.linalg.svd(ctrb, compute_uv=False)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > 1e12:
-        cond = np.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-        raise ControllabilityError("controllability matrix is rank deficient", condition=cond)
+    ctrb = require_controllable(sys)
     h_u = hankel_upper(pc)
     eye_m = np.eye(sys.m)
 
@@ -595,11 +597,10 @@ def multiple_eig_gramian(
     static_set = SpectralComponentSet(
         statics, "eigen", "raw", coordinate, poly_meta, spec
     )
-    horizon = 0.0 if t is None else float(t)
-    if t is not None and not (np.isfinite(horizon) and horizon >= 0.0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {t}")
+    if t is not None:
+        _require_horizon(t)
     return FiniteGramianDecomposition(
-        static_set, terms if t is not None else {}, horizon,
+        static_set, terms if t is not None else {}, 0.0 if t is None else float(t),
         _expm_transpose_chains(chains, coeffs),
     )
 

@@ -19,24 +19,19 @@ from .companion import (
     LtiSystem,
     alternating_signs,
     build_companion,
-    controllability_matrix,
     eigen_structure,
     hankel_upper,
     left_eigenvector,
+    require_controllable,
     residue_companion,
 )
-from .errors import (
-    ConditioningError,
-    ControllabilityError,
-    MultipleEigenvalueError,
-)
+from .errors import ConditioningError
 from .gramians import (
     InitialCondition,
     SpectralComponentSet,
     _expm_transpose_simple,
+    _require_simple,
     _working_values,
-    hermitian_part,
-    merge_conjugate_components,
     require_solvable,
 )
 from .spectrum import (
@@ -48,45 +43,6 @@ from .spectrum import (
     eval_with_derivative,
     find_roots,
 )
-
-
-@dataclass(frozen=True)
-class InverseComponentSet:
-    """Eigen- or pair-indexed components of the inverse Gramian.
-
-    Raw eigen components are rank one and orthogonal against the Gramian
-    eigenparts; the Hermitian parts carry the energy interpretation.
-    ``accurate_total`` is the construction-precision component sum set by
-    extended-precision construction (see the Gramian counterpart).
-    """
-
-    components: dict
-    kind: str  # 'eigen' | 'pair'
-    flavor: str = "raw"
-    coordinate: str = "companion"
-    poly: Polynomial | None = None
-    spectrum: Spectrum | None = None
-    accurate_total: np.ndarray | None = None
-
-    def symmetrized(self) -> "InverseComponentSet":
-        if self.flavor == "symmetrized":
-            return self
-        parts = {k: hermitian_part(v) for k, v in self.components.items()}
-        total = None if self.accurate_total is None else hermitian_part(self.accurate_total)
-        return replace(self, components=parts, flavor="symmetrized", accurate_total=total)
-
-    def total(self) -> np.ndarray:
-        if self.accurate_total is not None:
-            return self.accurate_total
-        return sum(self.components.values())
-
-    def merged_real(self, tol: float = 1e-9) -> "InverseComponentSet":
-        """Sum conjugate index orbits into real matrices (see the Gramian
-        counterpart); the zero-plaid structure of complex-eigenvalue parts
-        only shows on these merged components."""
-        merged = merge_conjugate_components(self.components, self.spectrum, self.kind, tol)
-        total = None if self.accurate_total is None else self.accurate_total.real
-        return replace(self, components=merged, accurate_total=total)
 
 
 @dataclass(frozen=True)
@@ -145,7 +101,7 @@ def inverse_eigenparts(
     spec: Spectrum,
     solvability_tol: float = DEFAULT_TOLERANCES.solvability,
     extended: bool = False,
-) -> InverseComponentSet:
+) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the algebraic Riccati solution.
 
     The raw components sum to the exact inverse of the Lyapunov solution;
@@ -153,16 +109,13 @@ def inverse_eigenparts(
     from re-polished eigenvalues (see the Gramian counterpart).
     """
     require_solvable(spec, solvability_tol)
-    if not spec.is_simple:
-        raise MultipleEigenvalueError(
-            "spectrum has multiple eigenvalues; use inverse_multiple_eig"
-        )
+    _require_simple(spec)
     lams = _working_values(spec, extended, cr.poly)
     parts = {
         j: inverse_eigenpart_counted(cr.poly, lam)[0] for j, lam in enumerate(lams)
     }
     total = _accurate_inverse_total(cr.poly, spec.values) if extended else None
-    return InverseComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec, total)
+    return SpectralComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec, total)
 
 
 def _accurate_inverse_total(poly: Polynomial, values: np.ndarray) -> np.ndarray:
@@ -207,17 +160,14 @@ def inverse_pair_parts(
     cr: CompanionRealization,
     spec: Spectrum,
     solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-) -> InverseComponentSet:
+) -> SpectralComponentSet:
     """Pair-indexed decomposition; column sums reproduce the eigen components.
 
     Component (i, j) equals conj(R_i) P_hat_j, worked out through left
     eigenvectors only.
     """
     require_solvable(spec, solvability_tol)
-    if not spec.is_simple:
-        raise MultipleEigenvalueError(
-            "spectrum has multiple eigenvalues; use inverse_multiple_eig"
-        )
+    _require_simple(spec)
     p = cr.poly
     # the second factor's N(-lambda_j), N'(lambda_j) and y_j depend on j only
     second = [
@@ -237,7 +187,7 @@ def inverse_pair_parts(
                 -(deriv_i * deriv_j) * (np.conj(lam_i) + lam_j)
             )
             parts[(i, j)] = coefficient * np.outer(y_i, y_j)
-    return InverseComponentSet(parts, "pair", "raw", "companion", cr.poly, spec)
+    return SpectralComponentSet(parts, "pair", "raw", "companion", cr.poly, spec)
 
 
 @dataclass(frozen=True)
@@ -251,7 +201,7 @@ class OrthogonalityReport:
 
 def orthogonality_certificate(
     gram: SpectralComponentSet,
-    inv: InverseComponentSet,
+    inv: SpectralComponentSet,
     tol: float = 1e-8,
 ) -> OrthogonalityReport:
     """Verify the raw eigenparts of the Gramian and its inverse are
@@ -280,7 +230,7 @@ def riccati_general(
     tol_root: float = DEFAULT_TOLERANCES.root,
     tol_cluster: float = DEFAULT_TOLERANCES.cluster,
     solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-) -> InverseComponentSet:
+) -> SpectralComponentSet:
     """Closed-form decomposition of P^{-1} A + A^T P^{-1} = -P^{-1} b b^T P^{-1}
     for a controllable single-input system, in its original coordinates.
 
@@ -292,11 +242,7 @@ def riccati_general(
     p = char_poly(sys.a)
     if spec is None:
         spec = cluster(find_roots(p, tol_root), tol_cluster)
-    ctrb = controllability_matrix(sys)
-    svals = np.linalg.svd(ctrb, compute_uv=False)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > 1e12:
-        cond = np.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-        raise ControllabilityError("system is uncontrollable or nearly so", condition=cond)
+    ctrb = require_controllable(sys)
     cr = build_companion(p)
     if pair_indexed:
         companion_set = inverse_pair_parts(cr, spec, solvability_tol)
@@ -360,10 +306,7 @@ def finite_inverse(
     (pair it with the equally extended finite Gramian).
     """
     require_solvable(spec, solvability_tol)
-    if not spec.is_simple:
-        raise MultipleEigenvalueError(
-            "spectrum has multiple eigenvalues; use inverse_multiple_eig"
-        )
+    _require_simple(spec)
     lams = _working_values(spec, extended, cr.poly)
     inv_components = {
         j: inverse_eigenpart_counted(cr.poly, lam)[0] for j, lam in enumerate(lams)
@@ -396,10 +339,7 @@ def finite_inverse(
         )
     scaled = {j: _solve_dense(g_inv, part) for j, part in inv_components.items()}
     state = NormalizationState(float(t), g_inv, condition)
-    inv_set = InverseComponentSet(
-        inv_components, "eigen", "raw", "companion", cr.poly, spec
-    )
-    return state, replace(inv_set, components=scaled)
+    return state, SpectralComponentSet(scaled, "eigen", "raw", "companion", cr.poly, spec)
 
 
 def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -423,7 +363,7 @@ def inverse_multiple_eig(
     cr: CompanionRealization,
     chains: JordanChainSet,
     pivot_tol: float = 1e-12,
-) -> InverseComponentSet:
+) -> SpectralComponentSet:
     """Eigen-indexed inverse decomposition for multiple eigenvalues.
 
     Component j is J (M_j^{(-1)})^T T_j H_j^{-1} M_j^{(-1)}; the chain Hankel
@@ -447,4 +387,4 @@ def inverse_multiple_eig(
         x = _solve_upper_hankel(hvals, block.left)
         parts[j] = signs[:, None] * (block.left.T @ (block.toeplitz @ x))
     spec = chains.spectrum
-    return InverseComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec)
+    return SpectralComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec)

@@ -1,9 +1,13 @@
 """Characteristic polynomials, root finding, spectrum clustering, solvability.
 
 Everything downstream works with a monic characteristic polynomial and a
-clustered spectrum.  The root finder is a simultaneous-iteration scheme
-(Aberth-Ehrlich with a Durand-Kerner fallback), so no general eigensolver is
-needed for companion-sized problems (degree up to ~50).
+clustered spectrum.  The root finder is the Aberth-Ehrlich simultaneous
+iteration, so no general eigensolver is needed.  Measured envelope on the
+benchmark's stable, conjugate-closed spectra (separation 0.3): ``analyze
+--pairs --inverse --finite 1`` passes every document at degree 3 and 5,
+misses an accuracy bound on 3 of 8 at degree 8 and exits 3 on every
+document at degree 12 and 16; ``verify`` fails every document at degree 8
+and 10.
 """
 
 from __future__ import annotations
@@ -223,29 +227,10 @@ def _aberth_sweeps(p: Polynomial, roots: np.ndarray, tol: float, max_sweeps: int
     return roots, bool(ok)
 
 
-def _durand_kerner_sweeps(p: Polynomial, roots: np.ndarray, tol: float, max_sweeps: int):
-    n = roots.size
-    for _ in range(max_sweeps):
-        max_step = 0.0
-        for i in range(n):
-            value = eval_with_derivative(p, roots[i])[0]
-            others = np.delete(roots, i)
-            denom = np.prod(roots[i] - others)
-            if denom == 0.0:
-                denom = 1e-16
-            step = value / denom
-            max_step = max(max_step, abs(step) / (1.0 + abs(roots[i])))
-            roots[i] -= step
-        if max_step <= _STEP_TOL:
-            break
-    ok = np.all(_residuals(p, roots) <= _root_residual_bound(p, roots, tol))
-    return roots, bool(ok)
-
-
-def _initial_circle(p: Polynomial, offset: float) -> np.ndarray:
+def _initial_circle(p: Polynomial) -> np.ndarray:
     n = p.degree
     radius = 1.0 + float(np.max(np.abs(p.coeffs)))
-    angles = 2.0 * np.pi * np.arange(n) / n + offset
+    angles = 2.0 * np.pi * np.arange(n) / n + 0.4
     return radius * np.exp(1j * angles)
 
 
@@ -290,15 +275,13 @@ def find_roots(p: Polynomial, tol: float = DEFAULT_TOLERANCES.root) -> np.ndarra
     Clouds around multiple roots pass this bound (the polynomial is flat
     there); cluster() recovers multiplicities from the cloud.
 
-    Raises ConvergenceError with the worst residual if neither the
-    Aberth-Ehrlich nor the Durand-Kerner iteration meets the bound within
-    200 sweeps.
+    The iteration is Aberth-Ehrlich from a circle of radius 1 + max|a_i|.
+    Raises ConvergenceError with the worst residual (relative to that bound)
+    if the iteration does not meet the bound within 200 sweeps.
     """
     if p.degree == 1:
         return np.array([-p.coeffs[0] + 0.0j])
-    roots, ok = _aberth_sweeps(p, _initial_circle(p, 0.4), tol, max_sweeps=200)
-    if not ok:
-        roots, ok = _durand_kerner_sweeps(p, _initial_circle(p, 1.1), tol, max_sweeps=200)
+    roots, ok = _aberth_sweeps(p, _initial_circle(p), tol, max_sweeps=200)
     if not ok:
         worst = float(np.max(_residuals(p, roots) / _root_residual_bound(p, roots, tol)))
         raise ConvergenceError(

@@ -249,6 +249,28 @@ class TestInitialConditionFlag:
         assert "homogeneous_sum" in report["finite"]
         assert report["finite_inverse"]["sum"]["residual"] < 1e-6
 
+    def test_extended_retry_with_initial_condition(self, tmp_path, capsys):
+        # degree 8: G(1) is numerically singular in double precision, so the
+        # finite inverse needs the extended-precision retry; an initial
+        # condition must not switch that retry off
+        coeffs = [2282.276472599614, 7061.767882988239, 8218.473821798005,
+                  5356.9141176459, 2307.2249191441088, 685.287995824171,
+                  136.87347552892803, 16.96216946824925, 1.0]
+        p0 = np.random.default_rng(1002).standard_normal((8, 8))
+        path = tmp_path / "ladder8.json"
+        path.write_text(
+            json.dumps({"char_poly": coeffs, "initial_condition": (0.5 * (p0 + p0.T)).tolist()})
+        )
+        out = tmp_path / "report.json"
+        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1",
+                     "--output", str(out)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        assert any("extended precision" in w for w in report["warnings"])
+        assert report["finite_inverse"]["normalization_condition"] > 1e12
+        assert "homogeneous_sum" in report["finite"]
+
 
 class TestDeterminism:
     def test_analyze_byte_identical(self, example1_path, tmp_path, capsys):

@@ -61,6 +61,26 @@ class TestToCompanion:
         with pytest.raises(gs.ControllabilityError):
             gs.to_companion(sys)
 
+    def test_nearly_uncontrollable_rejected_alike(self):
+        # condition about 9e12: finite, above the cap; every path that needs
+        # the controllability matrix must refuse with the same condition
+        sys = gs.LtiSystem(np.diag([-1.0, -2.0, -3.0]), np.array([1.0, 1.0, 1e-12]))
+        p = gs.char_poly(sys.a)
+        spec = gs.cluster(gs.find_roots(p))
+        gram = gs.infinite_subgramians(gs.build_companion(p), spec)
+        conditions = []
+        for call in (
+            lambda: gs.to_companion(sys),
+            lambda: gs.lift_to_original(gram, sys),
+            lambda: gs.riccati_general(sys),
+            lambda: gs.require_controllable(sys),
+        ):
+            with pytest.raises(gs.ControllabilityError) as excinfo:
+                call()
+            conditions.append(excinfo.value.condition)
+        assert 1e12 < conditions[0] < np.inf
+        assert conditions == [conditions[0]] * 4
+
     def test_multi_input_rejected(self):
         sys = gs.LtiSystem(np.diag([-1.0, -2.0]), np.eye(2))
         with pytest.raises(ValueError, match="single-input"):
