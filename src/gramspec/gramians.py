@@ -610,21 +610,28 @@ def exponent_collisions(spec: Spectrum, tol: float = 1e-10) -> list:
 
     Pair components are unique only when all these sums are distinct; the
     decomposition is still valid, so collisions are reported, not rejected.
+    Two sums collide when |s_a - s_b| <= tol (1 + radius).  The n^2 sums are
+    sorted by real part and each is compared only with the sums whose real
+    part lies within that window, since |s_a - s_b| >= |Re s_a - Re s_b|.
+    The result lists ((i, j), (k, l)) with (i, j) < (k, l), in lexicographic
+    order.
     """
     lams = spec.values
+    n = lams.size
     scale = tol * (1.0 + spec.radius)
-    sums = {}
-    for i in range(lams.size):
-        for j in range(lams.size):
-            sums[(i, j)] = lams[i] + np.conj(lams[j])
-    keys = sorted(sums)
-    collisions = []
-    for a_idx in range(len(keys)):
-        for b_idx in range(a_idx + 1, len(keys)):
-            ka, kb = keys[a_idx], keys[b_idx]
-            if abs(sums[ka] - sums[kb]) <= scale:
-                collisions.append((ka, kb))
-    return collisions
+    flat = (lams[:, None] + np.conj(lams)[None, :]).ravel()  # index i * n + j
+    order = np.argsort(flat.real).tolist()
+    sums = flat.tolist()
+    hits = []
+    for p, a in enumerate(order):
+        for q in range(p + 1, len(order)):
+            b = order[q]
+            if sums[b].real - sums[a].real > scale:
+                break
+            if abs(sums[a] - sums[b]) <= scale:
+                hits.append((min(a, b), max(a, b)))
+    hits.sort()
+    return [(divmod(a, n), divmod(b, n)) for a, b in hits]
 
 
 def zero_plaid_defect(m: np.ndarray, alternation: bool = True):

@@ -5,6 +5,17 @@ matrix exponential is scipy's scaling-and-squaring Pade implementation, the
 Lyapunov solve is dense elimination on the Kronecker operator, and the
 differential equation is integrated with classical RK4.
 
+The RK4 integration runs as its exact one-step map.  The equation
+dP/dt = A P + P A^T + Q is linear, so with L = I kron A + A kron I,
+Z = h L and S = I + Z/2 + Z^2/6 + Z^3/24, one RK4 step of size h sends
+vec(P) to vec(P) + (D vec(P) + c), where D = Z S and c = h S vec(Q).  This is
+the k1..k4 stage algebra in closed form, not an approximation of it.  The map
+is applied `steps` times by binary powering: O(log steps) products of
+n^2 x n^2 matrices, O(n^6 log steps) flops.  Both the Kronecker solve and RK4
+build the operator in `_kron_operator`, so ORACLE_DIMENSION_CAP covers both.
+With one BLAS thread, 10,000 steps take about 1 ms at n = 10, 25 ms at n = 16
+and 1 s at the cap.
+
 vec convention: column stacking, vec(P) = P.reshape(-1, order='F').  Then
 vec(A X B) = (B^T kron A) vec(X), so A P -> (I kron A) and P A^T -> (A kron I).
 Worked 2x2 identity: A = [[a, b], [c, d]], P = [[p, q], [q, r]],
@@ -55,6 +66,15 @@ def _symmetry_defect(p) -> float:
     return float(np.linalg.norm(p - p.T) / max(1.0, np.linalg.norm(p)))
 
 
+def _kron_operator(a) -> np.ndarray:
+    """The n^2 x n^2 operator I kron A + A kron I of P -> A P + P A^T on vec(P)."""
+    n = a.shape[0]
+    if n > ORACLE_DIMENSION_CAP:
+        raise ValueError(f"oracle dimension cap is {ORACLE_DIMENSION_CAP}, got n = {n}")
+    eye = np.eye(n)
+    return np.kron(eye, a) + np.kron(a, eye)
+
+
 def solve_lyapunov_dense(a, q) -> OracleResult:
     """Solve A P + P A^T = -Q by dense elimination on the n^2 x n^2 operator.
 
@@ -64,10 +84,7 @@ def solve_lyapunov_dense(a, q) -> OracleResult:
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     n = a.shape[0]
-    if n > ORACLE_DIMENSION_CAP:
-        raise ValueError(f"oracle dimension cap is {ORACLE_DIMENSION_CAP}, got n = {n}")
-    eye = np.eye(n)
-    operator = np.kron(eye, a) + np.kron(a, eye)
+    operator = _kron_operator(a)
     cond = np.linalg.cond(operator)
     if not np.isfinite(cond) or cond > 1e14:
         raise SolvabilityError(
@@ -81,23 +98,45 @@ def solve_lyapunov_dense(a, q) -> OracleResult:
 
 
 def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000) -> OracleResult:
-    """Classical RK4 on dP/dt = A P + P A^T + Q from P(0) = P_0."""
+    """Classical RK4 on dP/dt = A P + P A^T + Q from P(0) = P_0.
+
+    Takes `steps` RK4 steps of size h = t / steps, each as the exact affine
+    map y -> y + (D y + c) on y = vec(P) described in the module docstring,
+    applied by binary powering.  The map stays in increment form: squaring
+    gives (2 D + D^2, 2 c + D c).  Forming I + D would round away the low
+    digits of D, whose norm is about h ||L|| when that is small.  The cost is
+    O(n^6 log steps), and n is capped at ORACLE_DIMENSION_CAP.
+
+    Rounding differs from a stage-by-stage loop.  With many steps the two
+    agree to about 1e-11 relative on companion matrices up to n = 10.  With
+    few steps on a strongly non-normal A (h ||L|| >> 1), the squarings lose
+    digits that the loop keeps (up to about 1e-6 relative at 7 steps for
+    n = 5..10); RK4's truncation error there is of order one.
+    """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
-    p = np.asarray(p0, dtype=float).copy()
-    if t < 0 or steps < 1:
-        raise ValueError("need t >= 0 and steps >= 1")
+    if not np.isfinite(t) or t < 0 or steps < 1:
+        raise ValueError("need finite t >= 0 and steps >= 1")
+    n = a.shape[0]
     h = t / steps
-
-    def rhs(m):
-        return a @ m + m @ a.T + q
-
-    for _ in range(steps):
-        k1 = rhs(p)
-        k2 = rhs(p + 0.5 * h * k1)
-        k3 = rhs(p + 0.5 * h * k2)
-        k4 = rhs(p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    z = h * _kron_operator(a)
+    eye = np.eye(n * n)
+    s = eye / 6.0 + z / 24.0
+    s = eye / 2.0 + z @ s
+    s = eye + z @ s
+    d = z @ s
+    c = h * (s @ q.reshape(-1, order="F"))
+    y = np.asarray(p0, dtype=float).reshape(-1, order="F")
+    remaining = steps
+    while True:
+        if remaining & 1:
+            y = y + (d @ y + c)
+        remaining >>= 1
+        if not remaining:
+            break
+        c = 2.0 * c + d @ c
+        d = 2.0 * d + d @ d
+    p = y.reshape(n, n, order="F")
     return OracleResult(p, "rk4", _symmetry_defect(p), steps=steps)
 
 
@@ -118,8 +157,8 @@ def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:
     b = np.asarray(b, dtype=float)
     if b.ndim == 1:
         b = b[:, None]
-    if t < 0:
-        raise ValueError("need t >= 0")
+    if not np.isfinite(t) or t < 0:
+        raise ValueError("need finite t >= 0")
     n = a.shape[0]
     if t == 0:
         return OracleResult(np.zeros((n, n)), "quadrature", 0.0, steps=0)

@@ -286,6 +286,21 @@ class TestDeterminism:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_shared_parser_leaks_no_state(self, example1_path, tmp_path, capsys):
+        # the parser is built once per process; earlier commands, flags and
+        # usage errors must not change a later report
+        from gramspec.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert main(["analyze", example1_path, "--output", str(before)]) == EXIT_OK
+        assert main(["analyze", example1_path, "--pairs", "--inverse", "--finite", "1"]) == EXIT_OK
+        assert main(["verify", example1_path, "--seed", "3"]) == EXIT_OK
+        assert main(["energy", example1_path]) == EXIT_USAGE
+        assert main(["analyze", example1_path, "--output", str(after)]) == EXIT_OK
+        capsys.readouterr()
+        assert before.read_bytes() == after.read_bytes()
+
     def test_report_keys_sorted(self, example1_path, tmp_path, capsys):
         out = tmp_path / "r.json"
         main(["analyze", example1_path, "--output", str(out)])

@@ -344,6 +344,55 @@ def test_exponent_collisions_flagged(example1):
     assert (((0, 2), (1, 1)) in collisions) or (((1, 1), (0, 2)) in collisions)
 
 
+def _collisions_brute_force(spec, tol=1e-10):
+    # the all-pairs scan that exponent_collisions replaced, kept as its reference
+    lams = spec.values
+    scale = tol * (1.0 + spec.radius)
+    sums = {}
+    for i in range(lams.size):
+        for j in range(lams.size):
+            sums[(i, j)] = lams[i] + np.conj(lams[j])
+    keys = sorted(sums)
+    collisions = []
+    for a_idx in range(len(keys)):
+        for b_idx in range(a_idx + 1, len(keys)):
+            ka, kb = keys[a_idx], keys[b_idx]
+            if abs(sums[ka] - sums[kb]) <= scale:
+                collisions.append((ka, kb))
+    return collisions
+
+
+class TestExponentCollisions:
+    def test_random_spectra_match_scan(self):
+        rng = np.random.default_rng(131)
+        for _ in range(20):
+            n = int(rng.integers(2, 11))
+            _, _, spec = random_companion(rng, n)
+            assert gs.exponent_collisions(spec) == _collisions_brute_force(spec)
+
+    def test_colliding_spectrum_matches_scan(self):
+        # equal real parts and equally spaced imaginary parts: many sums coincide
+        spec = gs.Spectrum.simple(np.array([-1.0, -1 + 1j, -1 - 1j, -1 + 2j, -1 - 2j]))
+        collisions = gs.exponent_collisions(spec)
+        assert collisions == _collisions_brute_force(spec)
+        assert ((0, 1), (2, 0)) in collisions  # -2 + 1j both ways
+        for tol in (0.0, 1e-3, 0.5):
+            assert gs.exponent_collisions(spec, tol) == _collisions_brute_force(spec, tol)
+
+    def test_pair_at_exact_tolerance(self):
+        # lambda = -0.75, -1: the sums -1.5 (from (0, 0)) and -1.75 (from
+        # (0, 1) and (1, 0)) differ by exactly 0.25, and tol = 0.125 with
+        # radius 1 makes the window exactly 0.25, so the pair is on the
+        # boundary, which counts as a collision
+        spec = gs.Spectrum.simple(np.array([-0.75, -1.0]))
+        tol = 0.125
+        below = np.nextafter(tol, 0.0)
+        for t in (tol, below):
+            assert gs.exponent_collisions(spec, t) == _collisions_brute_force(spec, t)
+        assert ((0, 0), (0, 1)) in gs.exponent_collisions(spec, tol)
+        assert gs.exponent_collisions(spec, below) == [((0, 1), (1, 0))]
+
+
 def test_initial_condition_validation():
     with pytest.raises(ValueError, match="symmetric"):
         gs.InitialCondition(np.array([[0.0, 1.0], [0.0, 0.0]]))

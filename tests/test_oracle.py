@@ -102,7 +102,110 @@ class TestRk4:
         assert 12.0 < errors[1] / errors[2] < 20.0
 
 
+def _rk4_stage_loop(a, q, p0, t, steps):
+    """Classical RK4 stage by stage: the loop that integrate_lyapunov replaced."""
+    p = np.array(p0, dtype=float)
+    h = t / steps
+
+    def rhs(m):
+        return a @ m + m @ a.T + q
+
+    for _ in range(steps):
+        k1 = rhs(p)
+        k2 = rhs(p + 0.5 * h * k1)
+        k3 = rhs(p + 0.5 * h * k2)
+        k4 = rhs(p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p
+
+
+def _exact_flow(a, q, p0, t):
+    """P(t) of dP/dt = A P + P A^T + Q, from the exponential of the augmented
+    generator [[I kron A + A kron I, vec Q], [0, 0]] acting on (vec P_0, 1)."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    generator = np.zeros((n * n + 1, n * n + 1))
+    generator[:-1, :-1] = np.kron(eye, a) + np.kron(a, eye)
+    generator[:-1, -1] = q.reshape(-1, order="F")
+    v = gs.matrix_exp_reference(generator, t) @ np.append(p0.reshape(-1, order="F"), 1.0)
+    return v[:-1].reshape(n, n, order="F")
+
+
+class TestPoweredRk4:
+    # The powered one-step map and the stage loop evaluate the same RK4
+    # recursion with different rounding.  With many steps they differ by up
+    # to about 1e-11 at n = 9 and 10, where the float64 stage loop itself is
+    # about 1e-12 from an 80-bit one, so the floor is 1e-10.  With 7
+    # steps on a companion operator the squarings of the one-step map lose
+    # digits the loop keeps (up to about 1e-6), but RK4's truncation error is
+    # then of order one, so the bound also allows 1e-3 of it.
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_stage_loop(self, n):
+        rng = np.random.default_rng(410 + n)
+        _, cr, _ = random_companion(rng, n)
+        q = np.outer(cr.b_c, cr.b_c)
+        m = rng.standard_normal((n, n))
+        p0 = 0.5 * (m + m.T)
+        for steps in (1, 7, 300, 1200, 10_000):
+            t = float(rng.uniform(0.1, 2.0))
+            powered = gs.integrate_lyapunov(cr.a_c, q, p0, t, steps=steps).matrix
+            loop = _rk4_stage_loop(cr.a_c, q, p0, t, steps)
+            scale = np.linalg.norm(loop)
+            truncation = np.linalg.norm(loop - _exact_flow(cr.a_c, q, p0, t)) / scale
+            assert np.linalg.norm(powered - loop) / scale <= 1e-10 + 1e-3 * truncation
+
+    def test_convergence_ratios_match_stage_loop(self, mirrored_stable):
+        _, cr, _ = mirrored_stable
+        q = np.outer(cr.b_c, cr.b_c)
+        p0 = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 1.5]])
+        exact = _exact_flow(cr.a_c, q, p0, 1.0)
+
+        def ratios(integrate):
+            errors = [np.linalg.norm(integrate(steps) - exact) for steps in (8, 16, 32)]
+            return np.array([errors[0] / errors[1], errors[1] / errors[2]])
+
+        powered = ratios(lambda s: gs.integrate_lyapunov(cr.a_c, q, p0, 1.0, steps=s).matrix)
+        loop = ratios(lambda s: _rk4_stage_loop(cr.a_c, q, p0, 1.0, s))
+        assert np.all(np.abs(powered - loop) <= 1e-9 * loop)
+
+    def test_zero_horizon_many_steps(self):
+        p0 = np.array([[2.0, 1.0], [1.0, 3.0]])
+        a = np.array([[0.0, 1.0], [-2.0, -3.0]])
+        result = gs.integrate_lyapunov(a, np.eye(2), p0, 0.0, steps=10_000)
+        assert np.array_equal(result.matrix, p0)
+
+    def test_steps_method_and_residual(self):
+        rng = np.random.default_rng(421)
+        _, cr, _ = random_companion(rng, 4)
+        q = np.outer(cr.b_c, cr.b_c)
+        result = gs.integrate_lyapunov(cr.a_c, q, np.zeros((4, 4)), 1.0, steps=1_200)
+        assert result.method == "rk4"
+        assert result.steps == 1_200
+        p = result.matrix
+        defect = np.linalg.norm(p - p.T) / max(1.0, np.linalg.norm(p))
+        assert result.residual == defect
+
+    def test_dimension_cap(self):
+        n = 33  # one above the cap of 32
+        with pytest.raises(ValueError, match="cap"):
+            gs.integrate_lyapunov(-np.eye(n), np.eye(n), np.zeros((n, n)), 1.0, steps=10)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_horizon_rejected(self, t):
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            gs.integrate_lyapunov(-np.eye(2), np.eye(2), np.zeros((2, 2)), t, steps=10)
+
+    def test_bad_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps >= 1"):
+            gs.integrate_lyapunov(-np.eye(2), np.eye(2), np.zeros((2, 2)), 1.0, steps=0)
+
+
 class TestQuadrature:
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_horizon_rejected(self, t):
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            gs.gramian_quadrature(-np.eye(2), np.eye(2), t)
+
     def test_zero_horizon(self):
         result = gs.gramian_quadrature(-np.eye(2), np.eye(2), 0.0)
         assert np.array_equal(result.matrix, np.zeros((2, 2)))
