@@ -5,12 +5,15 @@ basis: the dynamics matrix carries the characteristic coefficients in its
 last row and the input is the last unit vector.  Right eigenvectors are
 Vandermonde columns, left eigenvectors come from a Hankel matrix of the
 coefficients, and Jordan chains for multiple eigenvalues follow a Pascal-type
-recursion in closed form.
+recursion in closed form.  For a simple spectrum, EigenStructure is the one
+place where the per-eigenvalue data of every closed form is evaluated and
+checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +21,11 @@ from .errors import ConditioningError, ControllabilityError, MultipleEigenvalueE
 from .spectrum import Polynomial, Spectrum, char_poly, eval_with_derivative
 
 CONDITION_CAP = 1e12
+POLY_TOL = 1e-8  # relative defect allowed in the similarity and polynomial-match checks
+ROOT_TOL = 1e-8  # relative |N(lambda)| and origin distance allowed for a Jordan-chain entry
+SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
+ORIGIN_TOL = 1e-12  # |lambda| at or below this times (1 + max|a_k|) has no left eigenvector
+DERIV_FLOOR = 1e-8  # |N'(lambda)| at or below this times max|a_k| counts as a multiple eigenvalue
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ def require_controllable(sys: LtiSystem) -> np.ndarray:
     return ctrb
 
 
-def to_companion(sys: LtiSystem, poly_tol: float = 1e-8):
+def to_companion(sys: LtiSystem):
     """Similarity transform of a controllable SI system to companion form.
 
     Returns (SimilarityTransform, CompanionRealization) with T = C * H_u and
@@ -149,9 +157,9 @@ def to_companion(sys: LtiSystem, poly_tol: float = 1e-8):
     h_u = hankel_upper(p)
     t = ctrb @ h_u
     scale = np.linalg.norm(sys.a) * np.linalg.norm(t) + 1.0
-    if np.linalg.norm(sys.a @ t - t @ cr.a_c) > poly_tol * scale:
+    if np.linalg.norm(sys.a @ t - t @ cr.a_c) > POLY_TOL * scale:
         raise ControllabilityError("similarity verification A T = T A_C failed")
-    if np.linalg.norm(sys.b[:, 0] - t @ cr.b_c) > poly_tol * (1.0 + np.linalg.norm(sys.b)):
+    if np.linalg.norm(sys.b[:, 0] - t @ cr.b_c) > POLY_TOL * (1.0 + np.linalg.norm(sys.b)):
         raise ControllabilityError("similarity verification b = T b_C failed")
     return SimilarityTransform(t, h_u, ctrb), cr
 
@@ -161,56 +169,97 @@ def right_eigenvector(lam: complex, n: int) -> np.ndarray:
     return lam ** np.arange(n, dtype=float)
 
 
-def left_eigenvector(lam: complex, p: Polynomial, zero_tol: float = 1e-12) -> np.ndarray:
+def left_eigenvector(lam: complex, p: Polynomial) -> np.ndarray:
     """Left eigenvector y = H_l x / lam^n, normalized so the last entry is -1.
 
     lam = 0 (excluded by the solvability condition with i = j) is rejected.
     """
-    if abs(lam) <= zero_tol * (1.0 + np.max(np.abs(p.coeffs))):
-        raise ValueError("left eigenvector undefined for eigenvalue at the origin")
-    x = right_eigenvector(lam, p.degree)
-    return (hankel_lower(p) @ x) / lam**p.degree
+    return _evaluate(p, np.asarray([lam])).left[0]
 
 
-def residue_companion(lam: complex, p: Polynomial, deriv_tol: float = 1e-8) -> np.ndarray:
+def residue_companion(lam: complex, p: Polynomial) -> np.ndarray:
     """Resolvent residue R = x y^T / (-N'(lam)) for a simple eigenvalue."""
-    _, deriv = eval_with_derivative(p, lam)
-    scale = float(np.max(np.abs(p.coeffs)))
-    if abs(deriv) <= deriv_tol * scale:
-        raise MultipleEigenvalueError(
-            f"|N'({lam})| = {abs(deriv):.3e} is below tolerance; eigenvalue is "
-            "numerically multiple, use the Jordan-chain decomposition"
-        )
-    x = right_eigenvector(lam, p.degree)
-    y = left_eigenvector(lam, p)
-    return np.outer(x, y) / (-deriv)
+    return _evaluate(p, np.asarray([lam])).residues[0]
 
 
 @dataclass(frozen=True)
 class EigenStructure:
-    """Right/left eigenvectors and residues of a simple companion spectrum.
+    """Per-eigenvalue data of a simple companion spectrum, evaluated once.
 
-    Column i of ``right``/``left`` is x_i/y_i; residues[i] is R_i.
+    Every simple-spectrum closed form (Gramian eigen and pair parts, inverse
+    parts, residues, finite-horizon and homogeneous terms) is built from it.
+    Row i of ``right`` is the Vandermonde vector x_i; ``derivs[i]`` is
+    N'(lambda_i) and ``mirrors[i]`` is N(-lambda_i), both by Horner.  Two
+    more entries are formed on first use, each behind the check that guards
+    it: ``left`` (row i is y_i = H_l x_i / lambda_i^n) raises ValueError for
+    an eigenvalue at the origin, and ``residues`` (R_i = x_i y_i^T /
+    (-N'(lambda_i))) raises MultipleEigenvalueError when |N'(lambda_i)| is at
+    or below DERIV_FLOOR max|a_k|.
+
+    The working precision is the dtype of ``eigenvalues``: complex128,
+    clongdouble, or an object array of mpmath numbers (used inside an mpmath
+    precision context).  Builders combine the entries one eigenvalue at a
+    time, in scalar arithmetic.
     """
 
+    poly: Polynomial
     eigenvalues: np.ndarray
     right: np.ndarray
-    left: np.ndarray
-    residues: np.ndarray
+    derivs: np.ndarray
+    mirrors: np.ndarray
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        scale = ORIGIN_TOL * (1.0 + np.max(np.abs(self.poly.coeffs)))
+        if any(abs(lam) <= scale for lam in self.eigenvalues):
+            raise ValueError("left eigenvector undefined for eigenvalue at the origin")
+        h_l = hankel_lower(self.poly)
+        n = self.poly.degree
+        return np.stack([(h_l @ x) / lam**n for lam, x in zip(self.eigenvalues, self.right)])
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        scale = float(np.max(np.abs(self.poly.coeffs)))
+        for lam, deriv in zip(self.eigenvalues, self.derivs):
+            if abs(deriv) <= DERIV_FLOOR * scale:
+                raise MultipleEigenvalueError(
+                    f"|N'({lam})| = {float(abs(deriv)):.3e} is below tolerance; eigenvalue "
+                    "is numerically multiple, use the Jordan-chain decomposition"
+                )
+        return np.stack(
+            [np.outer(x, y) / (-d) for x, y, d in zip(self.right, self.left, self.derivs)]
+        )
 
 
-def eigen_structure(p: Polynomial, spec: Spectrum) -> EigenStructure:
-    if not spec.is_simple:
-        raise MultipleEigenvalueError("eigen structure requires a simple spectrum")
+def _evaluate(p: Polynomial, values: np.ndarray) -> EigenStructure:
     n = p.degree
-    lams = spec.values
-    right = np.column_stack([right_eigenvector(lam, n) for lam in lams])
-    left = np.column_stack([left_eigenvector(lam, p) for lam in lams])
-    residues = np.stack([residue_companion(lam, p) for lam in lams])
-    return EigenStructure(lams, right, left, residues)
+    return EigenStructure(
+        p,
+        values,
+        np.stack([right_eigenvector(lam, n) for lam in values]),
+        np.array([eval_with_derivative(p, lam)[1] for lam in values]),
+        np.array([eval_with_derivative(p, -lam)[0] for lam in values]),
+    )
 
 
-def residues_general(a, spec: Spectrum, separation_tol: float = 1e-8) -> np.ndarray:
+def eigen_structure(
+    p: Polynomial, spec: Spectrum, values: np.ndarray | None = None
+) -> EigenStructure:
+    """The EigenStructure of a simple spectrum.
+
+    ``values`` are the eigenvalues in the working precision (default
+    ``spec.values``).  Raises MultipleEigenvalueError for a spectrum with
+    multiplicities.
+    """
+    if not spec.is_simple:
+        raise MultipleEigenvalueError(
+            "spectrum has multiple eigenvalues; use the multiple-eigenvalue "
+            "decomposition (multiple_eig_gramian / inverse_multiple_eig)"
+        )
+    return _evaluate(p, spec.values if values is None else values)
+
+
+def residues_general(a, spec: Spectrum) -> np.ndarray:
     """Resolvent residues of an arbitrary matrix with a simple spectrum.
 
     Lagrange form R_i = prod_{j != i} (A - lambda_j I) / (lambda_i - lambda_j);
@@ -227,7 +276,7 @@ def residues_general(a, spec: Spectrum, separation_tol: float = 1e-8) -> np.ndar
         sep = min(
             abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n)
         )
-        if sep <= separation_tol * (1.0 + spec.radius):
+        if sep <= SEPARATION_TOL * (1.0 + spec.radius):
             raise MultipleEigenvalueError(
                 f"eigenvalue separation {sep:.3e} is below the cluster tolerance"
             )
@@ -309,9 +358,7 @@ def _chain_columns(lam: complex, mult: int, n: int) -> np.ndarray:
     return cols
 
 
-def jordan_chains_companion(
-    spec: Spectrum, p: Polynomial, root_tol: float = 1e-8
-) -> JordanChainSet:
+def jordan_chains_companion(spec: Spectrum, p: Polynomial) -> JordanChainSet:
     """Jordan chains, Toeplitz and Hankel factors for a companion system.
 
     The left chains come from inverting the full modal matrix once; an
@@ -324,12 +371,12 @@ def jordan_chains_companion(
     scale = np.max(np.abs(p.coeffs))
     for lam in spec.values:
         value, _ = eval_with_derivative(p, lam)
-        if abs(value) > root_tol * scale * max(1.0, abs(lam)) ** n:
+        if abs(value) > ROOT_TOL * scale * max(1.0, abs(lam)) ** n:
             raise ValueError(
                 f"spectrum entry {lam} is not a root of the polynomial "
                 f"(|N| = {abs(value):.3e})"
             )
-        if abs(lam) <= root_tol * (1.0 + spec.radius):
+        if abs(lam) <= ROOT_TOL * (1.0 + spec.radius):
             raise ValueError("Jordan chains undefined for an eigenvalue at the origin")
 
     modal = np.hstack(

@@ -122,11 +122,9 @@ def optimal_control(x0, cr: CompanionRealization, spec: Spectrum) -> OptimalCont
     return OptimalControlSignal(kappa, rates, horizon)
 
 
-def control_energy_quadrature(
-    signal: OptimalControlSignal, points: int = QUADRATURE_POINTS
-) -> float:
+def control_energy_quadrature(signal: OptimalControlSignal) -> float:
     """Trapezoid quadrature of the control energy over (-horizon, 0)."""
-    t = np.linspace(-signal.horizon, 0.0, points)
+    t = np.linspace(-signal.horizon, 0.0, QUADRATURE_POINTS)
     u = signal.control(t)
     return float(np.trapezoid(u * u, t))
 
@@ -150,7 +148,6 @@ def modal_overlap_integrals(
     gram_pairs: SpectralComponentSet,
     cr: CompanionRealization,
     spec: Spectrum,
-    points: int = QUADRATURE_POINTS,
 ) -> OverlapReport:
     """Certify x_0^T P^{-1} P_ij^C P^{-1} x_0 against the overlap integrals
     (1/2) int (conj(u_i) u_j + conj(u_j) u_i) dt of the modal controls."""
@@ -169,7 +166,7 @@ def modal_overlap_integrals(
         ]
     )
     signal = optimal_control(x0, cr, spec)
-    t = np.linspace(-signal.horizon, 0.0, points)
+    t = np.linspace(-signal.horizon, 0.0, QUADRATURE_POINTS)
     modes = signal.modal(t)
     quad = np.empty((k, k))
     for i in range(k):

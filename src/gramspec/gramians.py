@@ -25,7 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .companion import (
+    POLY_TOL,
     CompanionRealization,
+    EigenStructure,
     JordanChainSet,
     LtiSystem,
     alternating_signs,
@@ -33,24 +35,24 @@ from .companion import (
     hankel_upper,
     jordan_chains_companion,
     require_controllable,
-    residue_companion,
 )
-from .errors import MultipleEigenvalueError, SolvabilityError
+from .errors import SolvabilityError
 from .spectrum import (
     DEFAULT_TOLERANCES,
     Polynomial,
     Spectrum,
     char_poly,
     check_solvability,
-    eval_with_derivative,
 )
+
+ORBIT_IMAG_TOL = 1e-9  # imaginary part of a conjugate-orbit sum, relative to its entry scale
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def merge_conjugate_components(components: dict, spectrum, kind: str, tol: float = 1e-9) -> dict:
+def merge_conjugate_components(components: dict, spectrum, kind: str) -> dict:
     """Sum components over conjugate index orbits, returning real matrices.
 
     Keys are the orbit representatives (smallest member).  Raises if an orbit
@@ -79,7 +81,7 @@ def merge_conjugate_components(components: dict, spectrum, kind: str, tol: float
         seen.add(canon)
         total = sum(components[k] for k in members)
         scale = max(1e-300, float(np.max(np.abs(total))))
-        if np.max(np.abs(total.imag)) > tol * scale:
+        if np.max(np.abs(total.imag)) > ORBIT_IMAG_TOL * scale:
             raise ValueError(
                 "conjugate-orbit sum has a non-negligible imaginary part; "
                 "spectrum is not conjugate closed"
@@ -99,14 +101,6 @@ def _require_horizon(t: float):
         raise ValueError(f"horizon must be finite and nonnegative, got {t}")
 
 
-def _require_simple(spec: Spectrum):
-    if not spec.is_simple:
-        raise MultipleEigenvalueError(
-            "spectrum has multiple eigenvalues; use the multiple-eigenvalue "
-            "decomposition (multiple_eig_gramian / inverse_multiple_eig)"
-        )
-
-
 @dataclass(frozen=True)
 class SpectralComponentSet:
     """Eigen- or pair-indexed spectral components of a Gramian or of its
@@ -117,9 +111,10 @@ class SpectralComponentSet:
     (raw inverse eigen components are rank one and orthogonal against the
     Gramian eigenparts); symmetrized components are the Hermitian parts and
     carry the physical (energy) interpretation.  ``accurate_total`` (set by
-    extended-precision construction) is the component sum accumulated before
+    extended-precision construction) is the component sum accumulated at 40
+    digits, from the eigen structure of re-polished eigenvalues, before
     rounding; near degeneracy makes resummation of the stored components
-    lossier.
+    lossier.  Simple-spectrum sets are built from one companion.EigenStructure.
     """
 
     components: dict
@@ -142,15 +137,15 @@ class SpectralComponentSet:
             return self.accurate_total
         return sum(self.components.values())
 
-    def merged_real(self, tol: float = 1e-9) -> "SpectralComponentSet":
+    def merged_real(self) -> "SpectralComponentSet":
         """Aggregate conjugate index pairs into real matrices.
 
         For a real system with a conjugate-closed spectrum the sum over each
         conjugate orbit is real; the residual imaginary part must stay below
-        tol relative to the entry scale.  The zero-plaid structure of
-        complex-eigenvalue parts only shows on these merged components.
+        ORBIT_IMAG_TOL relative to the entry scale.  The zero-plaid structure
+        of complex-eigenvalue parts only shows on these merged components.
         """
-        merged = merge_conjugate_components(self.components, self.spectrum, self.kind, tol)
+        merged = merge_conjugate_components(self.components, self.spectrum, self.kind)
         total = None if self.accurate_total is None else self.accurate_total.real
         return replace(self, components=merged, accurate_total=total)
 
@@ -232,8 +227,9 @@ class FiniteGramianDecomposition:
 _MP_DPS = 40
 
 
-def _mp_polished_roots(poly: Polynomial, values: np.ndarray):
-    """Newton-polish simple roots in arbitrary precision (mpmath numbers).
+def _mp_polished_roots(poly: Polynomial, values: np.ndarray) -> np.ndarray:
+    """Newton-polish simple roots in arbitrary precision (object array of
+    mpmath numbers).
 
     Horner evaluation noise at any fixed precision caps the achievable root
     accuracy on ill-conditioned coefficient sets; polishing past it keeps the
@@ -242,9 +238,9 @@ def _mp_polished_roots(poly: Polynomial, values: np.ndarray):
     from mpmath import mp, mpc, mpf
 
     coefficients = [mpf(float(c)) for c in poly.coeffs]
-    polished = []
+    polished = np.empty(values.size, dtype=object)
     with mp.workdps(_MP_DPS):
-        for lam in values:
+        for k, lam in enumerate(values):
             z = mpc(lam.real, lam.imag)
             for _ in range(5):
                 value = deriv = mpc(0)
@@ -254,7 +250,7 @@ def _mp_polished_roots(poly: Polynomial, values: np.ndarray):
                 if deriv == 0:
                     break
                 z = z - value / deriv
-            polished.append(z)
+            polished[k] = z
     return polished
 
 
@@ -286,53 +282,33 @@ def _working_values(spec: Spectrum, extended: bool, poly: Polynomial | None = No
     )
 
 
-def _accurate_eigen_total(poly: Polynomial, values: np.ndarray) -> np.ndarray:
-    """Sum of the raw eigen components accumulated in arbitrary precision.
+def _accurate_total(
+    poly: Polynomial, spec: Spectrum, parts: Callable[[EigenStructure], dict]
+) -> np.ndarray:
+    """Sum of a builder's raw components accumulated in arbitrary precision.
 
     Near-degenerate spectra make individual components exceed their sum by
     many orders of magnitude; a sum of components stored at any fixed
-    precision then loses the cancellation, so the total is accumulated before
-    rounding.
+    precision then loses the cancellation, so the components are formed from
+    re-polished eigenvalues at _MP_DPS digits and summed before rounding.
     """
-    from mpmath import mp, mpc, mpf
+    from mpmath import mp
 
-    n = poly.degree
-    coefficients = [mpf(float(c)) for c in poly.coeffs]
     with mp.workdps(_MP_DPS):
-        total = [[mpc(0) for _ in range(n)] for _ in range(n)]
-        for z in _mp_polished_roots(poly, values):
-            value = deriv = mirror = mpc(0)
-            for c in coefficients[::-1]:
-                deriv = deriv * z + value
-                value = value * z + c
-                mirror = mirror * (-z) + c
-            coefficient = 1 / (-deriv * mirror)
-            x = [z**k for k in range(n)]
-            for mu in range(n):
-                for nu in range(n):
-                    total[mu][nu] += coefficient * x[mu] * x[nu] * (-1) ** (nu + 1)
+        es = eigen_structure(poly, spec, _mp_polished_roots(poly, spec.values))
+        total = sum(parts(es).values())
         return np.array(
-            [[_mp_to_clongdouble(total[mu][nu]) for nu in range(n)] for mu in range(n)],
-            dtype=np.clongdouble,
+            [[_mp_to_clongdouble(z) for z in row] for row in total], dtype=np.clongdouble
         )
 
 
-def _raw_eigenpart(p: Polynomial, lam: complex, signs: np.ndarray) -> np.ndarray:
-    _, deriv = eval_with_derivative(p, lam)
-    at_mirror, _ = eval_with_derivative(p, -lam)
-    x = lam ** np.arange(p.degree, dtype=float)
-    return np.outer(x, x) * signs[None, :] / (-deriv * at_mirror)
-
-
-def _raw_pairpart(p: Polynomial, lam_i: complex, lam_j: complex) -> np.ndarray:
-    """Raw pair component -1/(lam_i + conj(lam_j)) x_i x_j^* / (N'_i N'_j*)."""
-    n = p.degree
-    _, di = eval_with_derivative(p, lam_i)
-    _, dj = eval_with_derivative(p, np.conj(lam_j))
-    x_i = lam_i ** np.arange(n, dtype=float)
-    x_j = lam_j ** np.arange(n, dtype=float)
-    s = lam_i + np.conj(lam_j)
-    return -np.outer(x_i, np.conj(x_j)) / (s * di * dj)
+def _eigenparts(es: EigenStructure) -> dict:
+    """Raw eigen components x_i x_i^T J / (-N'(lambda_i) N(-lambda_i))."""
+    signs = alternating_signs(es.poly.degree)
+    return {
+        i: np.outer(x, x) * signs[None, :] / (-deriv * mirror)
+        for i, (x, deriv, mirror) in enumerate(zip(es.right, es.derivs, es.mirrors))
+    }
 
 
 def _expm_transpose_simple(lams: np.ndarray, residues) -> Callable:
@@ -354,17 +330,18 @@ def infinite_subgramians(
 
     Returns the raw components P_hat_i; their Hermitian parts (via
     ``symmetrized()``) sum to the same solution.  ``extended`` builds the
-    components in 80-bit precision from re-polished eigenvalues, which keeps
-    the cancellation in the sum resolvable when the spectrum is nearly
-    degenerate.
+    components in 80-bit precision from re-polished eigenvalues and keeps
+    their 40-digit sum as ``accurate_total``, which keeps the cancellation in
+    the sum resolvable when the spectrum is nearly degenerate.  Reads
+    x_i, N'(lambda_i) and N(-lambda_i) from the eigen structure only, so a
+    near-multiple simple spectrum is still decomposed.
     """
     require_solvable(spec, solvability_tol)
-    _require_simple(spec)
-    signs = alternating_signs(cr.n)
-    lams = _working_values(spec, extended, cr.poly)
-    parts = {i: _raw_eigenpart(cr.poly, lam, signs) for i, lam in enumerate(lams)}
-    total = _accurate_eigen_total(cr.poly, spec.values) if extended else None
-    return SpectralComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec, total)
+    es = eigen_structure(cr.poly, spec, _working_values(spec, extended, cr.poly))
+    total = _accurate_total(cr.poly, spec, _eigenparts) if extended else None
+    return SpectralComponentSet(
+        _eigenparts(es), "eigen", "raw", "companion", cr.poly, spec, total
+    )
 
 
 def infinite_pair_subgramians(
@@ -372,14 +349,23 @@ def infinite_pair_subgramians(
     spec: Spectrum,
     solvability_tol: float = DEFAULT_TOLERANCES.solvability,
 ) -> SpectralComponentSet:
-    """Pair-indexed decomposition; row sums reproduce the eigen components."""
+    """Pair-indexed decomposition; row sums reproduce the eigen components.
+
+    Component (i, j) is -x_i x_j^* / ((lambda_i + conj(lambda_j)) N'(lambda_i)
+    conj(N'(lambda_j))).
+    """
     require_solvable(spec, solvability_tol)
-    _require_simple(spec)
-    lams = spec.values
+    es = eigen_structure(cr.poly, spec)
+    # N'(conj(lambda)) = conj(N'(lambda)) for real coefficients; adding 0
+    # turns a negative zero imaginary part positive, as Horner returns it
+    conj_derivs = np.conj(es.derivs) + 0
+    lams, right, derivs = es.eigenvalues, es.right, es.derivs
+    k = lams.size
     parts = {
-        (i, j): _raw_pairpart(cr.poly, lam_i, lam_j)
-        for i, lam_i in enumerate(lams)
-        for j, lam_j in enumerate(lams)
+        (i, j): -np.outer(right[i], np.conj(right[j]))
+        / ((lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j])
+        for i in range(k)
+        for j in range(k)
     }
     return SpectralComponentSet(parts, "pair", "raw", "companion", cr.poly, spec)
 
@@ -396,20 +382,20 @@ def finite_subgramians(
     Component i evaluates to P_hat_i (I - e^{(lambda_i I + A_C^T) t}).
     With ``extended`` everything is built and evaluated in 80-bit precision,
     which the product identity with the finite inverse needs at stiff
-    horizons.
+    horizons.  The exponential needs the residues, so a near-multiple
+    eigenvalue raises MultipleEigenvalueError.
     """
     _require_horizon(t)
     require_solvable(spec, solvability_tol)
-    _require_simple(spec)
-    lams = _working_values(spec, extended, cr.poly)
-    signs = alternating_signs(cr.n)
-    parts = {i: _raw_eigenpart(cr.poly, lam, signs) for i, lam in enumerate(lams)}
+    es = eigen_structure(cr.poly, spec, _working_values(spec, extended, cr.poly))
+    parts = _eigenparts(es)
     static = SpectralComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec)
-    residues = [residue_companion(lam, cr.poly) for lam in lams]
     terms = {
-        i: [ExpTerm(-parts[i], lam, matrix_exp=True)] for i, lam in enumerate(lams)
+        i: [ExpTerm(-parts[i], lam, matrix_exp=True)] for i, lam in enumerate(es.eigenvalues)
     }
-    return FiniteGramianDecomposition(static, terms, t, _expm_transpose_simple(lams, residues))
+    return FiniteGramianDecomposition(
+        static, terms, t, _expm_transpose_simple(es.eigenvalues, es.residues)
+    )
 
 
 def finite_pair_subgramians(
@@ -442,12 +428,12 @@ def homogeneous_decomposition(
     R_i P_0 e^{(lambda_i I + A_C^T) t} and R_i P_0 R_j^* e^{(lambda_i +
     conj(lambda_j)) t}; both sums reproduce P_0 at t = 0.
     """
-    _require_simple(spec)
+    es = eigen_structure(cr.poly, spec)
     if p0.n != cr.n:
         raise ValueError("initial condition dimension does not match the system")
-    residues = eigen_structure(cr.poly, spec).residues
-    expm_t = _expm_transpose_simple(spec.values, residues)(t)
-    lams = spec.values
+    residues = es.residues
+    lams = es.eigenvalues
+    expm_t = _expm_transpose_simple(lams, residues)(t)
     eigen_parts = {
         i: residues[i] @ p0.matrix @ expm_t * np.exp(lams[i] * t) for i in range(lams.size)
     }
@@ -464,9 +450,7 @@ def homogeneous_decomposition(
     return eigen_set, pair_set
 
 
-def lift_to_original(
-    decomp: SpectralComponentSet, sys: LtiSystem, poly_tol: float = 1e-8
-) -> SpectralComponentSet:
+def lift_to_original(decomp: SpectralComponentSet, sys: LtiSystem) -> SpectralComponentSet:
     """Map companion-coordinate components to the original basis.
 
     Each component X becomes C (H_u X H_u (x) I_m) C^T with C the
@@ -477,7 +461,7 @@ def lift_to_original(
     pc = char_poly(sys.a)
     if decomp.poly is not None:
         scale = np.max(np.abs(decomp.poly.coeffs))
-        if np.max(np.abs(pc.coeffs - decomp.poly.coeffs)) > poly_tol * scale:
+        if np.max(np.abs(pc.coeffs - decomp.poly.coeffs)) > POLY_TOL * scale:
             raise ValueError(
                 "characteristic polynomial of the system does not match the decomposition"
             )

@@ -2,8 +2,9 @@
 solutions, the differential Riccati solution with its normalization matrix,
 and the multiple-eigenvalue generalization.
 
-Inverse components are built directly from left eigenvectors; nothing in this
-module numerically inverts a Gramian sum (the numerical inverse exists only
+Inverse components are built directly from left eigenvectors (for simple
+spectra, read from companion.EigenStructure); nothing in this module
+numerically inverts a Gramian sum (the numerical inverse exists only
 in the oracle module, as an independent check).
 """
 
@@ -15,34 +16,28 @@ import numpy as np
 
 from .companion import (
     CompanionRealization,
+    EigenStructure,
     JordanChainSet,
     LtiSystem,
     alternating_signs,
     build_companion,
     eigen_structure,
     hankel_upper,
-    left_eigenvector,
     require_controllable,
-    residue_companion,
 )
 from .errors import ConditioningError
 from .gramians import (
     InitialCondition,
     SpectralComponentSet,
+    _accurate_total,
     _expm_transpose_simple,
-    _require_simple,
     _working_values,
     require_solvable,
 )
-from .spectrum import (
-    DEFAULT_TOLERANCES,
-    Polynomial,
-    Spectrum,
-    char_poly,
-    cluster,
-    eval_with_derivative,
-    find_roots,
-)
+from .spectrum import DEFAULT_TOLERANCES, Polynomial, Spectrum, char_poly, cluster, find_roots
+
+ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
+PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,9 @@ def inverse_eigenpart_counted(p: Polynomial, lam: complex):
 
     The left eigenvector components are accumulated recursively (tail sums of
     a_k lam^k), so the whole construction touches O(n^2) scalars; the count
-    is returned for the cost-growth property checks.
+    is returned for the cost-growth property checks.  The builders take y
+    from the eigen structure instead (y = H_l x / lam^n); this construction
+    is kept as an independent reference for them.
     """
     n = p.degree
     a = p.coeffs
@@ -96,6 +93,15 @@ def inverse_eigenpart_counted(p: Polynomial, lam: complex):
     return part, ops
 
 
+def _inverse_eigenparts(es: EigenStructure) -> dict:
+    """Raw inverse eigen components N(-lambda_i)/(-N'(lambda_i)) J y_i y_i^T."""
+    signs = alternating_signs(es.poly.degree)
+    return {
+        i: mirror / (-deriv) * (signs[:, None] * np.outer(y, y))
+        for i, (y, deriv, mirror) in enumerate(zip(es.left, es.derivs, es.mirrors))
+    }
+
+
 def inverse_eigenparts(
     cr: CompanionRealization,
     spec: Spectrum,
@@ -106,54 +112,16 @@ def inverse_eigenparts(
 
     The raw components sum to the exact inverse of the Lyapunov solution;
     each is rank one.  ``extended`` builds the components in 80-bit precision
-    from re-polished eigenvalues (see the Gramian counterpart).
+    from re-polished eigenvalues (see the Gramian counterpart).  Reads y_i,
+    N'(lambda_i) and N(-lambda_i) from the eigen structure and no residues,
+    so a near-multiple simple spectrum is still decomposed.
     """
     require_solvable(spec, solvability_tol)
-    _require_simple(spec)
-    lams = _working_values(spec, extended, cr.poly)
-    parts = {
-        j: inverse_eigenpart_counted(cr.poly, lam)[0] for j, lam in enumerate(lams)
-    }
-    total = _accurate_inverse_total(cr.poly, spec.values) if extended else None
-    return SpectralComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec, total)
-
-
-def _accurate_inverse_total(poly: Polynomial, values: np.ndarray) -> np.ndarray:
-    """Sum of the raw inverse eigenparts accumulated in arbitrary precision.
-
-    The left-eigenvector outer products can exceed the inverse by many orders
-    near spectrum degeneracy; the sum is accumulated before any rounding to
-    the storage dtype.
-    """
-    from mpmath import mp, mpc, mpf
-
-    from .gramians import _mp_polished_roots, _mp_to_clongdouble
-
-    n = poly.degree
-    coefficients = [mpf(float(c)) for c in poly.coeffs]
-    with mp.workdps(40):
-        total = [[mpc(0) for _ in range(n)] for _ in range(n)]
-        for z in _mp_polished_roots(poly, values):
-            value = deriv = mirror = mpc(0)
-            for c in coefficients[::-1]:
-                deriv = deriv * z + value
-                value = value * z + c
-                mirror = mirror * (-z) + c
-            powers = [z**k for k in range(n + 1)]
-            tail = powers[n]
-            y = [mpc(0)] * n
-            y[n - 1] = -tail / powers[n]
-            for k in range(n - 1, 0, -1):
-                tail = tail + coefficients[k] * powers[k]
-                y[k - 1] = -tail / powers[k]
-            coefficient = mirror / (-deriv)
-            for mu in range(n):
-                for nu in range(n):
-                    total[mu][nu] += coefficient * ((-1) ** (mu + 1)) * y[mu] * y[nu]
-        return np.array(
-            [[_mp_to_clongdouble(total[mu][nu]) for nu in range(n)] for mu in range(n)],
-            dtype=np.clongdouble,
-        )
+    es = eigen_structure(cr.poly, spec, _working_values(spec, extended, cr.poly))
+    total = _accurate_total(cr.poly, spec, _inverse_eigenparts) if extended else None
+    return SpectralComponentSet(
+        _inverse_eigenparts(es), "eigen", "raw", "companion", cr.poly, spec, total
+    )
 
 
 def inverse_pair_parts(
@@ -164,29 +132,21 @@ def inverse_pair_parts(
     """Pair-indexed decomposition; column sums reproduce the eigen components.
 
     Component (i, j) equals conj(R_i) P_hat_j, worked out through left
-    eigenvectors only.
+    eigenvectors only: the first factor is taken at conj(lambda_i), where
+    real coefficients make y, N' and N(-.) the conjugates of those at
+    lambda_i.
     """
     require_solvable(spec, solvability_tol)
-    _require_simple(spec)
-    p = cr.poly
-    # the second factor's N(-lambda_j), N'(lambda_j) and y_j depend on j only
-    second = [
-        (eval_with_derivative(p, -lam)[0], eval_with_derivative(p, lam)[1],
-         left_eigenvector(lam, p))
-        for lam in spec.values
-    ]
-    parts = {}
-    for i, lam_i in enumerate(spec.values):
-        # first factor is built at conj(lambda_i) throughout
-        mirror_i, _ = eval_with_derivative(p, -np.conj(lam_i))
-        _, deriv_i = eval_with_derivative(p, np.conj(lam_i))
-        y_i = left_eigenvector(np.conj(lam_i), p)
-        for j, lam_j in enumerate(spec.values):
-            mirror_j, deriv_j, y_j = second[j]
-            coefficient = (mirror_i * mirror_j) / (
-                -(deriv_i * deriv_j) * (np.conj(lam_i) + lam_j)
-            )
-            parts[(i, j)] = coefficient * np.outer(y_i, y_j)
+    es = eigen_structure(cr.poly, spec)
+    lams, left, derivs, mirrors = es.eigenvalues, es.left, es.derivs, es.mirrors
+    k = lams.size
+    parts = {
+        (i, j): (np.conj(mirrors[i]) * mirrors[j])
+        / (-(np.conj(derivs[i]) * derivs[j]) * (np.conj(lams[i]) + lams[j]))
+        * np.outer(np.conj(left[i]), left[j])
+        for i in range(k)
+        for j in range(k)
+    }
     return SpectralComponentSet(parts, "pair", "raw", "companion", cr.poly, spec)
 
 
@@ -200,9 +160,7 @@ class OrthogonalityReport:
 
 
 def orthogonality_certificate(
-    gram: SpectralComponentSet,
-    inv: SpectralComponentSet,
-    tol: float = 1e-8,
+    gram: SpectralComponentSet, inv: SpectralComponentSet
 ) -> OrthogonalityReport:
     """Verify the raw eigenparts of the Gramian and its inverse are
     mutually orthogonal with products delta_ij R_i."""
@@ -220,34 +178,29 @@ def orthogonality_certificate(
             expected = residues[i] if i == j else 0.0
             worst = max(worst, float(np.max(np.abs(product - expected))))
             count += 1
-    return OrthogonalityReport(worst / scale, count, worst / scale <= tol)
+    return OrthogonalityReport(worst / scale, count, worst / scale <= ORTHOGONALITY_TOL)
 
 
 def riccati_general(
     sys: LtiSystem,
     spec: Spectrum | None = None,
-    pair_indexed: bool = False,
-    tol_root: float = DEFAULT_TOLERANCES.root,
-    tol_cluster: float = DEFAULT_TOLERANCES.cluster,
     solvability_tol: float = DEFAULT_TOLERANCES.solvability,
 ) -> SpectralComponentSet:
     """Closed-form decomposition of P^{-1} A + A^T P^{-1} = -P^{-1} b b^T P^{-1}
     for a controllable single-input system, in its original coordinates.
 
     Components are (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1} of the companion
-    components X.
+    eigen components X.  Without ``spec`` the spectrum comes from the
+    characteristic polynomial at the default tolerances.
     """
     if sys.m != 1:
         raise ValueError("the closed-form Riccati solution applies to single-input systems")
     p = char_poly(sys.a)
     if spec is None:
-        spec = cluster(find_roots(p, tol_root), tol_cluster)
+        spec = cluster(find_roots(p))
     ctrb = require_controllable(sys)
     cr = build_companion(p)
-    if pair_indexed:
-        companion_set = inverse_pair_parts(cr, spec, solvability_tol)
-    else:
-        companion_set = inverse_eigenparts(cr, spec, solvability_tol)
+    companion_set = inverse_eigenparts(cr, spec, solvability_tol)
     h_u = hankel_upper(p)
     lifted = {}
     for key, x in companion_set.components.items():
@@ -306,12 +259,9 @@ def finite_inverse(
     (pair it with the equally extended finite Gramian).
     """
     require_solvable(spec, solvability_tol)
-    _require_simple(spec)
-    lams = _working_values(spec, extended, cr.poly)
-    inv_components = {
-        j: inverse_eigenpart_counted(cr.poly, lam)[0] for j, lam in enumerate(lams)
-    }
-    residues = [residue_companion(lam, cr.poly) for lam in lams]
+    es = eigen_structure(cr.poly, spec, _working_values(spec, extended, cr.poly))
+    inv_components = _inverse_eigenparts(es)
+    lams, residues = es.eigenvalues, es.residues
     n = cr.n
     signs = alternating_signs(n)
     expm_t = _expm_transpose_simple(lams, residues)(t)
@@ -359,11 +309,7 @@ def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def inverse_multiple_eig(
-    cr: CompanionRealization,
-    chains: JordanChainSet,
-    pivot_tol: float = 1e-12,
-) -> SpectralComponentSet:
+def inverse_multiple_eig(cr: CompanionRealization, chains: JordanChainSet) -> SpectralComponentSet:
     """Eigen-indexed inverse decomposition for multiple eigenvalues.
 
     Component j is J (M_j^{(-1)})^T T_j H_j^{-1} M_j^{(-1)}; the chain Hankel
@@ -379,7 +325,7 @@ def inverse_multiple_eig(
     for j, block in enumerate(chains.blocks):
         hvals = block.left[:, n - 1]
         scale = max(1.0, float(np.max(np.abs(block.left))))
-        if abs(hvals[-1]) <= pivot_tol * scale:
+        if abs(hvals[-1]) <= PIVOT_TOL * scale:
             raise ConditioningError(
                 f"chain Hankel for eigenvalue {block.eigenvalue} is singular "
                 "(last left-chain vector has zero final entry)"

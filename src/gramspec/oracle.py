@@ -70,7 +70,7 @@ def _kron_operator(a) -> np.ndarray:
     """The n^2 x n^2 operator I kron A + A kron I of P -> A P + P A^T on vec(P)."""
     n = a.shape[0]
     if n > ORACLE_DIMENSION_CAP:
-        raise ValueError(f"oracle dimension cap is {ORACLE_DIMENSION_CAP}, got n = {n}")
+        raise ValueError(f"oracle dimension is capped at {ORACLE_DIMENSION_CAP}, got n = {n}")
     eye = np.eye(n)
     return np.kron(eye, a) + np.kron(a, eye)
 

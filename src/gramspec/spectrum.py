@@ -33,6 +33,7 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+CONJUGATE_TOL = 1e-9  # distance, relative to 1 + radius, of a conjugate partner
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,13 @@ class Spectrum:
         """All eigenvalues with repeats, e.g. for rebuilding the polynomial."""
         return np.repeat(self.values, self.multiplicities)
 
-    def conjugate_partner(self, tol: float = 1e-9) -> np.ndarray:
+    def conjugate_partner(self) -> np.ndarray:
         """Index of the conjugate eigenvalue for each entry (itself if real)."""
         scale = 1.0 + self.radius
         partner = np.empty(self.values.size, dtype=int)
         for i, lam in enumerate(self.values):
             partner[i] = int(np.argmin(np.abs(self.values - np.conj(lam))))
-            if abs(self.values[partner[i]] - np.conj(lam)) > tol * scale:
+            if abs(self.values[partner[i]] - np.conj(lam)) > CONJUGATE_TOL * scale:
                 partner[i] = i
         return partner
 

@@ -113,6 +113,16 @@ class TestAnalyze:
         inv_orig = matrix_from(report["inverse_original"]["sum"]).real
         assert np.max(np.abs(inv_orig - np.linalg.inv(reference))) < 1e-6
 
+    def test_finite_residual_uses_exact_derivative(self):
+        # with dP/dt = e^{At} b b^T e^{A^T t} taken from the residue or
+        # Jordan-chain expansion, the residual is at rounding level
+        cases = [({"char_poly": [-6, 11, -6, 1]}, 1.0)]
+        for spectrum in ([[-1, 0, 2], [-2, 0, 3]], [[-1, 1, 2], [-1, -1, 2], [-3, 0, 1]]):
+            cases += [({"eigenvalues": spectrum}, t) for t in (0.4, 1.0, 5.0)]
+        for doc, t in cases:
+            report = cmd_analyze(parse_system(doc), finite=t)
+            assert report["finite"]["sum"]["residual"] <= 1e-12, (doc, t)
+
 
 class TestExitCodes:
     def test_success(self, example1_path, capsys):
@@ -165,6 +175,30 @@ class TestExitCodes:
     def test_energy_usage_error(self, stable_path, capsys):
         assert main(["energy", stable_path, "--x0", "1,0"]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_format_only_on_energy(self, example1_path, capsys):
+        # only energy --time-series reads --format; analyze must not accept it
+        assert main(["analyze", example1_path, "--format", "csv"]) == EXIT_USAGE
+        assert "--format" in capsys.readouterr().err
+
+    def test_tol_solve_reaches_original_riccati(self, tmp_path, capsys):
+        # lambda = -1 and 1 + 5e-11 sum to 5e-11: solvable at --tol-solve
+        # 1e-13, so the original-coordinate inverse must use that tolerance
+        coeffs = np.poly([-1.0, 1.0 + 5e-11, -2.0])[::-1].real
+        a_c = np.zeros((3, 3))
+        a_c[:2, 1:] = np.eye(2)
+        a_c[2, :] = -coeffs[:3]
+        t = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.25], [0.5, 0.0, 1.0]])
+        path = tmp_path / "near_mirror.json"
+        path.write_text(json.dumps({"matrices": {
+            "A": (t @ a_c @ np.linalg.inv(t)).tolist(), "B": (t[:, 2:]).tolist()}}))
+        out = tmp_path / "report.json"
+        for extra in ([], ["--inverse"]):
+            code = main(["analyze", str(path), "--tol-solve", "1e-13", "--output", str(out)]
+                        + extra)
+            assert code == EXIT_OK, capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert report["inverse_original"]["sum"]["residual"] < 1e-12
 
 
 class TestVerifyCommand:

@@ -293,3 +293,73 @@ class TestJordanChains:
         poly = gs.poly_from_roots([1.0, 1.0 + 1e-13])
         with pytest.raises(gs.ConditioningError):
             gs.jordan_chains_companion(spec, poly)
+
+
+def _as_complex(m) -> np.ndarray:
+    m = np.asarray(m)
+    return np.array([complex(z) for z in m.ravel()]).reshape(m.shape)
+
+
+def _structure_entries(es) -> dict:
+    return {
+        name: _as_complex(getattr(es, name))
+        for name in ("right", "derivs", "mirrors", "left", "residues")
+    }
+
+
+class TestEigenStructure:
+    def test_inverse_eigenparts_match_tail_sum_reference(self):
+        # the builders use y_i = H_l x_i / lambda_i^n; the counted construction
+        # keeps the coefficient tail sums, so the two are independent
+        from gramspec.inverse import inverse_eigenpart_counted
+
+        rng = np.random.default_rng(515)
+        for n in range(2, 11):
+            for _ in range(4):
+                poly, cr, spec = random_companion(rng, n)
+                parts = gs.inverse_eigenparts(cr, spec).components
+                for i, lam in enumerate(spec.values):
+                    reference, _ = inverse_eigenpart_counted(poly, lam)
+                    scale = np.max(np.abs(reference))
+                    assert np.max(np.abs(parts[i] - reference)) <= 1e-8 * scale, (n, i)
+
+    def test_working_precisions_agree(self):
+        # the same core at complex128, at 80-bit and at 40 mpmath digits
+        from mpmath import mp
+
+        from gramspec.gramians import _mp_polished_roots, _working_values
+
+        rng = np.random.default_rng(616)
+        for n in range(2, 9):
+            poly, _, spec = random_companion(rng, n)
+            double = _structure_entries(gs.eigen_structure(poly, spec))
+            extended = _structure_entries(
+                gs.eigen_structure(poly, spec, _working_values(spec, True, poly))
+            )
+            with mp.workdps(40):
+                exact = _structure_entries(
+                    gs.eigen_structure(poly, spec, _mp_polished_roots(poly, spec.values))
+                )
+            for name, reference in exact.items():
+                scale = np.max(np.abs(reference))
+                assert np.max(np.abs(extended[name] - reference)) <= 1e-13 * scale, (n, name)
+                assert np.max(np.abs(double[name] - reference)) <= 1e-8 * scale, (n, name)
+
+    def test_lazy_checks_keep_their_reach(self):
+        # |N'(-1)| is about 1e-9, below the floor 1e-8 max|a_k|: builders
+        # that need no residue still decompose, the others refuse
+        values = [-1.0, -1.0 - 1e-9, -2.0]
+        poly = gs.poly_from_roots(values)
+        cr = gs.build_companion(poly)
+        spec = gs.Spectrum.simple(values)
+        assert len(gs.infinite_subgramians(cr, spec).components) == 3
+        assert len(gs.inverse_eigenparts(cr, spec).components) == 3
+        with pytest.raises(gs.MultipleEigenvalueError, match=r"\|N'"):
+            gs.finite_subgramians(cr, spec, 1.0)
+        with pytest.raises(gs.MultipleEigenvalueError, match=r"\|N'"):
+            gs.eigen_structure(poly, spec).residues
+
+    def test_multiple_spectrum_rejected(self, example5):
+        poly, _, spec = example5
+        with pytest.raises(gs.MultipleEigenvalueError, match="multiple"):
+            gs.eigen_structure(poly, spec)
