@@ -10,7 +10,8 @@ Commands
 
 Reports are JSON with sorted keys (byte-identical for fixed inputs, seed and
 tolerances); complex matrices are emitted as separate re/im row-major arrays,
-and every matrix carries a verification residual.  Time series are CSV.
+and every matrix carries a verification residual (null for finite-horizon
+components, which satisfy no identity of their own).  Time series are CSV.
 
 Exit codes: 0 success, 1 usage or schema error, 2 solvability violation,
 3 conditioning failure (uncontrollable system, ill-conditioned chains,
@@ -38,7 +39,7 @@ from .companion import (
     jordan_chains_companion,
     to_companion,
 )
-from .document import SystemDocument, parse_system
+from .document import SystemDocument, parse_initial_condition, parse_system
 from .energy import control_energy_quadrature, energy_partition, optimal_control
 from .errors import (
     ConditioningError,
@@ -101,8 +102,10 @@ def _matrix_json(m) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _entry(matrix, residual: float) -> dict:
-    return {"matrix": _matrix_json(matrix), "residual": float(residual)}
+def _entry(matrix, residual: float | None) -> dict:
+    """A matrix with its residual; None where no identity is checked."""
+    residual = None if residual is None else float(residual)
+    return {"matrix": _matrix_json(matrix), "residual": residual}
 
 
 def _eigen_key(i: int) -> str:
@@ -306,7 +309,7 @@ def cmd_analyze(
     multiple = not spec.is_simple
     if multiple:
         chains = jordan_chains_companion(spec, poly)
-        gram_decomp = multiple_eig_gramian(a_c, b_c, spec, t=finite)
+        gram_decomp = multiple_eig_gramian(a_c, b_c, spec, t=finite, chains=chains)
         gram_set = gram_decomp.static
         if pairs:
             report["warnings"] = report["warnings"] + [
@@ -384,7 +387,7 @@ def cmd_analyze(
         finite_block = {
             "t": t,
             "eigen": {
-                _eigen_key(k): _entry(m, 0.0) for k, m in finite_set.components.items()
+                _eigen_key(k): _entry(m, None) for k, m in finite_set.components.items()
             },
             "sum": _entry(finite_sum, diff_residual),
         }
@@ -392,7 +395,7 @@ def cmd_analyze(
             pair_decomp = finite_pair_subgramians(cr, spec, t, tols.solvability)
             pair_finite = pair_decomp.component_set(flavor=flavor)
             finite_block["pair"] = {
-                _pair_key(k): _entry(m, 0.0) for k, m in pair_finite.components.items()
+                _pair_key(k): _entry(m, None) for k, m in pair_finite.components.items()
             }
         p0 = _initial_condition(doc, initial)
         if p0 is not None and not multiple:
@@ -485,7 +488,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     multiple = not spec.is_simple
     if multiple:
         chains = jordan_chains_companion(spec, poly)
-        gram_set = multiple_eig_gramian(a_c, b_c, spec).component_set(t=0.0)
+        gram_set = multiple_eig_gramian(a_c, b_c, spec, chains=chains).component_set(t=0.0)
         inv_set = inverse_multiple_eig(cr, chains)
         recursion_defect = 0.0
         for block in chains.blocks:
@@ -636,6 +639,10 @@ def cmd_energy(
     Returns (report, csv_text_or_None); the CSV holds the optimal control and
     its modal components when a stable time series was requested.
     """
+    if time_series is not None:
+        t0, t1, steps = time_series
+        if not (np.isfinite(t0) and np.isfinite(t1)) or steps < 1:
+            raise ValueError(f"time series needs finite T0, T1 and STEPS >= 1, got {time_series}")
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
     spec, cr = resolved.spectrum, resolved.cr
@@ -646,6 +653,8 @@ def cmd_energy(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (cr.n,):
         raise ValueError(f"x0 must have length {cr.n}, got shape {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     inv_set = inverse_eigenparts(cr, spec, tols.solvability)
     inv_pairs = inverse_pair_parts(cr, spec, tols.solvability)
     partition = energy_partition(x0, inv_set, inv_pairs)
@@ -679,7 +688,6 @@ def cmd_energy(
                 "time series skipped: optimal control requires a strictly stable spectrum"
             ]
         else:
-            t0, t1, steps = time_series
             signal = optimal_control(x0, cr, spec)
             times = np.linspace(float(t0), float(t1), int(steps))
             modes = signal.modal(times)
@@ -745,12 +753,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p):
+    def add_common(p, seed: bool = True):
         p.add_argument("system", help="system document (JSON)")
         p.add_argument("--tol-root", type=float, default=Tolerances().root)
         p.add_argument("--tol-cluster", type=float, default=Tolerances().cluster)
         p.add_argument("--tol-solve", type=float, default=Tolerances().solvability)
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     analyze = sub.add_parser("analyze", help="spectral decompositions")
@@ -761,7 +770,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--inverse", action="store_true",
                          help="also decompose the inverse Gramian")
     analyze.add_argument("--initial", default=None, metavar="P0_FILE",
-                         help="initial condition (JSON array of rows)")
+                         help="initial condition (JSON array of rows); needs --finite")
     analyze.add_argument("--raw", action="store_true",
                          help="emit raw components instead of symmetrized ones")
 
@@ -778,7 +787,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="csv writes the --time-series table as the output")
 
     roots = sub.add_parser("roots", help="spectrum pipeline only")
-    add_common(roots)
+    add_common(roots, seed=False)
     return parser
 
 
@@ -791,7 +800,7 @@ def _load_document(path: str) -> SystemDocument:
     return parse_system(text)
 
 
-def _load_initial(path: str | None) -> np.ndarray | None:
+def _load_initial(path: str | None, n: int) -> np.ndarray | None:
     if path is None:
         return None
     try:
@@ -799,10 +808,7 @@ def _load_initial(path: str | None) -> np.ndarray | None:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError("initial_condition", f"cannot read {path}: {exc}") from None
-    m = np.array(data, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SchemaError("initial_condition", "must be a square matrix")
-    return m
+    return parse_initial_condition(data, n)
 
 
 def _emit(text: str, output: str | None):
@@ -823,17 +829,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    tols = Tolerances(root=args.tol_root, cluster=args.tol_cluster, solvability=args.tol_solve)
     try:
+        tols = Tolerances(root=args.tol_root, cluster=args.tol_cluster, solvability=args.tol_solve)
         doc = _load_document(args.system)
         if args.command == "analyze":
+            if args.initial is not None and args.finite is None:
+                raise ValueError("--initial sets P_0 of the finite Gramian and needs --finite")
             report = cmd_analyze(
                 doc,
                 tols,
                 pairs=args.pairs,
                 finite=args.finite,
                 inverse=args.inverse,
-                initial=_load_initial(args.initial),
+                initial=_load_initial(args.initial, doc.n),
                 raw=args.raw,
                 seed=args.seed,
             )
@@ -850,6 +858,8 @@ def main(argv=None) -> int:
                 )
             return EXIT_OK if report["all_passed"] else EXIT_VERIFY_FAILED
         if args.command == "energy":
+            if args.format == "csv" and args.time_series is None:
+                raise ValueError("--format csv writes the --time-series table and needs it")
             x0 = [float(v) for v in args.x0.split(",")]
             series = None
             if args.time_series is not None:

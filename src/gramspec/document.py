@@ -141,6 +141,19 @@ def _parse_eigenvalues(raw, path: str) -> list:
     return entries
 
 
+def parse_initial_condition(raw, n: int) -> np.ndarray:
+    """A finite, symmetric n x n initial condition P_0."""
+    initial = _as_float_matrix(raw, "initial_condition")
+    if initial.shape != (n, n):
+        raise SchemaError(
+            "initial_condition", f"must be {n}x{n} to match the system, got {initial.shape}"
+        )
+    scale = max(1.0, float(np.max(np.abs(initial))))
+    if np.max(np.abs(initial - initial.T)) > 1e-12 * scale:
+        raise SchemaError("initial_condition", "must be symmetric")
+    return initial
+
+
 def parse_system(text_or_mapping) -> SystemDocument:
     """Parse and validate a system document from JSON text or a mapping.
 
@@ -184,14 +197,7 @@ def parse_system(text_or_mapping) -> SystemDocument:
 
     initial = None
     if "initial_condition" in data:
-        initial = _as_float_matrix(data["initial_condition"], "initial_condition")
-        if initial.shape != (n, n):
-            raise SchemaError(
-                "initial_condition", f"must be {n}x{n} to match the system, got {initial.shape}"
-            )
-        scale = max(1.0, float(np.max(np.abs(initial))))
-        if np.max(np.abs(initial - initial.T)) > 1e-12 * scale:
-            raise SchemaError("initial_condition", "must be symmetric")
+        initial = parse_initial_condition(data["initial_condition"], n)
 
     label = data.get("label")
     if label is not None and not isinstance(label, str):

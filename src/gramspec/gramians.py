@@ -264,7 +264,7 @@ def _mp_to_clongdouble(z) -> np.clongdouble:
     )
 
 
-def _working_values(spec: Spectrum, extended: bool, poly: Polynomial | None = None) -> np.ndarray:
+def _working_values(spec: Spectrum, extended: bool, poly: Polynomial) -> np.ndarray:
     """Eigenvalues in the working dtype.
 
     The extended (80-bit) dtype is for stiff problems: component magnitudes
@@ -274,8 +274,6 @@ def _working_values(spec: Spectrum, extended: bool, poly: Polynomial | None = No
     """
     if not extended:
         return spec.values
-    if poly is None:
-        return spec.values.astype(np.clongdouble)
     return np.array(
         [_mp_to_clongdouble(z) for z in _mp_polished_roots(poly, spec.values)],
         dtype=np.clongdouble,
@@ -553,7 +551,8 @@ def multiple_eig_gramian(
         poly_meta = poly
     else:
         coordinate = "companion" if _is_companion(a) else "original"
-        poly_meta = None
+        # a companion matrix carries its polynomial exactly in the last row
+        poly_meta = Polynomial(np.append(-a[-1], 1.0)) if coordinate == "companion" else None
     coeffs = resolvent_coefficients(chains)
 
     bbt = b @ b.T

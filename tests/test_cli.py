@@ -306,6 +306,78 @@ class TestInitialConditionFlag:
         assert "homogeneous_sum" in report["finite"]
 
 
+@pytest.fixture
+def mirrored_path(tmp_path):
+    # lambda = 1 mirrors lambda = -1: unsolvable at any valid --tol-solve
+    path = tmp_path / "mirrored.json"
+    path.write_text(json.dumps({"eigenvalues": [[-1, 0, 1], [1, 0, 1], [-2, 0, 1]]}))
+    return str(path)
+
+
+@pytest.fixture
+def stable_poly_path(tmp_path):
+    path = tmp_path / "stable_poly.json"
+    path.write_text(json.dumps({"char_poly": [6, 11, 6, 1]}))
+    return str(path)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("flag", ["--tol-root", "--tol-cluster", "--tol-solve"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "0"])
+    def test_tolerance_flags_checked(self, mirrored_path, capsys, flag, value):
+        for command in ("analyze", "roots"):
+            assert main([command, mirrored_path, flag, value]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert flag in err and "finite and > 0" in err
+
+    def test_initial_file_must_be_finite(self, stable_poly_path, tmp_path, capsys):
+        p0 = tmp_path / "p0.json"
+        p0.write_text("[[1, 0, 0], [0, NaN, 0], [0, 0, 1]]")
+        code = main(["analyze", stable_poly_path, "--finite", "1", "--initial", str(p0)])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
+    def test_initial_file_checked_like_the_document(self, stable_poly_path, tmp_path, capsys):
+        for rows, message in (([[1, 0], [0, 1]], "3x3"),
+                              ([[1, 2, 0], [0, 1, 0], [0, 0, 1]], "symmetric")):
+            p0 = tmp_path / "p0.json"
+            p0.write_text(json.dumps(rows))
+            code = main(["analyze", stable_poly_path, "--finite", "1", "--initial", str(p0)])
+            assert code == EXIT_USAGE
+            assert message in capsys.readouterr().err
+
+    def test_initial_needs_finite(self, stable_poly_path, tmp_path, capsys):
+        p0 = tmp_path / "p0.json"
+        p0.write_text(json.dumps([[1, 0], [0, 1]]))
+        assert main(["analyze", stable_poly_path, "--initial", str(p0)]) == EXIT_USAGE
+        assert "--finite" in capsys.readouterr().err
+
+    def test_x0_must_be_finite(self, stable_poly_path, capsys):
+        assert main(["energy", stable_poly_path, "--x0=nan,1,2"]) == EXIT_USAGE
+        assert "x0 must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("series", [["nan", "0", "5"], ["0", "inf", "5"], ["-1", "0", "0"]])
+    def test_time_series_checked(self, stable_poly_path, tmp_path, capsys, series):
+        out = tmp_path / "series.csv"
+        code = main(["energy", stable_poly_path, "--x0=1,1,2", "--time-series", *series,
+                     "--format", "csv", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert "time series" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_format_needs_time_series(self, stable_poly_path, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        code = main(["energy", stable_poly_path, "--x0=1,1,2", "--format", "csv",
+                     "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert "--time-series" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_roots_takes_no_seed(self, stable_poly_path, capsys):
+        assert main(["roots", stable_poly_path, "--seed", "3"]) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_analyze_byte_identical(self, example1_path, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -342,6 +414,35 @@ class TestDeterminism:
         text = out.read_text()
         parsed = json.loads(text)
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
+
+
+class TestFiniteComponents:
+    def test_component_residuals_are_null(self, example1_path, tmp_path, capsys):
+        # finite-horizon components carry no identity check of their own;
+        # only the sum carries a residual
+        out = tmp_path / "report.json"
+        assert main(["analyze", example1_path, "--pairs", "--finite", "1",
+                     "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        finite = json.loads(out.read_text())["finite"]
+        for block in ("eigen", "pair"):
+            assert finite[block] and all(e["residual"] is None for e in finite[block].values())
+        assert finite["sum"]["residual"] <= 1e-12
+
+
+class TestMultipleSpectrumChains:
+    def test_chains_built_once(self, example5_path, tmp_path, capsys, monkeypatch):
+        # the Gramian reuses the chains the command built, so it never
+        # recomputes the characteristic polynomial of the companion matrix
+        import gramspec.gramians
+
+        def refuse(a):
+            raise AssertionError("char_poly recomputed")
+
+        monkeypatch.setattr(gramspec.gramians, "char_poly", refuse)
+        doc = parse_system({"eigenvalues": [[1, 0, 2], [2, 0, 3]]})
+        cmd_analyze(doc, inverse=True, finite=0.5)
+        cmd_verify(doc)
 
 
 class TestRoots:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gramspec as gs
-from gramspec.spectrum import _pair_conjugates, eval_with_derivative
+from gramspec.spectrum import _pair_conjugates, _sort_roots, eval_with_derivative
 
 from conftest import random_companion, random_stable_eigenvalues
 
@@ -73,6 +73,69 @@ class TestFindRoots:
         roots = gs.find_roots(p)
         for z in roots:
             assert np.min(np.abs(roots - np.conj(z))) < 1e-12
+
+
+def _rounded_reference_roots(p: gs.Polynomial) -> np.ndarray:
+    """Roots by 60-digit mpmath Newton from the LAPACK start, rounded once to
+    complex128, then paired and sorted as find_roots does."""
+    from mpmath import mp, mpc, mpf
+
+    coeffs = [mpf(c) for c in p.coeffs.tolist()]
+    out = []
+    with mp.workdps(60):
+        for start in np.roots(p.coeffs[::-1]).astype(complex):
+            z = mpc(start)
+            for _ in range(100):
+                value, deriv = mpc(0), mpc(0)
+                for c in reversed(coeffs):
+                    value, deriv = value * z + c, deriv * z + value
+                step = value / deriv
+                z -= step
+                if abs(step) <= mpf(10) ** -55 * (1 + abs(z)):
+                    break
+            out.append(complex(z))
+    return _sort_roots(_pair_conjugates(np.array(out)))
+
+
+def _random_polynomials(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 17))
+        yield gs.Polynomial(np.append(rng.uniform(-10, 10, n), 1.0))
+
+
+class TestCorrectRounding:
+    def test_roots_equal_rounded_60_digit_roots(self):
+        for p in _random_polynomials(61, 60):
+            got = gs.find_roots(p)
+            ref = _rounded_reference_roots(p)
+            assert np.array_equal(got.real, ref.real) and np.array_equal(got.imag, ref.imag), p
+
+    def test_start_moved_by_ulps_gives_same_roots(self, monkeypatch):
+        lapack = np.roots
+        rng = np.random.default_rng(62)
+        for p in _random_polynomials(63, 30):
+            expected = gs.find_roots(p)
+            start = lapack(p.coeffs[::-1]).astype(complex)
+            ulps = rng.integers(-4, 5, size=(2, start.size)) * np.spacing(np.abs(start))
+            moved = start + ulps[0] + 1j * ulps[1] * (start.imag != 0)
+            monkeypatch.setattr(np, "roots", lambda coeffs, moved=moved: moved.copy())
+            got = gs.find_roots(p)
+            monkeypatch.setattr(np, "roots", lapack)
+            assert np.array_equal(got, expected), p
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lapack_output_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(np, "roots", lambda coeffs: np.array([bad, -1.0]))
+        with pytest.raises(gs.ConvergenceError) as excinfo:
+            gs.find_roots(gs.Polynomial([1.0, 3.0, 1.0]))
+        assert excinfo.value.worst_residual == np.inf
+
+    def test_residual_beyond_float_range_raises(self):
+        # a root near 1e308 whose exact residual does not fit in a float
+        with pytest.raises(gs.ConvergenceError) as excinfo:
+            gs.find_roots(gs.Polynomial([1e300, -1e308, 1e308, 1.0]))
+        assert excinfo.value.worst_residual == np.inf
 
 
 def _assignment_pairing(roots):
@@ -199,6 +262,14 @@ class TestEvalWithDerivative:
     def test_linear(self):
         value, deriv = eval_with_derivative(gs.Polynomial([1.0, 1.0]), 0.0)
         assert value == 1.0 and deriv == 1.0
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("field", ["root", "cluster", "solvability"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} tolerance"):
+            gs.Tolerances(**{field: value})
 
 
 class TestPolynomialType:
