@@ -8,10 +8,11 @@ Commands
 ``gramspec energy``   minimum-energy partitions and optional control series
 ``gramspec roots``    spectrum pipeline only
 
-Reports are JSON with sorted keys (byte-identical for fixed inputs, seed and
-tolerances); complex matrices are emitted as separate re/im row-major arrays,
-and every matrix carries a verification residual (null for finite-horizon
-components, which satisfy no identity of their own).  Time series are CSV.
+Reports are JSON with sorted keys (byte-identical for fixed inputs,
+tolerances and, for ``verify``, seed); complex matrices are emitted as
+separate re/im row-major arrays, and every matrix carries a verification
+residual (null for finite-horizon components, which satisfy no identity of
+their own).  Time series are CSV.
 
 Exit codes: 0 success, 1 usage or schema error, 2 solvability violation,
 3 conditioning failure (uncontrollable system, ill-conditioned chains,
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import oracle
 from .companion import (
+    EigenStructure,
     LtiSystem,
     build_companion,
     eigen_structure,
@@ -76,6 +78,7 @@ from .spectrum import (
     char_poly,
     check_solvability,
     cluster,
+    eval_with_derivative,
     find_roots,
     poly_from_roots,
 )
@@ -196,10 +199,15 @@ class ResolvedSystem:
     sys: LtiSystem | None
     warnings: list
     roots: np.ndarray | None  # unclustered roots; None for eigenvalue documents
+    structure: EigenStructure | None  # None for a multiple or unsolvable spectrum
 
 
 def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
-    """Run the spectrum pipeline on a parsed document."""
+    """Run the spectrum pipeline on a parsed document.
+
+    A simple spectrum gets its eigen structure here, once; every builder of
+    the command reads it, and its admission check is the solvability report.
+    """
     warnings = [SIGN_CONVENTION_NOTE]
     system = None
     roots = None
@@ -214,10 +222,20 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
             poly = char_poly(system.a)
         roots = find_roots(poly, tols.root)
         spec = cluster(roots, tols.cluster)
-    solvability = check_solvability(spec, tols.solvability)
+    structure = None
+    if not spec.is_simple:
+        solvability = check_solvability(spec, tols.solvability)
+    else:
+        try:
+            structure = eigen_structure(poly, spec, tols.solvability)
+            solvability = structure.solvability
+        except SolvabilityError as exc:
+            solvability = exc.report
     cr = build_companion(poly)
     if spec.is_simple and spec.n > 1:
-        derivs = np.abs(eigen_structure(poly, spec).derivs)
+        derivs = np.abs(
+            eval_with_derivative(poly, spec.values)[1] if structure is None else structure.derivs
+        )
         scale = float(np.max(np.abs(poly.coeffs)))
         if np.min(derivs) <= 1e-6 * scale:
             warnings.append(
@@ -231,7 +249,7 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
             f"pair-component exponents collide ({pairs}); pair components are "
             "not unique, their sums are"
         )
-    return ResolvedSystem(doc, poly, spec, solvability, cr, system, warnings, roots)
+    return ResolvedSystem(doc, poly, spec, solvability, cr, system, warnings, roots, structure)
 
 
 def _require_solvable_or_raise(resolved: ResolvedSystem):
@@ -274,7 +292,6 @@ def cmd_analyze(
     inverse: bool = False,
     initial: np.ndarray | None = None,
     raw: bool = False,
-    seed: int | None = None,
 ) -> dict:
     """Full spectral analysis of a system document.
 
@@ -283,7 +300,7 @@ def cmd_analyze(
     """
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
-    spec, cr, poly = resolved.spectrum, resolved.cr, resolved.poly
+    spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
     flavor = "raw" if raw else "symmetrized"
     a_c, b_c = cr.a_c, cr.b_c
     bbt = np.outer(b_c, b_c)
@@ -291,7 +308,6 @@ def cmd_analyze(
         "schema": 1,
         "command": "analyze",
         "label": doc.label,
-        "seed": seed,
         "tolerances": {
             "root": tols.root,
             "cluster": tols.cluster,
@@ -316,7 +332,7 @@ def cmd_analyze(
                 "pair components are only defined for simple spectra; skipped"
             ]
     else:
-        gram_set = infinite_subgramians(cr, spec, tols.solvability)
+        gram_set = infinite_subgramians(es)
 
     gram_sum = gram_set.symmetrized().total()
     gramian_block = {
@@ -325,7 +341,7 @@ def cmd_analyze(
         "sum": _entry(gram_sum, oracle.residual_lyapunov(a_c, bbt, gram_sum)),
     }
     if pairs and not multiple:
-        pair_set = infinite_pair_subgramians(cr, spec, tols.solvability)
+        pair_set = infinite_pair_subgramians(es)
         gramian_block["pair"] = _component_block(pair_set, a_c, spec, flavor)
     report["gramian"] = gramian_block
 
@@ -346,7 +362,7 @@ def cmd_analyze(
         if multiple:
             inv_set = inverse_multiple_eig(cr, chains)
         else:
-            inv_set = inverse_eigenparts(cr, spec, tols.solvability)
+            inv_set = inverse_eigenparts(es)
         inv_sum = inv_set.symmetrized().total()
         inverse_block = {
             "coordinate": "companion",
@@ -357,11 +373,11 @@ def cmd_analyze(
             ),
         }
         if pairs and not multiple:
-            inv_pairs = inverse_pair_parts(cr, spec, tols.solvability)
+            inv_pairs = inverse_pair_parts(es)
             inverse_block["pair"] = _component_block(inv_pairs, a_c, spec, flavor, side="right")
         report["inverse"] = inverse_block
         if resolved.sys is not None and resolved.sys.m == 1 and not multiple:
-            original = riccati_general(resolved.sys, spec, tols.solvability)
+            original = riccati_general(resolved.sys, es)
             osum = original.symmetrized().total()
             report["inverse_original"] = {
                 "coordinate": "original",
@@ -375,7 +391,7 @@ def cmd_analyze(
         if multiple:
             decomp = gram_decomp
         else:
-            decomp = finite_subgramians(cr, spec, t, tols.solvability)
+            decomp = finite_subgramians(es, t)
         finite_set = decomp.component_set(flavor=flavor)
         finite_sum = decomp.total()
         # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
@@ -392,7 +408,7 @@ def cmd_analyze(
             "sum": _entry(finite_sum, diff_residual),
         }
         if pairs and not multiple:
-            pair_decomp = finite_pair_subgramians(cr, spec, t, tols.solvability)
+            pair_decomp = finite_pair_subgramians(pair_set, t)
             pair_finite = pair_decomp.component_set(flavor=flavor)
             finite_block["pair"] = {
                 _pair_key(k): _entry(m, None) for k, m in pair_finite.components.items()
@@ -400,7 +416,7 @@ def cmd_analyze(
         p0 = _initial_condition(doc, initial)
         if p0 is not None and not multiple:
             p0c = _companion_initial(p0, resolved)
-            eigen_h, _ = homogeneous_decomposition(cr, spec, p0c, t)
+            eigen_h, _ = homogeneous_decomposition(es, p0c, t)
             hom_sum = eigen_h.symmetrized().total()
             finite_block["homogeneous_sum"] = _entry(
                 hom_sum,
@@ -408,7 +424,7 @@ def cmd_analyze(
                     np.max(
                         np.abs(
                             sum(
-                                homogeneous_decomposition(cr, spec, p0c, 0.0)[0]
+                                homogeneous_decomposition(es, p0c, 0.0)[0]
                                 .components.values()
                             )
                             - p0c.matrix
@@ -421,13 +437,12 @@ def cmd_analyze(
             if p0 is None:
                 p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
             try:
-                state, inv_finite = finite_inverse(cr, spec, p0c, t)
+                state, inv_finite = finite_inverse(es, p0c, t)
                 gram_t = finite_sum
             except ConditioningError:
-                state, inv_finite = finite_inverse(
-                    cr, spec, p0c, t, condition_cap=1e17, extended=True
-                )
-                gram_t = finite_subgramians(cr, spec, t, extended=True).total()
+                es_extended = eigen_structure(poly, spec, tols.solvability, extended=True)
+                state, inv_finite = finite_inverse(es_extended, p0c, t)
+                gram_t = finite_subgramians(es_extended, t).total()
                 report["warnings"] = report["warnings"] + [
                     "finite inverse evaluated in extended precision "
                     "(normalization matrix ill-conditioned at this horizon)"
@@ -467,7 +482,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     """
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
-    spec, cr, poly = resolved.spectrum, resolved.cr, resolved.poly
+    spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
     n = poly.degree
     a_c, b_c = cr.a_c, cr.b_c
     bbt = np.outer(b_c, b_c)
@@ -508,8 +523,8 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
             )
         checks.append(_check("jordan_chain_recursion", recursion_defect, 1e-8))
     else:
-        gram_set = infinite_subgramians(cr, spec, tols.solvability)
-        inv_set = inverse_eigenparts(cr, spec, tols.solvability)
+        gram_set = infinite_subgramians(es)
+        inv_set = inverse_eigenparts(es)
 
     gram_sum = gram_set.symmetrized().total().real
     checks.append(
@@ -556,7 +571,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     checks.append(_check("inverse_zero_plaid_zeros", inv_plaid, 1e-10))
 
     if not multiple:
-        pair_set = infinite_pair_subgramians(cr, spec, tols.solvability).symmetrized()
+        pair_set = infinite_pair_subgramians(es).symmetrized()
         eigen_sym = gram_set.symmetrized()
         partition = 0.0
         for i in range(spec.values.size):
@@ -568,11 +583,11 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
             )
         checks.append(_check("pair_partition", partition, 1e-9))
 
-        certificate = orthogonality_certificate(gram_set, inv_set)
+        certificate = orthogonality_certificate(es, gram_set, inv_set)
         checks.append(_check("orthogonality", certificate.max_violation, 1e-8))
 
         t_probe = 1.0
-        closed_t = finite_subgramians(cr, spec, t_probe, tols.solvability).total().real
+        closed_t = finite_subgramians(es, t_probe).total().real
         rk4 = oracle.integrate_lyapunov(a_c, bbt, np.zeros((n, n)), t_probe, steps=10_000)
         checks.append(
             _check(
@@ -590,7 +605,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
             else (lambda s: 0.5 * (s + s.T))(rng.standard_normal((n, n)))
         )
         p0c = _companion_initial(p0, resolved)
-        hom0 = homogeneous_decomposition(cr, spec, p0c, 0.0)[0]
+        hom0 = homogeneous_decomposition(es, p0c, 0.0)[0]
         checks.append(
             _check(
                 "homogeneous_initial_value",
@@ -601,7 +616,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         )
 
         x0 = rng.standard_normal(n)
-        partition_report = energy_partition(x0, inv_set)
+        partition_report = energy_partition(x0, inv_set, inverse_pair_parts(es))
         closure = max(
             abs(np.sum(partition_report.linear) - partition_report.total),
             abs(np.sum(partition_report.quadratic) - partition_report.total),
@@ -632,7 +647,6 @@ def cmd_energy(
     x0,
     tols: Tolerances = Tolerances(),
     time_series: tuple | None = None,
-    seed: int | None = None,
 ) -> tuple:
     """Minimum-energy partition for target state x0.
 
@@ -645,7 +659,7 @@ def cmd_energy(
             raise ValueError(f"time series needs finite T0, T1 and STEPS >= 1, got {time_series}")
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
-    spec, cr = resolved.spectrum, resolved.cr
+    spec, cr, es = resolved.spectrum, resolved.cr, resolved.structure
     if not spec.is_simple:
         raise MultipleEigenvalueError(
             "energy partitions are defined for simple spectra"
@@ -655,8 +669,8 @@ def cmd_energy(
         raise ValueError(f"x0 must have length {cr.n}, got shape {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-    inv_set = inverse_eigenparts(cr, spec, tols.solvability)
-    inv_pairs = inverse_pair_parts(cr, spec, tols.solvability)
+    inv_set = inverse_eigenparts(es)
+    inv_pairs = inverse_pair_parts(es)
     partition = energy_partition(x0, inv_set, inv_pairs)
     warnings = list(resolved.warnings)
     if not partition.interpretation_valid:
@@ -668,7 +682,6 @@ def cmd_energy(
         "schema": 1,
         "command": "energy",
         "label": doc.label,
-        "seed": seed,
         "system": {"n": cr.n, "source": doc.source},
         "spectrum": _spectrum_json(spec),
         "x0": x0.tolist(),
@@ -688,7 +701,7 @@ def cmd_energy(
                 "time series skipped: optimal control requires a strictly stable spectrum"
             ]
         else:
-            signal = optimal_control(x0, cr, spec)
+            signal = optimal_control(x0, es)
             times = np.linspace(float(t0), float(t1), int(steps))
             modes = signal.modal(times)
             control = signal.control(times)
@@ -753,13 +766,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, seed: bool = True):
+    def add_common(p):
         p.add_argument("system", help="system document (JSON)")
         p.add_argument("--tol-root", type=float, default=Tolerances().root)
         p.add_argument("--tol-cluster", type=float, default=Tolerances().cluster)
         p.add_argument("--tol-solve", type=float, default=Tolerances().solvability)
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     analyze = sub.add_parser("analyze", help="spectral decompositions")
@@ -776,6 +787,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check closed forms against oracles")
     add_common(verify)
+    verify.add_argument("--seed", type=int, default=None,
+                        help="seed of the random initial condition and energy target")
 
     energy = sub.add_parser("energy", help="minimum-energy partitions")
     add_common(energy)
@@ -787,7 +800,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="csv writes the --time-series table as the output")
 
     roots = sub.add_parser("roots", help="spectrum pipeline only")
-    add_common(roots, seed=False)
+    add_common(roots)
     return parser
 
 
@@ -843,7 +856,6 @@ def main(argv=None) -> int:
                 inverse=args.inverse,
                 initial=_load_initial(args.initial, doc.n),
                 raw=args.raw,
-                seed=args.seed,
             )
             _emit(_dump_report(report), args.output)
             return EXIT_OK
@@ -867,7 +879,7 @@ def main(argv=None) -> int:
                           int(args.time_series[2]))
                 if args.format == "csv" and args.output is None:
                     raise ValueError("--time-series with csv format requires --output")
-            report, csv_text = cmd_energy(doc, x0, tols, time_series=series, seed=args.seed)
+            report, csv_text = cmd_energy(doc, x0, tols, time_series=series)
             if csv_text is not None and args.format == "csv":
                 _emit(csv_text, args.output)
                 sys.stderr.write(_dump_report(report))

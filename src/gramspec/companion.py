@@ -5,20 +5,35 @@ basis: the dynamics matrix carries the characteristic coefficients in its
 last row and the input is the last unit vector.  Right eigenvectors are
 Vandermonde columns, left eigenvectors come from a Hankel matrix of the
 coefficients, and Jordan chains for multiple eigenvalues follow a Pascal-type
-recursion in closed form.  For a simple spectrum, EigenStructure is the one
-place where the per-eigenvalue data of every closed form is evaluated and
-checked.
+recursion in closed form.  For a simple spectrum, eigen_structure is the one
+place that decides whether, and at what working precision, a closed form
+runs: it refuses multiple and unsolvable spectra, and its EigenStructure holds
+the per-eigenvalue data every closed form is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConditioningError, ControllabilityError, MultipleEigenvalueError
-from .spectrum import Polynomial, Spectrum, char_poly, eval_with_derivative
+from .errors import (
+    ConditioningError,
+    ControllabilityError,
+    MultipleEigenvalueError,
+    SolvabilityError,
+)
+from .spectrum import (
+    DEFAULT_TOLERANCES,
+    Polynomial,
+    SolvabilityReport,
+    Spectrum,
+    char_poly,
+    check_solvability,
+    eval_with_derivative,
+)
 
 CONDITION_CAP = 1e12
 POLY_TOL = 1e-8  # relative defect allowed in the similarity and polynomial-match checks
@@ -26,6 +41,7 @@ ROOT_TOL = 1e-8  # relative |N(lambda)| and origin distance allowed for a Jordan
 SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
 ORIGIN_TOL = 1e-12  # |lambda| at or below this times (1 + max|a_k|) has no left eigenvector
 DERIV_FLOOR = 1e-8  # |N'(lambda)| at or below this times max|a_k| counts as a multiple eigenvalue
+_MP_DPS = 40  # digits of the extended root polish and of accurate_total
 
 
 @dataclass(frozen=True)
@@ -174,18 +190,21 @@ def left_eigenvector(lam: complex, p: Polynomial) -> np.ndarray:
 
     lam = 0 (excluded by the solvability condition with i = j) is rejected.
     """
-    return _evaluate(p, np.asarray([lam])).left[0]
+    return _evaluate(p, Spectrum.simple([lam]), np.asarray([lam])).left[0]
 
 
 def residue_companion(lam: complex, p: Polynomial) -> np.ndarray:
     """Resolvent residue R = x y^T / (-N'(lam)) for a simple eigenvalue."""
-    return _evaluate(p, np.asarray([lam])).residues[0]
+    return _evaluate(p, Spectrum.simple([lam]), np.asarray([lam])).residues[0]
 
 
 @dataclass(frozen=True)
 class EigenStructure:
     """Per-eigenvalue data of a simple companion spectrum, evaluated once.
 
+    Made by eigen_structure, which admits only a simple, solvable
+    ``spectrum``; ``solvability`` is the report it passed (None for the
+    one-eigenvalue structures of left_eigenvector and residue_companion).
     Every simple-spectrum closed form (Gramian eigen and pair parts, inverse
     parts, residues, finite-horizon and homogeneous terms) is built from it.
     Row i of ``right`` is the Vandermonde vector x_i; ``derivs[i]`` is
@@ -196,17 +215,25 @@ class EigenStructure:
     (-N'(lambda_i))) raises MultipleEigenvalueError when |N'(lambda_i)| is at
     or below DERIV_FLOOR max|a_k|.
 
-    The working precision is the dtype of ``eigenvalues``: complex128,
-    clongdouble, or an object array of mpmath numbers (used inside an mpmath
-    precision context).  Builders combine the entries one eigenvalue at a
-    time, in scalar arithmetic.
+    The working precision is the dtype of ``eigenvalues``: complex128, or
+    clongdouble for an ``extended`` structure, whose eigenvalues are the
+    roots polished at 40 digits (kept as ``polished``) and rounded to 80
+    bits.  Builders combine the entries one eigenvalue at a time, in scalar
+    arithmetic.
     """
 
     poly: Polynomial
+    spectrum: Spectrum
     eigenvalues: np.ndarray
     right: np.ndarray
     derivs: np.ndarray
     mirrors: np.ndarray
+    solvability: SolvabilityReport | None = None
+    polished: np.ndarray | None = None
+
+    @property
+    def extended(self) -> bool:
+        return self.polished is not None
 
     @cached_property
     def left(self) -> np.ndarray:
@@ -230,33 +257,120 @@ class EigenStructure:
             [np.outer(x, y) / (-d) for x, y, d in zip(self.right, self.left, self.derivs)]
         )
 
+    def accurate_total(self, parts: Callable[["EigenStructure"], dict]) -> np.ndarray | None:
+        """Sum of a builder's raw components accumulated at 40 digits, or
+        None for a double-precision structure.
 
-def _evaluate(p: Polynomial, values: np.ndarray) -> EigenStructure:
+        Near-degenerate spectra make individual components exceed their sum by
+        many orders of magnitude; a sum of components stored at any fixed
+        precision then loses the cancellation, so the components are formed
+        from the polished eigenvalues in mpmath and summed before rounding.
+        """
+        if self.polished is None:
+            return None
+        from mpmath import mp
+
+        with mp.workdps(_MP_DPS):
+            total = sum(parts(_evaluate(self.poly, self.spectrum, self.polished)).values())
+            return np.array(
+                [[_mp_to_clongdouble(z) for z in row] for row in total], dtype=np.clongdouble
+            )
+
+
+def _evaluate(
+    p: Polynomial,
+    spec: Spectrum,
+    values: np.ndarray,
+    solvability: SolvabilityReport | None = None,
+    polished: np.ndarray | None = None,
+) -> EigenStructure:
     n = p.degree
     return EigenStructure(
         p,
+        spec,
         values,
         np.stack([right_eigenvector(lam, n) for lam in values]),
         np.array([eval_with_derivative(p, lam)[1] for lam in values]),
         np.array([eval_with_derivative(p, -lam)[0] for lam in values]),
+        solvability,
+        polished,
     )
 
 
-def eigen_structure(
-    p: Polynomial, spec: Spectrum, values: np.ndarray | None = None
-) -> EigenStructure:
-    """The EigenStructure of a simple spectrum.
+def _mp_polished_roots(poly: Polynomial, values: np.ndarray) -> np.ndarray:
+    """Newton-polish simple roots in arbitrary precision (object array of
+    mpmath numbers).
 
-    ``values`` are the eigenvalues in the working precision (default
-    ``spec.values``).  Raises MultipleEigenvalueError for a spectrum with
-    multiplicities.
+    Horner evaluation noise at any fixed precision caps the achievable root
+    accuracy on ill-conditioned coefficient sets; polishing past it keeps the
+    eigenvector identities exact to the working precision downstream.
     """
+    from mpmath import mp, mpc, mpf
+
+    coefficients = [mpf(float(c)) for c in poly.coeffs]
+    polished = np.empty(values.size, dtype=object)
+    with mp.workdps(_MP_DPS):
+        for k, lam in enumerate(values):
+            z = mpc(lam.real, lam.imag)
+            for _ in range(5):
+                value = deriv = mpc(0)
+                for c in coefficients[::-1]:
+                    deriv = deriv * z + value
+                    value = value * z + c
+                if deriv == 0:
+                    break
+                z = z - value / deriv
+            polished[k] = z
+    return polished
+
+
+def _mp_to_clongdouble(z) -> np.clongdouble:
+    # string round-trip: casting through complex128 would lose the digits
+    # the polish recovered
+    from mpmath import nstr
+
+    return np.clongdouble(np.longdouble(nstr(z.real, 25))) + 1j * np.clongdouble(
+        np.longdouble(nstr(z.imag, 25))
+    )
+
+
+def require_solvable(
+    spec: Spectrum, tol: float = DEFAULT_TOLERANCES.solvability
+) -> SolvabilityReport:
+    """The solvability report of a spectrum; raises SolvabilityError unless ok."""
+    report = check_solvability(spec, tol)
+    if not report.ok:
+        raise SolvabilityError(report)
+    return report
+
+
+def eigen_structure(
+    p: Polynomial,
+    spec: Spectrum,
+    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
+    extended: bool = False,
+) -> EigenStructure:
+    """The EigenStructure of a simple, solvable spectrum.
+
+    Raises SolvabilityError when some |lambda_i + lambda_j| is at or below
+    ``solvability_tol`` (1 + radius), then MultipleEigenvalueError for a
+    spectrum with multiplicities.  ``extended`` polishes the roots once at 40
+    digits and evaluates in 80-bit precision, for stiff problems: component
+    magnitudes can exceed their sum by many orders (near-degenerate spectra)
+    and finite Gramians of unstable systems at large t span ranges double
+    precision cannot resolve.
+    """
+    report = require_solvable(spec, solvability_tol)
     if not spec.is_simple:
         raise MultipleEigenvalueError(
             "spectrum has multiple eigenvalues; use the multiple-eigenvalue "
             "decomposition (multiple_eig_gramian / inverse_multiple_eig)"
         )
-    return _evaluate(p, spec.values if values is None else values)
+    if not extended:
+        return _evaluate(p, spec, spec.values, report)
+    polished = _mp_polished_roots(p, spec.values)
+    values = np.array([_mp_to_clongdouble(z) for z in polished], dtype=np.clongdouble)
+    return _evaluate(p, spec, values, report, polished)
 
 
 def residues_general(a, spec: Spectrum) -> np.ndarray:

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .companion import CompanionRealization, build_companion, eigen_structure
+from .companion import EigenStructure
 from .errors import StabilityError
 from .gramians import SpectralComponentSet
-from .inverse import inverse_eigenparts, inverse_pair_parts
-from .spectrum import Spectrum
+from .inverse import inverse_eigenparts
 
 QUADRATURE_POINTS = 40_000
 
@@ -51,23 +50,16 @@ class EnergyPartition:
 
 
 def energy_partition(
-    x0,
-    inv: SpectralComponentSet,
-    inv_pairs: SpectralComponentSet | None = None,
+    x0, inv: SpectralComponentSet, inv_pairs: SpectralComponentSet
 ) -> EnergyPartition:
-    """E_i = x_0^T P~_i^{-C} x_0 and E_ij = x_0^T P_ij^{-C} x_0.
+    """E_i = x_0^T P~_i^{-C} x_0 and E_ij = x_0^T P_ij^{-C} x_0, from the
+    eigen- and pair-indexed inverse sets.
 
-    Both partitions sum to the total quadratic form.  Pair components are
-    derived from the set's own polynomial when not supplied.
+    Both partitions sum to the total quadratic form.
     """
     x0 = np.asarray(x0, dtype=float)
-    if inv.kind != "eigen":
-        raise ValueError("energy partition expects the eigen-indexed inverse set")
-    if inv_pairs is None:
-        if inv.poly is None or inv.spectrum is None or inv.coordinate != "companion":
-            raise ValueError("pair components must be supplied for this component set")
-        cr = build_companion(inv.poly)
-        inv_pairs = inverse_pair_parts(cr, inv.spectrum)
+    if inv.kind != "eigen" or inv_pairs.kind != "pair":
+        raise ValueError("energy partition expects the eigen- and pair-indexed inverse sets")
     sym = inv.symmetrized()
     pair_sym = inv_pairs.symmetrized()
     k = len(sym.components)
@@ -106,16 +98,17 @@ class OptimalControlSignal:
         return total.real
 
 
-def optimal_control(x0, cr: CompanionRealization, spec: Spectrum) -> OptimalControlSignal:
+def optimal_control(x0, es: EigenStructure) -> OptimalControlSignal:
     """Spectral form of the minimum-energy control for a stable companion
     system: u(t) = e_n^T e^{-A_C^T t} P^{-1} x_0 with modal components
     e_n^T R_i^* e^{-conj(lambda_i) t} P^{-1} x_0."""
+    spec = es.spectrum
     if not spec.is_stable:
         raise StabilityError("optimal control requires a strictly stable spectrum")
     x0 = np.asarray(x0, dtype=float)
-    w = inverse_eigenparts(cr, spec).total() @ x0
-    residues = eigen_structure(cr.poly, spec).residues
-    n = cr.n
+    w = inverse_eigenparts(es).total() @ x0
+    residues = es.residues
+    n = es.poly.degree
     kappa = np.array([np.conj(residues[i][:, n - 1]) @ w for i in range(spec.values.size)])
     rates = -np.conj(spec.values)
     horizon = 40.0 / float(np.min(np.abs(spec.values.real)))
@@ -144,19 +137,17 @@ class OverlapReport:
 
 
 def modal_overlap_integrals(
-    x0,
-    gram_pairs: SpectralComponentSet,
-    cr: CompanionRealization,
-    spec: Spectrum,
+    x0, gram_pairs: SpectralComponentSet, es: EigenStructure
 ) -> OverlapReport:
     """Certify x_0^T P^{-1} P_ij^C P^{-1} x_0 against the overlap integrals
     (1/2) int (conj(u_i) u_j + conj(u_j) u_i) dt of the modal controls."""
+    spec = es.spectrum
     if not spec.is_stable:
         raise StabilityError("overlap integrals require a strictly stable spectrum")
     if gram_pairs.kind != "pair":
         raise ValueError("overlap integrals expect the pair-indexed Gramian set")
     x0 = np.asarray(x0, dtype=float)
-    w = (inverse_eigenparts(cr, spec).total() @ x0).real
+    w = (inverse_eigenparts(es).total() @ x0).real
     pair_sym = gram_pairs.symmetrized()
     k = spec.values.size
     closed = np.array(
@@ -165,7 +156,7 @@ def modal_overlap_integrals(
             for i in range(k)
         ]
     )
-    signal = optimal_control(x0, cr, spec)
+    signal = optimal_control(x0, es)
     t = np.linspace(-signal.horizon, 0.0, QUADRATURE_POINTS)
     modes = signal.modal(t)
     quad = np.empty((k, k))

@@ -10,6 +10,10 @@ with J = diag(-1, +1, ..., (-1)^n).  The minus sign in the denominator is
 pinned by the scalar system xdot = -x + u, whose Gramian is P = 1/2, and is
 enforced globally by the Lyapunov-residual checks in the test suite.
 
+Every simple-spectrum builder takes one companion.EigenStructure, made by
+eigen_structure, which has already refused multiple and unsolvable spectra
+and fixed the working precision; the builders only combine its entries.
+
 Matrix exponentials inside these formulas are evaluated spectrally (residue
 expansion for simple spectra, resolvent coefficients for multiple ones); the
 independent scaling-and-squaring path lives in the oracle module and shares
@@ -26,24 +30,16 @@ import numpy as np
 
 from .companion import (
     POLY_TOL,
-    CompanionRealization,
     EigenStructure,
     JordanChainSet,
     LtiSystem,
     alternating_signs,
-    eigen_structure,
     hankel_upper,
     jordan_chains_companion,
     require_controllable,
+    require_solvable,
 )
-from .errors import SolvabilityError
-from .spectrum import (
-    DEFAULT_TOLERANCES,
-    Polynomial,
-    Spectrum,
-    char_poly,
-    check_solvability,
-)
+from .spectrum import DEFAULT_TOLERANCES, Polynomial, Spectrum, char_poly
 
 ORBIT_IMAG_TOL = 1e-9  # imaginary part of a conjugate-orbit sum, relative to its entry scale
 
@@ -90,12 +86,6 @@ def merge_conjugate_components(components: dict, spectrum, kind: str) -> dict:
     return merged
 
 
-def require_solvable(spec: Spectrum, tol: float = DEFAULT_TOLERANCES.solvability):
-    report = check_solvability(spec, tol)
-    if not report.ok:
-        raise SolvabilityError(report)
-
-
 def _require_horizon(t: float):
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {t}")
@@ -110,11 +100,11 @@ class SpectralComponentSet:
     complex n x n matrix.  Raw components preserve orthogonality relations
     (raw inverse eigen components are rank one and orthogonal against the
     Gramian eigenparts); symmetrized components are the Hermitian parts and
-    carry the physical (energy) interpretation.  ``accurate_total`` (set by
-    extended-precision construction) is the component sum accumulated at 40
-    digits, from the eigen structure of re-polished eigenvalues, before
-    rounding; near degeneracy makes resummation of the stored components
-    lossier.  Simple-spectrum sets are built from one companion.EigenStructure.
+    carry the physical (energy) interpretation.  ``accurate_total`` (set when
+    the set is built from an extended EigenStructure) is the component sum
+    accumulated at 40 digits from the structure's polished eigenvalues,
+    before rounding; near degeneracy makes resummation of the stored
+    components lossier.
     """
 
     components: dict
@@ -224,82 +214,6 @@ class FiniteGramianDecomposition:
         )
 
 
-_MP_DPS = 40
-
-
-def _mp_polished_roots(poly: Polynomial, values: np.ndarray) -> np.ndarray:
-    """Newton-polish simple roots in arbitrary precision (object array of
-    mpmath numbers).
-
-    Horner evaluation noise at any fixed precision caps the achievable root
-    accuracy on ill-conditioned coefficient sets; polishing past it keeps the
-    eigenvector identities exact to the working precision downstream.
-    """
-    from mpmath import mp, mpc, mpf
-
-    coefficients = [mpf(float(c)) for c in poly.coeffs]
-    polished = np.empty(values.size, dtype=object)
-    with mp.workdps(_MP_DPS):
-        for k, lam in enumerate(values):
-            z = mpc(lam.real, lam.imag)
-            for _ in range(5):
-                value = deriv = mpc(0)
-                for c in coefficients[::-1]:
-                    deriv = deriv * z + value
-                    value = value * z + c
-                if deriv == 0:
-                    break
-                z = z - value / deriv
-            polished[k] = z
-    return polished
-
-
-def _mp_to_clongdouble(z) -> np.clongdouble:
-    # string round-trip: casting through complex128 would lose the digits
-    # the polish recovered
-    from mpmath import nstr
-
-    return np.clongdouble(np.longdouble(nstr(z.real, 25))) + 1j * np.clongdouble(
-        np.longdouble(nstr(z.imag, 25))
-    )
-
-
-def _working_values(spec: Spectrum, extended: bool, poly: Polynomial) -> np.ndarray:
-    """Eigenvalues in the working dtype.
-
-    The extended (80-bit) dtype is for stiff problems: component magnitudes
-    can exceed their sum by many orders (near-degenerate spectra) and finite
-    Gramians of unstable systems at large t span ranges double precision
-    cannot resolve.
-    """
-    if not extended:
-        return spec.values
-    return np.array(
-        [_mp_to_clongdouble(z) for z in _mp_polished_roots(poly, spec.values)],
-        dtype=np.clongdouble,
-    )
-
-
-def _accurate_total(
-    poly: Polynomial, spec: Spectrum, parts: Callable[[EigenStructure], dict]
-) -> np.ndarray:
-    """Sum of a builder's raw components accumulated in arbitrary precision.
-
-    Near-degenerate spectra make individual components exceed their sum by
-    many orders of magnitude; a sum of components stored at any fixed
-    precision then loses the cancellation, so the components are formed from
-    re-polished eigenvalues at _MP_DPS digits and summed before rounding.
-    """
-    from mpmath import mp
-
-    with mp.workdps(_MP_DPS):
-        es = eigen_structure(poly, spec, _mp_polished_roots(poly, spec.values))
-        total = sum(parts(es).values())
-        return np.array(
-            [[_mp_to_clongdouble(z) for z in row] for row in total], dtype=np.clongdouble
-        )
-
-
 def _eigenparts(es: EigenStructure) -> dict:
     """Raw eigen components x_i x_i^T J / (-N'(lambda_i) N(-lambda_i))."""
     signs = alternating_signs(es.poly.degree)
@@ -318,42 +232,28 @@ def _expm_transpose_simple(lams: np.ndarray, residues) -> Callable:
     return evaluate
 
 
-def infinite_subgramians(
-    cr: CompanionRealization,
-    spec: Spectrum,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-    extended: bool = False,
-) -> SpectralComponentSet:
+def infinite_subgramians(es: EigenStructure) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the algebraic Lyapunov solution.
 
     Returns the raw components P_hat_i; their Hermitian parts (via
-    ``symmetrized()``) sum to the same solution.  ``extended`` builds the
-    components in 80-bit precision from re-polished eigenvalues and keeps
-    their 40-digit sum as ``accurate_total``, which keeps the cancellation in
-    the sum resolvable when the spectrum is nearly degenerate.  Reads
-    x_i, N'(lambda_i) and N(-lambda_i) from the eigen structure only, so a
-    near-multiple simple spectrum is still decomposed.
+    ``symmetrized()``) sum to the same solution.  From an extended structure
+    the components are 80-bit and their 40-digit sum is kept as
+    ``accurate_total``, which keeps the cancellation in the sum resolvable
+    when the spectrum is nearly degenerate.  Reads x_i, N'(lambda_i) and
+    N(-lambda_i) only, so a near-multiple simple spectrum is still decomposed.
     """
-    require_solvable(spec, solvability_tol)
-    es = eigen_structure(cr.poly, spec, _working_values(spec, extended, cr.poly))
-    total = _accurate_total(cr.poly, spec, _eigenparts) if extended else None
     return SpectralComponentSet(
-        _eigenparts(es), "eigen", "raw", "companion", cr.poly, spec, total
+        _eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum,
+        es.accurate_total(_eigenparts),
     )
 
 
-def infinite_pair_subgramians(
-    cr: CompanionRealization,
-    spec: Spectrum,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-) -> SpectralComponentSet:
+def infinite_pair_subgramians(es: EigenStructure) -> SpectralComponentSet:
     """Pair-indexed decomposition; row sums reproduce the eigen components.
 
     Component (i, j) is -x_i x_j^* / ((lambda_i + conj(lambda_j)) N'(lambda_i)
     conj(N'(lambda_j))).
     """
-    require_solvable(spec, solvability_tol)
-    es = eigen_structure(cr.poly, spec)
     # N'(conj(lambda)) = conj(N'(lambda)) for real coefficients; adding 0
     # turns a negative zero imaginary part positive, as Horner returns it
     conj_derivs = np.conj(es.derivs) + 0
@@ -365,29 +265,21 @@ def infinite_pair_subgramians(
         for i in range(k)
         for j in range(k)
     }
-    return SpectralComponentSet(parts, "pair", "raw", "companion", cr.poly, spec)
+    return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
 
 
-def finite_subgramians(
-    cr: CompanionRealization,
-    spec: Spectrum,
-    t: float,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-    extended: bool = False,
-) -> FiniteGramianDecomposition:
+def finite_subgramians(es: EigenStructure, t: float) -> FiniteGramianDecomposition:
     """Eigen-indexed decomposition of the finite Gramian with P(0) = 0.
 
     Component i evaluates to P_hat_i (I - e^{(lambda_i I + A_C^T) t}).
-    With ``extended`` everything is built and evaluated in 80-bit precision,
-    which the product identity with the finite inverse needs at stiff
-    horizons.  The exponential needs the residues, so a near-multiple
+    From an extended structure everything is built and evaluated in 80-bit
+    precision, which the product identity with the finite inverse needs at
+    stiff horizons.  The exponential needs the residues, so a near-multiple
     eigenvalue raises MultipleEigenvalueError.
     """
     _require_horizon(t)
-    require_solvable(spec, solvability_tol)
-    es = eigen_structure(cr.poly, spec, _working_values(spec, extended, cr.poly))
     parts = _eigenparts(es)
-    static = SpectralComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec)
+    static = SpectralComponentSet(parts, "eigen", "raw", "companion", es.poly, es.spectrum)
     terms = {
         i: [ExpTerm(-parts[i], lam, matrix_exp=True)] for i, lam in enumerate(es.eigenvalues)
     }
@@ -396,38 +288,29 @@ def finite_subgramians(
     )
 
 
-def finite_pair_subgramians(
-    cr: CompanionRealization,
-    spec: Spectrum,
-    t: float,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-) -> FiniteGramianDecomposition:
-    """Pair-indexed finite decomposition; component (i, j) evaluates to
-    (e^{(lambda_i + conj(lambda_j)) t} - 1)/(lambda_i + conj(lambda_j)) times
-    the pair numerator, i.e. P_hat_ij (1 - e^{st})."""
+def finite_pair_subgramians(pairs: SpectralComponentSet, t: float) -> FiniteGramianDecomposition:
+    """Pair-indexed finite decomposition of the raw infinite pair set: component
+    (i, j) evaluates to (e^{(lambda_i + conj(lambda_j)) t} - 1)/(lambda_i +
+    conj(lambda_j)) times the pair numerator, i.e. P_hat_ij (1 - e^{st})."""
     _require_horizon(t)
-    static = infinite_pair_subgramians(cr, spec, solvability_tol)
-    terms = {}
-    for (i, j), part in static.components.items():
-        rate = spec.values[i] + np.conj(spec.values[j])
-        terms[(i, j)] = [ExpTerm(-part, rate)]
-    return FiniteGramianDecomposition(static, terms, t, lambda t: None)
+    if pairs.kind != "pair" or pairs.flavor != "raw":
+        raise ValueError("finite pair components expect the raw pair-indexed Gramian set")
+    values = pairs.spectrum.values
+    terms = {
+        (i, j): [ExpTerm(-part, values[i] + np.conj(values[j]))]
+        for (i, j), part in pairs.components.items()
+    }
+    return FiniteGramianDecomposition(pairs, terms, t, lambda t: None)
 
 
-def homogeneous_decomposition(
-    cr: CompanionRealization,
-    spec: Spectrum,
-    p0: InitialCondition,
-    t: float,
-):
+def homogeneous_decomposition(es: EigenStructure, p0: InitialCondition, t: float):
     """Decompositions of the homogeneous solution with P(0) = P_0.
 
     Returns (eigen_set, pair_set) evaluated at t: components
     R_i P_0 e^{(lambda_i I + A_C^T) t} and R_i P_0 R_j^* e^{(lambda_i +
     conj(lambda_j)) t}; both sums reproduce P_0 at t = 0.
     """
-    es = eigen_structure(cr.poly, spec)
-    if p0.n != cr.n:
+    if p0.n != es.poly.degree:
         raise ValueError("initial condition dimension does not match the system")
     residues = es.residues
     lams = es.eigenvalues
@@ -443,8 +326,10 @@ def homogeneous_decomposition(
         for i in range(lams.size)
         for j in range(lams.size)
     }
-    eigen_set = SpectralComponentSet(eigen_parts, "eigen", "raw", "companion", cr.poly, spec)
-    pair_set = SpectralComponentSet(pair_parts, "pair", "raw", "companion", cr.poly, spec)
+    eigen_set = SpectralComponentSet(
+        eigen_parts, "eigen", "raw", "companion", es.poly, es.spectrum
+    )
+    pair_set = SpectralComponentSet(pair_parts, "pair", "raw", "companion", es.poly, es.spectrum)
     return eigen_set, pair_set
 
 

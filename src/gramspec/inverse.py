@@ -2,10 +2,11 @@
 solutions, the differential Riccati solution with its normalization matrix,
 and the multiple-eigenvalue generalization.
 
-Inverse components are built directly from left eigenvectors (for simple
-spectra, read from companion.EigenStructure); nothing in this module
-numerically inverts a Gramian sum (the numerical inverse exists only
-in the oracle module, as an independent check).
+Inverse components are built directly from left eigenvectors; for simple
+spectra every builder takes one companion.EigenStructure, which fixes the
+working precision (and with it the normalization condition cap of the finite
+inverse).  Nothing in this module numerically inverts a Gramian sum (the
+numerical inverse exists only in the oracle module, as an independent check).
 """
 
 from __future__ import annotations
@@ -20,24 +21,17 @@ from .companion import (
     JordanChainSet,
     LtiSystem,
     alternating_signs,
-    build_companion,
     eigen_structure,
     hankel_upper,
     require_controllable,
 )
 from .errors import ConditioningError
-from .gramians import (
-    InitialCondition,
-    SpectralComponentSet,
-    _accurate_total,
-    _expm_transpose_simple,
-    _working_values,
-    require_solvable,
-)
-from .spectrum import DEFAULT_TOLERANCES, Polynomial, Spectrum, char_poly, cluster, find_roots
+from .gramians import InitialCondition, SpectralComponentSet, _expm_transpose_simple
+from .spectrum import Polynomial, char_poly, cluster, find_roots
 
 ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
+CONDITION_CAPS = {False: 1e12, True: 1e17}  # normalization condition cap, by extended precision
 
 
 @dataclass(frozen=True)
@@ -102,33 +96,22 @@ def _inverse_eigenparts(es: EigenStructure) -> dict:
     }
 
 
-def inverse_eigenparts(
-    cr: CompanionRealization,
-    spec: Spectrum,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-    extended: bool = False,
-) -> SpectralComponentSet:
+def inverse_eigenparts(es: EigenStructure) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the algebraic Riccati solution.
 
     The raw components sum to the exact inverse of the Lyapunov solution;
-    each is rank one.  ``extended`` builds the components in 80-bit precision
-    from re-polished eigenvalues (see the Gramian counterpart).  Reads y_i,
-    N'(lambda_i) and N(-lambda_i) from the eigen structure and no residues,
-    so a near-multiple simple spectrum is still decomposed.
+    each is rank one.  An extended structure gives 80-bit components and a
+    40-digit ``accurate_total`` (see the Gramian counterpart).  Reads y_i,
+    N'(lambda_i) and N(-lambda_i) and no residues, so a near-multiple simple
+    spectrum is still decomposed.
     """
-    require_solvable(spec, solvability_tol)
-    es = eigen_structure(cr.poly, spec, _working_values(spec, extended, cr.poly))
-    total = _accurate_total(cr.poly, spec, _inverse_eigenparts) if extended else None
     return SpectralComponentSet(
-        _inverse_eigenparts(es), "eigen", "raw", "companion", cr.poly, spec, total
+        _inverse_eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum,
+        es.accurate_total(_inverse_eigenparts),
     )
 
 
-def inverse_pair_parts(
-    cr: CompanionRealization,
-    spec: Spectrum,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-) -> SpectralComponentSet:
+def inverse_pair_parts(es: EigenStructure) -> SpectralComponentSet:
     """Pair-indexed decomposition; column sums reproduce the eigen components.
 
     Component (i, j) equals conj(R_i) P_hat_j, worked out through left
@@ -136,8 +119,6 @@ def inverse_pair_parts(
     real coefficients make y, N' and N(-.) the conjugates of those at
     lambda_i.
     """
-    require_solvable(spec, solvability_tol)
-    es = eigen_structure(cr.poly, spec)
     lams, left, derivs, mirrors = es.eigenvalues, es.left, es.derivs, es.mirrors
     k = lams.size
     parts = {
@@ -147,7 +128,7 @@ def inverse_pair_parts(
         for i in range(k)
         for j in range(k)
     }
-    return SpectralComponentSet(parts, "pair", "raw", "companion", cr.poly, spec)
+    return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
 
 
 @dataclass(frozen=True)
@@ -160,15 +141,13 @@ class OrthogonalityReport:
 
 
 def orthogonality_certificate(
-    gram: SpectralComponentSet, inv: SpectralComponentSet
+    es: EigenStructure, gram: SpectralComponentSet, inv: SpectralComponentSet
 ) -> OrthogonalityReport:
     """Verify the raw eigenparts of the Gramian and its inverse are
-    mutually orthogonal with products delta_ij R_i."""
+    mutually orthogonal with products delta_ij R_i, the residues of ``es``."""
     if gram.flavor != "raw" or inv.flavor != "raw":
         raise ValueError("orthogonality holds for the raw (unsymmetrized) components")
-    if gram.poly is None or gram.spectrum is None:
-        raise ValueError("component sets must carry their polynomial and spectrum")
-    residues = eigen_structure(gram.poly, gram.spectrum).residues
+    residues = es.residues
     scale = max(1.0, max(float(np.max(np.abs(r))) for r in residues))
     worst = 0.0
     count = 0
@@ -181,27 +160,23 @@ def orthogonality_certificate(
     return OrthogonalityReport(worst / scale, count, worst / scale <= ORTHOGONALITY_TOL)
 
 
-def riccati_general(
-    sys: LtiSystem,
-    spec: Spectrum | None = None,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-) -> SpectralComponentSet:
+def riccati_general(sys: LtiSystem, es: EigenStructure | None = None) -> SpectralComponentSet:
     """Closed-form decomposition of P^{-1} A + A^T P^{-1} = -P^{-1} b b^T P^{-1}
     for a controllable single-input system, in its original coordinates.
 
     Components are (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1} of the companion
-    eigen components X.  Without ``spec`` the spectrum comes from the
-    characteristic polynomial at the default tolerances.
+    eigen components X.  ``es`` is the eigen structure of the system's
+    characteristic polynomial; without it the structure is built from that
+    polynomial's roots at the default tolerances.
     """
     if sys.m != 1:
         raise ValueError("the closed-form Riccati solution applies to single-input systems")
-    p = char_poly(sys.a)
-    if spec is None:
-        spec = cluster(find_roots(p))
     ctrb = require_controllable(sys)
-    cr = build_companion(p)
-    companion_set = inverse_eigenparts(cr, spec, solvability_tol)
-    h_u = hankel_upper(p)
+    if es is None:
+        p = char_poly(sys.a)
+        es = eigen_structure(p, cluster(find_roots(p)))
+    companion_set = inverse_eigenparts(es)
+    h_u = hankel_upper(es.poly)
     lifted = {}
     for key, x in companion_set.components.items():
         inner = np.linalg.solve(h_u, np.linalg.solve(h_u, x).conj().T).conj().T
@@ -237,15 +212,7 @@ def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def finite_inverse(
-    cr: CompanionRealization,
-    spec: Spectrum,
-    p0: InitialCondition,
-    t: float,
-    condition_cap: float = 1e12,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-    extended: bool = False,
-):
+def finite_inverse(es: EigenStructure, p0: InitialCondition, t: float):
     """Inverse of the finite Gramian with boundary value P(0) = P_0.
 
     P^{-1}(t) = G(t) sum_j P_hat_j^{-C} with the normalization matrix defined
@@ -254,15 +221,15 @@ def finite_inverse(
     normalization state and the component set scaled by G(t); the product
     with the matching finite Gramian is the identity.
 
-    ``extended`` evaluates in 80-bit precision; unstable systems at stiff
-    horizons need it for the product identity to survive in floating point
-    (pair it with the equally extended finite Gramian).
+    An extended structure evaluates in 80-bit precision; unstable systems at
+    stiff horizons need it for the product identity to survive in floating
+    point (pair it with the finite Gramian of the same structure).  G(t) is
+    refused (ConditioningError) when its condition exceeds the cap of the
+    structure's precision: 1e12 in double, 1e17 extended.
     """
-    require_solvable(spec, solvability_tol)
-    es = eigen_structure(cr.poly, spec, _working_values(spec, extended, cr.poly))
     inv_components = _inverse_eigenparts(es)
     lams, residues = es.eigenvalues, es.residues
-    n = cr.n
+    n = es.poly.degree
     signs = alternating_signs(n)
     expm_t = _expm_transpose_simple(lams, residues)(t)
     g_inv = np.eye(n, dtype=expm_t.dtype)
@@ -282,14 +249,16 @@ def finite_inverse(
     # well-scaled (e.g. t = 0 with P_0 = 0 gives the zero matrix)
     svals = np.linalg.svd(g_inv.astype(complex), compute_uv=False)
     condition = float(term_scale / max(svals[-1], 1e-300))
-    if not np.isfinite(condition) or condition > condition_cap:
+    if not np.isfinite(condition) or condition > CONDITION_CAPS[es.extended]:
         raise ConditioningError(
             f"normalization matrix G(t) is numerically singular at t = {t}",
             condition=condition,
         )
     scaled = {j: _solve_dense(g_inv, part) for j, part in inv_components.items()}
     state = NormalizationState(float(t), g_inv, condition)
-    return state, SpectralComponentSet(scaled, "eigen", "raw", "companion", cr.poly, spec)
+    return state, SpectralComponentSet(
+        scaled, "eigen", "raw", "companion", es.poly, es.spectrum
+    )
 
 
 def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:

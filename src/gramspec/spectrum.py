@@ -13,6 +13,7 @@ and 10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,10 +283,16 @@ def find_roots(p: Polynomial, tol: float = DEFAULT_TOLERANCES.root) -> np.ndarra
         roots = _newton_polish(p, roots)
     except OverflowError:  # an exact |N(z)| or a Newton iterate beyond the float range
         raise ConvergenceError("root residuals overflow", worst_residual=np.inf) from None
-    bound = tol * np.max(np.abs(p.coeffs)) * np.maximum(1.0, np.abs(roots)) ** p.degree
-    residuals = np.abs(eval_with_derivative(p, roots)[0]) / bound
-    if not np.all(residuals <= 1.0):
-        worst = float(residuals.max())
+    # compared in logarithms: max(1, |r|)^n overflows for roots near the
+    # float range; an exact zero residual has logarithm -inf
+    values = np.abs(eval_with_derivative(p, roots)[0])
+    excess = (
+        np.log(values, out=np.full(values.shape, -np.inf), where=values != 0.0)
+        - np.log(tol) - np.log(np.max(np.abs(p.coeffs)))
+        - p.degree * np.log(np.maximum(1.0, np.abs(roots)))
+    )
+    if not np.all(excess <= 0.0):
+        worst = math.exp(excess.max()) if excess.max() < 709.0 else math.inf
         raise ConvergenceError("roots miss the residual bound", worst_residual=worst)
     return _sort_roots(_pair_conjugates(roots))
 

@@ -117,8 +117,9 @@ EX5_INV_1 = 108 * np.array(
 def test_criterion_1_example1_subgramians(example1):
     start = time.perf_counter()
     _, cr, spec = example1
-    eigen = gs.infinite_subgramians(cr, spec).symmetrized()
-    pairs = gs.infinite_pair_subgramians(cr, spec).symmetrized()
+    es = gs.eigen_structure(cr.poly, spec)
+    eigen = gs.infinite_subgramians(es).symmetrized()
+    pairs = gs.infinite_pair_subgramians(es).symmetrized()
     errors = [rel(eigen.components[i], EX1_EIGEN[i]) for i in range(3)]
     errors.append(rel(eigen.total(), EX1_SUM))
     for (i, j), expected in EX1_PAIRS.items():
@@ -137,7 +138,8 @@ def test_criterion_1_example1_subgramians(example1):
 
 def test_criterion_2_example2_finite_expansion(example1):
     poly, cr, spec = example1
-    dec = gs.finite_pair_subgramians(cr, spec, 0.5)
+    es = gs.eigen_structure(cr.poly, spec)
+    dec = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.5)
     groups = {}
     for (i, j), static in dec.static.symmetrized().components.items():
         rate = int(round(float((spec.values[i] + np.conj(spec.values[j])).real)))
@@ -162,9 +164,10 @@ def test_criterion_2_example2_finite_expansion(example1):
 
 def test_criterion_3_example3_inverse(example1):
     _, cr, spec = example1
-    gram = gs.infinite_subgramians(cr, spec)
-    inv = gs.inverse_eigenparts(cr, spec)
-    pairs = gs.inverse_pair_parts(cr, spec)
+    es = gs.eigen_structure(cr.poly, spec)
+    gram = gs.infinite_subgramians(es)
+    inv = gs.inverse_eigenparts(es)
+    pairs = gs.inverse_pair_parts(es)
     inv_sym, pairs_sym = inv.symmetrized(), pairs.symmetrized()
     errors = [rel(inv_sym.total(), EX3_SUM)]
     errors += [rel(inv_sym.components[i], EX3_EIGEN[i]) for i in range(3)]
@@ -190,8 +193,9 @@ def test_criterion_3_example3_inverse(example1):
 
 def test_criterion_4_example4_product_identity(example1):
     _, cr, spec = example1
-    gram = gs.infinite_subgramians(cr, spec)
-    inv = gs.inverse_eigenparts(cr, spec)
+    es = gs.eigen_structure(cr.poly, spec)
+    gram = gs.infinite_subgramians(es)
+    inv = gs.inverse_eigenparts(es)
     errors = [rel(gram.components[i], EX4_RAW_GRAM[i]) for i in range(3)]
     errors += [rel(inv.components[i], EX4_RAW_INV[i]) for i in range(3)]
     worst = max(errors)
@@ -199,9 +203,10 @@ def test_criterion_4_example4_product_identity(example1):
     # evaluated in extended precision so the product identity is resolvable
     p0 = gs.InitialCondition(np.zeros((3, 3)))
     product_defect = 0.0
+    es_extended = gs.eigen_structure(cr.poly, spec, extended=True)
     for t in (0.1, 1.0, 5.0):
-        _, inv_t = gs.finite_inverse(cr, spec, p0, t, condition_cap=1e16, extended=True)
-        gram_t = gs.finite_subgramians(cr, spec, t, extended=True).total()
+        _, inv_t = gs.finite_inverse(es_extended, p0, t)
+        gram_t = gs.finite_subgramians(es_extended, t).total()
         eye = np.eye(3, dtype=np.clongdouble)
         product_defect = max(
             product_defect, float(np.max(np.abs(inv_t.total() @ gram_t - eye)))
@@ -255,15 +260,16 @@ def test_criterion_6_randomized_oracle_equivalence():
         spec = gs.cluster(gs.find_roots(poly))
         bbt = np.outer(cr.b_c, cr.b_c)
         reference = gs.solve_lyapunov_dense(cr.a_c, bbt).matrix
+        es = gs.eigen_structure(poly, spec, extended=True)
         static = (
-            gs.infinite_subgramians(cr, spec, extended=True)
+            gs.infinite_subgramians(es)
             .symmetrized().total().real.astype(float)
         )
         worst_static = max(
             worst_static, np.linalg.norm(static - reference) / np.linalg.norm(reference)
         )
         inv_total = (
-            gs.inverse_eigenparts(cr, spec, extended=True)
+            gs.inverse_eigenparts(es)
             .symmetrized().total().real.astype(float)
         )
         inv_reference = np.linalg.inv(reference)
@@ -272,7 +278,7 @@ def test_criterion_6_randomized_oracle_equivalence():
             np.linalg.norm(inv_total - inv_reference) / np.linalg.norm(inv_reference),
         )
         for t, steps in ((0.1, 300), (1.0, 1200)):
-            closed = gs.finite_subgramians(cr, spec, t, extended=True).total().real.astype(float)
+            closed = gs.finite_subgramians(es, t).total().real.astype(float)
             rk4 = gs.integrate_lyapunov(cr.a_c, bbt, np.zeros((n, n)), t, steps=steps)
             worst_finite = max(
                 worst_finite,
@@ -300,7 +306,7 @@ def test_criterion_7_multi_input_lifting():
         a = basis @ cr.a_c @ np.linalg.inv(basis)
         b = rng.standard_normal((4, 2))
         sys = gs.LtiSystem(a, b)
-        gram = gs.infinite_subgramians(cr, spec)
+        gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         lifted = gs.lift_to_original(gram, sys).symmetrized().total().real
         reference = gs.solve_lyapunov_dense(a, b @ b.T).matrix
         worst = max(
@@ -324,13 +330,14 @@ def test_criterion_8_energy_consistency():
         _, cr, spec = random_companion(
             rng, n, separation=0.2, re_range=(-1.5, -0.25), im_max=1.5
         )
-        inv = gs.inverse_eigenparts(cr, spec)
+        es = gs.eigen_structure(cr.poly, spec)
+        inv = gs.inverse_eigenparts(es)
         x0 = rng.standard_normal(n)
         e_min = gs.min_energy(x0, inv)
-        signal = gs.optimal_control(x0, cr, spec)
+        signal = gs.optimal_control(x0, es)
         quadrature = gs.control_energy_quadrature(signal)
         worst_quad = max(worst_quad, abs(e_min - quadrature) / max(1.0, abs(e_min)))
-        part = gs.energy_partition(x0, inv)
+        part = gs.energy_partition(x0, inv, gs.inverse_pair_parts(es))
         closure = max(
             abs(np.sum(part.linear) - part.total), abs(np.sum(part.quadratic) - part.total)
         ) / max(1.0, abs(part.total))
@@ -392,7 +399,7 @@ def test_criterion_9_multiple_eigenvalue_path():
         n = int(rng.integers(2, 7))
         _, cr, spec = random_companion(rng, n)
         via_multiple = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).total(t=0.0)
-        via_simple = gs.infinite_subgramians(cr, spec).total()
+        via_simple = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec)).total()
         worst_reduction = max(
             worst_reduction,
             np.max(np.abs(via_multiple - via_simple))
@@ -413,17 +420,18 @@ def test_criterion_10_structural_properties():
     worst_psd = worst_inv_psd = 0.0
     for n in (3, 4, 5, 6, 7, 8):
         _, cr, spec = random_companion(rng, n)
-        merged = gs.infinite_subgramians(cr, spec).symmetrized().merged_real()
+        es = gs.eigen_structure(cr.poly, spec)
+        merged = gs.infinite_subgramians(es).symmetrized().merged_real()
         for part in merged.components.values():
             odd, alt = gs.zero_plaid_defect(part)
             worst_plaid = max(worst_plaid, odd)
             worst_alt = max(worst_alt, alt)
-        inv_merged = gs.inverse_eigenparts(cr, spec).symmetrized().merged_real()
+        inv_merged = gs.inverse_eigenparts(es).symmetrized().merged_real()
         for part in inv_merged.components.values():
             odd, _ = gs.zero_plaid_defect(part, alternation=False)
             worst_inv_plaid = max(worst_inv_plaid, odd)
-        pairs = gs.infinite_pair_subgramians(cr, spec).symmetrized()
-        inv_pairs = gs.inverse_pair_parts(cr, spec).symmetrized()
+        pairs = gs.infinite_pair_subgramians(es).symmetrized()
+        inv_pairs = gs.inverse_pair_parts(es).symmetrized()
         for i in range(n):
             part = pairs.components[(i, i)]
             worst_psd = max(

@@ -377,6 +377,14 @@ class TestInputChecks:
         assert main(["roots", stable_poly_path, "--seed", "3"]) == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["analyze"], ["energy", "--x0=1,1,2"]])
+    def test_only_verify_takes_a_seed(self, stable_poly_path, capsys, command):
+        # analyze and energy draw no random number
+        assert main([*command, stable_poly_path, "--seed", "3"]) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert main([*command, stable_poly_path]) == EXIT_OK
+        assert "seed" not in json.loads(capsys.readouterr().out)
+
 
 class TestDeterminism:
     def test_analyze_byte_identical(self, example1_path, tmp_path, capsys):
@@ -384,7 +392,7 @@ class TestDeterminism:
         for out in (out1, out2):
             assert (
                 main(
-                    ["analyze", example1_path, "--pairs", "--inverse", "--seed", "9",
+                    ["analyze", example1_path, "--pairs", "--inverse",
                      "--output", str(out)]
                 )
                 == EXIT_OK
@@ -452,6 +460,80 @@ class TestRoots:
         assert [e["re"] for e in report["spectrum"]] == pytest.approx([1.0, 2.0, 3.0])
         assert report["solvability"]["ok"]
         assert len(report["roots"]) == 3
+
+    def test_unsolvable_near_multiple_spectrum(self, tmp_path, capsys):
+        # -1 mirrors 1: no eigen structure is admitted, yet roots reports the
+        # spectrum, its solvability and the near-multiple warning
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"eigenvalues": [[-1, 0, 1], [-1.0000001, 0, 1], [1, 0, 1]]}))
+        assert main(["roots", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert not report["solvability"]["ok"]
+        assert any("close to a multiple eigenvalue" in w for w in report["warnings"])
+
+
+class TestWorkOnce:
+    """Each command evaluates one eigen structure and passes it to every
+    builder; only the finite-inverse retry adds one extended structure."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import gramspec.companion as companion
+
+        counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0}
+        evaluate, polish, check = (
+            companion._evaluate, companion._mp_polished_roots, companion.check_solvability
+        )
+
+        def counted_evaluate(p, spec, values, *args):
+            kind = {np.dtype(complex): "complex128", np.dtype(np.clongdouble): "extended"}
+            counts[kind.get(values.dtype, "mpmath")] += 1
+            return evaluate(p, spec, values, *args)
+
+        def counted_polish(*args):
+            counts["polish"] += 1
+            return polish(*args)
+
+        def counted_check(*args):
+            counts["solvability"] += 1
+            return check(*args)
+
+        monkeypatch.setattr(companion, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(companion, "_mp_polished_roots", counted_polish)
+        for module in [m for name, m in sys.modules.items() if name.startswith("gramspec")]:
+            if getattr(module, "check_solvability", None) is check:
+                monkeypatch.setattr(module, "check_solvability", counted_check)
+        return counts
+
+    def test_analyze_with_extended_retry(self, tmp_path, capsys, counts):
+        coeffs = [2282.276472599614, 7061.767882988239, 8218.473821798005,
+                  5356.9141176459, 2307.2249191441088, 685.287995824171,
+                  136.87347552892803, 16.96216946824925, 1.0]
+        p0 = np.random.default_rng(1002).standard_normal((8, 8))
+        path = tmp_path / "ladder8.json"
+        path.write_text(
+            json.dumps({"char_poly": coeffs, "initial_condition": (0.5 * (p0 + p0.T)).tolist()})
+        )
+        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
+        assert code == EXIT_OK
+        assert "extended precision" in capsys.readouterr().out
+        assert counts["complex128"] == 1 and counts["extended"] == 1 and counts["mpmath"] == 0
+        assert counts["polish"] == 1
+        assert counts["solvability"] <= 2
+
+    def test_verify(self, example1_path, capsys, counts):
+        assert main(["verify", example1_path]) == EXIT_OK
+        assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
+        assert counts["solvability"] <= 2
+
+    def test_energy_time_series(self, stable_poly_path, tmp_path, capsys, counts):
+        out = tmp_path / "series.csv"
+        code = main(["energy", stable_poly_path, "--x0=1,1,2", "--time-series", "-5", "0", "11",
+                     "--format", "csv", "--output", str(out)])
+        assert code == EXIT_OK
+        assert "quadrature" in capsys.readouterr().err
+        assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
+        assert counts["solvability"] <= 2
 
 
 class TestImportFootprint:

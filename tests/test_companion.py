@@ -67,7 +67,7 @@ class TestToCompanion:
         sys = gs.LtiSystem(np.diag([-1.0, -2.0, -3.0]), np.array([1.0, 1.0, 1e-12]))
         p = gs.char_poly(sys.a)
         spec = gs.cluster(gs.find_roots(p))
-        gram = gs.infinite_subgramians(gs.build_companion(p), spec)
+        gram = gs.infinite_subgramians(gs.eigen_structure(p, spec))
         conditions = []
         for call in (
             lambda: gs.to_companion(sys),
@@ -317,7 +317,7 @@ class TestEigenStructure:
         for n in range(2, 11):
             for _ in range(4):
                 poly, cr, spec = random_companion(rng, n)
-                parts = gs.inverse_eigenparts(cr, spec).components
+                parts = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec)).components
                 for i, lam in enumerate(spec.values):
                     reference, _ = inverse_eigenpart_counted(poly, lam)
                     scale = np.max(np.abs(reference))
@@ -327,18 +327,16 @@ class TestEigenStructure:
         # the same core at complex128, at 80-bit and at 40 mpmath digits
         from mpmath import mp
 
-        from gramspec.gramians import _mp_polished_roots, _working_values
+        from gramspec.companion import _evaluate, _mp_polished_roots
 
         rng = np.random.default_rng(616)
         for n in range(2, 9):
             poly, _, spec = random_companion(rng, n)
             double = _structure_entries(gs.eigen_structure(poly, spec))
-            extended = _structure_entries(
-                gs.eigen_structure(poly, spec, _working_values(spec, True, poly))
-            )
+            extended = _structure_entries(gs.eigen_structure(poly, spec, extended=True))
             with mp.workdps(40):
                 exact = _structure_entries(
-                    gs.eigen_structure(poly, spec, _mp_polished_roots(poly, spec.values))
+                    _evaluate(poly, spec, _mp_polished_roots(poly, spec.values))
                 )
             for name, reference in exact.items():
                 scale = np.max(np.abs(reference))
@@ -352,10 +350,10 @@ class TestEigenStructure:
         poly = gs.poly_from_roots(values)
         cr = gs.build_companion(poly)
         spec = gs.Spectrum.simple(values)
-        assert len(gs.infinite_subgramians(cr, spec).components) == 3
-        assert len(gs.inverse_eigenparts(cr, spec).components) == 3
+        assert len(gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec)).components) == 3
+        assert len(gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec)).components) == 3
         with pytest.raises(gs.MultipleEigenvalueError, match=r"\|N'"):
-            gs.finite_subgramians(cr, spec, 1.0)
+            gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), 1.0)
         with pytest.raises(gs.MultipleEigenvalueError, match=r"\|N'"):
             gs.eigen_structure(poly, spec).residues
 

@@ -24,38 +24,39 @@ def bbt(cr):
 class TestInfiniteSubgramians:
     def test_example_values(self, example1):
         _, cr, spec = example1
-        sym = gs.infinite_subgramians(cr, spec).symmetrized()
+        sym = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec)).symmetrized()
         assert np.max(np.abs(sym.components[0] - EX1_P1)) < 1e-12
         assert np.max(np.abs(sym.total() - EX1_SUM)) < 1e-12
 
     def test_scalar_system(self):
         cr = gs.build_companion(gs.Polynomial([1.0, 1.0]))
         spec = gs.Spectrum.simple([-1.0])
-        sym = gs.infinite_subgramians(cr, spec).symmetrized()
+        sym = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec)).symmetrized()
         assert abs(sym.total()[0, 0] - 0.5) < 1e-14
 
     def test_random_matches_oracle(self):
         rng = np.random.default_rng(101)
         _, cr, spec = random_companion(rng, 5)
-        total = gs.infinite_subgramians(cr, spec).symmetrized().total().real
+        es = gs.eigen_structure(cr.poly, spec)
+        total = gs.infinite_subgramians(es).symmetrized().total().real
         reference = gs.solve_lyapunov_dense(cr.a_c, bbt(cr)).matrix
         assert np.linalg.norm(total - reference) <= 1e-8 * np.linalg.norm(reference)
 
     def test_solvability_enforced(self):
         cr = gs.build_companion(gs.poly_from_roots([1j, -1j]))
         with pytest.raises(gs.SolvabilityError):
-            gs.infinite_subgramians(cr, gs.Spectrum.simple([1j, -1j]))
+            gs.infinite_subgramians(gs.eigen_structure(cr.poly, gs.Spectrum.simple([1j, -1j])))
 
     def test_multiple_redirected(self, example5):
         _, cr, spec = example5
         with pytest.raises(gs.MultipleEigenvalueError, match="multiple"):
-            gs.infinite_subgramians(cr, spec)
+            gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
 
 
 class TestPairSubgramians:
     def test_example_values(self, example1):
         _, cr, spec = example1
-        sym = gs.infinite_pair_subgramians(cr, spec).symmetrized()
+        sym = gs.infinite_pair_subgramians(gs.eigen_structure(cr.poly, spec)).symmetrized()
         for key, expected in EX1_PAIRS.items():
             assert np.max(np.abs(sym.components[key] - expected)) < 1e-12, key
             mirror = (key[1], key[0])
@@ -63,13 +64,15 @@ class TestPairSubgramians:
 
     def test_scalar(self):
         cr = gs.build_companion(gs.Polynomial([1.0, 1.0]))
-        sym = gs.infinite_pair_subgramians(cr, gs.Spectrum.simple([-1.0])).symmetrized()
+        es = gs.eigen_structure(cr.poly, gs.Spectrum.simple([-1.0]))
+        sym = gs.infinite_pair_subgramians(es).symmetrized()
         assert abs(sym.components[(0, 0)][0, 0] - 0.5) < 1e-14
 
     def test_row_sums_give_eigen_components(self, example1):
         _, cr, spec = example1
-        eigen = gs.infinite_subgramians(cr, spec).symmetrized()
-        pairs = gs.infinite_pair_subgramians(cr, spec).symmetrized()
+        es = gs.eigen_structure(cr.poly, spec)
+        eigen = gs.infinite_subgramians(es).symmetrized()
+        pairs = gs.infinite_pair_subgramians(es).symmetrized()
         for i in range(3):
             row = sum(pairs.components[(i, j)] for j in range(3))
             assert np.max(np.abs(row - eigen.components[i])) < 1e-9
@@ -77,8 +80,9 @@ class TestPairSubgramians:
     def test_partition_consistency_random(self):
         rng = np.random.default_rng(103)
         _, cr, spec = random_companion(rng, 6)
-        eigen = gs.infinite_subgramians(cr, spec)
-        pairs = gs.infinite_pair_subgramians(cr, spec)
+        es = gs.eigen_structure(cr.poly, spec)
+        eigen = gs.infinite_subgramians(es)
+        pairs = gs.infinite_pair_subgramians(es)
         for flavor in ("raw", "symmetrized"):
             e = eigen if flavor == "raw" else eigen.symmetrized()
             q = pairs if flavor == "raw" else pairs.symmetrized()
@@ -94,20 +98,21 @@ class TestPairSubgramians:
 class TestFiniteSubgramians:
     def test_zero_horizon(self, example1):
         _, cr, spec = example1
-        dec = gs.finite_subgramians(cr, spec, 0.0)
+        dec = gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), 0.0)
         assert np.max(np.abs(dec.total())) < 1e-10
 
     def test_example_against_rk4(self, example1):
         _, cr, spec = example1
-        dec = gs.finite_subgramians(cr, spec, 1.0)
+        dec = gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), 1.0)
         rk4 = gs.integrate_lyapunov(cr.a_c, bbt(cr), np.zeros((3, 3)), 1.0, steps=10_000)
         rel = np.linalg.norm(dec.total().real - rk4.matrix) / np.linalg.norm(rk4.matrix)
         assert rel < 1e-6
 
     def test_stable_limit(self, mirrored_stable):
         _, cr, spec = mirrored_stable
-        finite = gs.finite_subgramians(cr, spec, 20.0).total().real
-        infinite = gs.infinite_subgramians(cr, spec).total().real
+        es = gs.eigen_structure(cr.poly, spec)
+        finite = gs.finite_subgramians(es, 20.0).total().real
+        infinite = gs.infinite_subgramians(es).total().real
         assert np.max(np.abs(finite - infinite)) < 1e-8
 
     def test_differential_residual(self, example1):
@@ -115,7 +120,7 @@ class TestFiniteSubgramians:
         h = 1e-5
         q = bbt(cr)
         for t in (0.1, 0.5, 1.0):
-            dec = gs.finite_subgramians(cr, spec, t)
+            dec = gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), t)
             p = dec.total(t=t).real
             dpdt = (dec.total(t=t + h).real - dec.total(t=t - h).real) / (2 * h)
             defect = -dpdt + cr.a_c @ p + p @ cr.a_c.T + q
@@ -125,15 +130,25 @@ class TestFiniteSubgramians:
 class TestFinitePairSubgramians:
     def test_zero_horizon(self, example1):
         _, cr, spec = example1
-        dec = gs.finite_pair_subgramians(cr, spec, 0.0)
+        es = gs.eigen_structure(cr.poly, spec)
+        dec = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.0)
         assert np.max(np.abs(dec.total())) < 1e-12
+
+    def test_only_the_raw_pair_set(self, example1):
+        # the finite terms are formed from the raw components
+        _, cr, spec = example1
+        es = gs.eigen_structure(cr.poly, spec)
+        for other in (gs.infinite_pair_subgramians(es).symmetrized(), gs.infinite_subgramians(es)):
+            with pytest.raises(ValueError, match="raw pair-indexed"):
+                gs.finite_pair_subgramians(other, 1.0)
 
     def test_pair_grouping_matches_infinite_components(self, example1):
         # grouping by exponent lambda_i + lambda_j reproduces the infinite
         # pair components as the coefficients of (1 - e^{st})
         _, cr, spec = example1
-        dec = gs.finite_pair_subgramians(cr, spec, 0.7)
-        sym_inf = gs.infinite_pair_subgramians(cr, spec).symmetrized()
+        es = gs.eigen_structure(cr.poly, spec)
+        dec = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.7)
+        sym_inf = gs.infinite_pair_subgramians(es).symmetrized()
         groups = {}
         for (i, j), static in dec.static.symmetrized().components.items():
             rate = round(float((spec.values[i] + np.conj(spec.values[j])).real))
@@ -143,9 +158,10 @@ class TestFinitePairSubgramians:
 
     def test_consistency_with_eigen_sum(self, example1):
         _, cr, spec = example1
+        es = gs.eigen_structure(cr.poly, spec)
         t = 0.5
-        pair_total = gs.finite_pair_subgramians(cr, spec, t).total()
-        eigen_total = gs.finite_subgramians(cr, spec, t).total()
+        pair_total = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), t).total()
+        eigen_total = gs.finite_subgramians(es, t).total()
         assert np.max(np.abs(pair_total - eigen_total)) < 1e-9
 
 
@@ -155,14 +171,14 @@ class TestHomogeneous:
         rng = np.random.default_rng(107)
         s = rng.standard_normal((3, 3))
         p0 = gs.InitialCondition(0.5 * (s + s.T))
-        eigen, pair = gs.homogeneous_decomposition(cr, spec, p0, 0.0)
+        eigen, pair = gs.homogeneous_decomposition(gs.eigen_structure(cr.poly, spec), p0, 0.0)
         assert np.max(np.abs(sum(eigen.components.values()) - p0.matrix)) < 1e-9
         assert np.max(np.abs(sum(pair.components.values()) - p0.matrix)) < 1e-9
 
     def test_against_rk4(self, example1):
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.eye(3))
-        eigen, _ = gs.homogeneous_decomposition(cr, spec, p0, 0.1)
+        eigen, _ = gs.homogeneous_decomposition(gs.eigen_structure(cr.poly, spec), p0, 0.1)
         rk4 = gs.integrate_lyapunov(cr.a_c, np.zeros((3, 3)), np.eye(3), 0.1, steps=10_000)
         total = sum(eigen.components.values()).real
         assert np.linalg.norm(total - rk4.matrix) <= 1e-6 * np.linalg.norm(rk4.matrix)
@@ -170,7 +186,7 @@ class TestHomogeneous:
     def test_zero_initial_condition(self, example1):
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.zeros((3, 3)))
-        eigen, pair = gs.homogeneous_decomposition(cr, spec, p0, 0.3)
+        eigen, pair = gs.homogeneous_decomposition(gs.eigen_structure(cr.poly, spec), p0, 0.3)
         assert np.max(np.abs(sum(eigen.components.values()))) == 0.0
         assert np.max(np.abs(sum(pair.components.values()))) == 0.0
 
@@ -178,7 +194,7 @@ class TestHomogeneous:
 class TestLifting:
     def test_companion_input_is_identity_lift(self, mirrored_stable):
         _, cr, spec = mirrored_stable
-        gram = gs.infinite_subgramians(cr, spec)
+        gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         lifted = gs.lift_to_original(gram, cr.system())
         assert np.max(np.abs(lifted.total() - gram.total())) < 1e-10
 
@@ -188,7 +204,7 @@ class TestLifting:
         t = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
         sys = gs.LtiSystem(t @ cr.a_c @ np.linalg.inv(t), t @ cr.b_c)
         transform, _ = gs.to_companion(sys)
-        gram = gs.infinite_subgramians(cr, spec)
+        gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         lifted = gs.lift_to_original(gram, sys).total().real
         direct = transform.t @ gram.total().real @ transform.t.T
         assert np.max(np.abs(lifted - direct)) <= 1e-9 * max(1.0, np.max(np.abs(direct)))
@@ -201,7 +217,7 @@ class TestLifting:
             a = t @ cr.a_c @ np.linalg.inv(t)
             b = rng.standard_normal((4, 2))
             sys = gs.LtiSystem(a, b)
-            gram = gs.infinite_subgramians(cr, spec)
+            gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
             lifted = gs.lift_to_original(gram, sys).symmetrized().total().real
             reference = gs.solve_lyapunov_dense(a, b @ b.T).matrix
             rel = np.linalg.norm(lifted - reference) / max(1.0, np.linalg.norm(reference))
@@ -210,13 +226,13 @@ class TestLifting:
     def test_polynomial_mismatch_rejected(self, example1, mirrored_stable):
         _, cr1, spec1 = example1
         _, cr2, _ = mirrored_stable
-        gram = gs.infinite_subgramians(cr1, spec1)
+        gram = gs.infinite_subgramians(gs.eigen_structure(cr1.poly, spec1))
         with pytest.raises(ValueError, match="polynomial"):
             gs.lift_to_original(gram, cr2.system())
 
     def test_rank_deficient_rejected(self, example1):
         _, cr, spec = example1
-        gram = gs.infinite_subgramians(cr, spec)
+        gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         bad = gs.LtiSystem(cr.a_c, np.zeros(3))
         with pytest.raises(gs.ControllabilityError):
             gs.lift_to_original(gram, bad)
@@ -226,7 +242,7 @@ class TestMultipleEigenvalues:
     def test_simple_reduction(self, mirrored_stable):
         _, cr, spec = mirrored_stable
         dec = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec)
-        simple = gs.infinite_subgramians(cr, spec)
+        simple = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         assert np.max(np.abs(dec.total(t=0.0) - simple.total())) < 1e-8
 
     def test_jordan_block_against_oracle(self):
@@ -294,7 +310,8 @@ class TestStructuralProperties:
         rng = np.random.default_rng(113)
         for n in (3, 5, 7):
             _, cr, spec = random_companion(rng, n)
-            merged = gs.infinite_subgramians(cr, spec).symmetrized().merged_real()
+            es = gs.eigen_structure(cr.poly, spec)
+            merged = gs.infinite_subgramians(es).symmetrized().merged_real()
             for part in merged.components.values():
                 odd, alt = gs.zero_plaid_defect(part)
                 assert odd < 1e-10
@@ -302,13 +319,14 @@ class TestStructuralProperties:
 
     def test_zero_plaid_example(self, example1):
         _, cr, spec = example1
-        odd, alt = gs.zero_plaid_defect(gs.infinite_subgramians(cr, spec).symmetrized().total())
+        es = gs.eigen_structure(cr.poly, spec)
+        odd, alt = gs.zero_plaid_defect(gs.infinite_subgramians(es).symmetrized().total())
         assert odd == 0.0 and alt < 1e-14
 
     def test_diagonal_pairs_positive_semidefinite(self):
         rng = np.random.default_rng(115)
         _, cr, spec = random_companion(rng, 6)
-        pairs = gs.infinite_pair_subgramians(cr, spec).symmetrized()
+        pairs = gs.infinite_pair_subgramians(gs.eigen_structure(cr.poly, spec)).symmetrized()
         for i in range(6):
             part = pairs.components[(i, i)]
             eigvals = np.linalg.eigvalsh(part)
@@ -317,7 +335,7 @@ class TestStructuralProperties:
     def test_conjugate_realness_and_merging(self):
         rng = np.random.default_rng(117)
         _, cr, spec = random_companion(rng, 5)
-        eigen = gs.infinite_subgramians(cr, spec)
+        eigen = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         partner = spec.conjugate_partner()
         for i in range(5):
             j = int(partner[i])
@@ -332,7 +350,8 @@ class TestStructuralProperties:
         for _ in range(10):
             n = int(rng.integers(2, 9))
             _, cr, spec = random_companion(rng, n)
-            total = gs.infinite_subgramians(cr, spec).symmetrized().total().real
+            es = gs.eigen_structure(cr.poly, spec)
+            total = gs.infinite_subgramians(es).symmetrized().total().real
             reference = gs.solve_lyapunov_dense(cr.a_c, bbt(cr)).matrix
             assert np.linalg.norm(total - reference) <= 1e-8 * np.linalg.norm(reference)
 

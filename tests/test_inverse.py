@@ -29,20 +29,20 @@ def rel_err(got, expected):
 class TestInverseEigenparts:
     def test_example_values(self, example1):
         _, cr, spec = example1
-        sym = gs.inverse_eigenparts(cr, spec).symmetrized()
+        sym = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec)).symmetrized()
         for i, expected in EX3_EIGEN.items():
             assert rel_err(sym.components[i], expected) < 1e-12
         assert rel_err(sym.total(), EX3_SUM) < 1e-12
 
     def test_scalar(self):
         cr = gs.build_companion(gs.Polynomial([1.0, 1.0]))
-        inv = gs.inverse_eigenparts(cr, gs.Spectrum.simple([-1.0]))
+        inv = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, gs.Spectrum.simple([-1.0])))
         assert abs(inv.total()[0, 0] - 2.0) < 1e-14
 
     def test_random_matches_numerical_inverse(self):
         rng = np.random.default_rng(201)
         _, cr, spec = random_companion(rng, 5)
-        total = gs.inverse_eigenparts(cr, spec).symmetrized().total().real
+        total = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec)).symmetrized().total().real
         reference = np.linalg.inv(
             gs.solve_lyapunov_dense(cr.a_c, np.outer(cr.b_c, cr.b_c)).matrix
         )
@@ -50,14 +50,15 @@ class TestInverseEigenparts:
 
     def test_product_with_gramian(self, example1):
         _, cr, spec = example1
-        gram = gs.infinite_subgramians(cr, spec)
-        inv = gs.inverse_eigenparts(cr, spec)
+        es = gs.eigen_structure(cr.poly, spec)
+        gram = gs.infinite_subgramians(es)
+        inv = gs.inverse_eigenparts(es)
         assert np.max(np.abs(inv.total() @ gram.total() - np.eye(3))) < 1e-8
 
     def test_rank_one_raw_parts(self):
         rng = np.random.default_rng(203)
         _, cr, spec = random_companion(rng, 6)
-        inv = gs.inverse_eigenparts(cr, spec)
+        inv = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec))
         for part in inv.components.values():
             svals = np.linalg.svd(part.astype(complex), compute_uv=False)
             assert svals[1] <= 1e-9 * svals[0]
@@ -65,26 +66,27 @@ class TestInverseEigenparts:
     def test_multiple_redirected(self, example5):
         _, cr, spec = example5
         with pytest.raises(gs.MultipleEigenvalueError):
-            gs.inverse_eigenparts(cr, spec)
+            gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec))
 
 
 class TestInversePairParts:
     def test_example_values(self, example1):
         _, cr, spec = example1
-        sym = gs.inverse_pair_parts(cr, spec).symmetrized()
+        sym = gs.inverse_pair_parts(gs.eigen_structure(cr.poly, spec)).symmetrized()
         for key, expected in EX3_PAIRS.items():
             assert rel_err(sym.components[key], expected) < 1e-12, key
             assert rel_err(sym.components[(key[1], key[0])], expected) < 1e-12
 
     def test_scalar(self):
         cr = gs.build_companion(gs.Polynomial([1.0, 1.0]))
-        parts = gs.inverse_pair_parts(cr, gs.Spectrum.simple([-1.0]))
+        parts = gs.inverse_pair_parts(gs.eigen_structure(cr.poly, gs.Spectrum.simple([-1.0])))
         assert abs(parts.components[(0, 0)][0, 0] - 2.0) < 1e-14
 
     def test_column_sums_give_eigen_parts(self, example1):
         _, cr, spec = example1
-        eigen = gs.inverse_eigenparts(cr, spec).symmetrized()
-        pairs = gs.inverse_pair_parts(cr, spec).symmetrized()
+        es = gs.eigen_structure(cr.poly, spec)
+        eigen = gs.inverse_eigenparts(es).symmetrized()
+        pairs = gs.inverse_pair_parts(es).symmetrized()
         for j in range(3):
             col = sum(pairs.components[(i, j)] for i in range(3))
             assert rel_err(col, eigen.components[j]) < 1e-10
@@ -93,8 +95,9 @@ class TestInversePairParts:
         # raw pair part (i, j) equals R_i^* P_hat_j (conjugate transpose)
         rng = np.random.default_rng(205)
         poly, cr, spec = random_companion(rng, 4)
-        eigen = gs.inverse_eigenparts(cr, spec)
-        pairs = gs.inverse_pair_parts(cr, spec)
+        es = gs.eigen_structure(cr.poly, spec)
+        eigen = gs.inverse_eigenparts(es)
+        pairs = gs.inverse_pair_parts(es)
         residues = gs.eigen_structure(poly, spec).residues
         for i in range(4):
             for j in range(4):
@@ -105,8 +108,9 @@ class TestInversePairParts:
     def test_partition_consistency_random(self):
         rng = np.random.default_rng(207)
         _, cr, spec = random_companion(rng, 5)
-        eigen = gs.inverse_eigenparts(cr, spec)
-        pairs = gs.inverse_pair_parts(cr, spec)
+        es = gs.eigen_structure(cr.poly, spec)
+        eigen = gs.inverse_eigenparts(es)
+        pairs = gs.inverse_pair_parts(es)
         scale = max(1.0, np.max(np.abs(eigen.total())))
         for j in range(5):
             col = sum(pairs.components[(i, j)] for i in range(5))
@@ -118,9 +122,10 @@ class TestInversePairParts:
 class TestOrthogonality:
     def test_example(self, example1):
         _, cr, spec = example1
-        gram = gs.infinite_subgramians(cr, spec)
-        inv = gs.inverse_eigenparts(cr, spec)
-        report = gs.orthogonality_certificate(gram, inv)
+        es = gs.eigen_structure(cr.poly, spec)
+        gram = gs.infinite_subgramians(es)
+        inv = gs.inverse_eigenparts(es)
+        report = gs.orthogonality_certificate(es, gram, inv)
         assert report.ok
         assert report.max_violation < 1e-10
         assert report.pairs_checked == 9
@@ -128,32 +133,35 @@ class TestOrthogonality:
     def test_scalar(self):
         cr = gs.build_companion(gs.Polynomial([1.0, 1.0]))
         spec = gs.Spectrum.simple([-1.0])
+        es = gs.eigen_structure(cr.poly, spec)
         report = gs.orthogonality_certificate(
-            gs.infinite_subgramians(cr, spec), gs.inverse_eigenparts(cr, spec)
+            es, gs.infinite_subgramians(es), gs.inverse_eigenparts(es)
         )
         assert report.ok
 
     def test_random(self):
         rng = np.random.default_rng(209)
         _, cr, spec = random_companion(rng, 4)
+        es = gs.eigen_structure(cr.poly, spec)
         report = gs.orthogonality_certificate(
-            gs.infinite_subgramians(cr, spec), gs.inverse_eigenparts(cr, spec)
+            es, gs.infinite_subgramians(es), gs.inverse_eigenparts(es)
         )
         assert report.max_violation < 1e-8
 
     def test_symmetrized_rejected(self, example1):
         _, cr, spec = example1
-        gram = gs.infinite_subgramians(cr, spec).symmetrized()
-        inv = gs.inverse_eigenparts(cr, spec)
+        es = gs.eigen_structure(cr.poly, spec)
+        gram = gs.infinite_subgramians(es).symmetrized()
+        inv = gs.inverse_eigenparts(es)
         with pytest.raises(ValueError, match="raw"):
-            gs.orthogonality_certificate(gram, inv)
+            gs.orthogonality_certificate(es, gram, inv)
 
 
 class TestRiccatiGeneral:
     def test_companion_input_reduces(self, mirrored_stable):
         _, cr, spec = mirrored_stable
         general = gs.riccati_general(cr.system())
-        direct = gs.inverse_eigenparts(cr, spec)
+        direct = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec))
         assert np.max(np.abs(general.total() - direct.total())) < 1e-10 * max(
             1.0, np.max(np.abs(direct.total()))
         )
@@ -178,14 +186,16 @@ class TestRiccatiGeneral:
 class TestFiniteInverse:
     def test_stable_asymptotic_limit(self, mirrored_stable):
         _, cr, spec = mirrored_stable
+        es = gs.eigen_structure(cr.poly, spec)
         p0 = gs.InitialCondition(np.zeros((3, 3)))
-        _, inv_t = gs.finite_inverse(cr, spec, p0, 30.0)
-        algebraic = gs.inverse_eigenparts(cr, spec)
+        _, inv_t = gs.finite_inverse(es, p0, 30.0)
+        algebraic = gs.inverse_eigenparts(es)
         assert rel_err(inv_t.total(), algebraic.total()) < 1e-6
 
     def test_identity_initial_condition(self, example1):
         _, cr, spec = example1
-        _, inv_0 = gs.finite_inverse(cr, spec, gs.InitialCondition(np.eye(3)), 0.0)
+        es = gs.eigen_structure(cr.poly, spec)
+        _, inv_0 = gs.finite_inverse(es, gs.InitialCondition(np.eye(3)), 0.0)
         assert np.max(np.abs(inv_0.total() - np.eye(3))) < 1e-7
 
     def test_initial_inverse_consistency(self, example1):
@@ -194,26 +204,28 @@ class TestFiniteInverse:
         rng = np.random.default_rng(223)
         s = rng.standard_normal((3, 3))
         p0 = gs.InitialCondition(0.5 * (s + s.T) + 4.0 * np.eye(3))
-        state, inv_0 = gs.finite_inverse(cr, spec, p0, 0.0)
+        state, inv_0 = gs.finite_inverse(gs.eigen_structure(cr.poly, spec), p0, 0.0)
         assert np.max(np.abs(inv_0.total() @ p0.matrix - np.eye(3))) < 1e-7
         assert state.t == 0.0 and np.isfinite(state.condition)
 
     def test_product_with_finite_gramian(self, example1):
         _, cr, spec = example1
+        es = gs.eigen_structure(cr.poly, spec)
         p0 = gs.InitialCondition(np.zeros((3, 3)))
-        _, inv_t = gs.finite_inverse(cr, spec, p0, 0.5)
-        gram_t = gs.finite_subgramians(cr, spec, 0.5).total()
+        _, inv_t = gs.finite_inverse(es, p0, 0.5)
+        gram_t = gs.finite_subgramians(es, 0.5).total()
         assert np.max(np.abs(inv_t.total() @ gram_t - np.eye(3))) < 1e-6
 
     def test_product_with_nonzero_initial_condition(self, example1):
         _, cr, spec = example1
+        es = gs.eigen_structure(cr.poly, spec)
         rng = np.random.default_rng(213)
         s = rng.standard_normal((3, 3))
         p0 = gs.InitialCondition(0.5 * (s + s.T) + 3.0 * np.eye(3))
         t = 0.4
-        _, inv_t = gs.finite_inverse(cr, spec, p0, t)
-        eigen_h, _ = gs.homogeneous_decomposition(cr, spec, p0, t)
-        gram_t = gs.finite_subgramians(cr, spec, t).total() + sum(eigen_h.components.values())
+        _, inv_t = gs.finite_inverse(es, p0, t)
+        eigen_h, _ = gs.homogeneous_decomposition(es, p0, t)
+        gram_t = gs.finite_subgramians(es, t).total() + sum(eigen_h.components.values())
         assert np.max(np.abs(inv_t.total() @ gram_t - np.eye(3))) < 1e-6
 
     def test_singular_normalization_rejected(self, example1):
@@ -221,13 +233,14 @@ class TestFiniteInverse:
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.zeros((3, 3)))
         with pytest.raises(gs.ConditioningError):
-            gs.finite_inverse(cr, spec, p0, 0.0)
+            gs.finite_inverse(gs.eigen_structure(cr.poly, spec), p0, 0.0)
 
     def test_extended_precision_at_stiff_horizon(self, example1):
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.zeros((3, 3)))
-        _, inv_t = gs.finite_inverse(cr, spec, p0, 5.0, condition_cap=1e16, extended=True)
-        gram_t = gs.finite_subgramians(cr, spec, 5.0, extended=True).total()
+        es = gs.eigen_structure(cr.poly, spec, extended=True)
+        _, inv_t = gs.finite_inverse(es, p0, 5.0)
+        gram_t = gs.finite_subgramians(es, 5.0).total()
         n = np.eye(3, dtype=np.clongdouble)
         assert float(np.max(np.abs(inv_t.total() @ gram_t - n))) < 1e-6
 
@@ -272,7 +285,7 @@ class TestInverseMultiple:
         poly, cr, spec = mirrored_stable
         chains = gs.jordan_chains_companion(spec, poly)
         inv_chain = gs.inverse_multiple_eig(cr, chains)
-        inv_simple = gs.inverse_eigenparts(cr, spec)
+        inv_simple = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec))
         assert rel_err(inv_chain.total(), inv_simple.total()) < 1e-8
 
     def test_normalization_condition(self, example5):
@@ -299,7 +312,8 @@ class TestStructuralProperties:
         rng = np.random.default_rng(215)
         for n in (3, 5, 7):
             _, cr, spec = random_companion(rng, n)
-            merged = gs.inverse_eigenparts(cr, spec).symmetrized().merged_real()
+            es = gs.eigen_structure(cr.poly, spec)
+            merged = gs.inverse_eigenparts(es).symmetrized().merged_real()
             for part in merged.components.values():
                 odd, _ = gs.zero_plaid_defect(part, alternation=False)
                 assert odd < 1e-10
@@ -311,7 +325,7 @@ class TestStructuralProperties:
     def test_diagonal_pairs_positive_semidefinite(self):
         rng = np.random.default_rng(217)
         _, cr, spec = random_companion(rng, 6)
-        pairs = gs.inverse_pair_parts(cr, spec).symmetrized()
+        pairs = gs.inverse_pair_parts(gs.eigen_structure(cr.poly, spec)).symmetrized()
         for i in range(6):
             part = pairs.components[(i, i)]
             eigvals = np.linalg.eigvalsh(part)
@@ -322,7 +336,8 @@ class TestStructuralProperties:
         for _ in range(5):
             n = int(rng.integers(2, 9))
             _, cr, spec = random_companion(rng, n)
-            total = gs.inverse_eigenparts(cr, spec).symmetrized().total().real
+            es = gs.eigen_structure(cr.poly, spec)
+            total = gs.inverse_eigenparts(es).symmetrized().total().real
             assert gs.residual_riccati(cr.a_c, cr.b_c, total) < 1e-7
 
     def test_operation_count_quadratic_growth(self):

@@ -137,6 +137,16 @@ class TestCorrectRounding:
             gs.find_roots(gs.Polynomial([1e300, -1e308, 1e308, 1.0]))
         assert excinfo.value.worst_residual == np.inf
 
+    def test_residual_bound_near_float_range(self):
+        # max(1, |r|)^n is beyond the float range here; the certificate is
+        # formed without an overflow warning
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = gs.find_roots(gs.Polynomial([1e308, 1e308, 1.0]))
+        assert np.array_equal(roots, [-1e308, -1.0])
+
 
 def _assignment_pairing(roots):
     """Reference: conjugate pairing on the minimum-cost assignment of each
