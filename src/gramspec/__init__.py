@@ -50,7 +50,8 @@ from .gramians import (
     exponent_collisions,
     finite_pair_subgramians,
     finite_subgramians,
-    homogeneous_decomposition,
+    homogeneous_pair_subgramians,
+    homogeneous_subgramians,
     infinite_pair_subgramians,
     infinite_subgramians,
     lift_to_original,

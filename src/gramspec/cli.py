@@ -39,6 +39,7 @@ from .companion import (
     build_companion,
     eigen_structure,
     jordan_chains_companion,
+    require_controllable,
     to_companion,
 )
 from .document import SystemDocument, parse_initial_condition, parse_system
@@ -57,7 +58,7 @@ from .gramians import (
     exponent_collisions,
     finite_pair_subgramians,
     finite_subgramians,
-    homogeneous_decomposition,
+    homogeneous_subgramians,
     infinite_pair_subgramians,
     infinite_subgramians,
     lift_to_original,
@@ -257,12 +258,6 @@ def _require_solvable_or_raise(resolved: ResolvedSystem):
         raise SolvabilityError(resolved.solvability)
 
 
-def _initial_condition(doc: SystemDocument, override: np.ndarray | None) -> np.ndarray | None:
-    if override is not None:
-        return override
-    return doc.initial_condition
-
-
 def _companion_initial(p0: np.ndarray, resolved: ResolvedSystem) -> InitialCondition:
     """Initial condition in companion coordinates.
 
@@ -278,6 +273,23 @@ def _companion_initial(p0: np.ndarray, resolved: ResolvedSystem) -> InitialCondi
     transform, _ = to_companion(resolved.sys)
     t_inv = np.linalg.inv(transform.t)
     return InitialCondition(t_inv @ p0 @ t_inv.T)
+
+
+def _report(command: str, resolved: ResolvedSystem, warnings: list, solvability: bool = True,
+            **fields) -> dict:
+    """Render a report: the fields every command shares, then the command's
+    own.  Energy reports carry no solvability block."""
+    report = {
+        "schema": 1,
+        "command": command,
+        "label": resolved.doc.label,
+        "spectrum": _spectrum_json(resolved.spectrum),
+        "warnings": warnings,
+        **fields,
+    }
+    if solvability:
+        report["solvability"] = _solvability_json(resolved.solvability)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -296,144 +308,59 @@ def cmd_analyze(
     """Full spectral analysis of a system document.
 
     Selects the simple or multiple-eigenvalue path automatically and attaches
-    oracle residuals to every emitted matrix.
+    oracle residuals to every emitted matrix.  Each set is built by one
+    builder call, in the order of the report's blocks, so the first builder
+    that refuses the document decides the error; the report is rendered once
+    the last builder has returned.
     """
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
     spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
+    system = resolved.sys
     flavor = "raw" if raw else "symmetrized"
-    a_c, b_c = cr.a_c, cr.b_c
-    bbt = np.outer(b_c, b_c)
-    report: dict = {
-        "schema": 1,
-        "command": "analyze",
-        "label": doc.label,
-        "tolerances": {
-            "root": tols.root,
-            "cluster": tols.cluster,
-            "solvability": tols.solvability,
-        },
-        "system": {"n": poly.degree, "m": 1 if resolved.sys is None else resolved.sys.m,
-                   "source": doc.source},
-        "polynomial": poly.coeffs.tolist(),
-        "spectrum": _spectrum_json(spec),
-        "solvability": _solvability_json(resolved.solvability),
-        "flavor": flavor,
-        "warnings": resolved.warnings,
-    }
-
+    p0 = doc.initial_condition if initial is None else initial
     multiple = not spec.is_simple
+    warnings = list(resolved.warnings)
+    built = {}  # the sets of the report's blocks; a block the report leaves out has no key
     if multiple:
         chains = jordan_chains_companion(spec, poly)
-        gram_decomp = multiple_eig_gramian(a_c, b_c, spec, t=finite, chains=chains)
-        gram_set = gram_decomp.static
+        gram_decomp = multiple_eig_gramian(cr.a_c, cr.b_c, spec, t=finite, chains=chains)
+        built["gram"] = gram_decomp.static
         if pairs:
-            report["warnings"] = report["warnings"] + [
-                "pair components are only defined for simple spectra; skipped"
-            ]
+            warnings.append("pair components are only defined for simple spectra; skipped")
     else:
-        gram_set = infinite_subgramians(es)
-
-    gram_sum = gram_set.symmetrized().total()
-    gramian_block = {
-        "coordinate": "companion",
-        "eigen": _component_block(gram_set, a_c, spec, flavor),
-        "sum": _entry(gram_sum, oracle.residual_lyapunov(a_c, bbt, gram_sum)),
-    }
-    if pairs and not multiple:
-        pair_set = infinite_pair_subgramians(es)
-        gramian_block["pair"] = _component_block(pair_set, a_c, spec, flavor)
-    report["gramian"] = gramian_block
-
-    if resolved.sys is not None:
-        lifted = lift_to_original(gram_set, resolved.sys)
-        lifted_sum = lifted.symmetrized().total()
-        report["gramian_original"] = {
-            "coordinate": "original",
-            "sum": _entry(
-                lifted_sum,
-                oracle.residual_lyapunov(
-                    resolved.sys.a, resolved.sys.b @ resolved.sys.b.T, lifted_sum
-                ),
-            ),
-        }
-
-    if inverse:
-        if multiple:
-            inv_set = inverse_multiple_eig(cr, chains)
-        else:
-            inv_set = inverse_eigenparts(es)
-        inv_sum = inv_set.symmetrized().total()
-        inverse_block = {
-            "coordinate": "companion",
-            "eigen": _component_block(inv_set, a_c, spec, flavor, side="right"),
-            "sum": _entry(inv_sum, oracle.residual_riccati(a_c, b_c, inv_sum)),
-            "product_residual": float(
-                np.max(np.abs(inv_set.total() @ gram_set.total() - np.eye(poly.degree)))
-            ),
-        }
-        if pairs and not multiple:
-            inv_pairs = inverse_pair_parts(es)
-            inverse_block["pair"] = _component_block(inv_pairs, a_c, spec, flavor, side="right")
-        report["inverse"] = inverse_block
-        if resolved.sys is not None and resolved.sys.m == 1 and not multiple:
-            original = riccati_general(resolved.sys, es)
-            osum = original.symmetrized().total()
-            report["inverse_original"] = {
-                "coordinate": "original",
-                "sum": _entry(
-                    osum, oracle.residual_riccati(resolved.sys.a, resolved.sys.b, osum)
-                ),
-            }
+        built["gram"] = infinite_subgramians(es)
+        if pairs:
+            built["pair"] = infinite_pair_subgramians(es)
+    if system is not None:
+        built["lifted"] = lift_to_original(built["gram"], system)
+    if inverse and multiple:
+        built["inverse"] = inverse_multiple_eig(cr, chains)
+    elif inverse:
+        built["inverse"] = inverse_eigenparts(es)
+        if pairs:
+            built["inverse_pair"] = inverse_pair_parts(es)
+        if system is not None and system.m == 1:
+            built["inverse_original"] = riccati_general(system, built["inverse"])
 
     if finite is not None:
         t = float(finite)
-        if multiple:
-            decomp = gram_decomp
-        else:
-            decomp = finite_subgramians(es, t)
+        decomp = gram_decomp if multiple else finite_subgramians(es, t)
         finite_set = decomp.component_set(flavor=flavor)
         finite_sum = decomp.total()
-        # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
-        expm = decomp.expm_transpose(t).T
-        defect = -(expm @ bbt @ expm.T) + a_c @ finite_sum + finite_sum @ a_c.T + bbt
-        diff_residual = float(
-            np.linalg.norm(defect) / max(1.0, np.linalg.norm(finite_sum))
-        )
-        finite_block = {
-            "t": t,
-            "eigen": {
-                _eigen_key(k): _entry(m, None) for k, m in finite_set.components.items()
-            },
-            "sum": _entry(finite_sum, diff_residual),
-        }
+        built["finite"] = (t, finite_set, finite_sum, decomp.expm_transpose(t))
         if pairs and not multiple:
-            pair_decomp = finite_pair_subgramians(pair_set, t)
-            pair_finite = pair_decomp.component_set(flavor=flavor)
-            finite_block["pair"] = {
-                _pair_key(k): _entry(m, None) for k, m in pair_finite.components.items()
-            }
-        p0 = _initial_condition(doc, initial)
-        if p0 is not None and not multiple:
+            pair_decomp = finite_pair_subgramians(built["pair"], t)
+            built["finite_pair"] = pair_decomp.component_set(flavor=flavor)
+        if p0 is not None and multiple:
+            warnings.append("initial condition is only evaluated for simple spectra; skipped")
+        elif p0 is not None:
             p0c = _companion_initial(p0, resolved)
-            eigen_h, _ = homogeneous_decomposition(es, p0c, t)
-            hom_sum = eigen_h.symmetrized().total()
-            finite_block["homogeneous_sum"] = _entry(
-                hom_sum,
-                float(
-                    np.max(
-                        np.abs(
-                            sum(
-                                homogeneous_decomposition(es, p0c, 0.0)[0]
-                                .components.values()
-                            )
-                            - p0c.matrix
-                        )
-                    )
-                ),
-            )
-        report["finite"] = finite_block
-        if inverse and not multiple:
+            hom_t = homogeneous_subgramians(es, p0c, t)
+            built["homogeneous"] = (p0c, hom_t, homogeneous_subgramians(es, p0c, 0.0))
+        if inverse and multiple:
+            warnings.append("finite inverse is only evaluated for simple spectra; skipped")
+        elif inverse:
             if p0 is None:
                 p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
             try:
@@ -443,21 +370,93 @@ def cmd_analyze(
                 es_extended = eigen_structure(poly, spec, tols.solvability, extended=True)
                 state, inv_finite = finite_inverse(es_extended, p0c, t)
                 gram_t = finite_subgramians(es_extended, t).total()
-                report["warnings"] = report["warnings"] + [
+                warnings.append(
                     "finite inverse evaluated in extended precision "
                     "(normalization matrix ill-conditioned at this horizon)"
-                ]
+                )
             if p0 is not None:
-                gram_t = gram_t + sum(eigen_h.components.values())
-            product_residual = float(
-                np.max(np.abs(inv_finite.total() @ gram_t - np.eye(poly.degree)))
-            )
-            report["finite_inverse"] = {
-                "t": t,
-                "normalization_condition": state.condition,
-                "sum": _entry(inv_finite.total(), product_residual),
-            }
+                gram_t = gram_t + sum(hom_t.components.values())
+            built["finite_inverse"] = (state, inv_finite, gram_t)
+    return _render_analysis(resolved, tols, flavor, warnings, built)
 
+
+def _render_analysis(
+    resolved: ResolvedSystem, tols: Tolerances, flavor: str, warnings: list, built: dict
+) -> dict:
+    """The analyze report of the built sets, with every residual."""
+    spec, poly, system = resolved.spectrum, resolved.poly, resolved.sys
+    a_c, b_c = resolved.cr.a_c, resolved.cr.b_c
+    bbt = np.outer(b_c, b_c)
+    eye = np.eye(poly.degree)
+    gram_set = built["gram"]
+    gram_sum = gram_set.symmetrized().total()
+    report = _report(
+        "analyze",
+        resolved,
+        warnings,
+        tolerances={"root": tols.root, "cluster": tols.cluster, "solvability": tols.solvability},
+        system={"n": poly.degree, "m": 1 if system is None else system.m,
+                "source": resolved.doc.source},
+        polynomial=poly.coeffs.tolist(),
+        flavor=flavor,
+        gramian={
+            "coordinate": "companion",
+            "eigen": _component_block(gram_set, a_c, spec, flavor),
+            "sum": _entry(gram_sum, oracle.residual_lyapunov(a_c, bbt, gram_sum)),
+        },
+    )
+    if "pair" in built:
+        report["gramian"]["pair"] = _component_block(built["pair"], a_c, spec, flavor)
+    if "lifted" in built:
+        lifted_sum = built["lifted"].symmetrized().total()
+        residual = oracle.residual_lyapunov(system.a, system.b @ system.b.T, lifted_sum)
+        report["gramian_original"] = {"coordinate": "original", "sum": _entry(lifted_sum, residual)}
+
+    if "inverse" in built:
+        inv_set = built["inverse"]
+        inv_sum = inv_set.symmetrized().total()
+        report["inverse"] = {
+            "coordinate": "companion",
+            "eigen": _component_block(inv_set, a_c, spec, flavor, side="right"),
+            "sum": _entry(inv_sum, oracle.residual_riccati(a_c, b_c, inv_sum)),
+            "product_residual": float(np.max(np.abs(inv_set.total() @ gram_set.total() - eye))),
+        }
+    if "inverse_pair" in built:
+        report["inverse"]["pair"] = _component_block(
+            built["inverse_pair"], a_c, spec, flavor, side="right"
+        )
+    if "inverse_original" in built:
+        osum = built["inverse_original"].symmetrized().total()
+        residual = oracle.residual_riccati(system.a, system.b, osum)
+        report["inverse_original"] = {"coordinate": "original", "sum": _entry(osum, residual)}
+
+    if "finite" in built:
+        t, finite_set, finite_sum, expm_transpose = built["finite"]
+        # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
+        expm = expm_transpose.T
+        defect = -(expm @ bbt @ expm.T) + a_c @ finite_sum + finite_sum @ a_c.T + bbt
+        diff_residual = float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(finite_sum)))
+        report["finite"] = {
+            "t": t,
+            "eigen": {_eigen_key(k): _entry(m, None) for k, m in finite_set.components.items()},
+            "sum": _entry(finite_sum, diff_residual),
+        }
+    if "finite_pair" in built:
+        report["finite"]["pair"] = {
+            _pair_key(k): _entry(m, None) for k, m in built["finite_pair"].components.items()
+        }
+    if "homogeneous" in built:
+        p0c, hom_t, hom_0 = built["homogeneous"]
+        residual = float(np.max(np.abs(sum(hom_0.components.values()) - p0c.matrix)))
+        report["finite"]["homogeneous_sum"] = _entry(hom_t.symmetrized().total(), residual)
+    if "finite_inverse" in built:
+        state, inv_finite, gram_t = built["finite_inverse"]
+        inv_total = inv_finite.total()
+        report["finite_inverse"] = {
+            "t": state.t,
+            "normalization_condition": state.condition,
+            "sum": _entry(inv_total, float(np.max(np.abs(inv_total @ gram_t - eye)))),
+        }
     return report
 
 
@@ -478,10 +477,14 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     """Closed-form results against the independent oracles, one line per check.
 
     The seed fixes the random probe vectors (initial condition and energy
-    target) so reports are reproducible byte for byte.
+    target) so reports are reproducible byte for byte.  The closed forms run
+    in companion coordinates, which describe a matrices document's system
+    only when it is controllable, so an uncontrollable one is refused.
     """
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
+    if resolved.sys is not None:
+        require_controllable(resolved.sys)
     spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
     n = poly.degree
     a_c, b_c = cr.a_c, cr.b_c
@@ -598,14 +601,14 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
             )
         )
 
-        p0_doc = doc.initial_condition
-        p0 = (
-            p0_doc
-            if p0_doc is not None
-            else (lambda s: 0.5 * (s + s.T))(rng.standard_normal((n, n)))
-        )
-        p0c = _companion_initial(p0, resolved)
-        hom0 = homogeneous_decomposition(es, p0c, 0.0)[0]
+        # the document's P_0 is pulled back to companion coordinates; the
+        # random probe is drawn in them
+        if doc.initial_condition is not None:
+            p0c = _companion_initial(doc.initial_condition, resolved)
+        else:
+            probe = rng.standard_normal((n, n))
+            p0c = InitialCondition(0.5 * (probe + probe.T))
+        hom0 = homogeneous_subgramians(es, p0c, 0.0)
         checks.append(
             _check(
                 "homogeneous_initial_value",
@@ -623,19 +626,9 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         ) / max(1.0, abs(partition_report.total))
         checks.append(_check("energy_partition_closure", closure, 1e-9))
 
-    report = {
-        "schema": 1,
-        "command": "verify",
-        "label": doc.label,
-        "seed": seed,
-        "system": {"n": n, "source": doc.source},
-        "spectrum": _spectrum_json(spec),
-        "solvability": _solvability_json(resolved.solvability),
-        "checks": checks,
-        "all_passed": all(c["pass"] for c in checks),
-        "warnings": resolved.warnings,
-    }
-    return report
+    return _report("verify", resolved, resolved.warnings, seed=seed,
+                   system={"n": n, "source": doc.source}, checks=checks,
+                   all_passed=all(c["pass"] for c in checks))
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +641,8 @@ def cmd_energy(
     tols: Tolerances = Tolerances(),
     time_series: tuple | None = None,
 ) -> tuple:
-    """Minimum-energy partition for target state x0.
+    """Minimum-energy partition for target state x0, given in companion
+    coordinates on every document.
 
     Returns (report, csv_text_or_None); the CSV holds the optimal control and
     its modal components when a stable time series was requested.
@@ -670,54 +664,49 @@ def cmd_energy(
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     inv_set = inverse_eigenparts(es)
-    inv_pairs = inverse_pair_parts(es)
-    partition = energy_partition(x0, inv_set, inv_pairs)
+    partition = energy_partition(x0, inv_set, inverse_pair_parts(es))
     warnings = list(resolved.warnings)
     if not partition.interpretation_valid:
         warnings.append(
             "spectrum is not strictly stable: the quadratic forms are reported "
             "but do not measure control energy"
         )
-    report = {
-        "schema": 1,
-        "command": "energy",
-        "label": doc.label,
-        "system": {"n": cr.n, "source": doc.source},
-        "spectrum": _spectrum_json(spec),
-        "x0": x0.tolist(),
-        "energy": {
-            "total": partition.total,
-            "linear": partition.linear.tolist(),
-            "quadratic": partition.quadratic.tolist(),
-            "interpretation_valid": partition.interpretation_valid,
-        },
-        "warnings": warnings,
-    }
-
-    csv_text = None
+    signal = None
     if time_series is not None:
         if not spec.is_stable:
-            report["warnings"] = report["warnings"] + [
+            warnings.append(
                 "time series skipped: optimal control requires a strictly stable spectrum"
-            ]
+            )
         else:
-            signal = optimal_control(x0, es)
+            signal = optimal_control(x0, es, inv_set)
             times = np.linspace(float(t0), float(t1), int(steps))
             modes = signal.modal(times)
             control = signal.control(times)
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            header = ["t", "u"]
+            quadrature = control_energy_quadrature(signal)
+
+    energy = {
+        "total": partition.total,
+        "linear": partition.linear.tolist(),
+        "quadratic": partition.quadratic.tolist(),
+        "interpretation_valid": partition.interpretation_valid,
+    }
+    csv_text = None
+    if signal is not None:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        header = ["t", "u"]
+        for i in range(spec.values.size):
+            header += [f"re_u{i + 1}", f"im_u{i + 1}"]
+        writer.writerow(header)
+        for k, t in enumerate(times):
+            row = [f"{t:.12g}", f"{control[k]:.12g}"]
             for i in range(spec.values.size):
-                header += [f"re_u{i + 1}", f"im_u{i + 1}"]
-            writer.writerow(header)
-            for k, t in enumerate(times):
-                row = [f"{t:.12g}", f"{control[k]:.12g}"]
-                for i in range(spec.values.size):
-                    row += [f"{modes[i, k].real:.12g}", f"{modes[i, k].imag:.12g}"]
-                writer.writerow(row)
-            csv_text = buffer.getvalue()
-            report["energy"]["quadrature"] = control_energy_quadrature(signal)
+                row += [f"{modes[i, k].real:.12g}", f"{modes[i, k].imag:.12g}"]
+            writer.writerow(row)
+        csv_text = buffer.getvalue()
+        energy["quadrature"] = quadrature
+    report = _report("energy", resolved, warnings, solvability=False,
+                     system={"n": cr.n, "source": doc.source}, x0=x0.tolist(), energy=energy)
     return report, csv_text
 
 
@@ -728,15 +717,9 @@ def cmd_energy(
 def cmd_roots(doc: SystemDocument, tols: Tolerances = Tolerances()) -> dict:
     """Spectrum pipeline only: polynomial, roots, clusters, solvability."""
     resolved = resolve_document(doc, tols)
-    report = {
-        "schema": 1,
-        "command": "roots",
-        "label": doc.label,
-        "polynomial": resolved.poly.coeffs.tolist(),
-        "spectrum": _spectrum_json(resolved.spectrum),
-        "solvability": _solvability_json(resolved.solvability),
-        "warnings": resolved.warnings,
-    }
+    report = _report(
+        "roots", resolved, resolved.warnings, polynomial=resolved.poly.coeffs.tolist()
+    )
     if resolved.roots is not None:
         report["roots"] = [{"re": float(r.real), "im": float(r.imag)} for r in resolved.roots]
     return report
@@ -793,7 +776,7 @@ def _build_parser() -> argparse.ArgumentParser:
     energy = sub.add_parser("energy", help="minimum-energy partitions")
     add_common(energy)
     energy.add_argument("--x0", required=True,
-                        help="target state, comma-separated floats")
+                        help="target state in companion coordinates, comma-separated floats")
     energy.add_argument("--time-series", nargs=3, metavar=("T0", "T1", "STEPS"),
                         default=None, help="emit the optimal control as CSV")
     energy.add_argument("--format", choices=("json", "csv"), default="json",

@@ -15,7 +15,6 @@ import numpy as np
 from .companion import EigenStructure
 from .errors import StabilityError
 from .gramians import SpectralComponentSet
-from .inverse import inverse_eigenparts
 
 QUADRATURE_POINTS = 40_000
 
@@ -98,15 +97,18 @@ class OptimalControlSignal:
         return total.real
 
 
-def optimal_control(x0, es: EigenStructure) -> OptimalControlSignal:
+def optimal_control(
+    x0, es: EigenStructure, inv: SpectralComponentSet
+) -> OptimalControlSignal:
     """Spectral form of the minimum-energy control for a stable companion
     system: u(t) = e_n^T e^{-A_C^T t} P^{-1} x_0 with modal components
-    e_n^T R_i^* e^{-conj(lambda_i) t} P^{-1} x_0."""
+    e_n^T R_i^* e^{-conj(lambda_i) t} P^{-1} x_0, where P^{-1} is the sum of
+    ``inv``, the inverse eigen set of ``es``."""
     spec = es.spectrum
     if not spec.is_stable:
         raise StabilityError("optimal control requires a strictly stable spectrum")
     x0 = np.asarray(x0, dtype=float)
-    w = inverse_eigenparts(es).total() @ x0
+    w = inv.total() @ x0
     residues = es.residues
     n = es.poly.degree
     kappa = np.array([np.conj(residues[i][:, n - 1]) @ w for i in range(spec.values.size)])
@@ -137,17 +139,18 @@ class OverlapReport:
 
 
 def modal_overlap_integrals(
-    x0, gram_pairs: SpectralComponentSet, es: EigenStructure
+    x0, gram_pairs: SpectralComponentSet, es: EigenStructure, inv: SpectralComponentSet
 ) -> OverlapReport:
     """Certify x_0^T P^{-1} P_ij^C P^{-1} x_0 against the overlap integrals
-    (1/2) int (conj(u_i) u_j + conj(u_j) u_i) dt of the modal controls."""
+    (1/2) int (conj(u_i) u_j + conj(u_j) u_i) dt of the modal controls;
+    P^{-1} is the sum of ``inv``, the inverse eigen set of ``es``."""
     spec = es.spectrum
     if not spec.is_stable:
         raise StabilityError("overlap integrals require a strictly stable spectrum")
     if gram_pairs.kind != "pair":
         raise ValueError("overlap integrals expect the pair-indexed Gramian set")
     x0 = np.asarray(x0, dtype=float)
-    w = (inverse_eigenparts(es).total() @ x0).real
+    w = (inv.total() @ x0).real
     pair_sym = gram_pairs.symmetrized()
     k = spec.values.size
     closed = np.array(
@@ -156,7 +159,7 @@ def modal_overlap_integrals(
             for i in range(k)
         ]
     )
-    signal = optimal_control(x0, es)
+    signal = optimal_control(x0, es, inv)
     t = np.linspace(-signal.horizon, 0.0, QUADRATURE_POINTS)
     modes = signal.modal(t)
     quad = np.empty((k, k))

@@ -170,11 +170,11 @@ class ExpTerm:
     power: int = 0
     matrix_exp: bool = False
 
-    def value(self, t: float, expm_transpose) -> np.ndarray:
+    def value(self, t: float, expm_t: np.ndarray | None) -> np.ndarray:
         factor = np.exp(self.rate * t) * t**self.power / math.factorial(self.power)
         out = self.coeff * factor
         if self.matrix_exp:
-            out = out @ expm_transpose(t)
+            out = out @ expm_t
         return out
 
 
@@ -194,16 +194,15 @@ class FiniteGramianDecomposition:
 
     def components(self, t: float | None = None, flavor: str = "raw") -> dict:
         t = self.t if t is None else t
+        expm_t = self.expm_transpose(t) if self.terms else None
         out = {}
         for key, static_part in self.static.components.items():
-            m = static_part + sum(
-                term.value(t, self.expm_transpose) for term in self.terms.get(key, [])
-            )
+            m = static_part + sum(term.value(t, expm_t) for term in self.terms.get(key, []))
             out[key] = hermitian_part(m) if flavor == "symmetrized" else m
         return out
 
-    def total(self, t: float | None = None, flavor: str = "raw") -> np.ndarray:
-        return sum(self.components(t, flavor).values())
+    def total(self, t: float | None = None) -> np.ndarray:
+        return sum(self.components(t).values())
 
     def component_set(self, t: float | None = None, flavor: str = "raw") -> SpectralComponentSet:
         return replace(
@@ -303,22 +302,35 @@ def finite_pair_subgramians(pairs: SpectralComponentSet, t: float) -> FiniteGram
     return FiniteGramianDecomposition(pairs, terms, t, lambda t: None)
 
 
-def homogeneous_decomposition(es: EigenStructure, p0: InitialCondition, t: float):
-    """Decompositions of the homogeneous solution with P(0) = P_0.
-
-    Returns (eigen_set, pair_set) evaluated at t: components
-    R_i P_0 e^{(lambda_i I + A_C^T) t} and R_i P_0 R_j^* e^{(lambda_i +
-    conj(lambda_j)) t}; both sums reproduce P_0 at t = 0.
-    """
+def _require_initial(es: EigenStructure, p0: InitialCondition):
     if p0.n != es.poly.degree:
         raise ValueError("initial condition dimension does not match the system")
-    residues = es.residues
+
+
+def homogeneous_subgramians(
+    es: EigenStructure, p0: InitialCondition, t: float
+) -> SpectralComponentSet:
+    """Eigen-indexed decomposition of the homogeneous solution with P(0) = P_0,
+    evaluated at t: components R_i P_0 e^{(lambda_i I + A_C^T) t}, whose sum
+    reproduces P_0 at t = 0."""
+    _require_initial(es, p0)
     lams = es.eigenvalues
-    expm_t = _expm_transpose_simple(lams, residues)(t)
-    eigen_parts = {
-        i: residues[i] @ p0.matrix @ expm_t * np.exp(lams[i] * t) for i in range(lams.size)
+    expm_t = _expm_transpose_simple(lams, es.residues)(t)
+    parts = {
+        i: es.residues[i] @ p0.matrix @ expm_t * np.exp(lams[i] * t) for i in range(lams.size)
     }
-    pair_parts = {
+    return SpectralComponentSet(parts, "eigen", "raw", "companion", es.poly, es.spectrum)
+
+
+def homogeneous_pair_subgramians(
+    es: EigenStructure, p0: InitialCondition, t: float
+) -> SpectralComponentSet:
+    """Pair-indexed decomposition of the homogeneous solution with P(0) = P_0,
+    evaluated at t: components R_i P_0 R_j^* e^{(lambda_i + conj(lambda_j)) t},
+    whose sum reproduces P_0 at t = 0."""
+    _require_initial(es, p0)
+    residues, lams = es.residues, es.eigenvalues
+    parts = {
         (i, j): residues[i]
         @ p0.matrix
         @ residues[j].conj().T
@@ -326,11 +338,7 @@ def homogeneous_decomposition(es: EigenStructure, p0: InitialCondition, t: float
         for i in range(lams.size)
         for j in range(lams.size)
     }
-    eigen_set = SpectralComponentSet(
-        eigen_parts, "eigen", "raw", "companion", es.poly, es.spectrum
-    )
-    pair_set = SpectralComponentSet(pair_parts, "pair", "raw", "companion", es.poly, es.spectrum)
-    return eigen_set, pair_set
+    return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
 
 
 def lift_to_original(decomp: SpectralComponentSet, sys: LtiSystem) -> SpectralComponentSet:

@@ -21,13 +21,12 @@ from .companion import (
     JordanChainSet,
     LtiSystem,
     alternating_signs,
-    eigen_structure,
     hankel_upper,
     require_controllable,
 )
 from .errors import ConditioningError
 from .gramians import InitialCondition, SpectralComponentSet, _expm_transpose_simple
-from .spectrum import Polynomial, char_poly, cluster, find_roots
+from .spectrum import Polynomial
 
 ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
@@ -160,29 +159,26 @@ def orthogonality_certificate(
     return OrthogonalityReport(worst / scale, count, worst / scale <= ORTHOGONALITY_TOL)
 
 
-def riccati_general(sys: LtiSystem, es: EigenStructure | None = None) -> SpectralComponentSet:
+def riccati_general(sys: LtiSystem, inv: SpectralComponentSet) -> SpectralComponentSet:
     """Closed-form decomposition of P^{-1} A + A^T P^{-1} = -P^{-1} b b^T P^{-1}
     for a controllable single-input system, in its original coordinates.
 
     Components are (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1} of the companion
-    eigen components X.  ``es`` is the eigen structure of the system's
-    characteristic polynomial; without it the structure is built from that
-    polynomial's roots at the default tolerances.
+    eigen components X of ``inv``, the inverse_eigenparts set of the
+    system's characteristic polynomial.
     """
     if sys.m != 1:
         raise ValueError("the closed-form Riccati solution applies to single-input systems")
+    if inv.kind != "eigen" or inv.coordinate != "companion":
+        raise ValueError("the Riccati lift expects the companion inverse eigen set")
     ctrb = require_controllable(sys)
-    if es is None:
-        p = char_poly(sys.a)
-        es = eigen_structure(p, cluster(find_roots(p)))
-    companion_set = inverse_eigenparts(es)
-    h_u = hankel_upper(es.poly)
+    h_u = hankel_upper(inv.poly)
     lifted = {}
-    for key, x in companion_set.components.items():
+    for key, x in inv.components.items():
         inner = np.linalg.solve(h_u, np.linalg.solve(h_u, x).conj().T).conj().T
         half = np.linalg.solve(ctrb.T, inner)
         lifted[key] = np.linalg.solve(ctrb.T, half.conj().T).conj().T
-    return replace(companion_set, components=lifted, coordinate="original")
+    return replace(inv, components=lifted, coordinate="original")
 
 
 def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -334,7 +334,7 @@ def test_criterion_8_energy_consistency():
         inv = gs.inverse_eigenparts(es)
         x0 = rng.standard_normal(n)
         e_min = gs.min_energy(x0, inv)
-        signal = gs.optimal_control(x0, es)
+        signal = gs.optimal_control(x0, es, inv)
         quadrature = gs.control_energy_quadrature(signal)
         worst_quad = max(worst_quad, abs(e_min - quadrature) / max(1.0, abs(e_min)))
         part = gs.energy_partition(x0, inv, gs.inverse_pair_parts(es))

@@ -154,6 +154,25 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == EXIT_CONDITIONING
         capsys.readouterr()
 
+    def test_verify_refuses_uncontrollable(self, tmp_path, capsys):
+        path = tmp_path / "uncontrollable.json"
+        path.write_text(
+            json.dumps({"matrices": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]]}})
+        )
+        assert main(["verify", str(path)]) == EXIT_CONDITIONING
+        assert "uncontrollable" in capsys.readouterr().err
+
+    def test_verify_two_input_document(self, tmp_path, capsys):
+        # no initial condition to pull back: the random probe is drawn in
+        # companion coordinates, so a multi-input document verifies
+        path = tmp_path / "two_inputs.json"
+        path.write_text(json.dumps({"matrices": {
+            "A": [[-1.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -3.0]],
+            "B": [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]],
+        }}))
+        assert main(["verify", str(path)]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().err
+
     def test_verify_success(self, example1_path, capsys):
         assert main(["verify", example1_path, "--seed", "3"]) == EXIT_OK
         out = capsys.readouterr()
@@ -321,6 +340,27 @@ def stable_poly_path(tmp_path):
     return str(path)
 
 
+class TestMultipleSpectrumSkips:
+    """What analyze leaves out on a spectrum with multiplicities is named in
+    its warnings."""
+
+    DOC = {"eigenvalues": [[-1, 0, 2], [-2, 0, 1]]}
+
+    def test_finite_inverse_skipped(self):
+        report = cmd_analyze(parse_system(self.DOC), inverse=True, finite=1.0)
+        assert "finite_inverse" not in report
+        assert "finite inverse is only evaluated for simple spectra; skipped" in report["warnings"]
+
+    def test_initial_condition_skipped(self):
+        doc = parse_system(dict(self.DOC, initial_condition=np.eye(3).tolist()))
+        report = cmd_analyze(doc, finite=1.0)
+        assert "homogeneous_sum" not in report["finite"]
+        assert (
+            "initial condition is only evaluated for simple spectra; skipped" in report["warnings"]
+        )
+        assert not any("finite inverse" in w for w in report["warnings"])
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("flag", ["--tol-root", "--tol-cluster", "--tol-solve"])
     @pytest.mark.parametrize("value", ["nan", "-1", "0"])
@@ -474,15 +514,21 @@ class TestRoots:
 
 class TestWorkOnce:
     """Each command evaluates one eigen structure and passes it to every
-    builder; only the finite-inverse retry adds one extended structure."""
+    builder; only the finite-inverse retry adds one extended structure.  No
+    command builds the homogeneous pair half, each finite decomposition
+    evaluates e^{A^T t} once per call, and the inverse eigen set is built
+    once and passed on."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         import gramspec.companion as companion
+        import gramspec.gramians as gramians
+        import gramspec.inverse as inverse
 
-        counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0}
-        evaluate, polish, check = (
-            companion._evaluate, companion._mp_polished_roots, companion.check_solvability
+        counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0,
+                  "expm": 0, "homogeneous_pairs": 0, "inverse_eigenparts": 0}
+        evaluate, polish, expm_factory = (
+            companion._evaluate, companion._mp_polished_roots, gramians._expm_transpose_simple
         )
 
         def counted_evaluate(p, spec, values, *args):
@@ -490,19 +536,30 @@ class TestWorkOnce:
             counts[kind.get(values.dtype, "mpmath")] += 1
             return evaluate(p, spec, values, *args)
 
-        def counted_polish(*args):
-            counts["polish"] += 1
-            return polish(*args)
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
 
-        def counted_check(*args):
-            counts["solvability"] += 1
-            return check(*args)
+            return wrapper
+
+        def counted_expm_factory(*args):
+            return counted("expm", expm_factory(*args))
 
         monkeypatch.setattr(companion, "_evaluate", counted_evaluate)
-        monkeypatch.setattr(companion, "_mp_polished_roots", counted_polish)
-        for module in [m for name, m in sys.modules.items() if name.startswith("gramspec")]:
-            if getattr(module, "check_solvability", None) is check:
-                monkeypatch.setattr(module, "check_solvability", counted_check)
+        monkeypatch.setattr(companion, "_mp_polished_roots", counted("polish", polish))
+        for original, replacement in [
+            (companion.check_solvability, counted("solvability", companion.check_solvability)),
+            (expm_factory, counted_expm_factory),
+            (gramians.homogeneous_pair_subgramians,
+             counted("homogeneous_pairs", gramians.homogeneous_pair_subgramians)),
+            (inverse.inverse_eigenparts,
+             counted("inverse_eigenparts", inverse.inverse_eigenparts)),
+        ]:
+            for module in [m for name, m in sys.modules.items() if name.startswith("gramspec")]:
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, replacement)
         return counts
 
     def test_analyze_with_extended_retry(self, tmp_path, capsys, counts):
@@ -520,11 +577,15 @@ class TestWorkOnce:
         assert counts["complex128"] == 1 and counts["extended"] == 1 and counts["mpmath"] == 0
         assert counts["polish"] == 1
         assert counts["solvability"] <= 2
+        assert counts["homogeneous_pairs"] == 0
+        assert counts["expm"] <= 8
 
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
         assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
         assert counts["solvability"] <= 2
+        assert counts["homogeneous_pairs"] == 0
+        assert counts["expm"] <= 2
 
     def test_energy_time_series(self, stable_poly_path, tmp_path, capsys, counts):
         out = tmp_path / "series.csv"
@@ -534,6 +595,45 @@ class TestWorkOnce:
         assert "quadrature" in capsys.readouterr().err
         assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
         assert counts["solvability"] <= 2
+        assert counts["inverse_eigenparts"] == 1
+
+    def test_matrices_document_with_initial_condition(self, tmp_path, capsys, counts):
+        # the original-coordinate Riccati lift reuses the companion inverse set
+        a_c = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]])
+        t = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [1.0, 0.0, 1.0]])
+        path = tmp_path / "matrices.json"
+        path.write_text(json.dumps({
+            "matrices": {"A": (t @ a_c @ np.linalg.inv(t)).tolist(),
+                         "B": (t @ np.array([[0.0], [0.0], [1.0]])).tolist()},
+            "initial_condition": np.eye(3).tolist(),
+        }))
+        out = tmp_path / "report.json"
+        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1",
+                     "--output", str(out)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        assert "inverse_original" in report and "homogeneous_sum" in report["finite"]
+        assert counts["inverse_eigenparts"] == 1
+        assert counts["homogeneous_pairs"] == 0
+
+
+class TestRenderLast:
+    def test_refused_document_renders_nothing(self, tmp_path, capsys, monkeypatch):
+        # degree 16: the finite inverse is refused at t = 1 even in extended
+        # precision, after every other builder has run; no matrix is rendered
+        import gramspec.cli as cli
+
+        rendered = []
+        matrix_json = cli._matrix_json
+        monkeypatch.setattr(cli, "_matrix_json", lambda m: rendered.append(1) or matrix_json(m))
+        coeffs = gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real
+        path = tmp_path / "ladder16.json"
+        path.write_text(json.dumps({"char_poly": coeffs.tolist()}))
+        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
+        assert code == EXIT_CONDITIONING
+        assert "normalization matrix" in capsys.readouterr().err
+        assert rendered == []
 
 
 class TestImportFootprint:

@@ -67,12 +67,13 @@ class TestToCompanion:
         sys = gs.LtiSystem(np.diag([-1.0, -2.0, -3.0]), np.array([1.0, 1.0, 1e-12]))
         p = gs.char_poly(sys.a)
         spec = gs.cluster(gs.find_roots(p))
-        gram = gs.infinite_subgramians(gs.eigen_structure(p, spec))
+        es = gs.eigen_structure(p, spec)
+        gram = gs.infinite_subgramians(es)
         conditions = []
         for call in (
             lambda: gs.to_companion(sys),
             lambda: gs.lift_to_original(gram, sys),
-            lambda: gs.riccati_general(sys),
+            lambda: gs.riccati_general(sys, gs.inverse_eigenparts(es)),
             lambda: gs.require_controllable(sys),
         ):
             with pytest.raises(gs.ControllabilityError) as excinfo:

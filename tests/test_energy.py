@@ -32,7 +32,7 @@ class TestMinEnergy:
         inv = gs.inverse_eigenparts(es)
         x0 = np.array([1.0, 0.0, 0.0])
         e_min = gs.min_energy(x0, inv)
-        signal = gs.optimal_control(x0, es)
+        signal = gs.optimal_control(x0, es, inv)
         quad = gs.control_energy_quadrature(signal)
         assert abs(e_min - quad) <= 1e-5 * max(1.0, abs(e_min))
 
@@ -40,13 +40,15 @@ class TestMinEnergy:
 class TestOptimalControl:
     def test_scalar_closed_form(self, scalar_system):
         _, cr, spec = scalar_system
-        signal = gs.optimal_control([1.0], gs.eigen_structure(cr.poly, spec))
+        es = gs.eigen_structure(cr.poly, spec)
+        signal = gs.optimal_control([1.0], es, gs.inverse_eigenparts(es))
         ts = np.array([-2.0, -1.0, -0.1])
         assert np.max(np.abs(signal.control(ts) - 2.0 * np.exp(ts))) < 1e-12
 
     def test_scalar_energy_integral(self, scalar_system):
         _, cr, spec = scalar_system
-        signal = gs.optimal_control([1.0], gs.eigen_structure(cr.poly, spec))
+        es = gs.eigen_structure(cr.poly, spec)
+        signal = gs.optimal_control([1.0], es, gs.inverse_eigenparts(es))
         assert abs(gs.control_energy_quadrature(signal) - 2.0) < 1e-5
 
     def test_stable_quadrature_matches(self, mirrored_stable):
@@ -54,19 +56,21 @@ class TestOptimalControl:
         es = gs.eigen_structure(cr.poly, spec)
         x0 = np.array([1.0, 0.0, 0.0])
         inv = gs.inverse_eigenparts(es)
-        signal = gs.optimal_control(x0, es)
+        signal = gs.optimal_control(x0, es, inv)
         assert abs(gs.control_energy_quadrature(signal) - gs.min_energy(x0, inv)) < 1e-4 * 132
 
     def test_unstable_rejected(self, example1):
         _, cr, spec = example1
         with pytest.raises(gs.StabilityError):
-            gs.optimal_control([1.0, 0.0, 0.0], gs.eigen_structure(cr.poly, spec))
+            es = gs.eigen_structure(cr.poly, spec)
+            gs.optimal_control([1.0, 0.0, 0.0], es, gs.inverse_eigenparts(es))
 
     def test_modal_completeness(self):
         rng = np.random.default_rng(301)
         _, cr, spec = random_companion(rng, 5)
         x0 = rng.standard_normal(5)
-        signal = gs.optimal_control(x0, gs.eigen_structure(cr.poly, spec))
+        es = gs.eigen_structure(cr.poly, spec)
+        signal = gs.optimal_control(x0, es, gs.inverse_eigenparts(es))
         ts = np.linspace(-signal.horizon, 0.0, 100)
         total = np.sum(signal.modal(ts), axis=0)
         control = signal.control(ts)
@@ -114,7 +118,7 @@ class TestEnergyPartition:
         x0 = rng.standard_normal(3)
         inv = gs.inverse_eigenparts(es)
         part = gs.energy_partition(x0, inv, gs.inverse_pair_parts(es))
-        signal = gs.optimal_control(x0, es)
+        signal = gs.optimal_control(x0, es, inv)
         ts = np.linspace(-signal.horizon, 0.0, 40_000)
         modes = signal.modal(ts)
         control = np.sum(modes, axis=0)
@@ -140,7 +144,7 @@ class TestModalOverlap:
         _, cr, spec = scalar_system
         es = gs.eigen_structure(cr.poly, spec)
         pairs = gs.infinite_pair_subgramians(es)
-        report = gs.modal_overlap_integrals([1.0], pairs, es)
+        report = gs.modal_overlap_integrals([1.0], pairs, es, gs.inverse_eigenparts(es))
         assert abs(report.closed_form[0, 0] - 2.0) < 1e-10
         assert report.max_error < 1e-4
 
@@ -148,7 +152,9 @@ class TestModalOverlap:
         _, cr, spec = mirrored_stable
         es = gs.eigen_structure(cr.poly, spec)
         pairs = gs.infinite_pair_subgramians(es)
-        report = gs.modal_overlap_integrals(np.array([1.0, 0.0, 0.0]), pairs, es)
+        report = gs.modal_overlap_integrals(
+            np.array([1.0, 0.0, 0.0]), pairs, es, gs.inverse_eigenparts(es)
+        )
         assert report.max_error < 1e-4
 
     def test_sum_equals_min_energy(self, mirrored_stable):
@@ -157,7 +163,7 @@ class TestModalOverlap:
         x0 = np.array([1.0, 0.0, 0.0])
         pairs = gs.infinite_pair_subgramians(es)
         inv = gs.inverse_eigenparts(es)
-        report = gs.modal_overlap_integrals(x0, pairs, es)
+        report = gs.modal_overlap_integrals(x0, pairs, es, inv)
         e_min = gs.min_energy(x0, inv)
         assert abs(np.sum(report.closed_form) - e_min) <= 1e-6 * max(1.0, abs(e_min))
 
@@ -166,4 +172,4 @@ class TestModalOverlap:
         es = gs.eigen_structure(cr.poly, spec)
         pairs = gs.infinite_pair_subgramians(es)
         with pytest.raises(gs.StabilityError):
-            gs.modal_overlap_integrals([1.0, 0.0, 0.0], pairs, es)
+            gs.modal_overlap_integrals([1.0, 0.0, 0.0], pairs, es, gs.inverse_eigenparts(es))

@@ -171,14 +171,16 @@ class TestHomogeneous:
         rng = np.random.default_rng(107)
         s = rng.standard_normal((3, 3))
         p0 = gs.InitialCondition(0.5 * (s + s.T))
-        eigen, pair = gs.homogeneous_decomposition(gs.eigen_structure(cr.poly, spec), p0, 0.0)
+        es = gs.eigen_structure(cr.poly, spec)
+        eigen = gs.homogeneous_subgramians(es, p0, 0.0)
+        pair = gs.homogeneous_pair_subgramians(es, p0, 0.0)
         assert np.max(np.abs(sum(eigen.components.values()) - p0.matrix)) < 1e-9
         assert np.max(np.abs(sum(pair.components.values()) - p0.matrix)) < 1e-9
 
     def test_against_rk4(self, example1):
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.eye(3))
-        eigen, _ = gs.homogeneous_decomposition(gs.eigen_structure(cr.poly, spec), p0, 0.1)
+        eigen = gs.homogeneous_subgramians(gs.eigen_structure(cr.poly, spec), p0, 0.1)
         rk4 = gs.integrate_lyapunov(cr.a_c, np.zeros((3, 3)), np.eye(3), 0.1, steps=10_000)
         total = sum(eigen.components.values()).real
         assert np.linalg.norm(total - rk4.matrix) <= 1e-6 * np.linalg.norm(rk4.matrix)
@@ -186,7 +188,9 @@ class TestHomogeneous:
     def test_zero_initial_condition(self, example1):
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.zeros((3, 3)))
-        eigen, pair = gs.homogeneous_decomposition(gs.eigen_structure(cr.poly, spec), p0, 0.3)
+        es = gs.eigen_structure(cr.poly, spec)
+        eigen = gs.homogeneous_subgramians(es, p0, 0.3)
+        pair = gs.homogeneous_pair_subgramians(es, p0, 0.3)
         assert np.max(np.abs(sum(eigen.components.values()))) == 0.0
         assert np.max(np.abs(sum(pair.components.values()))) == 0.0
 

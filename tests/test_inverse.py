@@ -160,8 +160,8 @@ class TestOrthogonality:
 class TestRiccatiGeneral:
     def test_companion_input_reduces(self, mirrored_stable):
         _, cr, spec = mirrored_stable
-        general = gs.riccati_general(cr.system())
         direct = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec))
+        general = gs.riccati_general(cr.system(), direct)
         assert np.max(np.abs(general.total() - direct.total())) < 1e-10 * max(
             1.0, np.max(np.abs(direct.total()))
         )
@@ -171,16 +171,30 @@ class TestRiccatiGeneral:
         _, cr, spec = random_companion(rng, 4)
         t = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
         sys = gs.LtiSystem(t @ cr.a_c @ np.linalg.inv(t), t @ cr.b_c)
-        ricc = gs.riccati_general(sys)
+        p = gs.char_poly(sys.a)
+        inv = gs.inverse_eigenparts(gs.eigen_structure(p, gs.cluster(gs.find_roots(p))))
+        ricc = gs.riccati_general(sys, inv)
         total = ricc.symmetrized().total().real
         assert gs.residual_riccati(sys.a, sys.b, total) < 1e-7
         reference = np.linalg.inv(gs.solve_lyapunov_dense(sys.a, sys.b @ sys.b.T).matrix)
         assert np.linalg.norm(total - reference) <= 1e-7 * np.linalg.norm(reference)
 
+    def test_other_sets_rejected(self, mirrored_stable):
+        # the lift expects the companion inverse eigen set, not a pair or an
+        # already lifted set
+        _, cr, spec = mirrored_stable
+        es = gs.eigen_structure(cr.poly, spec)
+        lifted = gs.riccati_general(cr.system(), gs.inverse_eigenparts(es))
+        for wrong in (gs.inverse_pair_parts(es), lifted):
+            with pytest.raises(ValueError, match="companion inverse eigen set"):
+                gs.riccati_general(cr.system(), wrong)
+
     def test_uncontrollable_rejected(self):
         sys = gs.LtiSystem(np.diag([-1.0, -2.0]), np.array([1.0, 0.0]))
+        p = gs.char_poly(sys.a)
+        inv = gs.inverse_eigenparts(gs.eigen_structure(p, gs.cluster(gs.find_roots(p))))
         with pytest.raises(gs.ControllabilityError):
-            gs.riccati_general(sys)
+            gs.riccati_general(sys, inv)
 
 
 class TestFiniteInverse:
@@ -224,7 +238,7 @@ class TestFiniteInverse:
         p0 = gs.InitialCondition(0.5 * (s + s.T) + 3.0 * np.eye(3))
         t = 0.4
         _, inv_t = gs.finite_inverse(es, p0, t)
-        eigen_h, _ = gs.homogeneous_decomposition(es, p0, t)
+        eigen_h = gs.homogeneous_subgramians(es, p0, t)
         gram_t = gs.finite_subgramians(es, t).total() + sum(eigen_h.components.values())
         assert np.max(np.abs(inv_t.total() @ gram_t - np.eye(3))) < 1e-6
 
