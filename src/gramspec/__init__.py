@@ -20,7 +20,7 @@ from .companion import (
     require_controllable,
     residues_general,
     right_eigenvector,
-    to_companion,
+    similarity_transform,
 )
 from .document import SystemDocument, parse_system
 from .energy import (

@@ -36,11 +36,11 @@ from . import oracle
 from .companion import (
     EigenStructure,
     LtiSystem,
+    SimilarityTransform,
     build_companion,
     eigen_structure,
     jordan_chains_companion,
-    require_controllable,
-    to_companion,
+    similarity_transform,
 )
 from .document import SystemDocument, parse_initial_condition, parse_system
 from .energy import control_energy_quadrature, energy_partition, optimal_control
@@ -258,19 +258,23 @@ def _require_solvable_or_raise(resolved: ResolvedSystem):
         raise SolvabilityError(resolved.solvability)
 
 
-def _companion_initial(p0: np.ndarray, resolved: ResolvedSystem) -> InitialCondition:
+def _similarity(resolved: ResolvedSystem) -> SimilarityTransform | None:
+    """The similarity of a matrices document's system; None for other sources."""
+    return None if resolved.sys is None else similarity_transform(resolved.sys, resolved.poly)
+
+
+def _companion_initial(p0: np.ndarray, transform: SimilarityTransform | None) -> InitialCondition:
     """Initial condition in companion coordinates.
 
     Matrix documents state P_0 in their own coordinates; it is pulled back
     through the similarity transform (single-input systems only).
     """
-    if resolved.sys is None:
+    if transform is None:
         return InitialCondition(p0)
-    if resolved.sys.m != 1:
+    if transform.t is None:
         raise ControllabilityError(
             "initial conditions for multi-input matrix documents are not supported"
         )
-    transform, _ = to_companion(resolved.sys)
     t_inv = np.linalg.inv(transform.t)
     return InitialCondition(t_inv @ p0 @ t_inv.T)
 
@@ -316,7 +320,6 @@ def cmd_analyze(
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
     spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
-    system = resolved.sys
     flavor = "raw" if raw else "symmetrized"
     p0 = doc.initial_condition if initial is None else initial
     multiple = not spec.is_simple
@@ -332,30 +335,35 @@ def cmd_analyze(
         built["gram"] = infinite_subgramians(es)
         if pairs:
             built["pair"] = infinite_pair_subgramians(es)
-    if system is not None:
-        built["lifted"] = lift_to_original(built["gram"], system)
+    transform = _similarity(resolved)
+    if transform is not None:
+        built["lifted"] = lift_to_original(built["gram"], transform)
+        if inverse and transform.t is None:
+            warnings.append("inverse in original coordinates is only evaluated for "
+                            "single-input systems; skipped")
     if inverse and multiple:
         built["inverse"] = inverse_multiple_eig(cr, chains)
     elif inverse:
         built["inverse"] = inverse_eigenparts(es)
         if pairs:
             built["inverse_pair"] = inverse_pair_parts(es)
-        if system is not None and system.m == 1:
-            built["inverse_original"] = riccati_general(system, built["inverse"])
+        if transform is not None and transform.t is not None:
+            built["inverse_original"] = riccati_general(transform, built["inverse"])
 
     if finite is not None:
         t = float(finite)
         decomp = gram_decomp if multiple else finite_subgramians(es, t)
-        finite_set = decomp.component_set(flavor=flavor)
-        finite_sum = decomp.total()
+        raw_set = decomp.component_set()  # evaluated once: summed, then symmetrized
+        finite_sum = raw_set.total()
+        finite_set = raw_set if raw else raw_set.symmetrized()
         built["finite"] = (t, finite_set, finite_sum, decomp.expm_transpose(t))
         if pairs and not multiple:
-            pair_decomp = finite_pair_subgramians(built["pair"], t)
-            built["finite_pair"] = pair_decomp.component_set(flavor=flavor)
+            pair_set = finite_pair_subgramians(built["pair"], t).component_set()
+            built["finite_pair"] = pair_set if raw else pair_set.symmetrized()
         if p0 is not None and multiple:
             warnings.append("initial condition is only evaluated for simple spectra; skipped")
         elif p0 is not None:
-            p0c = _companion_initial(p0, resolved)
+            p0c = _companion_initial(p0, transform)
             hom_t = homogeneous_subgramians(es, p0c, t)
             built["homogeneous"] = (p0c, hom_t, homogeneous_subgramians(es, p0c, 0.0))
         if inverse and multiple:
@@ -483,8 +491,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     """
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
-    if resolved.sys is not None:
-        require_controllable(resolved.sys)
+    transform = _similarity(resolved)
     spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
     n = poly.degree
     a_c, b_c = cr.a_c, cr.b_c
@@ -604,7 +611,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         # the document's P_0 is pulled back to companion coordinates; the
         # random probe is drawn in them
         if doc.initial_condition is not None:
-            p0c = _companion_initial(doc.initial_condition, resolved)
+            p0c = _companion_initial(doc.initial_condition, transform)
         else:
             probe = rng.standard_normal((n, n))
             p0c = InitialCondition(0.5 * (probe + probe.T))
@@ -642,7 +649,8 @@ def cmd_energy(
     time_series: tuple | None = None,
 ) -> tuple:
     """Minimum-energy partition for target state x0, given in companion
-    coordinates on every document.
+    coordinates on every document; those describe a matrices document's
+    system only when it is controllable, so an uncontrollable one is refused.
 
     Returns (report, csv_text_or_None); the CSV holds the optimal control and
     its modal components when a stable time series was requested.
@@ -653,6 +661,7 @@ def cmd_energy(
             raise ValueError(f"time series needs finite T0, T1 and STEPS >= 1, got {time_series}")
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
+    _similarity(resolved)  # refuses an uncontrollable matrices document
     spec, cr, es = resolved.spectrum, resolved.cr, resolved.structure
     if not spec.is_simple:
         raise MultipleEigenvalueError(

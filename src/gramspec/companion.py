@@ -8,7 +8,8 @@ coefficients, and Jordan chains for multiple eigenvalues follow a Pascal-type
 recursion in closed form.  For a simple spectrum, eigen_structure is the one
 place that decides whether, and at what working precision, a closed form
 runs: it refuses multiple and unsolvable spectra, and its EigenStructure holds
-the per-eigenvalue data every closed form is built from.
+the per-eigenvalue data every closed form is built from.  similarity_transform
+is the one place that maps companion coordinates to a system's own.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .spectrum import (
     Polynomial,
     SolvabilityReport,
     Spectrum,
-    char_poly,
     check_solvability,
     eval_with_derivative,
 )
@@ -92,11 +92,23 @@ class CompanionRealization:
 
 @dataclass(frozen=True)
 class SimilarityTransform:
-    """Change of basis T = C * H_u mapping companion coordinates to original."""
+    """Change of basis T = C * H_u from the companion coordinates of ``poly``
+    to a system's own; ``t`` is None for a multi-input system."""
 
-    t: np.ndarray
+    t: np.ndarray | None
     hankel: np.ndarray
     controllability: np.ndarray
+    poly: Polynomial
+
+    def require_polynomial(self, poly: Polynomial | None):
+        """Refuse (ValueError) a decomposition built for another polynomial."""
+        if poly is None:
+            return
+        scale = np.max(np.abs(poly.coeffs))
+        if np.max(np.abs(self.poly.coeffs - poly.coeffs)) > POLY_TOL * scale:
+            raise ValueError(
+                "characteristic polynomial of the system does not match the decomposition"
+            )
 
 
 def alternating_signs(n: int) -> np.ndarray:
@@ -158,26 +170,23 @@ def require_controllable(sys: LtiSystem) -> np.ndarray:
     return ctrb
 
 
-def to_companion(sys: LtiSystem):
-    """Similarity transform of a controllable SI system to companion form.
-
-    Returns (SimilarityTransform, CompanionRealization) with T = C * H_u and
-    verifies A T = T A_C and b = T b_C.  Raises ControllabilityError when the
-    controllability matrix is near-singular (see require_controllable).
-    """
-    if sys.m != 1:
-        raise ValueError(f"companion transform requires a single-input system, got m={sys.m}")
+def similarity_transform(sys: LtiSystem, poly: Polynomial) -> SimilarityTransform:
+    """The map from the companion coordinates of ``poly``, the system's
+    characteristic polynomial, to the system's own: refuses a system that is
+    not controllable (see require_controllable) and, for a single input, forms
+    T = C * H_u and verifies A T = T A_C and b = T b_C."""
     ctrb = require_controllable(sys)
-    p = char_poly(sys.a)
-    cr = build_companion(p)
-    h_u = hankel_upper(p)
+    h_u = hankel_upper(poly)
+    if sys.m != 1:
+        return SimilarityTransform(None, h_u, ctrb, poly)
+    cr = build_companion(poly)
     t = ctrb @ h_u
     scale = np.linalg.norm(sys.a) * np.linalg.norm(t) + 1.0
     if np.linalg.norm(sys.a @ t - t @ cr.a_c) > POLY_TOL * scale:
         raise ControllabilityError("similarity verification A T = T A_C failed")
     if np.linalg.norm(sys.b[:, 0] - t @ cr.b_c) > POLY_TOL * (1.0 + np.linalg.norm(sys.b)):
         raise ControllabilityError("similarity verification b = T b_C failed")
-    return SimilarityTransform(t, h_u, ctrb), cr
+    return SimilarityTransform(t, h_u, ctrb, poly)
 
 
 def right_eigenvector(lam: complex, n: int) -> np.ndarray:

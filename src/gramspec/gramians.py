@@ -29,17 +29,14 @@ from typing import Callable
 import numpy as np
 
 from .companion import (
-    POLY_TOL,
     EigenStructure,
     JordanChainSet,
-    LtiSystem,
+    SimilarityTransform,
     alternating_signs,
-    hankel_upper,
     jordan_chains_companion,
-    require_controllable,
     require_solvable,
 )
-from .spectrum import DEFAULT_TOLERANCES, Polynomial, Spectrum, char_poly
+from .spectrum import DEFAULT_TOLERANCES, Polynomial, Spectrum
 
 ORBIT_IMAG_TOL = 1e-9  # imaginary part of a conjugate-orbit sum, relative to its entry scale
 
@@ -192,25 +189,20 @@ class FiniteGramianDecomposition:
     t: float
     expm_transpose: Callable[[float], np.ndarray]
 
-    def components(self, t: float | None = None, flavor: str = "raw") -> dict:
+    def components(self, t: float | None = None) -> dict:
         t = self.t if t is None else t
         expm_t = self.expm_transpose(t) if self.terms else None
-        out = {}
-        for key, static_part in self.static.components.items():
-            m = static_part + sum(term.value(t, expm_t) for term in self.terms.get(key, []))
-            out[key] = hermitian_part(m) if flavor == "symmetrized" else m
-        return out
+        return {
+            key: static_part + sum(term.value(t, expm_t) for term in self.terms.get(key, []))
+            for key, static_part in self.static.components.items()
+        }
 
     def total(self, t: float | None = None) -> np.ndarray:
         return sum(self.components(t).values())
 
-    def component_set(self, t: float | None = None, flavor: str = "raw") -> SpectralComponentSet:
-        return replace(
-            self.static,
-            components=self.components(t, flavor),
-            flavor=flavor,
-            accurate_total=None,
-        )
+    def component_set(self, t: float | None = None) -> SpectralComponentSet:
+        """The raw components at t as a set; its total() is total(t)."""
+        return replace(self.static, components=self.components(t), accurate_total=None)
 
 
 def _eigenparts(es: EigenStructure) -> dict:
@@ -341,24 +333,20 @@ def homogeneous_pair_subgramians(
     return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
 
 
-def lift_to_original(decomp: SpectralComponentSet, sys: LtiSystem) -> SpectralComponentSet:
-    """Map companion-coordinate components to the original basis.
+def lift_to_original(
+    decomp: SpectralComponentSet, transform: SimilarityTransform
+) -> SpectralComponentSet:
+    """Map companion-coordinate components to the original basis of
+    ``transform``, which must be built for the decomposition's polynomial.
 
     Each component X becomes C (H_u X H_u (x) I_m) C^T with C the
     controllability matrix; for single-input systems this equals T X T^T.
     """
     if decomp.coordinate != "companion":
         raise ValueError("decomposition is not in companion coordinates")
-    pc = char_poly(sys.a)
-    if decomp.poly is not None:
-        scale = np.max(np.abs(decomp.poly.coeffs))
-        if np.max(np.abs(pc.coeffs - decomp.poly.coeffs)) > POLY_TOL * scale:
-            raise ValueError(
-                "characteristic polynomial of the system does not match the decomposition"
-            )
-    ctrb = require_controllable(sys)
-    h_u = hankel_upper(pc)
-    eye_m = np.eye(sys.m)
+    transform.require_polynomial(decomp.poly)
+    ctrb, h_u = transform.controllability, transform.hankel
+    eye_m = np.eye(ctrb.shape[1] // ctrb.shape[0])  # C is n x (n m)
 
     def sandwich(x):
         return ctrb @ np.kron(h_u @ x @ h_u, eye_m) @ ctrb.T
@@ -433,19 +421,13 @@ def multiple_eig_gramian(
         b = b[:, None]
     require_solvable(spec, solvability_tol)
     n = a.shape[0]
+    companion = _is_companion(a)
+    # a companion matrix carries its polynomial exactly in the last row
+    poly = Polynomial(np.append(-a[-1], 1.0)) if companion else None
     if chains is None:
-        if not _is_companion(a):
-            raise ValueError(
-                "matrix is not in companion form; supply Jordan chains explicitly"
-            )
-        poly = char_poly(a)
+        if not companion:
+            raise ValueError("matrix is not in companion form; supply Jordan chains explicitly")
         chains = jordan_chains_companion(spec, poly)
-        coordinate = "companion"
-        poly_meta = poly
-    else:
-        coordinate = "companion" if _is_companion(a) else "original"
-        # a companion matrix carries its polynomial exactly in the last row
-        poly_meta = Polynomial(np.append(-a[-1], 1.0)) if coordinate == "companion" else None
     coeffs = resolvent_coefficients(chains)
 
     bbt = b @ b.T
@@ -470,9 +452,8 @@ def multiple_eig_gramian(
                 )
         terms[i] = term_list
 
-    static_set = SpectralComponentSet(
-        statics, "eigen", "raw", coordinate, poly_meta, spec
-    )
+    coordinate = "companion" if companion else "original"
+    static_set = SpectralComponentSet(statics, "eigen", "raw", coordinate, poly, spec)
     if t is not None:
         _require_horizon(t)
     return FiniteGramianDecomposition(

@@ -19,10 +19,8 @@ from .companion import (
     CompanionRealization,
     EigenStructure,
     JordanChainSet,
-    LtiSystem,
+    SimilarityTransform,
     alternating_signs,
-    hankel_upper,
-    require_controllable,
 )
 from .errors import ConditioningError
 from .gramians import InitialCondition, SpectralComponentSet, _expm_transpose_simple
@@ -159,20 +157,22 @@ def orthogonality_certificate(
     return OrthogonalityReport(worst / scale, count, worst / scale <= ORTHOGONALITY_TOL)
 
 
-def riccati_general(sys: LtiSystem, inv: SpectralComponentSet) -> SpectralComponentSet:
+def riccati_general(
+    transform: SimilarityTransform, inv: SpectralComponentSet
+) -> SpectralComponentSet:
     """Closed-form decomposition of P^{-1} A + A^T P^{-1} = -P^{-1} b b^T P^{-1}
     for a controllable single-input system, in its original coordinates.
 
     Components are (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1} of the companion
     eigen components X of ``inv``, the inverse_eigenparts set of the
-    system's characteristic polynomial.
+    transform's polynomial.
     """
-    if sys.m != 1:
+    if transform.t is None:
         raise ValueError("the closed-form Riccati solution applies to single-input systems")
     if inv.kind != "eigen" or inv.coordinate != "companion":
         raise ValueError("the Riccati lift expects the companion inverse eigen set")
-    ctrb = require_controllable(sys)
-    h_u = hankel_upper(inv.poly)
+    transform.require_polynomial(inv.poly)
+    ctrb, h_u = transform.controllability, transform.hankel
     lifted = {}
     for key, x in inv.components.items():
         inner = np.linalg.solve(h_u, np.linalg.solve(h_u, x).conj().T).conj().T

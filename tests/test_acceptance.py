@@ -307,7 +307,8 @@ def test_criterion_7_multi_input_lifting():
         b = rng.standard_normal((4, 2))
         sys = gs.LtiSystem(a, b)
         gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
-        lifted = gs.lift_to_original(gram, sys).symmetrized().total().real
+        transform = gs.similarity_transform(sys, gs.char_poly(sys.a))
+        lifted = gs.lift_to_original(gram, transform).symmetrized().total().real
         reference = gs.solve_lyapunov_dense(a, b @ b.T).matrix
         worst = max(
             worst, np.linalg.norm(lifted - reference) / max(1.0, np.linalg.norm(reference))

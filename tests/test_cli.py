@@ -162,6 +162,20 @@ class TestExitCodes:
         assert main(["verify", str(path)]) == EXIT_CONDITIONING
         assert "uncontrollable" in capsys.readouterr().err
 
+    def test_energy_refuses_uncontrollable(self, tmp_path, capsys):
+        # refused with analyze's and verify's exit code and stderr line; roots
+        # still reports the spectrum
+        path = tmp_path / "uncontrollable.json"
+        path.write_text(
+            json.dumps({"matrices": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]]}})
+        )
+        assert main(["energy", str(path), "--x0", "1,2"]) == EXIT_CONDITIONING
+        assert capsys.readouterr().err == (
+            "conditioning error: system is uncontrollable or nearly so (condition estimate inf)\n"
+        )
+        assert main(["roots", str(path)]) == EXIT_OK
+        capsys.readouterr()
+
     def test_verify_two_input_document(self, tmp_path, capsys):
         # no initial condition to pull back: the random probe is drawn in
         # companion coordinates, so a multi-input document verifies
@@ -361,6 +375,21 @@ class TestMultipleSpectrumSkips:
         assert not any("finite inverse" in w for w in report["warnings"])
 
 
+class TestMultiInputSkips:
+    def test_inverse_original_skipped(self):
+        doc = parse_system({"matrices": {
+            "A": [[-1.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -3.0]],
+            "B": [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]],
+        }})
+        report = cmd_analyze(doc, inverse=True)
+        assert "gramian_original" in report and "inverse_original" not in report
+        assert (
+            "inverse in original coordinates is only evaluated for single-input systems; skipped"
+            in report["warnings"]
+        )
+        assert not any("single-input" in w for w in cmd_analyze(doc)["warnings"])
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("flag", ["--tol-root", "--tol-cluster", "--tol-solve"])
     @pytest.mark.parametrize("value", ["nan", "-1", "0"])
@@ -482,12 +511,12 @@ class TestMultipleSpectrumChains:
     def test_chains_built_once(self, example5_path, tmp_path, capsys, monkeypatch):
         # the Gramian reuses the chains the command built, so it never
         # recomputes the characteristic polynomial of the companion matrix
-        import gramspec.gramians
-
         def refuse(a):
             raise AssertionError("char_poly recomputed")
 
-        monkeypatch.setattr(gramspec.gramians, "char_poly", refuse)
+        for module in [m for name, m in sys.modules.items() if name.startswith("gramspec")]:
+            if getattr(module, "char_poly", None) is gs.char_poly:
+                monkeypatch.setattr(module, "char_poly", refuse)
         doc = parse_system({"eigenvalues": [[1, 0, 2], [2, 0, 3]]})
         cmd_analyze(doc, inverse=True, finite=0.5)
         cmd_verify(doc)
@@ -517,7 +546,9 @@ class TestWorkOnce:
     builder; only the finite-inverse retry adds one extended structure.  No
     command builds the homogeneous pair half, each finite decomposition
     evaluates e^{A^T t} once per call, and the inverse eigen set is built
-    once and passed on."""
+    once and passed on.  A matrices document's characteristic polynomial and
+    controllability check are computed once per command, and analyze
+    evaluates the finite components once per decomposition."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -526,7 +557,8 @@ class TestWorkOnce:
         import gramspec.inverse as inverse
 
         counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0,
-                  "expm": 0, "homogeneous_pairs": 0, "inverse_eigenparts": 0}
+                  "expm": 0, "homogeneous_pairs": 0, "inverse_eigenparts": 0,
+                  "char_poly": 0, "require_controllable": 0, "finite_components": 0}
         evaluate, polish, expm_factory = (
             companion._evaluate, companion._mp_polished_roots, gramians._expm_transpose_simple
         )
@@ -547,6 +579,8 @@ class TestWorkOnce:
             return counted("expm", expm_factory(*args))
 
         monkeypatch.setattr(companion, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(gramians.FiniteGramianDecomposition, "components", counted(
+            "finite_components", gramians.FiniteGramianDecomposition.components))
         monkeypatch.setattr(companion, "_mp_polished_roots", counted("polish", polish))
         for original, replacement in [
             (companion.check_solvability, counted("solvability", companion.check_solvability)),
@@ -555,6 +589,9 @@ class TestWorkOnce:
              counted("homogeneous_pairs", gramians.homogeneous_pair_subgramians)),
             (inverse.inverse_eigenparts,
              counted("inverse_eigenparts", inverse.inverse_eigenparts)),
+            (gs.char_poly, counted("char_poly", gs.char_poly)),
+            (companion.require_controllable,
+             counted("require_controllable", companion.require_controllable)),
         ]:
             for module in [m for name, m in sys.modules.items() if name.startswith("gramspec")]:
                 for name, value in list(vars(module).items()):
@@ -579,6 +616,7 @@ class TestWorkOnce:
         assert counts["solvability"] <= 2
         assert counts["homogeneous_pairs"] == 0
         assert counts["expm"] <= 8
+        assert counts["finite_components"] == 3
 
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
@@ -597,8 +635,8 @@ class TestWorkOnce:
         assert counts["solvability"] <= 2
         assert counts["inverse_eigenparts"] == 1
 
-    def test_matrices_document_with_initial_condition(self, tmp_path, capsys, counts):
-        # the original-coordinate Riccati lift reuses the companion inverse set
+    @pytest.fixture
+    def matrices_path(self, tmp_path):
         a_c = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]])
         t = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [1.0, 0.0, 1.0]])
         path = tmp_path / "matrices.json"
@@ -607,8 +645,13 @@ class TestWorkOnce:
                          "B": (t @ np.array([[0.0], [0.0], [1.0]])).tolist()},
             "initial_condition": np.eye(3).tolist(),
         }))
+        return str(path)
+
+    def test_matrices_document_with_initial_condition(self, matrices_path, tmp_path, capsys,
+                                                      counts):
+        # the original-coordinate Riccati lift reuses the companion inverse set
         out = tmp_path / "report.json"
-        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1",
+        code = main(["analyze", matrices_path, "--pairs", "--inverse", "--finite", "1",
                      "--output", str(out)])
         capsys.readouterr()
         assert code == EXIT_OK
@@ -616,6 +659,13 @@ class TestWorkOnce:
         assert "inverse_original" in report and "homogeneous_sum" in report["finite"]
         assert counts["inverse_eigenparts"] == 1
         assert counts["homogeneous_pairs"] == 0
+        assert counts["char_poly"] == 1 and counts["require_controllable"] == 1
+
+    def test_verify_matrices_document_with_initial_condition(self, matrices_path, capsys,
+                                                             counts):
+        assert main(["verify", matrices_path]) == EXIT_OK
+        capsys.readouterr()
+        assert counts["char_poly"] == 1 and counts["require_controllable"] == 1
 
 
 class TestRenderLast:

@@ -43,7 +43,7 @@ class TestHankelMatrices:
 class TestToCompanion:
     def test_companion_input_gives_identity(self, mirrored_stable):
         _, cr, _ = mirrored_stable
-        transform, _ = gs.to_companion(cr.system())
+        transform = gs.similarity_transform(cr.system(), cr.poly)
         assert np.max(np.abs(transform.t - np.eye(3))) < 1e-10
 
     def test_random_similarity(self):
@@ -51,7 +51,8 @@ class TestToCompanion:
         poly, cr, _ = random_companion(rng, 3)
         t = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
         sys = gs.LtiSystem(t @ cr.a_c @ np.linalg.inv(t), t @ cr.b_c)
-        transform, back = gs.to_companion(sys)
+        transform = gs.similarity_transform(sys, gs.char_poly(sys.a))
+        back = gs.build_companion(transform.poly)
         scale = np.linalg.norm(sys.a) * np.linalg.norm(transform.t)
         assert np.linalg.norm(sys.a @ transform.t - transform.t @ back.a_c) < 1e-8 * scale
         assert np.linalg.norm(sys.b[:, 0] - transform.t @ back.b_c) < 1e-8
@@ -59,7 +60,7 @@ class TestToCompanion:
     def test_uncontrollable_rejected(self):
         sys = gs.LtiSystem(np.diag([-1.0, -2.0]), np.array([1.0, 0.0]))
         with pytest.raises(gs.ControllabilityError):
-            gs.to_companion(sys)
+            gs.similarity_transform(sys, gs.char_poly(sys.a))
 
     def test_nearly_uncontrollable_rejected_alike(self):
         # condition about 9e12: finite, above the cap; every path that needs
@@ -71,9 +72,9 @@ class TestToCompanion:
         gram = gs.infinite_subgramians(es)
         conditions = []
         for call in (
-            lambda: gs.to_companion(sys),
-            lambda: gs.lift_to_original(gram, sys),
-            lambda: gs.riccati_general(sys, gs.inverse_eigenparts(es)),
+            lambda: gs.similarity_transform(sys, p),
+            lambda: gs.lift_to_original(gram, gs.similarity_transform(sys, p)),
+            lambda: gs.riccati_general(gs.similarity_transform(sys, p), gs.inverse_eigenparts(es)),
             lambda: gs.require_controllable(sys),
         ):
             with pytest.raises(gs.ControllabilityError) as excinfo:
@@ -84,8 +85,10 @@ class TestToCompanion:
 
     def test_multi_input_rejected(self):
         sys = gs.LtiSystem(np.diag([-1.0, -2.0]), np.eye(2))
+        p = gs.char_poly(sys.a)
+        inv = gs.inverse_eigenparts(gs.eigen_structure(p, gs.cluster(gs.find_roots(p))))
         with pytest.raises(ValueError, match="single-input"):
-            gs.to_companion(sys)
+            gs.riccati_general(gs.similarity_transform(sys, p), inv)
 
 
 class TestEigenvectors:

@@ -199,7 +199,7 @@ class TestLifting:
     def test_companion_input_is_identity_lift(self, mirrored_stable):
         _, cr, spec = mirrored_stable
         gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
-        lifted = gs.lift_to_original(gram, cr.system())
+        lifted = gs.lift_to_original(gram, gs.similarity_transform(cr.system(), cr.poly))
         assert np.max(np.abs(lifted.total() - gram.total())) < 1e-10
 
     def test_single_input_two_paths_agree(self):
@@ -207,9 +207,9 @@ class TestLifting:
         _, cr, spec = random_companion(rng, 4)
         t = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
         sys = gs.LtiSystem(t @ cr.a_c @ np.linalg.inv(t), t @ cr.b_c)
-        transform, _ = gs.to_companion(sys)
+        transform = gs.similarity_transform(sys, gs.char_poly(sys.a))
         gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
-        lifted = gs.lift_to_original(gram, sys).total().real
+        lifted = gs.lift_to_original(gram, transform).total().real
         direct = transform.t @ gram.total().real @ transform.t.T
         assert np.max(np.abs(lifted - direct)) <= 1e-9 * max(1.0, np.max(np.abs(direct)))
 
@@ -222,7 +222,8 @@ class TestLifting:
             b = rng.standard_normal((4, 2))
             sys = gs.LtiSystem(a, b)
             gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
-            lifted = gs.lift_to_original(gram, sys).symmetrized().total().real
+            transform = gs.similarity_transform(sys, gs.char_poly(sys.a))
+            lifted = gs.lift_to_original(gram, transform).symmetrized().total().real
             reference = gs.solve_lyapunov_dense(a, b @ b.T).matrix
             rel = np.linalg.norm(lifted - reference) / max(1.0, np.linalg.norm(reference))
             assert rel < 1e-7
@@ -232,14 +233,14 @@ class TestLifting:
         _, cr2, _ = mirrored_stable
         gram = gs.infinite_subgramians(gs.eigen_structure(cr1.poly, spec1))
         with pytest.raises(ValueError, match="polynomial"):
-            gs.lift_to_original(gram, cr2.system())
+            gs.lift_to_original(gram, gs.similarity_transform(cr2.system(), cr2.poly))
 
     def test_rank_deficient_rejected(self, example1):
         _, cr, spec = example1
         gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         bad = gs.LtiSystem(cr.a_c, np.zeros(3))
         with pytest.raises(gs.ControllabilityError):
-            gs.lift_to_original(gram, bad)
+            gs.lift_to_original(gram, gs.similarity_transform(bad, cr.poly))
 
 
 class TestMultipleEigenvalues:

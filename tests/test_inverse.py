@@ -161,7 +161,7 @@ class TestRiccatiGeneral:
     def test_companion_input_reduces(self, mirrored_stable):
         _, cr, spec = mirrored_stable
         direct = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec))
-        general = gs.riccati_general(cr.system(), direct)
+        general = gs.riccati_general(gs.similarity_transform(cr.system(), cr.poly), direct)
         assert np.max(np.abs(general.total() - direct.total())) < 1e-10 * max(
             1.0, np.max(np.abs(direct.total()))
         )
@@ -173,7 +173,7 @@ class TestRiccatiGeneral:
         sys = gs.LtiSystem(t @ cr.a_c @ np.linalg.inv(t), t @ cr.b_c)
         p = gs.char_poly(sys.a)
         inv = gs.inverse_eigenparts(gs.eigen_structure(p, gs.cluster(gs.find_roots(p))))
-        ricc = gs.riccati_general(sys, inv)
+        ricc = gs.riccati_general(gs.similarity_transform(sys, p), inv)
         total = ricc.symmetrized().total().real
         assert gs.residual_riccati(sys.a, sys.b, total) < 1e-7
         reference = np.linalg.inv(gs.solve_lyapunov_dense(sys.a, sys.b @ sys.b.T).matrix)
@@ -184,17 +184,27 @@ class TestRiccatiGeneral:
         # already lifted set
         _, cr, spec = mirrored_stable
         es = gs.eigen_structure(cr.poly, spec)
-        lifted = gs.riccati_general(cr.system(), gs.inverse_eigenparts(es))
+        transform = gs.similarity_transform(cr.system(), cr.poly)
+        lifted = gs.riccati_general(transform, gs.inverse_eigenparts(es))
         for wrong in (gs.inverse_pair_parts(es), lifted):
             with pytest.raises(ValueError, match="companion inverse eigen set"):
-                gs.riccati_general(cr.system(), wrong)
+                gs.riccati_general(transform, wrong)
 
     def test_uncontrollable_rejected(self):
         sys = gs.LtiSystem(np.diag([-1.0, -2.0]), np.array([1.0, 0.0]))
         p = gs.char_poly(sys.a)
         inv = gs.inverse_eigenparts(gs.eigen_structure(p, gs.cluster(gs.find_roots(p))))
         with pytest.raises(gs.ControllabilityError):
-            gs.riccati_general(sys, inv)
+            gs.riccati_general(gs.similarity_transform(sys, p), inv)
+
+    def test_polynomial_mismatch_rejected(self):
+        # the companion system of (s+1)(s^2+4s+5), given the inverse set of
+        # (s+1)(s+2)(s+3), is refused, not lifted with a Riccati residual of 7e-4
+        sys = gs.build_companion(gs.Polynomial([5.0, 9.0, 5.0, 1.0])).system()
+        other = gs.Polynomial([6.0, 11.0, 6.0, 1.0])
+        inv = gs.inverse_eigenparts(gs.eigen_structure(other, gs.cluster(gs.find_roots(other))))
+        with pytest.raises(ValueError, match="polynomial"):
+            gs.riccati_general(gs.similarity_transform(sys, gs.char_poly(sys.a)), inv)
 
 
 class TestFiniteInverse:
