@@ -42,7 +42,7 @@ from .companion import (
     jordan_chains_companion,
     similarity_transform,
 )
-from .document import SystemDocument, parse_initial_condition, parse_system
+from .document import SystemDocument, json_text, parse_initial_condition, parse_system
 from .energy import control_energy_quadrature, energy_partition, optimal_control
 from .errors import (
     ConditioningError,
@@ -347,8 +347,8 @@ def cmd_analyze(
         built["inverse"] = inverse_eigenparts(es)
         if pairs:
             built["inverse_pair"] = inverse_pair_parts(es)
-        if transform is not None and transform.t is not None:
-            built["inverse_original"] = riccati_general(transform, built["inverse"])
+    if inverse and transform is not None and transform.t is not None:
+        built["inverse_original"] = riccati_general(transform, built["inverse"])
 
     if finite is not None:
         t = float(finite)
@@ -825,7 +825,7 @@ def _emit(text: str, output: str | None):
 
 
 def _dump_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json_text(report) + "\n"
 
 
 def main(argv=None) -> int:

@@ -5,13 +5,15 @@ state-space matrices, monic characteristic-polynomial coefficients, or an
 explicit eigenvalue list with multiplicities.  An optional symmetric initial
 condition and a label may ride along.  Serialization is plain JSON with
 sorted keys; complex numbers never appear (eigenvalues are (re, im,
-multiplicity) triples).
+multiplicity) triples).  ``json_text`` writes that JSON for documents and
+reports alike.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -74,7 +76,88 @@ class SystemDocument:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict()) + "\n"
+
+
+def json_text(value) -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``.
+
+    Dict keys must be strings.  Each distinct float is formatted once per
+    call: a report's symmetrized matrices repeat their mirrored entries and
+    their zeros, and float formatting dominates the pure-Python encoder that
+    ``indent`` selects.
+    """
+    chunks: list = []
+    _encode(value, "\n", _FloatTexts(), chunks.append)
+    return "".join(chunks)
+
+
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _SPECIAL_FLOATS.get(text, text)
+
+
+class _FloatTexts(dict):
+    """Float -> JSON text, filled on first use.  Zeros are never stored:
+    -0.0 == 0.0 with equal hashes, so they would share one entry."""
+
+    def __missing__(self, value: float) -> str:
+        if not value:
+            return float.__repr__(value)
+        text = self[value] = _float_text(value)
+        return text
+
+
+_ONLY_FLOATS = {float}
+
+
+def _encode(value, indent: str, floats: _FloatTexts, out) -> None:
+    """Pass the text of ``value`` to ``out`` in chunks; ``indent`` is the line
+    break and indent of the nesting ``value`` sits at.  Only exact floats use
+    the table, since True == 1 == 1.0 with equal hashes."""
+    if type(value) is float:
+        out(floats[value])
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        if not value:
+            out("[]")
+        elif set(map(type, value)) == _ONLY_FLOATS:
+            out("[" + inner + ("," + inner).join(map(floats.__getitem__, value)) + indent + "]")
+        else:
+            separator = "["
+            for item in value:
+                out(separator + inner)
+                _encode(item, inner, floats, out)
+                separator = ","
+            out(indent + "]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        if not value:
+            out("{}")
+        else:
+            separator = "{"
+            for key, item in sorted(value.items()):
+                out(separator + inner + encode_basestring_ascii(key) + ": ")
+                _encode(item, inner, floats, out)
+                separator = ","
+            out(indent + "}")
+    elif isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):  # a subclass such as np.float64
+        out(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _as_float_matrix(raw, path: str) -> np.ndarray:

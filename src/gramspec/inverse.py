@@ -164,8 +164,9 @@ def riccati_general(
     for a controllable single-input system, in its original coordinates.
 
     Components are (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1} of the companion
-    eigen components X of ``inv``, the inverse_eigenparts set of the
-    transform's polynomial.
+    eigen components X of ``inv``, an inverse eigen set of the transform's
+    polynomial (inverse_eigenparts, or inverse_multiple_eig for a multiple
+    spectrum).
     """
     if transform.t is None:
         raise ValueError("the closed-form Riccati solution applies to single-input systems")

@@ -1,9 +1,30 @@
 """Shared fixtures: the worked 3x3 and 5x5 systems plus random generators."""
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import gramspec as gs
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    """Hypothesis files go to a temporary directory, not the working one.
+
+    Its pytest plugin caches source constants while collecting and, after
+    the session, saves a patch for the failing examples of the strict-xfail
+    property; both writes read the home directory set here.
+    """
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="gramspec-hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

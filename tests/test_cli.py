@@ -375,6 +375,26 @@ class TestMultipleSpectrumSkips:
         assert not any("finite inverse" in w for w in report["warnings"])
 
 
+class TestMultipleSpectrumLift:
+    def test_inverse_original_of_jordan_set(self, tmp_path, capsys):
+        # a single-input system similar to the companion form of (s+1)^2 (s+2)
+        a_c = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-2.0, -5.0, -4.0]])
+        t = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        doc = {"matrices": {"A": (t @ a_c @ np.linalg.inv(t)).tolist(),
+                            "B": (t @ np.array([[0.0], [0.0], [1.0]])).tolist()}}
+        path, out = tmp_path / "jordan.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), "--inverse", "--finite", "1", "--tol-cluster", "1e-5",
+                     "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert sorted(s["multiplicity"] for s in report["spectrum"]) == [1, 2]
+        entry = report["inverse_original"]["sum"]
+        assert entry["residual"] < 1e-12
+        gramian = matrix_from(report["gramian_original"]["sum"])
+        assert np.max(np.abs(matrix_from(entry) @ gramian - np.eye(3))) < 1e-10
+
+
 class TestMultiInputSkips:
     def test_inverse_original_skipped(self):
         doc = parse_system({"matrices": {
@@ -491,6 +511,27 @@ class TestDeterminism:
         text = out.read_text()
         parsed = json.loads(text)
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
+
+
+class TestReportBytes:
+    """Every report is the text of json.dumps(report, sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--pairs", "--inverse", "--finite", "1"],
+        ["verify"],
+        ["energy", "--x0=1,2,3"],
+        ["roots"],
+    ])
+    def test_output_is_json_dumps_text(self, stable_poly_path, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert main(argv + [stable_poly_path, "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        data = out.read_bytes()
+        numbers = []
+        report = json.loads(data, parse_float=lambda text: numbers.append(text) or float(text))
+        assert data == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        if argv[0] == "analyze":
+            assert "-0.0" in numbers and "0.0" in numbers
 
 
 class TestFiniteComponents:

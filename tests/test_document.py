@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gramspec as gs
-from gramspec.document import parse_system
+from gramspec.document import json_text, parse_system
 
 
 EXAMPLE1_DOC = {"schema": 1, "label": "example-1", "char_poly": [-6, 11, -6, 1]}
@@ -100,3 +103,50 @@ class TestRoundTrip:
         second = parse_system(emitted)
         assert first.to_dict() == second.to_dict()
         assert second.to_json() == emitted
+
+
+# floats whose text or table entry the emitter could get wrong: equal zeros of
+# either sign, the non-finite values, exponent forms, and values equal to ints
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 1.0, -1.0])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats())
+# ASCII, escapes, control characters, non-ASCII and an astral character
+TEXT = st.text(st.sampled_from('az "\\/\n\t\x00\x7f\u00e9\u03bb\u2014\U0001d400'), max_size=8)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
+    st.sampled_from([0, 1, -1, True, False]),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(FLOATS, min_size=1, max_size=6),
+        st.dictionaries(TEXT, children, max_size=6),
+    )
+
+
+JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=20)
+
+
+class TestJsonText:
+    """json_text writes the text of json.dumps(value, sort_keys=True, indent=2)."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(JSON_VALUES)
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example([-0.0, [0.0, -0.0], {"a": 0.0, "b": -0.0}])
+    @example([1.0, 1, True, [True, 1.0, 1], [0, 0.0, False, -0.0]])
+    @example([math.nan, math.inf, -math.inf, [math.nan, math.inf, -math.inf]])
+    @example((1.0, (2.0, ()), {"t": (0.5, 0.5)}, []))
+    @example({"\u00e9t\u00e9": "\u03bb \u2014 \U0001d400", "": {}, "a\nb": [[], {}]})
+    @example([np.float64(-0.0), 0.0, np.float64(2.5), 2.5, np.float64("nan")])
+    def test_equals_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_unserializable_value_refused(self):
+        for value in ([np.int64(1)], {"a": object()}):
+            with pytest.raises(TypeError):
+                json.dumps(value, sort_keys=True, indent=2)
+            with pytest.raises(TypeError):
+                json_text(value)
