@@ -18,7 +18,6 @@ from .companion import (
     left_eigenvector,
     residue_companion,
     require_controllable,
-    residues_general,
     right_eigenvector,
     similarity_transform,
 )
@@ -45,6 +44,7 @@ from .errors import (
 )
 from .gramians import (
     FiniteGramianDecomposition,
+    Horizon,
     InitialCondition,
     SpectralComponentSet,
     exponent_collisions,
@@ -52,6 +52,7 @@ from .gramians import (
     finite_subgramians,
     homogeneous_pair_subgramians,
     homogeneous_subgramians,
+    horizon,
     infinite_pair_subgramians,
     infinite_subgramians,
     lift_to_original,

@@ -59,6 +59,7 @@ from .gramians import (
     finite_pair_subgramians,
     finite_subgramians,
     homogeneous_subgramians,
+    horizon,
     infinite_pair_subgramians,
     infinite_subgramians,
     lift_to_original,
@@ -243,7 +244,13 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
                 "spectrum is numerically close to a multiple eigenvalue; "
                 "consider a looser --tol-cluster to trigger the Jordan-chain path"
             )
-    collisions = exponent_collisions(spec)
+    # in a real system (i, j) and its mirror (p(j), p(i)), p the conjugate
+    # partner, always share their exponent (the components are transposes)
+    partner = spec.conjugate_partner()
+    collisions = [
+        (a, b) for a, b in exponent_collisions(spec)
+        if b != (int(partner[a[1]]), int(partner[a[0]]))
+    ]
     if collisions:
         pairs = "; ".join(f"{_pair_key(a)} ~ {_pair_key(b)}" for a, b in collisions)
         warnings.append(
@@ -352,32 +359,33 @@ def cmd_analyze(
 
     if finite is not None:
         t = float(finite)
-        decomp = gram_decomp if multiple else finite_subgramians(es, t)
-        raw_set = decomp.component_set()  # evaluated once: summed, then symmetrized
-        finite_sum = raw_set.total()
-        finite_set = raw_set if raw else raw_set.symmetrized()
-        built["finite"] = (t, finite_set, finite_sum, decomp.expm_transpose(t))
+        if multiple:
+            decomp = gram_decomp
+        else:  # one horizon per structure: this one, and the extended one of the retry
+            h = horizon(es, t)
+            decomp = finite_subgramians(h)
+        finite_sum = decomp.at_t.total()
+        built["finite"] = (decomp, finite_sum)
         if pairs and not multiple:
-            pair_set = finite_pair_subgramians(built["pair"], t).component_set()
-            built["finite_pair"] = pair_set if raw else pair_set.symmetrized()
+            built["finite_pair"] = finite_pair_subgramians(built["pair"], t)
         if p0 is not None and multiple:
             warnings.append("initial condition is only evaluated for simple spectra; skipped")
         elif p0 is not None:
             p0c = _companion_initial(p0, transform)
-            hom_t = homogeneous_subgramians(es, p0c, t)
-            built["homogeneous"] = (p0c, hom_t, homogeneous_subgramians(es, p0c, 0.0))
+            hom_t = homogeneous_subgramians(h, p0c)
+            built["homogeneous"] = (p0c, hom_t, homogeneous_subgramians(horizon(es, 0.0), p0c))
         if inverse and multiple:
             warnings.append("finite inverse is only evaluated for simple spectra; skipped")
         elif inverse:
             if p0 is None:
                 p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
             try:
-                state, inv_finite = finite_inverse(es, p0c, t)
+                state, inv_finite = finite_inverse(h, p0c)
                 gram_t = finite_sum
             except ConditioningError:
-                es_extended = eigen_structure(poly, spec, tols.solvability, extended=True)
-                state, inv_finite = finite_inverse(es_extended, p0c, t)
-                gram_t = finite_subgramians(es_extended, t).total()
+                h = horizon(eigen_structure(poly, spec, tols.solvability, extended=True), t)
+                state, inv_finite = finite_inverse(h, p0c)
+                gram_t = finite_subgramians(h).at_t.total()
                 warnings.append(
                     "finite inverse evaluated in extended precision "
                     "(normalization matrix ill-conditioned at this horizon)"
@@ -439,19 +447,21 @@ def _render_analysis(
         report["inverse_original"] = {"coordinate": "original", "sum": _entry(osum, residual)}
 
     if "finite" in built:
-        t, finite_set, finite_sum, expm_transpose = built["finite"]
+        decomp, finite_sum = built["finite"]
+        finite_set = decomp.at_t if flavor == "raw" else decomp.at_t.symmetrized()
         # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
-        expm = expm_transpose.T
+        expm = decomp.expm_transpose.T
         defect = -(expm @ bbt @ expm.T) + a_c @ finite_sum + finite_sum @ a_c.T + bbt
         diff_residual = float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(finite_sum)))
         report["finite"] = {
-            "t": t,
+            "t": decomp.t,
             "eigen": {_eigen_key(k): _entry(m, None) for k, m in finite_set.components.items()},
             "sum": _entry(finite_sum, diff_residual),
         }
     if "finite_pair" in built:
+        pair_set = built["finite_pair"] if flavor == "raw" else built["finite_pair"].symmetrized()
         report["finite"]["pair"] = {
-            _pair_key(k): _entry(m, None) for k, m in built["finite_pair"].components.items()
+            _pair_key(k): _entry(m, None) for k, m in pair_set.components.items()
         }
     if "homogeneous" in built:
         p0c, hom_t, hom_0 = built["homogeneous"]
@@ -513,7 +523,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     multiple = not spec.is_simple
     if multiple:
         chains = jordan_chains_companion(spec, poly)
-        gram_set = multiple_eig_gramian(a_c, b_c, spec, chains=chains).component_set(t=0.0)
+        gram_set = multiple_eig_gramian(a_c, b_c, spec, chains=chains).static
         inv_set = inverse_multiple_eig(cr, chains)
         recursion_defect = 0.0
         for block in chains.blocks:
@@ -597,7 +607,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         checks.append(_check("orthogonality", certificate.max_violation, 1e-8))
 
         t_probe = 1.0
-        closed_t = finite_subgramians(es, t_probe).total().real
+        closed_t = finite_subgramians(horizon(es, t_probe)).at_t.total().real
         rk4 = oracle.integrate_lyapunov(a_c, bbt, np.zeros((n, n)), t_probe, steps=10_000)
         checks.append(
             _check(
@@ -615,7 +625,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         else:
             probe = rng.standard_normal((n, n))
             p0c = InitialCondition(0.5 * (probe + probe.T))
-        hom0 = homogeneous_subgramians(es, p0c, 0.0)
+        hom0 = homogeneous_subgramians(horizon(es, 0.0), p0c)
         checks.append(
             _check(
                 "homogeneous_initial_value",

@@ -38,7 +38,6 @@ from .spectrum import (
 CONDITION_CAP = 1e12
 POLY_TOL = 1e-8  # relative defect allowed in the similarity and polynomial-match checks
 ROOT_TOL = 1e-8  # relative |N(lambda)| and origin distance allowed for a Jordan-chain entry
-SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
 ORIGIN_TOL = 1e-12  # |lambda| at or below this times (1 + max|a_k|) has no left eigenvector
 DERIV_FLOOR = 1e-8  # |N'(lambda)| at or below this times max|a_k| counts as a multiple eigenvalue
 _MP_DPS = 40  # digits of the extended root polish and of accurate_total
@@ -380,37 +379,6 @@ def eigen_structure(
     polished = _mp_polished_roots(p, spec.values)
     values = np.array([_mp_to_clongdouble(z) for z in polished], dtype=np.clongdouble)
     return _evaluate(p, spec, values, report, polished)
-
-
-def residues_general(a, spec: Spectrum) -> np.ndarray:
-    """Resolvent residues of an arbitrary matrix with a simple spectrum.
-
-    Lagrange form R_i = prod_{j != i} (A - lambda_j I) / (lambda_i - lambda_j);
-    avoids a general eigensolver.
-    """
-    a = np.asarray(a, dtype=float)
-    if not spec.is_simple:
-        raise MultipleEigenvalueError("Lagrange residues require a simple spectrum")
-    lams = spec.values
-    n = a.shape[0]
-    if lams.size != n:
-        raise ValueError("spectrum size does not match the matrix dimension")
-    if lams.size > 1:
-        sep = min(
-            abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n)
-        )
-        if sep <= SEPARATION_TOL * (1.0 + spec.radius):
-            raise MultipleEigenvalueError(
-                f"eigenvalue separation {sep:.3e} is below the cluster tolerance"
-            )
-    residues = []
-    for i, lam_i in enumerate(lams):
-        r = np.eye(n, dtype=complex)
-        for j, lam_j in enumerate(lams):
-            if j != i:
-                r = r @ (a - lam_j * np.eye(n)) / (lam_i - lam_j)
-        residues.append(r)
-    return np.stack(residues)
 
 
 @dataclass(frozen=True)

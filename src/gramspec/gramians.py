@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -158,51 +157,54 @@ class InitialCondition:
 
 
 @dataclass(frozen=True)
-class ExpTerm:
-    """One exponential term: coeff * e^{rate t} * t^power / power! applied to
-    e^{A^T t} on the right when matrix_exp is set."""
+class Horizon:
+    """A simple-spectrum EigenStructure evaluated at one time t, once.
 
-    coeff: np.ndarray
-    rate: complex
-    power: int = 0
-    matrix_exp: bool = False
+    ``growth[i]`` is e^{lambda_i t} and ``expm_transpose`` is e^{A_C^T t} =
+    sum_i e^{lambda_i t} R_i^T, in the structure's precision; every
+    finite-horizon builder at t reads them from here, and since the value
+    carries its structure, no builder can pair a structure with another's
+    exponential.  Made by horizon.
+    """
 
-    def value(self, t: float, expm_t: np.ndarray | None) -> np.ndarray:
-        factor = np.exp(self.rate * t) * t**self.power / math.factorial(self.power)
-        out = self.coeff * factor
-        if self.matrix_exp:
-            out = out @ expm_t
-        return out
+    structure: EigenStructure
+    t: float
+    growth: np.ndarray
+    expm_transpose: np.ndarray
+
+
+def horizon(es: EigenStructure, t: float) -> Horizon:
+    """Evaluate ``es`` at the horizon t >= 0.  The exponential needs the
+    residues, so a near-multiple eigenvalue raises MultipleEigenvalueError."""
+    _require_horizon(t)
+    residues = es.residues
+    growth = np.array([np.exp(lam * t) for lam in es.eigenvalues])
+    return Horizon(es, t, growth, sum(g * r.T for g, r in zip(growth, residues)))
 
 
 @dataclass(frozen=True)
 class FiniteGramianDecomposition:
-    """Finite-horizon decomposition: static parts plus exponential terms.
+    """A Gramian decomposition evaluated at one horizon t.
 
-    Evaluating at the stored horizon (or any other time) yields the per-index
-    matrices of the finite Gramian; everything vanishes at t = 0 for a zero
-    initial condition.
+    ``static`` holds the components of the algebraic solution and ``at_t``
+    the components of the finite Gramian with P(0) = 0 at t (they vanish at
+    t = 0), evaluated with ``expm_transpose`` = e^{A^T t}.  A decomposition
+    made without a horizon carries ``static`` only.
     """
 
     static: SpectralComponentSet
-    terms: dict
-    t: float
-    expm_transpose: Callable[[float], np.ndarray]
+    at_t: SpectralComponentSet | None = None
+    t: float | None = None
+    expm_transpose: np.ndarray | None = None
 
-    def components(self, t: float | None = None) -> dict:
-        t = self.t if t is None else t
-        expm_t = self.expm_transpose(t) if self.terms else None
-        return {
-            key: static_part + sum(term.value(t, expm_t) for term in self.terms.get(key, []))
-            for key, static_part in self.static.components.items()
-        }
 
-    def total(self, t: float | None = None) -> np.ndarray:
-        return sum(self.components(t).values())
-
-    def component_set(self, t: float | None = None) -> SpectralComponentSet:
-        """The raw components at t as a set; its total() is total(t)."""
-        return replace(self.static, components=self.components(t), accurate_total=None)
+def _plus_terms(static: SpectralComponentSet, terms: dict) -> SpectralComponentSet:
+    """Each static component plus the sum of its exponential terms at t
+    (``terms`` maps the component key to a list of matrices).  The sum
+    starts from 0, which turns a -0.0 entry into 0.0: reports write the
+    sign of a zero, and they keep their bytes with this order."""
+    parts = {key: part + sum(terms[key]) for key, part in static.components.items()}
+    return replace(static, components=parts, accurate_total=None)
 
 
 def _eigenparts(es: EigenStructure) -> dict:
@@ -212,15 +214,6 @@ def _eigenparts(es: EigenStructure) -> dict:
         i: np.outer(x, x) * signs[None, :] / (-deriv * mirror)
         for i, (x, deriv, mirror) in enumerate(zip(es.right, es.derivs, es.mirrors))
     }
-
-
-def _expm_transpose_simple(lams: np.ndarray, residues) -> Callable:
-    """e^{A_C^T t} by residue expansion, sum_j R_j^T e^{lambda_j t}."""
-
-    def evaluate(t: float) -> np.ndarray:
-        return sum(np.exp(lam * t) * r.T for lam, r in zip(lams, residues))
-
-    return evaluate
 
 
 def infinite_subgramians(es: EigenStructure) -> SpectralComponentSet:
@@ -259,39 +252,35 @@ def infinite_pair_subgramians(es: EigenStructure) -> SpectralComponentSet:
     return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
 
 
-def finite_subgramians(es: EigenStructure, t: float) -> FiniteGramianDecomposition:
-    """Eigen-indexed decomposition of the finite Gramian with P(0) = 0.
+def finite_subgramians(h: Horizon) -> FiniteGramianDecomposition:
+    """Eigen-indexed decomposition of the finite Gramian with P(0) = 0 at the
+    horizon's t.
 
-    Component i evaluates to P_hat_i (I - e^{(lambda_i I + A_C^T) t}).
-    From an extended structure everything is built and evaluated in 80-bit
+    Component i is P_hat_i (I - e^{(lambda_i I + A_C^T) t}).  From an
+    extended structure everything is built and evaluated in 80-bit
     precision, which the product identity with the finite inverse needs at
-    stiff horizons.  The exponential needs the residues, so a near-multiple
-    eigenvalue raises MultipleEigenvalueError.
+    stiff horizons.
     """
-    _require_horizon(t)
+    es = h.structure
     parts = _eigenparts(es)
     static = SpectralComponentSet(parts, "eigen", "raw", "companion", es.poly, es.spectrum)
-    terms = {
-        i: [ExpTerm(-parts[i], lam, matrix_exp=True)] for i, lam in enumerate(es.eigenvalues)
-    }
-    return FiniteGramianDecomposition(
-        static, terms, t, _expm_transpose_simple(es.eigenvalues, es.residues)
-    )
+    terms = {i: [(-parts[i] * h.growth[i]) @ h.expm_transpose] for i in parts}
+    return FiniteGramianDecomposition(static, _plus_terms(static, terms), h.t, h.expm_transpose)
 
 
-def finite_pair_subgramians(pairs: SpectralComponentSet, t: float) -> FiniteGramianDecomposition:
-    """Pair-indexed finite decomposition of the raw infinite pair set: component
-    (i, j) evaluates to (e^{(lambda_i + conj(lambda_j)) t} - 1)/(lambda_i +
+def finite_pair_subgramians(pairs: SpectralComponentSet, t: float) -> SpectralComponentSet:
+    """Pair-indexed finite components at t of the raw infinite pair set:
+    component (i, j) is (e^{(lambda_i + conj(lambda_j)) t} - 1)/(lambda_i +
     conj(lambda_j)) times the pair numerator, i.e. P_hat_ij (1 - e^{st})."""
     _require_horizon(t)
     if pairs.kind != "pair" or pairs.flavor != "raw":
         raise ValueError("finite pair components expect the raw pair-indexed Gramian set")
     values = pairs.spectrum.values
     terms = {
-        (i, j): [ExpTerm(-part, values[i] + np.conj(values[j]))]
+        (i, j): [-part * np.exp((values[i] + np.conj(values[j])) * t)]
         for (i, j), part in pairs.components.items()
     }
-    return FiniteGramianDecomposition(pairs, terms, t, lambda t: None)
+    return _plus_terms(pairs, terms)
 
 
 def _require_initial(es: EigenStructure, p0: InitialCondition):
@@ -299,17 +288,15 @@ def _require_initial(es: EigenStructure, p0: InitialCondition):
         raise ValueError("initial condition dimension does not match the system")
 
 
-def homogeneous_subgramians(
-    es: EigenStructure, p0: InitialCondition, t: float
-) -> SpectralComponentSet:
+def homogeneous_subgramians(h: Horizon, p0: InitialCondition) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the homogeneous solution with P(0) = P_0,
-    evaluated at t: components R_i P_0 e^{(lambda_i I + A_C^T) t}, whose sum
-    reproduces P_0 at t = 0."""
+    evaluated at the horizon's t: components R_i P_0 e^{(lambda_i I + A_C^T) t},
+    whose sum reproduces P_0 at t = 0."""
+    es = h.structure
     _require_initial(es, p0)
-    lams = es.eigenvalues
-    expm_t = _expm_transpose_simple(lams, es.residues)(t)
     parts = {
-        i: es.residues[i] @ p0.matrix @ expm_t * np.exp(lams[i] * t) for i in range(lams.size)
+        i: es.residues[i] @ p0.matrix @ h.expm_transpose * h.growth[i]
+        for i in range(h.growth.size)
     }
     return SpectralComponentSet(parts, "eigen", "raw", "companion", es.poly, es.spectrum)
 
@@ -375,19 +362,9 @@ def resolvent_coefficients(chains: JordanChainSet) -> list:
     return out
 
 
-def _expm_transpose_chains(chains: JordanChainSet, coeffs: list) -> Callable:
-    """e^{A^T t} from the resolvent coefficients:
-    e^{A t} = sum_i sum_k A_hat_k^{(i)} e^{lambda_i t} t^{k-1}/(k-1)!."""
-
-    def evaluate(t: float) -> np.ndarray:
-        n = chains.modal.shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        for block, block_coeffs in zip(chains.blocks, coeffs):
-            for k, a_k in enumerate(block_coeffs, start=1):
-                out += a_k * (np.exp(block.eigenvalue * t) * t ** (k - 1) / math.factorial(k - 1))
-        return out.T
-
-    return evaluate
+def _poly_exp(lam: complex, power: int, t: float):
+    """e^{lam t} t^power / power!"""
+    return np.exp(lam * t) * t**power / math.factorial(power)
 
 
 def _is_companion(a: np.ndarray) -> bool:
@@ -411,9 +388,10 @@ def multiple_eig_gramian(
 
     Component i of the algebraic solution is
     sum_k A_hat_k^{(i)} B B^T (-lambda_i I - A^T)^{-k}; the finite-horizon
-    terms subtract the polynomial-in-t exponentials.  When ``chains`` is not
-    supplied the matrix must be in companion form so the closed-form chains
-    apply; otherwise pass chains built for the given system.
+    terms subtract the polynomial-in-t exponentials, evaluated once at ``t``
+    (without ``t`` only the algebraic components are built).  When ``chains``
+    is not supplied the matrix must be in companion form so the closed-form
+    chains apply; otherwise pass chains built for the given system.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -432,34 +410,39 @@ def multiple_eig_gramian(
 
     bbt = b @ b.T
     statics = {}
-    terms = {}
+    rights = {}  # per block: B B^T (-lambda I - A^T)^{-k}, k = 1..n_i
     for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs)):
-        lam = block.eigenvalue
-        inv = np.linalg.inv(-lam * np.eye(n) - a.T.astype(complex))
-        rights = []  # B B^T (-lambda I - A^T)^{-k}, k = 1..n_i
+        inv = np.linalg.inv(-block.eigenvalue * np.eye(n) - a.T.astype(complex))
         g = bbt.astype(complex)
+        rights[i] = []
         for _ in range(block.multiplicity):
             g = g @ inv
-            rights.append(g)
+            rights[i].append(g)
         statics[i] = sum(
-            a_k @ rights[k] for k, a_k in enumerate(block_coeffs)
+            a_k @ rights[i][k] for k, a_k in enumerate(block_coeffs)
         )
-        term_list = []
-        for k, a_k in enumerate(block_coeffs, start=1):
-            for l in range(1, k + 1):
-                term_list.append(
-                    ExpTerm(-(a_k @ rights[l - 1]), lam, power=k - l, matrix_exp=True)
-                )
-        terms[i] = term_list
 
     coordinate = "companion" if companion else "original"
-    static_set = SpectralComponentSet(statics, "eigen", "raw", coordinate, poly, spec)
-    if t is not None:
-        _require_horizon(t)
-    return FiniteGramianDecomposition(
-        static_set, terms if t is not None else {}, 0.0 if t is None else float(t),
-        _expm_transpose_chains(chains, coeffs),
-    )
+    static = SpectralComponentSet(statics, "eigen", "raw", coordinate, poly, spec)
+    if t is None:
+        return FiniteGramianDecomposition(static)
+    _require_horizon(t)
+    t = float(t)
+    # e^{A t} = sum_i sum_k A_hat_k^{(i)} e^{lambda_i t} t^{k-1}/(k-1)!
+    expm = np.zeros((n, n), dtype=complex)
+    for block, block_coeffs in zip(chains.blocks, coeffs):
+        for k, a_k in enumerate(block_coeffs, start=1):
+            expm += a_k * _poly_exp(block.eigenvalue, k - 1, t)
+    expm_transpose = expm.T
+    terms = {
+        i: [
+            -(a_k @ rights[i][l - 1]) * _poly_exp(block.eigenvalue, k - l, t) @ expm_transpose
+            for k, a_k in enumerate(block_coeffs, start=1)
+            for l in range(1, k + 1)
+        ]
+        for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs))
+    }
+    return FiniteGramianDecomposition(static, _plus_terms(static, terms), t, expm_transpose)
 
 
 def exponent_collisions(spec: Spectrum, tol: float = 1e-10) -> list:

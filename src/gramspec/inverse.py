@@ -23,8 +23,7 @@ from .companion import (
     alternating_signs,
 )
 from .errors import ConditioningError
-from .gramians import InitialCondition, SpectralComponentSet, _expm_transpose_simple
-from .spectrum import Polynomial
+from .gramians import Horizon, InitialCondition, SpectralComponentSet
 
 ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
@@ -38,50 +37,6 @@ class NormalizationState:
     t: float
     g_inverse: np.ndarray
     condition: float
-
-
-def inverse_eigenpart_counted(p: Polynomial, lam: complex):
-    """One raw inverse eigenpart N(-lam)/(-N'(lam)) J y y^T with an operation
-    count.
-
-    The left eigenvector components are accumulated recursively (tail sums of
-    a_k lam^k), so the whole construction touches O(n^2) scalars; the count
-    is returned for the cost-growth property checks.  The builders take y
-    from the eigen structure instead (y = H_l x / lam^n); this construction
-    is kept as an independent reference for them.
-    """
-    n = p.degree
-    a = p.coeffs
-    dtype = np.result_type(np.asarray(lam).dtype, np.complex128)
-    ops = 0
-    # powers lam^1..lam^n
-    powers = np.empty(n + 1, dtype=dtype)
-    powers[0] = 1.0
-    for k in range(1, n + 1):
-        powers[k] = powers[k - 1] * lam
-        ops += 1
-    # tail sums S_k = sum_{j=k}^{n} a_j lam^j (a_n = 1), then y_k = -S_k / lam^k
-    y = np.empty(n, dtype=dtype)
-    s = powers[n]
-    y[n - 1] = -s / powers[n]
-    for k in range(n - 1, 0, -1):
-        s = s + a[k] * powers[k]
-        y[k - 1] = -s / powers[k]
-        ops += 3
-    # N(-lam) and N'(lam) by Horner
-    at_mirror = dtype.type(0.0)
-    deriv = dtype.type(0.0)
-    value = dtype.type(0.0)
-    for c in a[::-1]:
-        at_mirror = at_mirror * (-lam) + c
-        deriv = deriv * lam + value
-        value = value * lam + c
-        ops += 6
-    coefficient = at_mirror / (-deriv)
-    signs = alternating_signs(n)
-    part = coefficient * (signs[:, None] * np.outer(y, y))
-    ops += 2 * n * n + n
-    return part, ops
 
 
 def _inverse_eigenparts(es: EigenStructure) -> dict:
@@ -209,8 +164,9 @@ def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def finite_inverse(es: EigenStructure, p0: InitialCondition, t: float):
-    """Inverse of the finite Gramian with boundary value P(0) = P_0.
+def finite_inverse(h: Horizon, p0: InitialCondition):
+    """Inverse of the finite Gramian at the horizon's t with boundary value
+    P(0) = P_0.
 
     P^{-1}(t) = G(t) sum_j P_hat_j^{-C} with the normalization matrix defined
     through G^{-1}(t) = I - sum_i J R_i^T J e^{(lambda_i I + A^T) t}
@@ -220,19 +176,19 @@ def finite_inverse(es: EigenStructure, p0: InitialCondition, t: float):
 
     An extended structure evaluates in 80-bit precision; unstable systems at
     stiff horizons need it for the product identity to survive in floating
-    point (pair it with the finite Gramian of the same structure).  G(t) is
+    point (pair it with the finite Gramian of the same horizon).  G(t) is
     refused (ConditioningError) when its condition exceeds the cap of the
     structure's precision: 1e12 in double, 1e17 extended.
     """
+    es, t = h.structure, h.t
     inv_components = _inverse_eigenparts(es)
-    lams, residues = es.eigenvalues, es.residues
+    residues = es.residues
     n = es.poly.degree
     signs = alternating_signs(n)
-    expm_t = _expm_transpose_simple(lams, residues)(t)
-    g_inv = np.eye(n, dtype=expm_t.dtype)
+    g_inv = np.eye(n, dtype=h.expm_transpose.dtype)
     term_scale = 1.0
-    for i, lam in enumerate(lams):
-        scaled_exp = np.exp(lam * t) * expm_t
+    for i, growth in enumerate(h.growth):
+        scaled_exp = growth * h.expm_transpose
         decay = (signs[:, None] * residues[i].T * signs[None, :]) @ scaled_exp
         boundary = inv_components[i] @ p0.matrix @ scaled_exp
         g_inv += boundary - decay

@@ -1,0 +1,85 @@
+"""Independent reference constructions that the tests compare the package
+against; nothing in the package calls them."""
+
+import numpy as np
+
+from gramspec.companion import alternating_signs
+from gramspec.errors import MultipleEigenvalueError
+from gramspec.spectrum import Polynomial, Spectrum
+
+SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
+
+
+def inverse_eigenpart_counted(p: Polynomial, lam: complex):
+    """One raw inverse eigenpart N(-lam)/(-N'(lam)) J y y^T with an operation
+    count.
+
+    The left eigenvector components are accumulated recursively (tail sums of
+    a_k lam^k), so the whole construction touches O(n^2) scalars; the count
+    is returned for the cost-growth property checks.  The builders take y
+    from the eigen structure instead (y = H_l x / lam^n), so this
+    construction is an independent reference for them.
+    """
+    n = p.degree
+    a = p.coeffs
+    dtype = np.result_type(np.asarray(lam).dtype, np.complex128)
+    ops = 0
+    # powers lam^1..lam^n
+    powers = np.empty(n + 1, dtype=dtype)
+    powers[0] = 1.0
+    for k in range(1, n + 1):
+        powers[k] = powers[k - 1] * lam
+        ops += 1
+    # tail sums S_k = sum_{j=k}^{n} a_j lam^j (a_n = 1), then y_k = -S_k / lam^k
+    y = np.empty(n, dtype=dtype)
+    s = powers[n]
+    y[n - 1] = -s / powers[n]
+    for k in range(n - 1, 0, -1):
+        s = s + a[k] * powers[k]
+        y[k - 1] = -s / powers[k]
+        ops += 3
+    # N(-lam) and N'(lam) by Horner
+    at_mirror = dtype.type(0.0)
+    deriv = dtype.type(0.0)
+    value = dtype.type(0.0)
+    for c in a[::-1]:
+        at_mirror = at_mirror * (-lam) + c
+        deriv = deriv * lam + value
+        value = value * lam + c
+        ops += 6
+    coefficient = at_mirror / (-deriv)
+    signs = alternating_signs(n)
+    part = coefficient * (signs[:, None] * np.outer(y, y))
+    ops += 2 * n * n + n
+    return part, ops
+
+
+def residues_general(a, spec: Spectrum) -> np.ndarray:
+    """Resolvent residues of an arbitrary matrix with a simple spectrum.
+
+    Lagrange form R_i = prod_{j != i} (A - lambda_j I) / (lambda_i - lambda_j);
+    avoids a general eigensolver.
+    """
+    a = np.asarray(a, dtype=float)
+    if not spec.is_simple:
+        raise MultipleEigenvalueError("Lagrange residues require a simple spectrum")
+    lams = spec.values
+    n = a.shape[0]
+    if lams.size != n:
+        raise ValueError("spectrum size does not match the matrix dimension")
+    if lams.size > 1:
+        sep = min(
+            abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n)
+        )
+        if sep <= SEPARATION_TOL * (1.0 + spec.radius):
+            raise MultipleEigenvalueError(
+                f"eigenvalue separation {sep:.3e} is below the cluster tolerance"
+            )
+    residues = []
+    for i, lam_i in enumerate(lams):
+        r = np.eye(n, dtype=complex)
+        for j, lam_j in enumerate(lams):
+            if j != i:
+                r = r @ (a - lam_j * np.eye(n)) / (lam_i - lam_j)
+        residues.append(r)
+    return np.stack(residues)

@@ -11,9 +11,9 @@ import time
 import numpy as np
 
 import gramspec as gs
-from gramspec.inverse import inverse_eigenpart_counted
 
 from conftest import random_companion, random_stable_eigenvalues
+from references import inverse_eigenpart_counted
 
 
 def report(number: int, ok: bool, detail: str):
@@ -139,10 +139,12 @@ def test_criterion_1_example1_subgramians(example1):
 def test_criterion_2_example2_finite_expansion(example1):
     poly, cr, spec = example1
     es = gs.eigen_structure(cr.poly, spec)
-    dec = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.5)
+    at_t = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.5)
     groups = {}
-    for (i, j), static in dec.static.symmetrized().components.items():
-        rate = int(round(float((spec.values[i] + np.conj(spec.values[j])).real)))
+    for (i, j), part in at_t.symmetrized().components.items():
+        s = float((spec.values[i] + np.conj(spec.values[j])).real)  # real spectrum
+        static = part / (1.0 - np.exp(s * 0.5))  # the coefficient of (1 - e^{st})
+        rate = int(round(s))
         groups[rate] = groups.get(rate, 0.0) + static
     expected_groups = {
         2: EX1_PAIRS[(0, 0)],
@@ -205,8 +207,9 @@ def test_criterion_4_example4_product_identity(example1):
     product_defect = 0.0
     es_extended = gs.eigen_structure(cr.poly, spec, extended=True)
     for t in (0.1, 1.0, 5.0):
-        _, inv_t = gs.finite_inverse(es_extended, p0, t)
-        gram_t = gs.finite_subgramians(es_extended, t).total()
+        h = gs.horizon(es_extended, t)
+        _, inv_t = gs.finite_inverse(h, p0)
+        gram_t = gs.finite_subgramians(h).at_t.total()
         eye = np.eye(3, dtype=np.clongdouble)
         product_defect = max(
             product_defect, float(np.max(np.abs(inv_t.total() @ gram_t - eye)))
@@ -230,10 +233,10 @@ def test_criterion_5_example5_multiple_eigenvalues(example5):
         rel(chains.c_row, [16, 0, 76, 0, 16]),
     ]
     gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec)
-    errors.append(rel(gram.total(t=0.0), EX5_SUM))
+    errors.append(rel(gram.static.total(), EX5_SUM))
     inv = gs.inverse_multiple_eig(cr, chains)
     errors.append(rel(inv.symmetrized().components[0], EX5_INV_1))
-    product = inv.total().real @ gram.total(t=0.0).real
+    product = inv.total().real @ gram.static.total().real
     errors.append(float(np.max(np.abs(product - np.eye(5)))))
     worst = max(errors)
     report(
@@ -278,7 +281,7 @@ def test_criterion_6_randomized_oracle_equivalence():
             np.linalg.norm(inv_total - inv_reference) / np.linalg.norm(inv_reference),
         )
         for t, steps in ((0.1, 300), (1.0, 1200)):
-            closed = gs.finite_subgramians(es, t).total().real.astype(float)
+            closed = gs.finite_subgramians(gs.horizon(es, t)).at_t.total().real.astype(float)
             rk4 = gs.integrate_lyapunov(cr.a_c, bbt, np.zeros((n, n)), t, steps=steps)
             worst_finite = max(
                 worst_finite,
@@ -383,7 +386,7 @@ def test_criterion_9_multiple_eigenvalue_path():
         cr = gs.build_companion(poly)
         bbt = np.outer(cr.b_c, cr.b_c)
         reference = gs.solve_lyapunov_dense(cr.a_c, bbt).matrix
-        gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).total(t=0.0).real
+        gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).static.total().real
         worst_gram = max(
             worst_gram, np.linalg.norm(gram - reference) / np.linalg.norm(reference)
         )
@@ -399,7 +402,7 @@ def test_criterion_9_multiple_eigenvalue_path():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         _, cr, spec = random_companion(rng, n)
-        via_multiple = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).total(t=0.0)
+        via_multiple = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).static.total()
         via_simple = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec)).total()
         worst_reduction = max(
             worst_reduction,

@@ -582,12 +582,33 @@ class TestRoots:
         assert any("close to a multiple eigenvalue" in w for w in report["warnings"])
 
 
+class TestCollisionWarning:
+    """In a real system (i, j) and its mirror (p(j), p(i)), p the conjugate
+    partner, always share their exponent; only other collisions are warned
+    about."""
+
+    @staticmethod
+    def collision_warnings(report):
+        return [w for w in report["warnings"] if "collide" in w]
+
+    def test_mirror_pairs_are_not_reported(self):
+        doc = parse_system({"eigenvalues": [[-1, 0, 1], [-2, 1, 1], [-2, -1, 1]]})
+        assert len(gs.exponent_collisions(doc.spectrum())) == 3
+        assert self.collision_warnings(cmd_analyze(doc, pairs=True)) == []
+
+    def test_arithmetic_spectrum_still_warns(self):
+        # 1 + 3 = 2 + 2 in {1, 2, 3}
+        report = cmd_analyze(parse_system({"char_poly": [-6, 11, -6, 1]}), pairs=True)
+        (warning,) = self.collision_warnings(report)
+        assert "(1,3 ~ 2,2; 2,2 ~ 3,1)" in warning
+
+
 class TestWorkOnce:
     """Each command evaluates one eigen structure and passes it to every
     builder; only the finite-inverse retry adds one extended structure.  No
-    command builds the homogeneous pair half, each finite decomposition
-    evaluates e^{A^T t} once per call, and the inverse eigen set is built
-    once and passed on.  A matrices document's characteristic polynomial and
+    command builds the homogeneous pair half, e^{A^T t} is formed once per
+    structure and horizon, and the inverse eigen set is built once and
+    passed on.  A matrices document's characteristic polynomial and
     controllability check are computed once per command, and analyze
     evaluates the finite components once per decomposition."""
 
@@ -598,10 +619,10 @@ class TestWorkOnce:
         import gramspec.inverse as inverse
 
         counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0,
-                  "expm": 0, "homogeneous_pairs": 0, "inverse_eigenparts": 0,
+                  "expm": [], "homogeneous_pairs": 0, "inverse_eigenparts": 0,
                   "char_poly": 0, "require_controllable": 0, "finite_components": 0}
-        evaluate, polish, expm_factory = (
-            companion._evaluate, companion._mp_polished_roots, gramians._expm_transpose_simple
+        evaluate, polish, horizon = (
+            companion._evaluate, companion._mp_polished_roots, gramians.horizon
         )
 
         def counted_evaluate(p, spec, values, *args):
@@ -616,16 +637,19 @@ class TestWorkOnce:
 
             return wrapper
 
-        def counted_expm_factory(*args):
-            return counted("expm", expm_factory(*args))
+        def counted_horizon(es, t):
+            counts["expm"].append((es.eigenvalues.dtype, t))
+            return horizon(es, t)
 
         monkeypatch.setattr(companion, "_evaluate", counted_evaluate)
-        monkeypatch.setattr(gramians.FiniteGramianDecomposition, "components", counted(
-            "finite_components", gramians.FiniteGramianDecomposition.components))
         monkeypatch.setattr(companion, "_mp_polished_roots", counted("polish", polish))
         for original, replacement in [
             (companion.check_solvability, counted("solvability", companion.check_solvability)),
-            (expm_factory, counted_expm_factory),
+            (horizon, counted_horizon),
+            (gramians.finite_subgramians,
+             counted("finite_components", gramians.finite_subgramians)),
+            (gramians.finite_pair_subgramians,
+             counted("finite_components", gramians.finite_pair_subgramians)),
             (gramians.homogeneous_pair_subgramians,
              counted("homogeneous_pairs", gramians.homogeneous_pair_subgramians)),
             (inverse.inverse_eigenparts,
@@ -656,7 +680,8 @@ class TestWorkOnce:
         assert counts["polish"] == 1
         assert counts["solvability"] <= 2
         assert counts["homogeneous_pairs"] == 0
-        assert counts["expm"] <= 8
+        double, extended = np.dtype(complex), np.dtype(np.clongdouble)
+        assert counts["expm"] == [(double, 1.0), (double, 0.0), (extended, 1.0)]
         assert counts["finite_components"] == 3
 
     def test_verify(self, example1_path, capsys, counts):
@@ -664,7 +689,7 @@ class TestWorkOnce:
         assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
         assert counts["solvability"] <= 2
         assert counts["homogeneous_pairs"] == 0
-        assert counts["expm"] <= 2
+        assert counts["expm"] == [(np.dtype(complex), 1.0), (np.dtype(complex), 0.0)]
 
     def test_energy_time_series(self, stable_poly_path, tmp_path, capsys, counts):
         out = tmp_path / "series.csv"

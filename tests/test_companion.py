@@ -4,6 +4,7 @@ import pytest
 import gramspec as gs
 
 from conftest import random_companion
+from references import inverse_eigenpart_counted, residues_general
 
 
 class TestBuildCompanion:
@@ -178,24 +179,24 @@ class TestResidues:
 class TestResiduesGeneral:
     def test_matches_companion_path(self, example1):
         poly, cr, spec = example1
-        lagrange = gs.residues_general(cr.a_c, spec)
+        lagrange = residues_general(cr.a_c, spec)
         for i, lam in enumerate(spec.values):
             direct = gs.residue_companion(lam, poly)
             assert np.max(np.abs(lagrange[i] - direct)) < 1e-10
 
     def test_scalar(self):
-        out = gs.residues_general(np.array([[-1.0]]), gs.Spectrum.simple([-1.0]))
+        out = residues_general(np.array([[-1.0]]), gs.Spectrum.simple([-1.0]))
         assert np.allclose(out[0], [[1.0]])
 
     def test_diagonal_projectors(self):
-        out = gs.residues_general(np.diag([-1.0, -2.0]), gs.Spectrum.simple([-1.0, -2.0]))
+        out = residues_general(np.diag([-1.0, -2.0]), gs.Spectrum.simple([-1.0, -2.0]))
         assert np.allclose(out[0], np.diag([1.0, 0.0]), atol=1e-12)
         assert np.allclose(out[1], np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_properties(self):
         rng = np.random.default_rng(43)
         _, cr, spec = random_companion(rng, 4)
-        out = gs.residues_general(cr.a_c, spec)
+        out = residues_general(cr.a_c, spec)
         assert np.max(np.abs(out.sum(axis=0) - np.eye(4))) < 1e-8
         for i, lam in enumerate(spec.values):
             assert np.max(np.abs(cr.a_c @ out[i] - lam * out[i])) < 1e-8 * (1 + abs(lam))
@@ -203,7 +204,7 @@ class TestResiduesGeneral:
     def test_close_eigenvalues_rejected(self):
         a = np.diag([-1.0, -1.0 - 1e-12])
         with pytest.raises(gs.MultipleEigenvalueError):
-            gs.residues_general(a, gs.Spectrum.simple([-1.0, -1.0 - 1e-12]))
+            residues_general(a, gs.Spectrum.simple([-1.0, -1.0 - 1e-12]))
 
 
 class TestJordanChains:
@@ -315,8 +316,6 @@ class TestEigenStructure:
     def test_inverse_eigenparts_match_tail_sum_reference(self):
         # the builders use y_i = H_l x_i / lambda_i^n; the counted construction
         # keeps the coefficient tail sums, so the two are independent
-        from gramspec.inverse import inverse_eigenpart_counted
-
         rng = np.random.default_rng(515)
         for n in range(2, 11):
             for _ in range(4):
@@ -357,7 +356,7 @@ class TestEigenStructure:
         assert len(gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec)).components) == 3
         assert len(gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec)).components) == 3
         with pytest.raises(gs.MultipleEigenvalueError, match=r"\|N'"):
-            gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), 1.0)
+            gs.finite_subgramians(gs.horizon(gs.eigen_structure(cr.poly, spec), 1.0))
         with pytest.raises(gs.MultipleEigenvalueError, match=r"\|N'"):
             gs.eigen_structure(poly, spec).residues
 

@@ -98,20 +98,20 @@ class TestPairSubgramians:
 class TestFiniteSubgramians:
     def test_zero_horizon(self, example1):
         _, cr, spec = example1
-        dec = gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), 0.0)
-        assert np.max(np.abs(dec.total())) < 1e-10
+        dec = gs.finite_subgramians(gs.horizon(gs.eigen_structure(cr.poly, spec), 0.0))
+        assert np.max(np.abs(dec.at_t.total())) < 1e-10
 
     def test_example_against_rk4(self, example1):
         _, cr, spec = example1
-        dec = gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), 1.0)
+        dec = gs.finite_subgramians(gs.horizon(gs.eigen_structure(cr.poly, spec), 1.0))
         rk4 = gs.integrate_lyapunov(cr.a_c, bbt(cr), np.zeros((3, 3)), 1.0, steps=10_000)
-        rel = np.linalg.norm(dec.total().real - rk4.matrix) / np.linalg.norm(rk4.matrix)
+        rel = np.linalg.norm(dec.at_t.total().real - rk4.matrix) / np.linalg.norm(rk4.matrix)
         assert rel < 1e-6
 
     def test_stable_limit(self, mirrored_stable):
         _, cr, spec = mirrored_stable
         es = gs.eigen_structure(cr.poly, spec)
-        finite = gs.finite_subgramians(es, 20.0).total().real
+        finite = gs.finite_subgramians(gs.horizon(es, 20.0)).at_t.total().real
         infinite = gs.infinite_subgramians(es).total().real
         assert np.max(np.abs(finite - infinite)) < 1e-8
 
@@ -119,10 +119,14 @@ class TestFiniteSubgramians:
         _, cr, spec = example1
         h = 1e-5
         q = bbt(cr)
+        es = gs.eigen_structure(cr.poly, spec)
+
+        def total(t):
+            return gs.finite_subgramians(gs.horizon(es, t)).at_t.total().real
+
         for t in (0.1, 0.5, 1.0):
-            dec = gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), t)
-            p = dec.total(t=t).real
-            dpdt = (dec.total(t=t + h).real - dec.total(t=t - h).real) / (2 * h)
+            p = total(t)
+            dpdt = (total(t + h) - total(t - h)) / (2 * h)
             defect = -dpdt + cr.a_c @ p + p @ cr.a_c.T + q
             assert np.max(np.abs(defect)) < 1e-5 * max(1.0, np.max(np.abs(p)))
 
@@ -131,8 +135,8 @@ class TestFinitePairSubgramians:
     def test_zero_horizon(self, example1):
         _, cr, spec = example1
         es = gs.eigen_structure(cr.poly, spec)
-        dec = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.0)
-        assert np.max(np.abs(dec.total())) < 1e-12
+        at_t = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.0)
+        assert np.max(np.abs(at_t.total())) < 1e-12
 
     def test_only_the_raw_pair_set(self, example1):
         # the finite terms are formed from the raw components
@@ -147,11 +151,13 @@ class TestFinitePairSubgramians:
         # pair components as the coefficients of (1 - e^{st})
         _, cr, spec = example1
         es = gs.eigen_structure(cr.poly, spec)
-        dec = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.7)
+        at_t = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), 0.7)
         sym_inf = gs.infinite_pair_subgramians(es).symmetrized()
         groups = {}
-        for (i, j), static in dec.static.symmetrized().components.items():
-            rate = round(float((spec.values[i] + np.conj(spec.values[j])).real))
+        for (i, j), part in at_t.symmetrized().components.items():
+            s = float((spec.values[i] + np.conj(spec.values[j])).real)  # real spectrum
+            static = part / (1.0 - np.exp(s * 0.7))  # the coefficient of (1 - e^{st})
+            rate = round(s)
             groups[rate] = groups.get(rate, 0.0) + static
         expected_3 = sym_inf.components[(0, 1)] + sym_inf.components[(1, 0)]
         assert np.max(np.abs(groups[3] - expected_3)) < 1e-10
@@ -161,7 +167,7 @@ class TestFinitePairSubgramians:
         es = gs.eigen_structure(cr.poly, spec)
         t = 0.5
         pair_total = gs.finite_pair_subgramians(gs.infinite_pair_subgramians(es), t).total()
-        eigen_total = gs.finite_subgramians(es, t).total()
+        eigen_total = gs.finite_subgramians(gs.horizon(es, t)).at_t.total()
         assert np.max(np.abs(pair_total - eigen_total)) < 1e-9
 
 
@@ -172,7 +178,7 @@ class TestHomogeneous:
         s = rng.standard_normal((3, 3))
         p0 = gs.InitialCondition(0.5 * (s + s.T))
         es = gs.eigen_structure(cr.poly, spec)
-        eigen = gs.homogeneous_subgramians(es, p0, 0.0)
+        eigen = gs.homogeneous_subgramians(gs.horizon(es, 0.0), p0)
         pair = gs.homogeneous_pair_subgramians(es, p0, 0.0)
         assert np.max(np.abs(sum(eigen.components.values()) - p0.matrix)) < 1e-9
         assert np.max(np.abs(sum(pair.components.values()) - p0.matrix)) < 1e-9
@@ -180,7 +186,7 @@ class TestHomogeneous:
     def test_against_rk4(self, example1):
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.eye(3))
-        eigen = gs.homogeneous_subgramians(gs.eigen_structure(cr.poly, spec), p0, 0.1)
+        eigen = gs.homogeneous_subgramians(gs.horizon(gs.eigen_structure(cr.poly, spec), 0.1), p0)
         rk4 = gs.integrate_lyapunov(cr.a_c, np.zeros((3, 3)), np.eye(3), 0.1, steps=10_000)
         total = sum(eigen.components.values()).real
         assert np.linalg.norm(total - rk4.matrix) <= 1e-6 * np.linalg.norm(rk4.matrix)
@@ -189,7 +195,7 @@ class TestHomogeneous:
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.zeros((3, 3)))
         es = gs.eigen_structure(cr.poly, spec)
-        eigen = gs.homogeneous_subgramians(es, p0, 0.3)
+        eigen = gs.homogeneous_subgramians(gs.horizon(es, 0.3), p0)
         pair = gs.homogeneous_pair_subgramians(es, p0, 0.3)
         assert np.max(np.abs(sum(eigen.components.values()))) == 0.0
         assert np.max(np.abs(sum(pair.components.values()))) == 0.0
@@ -248,7 +254,7 @@ class TestMultipleEigenvalues:
         _, cr, spec = mirrored_stable
         dec = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec)
         simple = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
-        assert np.max(np.abs(dec.total(t=0.0) - simple.total())) < 1e-8
+        assert np.max(np.abs(dec.static.total() - simple.total())) < 1e-8
 
     def test_jordan_block_against_oracle(self):
         a = np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -257,7 +263,7 @@ class TestMultipleEigenvalues:
         chains = gs.JordanChainSet.from_modal_matrices(spec, np.eye(2), np.eye(2))
         dec = gs.multiple_eig_gramian(a, b, spec, chains=chains)
         reference = gs.solve_lyapunov_dense(a, np.outer(b, b)).matrix
-        assert np.max(np.abs(dec.total(t=0.0).real - reference)) < 1e-8
+        assert np.max(np.abs(dec.static.total().real - reference)) < 1e-8
 
     def test_example_exact_solution(self, example5):
         _, cr, spec = example5
@@ -272,7 +278,7 @@ class TestMultipleEigenvalues:
             ],
             dtype=float,
         ) / 13824.0
-        assert np.max(np.abs(dec.total(t=0.0).real - expected)) < 1e-10
+        assert np.max(np.abs(dec.static.total().real - expected)) < 1e-10
 
     def test_example_symmetrized_components(self, example5):
         _, cr, spec = example5
@@ -298,9 +304,10 @@ class TestMultipleEigenvalues:
         _, cr, spec = example5
         dec = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec, t=0.5)
         rk4 = gs.integrate_lyapunov(cr.a_c, bbt(cr), np.zeros((5, 5)), 0.5, steps=20_000)
-        rel = np.linalg.norm(dec.total().real - rk4.matrix) / max(1.0, np.linalg.norm(rk4.matrix))
+        rel = np.linalg.norm(dec.at_t.total().real - rk4.matrix) / max(1.0, np.linalg.norm(rk4.matrix))
         assert rel < 1e-7
-        assert np.max(np.abs(dec.total(t=0.0))) < 1e-10
+        at_0 = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec, t=0.0).at_t
+        assert np.max(np.abs(at_0.total())) < 1e-10
 
     def test_non_companion_needs_chains(self):
         a = np.array([[-1.0, 1.0], [0.0, -1.0]])

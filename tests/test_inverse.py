@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import gramspec as gs
-from gramspec.inverse import inverse_eigenpart_counted
 
 from conftest import random_companion
+from references import inverse_eigenpart_counted
 
 EX3_EIGEN = {
     0: 12.0 * np.array([[-36, 0, -6], [0, 25, 0], [-6, 0, -1]], dtype=float),
@@ -212,14 +212,14 @@ class TestFiniteInverse:
         _, cr, spec = mirrored_stable
         es = gs.eigen_structure(cr.poly, spec)
         p0 = gs.InitialCondition(np.zeros((3, 3)))
-        _, inv_t = gs.finite_inverse(es, p0, 30.0)
+        _, inv_t = gs.finite_inverse(gs.horizon(es, 30.0), p0)
         algebraic = gs.inverse_eigenparts(es)
         assert rel_err(inv_t.total(), algebraic.total()) < 1e-6
 
     def test_identity_initial_condition(self, example1):
         _, cr, spec = example1
         es = gs.eigen_structure(cr.poly, spec)
-        _, inv_0 = gs.finite_inverse(es, gs.InitialCondition(np.eye(3)), 0.0)
+        _, inv_0 = gs.finite_inverse(gs.horizon(es, 0.0), gs.InitialCondition(np.eye(3)))
         assert np.max(np.abs(inv_0.total() - np.eye(3))) < 1e-7
 
     def test_initial_inverse_consistency(self, example1):
@@ -228,7 +228,7 @@ class TestFiniteInverse:
         rng = np.random.default_rng(223)
         s = rng.standard_normal((3, 3))
         p0 = gs.InitialCondition(0.5 * (s + s.T) + 4.0 * np.eye(3))
-        state, inv_0 = gs.finite_inverse(gs.eigen_structure(cr.poly, spec), p0, 0.0)
+        state, inv_0 = gs.finite_inverse(gs.horizon(gs.eigen_structure(cr.poly, spec), 0.0), p0)
         assert np.max(np.abs(inv_0.total() @ p0.matrix - np.eye(3))) < 1e-7
         assert state.t == 0.0 and np.isfinite(state.condition)
 
@@ -236,8 +236,9 @@ class TestFiniteInverse:
         _, cr, spec = example1
         es = gs.eigen_structure(cr.poly, spec)
         p0 = gs.InitialCondition(np.zeros((3, 3)))
-        _, inv_t = gs.finite_inverse(es, p0, 0.5)
-        gram_t = gs.finite_subgramians(es, 0.5).total()
+        h = gs.horizon(es, 0.5)
+        _, inv_t = gs.finite_inverse(h, p0)
+        gram_t = gs.finite_subgramians(h).at_t.total()
         assert np.max(np.abs(inv_t.total() @ gram_t - np.eye(3))) < 1e-6
 
     def test_product_with_nonzero_initial_condition(self, example1):
@@ -247,9 +248,10 @@ class TestFiniteInverse:
         s = rng.standard_normal((3, 3))
         p0 = gs.InitialCondition(0.5 * (s + s.T) + 3.0 * np.eye(3))
         t = 0.4
-        _, inv_t = gs.finite_inverse(es, p0, t)
-        eigen_h = gs.homogeneous_subgramians(es, p0, t)
-        gram_t = gs.finite_subgramians(es, t).total() + sum(eigen_h.components.values())
+        h = gs.horizon(es, t)
+        _, inv_t = gs.finite_inverse(h, p0)
+        eigen_h = gs.homogeneous_subgramians(h, p0)
+        gram_t = gs.finite_subgramians(h).at_t.total() + sum(eigen_h.components.values())
         assert np.max(np.abs(inv_t.total() @ gram_t - np.eye(3))) < 1e-6
 
     def test_singular_normalization_rejected(self, example1):
@@ -257,14 +259,15 @@ class TestFiniteInverse:
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.zeros((3, 3)))
         with pytest.raises(gs.ConditioningError):
-            gs.finite_inverse(gs.eigen_structure(cr.poly, spec), p0, 0.0)
+            gs.finite_inverse(gs.horizon(gs.eigen_structure(cr.poly, spec), 0.0), p0)
 
     def test_extended_precision_at_stiff_horizon(self, example1):
         _, cr, spec = example1
         p0 = gs.InitialCondition(np.zeros((3, 3)))
         es = gs.eigen_structure(cr.poly, spec, extended=True)
-        _, inv_t = gs.finite_inverse(es, p0, 5.0)
-        gram_t = gs.finite_subgramians(es, 5.0).total()
+        h = gs.horizon(es, 5.0)
+        _, inv_t = gs.finite_inverse(h, p0)
+        gram_t = gs.finite_subgramians(h).at_t.total()
         n = np.eye(3, dtype=np.clongdouble)
         assert float(np.max(np.abs(inv_t.total() @ gram_t - n))) < 1e-6
 
@@ -302,7 +305,7 @@ class TestInverseMultiple:
         chains = gs.jordan_chains_companion(spec, poly)
         inv = gs.inverse_multiple_eig(cr, chains)
         gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec)
-        product = inv.total().real @ gram.total(t=0.0).real
+        product = inv.total().real @ gram.static.total().real
         assert np.max(np.abs(product - np.eye(5))) < 1e-8
 
     def test_simple_reduction(self, mirrored_stable):

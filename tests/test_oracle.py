@@ -78,7 +78,8 @@ class TestRk4:
         _, cr, spec = example1
         q = np.outer(cr.b_c, cr.b_c)
         rk4 = gs.integrate_lyapunov(cr.a_c, q, np.zeros((3, 3)), 1.0, steps=10_000)
-        closed = gs.finite_subgramians(gs.eigen_structure(cr.poly, spec), 1.0).total().real
+        h = gs.horizon(gs.eigen_structure(cr.poly, spec), 1.0)
+        closed = gs.finite_subgramians(h).at_t.total().real
         assert np.linalg.norm(rk4.matrix - closed) <= 1e-6 * np.linalg.norm(closed)
 
     def test_symmetry_preserved(self):
