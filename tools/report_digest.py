@@ -1,12 +1,10 @@
 """One sha256 over gramspec's reports on a fixed set of 188 cases.
 
-    python tools/report_digest.py CHECKOUT [--each]
+    python tools/report_digest.py CHECKOUT
 
 Runs every case in-process with ``gramspec.cli.main`` from CHECKOUT/src and
 prints the sha256 over (case, exit code, stderr, report) of all of them, so
-two checkouts whose digests agree write byte-identical reports.  ``--each``
-also prints one line per case (its name, exit code and own digest), which
-locates a difference.
+two checkouts whose digests agree write byte-identical reports.
 
 The cases come from the bench/generate.py next to this script, whatever the
 checkout:
@@ -80,7 +78,6 @@ def run_case(main, workdir: str, doc: dict, argv: list) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="root of the gramspec checkout to run")
-    parser.add_argument("--each", action="store_true", help="also print one line per case")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.join(os.path.abspath(args.checkout), "src"))
@@ -93,8 +90,6 @@ def main(argv=None) -> int:
             code, err, report = run_case(gramspec_main, workdir, doc, case_argv)
             record = json.dumps([name, code, err, report]).encode("utf-8")
             total.update(hashlib.sha256(record).digest())
-            if args.each:
-                print(f"{name}\t{code}\t{hashlib.sha256(record).hexdigest()[:16]}")
     print(f"{total.hexdigest()}  {len(all_cases)} cases")
     return 0
 
