@@ -363,7 +363,7 @@ def cmd_analyze(
             decomp = gram_decomp
         else:  # one horizon per structure: this one, and the extended one of the retry
             h = horizon(es, t)
-            decomp = finite_subgramians(h)
+            decomp = finite_subgramians(h, built["gram"])
         finite_sum = decomp.at_t.total()
         built["finite"] = (decomp, finite_sum)
         if pairs and not multiple:
@@ -607,7 +607,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         checks.append(_check("orthogonality", certificate.max_violation, 1e-8))
 
         t_probe = 1.0
-        closed_t = finite_subgramians(horizon(es, t_probe)).at_t.total().real
+        closed_t = finite_subgramians(horizon(es, t_probe), gram_set).at_t.total().real
         rk4 = oracle.integrate_lyapunov(a_c, bbt, np.zeros((n, n)), t_probe, steps=10_000)
         checks.append(
             _check(

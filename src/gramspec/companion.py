@@ -14,6 +14,7 @@ is the one place that maps companion coordinates to a system's own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -32,7 +33,10 @@ from .spectrum import (
     SolvabilityReport,
     Spectrum,
     check_solvability,
+    dyadic_coefficients,
+    dyadic_point,
     eval_with_derivative,
+    exact_horner,
 )
 
 CONDITION_CAP = 1e12
@@ -40,7 +44,10 @@ POLY_TOL = 1e-8  # relative defect allowed in the similarity and polynomial-matc
 ROOT_TOL = 1e-8  # relative |N(lambda)| and origin distance allowed for a Jordan-chain entry
 ORIGIN_TOL = 1e-12  # |lambda| at or below this times (1 + max|a_k|) has no left eigenvector
 DERIV_FLOOR = 1e-8  # |N'(lambda)| at or below this times max|a_k| counts as a multiple eigenvalue
-_MP_DPS = 40  # digits of the extended root polish and of accurate_total
+_MP_DPS = 40  # digits of accurate_total
+_POLISH_BITS = 133  # fractional and significant bits of each extended Newton iterate: 40 digits
+_POLISH_STEPS = 5  # cap on the extended Newton steps
+_LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1  # significand bits of the 80-bit format
 
 
 @dataclass(frozen=True)
@@ -225,9 +232,10 @@ class EigenStructure:
 
     The working precision is the dtype of ``eigenvalues``: complex128, or
     clongdouble for an ``extended`` structure, whose eigenvalues are the
-    roots polished at 40 digits (kept as ``polished``) and rounded to 80
-    bits.  Builders combine the entries one eigenvalue at a time, in scalar
-    arithmetic.
+    roots Newton-polished in exact integer arithmetic to 133 bits (40
+    digits; kept as ``polished``, triples (x, y, s) for (x + i y) / 2^s) and
+    rounded once to 80 bits.  Builders combine the entries one eigenvalue at
+    a time, in scalar arithmetic.
     """
 
     poly: Polynomial
@@ -237,7 +245,7 @@ class EigenStructure:
     derivs: np.ndarray
     mirrors: np.ndarray
     solvability: SolvabilityReport | None = None
-    polished: np.ndarray | None = None
+    polished: tuple | None = None
 
     @property
     def extended(self) -> bool:
@@ -272,17 +280,27 @@ class EigenStructure:
         Near-degenerate spectra make individual components exceed their sum by
         many orders of magnitude; a sum of components stored at any fixed
         precision then loses the cancellation, so the components are formed
-        from the polished eigenvalues in mpmath and summed before rounding.
+        from the polished eigenvalues in mpmath and summed before each entry
+        is rounded once to 80 bits.
         """
         if self.polished is None:
             return None
-        from mpmath import mp
+        from mpmath import mp, mpc, mpf
 
         with mp.workdps(_MP_DPS):
-            total = sum(parts(_evaluate(self.poly, self.spectrum, self.polished)).values())
-            return np.array(
-                [[_mp_to_clongdouble(z) for z in row] for row in total], dtype=np.clongdouble
+            values = np.array(
+                [mpc(mpf((x, -s)), mpf((y, -s))) for x, y, s in self.polished], dtype=object
             )
+            total = sum(parts(_evaluate(self.poly, self.spectrum, values)).values())
+
+        def dyadic(x) -> tuple:  # man_exp carries the magnitude's mantissa
+            man, exp = x.man_exp
+            return (-man if x < 0 else man), exp
+
+        return np.array(
+            [[_to_clongdouble(dyadic(z.real), dyadic(z.imag)) for z in row] for row in total],
+            dtype=np.clongdouble,
+        )
 
 
 def _evaluate(
@@ -290,7 +308,7 @@ def _evaluate(
     spec: Spectrum,
     values: np.ndarray,
     solvability: SolvabilityReport | None = None,
-    polished: np.ndarray | None = None,
+    polished: tuple | None = None,
 ) -> EigenStructure:
     n = p.degree
     return EigenStructure(
@@ -305,41 +323,71 @@ def _evaluate(
     )
 
 
-def _mp_polished_roots(poly: Polynomial, values: np.ndarray) -> np.ndarray:
-    """Newton-polish simple roots in arbitrary precision (object array of
-    mpmath numbers).
+def _polished_roots(poly: Polynomial, values: np.ndarray) -> tuple:
+    """Newton-polish simple roots in exact arithmetic: (x, y, s) per root,
+    the polished root being (x + i y) / 2^s.
 
     Horner evaluation noise at any fixed precision caps the achievable root
     accuracy on ill-conditioned coefficient sets; polishing past it keeps the
-    eigenvector identities exact to the working precision downstream.
+    eigenvector identities exact to the working precision downstream.  Each
+    iterate is a Gaussian integer over 2^s, with s at least _POLISH_BITS and
+    giving as many significant bits; N(z) and N'(z) are exact (exact_horner),
+    and each step N(z)/N'(z) is rounded to the nearest multiple of 2^-s, ties
+    to even.  At most _POLISH_STEPS steps; a vanishing N'(z) or a step that
+    rounds to zero stops them.  Every operation commutes with conjugation
+    (the coefficients are real), so the conjugate of a polished start is
+    taken over rather than polished again.
     """
-    from mpmath import mp, mpc, mpf
+    coeffs, _ = dyadic_coefficients(poly)
+    done = {}
+    for lam in values.tolist():
+        if lam.conjugate() in done:
+            x, y, s = done[lam.conjugate()]
+            done[lam] = (x, -y, s)
+            continue
+        x, y, s0 = dyadic_point(lam)
+        s = max(_POLISH_BITS, _POLISH_BITS - math.frexp(abs(lam))[1], s0)
+        x, y = x << (s - s0), y << (s - s0)
+        for _ in range(_POLISH_STEPS):
+            re, im, dre, dim = exact_horner(coeffs, x, y, s, derivative=True)
+            # N(z) / N'(z) = (re + i im) / (dre + i dim) / 2^s
+            norm = dre * dre + dim * dim
+            if norm == 0:
+                break
+            step_x = _nearest(re * dre + im * dim, norm)
+            step_y = _nearest(im * dre - re * dim, norm)
+            if step_x == step_y == 0:
+                break
+            x, y = x - step_x, y - step_y
+        done[lam] = (x, y, s)
+    return tuple(done[lam] for lam in values.tolist())
 
-    coefficients = [mpf(float(c)) for c in poly.coeffs]
-    polished = np.empty(values.size, dtype=object)
-    with mp.workdps(_MP_DPS):
-        for k, lam in enumerate(values):
-            z = mpc(lam.real, lam.imag)
-            for _ in range(5):
-                value = deriv = mpc(0)
-                for c in coefficients[::-1]:
-                    deriv = deriv * z + value
-                    value = value * z + c
-                if deriv == 0:
-                    break
-                z = z - value / deriv
-            polished[k] = z
-    return polished
+
+def _nearest(num: int, den: int) -> int:
+    """num / den (den > 0) rounded to the nearest integer, ties to even."""
+    q, r = divmod(2 * num + den, 2 * den)
+    return q - 1 if r == 0 and q & 1 else q
 
 
-def _mp_to_clongdouble(z) -> np.clongdouble:
-    # string round-trip: casting through complex128 would lose the digits
-    # the polish recovered
-    from mpmath import nstr
+def _to_clongdouble(real: tuple, imag: tuple) -> np.clongdouble:
+    """The complex number with dyadic parts (man, exp) = man * 2^exp, each
+    part correctly rounded to the 80-bit format (see _to_longdouble)."""
+    return _to_longdouble(*real) + 1j * _to_longdouble(*imag)
 
-    return np.clongdouble(np.longdouble(nstr(z.real, 25))) + 1j * np.clongdouble(
-        np.longdouble(nstr(z.imag, 25))
-    )
+
+def _to_longdouble(man: int, exp: int) -> np.longdouble:
+    """man * 2^exp correctly rounded (to nearest, ties to even) to the 80-bit
+    format: the integer division happens on the significand, so the one
+    float operation, scaling by a power of two, is exact."""
+    magnitude = abs(man)
+    shift = max(0, magnitude.bit_length() - _LONGDOUBLE_BITS)
+    if shift:
+        magnitude, rest = divmod(magnitude, 1 << shift)
+        half = 1 << (shift - 1)
+        if rest > half or (rest == half and magnitude & 1):
+            magnitude += 1
+    value = np.ldexp(np.longdouble(magnitude), exp + shift)
+    return -value if man < 0 else value
 
 
 def require_solvable(
@@ -362,11 +410,11 @@ def eigen_structure(
 
     Raises SolvabilityError when some |lambda_i + lambda_j| is at or below
     ``solvability_tol`` (1 + radius), then MultipleEigenvalueError for a
-    spectrum with multiplicities.  ``extended`` polishes the roots once at 40
-    digits and evaluates in 80-bit precision, for stiff problems: component
-    magnitudes can exceed their sum by many orders (near-degenerate spectra)
-    and finite Gramians of unstable systems at large t span ranges double
-    precision cannot resolve.
+    spectrum with multiplicities.  ``extended`` polishes the roots once to
+    133 bits (40 digits) in exact integer arithmetic and evaluates in 80-bit
+    precision, for stiff problems: component magnitudes can exceed their sum
+    by many orders (near-degenerate spectra) and finite Gramians of unstable
+    systems at large t span ranges double precision cannot resolve.
     """
     report = require_solvable(spec, solvability_tol)
     if not spec.is_simple:
@@ -376,8 +424,10 @@ def eigen_structure(
         )
     if not extended:
         return _evaluate(p, spec, spec.values, report)
-    polished = _mp_polished_roots(p, spec.values)
-    values = np.array([_mp_to_clongdouble(z) for z in polished], dtype=np.clongdouble)
+    polished = _polished_roots(p, spec.values)
+    values = np.array(
+        [_to_clongdouble((x, -s), (y, -s)) for x, y, s in polished], dtype=np.clongdouble
+    )
     return _evaluate(p, spec, values, report, polished)
 
 

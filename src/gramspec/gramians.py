@@ -252,18 +252,27 @@ def infinite_pair_subgramians(es: EigenStructure) -> SpectralComponentSet:
     return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
 
 
-def finite_subgramians(h: Horizon) -> FiniteGramianDecomposition:
+def finite_subgramians(
+    h: Horizon, static: SpectralComponentSet | None = None
+) -> FiniteGramianDecomposition:
     """Eigen-indexed decomposition of the finite Gramian with P(0) = 0 at the
     horizon's t.
 
-    Component i is P_hat_i (I - e^{(lambda_i I + A_C^T) t}).  From an
-    extended structure everything is built and evaluated in 80-bit
+    Component i is P_hat_i (I - e^{(lambda_i I + A_C^T) t}).  The P_hat_i
+    are ``static``, the raw infinite_subgramians set of the horizon's
+    structure, when the caller has built it, and are built here otherwise.
+    From an extended structure everything is built and evaluated in 80-bit
     precision, which the product identity with the finite inverse needs at
     stiff horizons.
     """
     es = h.structure
-    parts = _eigenparts(es)
-    static = SpectralComponentSet(parts, "eigen", "raw", "companion", es.poly, es.spectrum)
+    if static is None:
+        static = SpectralComponentSet(
+            _eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum
+        )
+    elif static.kind != "eigen" or static.flavor != "raw":
+        raise ValueError("finite components expect the raw eigen-indexed Gramian set")
+    parts = static.components
     terms = {i: [(-parts[i] * h.growth[i]) @ h.expm_transpose] for i in parts}
     return FiniteGramianDecomposition(static, _plus_terms(static, terms), h.t, h.expm_transpose)
 

@@ -137,16 +137,19 @@ def riccati_general(
     return replace(inv, components=lifted, coordinate="original")
 
 
-def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear solve that also handles the extended-precision dtype.
+def _solve_dense(a: np.ndarray, rhs: list) -> list:
+    """Solutions X of a X = B for each matrix B of ``rhs``, also in the
+    extended-precision dtype.
 
     LAPACK only covers single/double, so clongdouble systems go through a
-    plain Gaussian elimination with partial pivoting (n is companion-sized).
+    plain Gaussian elimination with partial pivoting (n is companion-sized),
+    one elimination for all right-hand sides side by side: each pivot
+    updates the trailing rows with one array operation.
     """
-    if a.dtype != np.clongdouble and b.dtype != np.clongdouble:
-        return np.linalg.solve(a, b)
-    a = a.astype(np.clongdouble).copy()
-    x = b.astype(np.clongdouble).copy()
+    if a.dtype != np.clongdouble and all(b.dtype != np.clongdouble for b in rhs):
+        return [np.linalg.solve(a, b) for b in rhs]
+    a = a.astype(np.clongdouble)
+    x = np.concatenate([b.astype(np.clongdouble) for b in rhs], axis=1)
     n = a.shape[0]
     for k in range(n):
         pivot = k + int(np.argmax(np.abs(a[k:, k])))
@@ -155,13 +158,12 @@ def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if pivot != k:
             a[[k, pivot]] = a[[pivot, k]]
             x[[k, pivot]] = x[[pivot, k]]
-        for i in range(k + 1, n):
-            f = a[i, k] / a[k, k]
-            a[i, k:] -= f * a[k, k:]
-            x[i] -= f * x[k]
+        f = (a[k + 1 :, k] / a[k, k])[:, None]
+        a[k + 1 :, k:] -= f * a[k, k:]
+        x[k + 1 :] -= f * x[k]
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
-    return x
+    return np.hsplit(x, len(rhs))
 
 
 def finite_inverse(h: Horizon, p0: InitialCondition):
@@ -207,7 +209,7 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
             f"normalization matrix G(t) is numerically singular at t = {t}",
             condition=condition,
         )
-    scaled = {j: _solve_dense(g_inv, part) for j, part in inv_components.items()}
+    scaled = dict(zip(inv_components, _solve_dense(g_inv, list(inv_components.values()))))
     state = NormalizationState(float(t), g_inv, condition)
     return state, SpectralComponentSet(
         scaled, "eigen", "raw", "companion", es.poly, es.spectrum

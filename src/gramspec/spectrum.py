@@ -195,23 +195,46 @@ def eval_with_derivative(p: Polynomial, s):
 _NEWTON_STEPS = 8  # cap for multiple-root clouds, where Newton never settles
 
 
+def dyadic_coefficients(p: Polynomial) -> tuple:
+    """The coefficients as integers on one power-of-two scale: (C, t) with
+    a_k = C_k / 2^t exactly (every float is a dyadic rational)."""
+    ratios = [c.as_integer_ratio() for c in p.coeffs.tolist()]
+    t = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (t - den.bit_length() + 1) for num, den in ratios], t
+
+
+def dyadic_point(z: complex) -> tuple:
+    """(x, y, s) with z = (x + i y) / 2^s exactly, x and y integers."""
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    s = max(xd, yd).bit_length() - 1
+    return xn << (s - xd.bit_length() + 1), yn << (s - yd.bit_length() + 1), s
+
+
+def exact_horner(coeffs: list, x: int, y: int, s: int, derivative: bool = False) -> tuple:
+    """N(z) and, with ``derivative``, N'(z) at z = (x + i y) / 2^s, exactly:
+    Horner on Gaussian integers for the integer coefficients C of
+    dyadic_coefficients (scale 2^t).  Returns (re, im, dre, dim) with
+    N(z) = (re + i im) / 2^(t + s n) and N'(z) = (dre + i dim) / 2^(t + s (n - 1))
+    (dre = dim = 0 without ``derivative``)."""
+    n = len(coeffs) - 1
+    re, im, dre, dim = coeffs[n], 0, 0, 0
+    for k in range(n - 1, -1, -1):
+        if derivative:
+            dre, dim = dre * x - dim * y + re, dre * y + dim * x + im
+        re, im = re * x - im * y + (coeffs[k] << (s * (n - k))), re * y + im * x
+    return re, im, dre, dim
+
+
 def _exact_values(p: Polynomial, roots: np.ndarray) -> np.ndarray:
     """N(z) at each root, exact and rounded once: coefficients and roots are
     dyadic rationals, so on a power-of-two scale Horner runs on Python ints
     and one int/int true division (correctly rounded) returns each part."""
-    n = p.degree
-    ratios = [c.as_integer_ratio() for c in p.coeffs.tolist()]
-    t = max(den.bit_length() for _, den in ratios) - 1
-    coeffs = [num << (t - den.bit_length() + 1) for num, den in ratios]
+    coeffs, t = dyadic_coefficients(p)
     out = np.empty(roots.size, dtype=complex)
     for i, z in enumerate(roots.tolist()):
-        (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-        s = max(xd, yd).bit_length() - 1
-        x, y = xn << (s - xd.bit_length() + 1), yn << (s - yd.bit_length() + 1)
-        re, im = coeffs[n], 0
-        for k in range(n - 1, -1, -1):
-            re, im = re * x - im * y + (coeffs[k] << (s * (n - k))), re * y + im * x
-        scale = 1 << (t + s * n)
+        x, y, s = dyadic_point(z)
+        re, im, _, _ = exact_horner(coeffs, x, y, s)
+        scale = 1 << (t + s * p.degree)
         out[i] = complex(re / scale, im / scale)
     return out
 

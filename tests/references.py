@@ -83,3 +83,58 @@ def residues_general(a, spec: Spectrum) -> np.ndarray:
                 r = r @ (a - lam_j * np.eye(n)) / (lam_i - lam_j)
         residues.append(r)
     return np.stack(residues)
+
+
+def mp_polished_roots(poly: Polynomial, values: np.ndarray) -> np.ndarray:
+    """Five Newton steps on simple roots at 40 mpmath digits, from the given
+    starts (object array of mpmath numbers); a vanishing derivative stops
+    them.  The reference for the package's exact-integer polish."""
+    from mpmath import mp, mpc, mpf
+
+    coefficients = [mpf(float(c)) for c in poly.coeffs]
+    polished = np.empty(values.size, dtype=object)
+    with mp.workdps(40):
+        for k, lam in enumerate(values):
+            z = mpc(lam.real, lam.imag)
+            for _ in range(5):
+                value = deriv = mpc(0)
+                for c in coefficients[::-1]:
+                    deriv = deriv * z + value
+                    value = value * z + c
+                if deriv == 0:
+                    break
+                z = z - value / deriv
+            polished[k] = z
+    return polished
+
+
+def mp_to_clongdouble(z) -> np.clongdouble:
+    """An mpmath complex rounded to 80 bits through 25-digit decimal strings
+    (a complex128 cast would lose the digits of the polish)."""
+    from mpmath import nstr
+
+    return np.clongdouble(np.longdouble(nstr(z.real, 25))) + 1j * np.clongdouble(
+        np.longdouble(nstr(z.imag, 25))
+    )
+
+
+def solve_dense_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gaussian elimination with partial pivoting in 80-bit precision for one
+    right-hand side b (a vector or a matrix), updating one row at a time."""
+    a = a.astype(np.clongdouble).copy()
+    x = b.astype(np.clongdouble).copy()
+    n = a.shape[0]
+    for k in range(n):
+        pivot = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[pivot, k] == 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if pivot != k:
+            a[[k, pivot]] = a[[pivot, k]]
+            x[[k, pivot]] = x[[pivot, k]]
+        for i in range(k + 1, n):
+            f = a[i, k] / a[k, k]
+            a[i, k:] -= f * a[k, k:]
+            x[i] -= f * x[k]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
+    return x

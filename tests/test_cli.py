@@ -20,6 +20,11 @@ from gramspec.cli import (
 )
 from gramspec.document import parse_system
 
+# a degree-8 analyze_ladder polynomial whose G(1) needs the extended-precision retry
+LADDER8_COEFFS = [2282.276472599614, 7061.767882988239, 8218.473821798005,
+                  5356.9141176459, 2307.2249191441088, 685.287995824171,
+                  136.87347552892803, 16.96216946824925, 1.0]
+
 
 @pytest.fixture
 def example1_path(tmp_path):
@@ -320,14 +325,11 @@ class TestInitialConditionFlag:
         # degree 8: G(1) is numerically singular in double precision, so the
         # finite inverse needs the extended-precision retry; an initial
         # condition must not switch that retry off
-        coeffs = [2282.276472599614, 7061.767882988239, 8218.473821798005,
-                  5356.9141176459, 2307.2249191441088, 685.287995824171,
-                  136.87347552892803, 16.96216946824925, 1.0]
         p0 = np.random.default_rng(1002).standard_normal((8, 8))
         path = tmp_path / "ladder8.json"
-        path.write_text(
-            json.dumps({"char_poly": coeffs, "initial_condition": (0.5 * (p0 + p0.T)).tolist()})
-        )
+        path.write_text(json.dumps(
+            {"char_poly": LADDER8_COEFFS, "initial_condition": (0.5 * (p0 + p0.T)).tolist()}
+        ))
         out = tmp_path / "report.json"
         code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1",
                      "--output", str(out)])
@@ -609,8 +611,9 @@ class TestWorkOnce:
     command builds the homogeneous pair half, e^{A^T t} is formed once per
     structure and horizon, and the inverse eigen set is built once and
     passed on.  A matrices document's characteristic polynomial and
-    controllability check are computed once per command, and analyze
-    evaluates the finite components once per decomposition."""
+    controllability check are computed once per command, analyze evaluates
+    the finite components once per decomposition, and the Gramian eigen
+    parts are built once per structure."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -620,9 +623,10 @@ class TestWorkOnce:
 
         counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0,
                   "expm": [], "homogeneous_pairs": 0, "inverse_eigenparts": 0,
-                  "char_poly": 0, "require_controllable": 0, "finite_components": 0}
+                  "char_poly": 0, "require_controllable": 0, "finite_components": 0,
+                  "eigenparts": 0}
         evaluate, polish, horizon = (
-            companion._evaluate, companion._mp_polished_roots, gramians.horizon
+            companion._evaluate, companion._polished_roots, gramians.horizon
         )
 
         def counted_evaluate(p, spec, values, *args):
@@ -642,12 +646,13 @@ class TestWorkOnce:
             return horizon(es, t)
 
         monkeypatch.setattr(companion, "_evaluate", counted_evaluate)
-        monkeypatch.setattr(companion, "_mp_polished_roots", counted("polish", polish))
+        monkeypatch.setattr(companion, "_polished_roots", counted("polish", polish))
         for original, replacement in [
             (companion.check_solvability, counted("solvability", companion.check_solvability)),
             (horizon, counted_horizon),
             (gramians.finite_subgramians,
              counted("finite_components", gramians.finite_subgramians)),
+            (gramians._eigenparts, counted("eigenparts", gramians._eigenparts)),
             (gramians.finite_pair_subgramians,
              counted("finite_components", gramians.finite_pair_subgramians)),
             (gramians.homogeneous_pair_subgramians,
@@ -665,14 +670,11 @@ class TestWorkOnce:
         return counts
 
     def test_analyze_with_extended_retry(self, tmp_path, capsys, counts):
-        coeffs = [2282.276472599614, 7061.767882988239, 8218.473821798005,
-                  5356.9141176459, 2307.2249191441088, 685.287995824171,
-                  136.87347552892803, 16.96216946824925, 1.0]
         p0 = np.random.default_rng(1002).standard_normal((8, 8))
         path = tmp_path / "ladder8.json"
-        path.write_text(
-            json.dumps({"char_poly": coeffs, "initial_condition": (0.5 * (p0 + p0.T)).tolist()})
-        )
+        path.write_text(json.dumps(
+            {"char_poly": LADDER8_COEFFS, "initial_condition": (0.5 * (p0 + p0.T)).tolist()}
+        ))
         code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
         assert code == EXIT_OK
         assert "extended precision" in capsys.readouterr().out
@@ -683,6 +685,8 @@ class TestWorkOnce:
         double, extended = np.dtype(complex), np.dtype(np.clongdouble)
         assert counts["expm"] == [(double, 1.0), (double, 0.0), (extended, 1.0)]
         assert counts["finite_components"] == 3
+        # the Gramian eigen parts: once per structure
+        assert counts["eigenparts"] == 2
 
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
@@ -690,6 +694,7 @@ class TestWorkOnce:
         assert counts["solvability"] <= 2
         assert counts["homogeneous_pairs"] == 0
         assert counts["expm"] == [(np.dtype(complex), 1.0), (np.dtype(complex), 0.0)]
+        assert counts["eigenparts"] == 1
 
     def test_energy_time_series(self, stable_poly_path, tmp_path, capsys, counts):
         out = tmp_path / "series.csv"
@@ -726,6 +731,7 @@ class TestWorkOnce:
         assert counts["inverse_eigenparts"] == 1
         assert counts["homogeneous_pairs"] == 0
         assert counts["char_poly"] == 1 and counts["require_controllable"] == 1
+        assert counts["eigenparts"] == 1
 
     def test_verify_matrices_document_with_initial_condition(self, matrices_path, capsys,
                                                              counts):
@@ -753,15 +759,13 @@ class TestRenderLast:
 
 
 class TestImportFootprint:
-    def test_commands_load_no_scipy_or_mpmath(self, example1_path):
-        # scipy and mpmath each cost a large share of a CLI process's start;
-        # only the oracle's reference exponential and the extended path use them
-        script = (
-            "import sys\n"
-            "from gramspec.cli import main\n"
-            f"main(['analyze', '--pairs', '--inverse', '--finite', '1', {example1_path!r}])\n"
-            f"main(['verify', {example1_path!r}])\n"
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))\n"
+    @staticmethod
+    def loaded_after(script: str) -> str:
+        """The sorted list, as printed, of the slow-to-import top-level
+        modules that ``script`` loads in a fresh interpreter."""
+        script += (
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'scipy', 'mpmath', 'fractions', 'decimal'}))\n"
         )
         src = str(Path(gs.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -770,4 +774,32 @@ class TestImportFootprint:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]"
+        return result.stdout.splitlines()[-1]
+
+    def test_commands_load_no_scipy_or_mpmath(self, example1_path):
+        # scipy and mpmath each cost a large share of a CLI process's start;
+        # only the oracle's reference exponential and accurate_total use them;
+        # fractions and decimal cost a few milliseconds each
+        script = (
+            "import sys\n"
+            "from gramspec.cli import main\n"
+            f"main(['analyze', '--pairs', '--inverse', '--finite', '1', {example1_path!r}])\n"
+            f"main(['verify', {example1_path!r}])\n"
+        )
+        assert self.loaded_after(script) == "[]"
+
+    def test_extended_retry_loads_no_mpmath(self, tmp_path):
+        # the degree-8 document of TestWorkOnce.test_analyze_with_extended_retry:
+        # its finite inverse is evaluated in 80-bit precision from roots
+        # polished on Python ints
+        path = tmp_path / "ladder8.json"
+        path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
+        script = (
+            "import contextlib, io, sys\n"
+            "from gramspec.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = main(['analyze', '--pairs', '--inverse', '--finite', '1', {str(path)!r}])\n"
+            "assert code == 0 and 'extended precision' in out.getvalue(), code\n"
+        )
+        assert self.loaded_after(script) == "[]"

@@ -3,8 +3,8 @@ import pytest
 
 import gramspec as gs
 
-from conftest import random_companion
-from references import inverse_eigenpart_counted, residues_general
+from conftest import random_companion, random_stable_eigenvalues
+from references import inverse_eigenpart_counted, mp_polished_roots, residues_general
 
 
 class TestBuildCompanion:
@@ -330,7 +330,7 @@ class TestEigenStructure:
         # the same core at complex128, at 80-bit and at 40 mpmath digits
         from mpmath import mp
 
-        from gramspec.companion import _evaluate, _mp_polished_roots
+        from gramspec.companion import _evaluate
 
         rng = np.random.default_rng(616)
         for n in range(2, 9):
@@ -339,7 +339,7 @@ class TestEigenStructure:
             extended = _structure_entries(gs.eigen_structure(poly, spec, extended=True))
             with mp.workdps(40):
                 exact = _structure_entries(
-                    _evaluate(poly, spec, _mp_polished_roots(poly, spec.values))
+                    _evaluate(poly, spec, mp_polished_roots(poly, spec.values))
                 )
             for name, reference in exact.items():
                 scale = np.max(np.abs(reference))
@@ -364,3 +364,106 @@ class TestEigenStructure:
         poly, _, spec = example5
         with pytest.raises(gs.MultipleEigenvalueError, match="multiple"):
             gs.eigen_structure(poly, spec)
+
+
+def _ladder_polynomials(sizes) -> list:
+    """The analyze_ladder catalogue polynomials of the given degrees, from the
+    benchmark's document generator."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return [gs.Polynomial(item["doc"]["char_poly"])
+            for round_ in generate.catalogue("analyze_ladder") for item in round_
+            if item["n"] in sizes]
+
+
+class TestExactPolish:
+    """The extended structure's roots come from Newton steps on Python ints;
+    rounded to 80 bits they are bitwise the 40-digit mpmath polish's."""
+
+    @staticmethod
+    def assert_polishes_agree(poly, starts):
+        from references import mp_to_clongdouble
+
+        from gramspec.companion import _polished_roots, _to_clongdouble
+
+        exact = [_to_clongdouble((x, -s), (y, -s)) for x, y, s in _polished_roots(poly, starts)]
+        reference = [mp_to_clongdouble(z) for z in mp_polished_roots(poly, starts)]
+        for got, want in zip(exact, reference):
+            assert got.real == want.real and got.imag == want.imag, (poly.degree, got, want)
+
+    def test_ladder_spectra(self):
+        polys = _ladder_polynomials((8, 12, 16))
+        assert len(polys) == 24
+        for poly in polys:
+            self.assert_polishes_agree(poly, gs.find_roots(poly))
+
+    def test_random_spectra_from_rounded_and_perturbed_starts(self):
+        rng = np.random.default_rng(2024)
+        for n in range(2, 17):
+            for _ in range(3):
+                poly, _, _ = random_companion(rng, n)
+                roots = gs.find_roots(poly)
+                self.assert_polishes_agree(poly, roots)
+                self.assert_polishes_agree(poly, roots * (1.0 + 1e-8 * rng.standard_normal(n)))
+
+    def test_near_degenerate_pairs(self):
+        rng = np.random.default_rng(77)
+        for separation in (1e-3, 1e-4, 1e-5):
+            for n in (6, 8, 12):
+                # two conjugate pairs at the given separation among n - 4 spread values
+                lam = complex(rng.uniform(-3.0, -0.5), rng.uniform(0.5, 2.0))
+                close = lam + separation
+                poly = gs.poly_from_roots(np.concatenate([
+                    random_stable_eigenvalues(rng, n - 4, separation=0.3),
+                    [lam, close, np.conj(lam), np.conj(close)],
+                ]))
+                roots = gs.find_roots(poly)
+                self.assert_polishes_agree(poly, roots)
+                self.assert_polishes_agree(poly, roots * (1.0 + 1e-8 * rng.standard_normal(n)))
+
+    def test_accurate_total_rounds_the_40_digit_sum_once(self):
+        # the reference sums the same parts from the mpmath polish and rounds
+        # each entry through a 40-digit string; entries agree to one 80-bit
+        # ulp, apart from the rounding noise of those that vanish exactly
+        from mpmath import mp, nstr
+
+        from gramspec.companion import _evaluate
+        from gramspec.gramians import _eigenparts
+        from gramspec.inverse import _inverse_eigenparts
+
+        rng = np.random.default_rng(818)
+        for n in range(2, 9):
+            poly, _, spec = random_companion(rng, n)
+            es = gs.eigen_structure(poly, spec, extended=True)
+            for parts in (_eigenparts, _inverse_eigenparts):
+                with mp.workdps(40):
+                    mp_es = _evaluate(poly, spec, mp_polished_roots(poly, spec.values))
+                    total = sum(parts(mp_es).values())
+                    want = np.array(
+                        [[np.longdouble(nstr(z.real, 40)) + 1j * np.longdouble(nstr(z.imag, 40))
+                          for z in row] for row in total], dtype=np.clongdouble)
+                got = es.accurate_total(parts)
+                bound = np.finfo(np.longdouble).eps * np.abs(want) + 1e-30 * np.max(np.abs(want))
+                assert np.all(np.abs(got - want) <= bound), (n, parts.__name__)
+
+    def test_rounding_is_correct_to_nearest_even(self):
+        from gramspec.companion import _nearest, _to_longdouble
+
+        # the Newton step: symmetric under negation, which conjugation needs
+        for num, den, want in [(1, 2, 0), (3, 2, 2), (5, 4, 1), (7, 4, 2), (0, 3, 0)]:
+            assert _nearest(num, den) == want and _nearest(-num, den) == -want, (num, den)
+
+        # 2^64 + 1 and 2^64 + 3 are ties between 80-bit neighbours
+        for man, exp in [(2**64 + 1, 0), (2**64 + 3, 0), (-(2**64 + 3), -70), (0, 5),
+                         (3 * 2**100 + 1, -200), (12345, -10)]:
+            expected = np.longdouble(str(man)) * np.longdouble(2.0) ** exp
+            assert _to_longdouble(man, exp) == expected, (man, exp)
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            man = int(rng.integers(1, 2**62)) << 70 | int(rng.integers(0, 2**62))
+            assert _to_longdouble(man, -132) == np.longdouble(str(man)) / np.longdouble(2.0) ** 132

@@ -130,6 +130,21 @@ class TestFiniteSubgramians:
             defect = -dpdt + cr.a_c @ p + p @ cr.a_c.T + q
             assert np.max(np.abs(defect)) < 1e-5 * max(1.0, np.max(np.abs(p)))
 
+    def test_reuses_the_infinite_set(self, example1):
+        # the raw infinite set of the horizon's structure stands in for the
+        # static parts, which are then not built again; the result is the same
+        _, cr, spec = example1
+        es = gs.eigen_structure(cr.poly, spec)
+        h = gs.horizon(es, 1.0)
+        gram = gs.infinite_subgramians(es)
+        reused, built = gs.finite_subgramians(h, gram), gs.finite_subgramians(h)
+        assert reused.static is gram
+        for key, part in built.at_t.components.items():
+            assert np.array_equal(reused.at_t.components[key], part)
+        for wrong in (gram.symmetrized(), gs.infinite_pair_subgramians(es)):
+            with pytest.raises(ValueError, match="raw eigen-indexed"):
+                gs.finite_subgramians(h, wrong)
+
 
 class TestFinitePairSubgramians:
     def test_zero_horizon(self, example1):

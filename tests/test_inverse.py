@@ -4,7 +4,7 @@ import pytest
 import gramspec as gs
 
 from conftest import random_companion
-from references import inverse_eigenpart_counted
+from references import inverse_eigenpart_counted, solve_dense_columns
 
 EX3_EIGEN = {
     0: 12.0 * np.array([[-36, 0, -6], [0, 25, 0], [-6, 0, -1]], dtype=float),
@@ -270,6 +270,34 @@ class TestFiniteInverse:
         gram_t = gs.finite_subgramians(h).at_t.total()
         n = np.eye(3, dtype=np.clongdouble)
         assert float(np.max(np.abs(inv_t.total() @ gram_t - n))) < 1e-6
+
+    def test_one_elimination_matches_per_column_reference(self, example1):
+        # the 80-bit normalization solve eliminates once for every component;
+        # it is bitwise the row-by-row elimination of one right-hand side
+        from gramspec.inverse import _inverse_eigenparts, _solve_dense
+
+        _, cr, spec = example1
+        es = gs.eigen_structure(cr.poly, spec, extended=True)
+        state, _ = gs.finite_inverse(gs.horizon(es, 5.0), gs.InitialCondition(np.eye(3)))
+        systems = [(state.g_inverse, list(_inverse_eigenparts(es).values()))]
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 8, 16):
+            a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).astype(
+                np.clongdouble)
+            systems.append((a, [rng.standard_normal((n, n)).astype(np.clongdouble)
+                                for _ in range(n)]))
+        for a, rhs in systems:
+            for got, b in zip(_solve_dense(a, rhs), rhs, strict=True):
+                want = solve_dense_columns(a, b)
+                assert got.dtype == np.clongdouble
+                assert np.array_equal(got, want), a.shape
+
+    def test_one_elimination_refuses_singular_matrix(self):
+        from gramspec.inverse import _solve_dense
+
+        a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=np.clongdouble)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _solve_dense(a, [np.eye(2, dtype=np.clongdouble), np.ones((2, 2))])
 
 
 class TestInverseMultiple:
