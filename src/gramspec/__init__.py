@@ -71,9 +71,7 @@ from .inverse import (
 )
 from .oracle import (
     OracleResult,
-    gramian_quadrature,
     integrate_lyapunov,
-    matrix_exp_reference,
     residual_lyapunov,
     residual_riccati,
     solve_lyapunov_dense,

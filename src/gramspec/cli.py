@@ -42,7 +42,13 @@ from .companion import (
     jordan_chains_companion,
     similarity_transform,
 )
-from .document import SystemDocument, json_text, parse_initial_condition, parse_system
+from .document import (
+    MatrixBlock,
+    SystemDocument,
+    json_text,
+    parse_initial_condition,
+    parse_system,
+)
 from .energy import control_energy_quadrature, energy_partition, optimal_control
 from .errors import (
     ConditioningError,
@@ -166,25 +172,32 @@ def _pair_component_residual(a_c, rate, raw, side: str) -> float:
     return float(np.linalg.norm(defect) / scale)
 
 
-def _component_block(component_set, a_c, spec, flavor: str, side: str = "left") -> dict:
-    """Serialize one component set with per-component identity residuals."""
+def _component_block(component_set, a_c, spec, flavor: str, side: str = "left") -> MatrixBlock:
+    """The report block of one component set, with per-component identity residuals."""
     emitted = component_set.symmetrized() if flavor == "symmetrized" else component_set
-    out = {}
+    keys, residuals = [], []
     for key, raw in component_set.components.items():
         if component_set.kind == "eigen":
-            residual = _eigen_component_residual(
+            keys.append(_eigen_key(key))
+            residuals.append(_eigen_component_residual(
                 a_c, spec.values[key], spec.multiplicities[key], raw, side
-            )
-            out[_eigen_key(key)] = _entry(emitted.components[key], residual)
+            ))
         else:
             i, j = key
             if side == "left":
                 rate = spec.values[i] + np.conj(spec.values[j])
             else:
                 rate = np.conj(spec.values[i]) + spec.values[j]
-            residual = _pair_component_residual(a_c, rate, raw, side)
-            out[_pair_key(key)] = _entry(emitted.components[key], residual)
-    return out
+            keys.append(_pair_key(key))
+            residuals.append(_pair_component_residual(a_c, rate, raw, side))
+    return MatrixBlock(keys, [emitted.components[key] for key in component_set.components],
+                       residuals)
+
+
+def _finite_block(component_set, key) -> MatrixBlock:
+    """Finite-horizon components, which satisfy no identity of their own."""
+    components = component_set.components
+    return MatrixBlock(map(key, components), list(components.values()), [None] * len(components))
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +468,12 @@ def _render_analysis(
         diff_residual = float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(finite_sum)))
         report["finite"] = {
             "t": decomp.t,
-            "eigen": {_eigen_key(k): _entry(m, None) for k, m in finite_set.components.items()},
+            "eigen": _finite_block(finite_set, _eigen_key),
             "sum": _entry(finite_sum, diff_residual),
         }
     if "finite_pair" in built:
         pair_set = built["finite_pair"] if flavor == "raw" else built["finite_pair"].symmetrized()
-        report["finite"]["pair"] = {
-            _pair_key(k): _entry(m, None) for k, m in pair_set.components.items()
-        }
+        report["finite"]["pair"] = _finite_block(pair_set, _pair_key)
     if "homogeneous" in built:
         p0c, hom_t, hom_0 = built["homogeneous"]
         residual = float(np.max(np.abs(sum(hom_0.components.values()) - p0c.matrix)))

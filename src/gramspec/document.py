@@ -6,12 +6,14 @@ explicit eigenvalue list with multiplicities.  An optional symmetric initial
 condition and a label may ride along.  Serialization is plain JSON with
 sorted keys; complex numbers never appear (eigenvalues are (re, im,
 multiplicity) triples).  ``json_text`` writes that JSON for documents and
-reports alike.
+reports alike; a report's keyed component blocks are ``MatrixBlock``
+mappings, which it writes from one stacked array each.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -79,13 +81,57 @@ class SystemDocument:
         return json_text(self.to_dict()) + "\n"
 
 
+class MatrixBlock(Mapping):
+    """A read-only block of keyed complex n x n matrices, each with a residual.
+
+    ``block[key]`` is ``{"matrix": {"re": rows, "im": rows}, "residual": r}``
+    (r a float or None), built on access.  The matrices are held as one
+    (k, n, n) stack, in the order of the keys sorted as strings, which is
+    the order ``json_text`` writes them in.
+    """
+
+    __slots__ = ("_keys", "_index", "_stack", "_residuals")
+
+    def __init__(self, keys, matrices, residuals):
+        keys, residuals = list(keys), list(residuals)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._keys = tuple(keys[i] for i in order)
+        self._index = {key: k for k, key in enumerate(self._keys)}
+        if len(self._index) != len(keys) or len(residuals) != len(keys):
+            raise ValueError("a matrix block needs distinct keys and one residual per key")
+        if not keys:
+            stack = np.zeros((0, 0, 0), dtype=complex)
+        else:
+            stack = np.array([matrices[i] for i in order], dtype=complex)
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise ValueError(f"matrix block entries must be square matrices, got {stack.shape}")
+        stack.flags.writeable = False
+        self._stack = stack
+        self._residuals = tuple(None if residuals[i] is None else float(residuals[i])
+                                for i in order)
+
+    def __getitem__(self, key) -> dict:
+        k = self._index[key]
+        m = self._stack[k]
+        return {"matrix": {"re": m.real.tolist(), "im": m.imag.tolist()},
+                "residual": self._residuals[k]}
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 def json_text(value) -> str:
-    """The text of ``json.dumps(value, sort_keys=True, indent=2)``.
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, where a
+    ``MatrixBlock`` stands for the dict of its entries.
 
     Dict keys must be strings.  Each distinct float is formatted once per
-    call: a report's symmetrized matrices repeat their mirrored entries and
-    their zeros, and float formatting dominates the pure-Python encoder that
-    ``indent`` selects.
+    call, and each distinct magnitude once per matrix block: a report's
+    symmetrized matrices repeat their mirrored entries and their zeros, and
+    float formatting dominates the pure-Python encoder that ``indent``
+    selects.
     """
     chunks: list = []
     _encode(value, "\n", _FloatTexts(), chunks.append)
@@ -144,6 +190,8 @@ def _encode(value, indent: str, floats: _FloatTexts, out) -> None:
                 _encode(item, inner, floats, out)
                 separator = ","
             out(indent + "}")
+    elif type(value) is MatrixBlock:
+        out(_block_text(value, indent))
     elif isinstance(value, str):
         out(encode_basestring_ascii(value))
     elif value is None:
@@ -158,6 +206,49 @@ def _encode(value, indent: str, floats: _FloatTexts, out) -> None:
         out(_float_text(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+_INFINITY_BITS = np.float64(np.inf).view(np.uint64)
+
+
+def _block_text(block: MatrixBlock, indent: str) -> str:
+    """The text of ``block`` as the dict of its entries, at ``indent``.
+
+    Each distinct magnitude is formatted once; a set sign bit prefixes "-",
+    except on NaN, which JSON writes unsigned.  The entries' float texts are
+    interleaved with the fixed indentation and separators and joined once.
+    """
+    if not block:
+        return "{}"
+    k, n = len(block), block._stack.shape[1]
+    # per entry, the "im" rows and then the "re" rows: the sorted key order
+    bits = np.stack((block._stack.imag, block._stack.real), axis=1).view(np.uint64).ravel()
+    distinct, which = np.unique(bits & ~_SIGN_BIT, return_inverse=True)
+    texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+    signed = list(map("-".__add__, texts))
+    # magnitudes sort as their bits, so infinity and NaN come last
+    for i in range(int(np.searchsorted(distinct, _INFINITY_BITS)), len(texts)):
+        texts[i] = _SPECIAL_FLOATS[texts[i]]
+        signed[i] = "NaN" if texts[i] == "NaN" else "-" + texts[i]
+    table = np.array(texts + signed, dtype=object)
+    floats = table[which + len(texts) * (bits >> 63).astype(np.intp)]
+
+    i1 = indent + "  "
+    i2, i3, i4, i5 = i1 + "  ", i1 + "    ", i1 + "      ", i1 + "        "
+    # the text after each float of an entry but its last
+    part = (["," + i5] * (n - 1) + [i4 + "]," + i4 + "[" + i5]) * n
+    gaps = part[:-1] + [i4 + "]" + i3 + "]," + i3 + '"re": [' + i4 + "[" + i5] + part[:-1]
+    opening = ": {" + i2 + '"matrix": {' + i3 + '"im": [' + i4 + "[" + i5
+    closing = i4 + "]" + i3 + "]" + i2 + "}," + i2 + '"residual": '
+    pieces = np.empty((k, 4 * n * n + 1), dtype=object)
+    pieces[:, 0] = [("," if j else "{") + i1 + encode_basestring_ascii(key) + opening
+                    for j, key in enumerate(block._keys)]
+    pieces[:, 1::2] = floats.reshape(k, 2 * n * n)
+    pieces[:, 2:-1:2] = gaps
+    pieces[:, -1] = [closing + ("null" if r is None else _float_text(r)) + i1 + "}"
+                     for r in block._residuals]
+    return "".join(pieces.ravel().tolist()) + indent + "}"
 
 
 def _as_float_matrix(raw, path: str) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Independent brute-force solvers used to validate every closed-form path.
 
 Nothing here calls the spectral modules; the only shared code is numpy.  The
-matrix exponential is scipy's scaling-and-squaring Pade implementation, the
 Lyapunov solve is dense elimination on the Kronecker operator, and the
 differential equation is integrated with classical RK4.
 
@@ -39,7 +38,7 @@ class OracleResult:
     """Result of a brute-force solve with its method tag and residual."""
 
     matrix: np.ndarray
-    method: str  # 'kron' | 'rk4' | 'quadrature' | 'pade-exp'
+    method: str  # 'kron' | 'rk4', or 'quadrature' for the tests' reference
     residual: float
     steps: int
 
@@ -138,40 +137,3 @@ def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000) -> OracleResult:
         d = 2.0 * d + d @ d
     p = y.reshape(n, n, order="F")
     return OracleResult(p, "rk4", _symmetry_defect(p), steps=steps)
-
-
-def matrix_exp_reference(m, t: float = 1.0) -> np.ndarray:
-    """Reference matrix exponential e^{M t} (scaling-and-squaring Pade)."""
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix must have finite entries")
-    from scipy.linalg import expm  # deferred: no CLI command needs scipy's import cost
-
-    return expm(m * t)
-
-
-def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:
-    """Finite Gramian int_0^t e^{A tau} B B^T e^{A^T tau} d tau by composite
-    Simpson quadrature with the reference exponential."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    if not np.isfinite(t) or t < 0:
-        raise ValueError("need finite t >= 0")
-    n = a.shape[0]
-    if t == 0:
-        return OracleResult(np.zeros((n, n)), "quadrature", 0.0, steps=0)
-    if intervals % 2:
-        intervals += 1
-    h = t / intervals
-    step = matrix_exp_reference(a, h)
-    bbt = b @ b.T
-    e = np.eye(n)
-    total = np.zeros((n, n))
-    for k in range(intervals + 1):
-        weight = 1.0 if k in (0, intervals) else (4.0 if k % 2 else 2.0)
-        total += weight * (e @ bbt @ e.T)
-        e = step @ e
-    p = total * (h / 3.0)
-    return OracleResult(p, "quadrature", _symmetry_defect(p), steps=intervals)

@@ -5,6 +5,7 @@ import numpy as np
 
 from gramspec.companion import alternating_signs
 from gramspec.errors import MultipleEigenvalueError
+from gramspec.oracle import OracleResult
 from gramspec.spectrum import Polynomial, Spectrum
 
 SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
@@ -138,3 +139,41 @@ def solve_dense_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
     return x
+
+
+def matrix_exp_reference(m, t: float = 1.0) -> np.ndarray:
+    """Reference matrix exponential e^{M t} (scipy's scaling-and-squaring Pade)."""
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix must have finite entries")
+    from scipy.linalg import expm
+
+    return expm(m * t)
+
+
+def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:
+    """Finite Gramian int_0^t e^{A tau} B B^T e^{A^T tau} d tau by composite
+    Simpson quadrature with the reference exponential."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        b = b[:, None]
+    if not np.isfinite(t) or t < 0:
+        raise ValueError("need finite t >= 0")
+    n = a.shape[0]
+    if t == 0:
+        return OracleResult(np.zeros((n, n)), "quadrature", 0.0, steps=0)
+    if intervals % 2:
+        intervals += 1
+    h = t / intervals
+    step = matrix_exp_reference(a, h)
+    bbt = b @ b.T
+    e = np.eye(n)
+    total = np.zeros((n, n))
+    for k in range(intervals + 1):
+        weight = 1.0 if k in (0, intervals) else (4.0 if k % 2 else 2.0)
+        total += weight * (e @ bbt @ e.T)
+        e = step @ e
+    p = total * (h / 3.0)
+    defect = float(np.linalg.norm(p - p.T) / max(1.0, np.linalg.norm(p)))
+    return OracleResult(p, "quadrature", defect, steps=intervals)

@@ -535,6 +535,26 @@ class TestReportBytes:
         if argv[0] == "analyze":
             assert "-0.0" in numbers and "0.0" in numbers
 
+    def test_keys_past_nine(self, tmp_path, capsys):
+        # degree 12: eigen keys "10".."12" and pair keys such as "1,10" sort
+        # as strings, before "2" and "1,2"
+        roots = [-0.7 + 1.1j, -0.7 - 1.1j, -1.3 + 0.4j, -1.3 - 0.4j, -2.1 + 2.3j, -2.1 - 2.3j,
+                 -2.9, -3.4 + 0.8j, -3.4 - 0.8j, -4.2, -1.9, -4.8]
+        path = tmp_path / "degree12.json"
+        coeffs = gs.poly_from_roots(np.array(roots)).coeffs.real
+        path.write_text(json.dumps({"char_poly": coeffs.tolist()}))
+        out = tmp_path / "report.json"
+        argv = ["analyze", "--pairs", "--inverse", str(path), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        data = out.read_bytes()
+        report = json.loads(data)
+        assert data == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        for block in ("gramian", "inverse"):
+            assert list(report[block]["eigen"])[:4] == ["1", "10", "11", "12"]
+            assert len(report[block]["pair"]) == 144
+            assert list(report[block]["pair"])[:5] == ["1,1", "1,10", "1,11", "1,12", "1,2"]
+
 
 class TestFiniteComponents:
     def test_component_residuals_are_null(self, example1_path, tmp_path, capsys):
@@ -747,8 +767,10 @@ class TestRenderLast:
         import gramspec.cli as cli
 
         rendered = []
-        matrix_json = cli._matrix_json
+        matrix_json, matrix_block = cli._matrix_json, cli.MatrixBlock
         monkeypatch.setattr(cli, "_matrix_json", lambda m: rendered.append(1) or matrix_json(m))
+        monkeypatch.setattr(cli, "MatrixBlock",
+                            lambda *args: rendered.append(1) or matrix_block(*args))
         coeffs = gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real
         path = tmp_path / "ladder16.json"
         path.write_text(json.dumps({"char_poly": coeffs.tolist()}))
@@ -778,7 +800,7 @@ class TestImportFootprint:
 
     def test_commands_load_no_scipy_or_mpmath(self, example1_path):
         # scipy and mpmath each cost a large share of a CLI process's start;
-        # only the oracle's reference exponential and accurate_total use them;
+        # the package never imports scipy, and only accurate_total uses mpmath;
         # fractions and decimal cost a few milliseconds each
         script = (
             "import sys\n"

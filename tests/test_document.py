@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gramspec as gs
-from gramspec.document import json_text, parse_system
+from gramspec.document import MatrixBlock, json_text, parse_system
 
 
 EXAMPLE1_DOC = {"schema": 1, "label": "example-1", "char_poly": [-6, 11, -6, 1]}
@@ -150,3 +150,108 @@ class TestJsonText:
                 json.dumps(value, sort_keys=True, indent=2)
             with pytest.raises(TypeError):
                 json_text(value)
+
+
+def _expanded(value):
+    """``value`` with every MatrixBlock replaced by the dict of its entries."""
+    if isinstance(value, MatrixBlock):
+        return {key: value[key] for key in value}
+    if isinstance(value, dict):
+        return {key: _expanded(item) for key, item in value.items()}
+    return value
+
+
+def _block(keys, re, im, residuals) -> MatrixBlock:
+    """A block from separate real and imaginary parts, so that signed zeros,
+    infinities and NaNs reach the stack unchanged (1j * inf is not 0 + inf j)."""
+    matrices = np.empty(np.shape(re), dtype=complex)
+    matrices.real, matrices.imag = re, im
+    return MatrixBlock(keys, matrices, residuals)
+
+
+KEYS = st.one_of(
+    st.integers(1, 12).map(str),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda ij: f"{ij[0]},{ij[1]}"),
+)
+
+
+@st.composite
+def matrix_blocks(draw):
+    n = draw(st.integers(1, 4))
+    keys = draw(st.lists(KEYS, unique=True, max_size=5))
+    shape = (len(keys), n, n)
+    size = int(np.prod(shape))
+    re, im = (np.array(draw(st.lists(FLOATS, min_size=size, max_size=size)), dtype=float)
+              .reshape(shape) for _ in range(2))
+    residuals = draw(st.lists(st.one_of(st.none(), FLOATS), min_size=len(keys),
+                              max_size=len(keys)))
+    return _block(keys, re, im, residuals)
+
+
+NEGATIVE_NAN = math.copysign(math.nan, -1.0)
+TINY = 5e-324  # the smallest subnormal
+
+
+class TestMatrixBlock:
+    """json_text writes a block as json.dumps writes the dict of its entries."""
+
+    @staticmethod
+    def assert_text_matches(block):
+        assert json_text(block) == json.dumps(_expanded(block), sort_keys=True, indent=2)
+        nested = {"sum": 1.5, "block": block, "more": {"block": block, "t": -0.0}}
+        assert json_text(nested) == json.dumps(_expanded(nested), sort_keys=True, indent=2)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(matrix_blocks())
+    def test_equals_json_dumps(self, block):
+        self.assert_text_matches(block)
+
+    @pytest.mark.parametrize("keys, re, im, residuals", [
+        # signed zeros in both parts
+        (["1"], [[[0.0, -0.0], [-0.0, 0.0]]], [[[-0.0, 0.0], [0.0, -0.0]]], [0.0]),
+        # infinities, a NaN with its sign bit set, subnormals
+        (["1", "2"],
+         [[[math.inf, -math.inf], [NEGATIVE_NAN, TINY]], [[-TINY, math.nan], [1e-310, -1.0]]],
+         [[[-math.inf, NEGATIVE_NAN], [-TINY, 2.2250738585072014e-308]],
+          [[math.nan, math.inf], [-1e-310, 1e16]]],
+         [math.inf, NEGATIVE_NAN]),
+        # n = 1
+        (["1"], [[[2.5]]], [[[-2.5]]], [None]),
+        # an empty block
+        ([], np.zeros((0, 1, 1)), np.zeros((0, 1, 1)), []),
+        # None and float residuals, equal magnitudes of either sign
+        (["3", "1", "2"], [[[1.0]], [[-1.0]], [[0.1]]], [[[-0.1]], [[0.1]], [[1.0]]],
+         [None, 1e-17, -0.0]),
+    ])
+    def test_pinned_examples(self, keys, re, im, residuals):
+        self.assert_text_matches(_block(keys, np.array(re), np.array(im), residuals))
+
+    def test_keys_sort_as_strings(self):
+        keys = ["1,2", "2", "1,10", "10"]
+        values = np.arange(4.0).reshape(4, 1, 1)
+        block = _block(keys, values, -values, [None, 1.0, 2.0, 3.0])
+        assert list(block) == ["1,10", "1,2", "10", "2"]
+        assert block["10"] == {"matrix": {"re": [[3.0]], "im": [[-3.0]]}, "residual": 3.0}
+        assert block["2"]["residual"] == 1.0
+        self.assert_text_matches(block)
+        text = json_text(block)
+        assert text.index('"1,10"') < text.index('"1,2"') < text.index('"10"') < text.index('"2"')
+
+    def test_read_only(self):
+        block = _block(["1"], np.ones((1, 2, 2)), np.zeros((1, 2, 2)), [None])
+        entry = block["1"]
+        entry["matrix"]["re"][0][0] = 5.0
+        assert block["1"]["matrix"]["re"] == [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(TypeError):
+            block["2"] = entry
+        with pytest.raises(ValueError):
+            block._stack[0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("keys, matrices, residuals", [
+        (["1", "1"], np.zeros((2, 2, 2)), [None, None]),  # a repeated key
+        (["1", "2"], np.zeros((2, 2, 2)), [None]),  # a missing residual
+        (["1"], np.zeros((1, 2, 3)), [None]),  # not square
+    ])
+    def test_malformed_block_refused(self, keys, matrices, residuals):
+        with pytest.raises(ValueError):
+            MatrixBlock(keys, matrices, residuals)

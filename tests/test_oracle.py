@@ -4,6 +4,7 @@ import pytest
 import gramspec as gs
 
 from conftest import random_companion
+from references import gramian_quadrature, matrix_exp_reference
 
 EX1_SUM = (-1.0 / 120.0) * np.array([[1, 0, -1], [0, 1, 0], [-1, 0, 11]], dtype=float)
 EX5_SUM = np.array(
@@ -128,7 +129,7 @@ def _exact_flow(a, q, p0, t):
     generator = np.zeros((n * n + 1, n * n + 1))
     generator[:-1, :-1] = np.kron(eye, a) + np.kron(a, eye)
     generator[:-1, -1] = q.reshape(-1, order="F")
-    v = gs.matrix_exp_reference(generator, t) @ np.append(p0.reshape(-1, order="F"), 1.0)
+    v = matrix_exp_reference(generator, t) @ np.append(p0.reshape(-1, order="F"), 1.0)
     return v[:-1].reshape(n, n, order="F")
 
 
@@ -205,22 +206,22 @@ class TestQuadrature:
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1.0])
     def test_bad_horizon_rejected(self, t):
         with pytest.raises(ValueError, match="finite t >= 0"):
-            gs.gramian_quadrature(-np.eye(2), np.eye(2), t)
+            gramian_quadrature(-np.eye(2), np.eye(2), t)
 
     def test_zero_horizon(self):
-        result = gs.gramian_quadrature(-np.eye(2), np.eye(2), 0.0)
+        result = gramian_quadrature(-np.eye(2), np.eye(2), 0.0)
         assert np.array_equal(result.matrix, np.zeros((2, 2)))
 
     def test_stable_asymptotic(self, mirrored_stable):
         _, cr, _ = mirrored_stable
-        quad = gs.gramian_quadrature(cr.a_c, cr.b_c, 30.0, intervals=3_000)
+        quad = gramian_quadrature(cr.a_c, cr.b_c, 30.0, intervals=3_000)
         dense = gs.solve_lyapunov_dense(cr.a_c, np.outer(cr.b_c, cr.b_c))
         assert np.max(np.abs(quad.matrix - dense.matrix)) < 1e-6
 
     def test_against_rk4(self, example1):
         _, cr, _ = example1
         q = np.outer(cr.b_c, cr.b_c)
-        quad = gs.gramian_quadrature(cr.a_c, cr.b_c, 0.5, intervals=2_000)
+        quad = gramian_quadrature(cr.a_c, cr.b_c, 0.5, intervals=2_000)
         rk4 = gs.integrate_lyapunov(cr.a_c, q, np.zeros((3, 3)), 0.5, steps=10_000)
         assert np.max(np.abs(quad.matrix - rk4.matrix)) <= 1e-6 * max(1, np.max(np.abs(rk4.matrix)))
 
@@ -231,7 +232,7 @@ class TestQuadrature:
             _, cr, _ = random_companion(rng, n)
             q = np.outer(cr.b_c, cr.b_c)
             t = float(rng.uniform(0.2, 2.0))
-            quad = gs.gramian_quadrature(cr.a_c, cr.b_c, t, intervals=2_000)
+            quad = gramian_quadrature(cr.a_c, cr.b_c, t, intervals=2_000)
             rk4 = gs.integrate_lyapunov(cr.a_c, q, np.zeros((n, n)), t, steps=10_000)
             scale = max(1.0, np.max(np.abs(rk4.matrix)))
             assert np.max(np.abs(quad.matrix - rk4.matrix)) <= 1e-6 * scale
@@ -239,10 +240,10 @@ class TestQuadrature:
 
 class TestMatrixExp:
     def test_zero_matrix(self):
-        assert np.array_equal(gs.matrix_exp_reference(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(matrix_exp_reference(np.zeros((3, 3))), np.eye(3))
 
     def test_diagonal(self):
-        out = gs.matrix_exp_reference(np.diag([-1.0, -2.0]), 1.0)
+        out = matrix_exp_reference(np.diag([-1.0, -2.0]), 1.0)
         assert np.max(np.abs(out - np.diag([np.exp(-1.0), np.exp(-2.0)]))) < 1e-14
 
     def test_residue_expansion_agreement(self, example1):
@@ -250,7 +251,7 @@ class TestMatrixExp:
         t = 0.3
         residues = gs.eigen_structure(poly, spec).residues
         spectral = sum(residues[i] * np.exp(spec.values[i] * t) for i in range(3)).real
-        reference = gs.matrix_exp_reference(cr.a_c, t)
+        reference = matrix_exp_reference(cr.a_c, t)
         assert np.max(np.abs(spectral - reference)) < 1e-9
 
 
