@@ -5,7 +5,7 @@ import numpy as np
 
 from gramspec.companion import alternating_signs
 from gramspec.errors import MultipleEigenvalueError
-from gramspec.oracle import OracleResult
+from gramspec.oracle import OracleResult, _symmetry_defect
 from gramspec.spectrum import Polynomial, Spectrum
 
 SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
@@ -175,5 +175,4 @@ def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:
         total += weight * (e @ bbt @ e.T)
         e = step @ e
     p = total * (h / 3.0)
-    defect = float(np.linalg.norm(p - p.T) / max(1.0, np.linalg.norm(p)))
-    return OracleResult(p, "quadrature", defect, steps=intervals)
+    return OracleResult(p, "quadrature", _symmetry_defect(p), steps=intervals)
