@@ -57,6 +57,7 @@ from .gramians import (
     infinite_subgramians,
     lift_to_original,
     multiple_eig_gramian,
+    pair_collisions,
     zero_plaid_defect,
 )
 from .inverse import (

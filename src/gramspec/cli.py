@@ -61,7 +61,6 @@ from .errors import (
 )
 from .gramians import (
     InitialCondition,
-    exponent_collisions,
     finite_pair_subgramians,
     finite_subgramians,
     homogeneous_subgramians,
@@ -70,6 +69,7 @@ from .gramians import (
     infinite_subgramians,
     lift_to_original,
     multiple_eig_gramian,
+    pair_collisions,
     zero_plaid_defect,
 )
 from .inverse import (
@@ -147,57 +147,58 @@ def _solvability_json(report) -> dict:
 # per-component verification residuals
 
 
-def _eigen_component_residual(a_c, lam, multiplicity, raw, side: str) -> float:
-    """Defect of the raw component's spectral identity.
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, bitwise np.linalg.norm of
+    each (which sums the squares of the real and imaginary parts apart)."""
+    flat = stack.reshape(stack.shape[0], -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
-    Gramian components live in the (generalized) right eigenspace,
-    (A - lambda I)^m X = 0; inverse components in the left one,
-    X (A - lambda I)^m = 0.
+
+def _component_residuals(component_set, a_c, spec, side: str) -> np.ndarray:
+    """Defect of each raw component's spectral identity, relative to the
+    component's norm.
+
+    Eigen components of a Gramian live in the (generalized) right eigenspace,
+    (A - lambda I)^m X = 0, those of an inverse in the left one,
+    X (A - lambda I)^m = 0.  Pair components satisfy A X + X A^T = rate X
+    (Gramian, rate lambda_i + conj(lambda_j)) or A^T X + X A = rate X
+    (inverse, rate conj(lambda_i) + lambda_j).  The scales 1 + |rate| are
+    scalar: numpy's array abs rounds some complex moduli differently.
     """
+    raw, keys = component_set.stack, component_set.keys
     n = a_c.shape[0]
-    shifted = np.linalg.matrix_power(a_c - lam * np.eye(n), int(multiplicity))
-    defect = shifted @ raw if side == "left" else raw @ shifted
-    scale = (1.0 + abs(lam)) ** multiplicity * max(1e-300, float(np.linalg.norm(raw)))
-    return float(np.linalg.norm(defect) / scale)
-
-
-def _pair_component_residual(a_c, rate, raw, side: str) -> float:
-    """Defect of A X + X A^T = rate X (gramian pairs) or its transposed
-    counterpart A^T X + X A = rate X (inverse pairs)."""
-    if side == "left":
-        defect = a_c @ raw + raw @ a_c.T - rate * raw
+    if component_set.kind == "eigen":
+        lams, mults = spec.values[list(keys)], spec.multiplicities[list(keys)]
+        shifted = np.array([np.linalg.matrix_power(a_c - lam * np.eye(n), int(m))
+                            for lam, m in zip(lams, mults)])
+        defect = shifted @ raw if side == "left" else raw @ shifted
+        scale = [(1.0 + abs(lam)) ** m for lam, m in zip(lams, mults)]
     else:
-        defect = a_c.T @ raw + raw @ a_c - rate * raw
-    scale = (1.0 + abs(rate)) * max(1e-300, float(np.linalg.norm(raw)))
-    return float(np.linalg.norm(defect) / scale)
+        i, j = np.array(keys).T
+        values = spec.values
+        if side == "left":
+            rates = values[i] + np.conj(values[j])
+            defect = a_c @ raw + raw @ a_c.T - rates[:, None, None] * raw
+        else:
+            rates = np.conj(values[i]) + values[j]
+            defect = a_c.T @ raw + raw @ a_c - rates[:, None, None] * raw
+        scale = [1.0 + abs(rate) for rate in rates]
+    return _norms(defect) / (np.array(scale) * np.fmax(1e-300, _norms(raw)))
 
 
 def _component_block(component_set, a_c, spec, flavor: str, side: str = "left") -> MatrixBlock:
     """The report block of one component set, with per-component identity residuals."""
     emitted = component_set.symmetrized() if flavor == "symmetrized" else component_set
-    keys, residuals = [], []
-    for key, raw in component_set.components.items():
-        if component_set.kind == "eigen":
-            keys.append(_eigen_key(key))
-            residuals.append(_eigen_component_residual(
-                a_c, spec.values[key], spec.multiplicities[key], raw, side
-            ))
-        else:
-            i, j = key
-            if side == "left":
-                rate = spec.values[i] + np.conj(spec.values[j])
-            else:
-                rate = np.conj(spec.values[i]) + spec.values[j]
-            keys.append(_pair_key(key))
-            residuals.append(_pair_component_residual(a_c, rate, raw, side))
-    return MatrixBlock(keys, [emitted.components[key] for key in component_set.components],
-                       residuals)
+    key = _eigen_key if component_set.kind == "eigen" else _pair_key
+    residuals = _component_residuals(component_set, a_c, spec, side)
+    return MatrixBlock(map(key, component_set.keys), emitted.stack, residuals.tolist())
 
 
 def _finite_block(component_set, key) -> MatrixBlock:
     """Finite-horizon components, which satisfy no identity of their own."""
-    components = component_set.components
-    return MatrixBlock(map(key, components), list(components.values()), [None] * len(components))
+    keys = component_set.keys
+    return MatrixBlock(map(key, keys), component_set.stack, [None] * len(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +258,7 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
                 "spectrum is numerically close to a multiple eigenvalue; "
                 "consider a looser --tol-cluster to trigger the Jordan-chain path"
             )
-    # in a real system (i, j) and its mirror (p(j), p(i)), p the conjugate
-    # partner, always share their exponent (the components are transposes)
-    partner = spec.conjugate_partner()
-    collisions = [
-        (a, b) for a, b in exponent_collisions(spec)
-        if b != (int(partner[a[1]]), int(partner[a[0]]))
-    ]
+    collisions = pair_collisions(spec)
     if collisions:
         pairs = "; ".join(f"{_pair_key(a)} ~ {_pair_key(b)}" for a, b in collisions)
         warnings.append(
@@ -334,8 +329,10 @@ def cmd_analyze(
     Selects the simple or multiple-eigenvalue path automatically and attaches
     oracle residuals to every emitted matrix.  Each set is built by one
     builder call, in the order of the report's blocks, so the first builder
-    that refuses the document decides the error; the report is rendered once
-    the last builder has returned.
+    that refuses the document decides the error.  The pair sets come last:
+    their builders refuse nothing, and they are the O(n^4) work, which a
+    refused document then never does.  The report is rendered once the last
+    builder has returned.
     """
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
@@ -353,8 +350,6 @@ def cmd_analyze(
             warnings.append("pair components are only defined for simple spectra; skipped")
     else:
         built["gram"] = infinite_subgramians(es)
-        if pairs:
-            built["pair"] = infinite_pair_subgramians(es)
     transform = _similarity(resolved)
     if transform is not None:
         built["lifted"] = lift_to_original(built["gram"], transform)
@@ -365,8 +360,6 @@ def cmd_analyze(
         built["inverse"] = inverse_multiple_eig(cr, chains)
     elif inverse:
         built["inverse"] = inverse_eigenparts(es)
-        if pairs:
-            built["inverse_pair"] = inverse_pair_parts(es)
     if inverse and transform is not None and transform.t is not None:
         built["inverse_original"] = riccati_general(transform, built["inverse"])
 
@@ -379,8 +372,6 @@ def cmd_analyze(
             decomp = finite_subgramians(h, built["gram"])
         finite_sum = decomp.at_t.total()
         built["finite"] = (decomp, finite_sum)
-        if pairs and not multiple:
-            built["finite_pair"] = finite_pair_subgramians(built["pair"], t)
         if p0 is not None and multiple:
             warnings.append("initial condition is only evaluated for simple spectra; skipped")
         elif p0 is not None:
@@ -404,8 +395,14 @@ def cmd_analyze(
                     "(normalization matrix ill-conditioned at this horizon)"
                 )
             if p0 is not None:
-                gram_t = gram_t + sum(hom_t.components.values())
+                gram_t = gram_t + hom_t.total()
             built["finite_inverse"] = (state, inv_finite, gram_t)
+    if pairs and not multiple:
+        built["pair"] = infinite_pair_subgramians(es)
+        if inverse:
+            built["inverse_pair"] = inverse_pair_parts(es)
+        if finite is not None:
+            built["finite_pair"] = finite_pair_subgramians(built["pair"], t)
     return _render_analysis(resolved, tols, flavor, warnings, built)
 
 
@@ -476,7 +473,7 @@ def _render_analysis(
         report["finite"]["pair"] = _finite_block(pair_set, _pair_key)
     if "homogeneous" in built:
         p0c, hom_t, hom_0 = built["homogeneous"]
-        residual = float(np.max(np.abs(sum(hom_0.components.values()) - p0c.matrix)))
+        residual = float(np.max(np.abs(hom_0.total() - p0c.matrix)))
         report["finite"]["homogeneous_sum"] = _entry(hom_t.symmetrized().total(), residual)
     if "finite_inverse" in built:
         state, inv_finite, gram_t = built["finite_inverse"]
@@ -590,14 +587,14 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         )
     )
 
-    gram_merged = gram_set.symmetrized().merged_real().components.values()
+    gram_merged = gram_set.symmetrized().merged_real().stack
     plaid_odd = max(zero_plaid_defect(m, alternation=True)[0] for m in gram_merged)
     plaid_alt = max(zero_plaid_defect(m, alternation=True)[1] for m in gram_merged)
     checks.append(_check("zero_plaid_zeros", plaid_odd, 1e-10))
     checks.append(_check("zero_plaid_alternation", plaid_alt, 1e-10))
     inv_plaid = max(
         zero_plaid_defect(m, alternation=False)[0]
-        for m in inv_set.symmetrized().merged_real().components.values()
+        for m in inv_set.symmetrized().merged_real().stack
     )
     checks.append(_check("inverse_zero_plaid_zeros", inv_plaid, 1e-10))
 
@@ -640,7 +637,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         checks.append(
             _check(
                 "homogeneous_initial_value",
-                float(np.max(np.abs(sum(hom0.components.values()) - p0c.matrix)))
+                float(np.max(np.abs(hom0.total() - p0c.matrix)))
                 / max(1.0, float(np.max(np.abs(p0c.matrix)))),
                 1e-9,
             )

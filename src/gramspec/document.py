@@ -87,7 +87,10 @@ class MatrixBlock(Mapping):
     ``block[key]`` is ``{"matrix": {"re": rows, "im": rows}, "residual": r}``
     (r a float or None), built on access.  The matrices are held as one
     (k, n, n) stack, in the order of the keys sorted as strings, which is
-    the order ``json_text`` writes them in.
+    the order ``json_text`` writes them in.  ``matrices`` is a (k, n, n)
+    array or a list of matrices in the order of ``keys``; a read-only
+    complex array already in that order is held as it is, anything else is
+    copied.
     """
 
     __slots__ = ("_keys", "_index", "_stack", "_residuals")
@@ -102,9 +105,12 @@ class MatrixBlock(Mapping):
         if not keys:
             stack = np.zeros((0, 0, 0), dtype=complex)
         else:
-            stack = np.array([matrices[i] for i in order], dtype=complex)
-            if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-                raise ValueError(f"matrix block entries must be square matrices, got {stack.shape}")
+            stack = np.asarray(matrices, dtype=complex)
+            if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or len(stack) != len(keys):
+                raise ValueError(f"matrix block needs {len(keys)} square matrices, "
+                                 f"got shape {stack.shape}")
+            if stack.flags.writeable or order != list(range(len(keys))):
+                stack = stack[order]
         stack.flags.writeable = False
         self._stack = stack
         self._residuals = tuple(None if residuals[i] is None else float(residuals[i])

@@ -22,8 +22,10 @@ no code with this one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,45 +43,8 @@ ORBIT_IMAG_TOL = 1e-9  # imaginary part of a conjugate-orbit sum, relative to it
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
-def merge_conjugate_components(components: dict, spectrum, kind: str) -> dict:
-    """Sum components over conjugate index orbits, returning real matrices.
-
-    Keys are the orbit representatives (smallest member).  Raises if an orbit
-    sum keeps a non-negligible imaginary part, which means the spectrum was
-    not conjugate closed.
-    """
-    if spectrum is None:
-        raise ValueError("conjugate merging needs the source spectrum")
-    partner = spectrum.conjugate_partner()
-
-    def orbit(key):
-        if kind == "eigen":
-            mate = int(partner[key])
-            return [key] if mate == key else sorted({key, mate})
-        i, j = key
-        mate = (int(partner[i]), int(partner[j]))
-        return [key] if mate == key else sorted({key, mate})
-
-    merged = {}
-    seen = set()
-    for key in components:
-        members = orbit(key)
-        canon = members[0]
-        if canon in seen:
-            continue
-        seen.add(canon)
-        total = sum(components[k] for k in members)
-        scale = max(1e-300, float(np.max(np.abs(total))))
-        if np.max(np.abs(total.imag)) > ORBIT_IMAG_TOL * scale:
-            raise ValueError(
-                "conjugate-orbit sum has a non-negligible imaginary part; "
-                "spectrum is not conjugate closed"
-            )
-        merged[canon] = total.real
-    return merged
+    """The Hermitian part of a matrix, or of each matrix of a (k, n, n) stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def _require_horizon(t: float):
@@ -92,18 +57,21 @@ class SpectralComponentSet:
     """Eigen- or pair-indexed spectral components of a Gramian or of its
     inverse.
 
-    ``components`` maps an eigen index i (or an index pair (i, j)) to a
-    complex n x n matrix.  Raw components preserve orthogonality relations
-    (raw inverse eigen components are rank one and orthogonal against the
-    Gramian eigenparts); symmetrized components are the Hermitian parts and
-    carry the physical (energy) interpretation.  ``accurate_total`` (set when
-    the set is built from an extended EigenStructure) is the component sum
+    ``keys`` lists the eigen indices i (or index pairs (i, j)) and ``stack``
+    holds their complex n x n matrices as one read-only (k, n, n) array, in
+    the order of the keys; ``components`` is the read-only mapping from key
+    to matrix.  Raw components preserve orthogonality relations (raw inverse
+    eigen components are rank one and orthogonal against the Gramian
+    eigenparts); symmetrized components are the Hermitian parts and carry the
+    physical (energy) interpretation.  ``accurate_total`` (set when the set
+    is built from an extended EigenStructure) is the component sum
     accumulated at 40 digits from the structure's polished eigenvalues,
     before rounding; near degeneracy makes resummation of the stored
     components lossier.
     """
 
-    components: dict
+    keys: tuple
+    stack: np.ndarray
     kind: str  # 'eigen' | 'pair'
     flavor: str = "raw"  # 'raw' | 'symmetrized'
     coordinate: str = "companion"  # 'companion' | 'original'
@@ -111,17 +79,37 @@ class SpectralComponentSet:
     spectrum: Spectrum | None = None
     accurate_total: np.ndarray | None = None
 
+    def __post_init__(self):
+        keys, stack = tuple(self.keys), np.asarray(self.stack).view()
+        if stack.ndim != 3 or stack.shape[0] != len(keys) or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"{len(keys)} keys need a ({len(keys)}, n, n) stack, "
+                             f"got shape {stack.shape}")
+        stack.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "stack", stack)
+
+    @classmethod
+    def from_parts(cls, parts: dict, kind: str, *args, **kwargs) -> "SpectralComponentSet":
+        """The set of the matrices in ``parts``, keyed as there."""
+        return cls(tuple(parts), np.array(list(parts.values())), kind, *args, **kwargs)
+
+    @functools.cached_property
+    def components(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.keys, self.stack)))
+
     def symmetrized(self) -> "SpectralComponentSet":
         if self.flavor == "symmetrized":
             return self
-        parts = {k: hermitian_part(v) for k, v in self.components.items()}
         total = None if self.accurate_total is None else hermitian_part(self.accurate_total)
-        return replace(self, components=parts, flavor="symmetrized", accurate_total=total)
+        return replace(self, stack=hermitian_part(self.stack), flavor="symmetrized",
+                       accurate_total=total)
 
     def total(self) -> np.ndarray:
+        """The accurate total when there is one, else the components added
+        in key order from 0 (numpy's own reduction may add in another order)."""
         if self.accurate_total is not None:
             return self.accurate_total
-        return sum(self.components.values())
+        return functools.reduce(np.add, self.stack, 0)
 
     def merged_real(self) -> "SpectralComponentSet":
         """Aggregate conjugate index pairs into real matrices.
@@ -130,10 +118,30 @@ class SpectralComponentSet:
         conjugate orbit is real; the residual imaginary part must stay below
         ORBIT_IMAG_TOL relative to the entry scale.  The zero-plaid structure
         of complex-eigenvalue parts only shows on these merged components.
+        Keys become the orbit representatives (smallest member), in key order.
         """
-        merged = merge_conjugate_components(self.components, self.spectrum, self.kind)
+        if self.spectrum is None:
+            raise ValueError("conjugate merging needs the source spectrum")
+        partner = self.spectrum.conjugate_partner()
+        index = {key: k for k, key in enumerate(self.keys)}
+        if self.kind == "eigen":
+            mates = [int(partner[key]) for key in self.keys]
+        else:
+            mates = [(int(partner[i]), int(partner[j])) for i, j in self.keys]
+        canon = [k for k, key in enumerate(self.keys) if key <= mates[k]]
+        totals = 0 + self.stack[canon]
+        for m, k in enumerate(canon):
+            if mates[k] != self.keys[k]:
+                totals[m] += self.stack[index[mates[k]]]
+        scale = np.fmax(1e-300, np.abs(totals).max(axis=(1, 2)))
+        if np.any(np.abs(totals.imag).max(axis=(1, 2)) > ORBIT_IMAG_TOL * scale):
+            raise ValueError(
+                "conjugate-orbit sum has a non-negligible imaginary part; "
+                "spectrum is not conjugate closed"
+            )
         total = None if self.accurate_total is None else self.accurate_total.real
-        return replace(self, components=merged, accurate_total=total)
+        return replace(self, keys=tuple(self.keys[k] for k in canon), stack=totals.real,
+                       accurate_total=total)
 
 
 @dataclass(frozen=True)
@@ -198,13 +206,12 @@ class FiniteGramianDecomposition:
     expm_transpose: np.ndarray | None = None
 
 
-def _plus_terms(static: SpectralComponentSet, terms: dict) -> SpectralComponentSet:
-    """Each static component plus the sum of its exponential terms at t
-    (``terms`` maps the component key to a list of matrices).  The sum
-    starts from 0, which turns a -0.0 entry into 0.0: reports write the
-    sign of a zero, and they keep their bytes with this order."""
-    parts = {key: part + sum(terms[key]) for key, part in static.components.items()}
-    return replace(static, components=parts, accurate_total=None)
+def _plus_terms(static: SpectralComponentSet, terms: np.ndarray) -> SpectralComponentSet:
+    """Each static component plus its exponential terms at t: ``terms`` is
+    the stack of their sums, each started from 0, which turns a -0.0 entry
+    into 0.0 (reports write the sign of a zero, and they keep their bytes
+    with this order)."""
+    return replace(static, stack=static.stack + terms, accurate_total=None)
 
 
 def _eigenparts(es: EigenStructure) -> dict:
@@ -226,30 +233,38 @@ def infinite_subgramians(es: EigenStructure) -> SpectralComponentSet:
     when the spectrum is nearly degenerate.  Reads x_i, N'(lambda_i) and
     N(-lambda_i) only, so a near-multiple simple spectrum is still decomposed.
     """
-    return SpectralComponentSet(
+    return SpectralComponentSet.from_parts(
         _eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum,
         es.accurate_total(_eigenparts),
     )
+
+
+def _pair_keys(k: int) -> tuple:
+    """The index pairs (i, j) of k eigenvalues, row by row."""
+    return tuple((i, j) for i in range(k) for j in range(k))
 
 
 def infinite_pair_subgramians(es: EigenStructure) -> SpectralComponentSet:
     """Pair-indexed decomposition; row sums reproduce the eigen components.
 
     Component (i, j) is -x_i x_j^* / ((lambda_i + conj(lambda_j)) N'(lambda_i)
-    conj(N'(lambda_j))).
+    conj(N'(lambda_j))).  The k x k denominators are scalar products, whose
+    last bits differ from numpy's array multiply; the rank-one numerators
+    and the division are one broadcast.
     """
     # N'(conj(lambda)) = conj(N'(lambda)) for real coefficients; adding 0
     # turns a negative zero imaginary part positive, as Horner returns it
     conj_derivs = np.conj(es.derivs) + 0
     lams, right, derivs = es.eigenvalues, es.right, es.derivs
-    k = lams.size
-    parts = {
-        (i, j): -np.outer(right[i], np.conj(right[j]))
-        / ((lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j])
+    k, n = right.shape
+    denominators = np.array([
+        [(lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j] for j in range(k)]
         for i in range(k)
-        for j in range(k)
-    }
-    return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
+    ])
+    outer = right[:, None, :, None] * np.conj(right)[None, :, None, :]
+    stack = -outer / denominators[:, :, None, None]
+    return SpectralComponentSet(_pair_keys(k), stack.reshape(k * k, n, n), "pair", "raw",
+                                "companion", es.poly, es.spectrum)
 
 
 def finite_subgramians(
@@ -267,13 +282,12 @@ def finite_subgramians(
     """
     es = h.structure
     if static is None:
-        static = SpectralComponentSet(
+        static = SpectralComponentSet.from_parts(
             _eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum
         )
     elif static.kind != "eigen" or static.flavor != "raw":
         raise ValueError("finite components expect the raw eigen-indexed Gramian set")
-    parts = static.components
-    terms = {i: [(-parts[i] * h.growth[i]) @ h.expm_transpose] for i in parts}
+    terms = 0 + (-static.stack * h.growth[:, None, None]) @ h.expm_transpose
     return FiniteGramianDecomposition(static, _plus_terms(static, terms), h.t, h.expm_transpose)
 
 
@@ -285,11 +299,9 @@ def finite_pair_subgramians(pairs: SpectralComponentSet, t: float) -> SpectralCo
     if pairs.kind != "pair" or pairs.flavor != "raw":
         raise ValueError("finite pair components expect the raw pair-indexed Gramian set")
     values = pairs.spectrum.values
-    terms = {
-        (i, j): [-part * np.exp((values[i] + np.conj(values[j])) * t)]
-        for (i, j), part in pairs.components.items()
-    }
-    return _plus_terms(pairs, terms)
+    # scalar exponentials, as numpy's array loops may round differently
+    growth = np.array([np.exp((values[i] + np.conj(values[j])) * t) for i, j in pairs.keys])
+    return _plus_terms(pairs, 0 + -pairs.stack * growth[:, None, None])
 
 
 def _require_initial(es: EigenStructure, p0: InitialCondition):
@@ -303,11 +315,9 @@ def homogeneous_subgramians(h: Horizon, p0: InitialCondition) -> SpectralCompone
     whose sum reproduces P_0 at t = 0."""
     es = h.structure
     _require_initial(es, p0)
-    parts = {
-        i: es.residues[i] @ p0.matrix @ h.expm_transpose * h.growth[i]
-        for i in range(h.growth.size)
-    }
-    return SpectralComponentSet(parts, "eigen", "raw", "companion", es.poly, es.spectrum)
+    stack = es.residues @ p0.matrix @ h.expm_transpose * h.growth[:, None, None]
+    return SpectralComponentSet(tuple(range(h.growth.size)), stack, "eigen", "raw",
+                                "companion", es.poly, es.spectrum)
 
 
 def homogeneous_pair_subgramians(
@@ -318,15 +328,12 @@ def homogeneous_pair_subgramians(
     whose sum reproduces P_0 at t = 0."""
     _require_initial(es, p0)
     residues, lams = es.residues, es.eigenvalues
-    parts = {
-        (i, j): residues[i]
-        @ p0.matrix
-        @ residues[j].conj().T
-        * np.exp((lams[i] + np.conj(lams[j])) * t)
-        for i in range(lams.size)
-        for j in range(lams.size)
-    }
-    return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
+    k, n = es.right.shape
+    keys = _pair_keys(k)
+    growth = np.array([np.exp((lams[i] + np.conj(lams[j])) * t) for i, j in keys])
+    products = (residues @ p0.matrix)[:, None] @ np.swapaxes(residues, 1, 2).conj()[None, :]
+    return SpectralComponentSet(keys, products.reshape(k * k, n, n) * growth[:, None, None],
+                                "pair", "raw", "companion", es.poly, es.spectrum)
 
 
 def lift_to_original(
@@ -347,9 +354,9 @@ def lift_to_original(
     def sandwich(x):
         return ctrb @ np.kron(h_u @ x @ h_u, eye_m) @ ctrb.T
 
-    lifted = {key: sandwich(x) for key, x in decomp.components.items()}
+    lifted = np.array([sandwich(x) for x in decomp.stack])
     total = None if decomp.accurate_total is None else sandwich(decomp.accurate_total)
-    return replace(decomp, components=lifted, coordinate="original", accurate_total=total)
+    return replace(decomp, stack=lifted, coordinate="original", accurate_total=total)
 
 
 def resolvent_coefficients(chains: JordanChainSet) -> list:
@@ -432,7 +439,7 @@ def multiple_eig_gramian(
         )
 
     coordinate = "companion" if companion else "original"
-    static = SpectralComponentSet(statics, "eigen", "raw", coordinate, poly, spec)
+    static = SpectralComponentSet.from_parts(statics, "eigen", "raw", coordinate, poly, spec)
     if t is None:
         return FiniteGramianDecomposition(static)
     _require_horizon(t)
@@ -443,14 +450,14 @@ def multiple_eig_gramian(
         for k, a_k in enumerate(block_coeffs, start=1):
             expm += a_k * _poly_exp(block.eigenvalue, k - 1, t)
     expm_transpose = expm.T
-    terms = {
-        i: [
+    terms = np.array([
+        sum(
             -(a_k @ rights[i][l - 1]) * _poly_exp(block.eigenvalue, k - l, t) @ expm_transpose
             for k, a_k in enumerate(block_coeffs, start=1)
             for l in range(1, k + 1)
-        ]
+        )
         for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs))
-    }
+    ])
     return FiniteGramianDecomposition(static, _plus_terms(static, terms), t, expm_transpose)
 
 
@@ -481,6 +488,20 @@ def exponent_collisions(spec: Spectrum, tol: float = 1e-10) -> list:
                 hits.append((min(a, b), max(a, b)))
     hits.sort()
     return [(divmod(a, n), divmod(b, n)) for a, b in hits]
+
+
+def pair_collisions(spec: Spectrum, tol: float = 1e-10) -> list:
+    """The exponent_collisions that make pair components non-unique.
+
+    In a real system (i, j) and its mirror (p(j), p(i)), p the conjugate
+    partner, always share their exponent, since the two components are
+    transposes of each other; those collisions are left out.
+    """
+    partner = spec.conjugate_partner()
+    return [
+        (a, b) for a, b in exponent_collisions(spec, tol)
+        if b != (int(partner[a[1]]), int(partner[a[0]]))
+    ]
 
 
 def zero_plaid_defect(m: np.ndarray, alternation: bool = True):

@@ -11,6 +11,7 @@ numerical inverse exists only in the oracle module, as an independent check).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from .companion import (
     alternating_signs,
 )
 from .errors import ConditioningError
-from .gramians import Horizon, InitialCondition, SpectralComponentSet
+from .gramians import Horizon, InitialCondition, SpectralComponentSet, _pair_keys
 
 ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
@@ -57,7 +58,7 @@ def inverse_eigenparts(es: EigenStructure) -> SpectralComponentSet:
     N'(lambda_i) and N(-lambda_i) and no residues, so a near-multiple simple
     spectrum is still decomposed.
     """
-    return SpectralComponentSet(
+    return SpectralComponentSet.from_parts(
         _inverse_eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum,
         es.accurate_total(_inverse_eigenparts),
     )
@@ -69,18 +70,22 @@ def inverse_pair_parts(es: EigenStructure) -> SpectralComponentSet:
     Component (i, j) equals conj(R_i) P_hat_j, worked out through left
     eigenvectors only: the first factor is taken at conj(lambda_i), where
     real coefficients make y, N' and N(-.) the conjugates of those at
-    lambda_i.
+    lambda_i.  The k x k coefficients are scalar arithmetic, whose last bits
+    differ from numpy's array multiply; the rank-one factors and the scaling
+    are one broadcast.
     """
     lams, left, derivs, mirrors = es.eigenvalues, es.left, es.derivs, es.mirrors
-    k = lams.size
-    parts = {
-        (i, j): (np.conj(mirrors[i]) * mirrors[j])
-        / (-(np.conj(derivs[i]) * derivs[j]) * (np.conj(lams[i]) + lams[j]))
-        * np.outer(np.conj(left[i]), left[j])
+    k, n = left.shape
+    coefficients = np.array([
+        [(np.conj(mirrors[i]) * mirrors[j])
+         / (-(np.conj(derivs[i]) * derivs[j]) * (np.conj(lams[i]) + lams[j]))
+         for j in range(k)]
         for i in range(k)
-        for j in range(k)
-    }
-    return SpectralComponentSet(parts, "pair", "raw", "companion", es.poly, es.spectrum)
+    ])
+    outer = np.conj(left)[:, None, :, None] * left[None, :, None, :]
+    stack = coefficients[:, :, None, None] * outer
+    return SpectralComponentSet(_pair_keys(k), stack.reshape(k * k, n, n), "pair", "raw", "companion",
+                                es.poly, es.spectrum)
 
 
 @dataclass(frozen=True)
@@ -129,12 +134,13 @@ def riccati_general(
         raise ValueError("the Riccati lift expects the companion inverse eigen set")
     transform.require_polynomial(inv.poly)
     ctrb, h_u = transform.controllability, transform.hankel
-    lifted = {}
-    for key, x in inv.components.items():
+
+    def lift(x):
         inner = np.linalg.solve(h_u, np.linalg.solve(h_u, x).conj().T).conj().T
         half = np.linalg.solve(ctrb.T, inner)
-        lifted[key] = np.linalg.solve(ctrb.T, half.conj().T).conj().T
-    return replace(inv, components=lifted, coordinate="original")
+        return np.linalg.solve(ctrb.T, half.conj().T).conj().T
+
+    return replace(inv, stack=np.array([lift(x) for x in inv.stack]), coordinate="original")
 
 
 def _solve_dense(a: np.ndarray, rhs: list) -> list:
@@ -183,22 +189,23 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     structure's precision: 1e12 in double, 1e17 extended.
     """
     es, t = h.structure, h.t
-    inv_components = _inverse_eigenparts(es)
-    residues = es.residues
+    inv = SpectralComponentSet.from_parts(
+        _inverse_eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum
+    )
     n = es.poly.degree
     signs = alternating_signs(n)
-    g_inv = np.eye(n, dtype=h.expm_transpose.dtype)
-    term_scale = 1.0
-    for i, growth in enumerate(h.growth):
-        scaled_exp = growth * h.expm_transpose
-        decay = (signs[:, None] * residues[i].T * signs[None, :]) @ scaled_exp
-        boundary = inv_components[i] @ p0.matrix @ scaled_exp
-        g_inv += boundary - decay
-        term_scale = max(
-            term_scale,
-            float(np.max(np.abs(decay))),
-            float(np.max(np.abs(boundary))),
-        )
+    # per eigenvalue, the boundary term minus the decay term; the largest
+    # entry of each is its scale, rounded to double as the condition is
+    scaled_exp = h.growth[:, None, None] * h.expm_transpose
+    terms = -((signs[:, None] * np.swapaxes(es.residues, 1, 2) * signs) @ scaled_exp)
+    scales = [1.0, *np.abs(terms).max(axis=(1, 2)).astype(float).tolist()]
+    if np.any(p0.matrix):  # with P_0 = 0 the boundary terms vanish
+        boundary = inv.stack @ p0.matrix @ scaled_exp
+        terms = boundary + terms
+        scales += np.abs(boundary).max(axis=(1, 2)).astype(float).tolist()
+    # added one term at a time, in eigenvalue order
+    g_inv = functools.reduce(np.add, terms, np.eye(n, dtype=h.expm_transpose.dtype))
+    term_scale = max(scales)
     # condition against the size of the cancelled terms: G^{-1} built from
     # exponentials of scale term_scale can be singular while formally
     # well-scaled (e.g. t = 0 with P_0 = 0 gives the zero matrix)
@@ -209,11 +216,8 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
             f"normalization matrix G(t) is numerically singular at t = {t}",
             condition=condition,
         )
-    scaled = dict(zip(inv_components, _solve_dense(g_inv, list(inv_components.values()))))
     state = NormalizationState(float(t), g_inv, condition)
-    return state, SpectralComponentSet(
-        scaled, "eigen", "raw", "companion", es.poly, es.spectrum
-    )
+    return state, replace(inv, stack=np.array(_solve_dense(g_inv, list(inv.stack))))
 
 
 def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -257,4 +261,4 @@ def inverse_multiple_eig(cr: CompanionRealization, chains: JordanChainSet) -> Sp
         x = _solve_upper_hankel(hvals, block.left)
         parts[j] = signs[:, None] * (block.left.T @ (block.toeplitz @ x))
     spec = chains.spectrum
-    return SpectralComponentSet(parts, "eigen", "raw", "companion", cr.poly, spec)
+    return SpectralComponentSet.from_parts(parts, "eigen", "raw", "companion", cr.poly, spec)

@@ -5,6 +5,7 @@ import numpy as np
 
 from gramspec.companion import alternating_signs
 from gramspec.errors import MultipleEigenvalueError
+from gramspec.inverse import _inverse_eigenparts
 from gramspec.oracle import OracleResult, _symmetry_defect
 from gramspec.spectrum import Polynomial, Spectrum
 
@@ -176,3 +177,124 @@ def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:
         e = step @ e
     p = total * (h / 3.0)
     return OracleResult(p, "quadrature", _symmetry_defect(p), steps=intervals)
+
+
+# ---------------------------------------------------------------------------
+# One component at a time.  The package builds, symmetrizes, sums and checks
+# each component set as one (k, n, n) stack; these are the per-component
+# loops it replaced, which the stacked forms must match bit for bit.
+
+
+def hermitian_part_each(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
+def pair_subgramians_each(es) -> dict:
+    """Raw Gramian pair components -x_i x_j^* / ((lambda_i + conj(lambda_j))
+    N'(lambda_i) conj(N'(lambda_j))), keyed (i, j)."""
+    conj_derivs = np.conj(es.derivs) + 0
+    lams, right, derivs = es.eigenvalues, es.right, es.derivs
+    k = lams.size
+    return {
+        (i, j): -np.outer(right[i], np.conj(right[j]))
+        / ((lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j])
+        for i in range(k)
+        for j in range(k)
+    }
+
+
+def inverse_pair_parts_each(es) -> dict:
+    """Raw inverse pair components conj(R_i) P_hat_j, keyed (i, j)."""
+    lams, left, derivs, mirrors = es.eigenvalues, es.left, es.derivs, es.mirrors
+    k = lams.size
+    return {
+        (i, j): (np.conj(mirrors[i]) * mirrors[j])
+        / (-(np.conj(derivs[i]) * derivs[j]) * (np.conj(lams[i]) + lams[j]))
+        * np.outer(np.conj(left[i]), left[j])
+        for i in range(k)
+        for j in range(k)
+    }
+
+
+def finite_pair_subgramians_each(pairs: dict, values: np.ndarray, t: float) -> dict:
+    """Finite pair components at t of the raw pair components ``pairs``."""
+    return {
+        (i, j): part + sum([-part * np.exp((values[i] + np.conj(values[j])) * t)])
+        for (i, j), part in pairs.items()
+    }
+
+
+def finite_subgramians_each(parts: dict, h) -> dict:
+    """Finite eigen components at the horizon ``h`` of the raw eigen parts."""
+    return {i: part + sum([(-part * h.growth[i]) @ h.expm_transpose])
+            for i, part in parts.items()}
+
+
+def homogeneous_subgramians_each(h, p0) -> dict:
+    residues = h.structure.residues
+    return {i: residues[i] @ p0.matrix @ h.expm_transpose * h.growth[i]
+            for i in range(h.growth.size)}
+
+
+def merge_conjugate_each(components: dict, spectrum, kind: str) -> dict:
+    """Components summed over conjugate index orbits, keyed by the orbit's
+    smallest member, as real matrices."""
+    partner = spectrum.conjugate_partner()
+
+    def orbit(key):
+        if kind == "eigen":
+            mate = int(partner[key])
+            return [key] if mate == key else sorted({key, mate})
+        i, j = key
+        mate = (int(partner[i]), int(partner[j]))
+        return [key] if mate == key else sorted({key, mate})
+
+    merged = {}
+    for key in components:
+        members = orbit(key)
+        if members[0] not in merged:
+            merged[members[0]] = sum(components[k] for k in members).real
+    return merged
+
+
+def normalization_each(h, p0) -> tuple:
+    """(G^{-1}(t), term scale) of the finite inverse, one eigenvalue at a time."""
+    es = h.structure
+    inv_components = _inverse_eigenparts(es)
+    residues = es.residues
+    n = es.poly.degree
+    signs = alternating_signs(n)
+    g_inv = np.eye(n, dtype=h.expm_transpose.dtype)
+    term_scale = 1.0
+    for i, growth in enumerate(h.growth):
+        scaled_exp = growth * h.expm_transpose
+        decay = (signs[:, None] * residues[i].T * signs[None, :]) @ scaled_exp
+        boundary = inv_components[i] @ p0.matrix @ scaled_exp
+        g_inv += boundary - decay
+        term_scale = max(
+            term_scale,
+            float(np.max(np.abs(decay))),
+            float(np.max(np.abs(boundary))),
+        )
+    return g_inv, term_scale
+
+
+def eigen_component_residual(a_c, lam, multiplicity, raw, side: str) -> float:
+    """Defect of (A - lambda I)^m X = 0 (side "left") or X (A - lambda I)^m =
+    0, relative to (1 + |lambda|)^m |X|."""
+    n = a_c.shape[0]
+    shifted = np.linalg.matrix_power(a_c - lam * np.eye(n), int(multiplicity))
+    defect = shifted @ raw if side == "left" else raw @ shifted
+    scale = (1.0 + abs(lam)) ** multiplicity * max(1e-300, float(np.linalg.norm(raw)))
+    return float(np.linalg.norm(defect) / scale)
+
+
+def pair_component_residual(a_c, rate, raw, side: str) -> float:
+    """Defect of A X + X A^T = rate X (side "left") or A^T X + X A = rate X,
+    relative to (1 + |rate|) |X|."""
+    if side == "left":
+        defect = a_c @ raw + raw @ a_c.T - rate * raw
+    else:
+        defect = a_c.T @ raw + raw @ a_c - rate * raw
+    scale = (1.0 + abs(rate)) * max(1e-300, float(np.linalg.norm(raw)))
+    return float(np.linalg.norm(defect) / scale)

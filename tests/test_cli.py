@@ -763,14 +763,21 @@ class TestWorkOnce:
 class TestRenderLast:
     def test_refused_document_renders_nothing(self, tmp_path, capsys, monkeypatch):
         # degree 16: the finite inverse is refused at t = 1 even in extended
-        # precision, after every other builder has run; no matrix is rendered
+        # precision.  The pair sets are built only after every builder that
+        # can refuse the document, so none of the three pair builders runs,
+        # and no matrix is rendered
         import gramspec.cli as cli
 
-        rendered = []
+        rendered, pair_builds = [], []
         matrix_json, matrix_block = cli._matrix_json, cli.MatrixBlock
         monkeypatch.setattr(cli, "_matrix_json", lambda m: rendered.append(1) or matrix_json(m))
         monkeypatch.setattr(cli, "MatrixBlock",
                             lambda *args: rendered.append(1) or matrix_block(*args))
+        for name in ("infinite_pair_subgramians", "inverse_pair_parts",
+                     "finite_pair_subgramians"):
+            builder = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, name=name, builder=builder:
+                                pair_builds.append(name) or builder(*args))
         coeffs = gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real
         path = tmp_path / "ladder16.json"
         path.write_text(json.dumps({"char_poly": coeffs.tolist()}))
@@ -778,6 +785,14 @@ class TestRenderLast:
         assert code == EXIT_CONDITIONING
         assert "normalization matrix" in capsys.readouterr().err
         assert rendered == []
+        assert pair_builds == []
+        # the same patches see all three builders on a document that passes
+        path.write_text(json.dumps({"char_poly": [-6.0, 11.0, -6.0, 1.0]}))
+        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        assert sorted(pair_builds) == ["finite_pair_subgramians", "infinite_pair_subgramians",
+                                       "inverse_pair_parts"]
 
 
 class TestImportFootprint:

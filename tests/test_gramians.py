@@ -438,6 +438,23 @@ class TestExponentCollisions:
         assert ((0, 0), (0, 1)) in gs.exponent_collisions(spec, tol)
         assert gs.exponent_collisions(spec, below) == [((0, 1), (1, 0))]
 
+    def test_pair_collisions_leave_out_mirror_pairs(self):
+        # (i, j) and (p(j), p(i)), p the conjugate partner, always collide;
+        # pair_collisions drops exactly those from the raw scan
+        spec = gs.Spectrum.simple(np.array([-1.0, -1 + 1j, -1 - 1j, -1 + 2j, -1 - 2j]))
+        partner = spec.conjugate_partner()
+        raw = gs.exponent_collisions(spec)
+        mirrors = [(a, b) for a, b in raw if b == (partner[a[1]], partner[a[0]])]
+        assert mirrors and gs.pair_collisions(spec) == [c for c in raw if c not in mirrors]
+        # -1 + conj(-1 + 1j) = -2 - 1j = (-1 - 1j) + conj(-1) mirrors; -2 twice does not
+        assert ((0, 1), (2, 0)) in mirrors and ((0, 0), (1, 1)) in gs.pair_collisions(spec)
+        # a real spectrum: every (i, j) ~ (j, i) is a mirror pair
+        real = gs.Spectrum.simple(np.array([-1.0, -2.0, -4.0]))
+        assert len(gs.exponent_collisions(real)) == 3 and gs.pair_collisions(real) == []
+        # 1 + 3 = 2 + 2 is a collision of two different exponent pairs
+        assert gs.pair_collisions(gs.Spectrum.simple(np.array([1.0, 2.0, 3.0]))) == [
+            ((0, 2), (1, 1)), ((1, 1), (2, 0))]
+
 
 def test_initial_condition_validation():
     with pytest.raises(ValueError, match="symmetric"):

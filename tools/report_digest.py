@@ -4,7 +4,9 @@
 
 Runs every case in-process with ``gramspec.cli.main`` from CHECKOUT/src and
 prints the sha256 over (case, exit code, stderr, report) of all of them, so
-two checkouts whose digests agree write byte-identical reports.
+two checkouts whose digests agree write byte-identical reports.  BLAS runs on
+one thread, as in bench/run.py: a threaded BLAS may round some reports
+differently, so the digest is that of what the benchmark runs.
 
 The cases come from the bench/generate.py next to this script, whatever the
 checkout:
@@ -27,7 +29,10 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+# before numpy is imported, which is when BLAS reads them
+os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import numpy as np  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "bench"))
