@@ -328,12 +328,16 @@ def homogeneous_pair_subgramians(
     whose sum reproduces P_0 at t = 0."""
     _require_initial(es, p0)
     residues, lams = es.residues, es.eigenvalues
-    k, n = es.right.shape
-    keys = _pair_keys(k)
-    growth = np.array([np.exp((lams[i] + np.conj(lams[j])) * t) for i, j in keys])
-    products = (residues @ p0.matrix)[:, None] @ np.swapaxes(residues, 1, 2).conj()[None, :]
-    return SpectralComponentSet(keys, products.reshape(k * k, n, n) * growth[:, None, None],
-                                "pair", "raw", "companion", es.poly, es.spectrum)
+    parts = {
+        (i, j): residues[i]
+        @ p0.matrix
+        @ residues[j].conj().T
+        * np.exp((lams[i] + np.conj(lams[j])) * t)
+        for i in range(lams.size)
+        for j in range(lams.size)
+    }
+    return SpectralComponentSet.from_parts(parts, "pair", "raw", "companion", es.poly,
+                                           es.spectrum)
 
 
 def lift_to_original(
@@ -490,8 +494,9 @@ def exponent_collisions(spec: Spectrum, tol: float = 1e-10) -> list:
     return [(divmod(a, n), divmod(b, n)) for a, b in hits]
 
 
-def pair_collisions(spec: Spectrum, tol: float = 1e-10) -> list:
-    """The exponent_collisions that make pair components non-unique.
+def pair_collisions(spec: Spectrum) -> list:
+    """The exponent_collisions, at their default tolerance, that make pair
+    components non-unique.
 
     In a real system (i, j) and its mirror (p(j), p(i)), p the conjugate
     partner, always share their exponent, since the two components are
@@ -499,7 +504,7 @@ def pair_collisions(spec: Spectrum, tol: float = 1e-10) -> list:
     """
     partner = spec.conjugate_partner()
     return [
-        (a, b) for a, b in exponent_collisions(spec, tol)
+        (a, b) for a, b in exponent_collisions(spec)
         if b != (int(partner[a[1]]), int(partner[a[0]]))
     ]
 
