@@ -336,7 +336,7 @@ def cmd_analyze(
     """
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
-    spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
+    spec, poly, es = resolved.spectrum, resolved.poly, resolved.structure
     flavor = "raw" if raw else "symmetrized"
     p0 = doc.initial_condition if initial is None else initial
     multiple = not spec.is_simple
@@ -344,7 +344,7 @@ def cmd_analyze(
     built = {}  # the sets of the report's blocks; a block the report leaves out has no key
     if multiple:
         chains = jordan_chains_companion(spec, poly)
-        gram_decomp = multiple_eig_gramian(cr.a_c, cr.b_c, spec, t=finite, chains=chains)
+        gram_decomp = multiple_eig_gramian(chains, finite)
         built["gram"] = gram_decomp.static
         if pairs:
             warnings.append("pair components are only defined for simple spectra; skipped")
@@ -357,7 +357,7 @@ def cmd_analyze(
             warnings.append("inverse in original coordinates is only evaluated for "
                             "single-input systems; skipped")
     if inverse and multiple:
-        built["inverse"] = inverse_multiple_eig(cr, chains)
+        built["inverse"] = inverse_multiple_eig(chains)
     elif inverse:
         built["inverse"] = inverse_eigenparts(es)
     if inverse and transform is not None and transform.t is not None:
@@ -531,8 +531,8 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     multiple = not spec.is_simple
     if multiple:
         chains = jordan_chains_companion(spec, poly)
-        gram_set = multiple_eig_gramian(a_c, b_c, spec, chains=chains).static
-        inv_set = inverse_multiple_eig(cr, chains)
+        gram_set = multiple_eig_gramian(chains).static
+        inv_set = inverse_multiple_eig(chains)
         recursion_defect = 0.0
         for block in chains.blocks:
             shifted = a_c - block.eigenvalue * np.eye(n)

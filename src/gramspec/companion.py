@@ -8,8 +8,9 @@ coefficients, and Jordan chains for multiple eigenvalues follow a Pascal-type
 recursion in closed form.  For a simple spectrum, eigen_structure is the one
 place that decides whether, and at what working precision, a closed form
 runs: it refuses multiple and unsolvable spectra, and its EigenStructure holds
-the per-eigenvalue data every closed form is built from.  similarity_transform
-is the one place that maps companion coordinates to a system's own.
+the per-eigenvalue data every closed form is built from; jordan_chains_companion
+is that place for spectra with multiplicities.  similarity_transform is the one
+place that maps companion coordinates to a system's own.
 """
 
 from __future__ import annotations
@@ -451,17 +452,23 @@ class JordanBlockChain:
 
 @dataclass(frozen=True)
 class JordanChainSet:
-    """Jordan chains of all clustered eigenvalues plus the full modal pair."""
+    """Jordan chains of all clustered eigenvalues of ``system`` plus the full
+    modal pair; ``poly`` and ``c_row`` only for a companion ``system``, made
+    by jordan_chains_companion."""
 
+    system: LtiSystem
     spectrum: Spectrum
     blocks: list
     modal: np.ndarray
     modal_inverse: np.ndarray
+    poly: Polynomial | None = None
     c_row: np.ndarray | None = None
 
     @classmethod
-    def from_modal_matrices(cls, spec: Spectrum, modal, modal_inverse) -> "JordanChainSet":
-        """Wrap externally supplied chains (general, non-companion systems)."""
+    def from_modal_matrices(cls, system, spec: Spectrum, modal, modal_inverse) -> JordanChainSet:
+        """Wrap chains supplied for a general ``system``; raises
+        SolvabilityError for an unsolvable spectrum."""
+        require_solvable(spec)
         modal = np.asarray(modal, dtype=complex)
         modal_inverse = np.asarray(modal_inverse, dtype=complex)
         blocks = []
@@ -474,7 +481,7 @@ class JordanChainSet:
                 )
             )
             start += mult
-        return cls(spec, blocks, modal, modal_inverse)
+        return cls(system, spec, blocks, modal, modal_inverse)
 
 
 def _chain_columns(lam: complex, mult: int, n: int) -> np.ndarray:
@@ -500,11 +507,13 @@ def _chain_columns(lam: complex, mult: int, n: int) -> np.ndarray:
 
 
 def jordan_chains_companion(spec: Spectrum, p: Polynomial) -> JordanChainSet:
-    """Jordan chains, Toeplitz and Hankel factors for a companion system.
+    """Jordan chains, Toeplitz and Hankel factors of the companion system of
+    ``p``; the one admission of the multiple-eigenvalue closed forms.
 
-    The left chains come from inverting the full modal matrix once; an
+    The left chains come from inverting the full modal matrix once.  Refuses
+    a spectrum entry that is not a root or lies at the origin, then an
     ill-conditioned modal matrix (condition above 1e12, typically from
-    under-clustered nearly-multiple eigenvalues) is rejected.
+    under-clustered nearly-multiple eigenvalues), then an unsolvable spectrum.
     """
     n = p.degree
     if spec.n != n:
@@ -531,6 +540,7 @@ def jordan_chains_companion(spec: Spectrum, p: Polynomial) -> JordanChainSet:
         raise ConditioningError(
             "modal matrix of Jordan chains is numerically singular", condition=float(cond)
         )
+    require_solvable(spec)
     modal_inverse = np.linalg.inv(modal)
 
     signs = alternating_signs(n)
@@ -554,4 +564,4 @@ def jordan_chains_companion(spec: Spectrum, p: Polynomial) -> JordanChainSet:
                 hankel[i, j] = hvals[i + j]
         blocks.append(JordanBlockChain(lam, mult, right, left, toeplitz, hankel))
         start += mult
-    return JordanChainSet(spec, blocks, modal, modal_inverse, c_row)
+    return JordanChainSet(build_companion(p).system(), spec, blocks, modal, modal_inverse, p, c_row)

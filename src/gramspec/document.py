@@ -310,6 +310,8 @@ def _parse_eigenvalues(raw, path: str) -> list:
             lam = complex(float(re), float(im))
         except (TypeError, ValueError):
             raise SchemaError(p, "re and im must be numbers") from None
+        if not np.isfinite(lam):
+            raise SchemaError(p, f"re and im must be finite, got {lam}")
         entries.append((lam, mult))
     # conjugate closure keeps the implied system matrices real
     for lam, mult in entries:

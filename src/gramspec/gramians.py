@@ -12,7 +12,8 @@ enforced globally by the Lyapunov-residual checks in the test suite.
 
 Every simple-spectrum builder takes one companion.EigenStructure, made by
 eigen_structure, which has already refused multiple and unsolvable spectra
-and fixed the working precision; the builders only combine its entries.
+and fixed the working precision; the builders only combine its entries.  The
+multiple-eigenvalue builder likewise takes one companion.JordanChainSet.
 
 Matrix exponentials inside these formulas are evaluated spectrally (residue
 expansion for simple spectra, resolvent coefficients for multiple ones); the
@@ -29,15 +30,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .companion import (
-    EigenStructure,
-    JordanChainSet,
-    SimilarityTransform,
-    alternating_signs,
-    jordan_chains_companion,
-    require_solvable,
-)
-from .spectrum import DEFAULT_TOLERANCES, Polynomial, Spectrum
+from .companion import EigenStructure, JordanChainSet, SimilarityTransform, alternating_signs
+from .errors import ConditioningError
+from .spectrum import Polynomial, Spectrum
 
 ORBIT_IMAG_TOL = 1e-9  # imaginary part of a conjugate-orbit sum, relative to its entry scale
 
@@ -154,6 +149,8 @@ class InitialCondition:
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"initial condition must be square, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("initial condition must have finite entries")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.T)) > 1e-12 * scale:
             raise ValueError("initial condition must be symmetric")
@@ -387,52 +384,32 @@ def _poly_exp(lam: complex, power: int, t: float):
     return np.exp(lam * t) * t**power / math.factorial(power)
 
 
-def _is_companion(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    if n == 1:
-        return True
-    expected = np.zeros((n - 1, n))
-    expected[:, 1:] = np.eye(n - 1)
-    return bool(np.array_equal(a[: n - 1, :], expected))
-
-
 def multiple_eig_gramian(
-    a,
-    b,
-    spec: Spectrum,
-    t: float | None = None,
-    chains: JordanChainSet | None = None,
-    solvability_tol: float = DEFAULT_TOLERANCES.solvability,
+    chains: JordanChainSet, t: float | None = None
 ) -> FiniteGramianDecomposition:
-    """Eigen-indexed Gramian decomposition for spectra with multiplicities.
+    """Eigen-indexed Gramian decomposition of the system of ``chains``, for
+    spectra with multiplicities.
 
     Component i of the algebraic solution is
     sum_k A_hat_k^{(i)} B B^T (-lambda_i I - A^T)^{-k}; the finite-horizon
     terms subtract the polynomial-in-t exponentials, evaluated once at ``t``
-    (without ``t`` only the algebraic components are built).  When ``chains``
-    is not supplied the matrix must be in companion form so the closed-form
-    chains apply; otherwise pass chains built for the given system.
+    (without ``t`` only the algebraic components are built).  Companion
+    chains give companion-coordinate components, others components in their
+    system's own coordinates.  A singular resolvent raises ConditioningError.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    require_solvable(spec, solvability_tol)
+    a, b, poly, spec = chains.system.a, chains.system.b, chains.poly, chains.spectrum
     n = a.shape[0]
-    companion = _is_companion(a)
-    # a companion matrix carries its polynomial exactly in the last row
-    poly = Polynomial(np.append(-a[-1], 1.0)) if companion else None
-    if chains is None:
-        if not companion:
-            raise ValueError("matrix is not in companion form; supply Jordan chains explicitly")
-        chains = jordan_chains_companion(spec, poly)
     coeffs = resolvent_coefficients(chains)
 
     bbt = b @ b.T
     statics = {}
     rights = {}  # per block: B B^T (-lambda I - A^T)^{-k}, k = 1..n_i
     for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs)):
-        inv = np.linalg.inv(-block.eigenvalue * np.eye(n) - a.T.astype(complex))
+        try:
+            inv = np.linalg.inv(-block.eigenvalue * np.eye(n) - a.T.astype(complex))
+        except np.linalg.LinAlgError:
+            msg = f"resolvent (-lambda_i I - A^T) is singular at lambda_i = {block.eigenvalue}"
+            raise ConditioningError(msg, condition=np.inf) from None
         g = bbt.astype(complex)
         rights[i] = []
         for _ in range(block.multiplicity):
@@ -442,7 +419,7 @@ def multiple_eig_gramian(
             a_k @ rights[i][k] for k, a_k in enumerate(block_coeffs)
         )
 
-    coordinate = "companion" if companion else "original"
+    coordinate = "original" if poly is None else "companion"
     static = SpectralComponentSet.from_parts(statics, "eigen", "raw", coordinate, poly, spec)
     if t is None:
         return FiniteGramianDecomposition(static)

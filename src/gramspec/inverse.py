@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .companion import (
-    CompanionRealization,
-    EigenStructure,
-    JordanChainSet,
-    SimilarityTransform,
-    alternating_signs,
-)
+from .companion import EigenStructure, JordanChainSet, SimilarityTransform, alternating_signs
 from .errors import ConditioningError
 from .gramians import Horizon, InitialCondition, SpectralComponentSet, _pair_keys
 
@@ -237,17 +231,18 @@ def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def inverse_multiple_eig(cr: CompanionRealization, chains: JordanChainSet) -> SpectralComponentSet:
-    """Eigen-indexed inverse decomposition for multiple eigenvalues.
+def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:
+    """Eigen-indexed inverse decomposition for multiple eigenvalues, from
+    companion chains only (jordan_chains_companion).
 
     Component j is J (M_j^{(-1)})^T T_j H_j^{-1} M_j^{(-1)}; the chain Hankel
     H_j is anti-triangular and inverted by back-substitution.  A vanishing
     anti-diagonal (last left-chain vector with zero final entry) makes the
     chain degenerate.
     """
-    if chains.c_row is None:
+    if chains.poly is None:
         raise ValueError("inverse decomposition needs companion Jordan chains")
-    n = cr.n
+    n = chains.poly.degree
     signs = alternating_signs(n)
     parts = {}
     for j, block in enumerate(chains.blocks):
@@ -261,4 +256,4 @@ def inverse_multiple_eig(cr: CompanionRealization, chains: JordanChainSet) -> Sp
         x = _solve_upper_hankel(hvals, block.left)
         parts[j] = signs[:, None] * (block.left.T @ (block.toeplitz @ x))
     spec = chains.spectrum
-    return SpectralComponentSet.from_parts(parts, "eigen", "raw", "companion", cr.poly, spec)
+    return SpectralComponentSet.from_parts(parts, "eigen", "raw", "companion", chains.poly, spec)

@@ -223,7 +223,7 @@ def test_criterion_4_example4_product_identity(example1):
 
 
 def test_criterion_5_example5_multiple_eigenvalues(example5):
-    poly, cr, spec = example5
+    poly, _, spec = example5
     chains = gs.jordan_chains_companion(spec, poly)
     errors = [
         rel(chains.modal, EX5_MODAL),
@@ -232,9 +232,9 @@ def test_criterion_5_example5_multiple_eigenvalues(example5):
         rel(chains.blocks[0].hankel, [[-2, -1], [-1, 0]]),
         rel(chains.c_row, [16, 0, 76, 0, 16]),
     ]
-    gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec)
+    gram = gs.multiple_eig_gramian(chains)
     errors.append(rel(gram.static.total(), EX5_SUM))
-    inv = gs.inverse_multiple_eig(cr, chains)
+    inv = gs.inverse_multiple_eig(chains)
     errors.append(rel(inv.symmetrized().components[0], EX5_INV_1))
     product = inv.total().real @ gram.static.total().real
     errors.append(float(np.max(np.abs(product - np.eye(5)))))
@@ -386,12 +386,12 @@ def test_criterion_9_multiple_eigenvalue_path():
         cr = gs.build_companion(poly)
         bbt = np.outer(cr.b_c, cr.b_c)
         reference = gs.solve_lyapunov_dense(cr.a_c, bbt).matrix
-        gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).static.total().real
+        chains = gs.jordan_chains_companion(spec, poly)
+        gram = gs.multiple_eig_gramian(chains).static.total().real
         worst_gram = max(
             worst_gram, np.linalg.norm(gram - reference) / np.linalg.norm(reference)
         )
-        chains = gs.jordan_chains_companion(spec, poly)
-        inv_total = gs.inverse_multiple_eig(cr, chains).symmetrized().total().real
+        inv_total = gs.inverse_multiple_eig(chains).symmetrized().total().real
         inv_reference = np.linalg.inv(reference)
         worst_inv = max(
             worst_inv,
@@ -402,7 +402,8 @@ def test_criterion_9_multiple_eigenvalue_path():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         _, cr, spec = random_companion(rng, n)
-        via_multiple = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).static.total()
+        chains = gs.jordan_chains_companion(spec, cr.poly)
+        via_multiple = gs.multiple_eig_gramian(chains).static.total()
         via_simple = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec)).total()
         worst_reduction = max(
             worst_reduction,

@@ -159,6 +159,16 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == EXIT_CONDITIONING
         capsys.readouterr()
 
+    def test_singular_resolvent_exit(self, tmp_path, capsys):
+        # the margin 3e-10 passes the solvability bound 2e-10, but -lambda_1 I - A^T
+        # is singular in working precision next to the double eigenvalue at -1
+        path = tmp_path / "near_mirror.json"
+        path.write_text('{"schema":1,"eigenvalues":[[-1,0,2],[0.9999999997,0,1]]}')
+        for argv in (["analyze"], ["analyze", "--inverse", "--finite", "1"]):
+            assert main(argv + [str(path)]) == EXIT_CONDITIONING
+            err = capsys.readouterr().err
+            assert "singular at lambda_i = (0.9999999997+0j)" in err and "inf" in err
+
     def test_verify_refuses_uncontrollable(self, tmp_path, capsys):
         path = tmp_path / "uncontrollable.json"
         path.write_text(

@@ -292,6 +292,29 @@ class TestJordanChains:
         with pytest.raises(ValueError, match="not a root"):
             gs.jordan_chains_companion(gs.Spectrum([1.0, 2.5], [2, 3]), poly)
 
+    def test_unsolvable_spectrum_rejected(self):
+        # -1 + 1 = 0: the chains exist, the Lyapunov equation has no unique solution
+        spec = gs.Spectrum([-1.0, 1.0], [2, 1])
+        poly = gs.poly_from_roots(spec.expanded())
+        with pytest.raises(gs.SolvabilityError):
+            gs.jordan_chains_companion(spec, poly)
+        system = gs.build_companion(poly).system()
+        with pytest.raises(gs.SolvabilityError):
+            gs.JordanChainSet.from_modal_matrices(system, spec, np.eye(3), np.eye(3))
+
+    def test_chain_checks_come_before_solvability(self):
+        # an eigenvalue at the origin is unsolvable too, but refused as such first
+        spec = gs.Spectrum([0.0, -1.0], [2, 1])
+        with pytest.raises(ValueError, match="origin"):
+            gs.jordan_chains_companion(spec, gs.poly_from_roots(spec.expanded()))
+
+    def test_chains_carry_their_system(self, example5):
+        poly, cr, spec = example5
+        chains = gs.jordan_chains_companion(spec, poly)
+        assert chains.poly is poly
+        assert np.array_equal(chains.system.a, cr.a_c)
+        assert np.array_equal(chains.system.b, cr.b_c[:, None])
+
     def test_ill_conditioned_chains_rejected(self):
         # nearly coincident clusters make the modal matrix numerically singular
         spec = gs.Spectrum([1.0, 1.0 + 1e-13], [1, 1])

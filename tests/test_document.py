@@ -55,6 +55,13 @@ class TestParsing:
         with pytest.raises(gs.SchemaError, match="conjugate"):
             parse_system({"eigenvalues": [[-1, 2, 1], [-3, 0, 1]]})
 
+    def test_non_finite_eigenvalue(self):
+        # json.loads accepts NaN and Infinity; the schema names the entry
+        with pytest.raises(gs.SchemaError, match=r"^eigenvalues\[0\]: .*finite"):
+            parse_system('{"schema": 1, "eigenvalues": [[NaN, 0, 1], [-2, 0, 1]]}')
+        with pytest.raises(gs.SchemaError, match=r"^eigenvalues\[1\]: .*finite"):
+            parse_system({"eigenvalues": [[-1, 0, 1], [-2, math.inf, 1], [-2, -math.inf, 1]]})
+
     def test_bad_multiplicity(self):
         with pytest.raises(gs.SchemaError, match="multiplicity"):
             parse_system({"eigenvalues": [[-1, 0, 0]]})

@@ -267,7 +267,7 @@ class TestLifting:
 class TestMultipleEigenvalues:
     def test_simple_reduction(self, mirrored_stable):
         _, cr, spec = mirrored_stable
-        dec = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec)
+        dec = gs.multiple_eig_gramian(gs.jordan_chains_companion(spec, cr.poly))
         simple = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         assert np.max(np.abs(dec.static.total() - simple.total())) < 1e-8
 
@@ -275,14 +275,15 @@ class TestMultipleEigenvalues:
         a = np.array([[-1.0, 1.0], [0.0, -1.0]])
         b = np.array([0.0, 1.0])
         spec = gs.Spectrum([-1.0], [2])
-        chains = gs.JordanChainSet.from_modal_matrices(spec, np.eye(2), np.eye(2))
-        dec = gs.multiple_eig_gramian(a, b, spec, chains=chains)
+        system = gs.LtiSystem(a, b)
+        chains = gs.JordanChainSet.from_modal_matrices(system, spec, np.eye(2), np.eye(2))
+        dec = gs.multiple_eig_gramian(chains)
         reference = gs.solve_lyapunov_dense(a, np.outer(b, b)).matrix
         assert np.max(np.abs(dec.static.total().real - reference)) < 1e-8
 
     def test_example_exact_solution(self, example5):
         _, cr, spec = example5
-        dec = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec)
+        dec = gs.multiple_eig_gramian(gs.jordan_chains_companion(spec, cr.poly))
         expected = np.array(
             [
                 [-41, 0, 12, 0, -16],
@@ -297,7 +298,8 @@ class TestMultipleEigenvalues:
 
     def test_example_symmetrized_components(self, example5):
         _, cr, spec = example5
-        sym = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).static.symmetrized()
+        chains = gs.jordan_chains_companion(spec, cr.poly)
+        sym = gs.multiple_eig_gramian(chains).static.symmetrized()
         p1 = (1.0 / 108.0) * np.array(
             [[1, 0, 3, 0, 5], [0, -3, 0, -5, 0], [3, 0, 5, 0, 7], [0, -5, 0, -7, 0], [5, 0, 7, 0, 9]],
             dtype=float,
@@ -315,19 +317,23 @@ class TestMultipleEigenvalues:
         assert np.max(np.abs(sym.components[0] - p1)) < 1e-12
         assert np.max(np.abs(sym.components[1] - p2)) < 1e-12
 
+    def test_singular_resolvent_refused(self):
+        # margin 3e-10 passes the solvability bound, but -lambda_2 I - A^T is singular
+        spec = gs.Spectrum([-1.0, 0.9999999997], [2, 1])
+        chains = gs.jordan_chains_companion(spec, gs.poly_from_roots(spec.expanded()))
+        with pytest.raises(gs.ConditioningError, match="lambda_i = ") as exc:
+            gs.multiple_eig_gramian(chains)
+        assert exc.value.condition == np.inf
+
     def test_finite_multiple_against_rk4(self, example5):
         _, cr, spec = example5
-        dec = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec, t=0.5)
+        chains = gs.jordan_chains_companion(spec, cr.poly)
+        dec = gs.multiple_eig_gramian(chains, t=0.5)
         rk4 = gs.integrate_lyapunov(cr.a_c, bbt(cr), np.zeros((5, 5)), 0.5, steps=20_000)
         rel = np.linalg.norm(dec.at_t.total().real - rk4.matrix) / max(1.0, np.linalg.norm(rk4.matrix))
         assert rel < 1e-7
-        at_0 = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec, t=0.0).at_t
+        at_0 = gs.multiple_eig_gramian(chains, t=0.0).at_t
         assert np.max(np.abs(at_0.total())) < 1e-10
-
-    def test_non_companion_needs_chains(self):
-        a = np.array([[-1.0, 1.0], [0.0, -1.0]])
-        with pytest.raises(ValueError, match="chains"):
-            gs.multiple_eig_gramian(a, np.array([0.0, 1.0]), gs.Spectrum([-1.0], [2]))
 
 
 class TestStructuralProperties:
@@ -461,3 +467,8 @@ def test_initial_condition_validation():
         gs.InitialCondition(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         gs.InitialCondition(np.ones((2, 3)))
+    # NaN fails the symmetry comparison quietly, so finiteness is checked first
+    with pytest.raises(ValueError, match="finite"):
+        gs.InitialCondition(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        gs.InitialCondition(np.array([[1.0, np.inf], [np.inf, 1.0]]))

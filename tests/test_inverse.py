@@ -302,9 +302,9 @@ class TestFiniteInverse:
 
 class TestInverseMultiple:
     def test_example_values(self, example5):
-        poly, cr, spec = example5
+        poly, _, spec = example5
         chains = gs.jordan_chains_companion(spec, poly)
-        sym = gs.inverse_multiple_eig(cr, chains).symmetrized()
+        sym = gs.inverse_multiple_eig(chains).symmetrized()
         p1 = 108.0 * np.array(
             [
                 [192, 0, 528, 0, 32],
@@ -329,25 +329,25 @@ class TestInverseMultiple:
         assert rel_err(sym.components[1], p2) < 1e-10
 
     def test_example_product_identity(self, example5):
-        poly, cr, spec = example5
+        poly, _, spec = example5
         chains = gs.jordan_chains_companion(spec, poly)
-        inv = gs.inverse_multiple_eig(cr, chains)
-        gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec)
+        inv = gs.inverse_multiple_eig(chains)
+        gram = gs.multiple_eig_gramian(chains)
         product = inv.total().real @ gram.static.total().real
         assert np.max(np.abs(product - np.eye(5))) < 1e-8
 
     def test_simple_reduction(self, mirrored_stable):
         poly, cr, spec = mirrored_stable
         chains = gs.jordan_chains_companion(spec, poly)
-        inv_chain = gs.inverse_multiple_eig(cr, chains)
+        inv_chain = gs.inverse_multiple_eig(chains)
         inv_simple = gs.inverse_eigenparts(gs.eigen_structure(cr.poly, spec))
         assert rel_err(inv_chain.total(), inv_simple.total()) < 1e-8
 
     def test_normalization_condition(self, example5):
-        poly, cr, spec = example5
+        poly, _, spec = example5
         chains = gs.jordan_chains_companion(spec, poly)
-        inv = gs.inverse_multiple_eig(cr, chains)
-        gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec).static
+        inv = gs.inverse_multiple_eig(chains)
+        gram = gs.multiple_eig_gramian(chains).static
         for i, block_i in enumerate(chains.blocks):
             for j in range(len(chains.blocks)):
                 product = gram.components[i] @ inv.components[j]
@@ -355,10 +355,18 @@ class TestInverseMultiple:
                 scale = max(1.0, np.max(np.abs(block_i.right @ block_i.left)))
                 assert np.max(np.abs(product - expected)) < 1e-7 * scale
 
+    def test_needs_companion_chains(self):
+        system = gs.LtiSystem(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.array([0.0, 1.0]))
+        chains = gs.JordanChainSet.from_modal_matrices(
+            system, gs.Spectrum([-1.0], [2]), np.eye(2), np.eye(2)
+        )
+        with pytest.raises(ValueError, match="companion"):
+            gs.inverse_multiple_eig(chains)
+
     def test_riccati_residual(self, example5):
         poly, cr, spec = example5
         chains = gs.jordan_chains_companion(spec, poly)
-        total = gs.inverse_multiple_eig(cr, chains).symmetrized().total().real
+        total = gs.inverse_multiple_eig(chains).symmetrized().total().real
         assert gs.residual_riccati(cr.a_c, cr.b_c, total) < 1e-6
 
 

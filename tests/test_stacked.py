@@ -184,8 +184,8 @@ def test_multiple_eigenvalue_residuals(example5):
     # the Jordan path: (A - lambda I)^m with m > 1 in the eigen residuals
     _, cr, spec = example5
     chains = gs.jordan_chains_companion(spec, cr.poly)
-    gram = gs.multiple_eig_gramian(cr.a_c, cr.b_c, spec, chains=chains).static
-    inv = gs.inverse_multiple_eig(cr, chains)
+    gram = gs.multiple_eig_gramian(chains).static
+    inv = gs.inverse_multiple_eig(chains)
     for component_set, side in ((gram, "left"), (inv, "right")):
         want = [eigen_component_residual(cr.a_c, spec.values[i], spec.multiplicities[i], raw,
                                          side)
