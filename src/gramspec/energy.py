@@ -14,17 +14,21 @@ import numpy as np
 
 from .companion import EigenStructure
 from .errors import StabilityError
-from .gramians import SpectralComponentSet
+from .gramians import SpectralComponentSet, modulus
 
 QUADRATURE_POINTS = 40_000
 
 
-def _real_quadratic_form(x0: np.ndarray, matrix: np.ndarray, tol: float = 1e-9) -> float:
-    value = complex(x0 @ matrix @ x0)
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > tol * scale:
-        raise ValueError(f"quadratic form has non-negligible imaginary part {value.imag:.3e}")
-    return value.real
+def _real_quadratic_forms(x0: np.ndarray, stack: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """x_0^T M x_0 of each matrix M of a (k, n, n) stack, as reals; the
+    first form, in stack order, whose imaginary part is not negligible
+    raises ValueError."""
+    values = np.vecdot(x0, x0 @ stack).astype(complex)
+    bad = np.abs(values.imag) > tol * np.fmax(1.0, modulus(values))
+    if np.any(bad):
+        imag = values[np.argmax(bad)].imag
+        raise ValueError(f"quadratic form has non-negligible imaginary part {imag:.3e}")
+    return values.real.copy()
 
 
 def min_energy(x0, inv: SpectralComponentSet) -> float:
@@ -34,7 +38,7 @@ def min_energy(x0, inv: SpectralComponentSet) -> float:
     is stable; for unstable systems it is returned as a plain quadratic form.
     """
     x0 = np.asarray(x0, dtype=float)
-    return _real_quadratic_form(x0, inv.symmetrized().total())
+    return float(_real_quadratic_forms(x0, inv.symmetrized().total()[None])[0])
 
 
 @dataclass(frozen=True)
@@ -60,13 +64,10 @@ def energy_partition(
     if inv.kind != "eigen" or inv_pairs.kind != "pair":
         raise ValueError("energy partition expects the eigen- and pair-indexed inverse sets")
     sym = inv.symmetrized()
-    pair_sym = inv_pairs.symmetrized()
-    k = len(sym.components)
-    linear = np.array([_real_quadratic_form(x0, sym.components[i]) for i in range(k)])
-    quadratic = np.array(
-        [[_real_quadratic_form(x0, pair_sym.components[(i, j)]) for j in range(k)] for i in range(k)]
-    )
-    total = _real_quadratic_form(x0, sym.total())
+    k = len(sym.keys)
+    linear = _real_quadratic_forms(x0, sym.stack)
+    quadratic = _real_quadratic_forms(x0, inv_pairs.symmetrized().stack).reshape(k, k)
+    total = float(_real_quadratic_forms(x0, sym.total()[None])[0])
     stable = bool(inv.spectrum.is_stable) if inv.spectrum is not None else False
     return EnergyPartition(total, linear, quadratic, x0, stable)
 
@@ -151,14 +152,8 @@ def modal_overlap_integrals(
         raise ValueError("overlap integrals expect the pair-indexed Gramian set")
     x0 = np.asarray(x0, dtype=float)
     w = (inv.total() @ x0).real
-    pair_sym = gram_pairs.symmetrized()
     k = spec.values.size
-    closed = np.array(
-        [
-            [_real_quadratic_form(w, pair_sym.components[(i, j)]) for j in range(k)]
-            for i in range(k)
-        ]
-    )
+    closed = _real_quadratic_forms(w, gram_pairs.symmetrized().stack).reshape(k, k)
     signal = optimal_control(x0, es, inv)
     t = np.linspace(-signal.horizon, 0.0, QUADRATURE_POINTS)
     modes = signal.modal(t)

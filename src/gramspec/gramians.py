@@ -42,6 +42,12 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| of each entry, rounded as Python's abs rounds a complex scalar
+    (numpy's complex abs may differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
 def _require_horizon(t: float):
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {t}")
@@ -486,26 +492,24 @@ def pair_collisions(spec: Spectrum) -> list:
     ]
 
 
-def zero_plaid_defect(m: np.ndarray, alternation: bool = True):
-    """Deviation of a matrix from the zero-plaid Hankel alternating pattern.
+def zero_plaid_defect(stack: np.ndarray):
+    """Deviation of a matrix, or of each matrix of a (k, n, n) stack, from
+    the zero-plaid Hankel alternating pattern.
 
-    Returns (odd_defect, alternation_defect), both relative to the largest
-    entry: zeros at positions with odd 1-based index sum, and on even
-    anti-diagonals mu + nu = 2k the entry equals (-1)^(nu-k) times the k-th
-    diagonal entry.  The alternation part applies to the Gramian components
-    only; the inverse components satisfy just the odd-position zeros.
+    Returns (odd_defect, alternation_defect), each the worst over the stack
+    relative to its matrix's largest entry: zeros at positions with odd
+    1-based index sum, and on even anti-diagonals mu + nu = 2k the entry
+    equals (-1)^(nu-k) times the k-th diagonal entry.  The alternation part
+    applies to the Gramian components only; the inverse components satisfy
+    just the odd-position zeros, so their callers read the first value.
     """
-    m = np.asarray(m)
-    n = m.shape[0]
-    scale = max(1e-300, float(np.max(np.abs(m))))
-    odd = 0.0
-    alt = 0.0
-    for mu in range(1, n + 1):
-        for nu in range(1, n + 1):
-            if (mu + nu) % 2 == 1:
-                odd = max(odd, abs(m[mu - 1, nu - 1]))
-            elif alternation:
-                k = (mu + nu) // 2
-                expected = (-1.0) ** (nu - k) * m[k - 1, k - 1]
-                alt = max(alt, abs(m[mu - 1, nu - 1] - expected))
-    return odd / scale, alt / scale
+    m = np.asarray(stack)
+    m = m.reshape((-1,) + m.shape[-2:])
+    mu, nu = np.indices(m.shape[1:])  # 0-based, so k - 1 = (mu + nu) / 2 on even ones
+    odd = (mu + nu) % 2 == 1
+    diag = ((mu + nu) // 2)[~odd]
+    expected = (-1.0) ** (nu[~odd] - diag) * m[:, diag, diag]
+    scale = np.fmax(1e-300, np.abs(m).max(axis=(1, 2)))
+    odd_defect = modulus(m[:, odd]).max(axis=1, initial=0.0) / scale
+    alt_defect = modulus(m[:, ~odd] - expected).max(axis=1) / scale
+    return float(odd_defect.max()), float(alt_defect.max())

@@ -99,15 +99,12 @@ def orthogonality_certificate(
     if gram.flavor != "raw" or inv.flavor != "raw":
         raise ValueError("orthogonality holds for the raw (unsymmetrized) components")
     residues = es.residues
-    scale = max(1.0, max(float(np.max(np.abs(r))) for r in residues))
-    worst = 0.0
-    count = 0
-    for i, g_part in gram.components.items():
-        for j, inv_part in inv.components.items():
-            product = g_part @ inv_part
-            expected = residues[i] if i == j else 0.0
-            worst = max(worst, float(np.max(np.abs(product - expected))))
-            count += 1
+    scale = max(1.0, float(np.max(np.abs(residues))))
+    products = gram.stack[:, None] @ inv.stack[None]  # (i, j) -> P_hat_i P_hat_j^{-C}
+    diagonal = np.arange(len(residues))
+    products[diagonal, diagonal] -= residues
+    worst = float(np.max(np.abs(products)))
+    count = products.shape[0] * products.shape[1]
     return OrthogonalityReport(worst / scale, count, worst / scale <= ORTHOGONALITY_TOL)
 
 
@@ -120,7 +117,8 @@ def riccati_general(
     Components are (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1} of the companion
     eigen components X of ``inv``, an inverse eigen set of the transform's
     polynomial (inverse_eigenparts, or inverse_multiple_eig for a multiple
-    spectrum).
+    spectrum).  An extended set is lifted in its own precision, and its
+    accurate total with it.
     """
     if transform.t is None:
         raise ValueError("the closed-form Riccati solution applies to single-input systems")
@@ -129,12 +127,14 @@ def riccati_general(
     transform.require_polynomial(inv.poly)
     ctrb, h_u = transform.controllability, transform.hankel
 
-    def lift(x):
-        inner = np.linalg.solve(h_u, np.linalg.solve(h_u, x).conj().T).conj().T
-        half = np.linalg.solve(ctrb.T, inner)
-        return np.linalg.solve(ctrb.T, half.conj().T).conj().T
+    def solve(a, xs):  # (a^{-1} X)^H of each X
+        return np.array(_solve_dense(a, list(xs))).conj().swapaxes(-1, -2)
 
-    return replace(inv, stack=np.array([lift(x) for x in inv.stack]), coordinate="original")
+    def lift(xs):
+        return solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, xs))))
+
+    total = None if inv.accurate_total is None else lift(inv.accurate_total[None])[0]
+    return replace(inv, stack=lift(inv.stack), coordinate="original", accurate_total=total)
 
 
 def _solve_dense(a: np.ndarray, rhs: list) -> list:

@@ -65,11 +65,16 @@ def _symmetry_defect(p) -> float:
     return float(np.linalg.norm(p - p.T) / max(1.0, np.linalg.norm(p)))
 
 
+def require_dimension(n: int):
+    """Refuse (ValueError) a state dimension above ORACLE_DIMENSION_CAP."""
+    if n > ORACLE_DIMENSION_CAP:
+        raise ValueError(f"oracle dimension is capped at {ORACLE_DIMENSION_CAP}, got n = {n}")
+
+
 def _kron_operator(a) -> np.ndarray:
     """The n^2 x n^2 operator I kron A + A kron I of P -> A P + P A^T on vec(P)."""
     n = a.shape[0]
-    if n > ORACLE_DIMENSION_CAP:
-        raise ValueError(f"oracle dimension is capped at {ORACLE_DIMENSION_CAP}, got n = {n}")
+    require_dimension(n)
     eye = np.eye(n)
     return np.kron(eye, a) + np.kron(a, eye)
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked 3x3 and 5x5 systems plus random generators."""
+"""Shared fixtures: the worked 3x3 and 5x5 systems, random generators and
+the bitwise comparison of the stacked-versus-loop tests."""
 
 import shutil
 import tempfile
@@ -81,3 +82,17 @@ def random_companion(rng, n, **kwargs):
     order = np.lexsort((values.imag, np.abs(values.imag), values.real))
     spec = gs.Spectrum.simple(values[order])
     return poly, cr, spec
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray, what: str = ""):
+    """Equal bits; of an 80-bit value, whose padding bytes are arbitrary,
+    equal real and imaginary values with equal signs."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    if got.dtype in (np.complex128, np.float64):
+        got, want = (np.ascontiguousarray(x).view(np.uint64) for x in (got, want))
+        assert np.array_equal(got, want), what
+    else:
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(got), part(want)), what
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want))), what

@@ -298,3 +298,61 @@ def pair_component_residual(a_c, rate, raw, side: str) -> float:
         defect = a_c.T @ raw + raw @ a_c - rate * raw
     scale = (1.0 + abs(rate)) * max(1e-300, float(np.linalg.norm(raw)))
     return float(np.linalg.norm(defect) / scale)
+
+
+def zero_plaid_defect_each(m: np.ndarray, alternation: bool = True) -> tuple:
+    """(odd_defect, alternation_defect) of one matrix, entry by entry."""
+    m = np.asarray(m)
+    n = m.shape[0]
+    scale = max(1e-300, float(np.max(np.abs(m))))
+    odd = 0.0
+    alt = 0.0
+    for mu in range(1, n + 1):
+        for nu in range(1, n + 1):
+            if (mu + nu) % 2 == 1:
+                odd = max(odd, abs(m[mu - 1, nu - 1]))
+            elif alternation:
+                k = (mu + nu) // 2
+                expected = (-1.0) ** (nu - k) * m[k - 1, k - 1]
+                alt = max(alt, abs(m[mu - 1, nu - 1] - expected))
+    return odd / scale, alt / scale
+
+
+def orthogonality_each(es, gram, inv) -> tuple:
+    """(max violation, pairs checked) of P_hat_i P_hat_j^{-C} = delta_ij R_i,
+    one product at a time."""
+    residues = es.residues
+    scale = max(1.0, max(float(np.max(np.abs(r))) for r in residues))
+    worst = 0.0
+    count = 0
+    for i, g_part in gram.components.items():
+        for j, inv_part in inv.components.items():
+            product = g_part @ inv_part
+            expected = residues[i] if i == j else 0.0
+            worst = max(worst, float(np.max(np.abs(product - expected))))
+            count += 1
+    return worst / scale, count
+
+
+def real_quadratic_form_each(x0: np.ndarray, matrix: np.ndarray, tol: float = 1e-9) -> float:
+    """x_0^T M x_0 of one matrix, refused (ValueError) when not real."""
+    value = complex(x0 @ matrix @ x0)
+    scale = max(1.0, abs(value))
+    if abs(value.imag) > tol * scale:
+        raise ValueError(f"quadratic form has non-negligible imaginary part {value.imag:.3e}")
+    return value.real
+
+
+def pair_partition_each(pairs, eigen) -> float:
+    """Worst relative gap between the row sums of the symmetrized pair set,
+    added in j order from 0, and the symmetrized eigen components."""
+    k = len(eigen.keys)
+    partition = 0.0
+    for i in range(k):
+        row = sum(pairs.components[(i, j)] for j in range(k))
+        partition = max(
+            partition,
+            float(np.max(np.abs(row - eigen.components[i])))
+            / max(1.0, float(np.max(np.abs(eigen.components[i])))),
+        )
+    return partition

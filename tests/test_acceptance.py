@@ -433,7 +433,7 @@ def test_criterion_10_structural_properties():
             worst_alt = max(worst_alt, alt)
         inv_merged = gs.inverse_eigenparts(es).symmetrized().merged_real()
         for part in inv_merged.components.values():
-            odd, _ = gs.zero_plaid_defect(part, alternation=False)
+            odd, _ = gs.zero_plaid_defect(part)
             worst_inv_plaid = max(worst_inv_plaid, odd)
         pairs = gs.infinite_pair_subgramians(es).symmetrized()
         inv_pairs = gs.inverse_pair_parts(es).symmetrized()

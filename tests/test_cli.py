@@ -169,6 +169,15 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "singular at lambda_i = (0.9999999997+0j)" in err and "inf" in err
 
+    def test_verify_singular_resolvent_exit(self, tmp_path, capsys):
+        # verify builds the closed forms before the Kronecker oracle, so it
+        # refuses this document as analyze does, not as unsolvable (exit 2)
+        path = tmp_path / "near_mirror.json"
+        path.write_text('{"schema":1,"eigenvalues":[[-1,0,2],[0.9999999997,0,1]]}')
+        assert main(["verify", str(path)]) == EXIT_CONDITIONING
+        err = capsys.readouterr().err
+        assert "singular at lambda_i = (0.9999999997+0j)" in err and "Kronecker" not in err
+
     def test_verify_refuses_uncontrollable(self, tmp_path, capsys):
         path = tmp_path / "uncontrollable.json"
         path.write_text(

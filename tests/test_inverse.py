@@ -179,6 +179,24 @@ class TestRiccatiGeneral:
         reference = np.linalg.inv(gs.solve_lyapunov_dense(sys.a, sys.b @ sys.b.T).matrix)
         assert np.linalg.norm(total - reference) <= 1e-7 * np.linalg.norm(reference)
 
+    def test_extended_set_lifted(self):
+        # an 80-bit inverse set is lifted in its own precision, and its
+        # accurate total is lifted with it, so both totals name the same P^{-1}
+        rng = np.random.default_rng(211)
+        _, cr, spec = random_companion(rng, 4)
+        t = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
+        sys = gs.LtiSystem(t @ cr.a_c @ np.linalg.inv(t), t @ cr.b_c)
+        p = gs.char_poly(sys.a)
+        spec = gs.cluster(gs.find_roots(p))
+        transform = gs.similarity_transform(sys, p)
+        double = gs.riccati_general(transform, gs.inverse_eigenparts(gs.eigen_structure(p, spec)))
+        extended = gs.riccati_general(
+            transform, gs.inverse_eigenparts(gs.eigen_structure(p, spec, extended=True)))
+        assert extended.stack.dtype == np.clongdouble and extended.coordinate == "original"
+        scale = np.max(np.abs(double.total()))
+        assert np.max(np.abs(extended.total() - double.total())) <= 1e-10 * scale
+        assert np.max(np.abs(extended.stack - double.stack)) <= 1e-10 * np.max(np.abs(double.stack))
+
     def test_other_sets_rejected(self, mirrored_stable):
         # the lift expects the companion inverse eigen set, not a pair or an
         # already lifted set
@@ -378,11 +396,9 @@ class TestStructuralProperties:
             es = gs.eigen_structure(cr.poly, spec)
             merged = gs.inverse_eigenparts(es).symmetrized().merged_real()
             for part in merged.components.values():
-                odd, _ = gs.zero_plaid_defect(part, alternation=False)
+                odd, _ = gs.zero_plaid_defect(part)
                 assert odd < 1e-10
-            total_odd, _ = gs.zero_plaid_defect(
-                sum(merged.components.values()), alternation=False
-            )
+            total_odd, _ = gs.zero_plaid_defect(sum(merged.components.values()))
             assert total_odd < 1e-10
 
     def test_diagonal_pairs_positive_semidefinite(self):

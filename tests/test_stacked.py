@@ -18,7 +18,7 @@ import gramspec as gs
 from gramspec.cli import _component_residuals
 from gramspec.inverse import CONDITION_CAPS, _inverse_eigenparts, _solve_dense
 
-from conftest import random_companion
+from conftest import assert_bitwise, random_companion
 from references import (
     eigen_component_residual,
     finite_pair_subgramians_each,
@@ -62,20 +62,6 @@ def structure(case: str):
                     break
         _STRUCTURES[case] = (gs.build_companion(poly), spec, gs.eigen_structure(poly, spec))
     return _STRUCTURES[case]
-
-
-def assert_bitwise(got: np.ndarray, want: np.ndarray, what: str = ""):
-    """Equal bits; of an 80-bit value, whose padding bytes are arbitrary,
-    equal real and imaginary values with equal signs."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape, what
-    if got.dtype in (np.complex128, np.float64):
-        got, want = (np.ascontiguousarray(x).view(np.uint64) for x in (got, want))
-        assert np.array_equal(got, want), what
-    else:
-        for part in (np.real, np.imag):
-            assert np.array_equal(part(got), part(want)), what
-            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want))), what
 
 
 def assert_set_equals(component_set, parts: dict, what: str):
