@@ -14,10 +14,10 @@ separate re/im row-major arrays, and every matrix carries a verification
 residual (null for finite-horizon components, which satisfy no identity of
 their own).  Time series are CSV.
 
-Exit codes: 0 success, 1 usage or schema error, 2 solvability violation,
-3 conditioning failure (uncontrollable system, ill-conditioned chains,
-singular normalization, near-multiple eigenvalues), 4 failed verification
-checks.
+Exit codes: 0 success, 1 usage or schema error (also an unwritable
+``--output`` or a closed stdout), 2 solvability violation, 3 conditioning
+failure (uncontrollable system, ill-conditioned chains, singular
+normalization, near-multiple eigenvalues), 4 failed verification checks.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -205,7 +207,7 @@ def _finite_block(component_set, key) -> MatrixBlock:
 # resolution pipeline
 
 
-@dataclass
+@dataclass(eq=False)
 class ResolvedSystem:
     doc: SystemDocument
     poly: Polynomial
@@ -830,9 +832,12 @@ def _load_initial(path: str | None, n: int) -> np.ndarray | None:
 def _emit(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise GramspecError(f"cannot write {output}: {exc}") from None
 
 
 def _dump_report(report: dict) -> str:
@@ -910,5 +915,25 @@ def main(argv=None) -> int:
     return EXIT_USAGE
 
 
+def console_main() -> int:
+    """The ``gramspec`` process: main() on the command line, for a process
+    that exits with the status returned.  In-process callers call main()."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_USAGE
+    # Interpreter shutdown would run collections over every module's cyclic
+    # garbage, numpy's included, only to free memory the OS reclaims at exit;
+    # frozen objects are never collected.  The process still flushes its
+    # streams and runs atexit handlers, which os._exit would skip.  Not in
+    # main(): a freeze there would pin every later document's garbage.
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

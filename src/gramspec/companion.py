@@ -51,7 +51,7 @@ _POLISH_STEPS = 5  # cap on the extended Newton steps
 _LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1  # significand bits of the 80-bit format
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSystem:
     """Continuous LTI pair (A, B); the object under analysis."""
 
@@ -81,7 +81,7 @@ class LtiSystem:
         return self.b.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompanionRealization:
     """Companion pair (A_C, b_C) of a monic characteristic polynomial."""
 
@@ -97,7 +97,7 @@ class CompanionRealization:
         return LtiSystem(self.a_c, self.b_c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityTransform:
     """Change of basis T = C * H_u from the companion coordinates of ``poly``
     to a system's own; ``t`` is None for a multi-input system."""
@@ -214,7 +214,7 @@ def residue_companion(lam: complex, p: Polynomial) -> np.ndarray:
     return _evaluate(p, Spectrum.simple([lam]), np.asarray([lam])).residues[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenStructure:
     """Per-eigenvalue data of a simple companion spectrum, evaluated once.
 
@@ -432,7 +432,7 @@ def eigen_structure(
     return _evaluate(p, spec, values, report, polished)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanBlockChain:
     """Chain data for one clustered eigenvalue.
 
@@ -450,7 +450,7 @@ class JordanBlockChain:
     hankel: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanChainSet:
     """Jordan chains of all clustered eigenvalues of ``system`` plus the full
     modal pair; ``poly`` and ``c_row`` only for a companion ``system``, made

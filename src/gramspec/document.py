@@ -26,7 +26,7 @@ SCHEMA_VERSION = 1
 _SOURCES = ("matrices", "char_poly", "eigenvalues")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemDocument:
     """Validated system description; exactly one source field is set."""
 

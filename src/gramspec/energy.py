@@ -41,7 +41,7 @@ def min_energy(x0, inv: SpectralComponentSet) -> float:
     return float(_real_quadratic_forms(x0, inv.symmetrized().total()[None])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyPartition:
     """Linear and quadratic splits of the minimum-energy quadratic form."""
 
@@ -72,7 +72,7 @@ def energy_partition(
     return EnergyPartition(total, linear, quadratic, x0, stable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalControlSignal:
     """Minimum-energy control u(t) on t <= 0 and its modal components.
 
@@ -125,7 +125,7 @@ def control_energy_quadrature(signal: OptimalControlSignal) -> float:
     return float(np.trapezoid(u * u, t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapReport:
     """Closed-form modal overlap integrals with their quadrature check.
 

@@ -53,7 +53,7 @@ def _require_horizon(t: float):
         raise ValueError(f"horizon must be finite and nonnegative, got {t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralComponentSet:
     """Eigen- or pair-indexed spectral components of a Gramian or of its
     inverse.
@@ -145,7 +145,7 @@ class SpectralComponentSet:
                        accurate_total=total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialCondition:
     """Symmetric initial value P(0) of the differential Lyapunov equation."""
 
@@ -167,7 +167,7 @@ class InitialCondition:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Horizon:
     """A simple-spectrum EigenStructure evaluated at one time t, once.
 
@@ -193,7 +193,7 @@ def horizon(es: EigenStructure, t: float) -> Horizon:
     return Horizon(es, t, growth, sum(g * r.T for g, r in zip(growth, residues)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGramianDecomposition:
     """A Gramian decomposition evaluated at one horizon t.
 

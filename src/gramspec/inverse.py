@@ -25,7 +25,7 @@ PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the 
 CONDITION_CAPS = {False: 1e12, True: 1e17}  # normalization condition cap, by extended precision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationState:
     """Normalization matrix data of the finite inverse at one time point."""
 

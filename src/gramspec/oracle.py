@@ -33,7 +33,7 @@ from .errors import SolvabilityError
 ORACLE_DIMENSION_CAP = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Result of a brute-force solve with its method tag and residual."""
 

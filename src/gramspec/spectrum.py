@@ -46,7 +46,7 @@ DEFAULT_TOLERANCES = Tolerances()
 CONJUGATE_TOL = 1e-9  # distance, relative to 1 + radius, of a conjugate partner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polynomial:
     """Monic real polynomial, coefficients ascending: a_0 + a_1 s + ... + s^n."""
 
@@ -70,7 +70,7 @@ class Polynomial:
         return eval_with_derivative(self, s)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Clustered eigenvalues with multiplicities; total multiplicity is n."""
 

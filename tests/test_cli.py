@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +49,13 @@ def stable_path(tmp_path):
         json.dumps({"eigenvalues": [[-1, 0, 1], [-2, 0, 1], [-3, 0, 1]], "label": "stable"})
     )
     return str(path)
+
+
+def _child_env(**overrides) -> dict:
+    """The environment of a child interpreter that imports this checkout's gramspec."""
+    src = str(Path(gs.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **overrides)
 
 
 def matrix_from(entry):
@@ -143,6 +152,15 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/system.json"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_output(self, example1_path, tmp_path, capsys, target):
+        output = str(tmp_path / target)
+        assert main(["roots", example1_path, "--output", output]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {output}: ")
+        assert captured.err.count("\n") == 1
 
     def test_solvability_exit(self, tmp_path, capsys):
         path = tmp_path / "imag.json"
@@ -823,11 +841,9 @@ class TestImportFootprint:
             "print(sorted({m.split('.')[0] for m in sys.modules}"
             " & {'scipy', 'mpmath', 'fractions', 'decimal'}))\n"
         )
-        src = str(Path(gs.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(),
+            timeout=120,
         )
         assert result.returncode == 0, result.stderr
         return result.stdout.splitlines()[-1]
@@ -859,3 +875,72 @@ class TestImportFootprint:
             "assert code == 0 and 'extended precision' in out.getvalue(), code\n"
         )
         assert self.loaded_after(script) == "[]"
+
+
+def _console_script() -> str:
+    """What the installed ``gramspec`` script runs: its pyproject entry point."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^gramspec = "(.+)"$', pyproject, re.M).group(1).split(":")
+    return f"import sys; from {module} import {name}; sys.exit({name}())"
+
+
+class TestProcessEntry:
+    """``python -m gramspec.cli`` and the ``gramspec`` console script run
+    ``console_main``: main's output and status, then a frozen heap."""
+
+    ENTRIES = {"module": ["-m", "gramspec.cli"], "console": ["-c", _console_script()]}
+
+    def test_console_script_is_console_main(self):
+        assert self.ENTRIES["console"][1] == (
+            "import sys; from gramspec.cli import console_main; sys.exit(console_main())")
+
+    @pytest.fixture
+    def ladder16_path(self, tmp_path):
+        # the degree-16 document of TestRenderLast: its finite inverse is refused
+        coeffs = gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real
+        path = tmp_path / "ladder16.json"
+        path.write_text(json.dumps({"char_poly": coeffs.tolist()}))
+        return str(path)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("document, status", [("example1_path", EXIT_OK),
+                                                  ("ladder16_path", EXIT_CONDITIONING)])
+    def test_matches_in_process_main(self, request, capsys, entry, document, status):
+        argv = ["analyze", request.getfixturevalue(document), "--pairs", "--inverse",
+                "--finite", "1"]
+        assert main(argv) == status
+        expected = capsys.readouterr()
+        result = subprocess.run([sys.executable, *self.ENTRIES[entry], *argv],
+                                capture_output=True, env=_child_env(), timeout=120)
+        assert result.returncode == status, result.stderr
+        assert result.stdout == expected.out.encode()
+        assert result.stderr == expected.err.encode()
+
+    def test_main_leaves_the_collector_alone(self, example1_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["verify", example1_path]) == EXIT_OK
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+
+    def test_freezes_after_main(self, monkeypatch):
+        import gramspec.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_CONDITIONING)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.console_main() == EXIT_CONDITIONING
+        assert calls == ["main", "freeze"]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout(self, example1_path, unbuffered):
+        # the read end closes before the child, still importing, writes its
+        # report; buffered, the short report fails only at the flush
+        with subprocess.Popen(
+            [sys.executable, "-m", "gramspec.cli", "roots", example1_path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_child_env(PYTHONUNBUFFERED=unbuffered),
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == EXIT_USAGE
+        assert err == b""
