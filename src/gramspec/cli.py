@@ -46,6 +46,7 @@ from .companion import (
 )
 from .document import (
     MatrixBlock,
+    MatrixEntry,
     SystemDocument,
     json_text,
     parse_initial_condition,
@@ -108,17 +109,6 @@ EXIT_VERIFY_FAILED = 4
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def _matrix_json(m) -> dict:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def _entry(matrix, residual: float | None) -> dict:
-    """A matrix with its residual; None where no identity is checked."""
-    residual = None if residual is None else float(residual)
-    return {"matrix": _matrix_json(matrix), "residual": residual}
 
 
 def _eigen_key(i: int) -> str:
@@ -430,7 +420,7 @@ def _render_analysis(
         gramian={
             "coordinate": "companion",
             "eigen": _component_block(gram_set, a_c, spec, flavor),
-            "sum": _entry(gram_sum, oracle.residual_lyapunov(a_c, bbt, gram_sum)),
+            "sum": MatrixEntry(gram_sum, oracle.residual_lyapunov(a_c, bbt, gram_sum)),
         },
     )
     if "pair" in built:
@@ -438,7 +428,8 @@ def _render_analysis(
     if "lifted" in built:
         lifted_sum = built["lifted"].symmetrized().total()
         residual = oracle.residual_lyapunov(system.a, system.b @ system.b.T, lifted_sum)
-        report["gramian_original"] = {"coordinate": "original", "sum": _entry(lifted_sum, residual)}
+        report["gramian_original"] = {"coordinate": "original",
+                                      "sum": MatrixEntry(lifted_sum, residual)}
 
     if "inverse" in built:
         inv_set = built["inverse"]
@@ -446,7 +437,7 @@ def _render_analysis(
         report["inverse"] = {
             "coordinate": "companion",
             "eigen": _component_block(inv_set, a_c, spec, flavor, side="right"),
-            "sum": _entry(inv_sum, oracle.residual_riccati(a_c, b_c, inv_sum)),
+            "sum": MatrixEntry(inv_sum, oracle.residual_riccati(a_c, b_c, inv_sum)),
             "product_residual": float(np.max(np.abs(inv_set.total() @ gram_set.total() - eye))),
         }
     if "inverse_pair" in built:
@@ -456,7 +447,7 @@ def _render_analysis(
     if "inverse_original" in built:
         osum = built["inverse_original"].symmetrized().total()
         residual = oracle.residual_riccati(system.a, system.b, osum)
-        report["inverse_original"] = {"coordinate": "original", "sum": _entry(osum, residual)}
+        report["inverse_original"] = {"coordinate": "original", "sum": MatrixEntry(osum, residual)}
 
     if "finite" in built:
         decomp, finite_sum = built["finite"]
@@ -468,7 +459,7 @@ def _render_analysis(
         report["finite"] = {
             "t": decomp.t,
             "eigen": _finite_block(finite_set, _eigen_key),
-            "sum": _entry(finite_sum, diff_residual),
+            "sum": MatrixEntry(finite_sum, diff_residual),
         }
     if "finite_pair" in built:
         pair_set = built["finite_pair"] if flavor == "raw" else built["finite_pair"].symmetrized()
@@ -476,14 +467,14 @@ def _render_analysis(
     if "homogeneous" in built:
         p0c, hom_t, hom_0 = built["homogeneous"]
         residual = float(np.max(np.abs(hom_0.total() - p0c.matrix)))
-        report["finite"]["homogeneous_sum"] = _entry(hom_t.symmetrized().total(), residual)
+        report["finite"]["homogeneous_sum"] = MatrixEntry(hom_t.symmetrized().total(), residual)
     if "finite_inverse" in built:
         state, inv_finite, gram_t = built["finite_inverse"]
         inv_total = inv_finite.total()
         report["finite_inverse"] = {
             "t": state.t,
             "normalization_condition": state.condition,
-            "sum": _entry(inv_total, float(np.max(np.abs(inv_total @ gram_t - eye)))),
+            "sum": MatrixEntry(inv_total, float(np.max(np.abs(inv_total @ gram_t - eye)))),
         }
     return report
 
@@ -557,7 +548,9 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         inv_set = inverse_eigenparts(es)
     gram_sym, inv_sym = gram_set.symmetrized(), inv_set.symmetrized()
 
-    reference = oracle.solve_lyapunov_dense(a_c, bbt)
+    # one Kronecker operator for both oracles
+    operator = oracle.kron_operator(a_c)
+    reference = oracle.solve_lyapunov_dense(a_c, bbt, operator=operator)
     ref_norm = max(1e-300, float(np.linalg.norm(reference.matrix)))
     gram_sum = gram_sym.total().real
     checks.append(
@@ -611,7 +604,8 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
 
         t_probe = 1.0
         closed_t = finite_subgramians(horizon(es, t_probe), gram_set).at_t.total().real
-        rk4 = oracle.integrate_lyapunov(a_c, bbt, np.zeros((n, n)), t_probe, steps=10_000)
+        rk4 = oracle.integrate_lyapunov(a_c, bbt, np.zeros((n, n)), t_probe, steps=10_000,
+                                        operator=operator)
         checks.append(
             _check(
                 "finite_rk4_agreement",

@@ -7,11 +7,13 @@ condition and a label may ride along.  Serialization is plain JSON with
 sorted keys; complex numbers never appear (eigenvalues are (re, im,
 multiplicity) triples).  ``json_text`` writes that JSON for documents and
 reports alike; a report's keyed component blocks are ``MatrixBlock``
-mappings, which it writes from one stacked array each.
+mappings and its single matrices ``MatrixEntry`` mappings, which it writes
+from their arrays with one table of float texts per report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -106,7 +108,8 @@ class MatrixBlock(Mapping):
             stack = np.zeros((0, 0, 0), dtype=complex)
         else:
             stack = np.asarray(matrices, dtype=complex)
-            if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or len(stack) != len(keys):
+            if (stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]
+                    or len(stack) != len(keys)):
                 raise ValueError(f"matrix block needs {len(keys)} square matrices, "
                                  f"got shape {stack.shape}")
             if stack.flags.writeable or order != list(range(len(keys))):
@@ -129,18 +132,63 @@ class MatrixBlock(Mapping):
         return len(self._keys)
 
 
+class MatrixEntry(Mapping):
+    """A read-only complex n x n matrix with its residual: the one-matrix
+    counterpart of ``MatrixBlock``, which ``json_text`` writes the same way.
+
+    ``entry["matrix"]`` is ``{"re": rows, "im": rows}``, built on access, and
+    ``entry["residual"]`` is a float or None.  The matrix is copied.
+    """
+
+    __slots__ = ("_stack", "_residuals")
+
+    def __init__(self, matrix, residual):
+        m = np.array(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError(f"a matrix entry needs a square matrix, got shape {m.shape}")
+        m.flags.writeable = False
+        self._stack = m[None]
+        self._residuals = (None if residual is None else float(residual),)
+
+    def __getitem__(self, key):
+        if key == "matrix":
+            m = self._stack[0]
+            return {"re": m.real.tolist(), "im": m.imag.tolist()}
+        if key == "residual":
+            return self._residuals[0]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(("matrix", "residual"))
+
+    def __len__(self) -> int:
+        return 2
+
+
 def json_text(value) -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2)``, where a
-    ``MatrixBlock`` stands for the dict of its entries.
+    ``MatrixBlock`` or ``MatrixEntry`` stands for the dict of its entries.
 
-    Dict keys must be strings.  Each distinct float is formatted once per
-    call, and each distinct magnitude once per matrix block: a report's
-    symmetrized matrices repeat their mirrored entries and their zeros, and
-    float formatting dominates the pure-Python encoder that ``indent``
-    selects.
+    Dict keys must be strings.  The floats of every block and entry form one
+    table: each distinct magnitude is formatted once per call, since a
+    report's symmetrized matrices repeat their mirrored entries and their
+    zeros, and their sums repeat the components' values.  Each matrix is
+    then written by interleaving its float texts with separators that depend
+    only on n and the indent.  Other floats are formatted where they stand.
     """
     chunks: list = []
-    _encode(value, "\n", _FloatTexts(), chunks.append)
+    matrices: list = []  # (position in chunks, block or entry, indent)
+    _encode(value, "\n", chunks, matrices)
+    if matrices:
+        # per matrix, the "im" rows and then the "re" rows: the sorted key order
+        values = np.concatenate([np.concatenate((holder._stack.imag, holder._stack.real), axis=1)
+                                 for _, holder, _ in matrices], axis=None)
+        floats = _float_texts(values.view(np.uint64))
+        start = 0
+        for position, holder, indent in matrices:
+            end = start + 2 * holder._stack.size
+            chunks[position] = _matrices_text(holder, floats[start:end], indent)
+            start = end
     return "".join(chunks)
 
 
@@ -152,64 +200,58 @@ def _float_text(value: float) -> str:
     return _SPECIAL_FLOATS.get(text, text)
 
 
-class _FloatTexts(dict):
-    """Float -> JSON text, filled on first use.  Zeros are never stored:
-    -0.0 == 0.0 with equal hashes, so they would share one entry."""
-
-    def __missing__(self, value: float) -> str:
-        if not value:
-            return float.__repr__(value)
-        text = self[value] = _float_text(value)
-        return text
-
-
 _ONLY_FLOATS = {float}
 
 
-def _encode(value, indent: str, floats: _FloatTexts, out) -> None:
-    """Pass the text of ``value`` to ``out`` in chunks; ``indent`` is the line
-    break and indent of the nesting ``value`` sits at.  Only exact floats use
-    the table, since True == 1 == 1.0 with equal hashes."""
+def _encode(value, indent: str, chunks: list, matrices: list) -> None:
+    """Append the text of ``value`` to ``chunks``; ``indent`` is the line
+    break and indent of the nesting ``value`` sits at.  A block or entry
+    leaves a None in ``chunks`` and is listed in ``matrices``."""
     if type(value) is float:
-        out(floats[value])
+        chunks.append(_float_text(value))
     elif isinstance(value, (list, tuple)):
         inner = indent + "  "
         if not value:
-            out("[]")
+            chunks.append("[]")
         elif set(map(type, value)) == _ONLY_FLOATS:
-            out("[" + inner + ("," + inner).join(map(floats.__getitem__, value)) + indent + "]")
+            chunks.append("[" + inner + ("," + inner).join(map(_float_text, value))
+                          + indent + "]")
         else:
             separator = "["
             for item in value:
-                out(separator + inner)
-                _encode(item, inner, floats, out)
+                chunks.append(separator + inner)
+                _encode(item, inner, chunks, matrices)
                 separator = ","
-            out(indent + "]")
+            chunks.append(indent + "]")
     elif isinstance(value, dict):
         inner = indent + "  "
         if not value:
-            out("{}")
+            chunks.append("{}")
         else:
             separator = "{"
             for key, item in sorted(value.items()):
-                out(separator + inner + encode_basestring_ascii(key) + ": ")
-                _encode(item, inner, floats, out)
+                chunks.append(separator + inner + encode_basestring_ascii(key) + ": ")
+                _encode(item, inner, chunks, matrices)
                 separator = ","
-            out(indent + "}")
-    elif type(value) is MatrixBlock:
-        out(_block_text(value, indent))
+            chunks.append(indent + "}")
+    elif type(value) in (MatrixBlock, MatrixEntry):
+        if value:
+            matrices.append((len(chunks), value, indent))
+            chunks.append(None)
+        else:
+            chunks.append("{}")
     elif isinstance(value, str):
-        out(encode_basestring_ascii(value))
+        chunks.append(encode_basestring_ascii(value))
     elif value is None:
-        out("null")
+        chunks.append("null")
     elif value is True:
-        out("true")
+        chunks.append("true")
     elif value is False:
-        out("false")
+        chunks.append("false")
     elif isinstance(value, int):
-        out(int.__repr__(value))
+        chunks.append(int.__repr__(value))
     elif isinstance(value, float):  # a subclass such as np.float64
-        out(_float_text(value))
+        chunks.append(_float_text(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -218,18 +260,12 @@ _SIGN_BIT = np.uint64(1 << 63)
 _INFINITY_BITS = np.float64(np.inf).view(np.uint64)
 
 
-def _block_text(block: MatrixBlock, indent: str) -> str:
-    """The text of ``block`` as the dict of its entries, at ``indent``.
+def _float_texts(bits: np.ndarray) -> list:
+    """The JSON text of each float whose bits are ``bits``.
 
     Each distinct magnitude is formatted once; a set sign bit prefixes "-",
-    except on NaN, which JSON writes unsigned.  The entries' float texts are
-    interleaved with the fixed indentation and separators and joined once.
+    except on NaN, which JSON writes unsigned.
     """
-    if not block:
-        return "{}"
-    k, n = len(block), block._stack.shape[1]
-    # per entry, the "im" rows and then the "re" rows: the sorted key order
-    bits = np.stack((block._stack.imag, block._stack.real), axis=1).view(np.uint64).ravel()
     distinct, which = np.unique(bits & ~_SIGN_BIT, return_inverse=True)
     texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
     signed = list(map("-".__add__, texts))
@@ -238,26 +274,69 @@ def _block_text(block: MatrixBlock, indent: str) -> str:
         texts[i] = _SPECIAL_FLOATS[texts[i]]
         signed[i] = "NaN" if texts[i] == "NaN" else "-" + texts[i]
     table = np.array(texts + signed, dtype=object)
-    floats = table[which + len(texts) * (bits >> 63).astype(np.intp)]
+    return table[which + len(texts) * (bits >> 63).astype(np.intp)].tolist()
 
-    i1 = indent + "  "
+
+@functools.cache
+def _template(n: int, i1: str) -> tuple:
+    """(opening, gaps, closing) of one n x n matrix entry whose key sits at
+    the indent ``i1``: its text up to its first float, the text after each of
+    its 2 n^2 floats but the last (a None in the last place), and its text
+    after its last float up to the residual's value."""
     i2, i3, i4, i5 = i1 + "  ", i1 + "    ", i1 + "      ", i1 + "        "
-    # the text after each float of an entry but its last
     part = (["," + i5] * (n - 1) + [i4 + "]," + i4 + "[" + i5]) * n
     gaps = part[:-1] + [i4 + "]" + i3 + "]," + i3 + '"re": [' + i4 + "[" + i5] + part[:-1]
-    opening = ": {" + i2 + '"matrix": {' + i3 + '"im": [' + i4 + "[" + i5
+    opening = "{" + i2 + '"matrix": {' + i3 + '"im": [' + i4 + "[" + i5
     closing = i4 + "]" + i3 + "]" + i2 + "}," + i2 + '"residual": '
-    pieces = np.empty((k, 4 * n * n + 1), dtype=object)
-    pieces[:, 0] = [("," if j else "{") + i1 + encode_basestring_ascii(key) + opening
-                    for j, key in enumerate(block._keys)]
-    pieces[:, 1::2] = floats.reshape(k, 2 * n * n)
-    pieces[:, 2:-1:2] = gaps
-    pieces[:, -1] = [closing + ("null" if r is None else _float_text(r)) + i1 + "}"
-                     for r in block._residuals]
-    return "".join(pieces.ravel().tolist()) + indent + "}"
+    return opening, tuple(gaps) + (None,), closing
+
+
+def _matrices_text(holder, floats: list, indent: str) -> str:
+    """The text of a non-empty block or an entry at ``indent``, from the
+    texts of its floats in write order."""
+    block = type(holder) is MatrixBlock
+    i1 = indent + "  " if block else indent
+    opening, gaps, closing = _template(holder._stack.shape[1], i1)
+    tails = [closing + ("null" if r is None else _float_text(r)) + i1 + "}"
+             for r in holder._residuals]
+    if block:
+        heads = [("," if j else "{") + i1 + encode_basestring_ascii(key) + ": " + opening
+                 for j, key in enumerate(holder._keys)]
+        tails[-1] += indent + "}"
+    else:
+        heads = [opening]
+    # after the last float of each matrix: its tail, then the next one's head
+    joints = [tail + head for tail, head in zip(tails, heads[1:])] + tails[-1:]
+    after = list(gaps) * len(tails)
+    after[len(gaps) - 1::len(gaps)] = joints
+    pieces = [None] * (2 * len(floats) + 1)
+    pieces[0] = heads[0]
+    pieces[1::2] = floats
+    pieces[2::2] = after
+    return "".join(pieces)
+
+
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _require_numbers(raw, path: str) -> None:
+    """Refuse (SchemaError at its path) a str, bool, null or any other
+    non-number in ``raw``, a number or nested lists of numbers; a numeric
+    numpy array passes as it is.  numpy would convert "-1" and true."""
+    pending = [(raw, path)]
+    while pending:
+        item, where = pending.pop()
+        if isinstance(item, np.ndarray):
+            if item.dtype.kind not in "iuf":
+                pending.append((item.tolist(), where))
+        elif isinstance(item, (list, tuple)):
+            pending += [(sub, f"{where}[{k}]") for k, sub in reversed(list(enumerate(item)))]
+        elif isinstance(item, bool) or not isinstance(item, _NUMBERS):
+            raise SchemaError(where, f"must be a number, got {item!r}")
 
 
 def _as_float_matrix(raw, path: str) -> np.ndarray:
+    _require_numbers(raw, path)
     try:
         m = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -282,6 +361,7 @@ def _parse_matrices(raw, path: str):
 
 
 def _parse_char_poly(raw, path: str) -> np.ndarray:
+    _require_numbers(raw, path)
     try:
         coeffs = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -306,6 +386,8 @@ def _parse_eigenvalues(raw, path: str) -> list:
         re, im, mult = item
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise SchemaError(f"{p}[2]", f"multiplicity must be a positive integer, got {mult!r}")
+        _require_numbers(re, f"{p}[0]")
+        _require_numbers(im, f"{p}[1]")
         try:
             lam = complex(float(re), float(im))
         except (TypeError, ValueError):
@@ -352,7 +434,8 @@ def parse_system(text_or_mapping) -> SystemDocument:
         raise SchemaError("$", "document must be a JSON object")
 
     schema = data.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
+    if (isinstance(schema, bool) or not isinstance(schema, (int, np.integer))
+            or schema != SCHEMA_VERSION):
         raise SchemaError("schema", f"unsupported schema version {schema!r}")
 
     known = set(_SOURCES) | {"schema", "label", "initial_condition"}

@@ -11,7 +11,8 @@ vec(P) to vec(P) + (D vec(P) + c), where D = Z S and c = h S vec(Q).  This is
 the k1..k4 stage algebra in closed form, not an approximation of it.  The map
 is applied `steps` times by binary powering: O(log steps) products of
 n^2 x n^2 matrices, O(n^6 log steps) flops.  Both the Kronecker solve and RK4
-build the operator in `_kron_operator`, so ORACLE_DIMENSION_CAP covers both.
+take the operator from `kron_operator`, so ORACLE_DIMENSION_CAP covers both; a
+caller that runs both on one A builds it once and passes it to each.
 With one BLAS thread, 10,000 steps take about 1 ms at n = 10, 25 ms at n = 16
 and 1 s at the cap.
 
@@ -71,7 +72,7 @@ def require_dimension(n: int):
         raise ValueError(f"oracle dimension is capped at {ORACLE_DIMENSION_CAP}, got n = {n}")
 
 
-def _kron_operator(a) -> np.ndarray:
+def kron_operator(a) -> np.ndarray:
     """The n^2 x n^2 operator I kron A + A kron I of P -> A P + P A^T on vec(P)."""
     n = a.shape[0]
     require_dimension(n)
@@ -79,16 +80,18 @@ def _kron_operator(a) -> np.ndarray:
     return np.kron(eye, a) + np.kron(a, eye)
 
 
-def solve_lyapunov_dense(a, q) -> OracleResult:
+def solve_lyapunov_dense(a, q, operator=None) -> OracleResult:
     """Solve A P + P A^T = -Q by dense elimination on the n^2 x n^2 operator.
 
     The result is symmetrized.  A numerically singular operator means the
-    solvability condition lambda_i + lambda_j != 0 fails.
+    solvability condition lambda_i + lambda_j != 0 fails.  ``operator`` is
+    ``kron_operator(a)``, built here when not given.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     n = a.shape[0]
-    operator = _kron_operator(a)
+    if operator is None:
+        operator = kron_operator(a)
     cond = np.linalg.cond(operator)
     if not np.isfinite(cond) or cond > 1e14:
         raise SolvabilityError(
@@ -101,7 +104,7 @@ def solve_lyapunov_dense(a, q) -> OracleResult:
     return OracleResult(p, "kron", residual_lyapunov(a, q, p), steps=1)
 
 
-def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000) -> OracleResult:
+def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000, operator=None) -> OracleResult:
     """Classical RK4 on dP/dt = A P + P A^T + Q from P(0) = P_0.
 
     Takes `steps` RK4 steps of size h = t / steps, each as the exact affine
@@ -115,7 +118,8 @@ def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000) -> OracleResult:
     agree to about 1e-11 relative on companion matrices up to n = 10.  With
     few steps on a strongly non-normal A (h ||L|| >> 1), the squarings lose
     digits that the loop keeps (up to about 1e-6 relative at 7 steps for
-    n = 5..10); RK4's truncation error there is of order one.
+    n = 5..10); RK4's truncation error there is of order one.  ``operator``
+    is ``kron_operator(a)``, built here when not given.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -123,7 +127,7 @@ def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000) -> OracleResult:
         raise ValueError("need finite t >= 0 and steps >= 1")
     n = a.shape[0]
     h = t / steps
-    z = h * _kron_operator(a)
+    z = h * (kron_operator(a) if operator is None else operator)
     eye = np.eye(n * n)
     s = eye / 6.0 + z / 24.0
     s = eye / 2.0 + z @ s

@@ -13,6 +13,7 @@ and 10.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,13 +114,24 @@ class Spectrum:
         return np.repeat(self.values, self.multiplicities)
 
     def conjugate_partner(self) -> np.ndarray:
-        """Index of the conjugate eigenvalue for each entry (itself if real)."""
-        scale = 1.0 + self.radius
-        partner = np.empty(self.values.size, dtype=int)
-        for i, lam in enumerate(self.values):
-            partner[i] = int(np.argmin(np.abs(self.values - np.conj(lam))))
-            if abs(self.values[partner[i]] - np.conj(lam)) > CONJUGATE_TOL * scale:
-                partner[i] = i
+        """Index of the conjugate eigenvalue for each entry (itself if real).
+
+        The partner of lambda_i is the first value nearest to conj(lambda_i),
+        unless it is farther than CONJUGATE_TOL relative to 1 + radius.  The
+        read-only index array is computed on the first call only.
+        """
+        return self._conjugate_partner
+
+    @functools.cached_property
+    def _conjugate_partner(self) -> np.ndarray:
+        values, index = self.values, np.arange(self.values.size)
+        distance = values - np.conj(values)[:, None]  # row i: values - conj(lambda_i)
+        partner = np.argmin(np.abs(distance), axis=1)
+        nearest = distance[index, partner]
+        # |.| rounded as Python's abs rounds a complex scalar
+        far = np.hypot(nearest.real, nearest.imag) > CONJUGATE_TOL * (1.0 + self.radius)
+        partner = np.where(far, index, partner)
+        partner.flags.writeable = False
         return partner
 
 

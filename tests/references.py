@@ -1,13 +1,16 @@
 """Independent reference constructions that the tests compare the package
 against; nothing in the package calls them."""
 
+from json.encoder import encode_basestring_ascii
+
 import numpy as np
 
 from gramspec.companion import alternating_signs
+from gramspec.document import MatrixBlock, MatrixEntry
 from gramspec.errors import MultipleEigenvalueError
 from gramspec.inverse import _inverse_eigenparts
 from gramspec.oracle import OracleResult, _symmetry_defect
-from gramspec.spectrum import Polynomial, Spectrum
+from gramspec.spectrum import CONJUGATE_TOL, Polynomial, Spectrum
 
 SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
 
@@ -356,3 +359,129 @@ def pair_partition_each(pairs, eigen) -> float:
             / max(1.0, float(np.max(np.abs(eigen.components[i])))),
         )
     return partition
+
+
+def conjugate_partner_each(spectrum: Spectrum) -> np.ndarray:
+    """Index of the conjugate eigenvalue for each entry (itself if real), one
+    eigenvalue at a time: the first nearest to the conjugate, unless that is
+    farther than CONJUGATE_TOL relative to 1 + radius."""
+    scale = 1.0 + spectrum.radius
+    partner = np.empty(spectrum.values.size, dtype=int)
+    for i, lam in enumerate(spectrum.values):
+        partner[i] = int(np.argmin(np.abs(spectrum.values - np.conj(lam))))
+        if abs(spectrum.values[partner[i]] - np.conj(lam)) > CONJUGATE_TOL * scale:
+            partner[i] = i
+    return partner
+
+
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _SPECIAL_FLOATS.get(text, text)
+
+
+class _FloatTexts(dict):
+    """Float -> JSON text, filled on first use.  Zeros are never stored:
+    -0.0 == 0.0 with equal hashes, so they would share one entry."""
+
+    def __missing__(self, value: float) -> str:
+        if not value:
+            return float.__repr__(value)
+        text = self[value] = _float_text(value)
+        return text
+
+
+def json_text_each(value) -> str:
+    """``json_text`` as it was written before every report matrix was
+    array-backed: a ``MatrixEntry`` goes through the nested lists of its
+    dict, one row and one float at a time, with one table of float texts for
+    the scalars and entries, and each ``MatrixBlock`` has a table of its own.
+    """
+    chunks: list = []
+    _encode_each(value, "\n", _FloatTexts(), chunks.append)
+    return "".join(chunks)
+
+
+def _encode_each(value, indent: str, floats: _FloatTexts, out) -> None:
+    if type(value) is float:
+        out(floats[value])
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        if not value:
+            out("[]")
+        elif set(map(type, value)) == {float}:
+            out("[" + inner + ("," + inner).join(map(floats.__getitem__, value)) + indent + "]")
+        else:
+            separator = "["
+            for item in value:
+                out(separator + inner)
+                _encode_each(item, inner, floats, out)
+                separator = ","
+            out(indent + "]")
+    elif isinstance(value, MatrixEntry):
+        _encode_each({"matrix": value["matrix"], "residual": value["residual"]},
+                     indent, floats, out)
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        if not value:
+            out("{}")
+        else:
+            separator = "{"
+            for key, item in sorted(value.items()):
+                out(separator + inner + encode_basestring_ascii(key) + ": ")
+                _encode_each(item, inner, floats, out)
+                separator = ","
+            out(indent + "}")
+    elif type(value) is MatrixBlock:
+        out(_block_text_each(value, indent))
+    elif isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        out(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+_INFINITY_BITS = np.float64(np.inf).view(np.uint64)
+
+
+def _block_text_each(block: MatrixBlock, indent: str) -> str:
+    """The text of ``block`` at ``indent``, from a float table of its own."""
+    if not block:
+        return "{}"
+    k, n = len(block), block._stack.shape[1]
+    bits = np.stack((block._stack.imag, block._stack.real), axis=1).view(np.uint64).ravel()
+    distinct, which = np.unique(bits & ~_SIGN_BIT, return_inverse=True)
+    texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+    signed = list(map("-".__add__, texts))
+    for i in range(int(np.searchsorted(distinct, _INFINITY_BITS)), len(texts)):
+        texts[i] = _SPECIAL_FLOATS[texts[i]]
+        signed[i] = "NaN" if texts[i] == "NaN" else "-" + texts[i]
+    table = np.array(texts + signed, dtype=object)
+    floats = table[which + len(texts) * (bits >> 63).astype(np.intp)]
+
+    i1 = indent + "  "
+    i2, i3, i4, i5 = i1 + "  ", i1 + "    ", i1 + "      ", i1 + "        "
+    part = (["," + i5] * (n - 1) + [i4 + "]," + i4 + "[" + i5]) * n
+    gaps = part[:-1] + [i4 + "]" + i3 + "]," + i3 + '"re": [' + i4 + "[" + i5] + part[:-1]
+    opening = ": {" + i2 + '"matrix": {' + i3 + '"im": [' + i4 + "[" + i5
+    closing = i4 + "]" + i3 + "]" + i2 + "}," + i2 + '"residual": '
+    pieces = np.empty((k, 4 * n * n + 1), dtype=object)
+    pieces[:, 0] = [("," if j else "{") + i1 + encode_basestring_ascii(key) + opening
+                    for j, key in enumerate(block._keys)]
+    pieces[:, 1::2] = floats.reshape(k, 2 * n * n)
+    pieces[:, 2:-1:2] = gaps
+    pieces[:, -1] = [closing + ("null" if r is None else _float_text(r)) + i1 + "}"
+                     for r in block._residuals]
+    return "".join(pieces.ravel().tolist()) + indent + "}"

@@ -572,6 +572,40 @@ class TestReportBytes:
         if argv[0] == "analyze":
             assert "-0.0" in numbers and "0.0" in numbers
 
+    # T A_C T^-1 for the companion form A_C of (s + 1)(s + 2)(s + 3) and
+    # T = [[1, 1, 0], [0, 1, 0], [1, 0, 1]]
+    SIMILAR_A = [[-1.0, 2.0, 1.0], [-1.0, 1.0, 1.0], [0.0, -10.0, -6.0]]
+
+    @pytest.mark.parametrize("doc, argv", [
+        # a single-input matrices document: the sums in original coordinates
+        ({"matrices": {"A": SIMILAR_A, "B": [[0.0], [0.0], [1.0]]},
+          "initial_condition": [[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 1.0]]},
+         ["analyze", "--pairs", "--inverse", "--finite", "1"]),
+        # a repeated eigenvalue: the Jordan-chain components
+        ({"eigenvalues": [[-1.0, 0.0, 2], [-2.0, 1.0, 1], [-2.0, -1.0, 1]]},
+         ["analyze", "--inverse", "--finite", "1"]),
+        ({"char_poly": [6, 11, 6, 1]},
+         ["analyze", "--pairs", "--inverse", "--finite", "1", "--raw"]),
+        ({"char_poly": [6, 11, 6, 1]},
+         ["analyze", "--pairs", "--finite", "0.5", "--initial", "P0"]),
+    ])
+    def test_report_kinds_are_json_dumps_text(self, tmp_path, capsys, doc, argv):
+        initial = tmp_path / "p0.json"
+        initial.write_text(json.dumps([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        argv = [str(initial) if arg == "P0" else arg for arg in argv]
+        assert main(argv + [str(path), "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        data = out.read_bytes()
+        report = json.loads(data)
+        assert data == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        sums = [block["sum"] for block in report.values()
+                if isinstance(block, dict) and "sum" in block]
+        n = report["system"]["n"]
+        assert len(sums) >= 2 and all(len(s["matrix"]["im"]) == n for s in sums)
+
     def test_keys_past_nine(self, tmp_path, capsys):
         # degree 12: eigen keys "10".."12" and pair keys such as "1,10" sort
         # as strings, before "2" and "1,2"
@@ -806,8 +840,9 @@ class TestRenderLast:
         import gramspec.cli as cli
 
         rendered, pair_builds = [], []
-        matrix_json, matrix_block = cli._matrix_json, cli.MatrixBlock
-        monkeypatch.setattr(cli, "_matrix_json", lambda m: rendered.append(1) or matrix_json(m))
+        matrix_entry, matrix_block = cli.MatrixEntry, cli.MatrixBlock
+        monkeypatch.setattr(cli, "MatrixEntry",
+                            lambda *args: rendered.append(1) or matrix_entry(*args))
         monkeypatch.setattr(cli, "MatrixBlock",
                             lambda *args: rendered.append(1) or matrix_block(*args))
         for name in ("infinite_pair_subgramians", "inverse_pair_parts",

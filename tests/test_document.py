@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gramspec as gs
-from gramspec.document import MatrixBlock, json_text, parse_system
+from gramspec.cli import EXIT_USAGE, cmd_analyze, main
+from gramspec.document import MatrixBlock, MatrixEntry, json_text, parse_system
+
+from references import json_text_each
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import generate  # noqa: E402
 
 
 EXAMPLE1_DOC = {"schema": 1, "label": "example-1", "char_poly": [-6, 11, -6, 1]}
@@ -89,6 +97,66 @@ class TestParsing:
             parse_system({"schema": 2, "char_poly": [1, 1]})
 
 
+class TestNumbersOnly:
+    """Where the schema expects a number, a string, a bool or null is refused
+    with the path of the entry; json.loads gives them, numpy would convert
+    them."""
+
+    @pytest.mark.parametrize("schema", [True, 1.0, "1", None])
+    def test_schema_is_the_integer_one(self, schema):
+        with pytest.raises(gs.SchemaError, match=r"^schema: unsupported"):
+            parse_system({"schema": schema, "char_poly": [6, 11, 6, 1]})
+
+    @pytest.mark.parametrize("entry, value", [(2, True), (0, "6"), (1, "-1"), (2, None)])
+    def test_char_poly(self, entry, value):
+        coeffs = [6, 11, 6, 1]
+        coeffs[entry] = value
+        with pytest.raises(gs.SchemaError, match=rf"^char_poly\[{entry}\]: must be a number"):
+            parse_system({"char_poly": coeffs})
+
+    @pytest.mark.parametrize("part, value", [(0, "-1"), (0, True), (1, "0"), (1, None)])
+    def test_eigenvalue_parts(self, part, value):
+        eigenvalues = [[-1.0, 0.0, 1], [-2.0, 0.0, 1]]
+        eigenvalues[1][part] = value
+        with pytest.raises(gs.SchemaError, match=rf"^eigenvalues\[1\]\[{part}\]: must be"):
+            parse_system({"eigenvalues": eigenvalues})
+
+    @pytest.mark.parametrize("field, value", [("A", "-1"), ("A", False), ("B", "1"),
+                                              ("B", None)])
+    def test_matrices(self, field, value):
+        matrices = {"A": [[0.0, 1.0], [-2.0, -3.0]], "B": [[0.0], [1.0]]}
+        matrices[field][1][0] = value
+        with pytest.raises(gs.SchemaError, match=rf"^matrices\.{field}\[1\]\[0\]: must be"):
+            parse_system({"matrices": matrices})
+
+    @pytest.mark.parametrize("value", ["0", True, None])
+    def test_initial_condition(self, value):
+        initial = [[1.0, 0.0], [0.0, 1.0]]
+        initial[0][1] = value
+        with pytest.raises(gs.SchemaError, match=r"^initial_condition\[0\]\[1\]: must be"):
+            parse_system({"char_poly": [2, 3, 1], "initial_condition": initial})
+
+    def test_numeric_arrays_in_process(self):
+        doc = parse_system({
+            "schema": 1,
+            "matrices": {"A": np.array([[0, 1], [-2, -3]]), "B": np.array([[0.0], [1.0]])},
+            "initial_condition": np.eye(2, dtype=np.float32),
+        })
+        assert doc.matrices[0].dtype == float and doc.initial_condition[1, 1] == 1.0
+        assert parse_system({"char_poly": np.array([2, 3, 1])}).n == 2
+        assert parse_system({"eigenvalues": [[np.float64(-1.0), np.int64(0), 1]]}).n == 1
+        with pytest.raises(gs.SchemaError, match=r"^char_poly\[1\]: must be a number"):
+            parse_system({"char_poly": np.array([2, True, 1], dtype=object)})
+        with pytest.raises(gs.SchemaError, match=r"^char_poly\[0\]: must be a number"):
+            parse_system({"char_poly": np.array([True, False])})
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('{"char_poly": [6, 11, true, 1]}')
+        assert main(["roots", str(path)]) == EXIT_USAGE
+        assert "char_poly[2]: must be a number, got True" in capsys.readouterr().err
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "doc",
@@ -160,11 +228,13 @@ class TestJsonText:
 
 
 def _expanded(value):
-    """``value`` with every MatrixBlock replaced by the dict of its entries."""
-    if isinstance(value, MatrixBlock):
+    """``value`` with every MatrixBlock and MatrixEntry replaced by its dict."""
+    if isinstance(value, (MatrixBlock, MatrixEntry)):
         return {key: value[key] for key in value}
     if isinstance(value, dict):
         return {key: _expanded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_expanded(item) for item in value]
     return value
 
 
@@ -174,6 +244,13 @@ def _block(keys, re, im, residuals) -> MatrixBlock:
     matrices = np.empty(np.shape(re), dtype=complex)
     matrices.real, matrices.imag = re, im
     return MatrixBlock(keys, matrices, residuals)
+
+
+def _entry(re, im, residual) -> MatrixEntry:
+    """An entry from separate real and imaginary parts, as ``_block``."""
+    matrix = np.empty(np.shape(re), dtype=complex)
+    matrix.real, matrix.imag = re, im
+    return MatrixEntry(matrix, residual)
 
 
 KEYS = st.one_of(
@@ -195,8 +272,33 @@ def matrix_blocks(draw):
     return _block(keys, re, im, residuals)
 
 
+@st.composite
+def matrix_entries(draw):
+    n = draw(st.integers(1, 4))
+    re, im = (np.array(draw(st.lists(FLOATS, min_size=n * n, max_size=n * n)), dtype=float)
+              .reshape(n, n) for _ in range(2))
+    return _entry(re, im, draw(st.one_of(st.none(), FLOATS)))
+
+
+# report-shaped values: blocks and entries next to scalars, lists and dicts
+REPORTS = st.recursive(
+    st.one_of(SCALARS, matrix_blocks(), matrix_entries()),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=8,
+)
+
+
 NEGATIVE_NAN = math.copysign(math.nan, -1.0)
 TINY = 5e-324  # the smallest subnormal
+
+
+def assert_text_matches(value):
+    """json_text writes ``value`` as json.dumps writes its expansion, and as
+    the writer it replaced wrote it."""
+    text = json_text(value)
+    assert text == json.dumps(_expanded(value), sort_keys=True, indent=2)
+    assert text == json_text_each(value)
 
 
 class TestMatrixBlock:
@@ -204,9 +306,9 @@ class TestMatrixBlock:
 
     @staticmethod
     def assert_text_matches(block):
-        assert json_text(block) == json.dumps(_expanded(block), sort_keys=True, indent=2)
+        assert_text_matches(block)
         nested = {"sum": 1.5, "block": block, "more": {"block": block, "t": -0.0}}
-        assert json_text(nested) == json.dumps(_expanded(nested), sort_keys=True, indent=2)
+        assert_text_matches(nested)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(matrix_blocks())
@@ -262,3 +364,100 @@ class TestMatrixBlock:
     def test_malformed_block_refused(self, keys, matrices, residuals):
         with pytest.raises(ValueError):
             MatrixBlock(keys, matrices, residuals)
+
+
+class TestMatrixEntry:
+    """json_text writes an entry as json.dumps writes its dict."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(matrix_entries())
+    def test_equals_json_dumps(self, entry):
+        assert_text_matches(entry)
+        assert_text_matches({"sum": entry, "eigen": {"1": entry}, "t": 1.0})
+
+    @pytest.mark.parametrize("re, im, residual", [
+        ([[0.0, -0.0], [-0.0, 0.0]], [[-0.0, 0.0], [0.0, -0.0]], -0.0),
+        ([[math.inf, NEGATIVE_NAN], [TINY, -1e16]], [[math.nan, -math.inf], [-TINY, 0.1]],
+         NEGATIVE_NAN),
+        ([[2.5]], [[-2.5]], None),
+    ])
+    def test_pinned_examples(self, re, im, residual):
+        assert_text_matches(_entry(np.array(re), np.array(im), residual))
+
+    def test_mapping(self):
+        entry = MatrixEntry(np.array([[1.0, 2.0], [3.0, 4.0]]), np.float64(0.5))
+        assert list(entry) == ["matrix", "residual"] and len(entry) == 2
+        assert entry == {"matrix": {"re": [[1.0, 2.0], [3.0, 4.0]],
+                                    "im": [[0.0, 0.0], [0.0, 0.0]]},
+                         "residual": 0.5}
+        assert type(entry["residual"]) is float
+        with pytest.raises(KeyError):
+            entry["sum"]
+
+    def test_read_only_copy(self):
+        matrix = np.ones((2, 2), dtype=complex)
+        entry = MatrixEntry(matrix, None)
+        matrix[0, 0] = 5.0
+        entry["matrix"]["re"][0][0] = 5.0
+        assert entry["matrix"]["re"] == [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(TypeError):
+            entry["residual"] = 1.0
+        with pytest.raises(ValueError):
+            entry._stack[0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(3), np.zeros((0, 0)),
+                                        np.zeros((1, 2, 2))])
+    def test_malformed_entry_refused(self, matrix):
+        with pytest.raises(ValueError):
+            MatrixEntry(matrix, None)
+
+
+class TestReportValues:
+    """Blocks and entries in one value share one float table; the text is
+    json.dumps's and the replaced writer's."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(REPORTS)
+    def test_equals_json_dumps(self, value):
+        assert_text_matches(value)
+
+    def test_shared_values_and_keys_past_nine(self):
+        # the same magnitudes, with either sign, in a block, an entry and a
+        # scalar; keys "10".."12" sort before "2"
+        values = np.array([[0.0, -0.0], [math.nan, -math.inf]])
+        stack = np.stack([values * (-1.0) ** k + 1j * k for k in range(12)])
+        block = MatrixBlock(map(str, range(1, 13)), stack, [None] * 12)
+        value = {"eigen": block, "sum": MatrixEntry(-stack[4], -0.0),
+                 "empty": MatrixBlock([], [], []), "t": -1.0,
+                 "pair": {"1,10": MatrixEntry(stack[9], 1.0), "1,2": MatrixEntry(stack[1], 2.0)}}
+        assert_text_matches(value)
+        assert list(block)[:4] == ["1", "10", "11", "12"]
+
+
+def _catalogue_reports(workload: str, raw: bool = False):
+    """(name, report) of every rendered analyze report of the workload's
+    catalogue documents; documents that exit with an error render none."""
+    items = [item for round_ in generate.catalogue(workload) for item in round_]
+    for k, item in enumerate(items):
+        argv = item["argv"]
+        try:
+            report = cmd_analyze(parse_system(item["doc"]), pairs="--pairs" in argv,
+                                 inverse="--inverse" in argv, finite=1.0, raw=raw)
+        except gs.GramspecError:
+            continue
+        yield f"{workload}/{k}", report
+
+
+class TestCatalogueReports:
+    """json_text writes every report of the analyze catalogues byte for byte
+    as the writer it replaced."""
+
+    @pytest.mark.parametrize("workload, raw", [
+        ("analyze_ladder", False), ("analyze_structured", False), ("analyze_structured", True),
+    ])
+    def test_same_bytes_as_replaced_writer(self, workload, raw):
+        names = []
+        for name, report in _catalogue_reports(workload, raw):
+            assert json_text(report) == json_text_each(report), name
+            names.append(name)
+        assert len(names) >= (24 if workload == "analyze_ladder" else 44)

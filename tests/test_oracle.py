@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gramspec as gs
+from gramspec.cli import cmd_verify
 
 from conftest import random_companion
 from references import gramian_quadrature, matrix_exp_reference
@@ -61,6 +62,32 @@ class TestKroneckerSolve:
         q = np.outer(cr.b_c, cr.b_c)
         result = gs.solve_lyapunov_dense(cr.a_c, q)
         assert abs(result.residual - gs.residual_lyapunov(cr.a_c, q, result.matrix)) < 1e-12
+
+
+class TestSharedOperator:
+    def test_passed_operator_gives_the_same_bits(self):
+        rng = np.random.default_rng(12)
+        _, cr, _ = random_companion(rng, 6)
+        q = np.outer(cr.b_c, cr.b_c)
+        operator = gs.oracle.kron_operator(cr.a_c)
+        for result, shared in (
+            (gs.solve_lyapunov_dense(cr.a_c, q),
+             gs.solve_lyapunov_dense(cr.a_c, q, operator=operator)),
+            (gs.integrate_lyapunov(cr.a_c, q, np.eye(6), 0.5, steps=300),
+             gs.integrate_lyapunov(cr.a_c, q, np.eye(6), 0.5, steps=300, operator=operator)),
+        ):
+            assert result.matrix.tobytes() == shared.matrix.tobytes()
+            assert result.residual == shared.residual
+
+    def test_verify_builds_it_once(self, monkeypatch):
+        built = []
+        kron_operator = gs.oracle.kron_operator
+        monkeypatch.setattr(gs.oracle, "kron_operator",
+                            lambda a: built.append(a.shape) or kron_operator(a))
+        report = cmd_verify(gs.parse_system({"char_poly": [6.0, 11.0, 6.0, 1.0]}))
+        names = [check["name"] for check in report["checks"]]
+        assert "gramian_oracle_agreement" in names and "finite_rk4_agreement" in names
+        assert built == [(3, 3)]
 
 
 class TestRk4:

@@ -5,6 +5,7 @@ import gramspec as gs
 from gramspec.spectrum import _pair_conjugates, _sort_roots, eval_with_derivative
 
 from conftest import random_companion, random_stable_eigenvalues
+from references import conjugate_partner_each
 
 
 class TestCharPoly:
@@ -296,6 +297,34 @@ def test_spectrum_conjugate_partner():
     spec = gs.Spectrum.simple([-1 + 2j, -1 - 2j, -3.0])
     partner = spec.conjugate_partner()
     assert partner[0] == 1 and partner[1] == 0 and partner[2] == 2
+
+
+def _partner_spectra():
+    """Spectra with real values, conjugate pairs, ties between two candidate
+    partners, and partners on either side of the CONJUGATE_TOL threshold."""
+    rng = np.random.default_rng(17)
+    for n in range(1, 13):
+        yield random_stable_eigenvalues(rng, n)
+        yield rng.standard_normal(n) + 1j * rng.standard_normal(n) * rng.integers(0, 2, n)
+    for delta in (1e-12, 1e-10):
+        # conj(2j) = -2j is exactly as near to delta - 2j as to -delta - 2j:
+        # the first of the two is the partner
+        yield np.array([2j, delta - 2j, -delta - 2j, 3.0, 3.0 + 1e-13])
+        yield np.array([-delta - 2j, delta - 2j, 2j])
+    for factor in (0.5, 0.999, 1.001, 2.0):
+        values = np.array([-1 + 2j, -3.0, -0.5 + 0.25j])
+        scale = 1.0 + np.max(np.abs(values))
+        mates = np.conj(values) + factor * gs.spectrum.CONJUGATE_TOL * scale * np.exp(0.3j)
+        yield np.concatenate([values, mates])
+
+
+@pytest.mark.parametrize("values", list(_partner_spectra()))
+def test_conjugate_partner_matches_loop(values):
+    spec = gs.Spectrum.simple(values)
+    partner = spec.conjugate_partner()
+    assert partner.dtype == conjugate_partner_each(spec).dtype
+    assert partner.tolist() == conjugate_partner_each(spec).tolist()
+    assert spec.conjugate_partner() is partner and not partner.flags.writeable
 
 
 def test_nonconvergence_diagnostic():

@@ -148,7 +148,8 @@ def test_verify_check_values(case, monkeypatch):
     # none reads the Kronecker oracle, which refuses the n >= 12 documents,
     # so an identity stands in for its solution
     monkeypatch.setattr(gs.oracle, "solve_lyapunov_dense",
-                        lambda a, q: gs.oracle.OracleResult(np.eye(len(a)), "kron", 0.0, 1))
+                        lambda a, q, operator=None:
+                        gs.oracle.OracleResult(np.eye(len(a)), "kron", 0.0, 1))
     doc, system = resolved(case)
     es, n = system.structure, doc.n
     gram, inv = gs.infinite_subgramians(es), gs.inverse_eigenparts(es)

@@ -1,4 +1,4 @@
-"""One sha256 over gramspec's reports on a fixed set of 188 cases.
+"""One sha256 over gramspec's reports on a fixed set of 232 cases.
 
     python tools/report_digest.py CHECKOUT
 
@@ -15,7 +15,10 @@ checkout:
 - the 24 analyze_ladder documents at n = 3, 5 and 8, document k (in
   catalogue order) given the symmetric initial condition (M + M^T)/2 with M
   standard normal from default_rng(1000 + k), each under the full analyze
-  argv, under ``verify`` and under ``analyze --inverse --finite 2.5 --raw``.
+  argv, under ``verify`` and under ``analyze --inverse --finite 2.5 --raw``;
+- the 44 analyze_structured documents under ``analyze --pairs --inverse
+  --finite 1 --raw``: the raw Jordan-chain and matrices reports, and the pair
+  blocks of the matrices documents.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ LADDER_P0_ARGVS = (
     ["verify"],
     ["analyze", "--inverse", "--finite", "2.5", "--raw"],
 )
+STRUCTURED_RAW_ARGV = ["analyze", "--pairs", "--inverse", "--finite", "1", "--raw"]
 
 
 def cases() -> list:
@@ -60,6 +64,9 @@ def cases() -> list:
         doc = dict(item["doc"], initial_condition=(0.5 * (m + m.T)).tolist())
         for argv in LADDER_P0_ARGVS:
             out.append((f"ladder_p0/{k}/{' '.join(argv)}", doc, list(argv)))
+    structured = [item for round_ in generate.catalogue("analyze_structured") for item in round_]
+    out += [(f"structured_raw/{k}", item["doc"], list(STRUCTURED_RAW_ARGV))
+            for k, item in enumerate(structured)]
     return out
 
 
