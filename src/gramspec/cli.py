@@ -451,11 +451,17 @@ def _render_analysis(
 
     if "finite" in built:
         decomp, finite_sum = built["finite"]
+        with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154 overflow
+            norm = np.linalg.norm(finite_sum)
+            if not np.isfinite(norm):
+                raise ConditioningError(
+                    f"the Frobenius norm of P(t) leaves the double range at t = {decomp.t} "
+                    f"(largest entry {np.max(np.abs(finite_sum)):.3e})")
         finite_set = decomp.at_t if flavor == "raw" else decomp.at_t.symmetrized()
         # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
         expm = decomp.expm_transpose.T
         defect = -(expm @ bbt @ expm.T) + a_c @ finite_sum + finite_sum @ a_c.T + bbt
-        diff_residual = float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(finite_sum)))
+        diff_residual = float(np.linalg.norm(defect) / max(1.0, norm))
         report["finite"] = {
             "t": decomp.t,
             "eigen": _finite_block(finite_set, _eigen_key),

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -45,7 +44,6 @@ POLY_TOL = 1e-8  # relative defect allowed in the similarity and polynomial-matc
 ROOT_TOL = 1e-8  # relative |N(lambda)| and origin distance allowed for a Jordan-chain entry
 ORIGIN_TOL = 1e-12  # |lambda| at or below this times (1 + max|a_k|) has no left eigenvector
 DERIV_FLOOR = 1e-8  # |N'(lambda)| at or below this times max|a_k| counts as a multiple eigenvalue
-_MP_DPS = 40  # digits of accurate_total
 _POLISH_BITS = 133  # fractional and significant bits of each extended Newton iterate: 40 digits
 _POLISH_STEPS = 5  # cap on the extended Newton steps
 _LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1  # significand bits of the 80-bit format
@@ -234,9 +232,9 @@ class EigenStructure:
     The working precision is the dtype of ``eigenvalues``: complex128, or
     clongdouble for an ``extended`` structure, whose eigenvalues are the
     roots Newton-polished in exact integer arithmetic to 133 bits (40
-    digits; kept as ``polished``, triples (x, y, s) for (x + i y) / 2^s) and
-    rounded once to 80 bits.  Builders combine the entries one eigenvalue at
-    a time, in scalar arithmetic.
+    digits) and rounded once to 80 bits; an extended structure also carries
+    ``exact_totals``.  Builders combine the entries one eigenvalue at a time,
+    in scalar arithmetic.
     """
 
     poly: Polynomial
@@ -246,11 +244,10 @@ class EigenStructure:
     derivs: np.ndarray
     mirrors: np.ndarray
     solvability: SolvabilityReport | None = None
-    polished: tuple | None = None
 
     @property
     def extended(self) -> bool:
-        return self.polished is not None
+        return self.eigenvalues.dtype == np.clongdouble
 
     @cached_property
     def left(self) -> np.ndarray:
@@ -274,34 +271,31 @@ class EigenStructure:
             [np.outer(x, y) / (-d) for x, y, d in zip(self.right, self.left, self.derivs)]
         )
 
-    def accurate_total(self, parts: Callable[["EigenStructure"], dict]) -> np.ndarray | None:
-        """Sum of a builder's raw components accumulated at 40 digits, or
-        None for a double-precision structure.
+    @cached_property
+    def exact_totals(self) -> tuple:
+        """The sums (P, P^-1) of the Gramian and inverse eigen components of
+        an extended structure, from the coefficients; (None, None) in double.
 
-        Near-degenerate spectra make individual components exceed their sum by
-        many orders of magnitude; a sum of components stored at any fixed
-        precision then loses the cancellation, so the components are formed
-        from the polished eigenvalues in mpmath and summed before each entry
-        is rounded once to 80 bits.
+        Near-degenerate spectra make components exceed their sum by many
+        orders, which a sum of stored components cannot resolve.  Here P^-1 =
+        diag((-1)^i) Bez(N(s), N(-s)) (Hermite-Fujiwara), with g_k = (-1)^k a_k
+        and Bez_ij = sum_{k=0}^{min(n-1-i, j)} (a_{i+k+1} g_{j-k} - g_{i+k+1}
+        a_{j-k}), is formed exactly on the integers of dyadic_coefficients and
+        rounded once per entry to 80 bits; P is one 80-bit solve with it.
         """
-        if self.polished is None:
-            return None
-        from mpmath import mp, mpc, mpf
-
-        with mp.workdps(_MP_DPS):
-            values = np.array(
-                [mpc(mpf((x, -s)), mpf((y, -s))) for x, y, s in self.polished], dtype=object
-            )
-            total = sum(parts(_evaluate(self.poly, self.spectrum, values)).values())
-
-        def dyadic(x) -> tuple:  # man_exp carries the magnitude's mantissa
-            man, exp = x.man_exp
-            return (-man if x < 0 else man), exp
-
-        return np.array(
-            [[_to_clongdouble(dyadic(z.real), dyadic(z.imag)) for z in row] for row in total],
-            dtype=np.clongdouble,
-        )
+        if not self.extended:
+            return None, None
+        coeffs, t = dyadic_coefficients(self.poly)
+        n = self.poly.degree
+        mirror = [(-1) ** k * c for k, c in enumerate(coeffs)]
+        inverse = np.array([
+            [_to_longdouble((-1) ** i * sum(coeffs[i + k + 1] * mirror[j - k]
+                                            - mirror[i + k + 1] * coeffs[j - k]
+                                            for k in range(min(n - 1 - i, j) + 1)), -2 * t)
+             for j in range(n)]
+            for i in range(n)
+        ], dtype=np.clongdouble)
+        return _solve_dense(inverse, [np.eye(n, dtype=np.clongdouble)])[0], inverse
 
 
 def _evaluate(
@@ -309,7 +303,6 @@ def _evaluate(
     spec: Spectrum,
     values: np.ndarray,
     solvability: SolvabilityReport | None = None,
-    polished: tuple | None = None,
 ) -> EigenStructure:
     n = p.degree
     return EigenStructure(
@@ -320,7 +313,6 @@ def _evaluate(
         np.array([eval_with_derivative(p, lam)[1] for lam in values]),
         np.array([eval_with_derivative(p, -lam)[0] for lam in values]),
         solvability,
-        polished,
     )
 
 
@@ -370,12 +362,6 @@ def _nearest(num: int, den: int) -> int:
     return q - 1 if r == 0 and q & 1 else q
 
 
-def _to_clongdouble(real: tuple, imag: tuple) -> np.clongdouble:
-    """The complex number with dyadic parts (man, exp) = man * 2^exp, each
-    part correctly rounded to the 80-bit format (see _to_longdouble)."""
-    return _to_longdouble(*real) + 1j * _to_longdouble(*imag)
-
-
 def _to_longdouble(man: int, exp: int) -> np.longdouble:
     """man * 2^exp correctly rounded (to nearest, ties to even) to the 80-bit
     format: the integer division happens on the significand, so the one
@@ -389,6 +375,35 @@ def _to_longdouble(man: int, exp: int) -> np.longdouble:
             magnitude += 1
     value = np.ldexp(np.longdouble(magnitude), exp + shift)
     return -value if man < 0 else value
+
+
+def _solve_dense(a: np.ndarray, rhs: list) -> list:
+    """Solutions X of a X = B for each matrix B of ``rhs``, also in the
+    extended-precision dtype.
+
+    LAPACK only covers single/double, so clongdouble systems go through a
+    plain Gaussian elimination with partial pivoting (n is companion-sized),
+    one elimination for all right-hand sides side by side: each pivot
+    updates the trailing rows with one array operation.
+    """
+    if a.dtype != np.clongdouble and all(b.dtype != np.clongdouble for b in rhs):
+        return [np.linalg.solve(a, b) for b in rhs]
+    a = a.astype(np.clongdouble)
+    x = np.concatenate([b.astype(np.clongdouble) for b in rhs], axis=1)
+    n = a.shape[0]
+    for k in range(n):
+        pivot = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[pivot, k] == 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if pivot != k:
+            a[[k, pivot]] = a[[pivot, k]]
+            x[[k, pivot]] = x[[pivot, k]]
+        f = (a[k + 1 :, k] / a[k, k])[:, None]
+        a[k + 1 :, k:] -= f * a[k, k:]
+        x[k + 1 :] -= f * x[k]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
+    return np.hsplit(x, len(rhs))
 
 
 def require_solvable(
@@ -425,11 +440,9 @@ def eigen_structure(
         )
     if not extended:
         return _evaluate(p, spec, spec.values, report)
-    polished = _polished_roots(p, spec.values)
-    values = np.array(
-        [_to_clongdouble((x, -s), (y, -s)) for x, y, s in polished], dtype=np.clongdouble
-    )
-    return _evaluate(p, spec, values, report, polished)
+    values = np.array([_to_longdouble(x, -s) + 1j * _to_longdouble(y, -s)
+                       for x, y, s in _polished_roots(p, spec.values)], dtype=np.clongdouble)
+    return _evaluate(p, spec, values, report)
 
 
 @dataclass(frozen=True, eq=False)

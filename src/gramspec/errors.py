@@ -26,7 +26,7 @@ class SolvabilityError(GramspecError):
             return
         report = report_or_message
         self.report = report
-        pairs = ", ".join(f"({i}, {j})" for i, j in report.violating_pairs)
+        pairs = ", ".join(f"({i + 1}, {j + 1})" for i, j in report.violating_pairs)
         super().__init__(
             "Lyapunov solvability condition violated for eigenvalue pairs "
             f"[{pairs}]; min |lambda_i + lambda_j| = {report.min_pair_magnitude:.3e}"

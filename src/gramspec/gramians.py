@@ -65,10 +65,10 @@ class SpectralComponentSet:
     eigen components are rank one and orthogonal against the Gramian
     eigenparts); symmetrized components are the Hermitian parts and carry the
     physical (energy) interpretation.  ``accurate_total`` (set when the set
-    is built from an extended EigenStructure) is the component sum
-    accumulated at 40 digits from the structure's polished eigenvalues,
-    before rounding; near degeneracy makes resummation of the stored
-    components lossier.
+    is built from an extended EigenStructure) is the component sum computed
+    exactly from the coefficients and rounded once to 80 bits
+    (EigenStructure.exact_totals); near degeneracy makes resummation of the
+    stored components lossier.
     """
 
     keys: tuple
@@ -99,8 +99,10 @@ class SpectralComponentSet:
         return MappingProxyType(dict(zip(self.keys, self.stack)))
 
     def symmetrized(self) -> "SpectralComponentSet":
-        if self.flavor == "symmetrized":
-            return self
+        return self if self.flavor == "symmetrized" else self._hermitian
+
+    @functools.cached_property  # one symmetrization per set, however many callers
+    def _hermitian(self) -> "SpectralComponentSet":
         total = None if self.accurate_total is None else hermitian_part(self.accurate_total)
         return replace(self, stack=hermitian_part(self.stack), flavor="symmetrized",
                        accurate_total=total)
@@ -231,14 +233,14 @@ def infinite_subgramians(es: EigenStructure) -> SpectralComponentSet:
 
     Returns the raw components P_hat_i; their Hermitian parts (via
     ``symmetrized()``) sum to the same solution.  From an extended structure
-    the components are 80-bit and their 40-digit sum is kept as
+    the components are 80-bit and the structure's exact P is kept as
     ``accurate_total``, which keeps the cancellation in the sum resolvable
     when the spectrum is nearly degenerate.  Reads x_i, N'(lambda_i) and
     N(-lambda_i) only, so a near-multiple simple spectrum is still decomposed.
     """
     return SpectralComponentSet.from_parts(
         _eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum,
-        es.accurate_total(_eigenparts),
+        es.exact_totals[0],
     )
 
 

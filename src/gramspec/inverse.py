@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .companion import EigenStructure, JordanChainSet, SimilarityTransform, alternating_signs
+from .companion import (EigenStructure, JordanChainSet, SimilarityTransform, _solve_dense,
+                        alternating_signs)
 from .errors import ConditioningError
 from .gramians import Horizon, InitialCondition, SpectralComponentSet, _pair_keys
 
@@ -47,14 +48,14 @@ def inverse_eigenparts(es: EigenStructure) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the algebraic Riccati solution.
 
     The raw components sum to the exact inverse of the Lyapunov solution;
-    each is rank one.  An extended structure gives 80-bit components and a
-    40-digit ``accurate_total`` (see the Gramian counterpart).  Reads y_i,
-    N'(lambda_i) and N(-lambda_i) and no residues, so a near-multiple simple
-    spectrum is still decomposed.
+    each is rank one.  An extended structure gives 80-bit components and the
+    exact P^-1 as ``accurate_total`` (see the Gramian counterpart).  Reads
+    y_i, N'(lambda_i) and N(-lambda_i) and no residues, so a near-multiple
+    simple spectrum is still decomposed.
     """
     return SpectralComponentSet.from_parts(
         _inverse_eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum,
-        es.accurate_total(_inverse_eigenparts),
+        es.exact_totals[1],
     )
 
 
@@ -137,35 +138,6 @@ def riccati_general(
     return replace(inv, stack=lift(inv.stack), coordinate="original", accurate_total=total)
 
 
-def _solve_dense(a: np.ndarray, rhs: list) -> list:
-    """Solutions X of a X = B for each matrix B of ``rhs``, also in the
-    extended-precision dtype.
-
-    LAPACK only covers single/double, so clongdouble systems go through a
-    plain Gaussian elimination with partial pivoting (n is companion-sized),
-    one elimination for all right-hand sides side by side: each pivot
-    updates the trailing rows with one array operation.
-    """
-    if a.dtype != np.clongdouble and all(b.dtype != np.clongdouble for b in rhs):
-        return [np.linalg.solve(a, b) for b in rhs]
-    a = a.astype(np.clongdouble)
-    x = np.concatenate([b.astype(np.clongdouble) for b in rhs], axis=1)
-    n = a.shape[0]
-    for k in range(n):
-        pivot = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[pivot, k] == 0.0:
-            raise np.linalg.LinAlgError("singular matrix")
-        if pivot != k:
-            a[[k, pivot]] = a[[pivot, k]]
-            x[[k, pivot]] = x[[pivot, k]]
-        f = (a[k + 1 :, k] / a[k, k])[:, None]
-        a[k + 1 :, k:] -= f * a[k, k:]
-        x[k + 1 :] -= f * x[k]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
-    return np.hsplit(x, len(rhs))
-
-
 def finite_inverse(h: Horizon, p0: InitialCondition):
     """Inverse of the finite Gramian at the horizon's t with boundary value
     P(0) = P_0.
@@ -180,7 +152,8 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     stiff horizons need it for the product identity to survive in floating
     point (pair it with the finite Gramian of the same horizon).  G(t) is
     refused (ConditioningError) when its condition exceeds the cap of the
-    structure's precision: 1e12 in double, 1e17 extended.
+    structure's precision: 1e12 in double, 1e17 extended; a G^{-1}(t) with
+    an entry outside the double range counts as condition inf.
     """
     es, t = h.structure, h.t
     inv = SpectralComponentSet.from_parts(
@@ -188,23 +161,27 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     )
     n = es.poly.degree
     signs = alternating_signs(n)
-    # per eigenvalue, the boundary term minus the decay term; the largest
-    # entry of each is its scale, rounded to double as the condition is
-    scaled_exp = h.growth[:, None, None] * h.expm_transpose
-    terms = -((signs[:, None] * np.swapaxes(es.residues, 1, 2) * signs) @ scaled_exp)
-    scales = [1.0, *np.abs(terms).max(axis=(1, 2)).astype(float).tolist()]
-    if np.any(p0.matrix):  # with P_0 = 0 the boundary terms vanish
-        boundary = inv.stack @ p0.matrix @ scaled_exp
-        terms = boundary + terms
-        scales += np.abs(boundary).max(axis=(1, 2)).astype(float).tolist()
-    # added one term at a time, in eigenvalue order
-    g_inv = functools.reduce(np.add, terms, np.eye(n, dtype=h.expm_transpose.dtype))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        # per eigenvalue, the boundary term minus the decay term; the largest
+        # entry of each is its scale, rounded to double as the condition is
+        scaled_exp = h.growth[:, None, None] * h.expm_transpose
+        terms = -((signs[:, None] * np.swapaxes(es.residues, 1, 2) * signs) @ scaled_exp)
+        scales = [1.0, *np.abs(terms).max(axis=(1, 2)).astype(float).tolist()]
+        if np.any(p0.matrix):  # with P_0 = 0 the boundary terms vanish
+            boundary = inv.stack @ p0.matrix @ scaled_exp
+            terms = boundary + terms
+            scales += np.abs(boundary).max(axis=(1, 2)).astype(float).tolist()
+        # added one term at a time, in eigenvalue order
+        g_inv = functools.reduce(np.add, terms, np.eye(n, dtype=h.expm_transpose.dtype))
+        g_double = g_inv.astype(complex)
     term_scale = max(scales)
     # condition against the size of the cancelled terms: G^{-1} built from
     # exponentials of scale term_scale can be singular while formally
     # well-scaled (e.g. t = 0 with P_0 = 0 gives the zero matrix)
-    svals = np.linalg.svd(g_inv.astype(complex), compute_uv=False)
-    condition = float(term_scale / max(svals[-1], 1e-300))
+    condition = np.inf
+    if np.all(np.isfinite(g_double)):
+        svals = np.linalg.svd(g_double, compute_uv=False)
+        condition = float(term_scale / max(svals[-1], 1e-300))
     if not np.isfinite(condition) or condition > CONDITION_CAPS[es.extended]:
         raise ConditioningError(
             f"normalization matrix G(t) is numerically singular at t = {t}",

@@ -90,15 +90,16 @@ def residues_general(a, spec: Spectrum) -> np.ndarray:
     return np.stack(residues)
 
 
-def mp_polished_roots(poly: Polynomial, values: np.ndarray) -> np.ndarray:
-    """Five Newton steps on simple roots at 40 mpmath digits, from the given
-    starts (object array of mpmath numbers); a vanishing derivative stops
-    them.  The reference for the package's exact-integer polish."""
+def mp_polished_roots(poly: Polynomial, values: np.ndarray, dps: int = 40) -> np.ndarray:
+    """Five Newton steps on simple roots at ``dps`` mpmath digits, from the
+    given starts (object array of mpmath numbers); a vanishing derivative
+    stops them.  At 40 digits, the reference for the package's exact-integer
+    polish."""
     from mpmath import mp, mpc, mpf
 
     coefficients = [mpf(float(c)) for c in poly.coeffs]
     polished = np.empty(values.size, dtype=object)
-    with mp.workdps(40):
+    with mp.workdps(dps):
         for k, lam in enumerate(values):
             z = mpc(lam.real, lam.imag)
             for _ in range(5):

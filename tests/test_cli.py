@@ -167,7 +167,38 @@ class TestExitCodes:
         path.write_text(json.dumps({"eigenvalues": [[0, 1, 1], [0, -1, 1]]}))
         assert main(["analyze", str(path)]) == EXIT_SOLVABILITY
         err = capsys.readouterr().err
-        assert "solvability" in err and "(0, 1)" in err
+        assert "solvability" in err and "(1, 2)" in err
+
+    def test_solvability_pairs_numbered_from_one(self, tmp_path, capsys):
+        # stderr numbers the eigenvalues as the roots report does
+        path = tmp_path / "mirror.json"
+        path.write_text('{"schema":1,"eigenvalues":[[-1,0,1],[1,0,1],[-2,0,1]]}')
+        assert main(["analyze", str(path)]) == EXIT_SOLVABILITY
+        assert capsys.readouterr().err == (
+            "solvability error: Lyapunov solvability condition violated for eigenvalue pairs "
+            "[(1, 2)]; min |lambda_i + lambda_j| = 0.000e+00\n"
+        )
+        assert main(["roots", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["solvability"]["violating_pairs"] == [[1, 2]]
+
+    def test_unstable_horizon_out_of_double_range(self, example1_path, capsys):
+        # eigenvalues 1, 2 and 3: P(65) has entries near 1e170, whose squares
+        # overflow its Frobenius norm, the scale of the residual
+        assert main(["analyze", "--finite", "65", example1_path]) == EXIT_CONDITIONING
+        assert capsys.readouterr().err == (
+            "conditioning error: the Frobenius norm of P(t) leaves the double range at "
+            "t = 65.0 (largest entry 8.001e+169)\n"
+        )
+
+    def test_unstable_horizon_non_finite_normalization(self, example1_path, capsys):
+        # at t = 118 the terms of G^-1(t) overflow, in double and in the
+        # extended retry's conversion to double
+        argv = ["analyze", "--inverse", "--finite", "118", example1_path]
+        assert main(argv) == EXIT_CONDITIONING
+        assert capsys.readouterr().err == (
+            "conditioning error: normalization matrix G(t) is numerically singular at "
+            "t = 118.0 (condition estimate inf)\n"
+        )
 
     def test_conditioning_exit(self, tmp_path, capsys):
         path = tmp_path / "uncontrollable.json"
@@ -884,9 +915,9 @@ class TestImportFootprint:
         return result.stdout.splitlines()[-1]
 
     def test_commands_load_no_scipy_or_mpmath(self, example1_path):
-        # scipy and mpmath each cost a large share of a CLI process's start;
-        # the package never imports scipy, and only accurate_total uses mpmath;
-        # fractions and decimal cost a few milliseconds each
+        # scipy and mpmath each cost a large share of a CLI process's start,
+        # and the package imports neither; fractions and decimal cost a few
+        # milliseconds each
         script = (
             "import sys\n"
             "from gramspec.cli import main\n"
@@ -910,6 +941,30 @@ class TestImportFootprint:
             "assert code == 0 and 'extended precision' in out.getvalue(), code\n"
         )
         assert self.loaded_after(script) == "[]"
+
+    def test_runs_without_mpmath(self, tmp_path):
+        # numpy is the one runtime dependency: with mpmath unimportable, the
+        # extended infinite builders still carry their exact totals and the
+        # degree-8 extended retry still runs
+        path = tmp_path / "ladder8.json"
+        path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
+        script = (
+            "import contextlib, io, sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "import gramspec as gs\n"
+            "from gramspec.cli import main\n"
+            f"poly = gs.Polynomial({LADDER8_COEFFS!r})\n"
+            "es = gs.eigen_structure(poly, gs.cluster(gs.find_roots(poly)), extended=True)\n"
+            "assert gs.infinite_subgramians(es).accurate_total is not None\n"
+            "assert gs.inverse_eigenparts(es).accurate_total is not None\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = main(['analyze', '--pairs', '--inverse', '--finite', '1', {str(path)!r}])\n"
+            "assert code == 0 and 'extended precision' in out.getvalue(), code\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=_child_env(), timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 def _console_script() -> str:

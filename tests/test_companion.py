@@ -412,9 +412,10 @@ class TestExactPolish:
     def assert_polishes_agree(poly, starts):
         from references import mp_to_clongdouble
 
-        from gramspec.companion import _polished_roots, _to_clongdouble
+        from gramspec.companion import _polished_roots, _to_longdouble
 
-        exact = [_to_clongdouble((x, -s), (y, -s)) for x, y, s in _polished_roots(poly, starts)]
+        exact = [_to_longdouble(x, -s) + 1j * _to_longdouble(y, -s)
+                 for x, y, s in _polished_roots(poly, starts)]
         reference = [mp_to_clongdouble(z) for z in mp_polished_roots(poly, starts)]
         for got, want in zip(exact, reference):
             assert got.real == want.real and got.imag == want.imag, (poly.degree, got, want)
@@ -449,30 +450,45 @@ class TestExactPolish:
                 self.assert_polishes_agree(poly, roots)
                 self.assert_polishes_agree(poly, roots * (1.0 + 1e-8 * rng.standard_normal(n)))
 
-    def test_accurate_total_rounds_the_40_digit_sum_once(self):
-        # the reference sums the same parts from the mpmath polish and rounds
-        # each entry through a 40-digit string; entries agree to one 80-bit
-        # ulp, apart from the rounding noise of those that vanish exactly
+    @pytest.mark.parametrize("sizes", [(), (8,), (12,), (16,)], ids=["random", "n8", "n12", "n16"])
+    def test_exact_totals_match_the_component_sums(self, sizes):
+        # the reference sums the raw components of a polish at 80 mpmath
+        # digits and rounds each entry through a 40-digit string.  P^-1,
+        # rounded once from the exact Bezoutian, agrees to one 80-bit ulp,
+        # apart from the rounding noise of entries that vanish exactly; P,
+        # one 80-bit solve with it, to 1e-16 of its largest entry.  (At
+        # n >= 12 a 40-digit sum is itself off by up to 1e-22 of the largest
+        # entry, more than an 80-bit ulp of the smaller entries.)
         from mpmath import mp, nstr
 
         from gramspec.companion import _evaluate
         from gramspec.gramians import _eigenparts
         from gramspec.inverse import _inverse_eigenparts
 
-        rng = np.random.default_rng(818)
-        for n in range(2, 9):
-            poly, _, spec = random_companion(rng, n)
-            es = gs.eigen_structure(poly, spec, extended=True)
-            for parts in (_eigenparts, _inverse_eigenparts):
-                with mp.workdps(40):
-                    mp_es = _evaluate(poly, spec, mp_polished_roots(poly, spec.values))
-                    total = sum(parts(mp_es).values())
-                    want = np.array(
-                        [[np.longdouble(nstr(z.real, 40)) + 1j * np.longdouble(nstr(z.imag, 40))
-                          for z in row] for row in total], dtype=np.clongdouble)
-                got = es.accurate_total(parts)
-                bound = np.finfo(np.longdouble).eps * np.abs(want) + 1e-30 * np.max(np.abs(want))
-                assert np.all(np.abs(got - want) <= bound), (n, parts.__name__)
+        if sizes:
+            cases = [(poly, gs.cluster(gs.find_roots(poly))) for poly in _ladder_polynomials(sizes)]
+        else:
+            rng = np.random.default_rng(818)
+            cases = [random_companion(rng, n)[::2] for n in range(2, 9)]
+
+        def rounded(x):  # through a 40-digit string
+            return np.longdouble(nstr(x, 40))
+
+        eps = np.finfo(np.longdouble).eps
+        for poly, spec in cases:
+            gramian, inverse = gs.eigen_structure(poly, spec, extended=True).exact_totals
+            with mp.workdps(80):
+                mp_es = _evaluate(poly, spec, mp_polished_roots(poly, spec.values, dps=80))
+                gramian_want, inverse_want = (
+                    np.array([[rounded(z.real) + 1j * rounded(z.imag) for z in row]
+                              for row in sum(parts(mp_es).values())], dtype=np.clongdouble)
+                    for parts in (_eigenparts, _inverse_eigenparts)
+                )
+            scale = np.max(np.abs(inverse_want))
+            bound = eps * np.abs(inverse_want) + 1e-30 * scale
+            assert np.all(np.abs(inverse - inverse_want) <= bound), poly.degree
+            scale = np.max(np.abs(gramian_want))
+            assert np.max(np.abs(gramian - gramian_want)) <= 1e-16 * scale, poly.degree
 
     def test_rounding_is_correct_to_nearest_even(self):
         from gramspec.companion import _nearest, _to_longdouble

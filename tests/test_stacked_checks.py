@@ -89,11 +89,9 @@ def test_zero_plaid_defect(case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_orthogonality_certificate(case):
-    doc, system = resolved(case)
-    structures = [system.structure]
-    if doc.n <= 8:  # the 80-bit sets, where the structure's mpmath sums stay cheap
-        structures.append(gs.eigen_structure(system.poly, system.spectrum, extended=True))
-    for es in structures:
+    system = resolved(case)[1]
+    extended = gs.eigen_structure(system.poly, system.spectrum, extended=True)
+    for es in (system.structure, extended):
         gram, inv = gs.infinite_subgramians(es), gs.inverse_eigenparts(es)
         report = gs.orthogonality_certificate(es, gram, inv)
         worst, count = orthogonality_each(es, gram, inv)
@@ -108,11 +106,9 @@ def test_quadratic_forms(case):
     x0 = np.random.default_rng(n).standard_normal(n)
     inv = gs.inverse_eigenparts(es).symmetrized()
     inv_pairs = gs.inverse_pair_parts(es).symmetrized()
-    stacks = [inv.stack, inv_pairs.stack, inv.total()[None]]
-    if n <= 8:
-        extended = gs.inverse_eigenparts(
-            gs.eigen_structure(system.poly, system.spectrum, extended=True)).symmetrized()
-        stacks += [extended.stack, extended.total()[None]]
+    extended = gs.inverse_eigenparts(
+        gs.eigen_structure(system.poly, system.spectrum, extended=True)).symmetrized()
+    stacks = [inv.stack, inv_pairs.stack, inv.total()[None], extended.stack, extended.total()[None]]
     for stack in stacks:
         assert_same_outcome(outcome(_real_quadratic_forms, x0, stack), forms_each(x0, stack))
     linear = forms_each(x0, inv.stack)
