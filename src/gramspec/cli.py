@@ -63,6 +63,7 @@ from .errors import (
     SolvabilityError,
 )
 from .gramians import (
+    FiniteGramianDecomposition,
     InitialCondition,
     finite_pair_subgramians,
     finite_subgramians,
@@ -336,7 +337,8 @@ def cmd_analyze(
     built = {}  # the sets of the report's blocks; a block the report leaves out has no key
     if multiple:
         chains = jordan_chains_companion(spec, poly)
-        gram_decomp = multiple_eig_gramian(chains, finite)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: _require_double_range
+            gram_decomp = multiple_eig_gramian(chains, finite)
         built["gram"] = gram_decomp.static
         if pairs:
             warnings.append("pair components are only defined for simple spectra; skipped")
@@ -357,38 +359,43 @@ def cmd_analyze(
 
     if finite is not None:
         t = float(finite)
-        if multiple:
-            decomp = gram_decomp
-        else:  # one horizon per structure: this one, and the extended one of the retry
-            h = horizon(es, t)
-            decomp = finite_subgramians(h, built["gram"])
-        finite_sum = decomp.at_t.total()
-        built["finite"] = (decomp, finite_sum)
-        if p0 is not None and multiple:
-            warnings.append("initial condition is only evaluated for simple spectra; skipped")
-        elif p0 is not None:
-            p0c = _companion_initial(p0, transform)
-            hom_t = homogeneous_subgramians(h, p0c)
-            built["homogeneous"] = (p0c, hom_t, homogeneous_subgramians(horizon(es, 0.0), p0c))
-        if inverse and multiple:
-            warnings.append("finite inverse is only evaluated for simple spectra; skipped")
-        elif inverse:
-            if p0 is None:
-                p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
-            try:
-                state, inv_finite = finite_inverse(h, p0c)
-                gram_t = finite_sum
-            except ConditioningError:
-                h = horizon(eigen_structure(poly, spec, tols.solvability, extended=True), t)
-                state, inv_finite = finite_inverse(h, p0c)
-                gram_t = finite_subgramians(h).at_t.total()
-                warnings.append(
-                    "finite inverse evaluated in extended precision "
-                    "(normalization matrix ill-conditioned at this horizon)"
-                )
-            if p0 is not None:
-                gram_t = gram_t + hom_t.total()
-            built["finite_inverse"] = (state, inv_finite, gram_t)
+        # values past the double range come out inf or nan, without a
+        # warning: finite_inverse, then _require_double_range, refuse them
+        with np.errstate(over="ignore", invalid="ignore"):
+            if multiple:
+                decomp = gram_decomp
+            else:  # one horizon per structure: this one, and the extended one of the retry
+                h = horizon(es, t)
+                decomp = finite_subgramians(h, built["gram"])
+            finite_sum = decomp.at_t.total()
+            built["finite"] = (decomp, finite_sum)
+            if p0 is not None and multiple:
+                warnings.append("initial condition is only evaluated for simple spectra; skipped")
+            elif p0 is not None:
+                p0c = _companion_initial(p0, transform)
+                hom_t = homogeneous_subgramians(h, p0c)
+                built["homogeneous"] = (p0c, hom_t,
+                                        homogeneous_subgramians(horizon(es, 0.0), p0c))
+            if inverse and multiple:
+                warnings.append("finite inverse is only evaluated for simple spectra; skipped")
+            elif inverse:
+                if p0 is None:
+                    p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
+                try:
+                    state, inv_finite = finite_inverse(h, p0c)
+                    gram_t = finite_sum
+                except ConditioningError:
+                    h = horizon(eigen_structure(poly, spec, tols.solvability, extended=True), t)
+                    state, inv_finite = finite_inverse(h, p0c)
+                    gram_t = finite_subgramians(h).at_t.total()
+                    warnings.append(
+                        "finite inverse evaluated in extended precision "
+                        "(normalization matrix ill-conditioned at this horizon)"
+                    )
+                if p0 is not None:
+                    gram_t = gram_t + hom_t.total()
+                built["finite_inverse"] = (state, inv_finite, gram_t)
+        _require_double_range(decomp, finite_sum)
     if pairs and not multiple:
         built["pair"] = infinite_pair_subgramians(es)
         if inverse:
@@ -396,6 +403,24 @@ def cmd_analyze(
         if finite is not None:
             built["finite_pair"] = finite_pair_subgramians(built["pair"], t)
     return _render_analysis(resolved, tols, flavor, warnings, built)
+
+
+def _require_double_range(decomp: FiniteGramianDecomposition, finite_sum: np.ndarray):
+    """Refuse (ConditioningError) a horizon at which the Frobenius norm of
+    P(t), the scale of its residual, leaves the double range, naming what
+    left it first: e^(A t), an entry of P(t), or only the norm."""
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154 overflow
+        if np.isfinite(np.linalg.norm(finite_sum)):
+            return
+        largest = np.max(np.abs(finite_sum))
+    if not np.all(np.isfinite(decomp.expm_transpose)):
+        quantity = "e^(A t)"
+    elif not np.isfinite(largest):
+        quantity = "P(t)"
+    else:
+        quantity = "the Frobenius norm of P(t)"
+    detail = f" (largest entry {largest:.3e})" if np.isfinite(largest) else ""
+    raise ConditioningError(f"{quantity} leaves the double range at t = {decomp.t}{detail}")
 
 
 def _render_analysis(
@@ -451,12 +476,7 @@ def _render_analysis(
 
     if "finite" in built:
         decomp, finite_sum = built["finite"]
-        with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154 overflow
-            norm = np.linalg.norm(finite_sum)
-            if not np.isfinite(norm):
-                raise ConditioningError(
-                    f"the Frobenius norm of P(t) leaves the double range at t = {decomp.t} "
-                    f"(largest entry {np.max(np.abs(finite_sum)):.3e})")
+        norm = np.linalg.norm(finite_sum)  # in range: _require_double_range
         finite_set = decomp.at_t if flavor == "raw" else decomp.at_t.symmetrized()
         # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
         expm = decomp.expm_transpose.T

@@ -15,7 +15,6 @@ place that maps companion coordinates to a system's own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,11 +31,11 @@ from .spectrum import (
     Polynomial,
     SolvabilityReport,
     Spectrum,
+    _newton_polish,
+    _to_longdouble,
     check_solvability,
     dyadic_coefficients,
-    dyadic_point,
     eval_with_derivative,
-    exact_horner,
 )
 
 CONDITION_CAP = 1e12
@@ -44,9 +43,6 @@ POLY_TOL = 1e-8  # relative defect allowed in the similarity and polynomial-matc
 ROOT_TOL = 1e-8  # relative |N(lambda)| and origin distance allowed for a Jordan-chain entry
 ORIGIN_TOL = 1e-12  # |lambda| at or below this times (1 + max|a_k|) has no left eigenvector
 DERIV_FLOOR = 1e-8  # |N'(lambda)| at or below this times max|a_k| counts as a multiple eigenvalue
-_POLISH_BITS = 133  # fractional and significant bits of each extended Newton iterate: 40 digits
-_POLISH_STEPS = 5  # cap on the extended Newton steps
-_LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1  # significand bits of the 80-bit format
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,10 +227,10 @@ class EigenStructure:
 
     The working precision is the dtype of ``eigenvalues``: complex128, or
     clongdouble for an ``extended`` structure, whose eigenvalues are the
-    roots Newton-polished in exact integer arithmetic to 133 bits (40
-    digits) and rounded once to 80 bits; an extended structure also carries
-    ``exact_totals``.  Builders combine the entries one eigenvalue at a time,
-    in scalar arithmetic.
+    roots polished by the Newton steps of find_roots run in 80-bit, on the
+    exact residual rounded once to 80 bits; an extended structure also
+    carries ``exact_totals``.  Builders combine the entries one eigenvalue
+    at a time, in scalar arithmetic.
     """
 
     poly: Polynomial
@@ -295,7 +291,7 @@ class EigenStructure:
              for j in range(n)]
             for i in range(n)
         ], dtype=np.clongdouble)
-        return _solve_dense(inverse, [np.eye(n, dtype=np.clongdouble)])[0], inverse
+        return _solve_dense(inverse, np.eye(n, dtype=np.clongdouble)[None])[0], inverse
 
 
 def _evaluate(
@@ -316,81 +312,21 @@ def _evaluate(
     )
 
 
-def _polished_roots(poly: Polynomial, values: np.ndarray) -> tuple:
-    """Newton-polish simple roots in exact arithmetic: (x, y, s) per root,
-    the polished root being (x + i y) / 2^s.
+def _solve_dense(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The (k, n, n) stack of solutions X of a X = B, one for each matrix B
+    of the (k, n, n) ``stack``, also in the extended-precision dtype.
 
-    Horner evaluation noise at any fixed precision caps the achievable root
-    accuracy on ill-conditioned coefficient sets; polishing past it keeps the
-    eigenvector identities exact to the working precision downstream.  Each
-    iterate is a Gaussian integer over 2^s, with s at least _POLISH_BITS and
-    giving as many significant bits; N(z) and N'(z) are exact (exact_horner),
-    and each step N(z)/N'(z) is rounded to the nearest multiple of 2^-s, ties
-    to even.  At most _POLISH_STEPS steps; a vanishing N'(z) or a step that
-    rounds to zero stops them.  Every operation commutes with conjugation
-    (the coefficients are real), so the conjugate of a polished start is
-    taken over rather than polished again.
+    In double this is one broadcast LAPACK solve.  LAPACK only covers
+    single/double, so clongdouble systems go through a plain Gaussian
+    elimination with partial pivoting (n is companion-sized), one
+    elimination for all right-hand sides side by side: each pivot updates
+    the trailing rows with one array operation.
     """
-    coeffs, _ = dyadic_coefficients(poly)
-    done = {}
-    for lam in values.tolist():
-        if lam.conjugate() in done:
-            x, y, s = done[lam.conjugate()]
-            done[lam] = (x, -y, s)
-            continue
-        x, y, s0 = dyadic_point(lam)
-        s = max(_POLISH_BITS, _POLISH_BITS - math.frexp(abs(lam))[1], s0)
-        x, y = x << (s - s0), y << (s - s0)
-        for _ in range(_POLISH_STEPS):
-            re, im, dre, dim = exact_horner(coeffs, x, y, s, derivative=True)
-            # N(z) / N'(z) = (re + i im) / (dre + i dim) / 2^s
-            norm = dre * dre + dim * dim
-            if norm == 0:
-                break
-            step_x = _nearest(re * dre + im * dim, norm)
-            step_y = _nearest(im * dre - re * dim, norm)
-            if step_x == step_y == 0:
-                break
-            x, y = x - step_x, y - step_y
-        done[lam] = (x, y, s)
-    return tuple(done[lam] for lam in values.tolist())
-
-
-def _nearest(num: int, den: int) -> int:
-    """num / den (den > 0) rounded to the nearest integer, ties to even."""
-    q, r = divmod(2 * num + den, 2 * den)
-    return q - 1 if r == 0 and q & 1 else q
-
-
-def _to_longdouble(man: int, exp: int) -> np.longdouble:
-    """man * 2^exp correctly rounded (to nearest, ties to even) to the 80-bit
-    format: the integer division happens on the significand, so the one
-    float operation, scaling by a power of two, is exact."""
-    magnitude = abs(man)
-    shift = max(0, magnitude.bit_length() - _LONGDOUBLE_BITS)
-    if shift:
-        magnitude, rest = divmod(magnitude, 1 << shift)
-        half = 1 << (shift - 1)
-        if rest > half or (rest == half and magnitude & 1):
-            magnitude += 1
-    value = np.ldexp(np.longdouble(magnitude), exp + shift)
-    return -value if man < 0 else value
-
-
-def _solve_dense(a: np.ndarray, rhs: list) -> list:
-    """Solutions X of a X = B for each matrix B of ``rhs``, also in the
-    extended-precision dtype.
-
-    LAPACK only covers single/double, so clongdouble systems go through a
-    plain Gaussian elimination with partial pivoting (n is companion-sized),
-    one elimination for all right-hand sides side by side: each pivot
-    updates the trailing rows with one array operation.
-    """
-    if a.dtype != np.clongdouble and all(b.dtype != np.clongdouble for b in rhs):
-        return [np.linalg.solve(a, b) for b in rhs]
+    if a.dtype != np.clongdouble and stack.dtype != np.clongdouble:
+        return np.linalg.solve(a, stack)
     a = a.astype(np.clongdouble)
-    x = np.concatenate([b.astype(np.clongdouble) for b in rhs], axis=1)
-    n = a.shape[0]
+    count, n, _ = stack.shape
+    x = stack.astype(np.clongdouble).transpose(1, 0, 2).reshape(n, count * n)
     for k in range(n):
         pivot = k + int(np.argmax(np.abs(a[k:, k])))
         if a[pivot, k] == 0.0:
@@ -403,7 +339,7 @@ def _solve_dense(a: np.ndarray, rhs: list) -> list:
         x[k + 1 :] -= f * x[k]
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
-    return np.hsplit(x, len(rhs))
+    return x.reshape(n, count, n).transpose(1, 0, 2)
 
 
 def require_solvable(
@@ -426,9 +362,9 @@ def eigen_structure(
 
     Raises SolvabilityError when some |lambda_i + lambda_j| is at or below
     ``solvability_tol`` (1 + radius), then MultipleEigenvalueError for a
-    spectrum with multiplicities.  ``extended`` polishes the roots once to
-    133 bits (40 digits) in exact integer arithmetic and evaluates in 80-bit
-    precision, for stiff problems: component magnitudes can exceed their sum
+    spectrum with multiplicities.  ``extended`` polishes the roots in 80-bit
+    by the Newton steps of find_roots (spectrum._newton_polish) and evaluates
+    in 80-bit precision, for stiff problems: component magnitudes can exceed their sum
     by many orders (near-degenerate spectra) and finite Gramians of unstable
     systems at large t span ranges double precision cannot resolve.
     """
@@ -440,9 +376,7 @@ def eigen_structure(
         )
     if not extended:
         return _evaluate(p, spec, spec.values, report)
-    values = np.array([_to_longdouble(x, -s) + 1j * _to_longdouble(y, -s)
-                       for x, y, s in _polished_roots(p, spec.values)], dtype=np.clongdouble)
-    return _evaluate(p, spec, values, report)
+    return _evaluate(p, spec, _newton_polish(p, spec.values.astype(np.clongdouble)), report)
 
 
 @dataclass(frozen=True, eq=False)

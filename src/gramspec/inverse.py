@@ -129,7 +129,7 @@ def riccati_general(
     ctrb, h_u = transform.controllability, transform.hankel
 
     def solve(a, xs):  # (a^{-1} X)^H of each X
-        return np.array(_solve_dense(a, list(xs))).conj().swapaxes(-1, -2)
+        return _solve_dense(a, xs).conj().swapaxes(-1, -2)
 
     def lift(xs):
         return solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, xs))))
@@ -152,8 +152,8 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     stiff horizons need it for the product identity to survive in floating
     point (pair it with the finite Gramian of the same horizon).  G(t) is
     refused (ConditioningError) when its condition exceeds the cap of the
-    structure's precision: 1e12 in double, 1e17 extended; a G^{-1}(t) with
-    an entry outside the double range counts as condition inf.
+    structure's precision: 1e12 in double, 1e17 extended.  A G^{-1}(t) with
+    an entry outside the double range is refused as such, with condition inf.
     """
     es, t = h.structure, h.t
     inv = SpectralComponentSet.from_parts(
@@ -174,21 +174,24 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
         # added one term at a time, in eigenvalue order
         g_inv = functools.reduce(np.add, terms, np.eye(n, dtype=h.expm_transpose.dtype))
         g_double = g_inv.astype(complex)
-    term_scale = max(scales)
+    if not np.all(np.isfinite(g_double)):
+        raise ConditioningError(
+            f"normalization matrix inverse G^-1(t) leaves the double range at t = {t}",
+            condition=np.inf,
+        )
     # condition against the size of the cancelled terms: G^{-1} built from
     # exponentials of scale term_scale can be singular while formally
     # well-scaled (e.g. t = 0 with P_0 = 0 gives the zero matrix)
-    condition = np.inf
-    if np.all(np.isfinite(g_double)):
-        svals = np.linalg.svd(g_double, compute_uv=False)
-        condition = float(term_scale / max(svals[-1], 1e-300))
+    term_scale = max(scales)
+    svals = np.linalg.svd(g_double, compute_uv=False)
+    condition = float(term_scale / max(svals[-1], 1e-300))
     if not np.isfinite(condition) or condition > CONDITION_CAPS[es.extended]:
         raise ConditioningError(
             f"normalization matrix G(t) is numerically singular at t = {t}",
             condition=condition,
         )
     state = NormalizationState(float(t), g_inv, condition)
-    return state, replace(inv, stack=np.array(_solve_dense(g_inv, list(inv.stack))))
+    return state, replace(inv, stack=_solve_dense(g_inv, inv.stack))
 
 
 def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:

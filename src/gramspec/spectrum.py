@@ -3,10 +3,13 @@
 Everything downstream works with a monic characteristic polynomial and a
 clustered spectrum.  Roots start as LAPACK companion-matrix eigenvalues and
 are polished by Newton steps on the exact residual, which stop at the
-correctly rounded root of every simple zero.  Measured envelope on the
-benchmark's stable, conjugate-closed spectra (separation 0.3): ``analyze
---pairs --inverse --finite 1`` passes every document at degree 3 and 5,
-misses an accuracy bound on 3 of 8 at degree 8 and exits 3 on every
+correctly rounded root of every simple zero.  The same steps polish the
+80-bit roots of an extended eigen structure: this module alone knows the
+dyadic format of coefficients and roots (integers over a power of two) and
+how to round an exact value to each working precision.  Measured envelope
+on the benchmark's stable, conjugate-closed spectra (separation 0.3):
+``analyze --pairs --inverse --finite 1`` passes every document at degree 3
+and 5, misses an accuracy bound on 3 of 8 at degree 8 and exits 3 on every
 document at degree 12 and 16; ``verify`` fails every document at degree 8
 and 10.
 """
@@ -205,6 +208,7 @@ def eval_with_derivative(p: Polynomial, s):
 
 
 _NEWTON_STEPS = 8  # cap for multiple-root clouds, where Newton never settles
+_LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1  # significand bits of the 80-bit format
 
 
 def dyadic_coefficients(p: Polynomial) -> tuple:
@@ -215,46 +219,63 @@ def dyadic_coefficients(p: Polynomial) -> tuple:
     return [num << (t - den.bit_length() + 1) for num, den in ratios], t
 
 
-def dyadic_point(z: complex) -> tuple:
-    """(x, y, s) with z = (x + i y) / 2^s exactly, x and y integers."""
+def _to_longdouble(man: int, exp: int) -> np.longdouble:
+    """man * 2^exp correctly rounded (to nearest, ties to even) to the 80-bit
+    format: the integer division happens on the significand, so the one
+    float operation, scaling by a power of two, is exact."""
+    magnitude = abs(man)
+    shift = max(0, magnitude.bit_length() - _LONGDOUBLE_BITS)
+    if shift:
+        magnitude, rest = divmod(magnitude, 1 << shift)
+        half = 1 << (shift - 1)
+        if rest > half or (rest == half and magnitude & 1):
+            magnitude += 1
+    value = np.ldexp(np.longdouble(magnitude), exp + shift)
+    return -value if man < 0 else value
+
+
+def dyadic_point(z) -> tuple:
+    """(x, y, s) with z = (x + i y) / 2^s exactly, x and y integers; z is a
+    complex or an 80-bit complex scalar."""
     (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     s = max(xd, yd).bit_length() - 1
     return xn << (s - xd.bit_length() + 1), yn << (s - yd.bit_length() + 1), s
 
 
-def exact_horner(coeffs: list, x: int, y: int, s: int, derivative: bool = False) -> tuple:
-    """N(z) and, with ``derivative``, N'(z) at z = (x + i y) / 2^s, exactly:
-    Horner on Gaussian integers for the integer coefficients C of
-    dyadic_coefficients (scale 2^t).  Returns (re, im, dre, dim) with
-    N(z) = (re + i im) / 2^(t + s n) and N'(z) = (dre + i dim) / 2^(t + s (n - 1))
-    (dre = dim = 0 without ``derivative``)."""
+def exact_horner(coeffs: list, x: int, y: int, s: int) -> tuple:
+    """N(z) at z = (x + i y) / 2^s, exactly: Horner on Gaussian integers for
+    the integer coefficients C of dyadic_coefficients (scale 2^t).  Returns
+    (re, im) with N(z) = (re + i im) / 2^(t + s n)."""
     n = len(coeffs) - 1
-    re, im, dre, dim = coeffs[n], 0, 0, 0
+    re, im = coeffs[n], 0
     for k in range(n - 1, -1, -1):
-        if derivative:
-            dre, dim = dre * x - dim * y + re, dre * y + dim * x + im
         re, im = re * x - im * y + (coeffs[k] << (s * (n - k))), re * y + im * x
-    return re, im, dre, dim
+    return re, im
 
 
 def _exact_values(p: Polynomial, roots: np.ndarray) -> np.ndarray:
-    """N(z) at each root, exact and rounded once: coefficients and roots are
-    dyadic rationals, so on a power-of-two scale Horner runs on Python ints
-    and one int/int true division (correctly rounded) returns each part."""
+    """N(z) at each root, exact and rounded once to the roots' dtype:
+    coefficients and roots are dyadic rationals, so on a power-of-two scale
+    Horner runs on Python ints, and one int/int true division (complex128)
+    or _to_longdouble (clongdouble) rounds each part correctly."""
     coeffs, t = dyadic_coefficients(p)
-    out = np.empty(roots.size, dtype=complex)
+    out = np.empty(roots.size, dtype=roots.dtype)
     for i, z in enumerate(roots.tolist()):
         x, y, s = dyadic_point(z)
-        re, im, _, _ = exact_horner(coeffs, x, y, s)
-        scale = 1 << (t + s * p.degree)
-        out[i] = complex(re / scale, im / scale)
+        re, im = exact_horner(coeffs, x, y, s)
+        exp = t + s * p.degree
+        if roots.dtype == np.clongdouble:
+            out[i] = _to_longdouble(re, -exp) + 1j * _to_longdouble(im, -exp)
+        else:
+            out[i] = complex(re / (1 << exp), im / (1 << exp))
     return out
 
 
 def _newton_polish(p: Polynomial, roots: np.ndarray) -> np.ndarray:
-    """Newton steps z - N(z)/N'(z) with N(z) exact, until no root moves.  The
-    step is then accurate to a few ulps of itself, so every simple root stops
-    at its correctly rounded value; N'(z) needs only float Horner."""
+    """Newton steps z - N(z)/N'(z) with N(z) exact, in the roots' own dtype
+    (complex128 or clongdouble), until no root moves.  The step is then
+    accurate to a few ulps of itself, so every simple root stops at its
+    correctly rounded value; N'(z) needs only Horner in that dtype."""
     for _ in range(_NEWTON_STEPS):
         values = _exact_values(p, roots)
         derivs = eval_with_derivative(p, roots)[1]

@@ -43,6 +43,13 @@ def example5_path(tmp_path):
 
 
 @pytest.fixture
+def jordan_path(tmp_path):
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps({"schema": 1, "eigenvalues": [[1, 0, 2], [2, 0, 1]]}))
+    return str(path)
+
+
+@pytest.fixture
 def stable_path(tmp_path):
     path = tmp_path / "stable.json"
     path.write_text(
@@ -196,9 +203,33 @@ class TestExitCodes:
         argv = ["analyze", "--inverse", "--finite", "118", example1_path]
         assert main(argv) == EXIT_CONDITIONING
         assert capsys.readouterr().err == (
-            "conditioning error: normalization matrix G(t) is numerically singular at "
-            "t = 118.0 (condition estimate inf)\n"
+            "conditioning error: normalization matrix inverse G^-1(t) leaves the double "
+            "range at t = 118.0 (condition estimate inf)\n"
         )
+
+    @pytest.mark.parametrize("document, horizon, inverse, refusal", [
+        ("example1_path", "200", False, "P(t)"),
+        ("example1_path", "200", True, "normalization matrix inverse G^-1(t)"),
+        ("example1_path", "400", False, "e^(A t)"),
+        ("example1_path", "400", True, "normalization matrix inverse G^-1(t)"),
+        ("jordan_path", "200", False, "P(t)"),
+        ("jordan_path", "200", True, "P(t)"),
+        ("jordan_path", "400", False, "e^(A t)"),
+        ("jordan_path", "400", True, "e^(A t)"),
+    ])
+    def test_unstable_horizon_refused_without_warnings(self, request, document, horizon,
+                                                       inverse, refusal):
+        # past the range of the horizon terms the overflows stay quiet, also
+        # when warnings are errors: one line names t and what left the range
+        argv = ["analyze", request.getfixturevalue(document), "--pairs", "--finite", horizon]
+        argv += ["--inverse"] * inverse
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-m", "gramspec.cli",
+             *argv], capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert result.returncode == EXIT_CONDITIONING, result.stderr
+        suffix = " (condition estimate inf)" if refusal.startswith("normalization") else ""
+        assert result.stderr == (f"conditioning error: {refusal} leaves the double range "
+                                 f"at t = {horizon}.0{suffix}\n")
 
     def test_conditioning_exit(self, tmp_path, capsys):
         path = tmp_path / "uncontrollable.json"
@@ -748,7 +779,7 @@ class TestWorkOnce:
                   "char_poly": 0, "require_controllable": 0, "finite_components": 0,
                   "eigenparts": 0}
         evaluate, polish, horizon = (
-            companion._evaluate, companion._polished_roots, gramians.horizon
+            companion._evaluate, companion._newton_polish, gramians.horizon
         )
 
         def counted_evaluate(p, spec, values, *args):
@@ -763,13 +794,17 @@ class TestWorkOnce:
 
             return wrapper
 
+        def counted_polish(p, roots):  # the 80-bit polish of an extended structure
+            counts["polish"] += roots.dtype == np.clongdouble
+            return polish(p, roots)
+
         def counted_horizon(es, t):
             counts["expm"].append((es.eigenvalues.dtype, t))
             return horizon(es, t)
 
         monkeypatch.setattr(companion, "_evaluate", counted_evaluate)
-        monkeypatch.setattr(companion, "_polished_roots", counted("polish", polish))
         for original, replacement in [
+            (polish, counted_polish),
             (companion.check_solvability, counted("solvability", companion.check_solvability)),
             (horizon, counted_horizon),
             (gramians.finite_subgramians,

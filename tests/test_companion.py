@@ -405,17 +405,18 @@ def _ladder_polynomials(sizes) -> list:
 
 
 class TestExactPolish:
-    """The extended structure's roots come from Newton steps on Python ints;
-    rounded to 80 bits they are bitwise the 40-digit mpmath polish's."""
+    """The extended structure's roots come from the Newton steps of
+    find_roots run in 80-bit, on the exact residual rounded to 80 bits; they
+    are bitwise the 40-digit mpmath polish's, rounded to 80 bits."""
 
     @staticmethod
     def assert_polishes_agree(poly, starts):
         from references import mp_to_clongdouble
 
-        from gramspec.companion import _polished_roots, _to_longdouble
+        from gramspec.spectrum import _newton_polish
 
-        exact = [_to_longdouble(x, -s) + 1j * _to_longdouble(y, -s)
-                 for x, y, s in _polished_roots(poly, starts)]
+        exact = _newton_polish(poly, starts.astype(np.clongdouble))
+        assert exact.dtype == np.clongdouble
         reference = [mp_to_clongdouble(z) for z in mp_polished_roots(poly, starts)]
         for got, want in zip(exact, reference):
             assert got.real == want.real and got.imag == want.imag, (poly.degree, got, want)
@@ -491,11 +492,7 @@ class TestExactPolish:
             assert np.max(np.abs(gramian - gramian_want)) <= 1e-16 * scale, poly.degree
 
     def test_rounding_is_correct_to_nearest_even(self):
-        from gramspec.companion import _nearest, _to_longdouble
-
-        # the Newton step: symmetric under negation, which conjugation needs
-        for num, den, want in [(1, 2, 0), (3, 2, 2), (5, 4, 1), (7, 4, 2), (0, 3, 0)]:
-            assert _nearest(num, den) == want and _nearest(-num, den) == -want, (num, den)
+        from gramspec.spectrum import _to_longdouble
 
         # 2^64 + 1 and 2^64 + 3 are ties between 80-bit neighbours
         for man, exp in [(2**64 + 1, 0), (2**64 + 3, 0), (-(2**64 + 3), -70), (0, 5),

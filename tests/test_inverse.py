@@ -297,13 +297,12 @@ class TestFiniteInverse:
         _, cr, spec = example1
         es = gs.eigen_structure(cr.poly, spec, extended=True)
         state, _ = gs.finite_inverse(gs.horizon(es, 5.0), gs.InitialCondition(np.eye(3)))
-        systems = [(state.g_inverse, list(_inverse_eigenparts(es).values()))]
+        systems = [(state.g_inverse, np.array(list(_inverse_eigenparts(es).values())))]
         rng = np.random.default_rng(31)
         for n in (1, 2, 5, 8, 16):
             a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).astype(
                 np.clongdouble)
-            systems.append((a, [rng.standard_normal((n, n)).astype(np.clongdouble)
-                                for _ in range(n)]))
+            systems.append((a, rng.standard_normal((n, n, n)).astype(np.clongdouble)))
         for a, rhs in systems:
             for got, b in zip(_solve_dense(a, rhs), rhs, strict=True):
                 want = solve_dense_columns(a, b)
@@ -315,7 +314,7 @@ class TestFiniteInverse:
 
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=np.clongdouble)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            _solve_dense(a, [np.eye(2, dtype=np.clongdouble), np.ones((2, 2))])
+            _solve_dense(a, np.array([np.eye(2, dtype=np.clongdouble), np.ones((2, 2))]))
 
 
 class TestInverseMultiple:

@@ -160,7 +160,7 @@ def test_finite_inverse(case):
             state, inv_t = gs.finite_inverse(h, p0)
             assert_bitwise(state.g_inverse, g_inv)
             assert state.condition == condition
-            want = _solve_dense(g_inv, list(_inverse_eigenparts(h.structure).values()))
+            want = _solve_dense(g_inv, np.array(list(_inverse_eigenparts(h.structure).values())))
             assert inv_t.keys == tuple(range(len(want)))
             for got, component in zip(inv_t.stack, want):
                 assert_bitwise(got, component)
