@@ -18,19 +18,21 @@ Exit codes: 0 success, 1 usage or schema error (also an unwritable
 ``--output`` or a closed stdout), 2 solvability violation, 3 conditioning
 failure (uncontrollable system, ill-conditioned chains, singular
 normalization, near-multiple eigenvalues), 4 failed verification checks.
+
+Only ``energy`` and ``verify`` run the energy module, so they alone import
+it (``energy`` also ``csv``); a process that runs ``analyze`` or ``roots``
+never loads either.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,13 +54,13 @@ from .document import (
     parse_initial_condition,
     parse_system,
 )
-from .energy import control_energy_quadrature, energy_partition, optimal_control
 from .errors import (
     ConditioningError,
     ControllabilityError,
     ConvergenceError,
     GramspecError,
     MultipleEigenvalueError,
+    Record,
     SchemaError,
     SolvabilityError,
 )
@@ -198,17 +200,16 @@ def _finite_block(component_set, key) -> MatrixBlock:
 # resolution pipeline
 
 
-@dataclass(eq=False)
-class ResolvedSystem:
-    doc: SystemDocument
-    poly: Polynomial
-    spectrum: object
-    solvability: object
-    cr: object
-    sys: LtiSystem | None
-    warnings: list
-    roots: np.ndarray | None  # unclustered roots; None for eigenvalue documents
-    structure: EigenStructure | None  # None for a multiple or unsolvable spectrum
+class ResolvedSystem(Record):
+    """A document after the spectrum pipeline: ``roots`` are the unclustered
+    roots (None for an eigenvalues document) and ``structure`` the eigen
+    structure (None for a multiple or unsolvable spectrum)."""
+
+    def __init__(self, doc: SystemDocument, poly: Polynomial, spectrum, solvability, cr,
+                 sys: LtiSystem | None, warnings: list, roots: np.ndarray | None,
+                 structure: EigenStructure | None):
+        self.__dict__.update(doc=doc, poly=poly, spectrum=spectrum, solvability=solvability,
+                             cr=cr, sys=sys, warnings=warnings, roots=roots, structure=structure)
 
 
 def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
@@ -385,6 +386,9 @@ def cmd_analyze(
                     state, inv_finite = finite_inverse(h, p0c)
                     gram_t = finite_sum
                 except ConditioningError:
+                    if not np.all(np.isfinite(h.expm_transpose)):
+                        # refused as without --inverse, before the 80-bit retry
+                        _require_double_range(decomp, finite_sum)
                     h = horizon(eigen_structure(poly, spec, tols.solvability, extended=True), t)
                     state, inv_finite = finite_inverse(h, p0c)
                     gram_t = finite_subgramians(h).at_t.total()
@@ -528,6 +532,8 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     closed forms are built before the Kronecker oracle solves, so a document
     they refuse exits as under analyze.
     """
+    from .energy import energy_partition
+
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
     transform = _similarity(resolved)
@@ -688,6 +694,10 @@ def cmd_energy(
     Returns (report, csv_text_or_None); the CSV holds the optimal control and
     its modal components when a stable time series was requested.
     """
+    import csv
+
+    from .energy import control_energy_quadrature, energy_partition, optimal_control
+
     if time_series is not None:
         t0, t1, steps = time_series
         if not (np.isfinite(t0) and np.isfinite(t1)) or steps < 1:

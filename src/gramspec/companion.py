@@ -15,7 +15,6 @@ place that maps companion coordinates to a system's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     ConditioningError,
     ControllabilityError,
     MultipleEigenvalueError,
+    Record,
     SolvabilityError,
 )
 from .spectrum import (
@@ -45,16 +45,12 @@ ORIGIN_TOL = 1e-12  # |lambda| at or below this times (1 + max|a_k|) has no left
 DERIV_FLOOR = 1e-8  # |N'(lambda)| at or below this times max|a_k| counts as a multiple eigenvalue
 
 
-@dataclass(frozen=True, eq=False)
-class LtiSystem:
+class LtiSystem(Record):
     """Continuous LTI pair (A, B); the object under analysis."""
 
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.asarray(self.b, dtype=float)
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.asarray(b, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if a.shape[0] != a.shape[1]:
@@ -63,8 +59,7 @@ class LtiSystem:
             raise ValueError(f"B must have {a.shape[0]} rows, got shape {b.shape}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("system matrices must have finite entries")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(a=a, b=b)
 
     @property
     def n(self) -> int:
@@ -75,13 +70,11 @@ class LtiSystem:
         return self.b.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class CompanionRealization:
+class CompanionRealization(Record):
     """Companion pair (A_C, b_C) of a monic characteristic polynomial."""
 
-    poly: Polynomial
-    a_c: np.ndarray
-    b_c: np.ndarray
+    def __init__(self, poly: Polynomial, a_c: np.ndarray, b_c: np.ndarray):
+        self.__dict__.update(poly=poly, a_c=a_c, b_c=b_c)
 
     @property
     def n(self) -> int:
@@ -91,15 +84,13 @@ class CompanionRealization:
         return LtiSystem(self.a_c, self.b_c)
 
 
-@dataclass(frozen=True, eq=False)
-class SimilarityTransform:
+class SimilarityTransform(Record):
     """Change of basis T = C * H_u from the companion coordinates of ``poly``
     to a system's own; ``t`` is None for a multi-input system."""
 
-    t: np.ndarray | None
-    hankel: np.ndarray
-    controllability: np.ndarray
-    poly: Polynomial
+    def __init__(self, t: np.ndarray | None, hankel: np.ndarray, controllability: np.ndarray,
+                 poly: Polynomial):
+        self.__dict__.update(t=t, hankel=hankel, controllability=controllability, poly=poly)
 
     def require_polynomial(self, poly: Polynomial | None):
         """Refuse (ValueError) a decomposition built for another polynomial."""
@@ -208,8 +199,7 @@ def residue_companion(lam: complex, p: Polynomial) -> np.ndarray:
     return _evaluate(p, Spectrum.simple([lam]), np.asarray([lam])).residues[0]
 
 
-@dataclass(frozen=True, eq=False)
-class EigenStructure:
+class EigenStructure(Record):
     """Per-eigenvalue data of a simple companion spectrum, evaluated once.
 
     Made by eigen_structure, which admits only a simple, solvable
@@ -233,13 +223,11 @@ class EigenStructure:
     at a time, in scalar arithmetic.
     """
 
-    poly: Polynomial
-    spectrum: Spectrum
-    eigenvalues: np.ndarray
-    right: np.ndarray
-    derivs: np.ndarray
-    mirrors: np.ndarray
-    solvability: SolvabilityReport | None = None
+    def __init__(self, poly: Polynomial, spectrum: Spectrum, eigenvalues: np.ndarray,
+                 right: np.ndarray, derivs: np.ndarray, mirrors: np.ndarray,
+                 solvability: SolvabilityReport | None = None):
+        self.__dict__.update(poly=poly, spectrum=spectrum, eigenvalues=eigenvalues, right=right,
+                             derivs=derivs, mirrors=mirrors, solvability=solvability)
 
     @property
     def extended(self) -> bool:
@@ -379,8 +367,7 @@ def eigen_structure(
     return _evaluate(p, spec, _newton_polish(p, spec.values.astype(np.clongdouble)), report)
 
 
-@dataclass(frozen=True, eq=False)
-class JordanBlockChain:
+class JordanBlockChain(Record):
     """Chain data for one clustered eigenvalue.
 
     ``right`` holds the chain columns x_1..x_{n_i} (n x n_i), ``left`` the
@@ -389,27 +376,23 @@ class JordanBlockChain:
     came from a non-companion system).
     """
 
-    eigenvalue: complex
-    multiplicity: int
-    right: np.ndarray
-    left: np.ndarray
-    toeplitz: np.ndarray | None = None
-    hankel: np.ndarray | None = None
+    def __init__(self, eigenvalue: complex, multiplicity: int, right: np.ndarray,
+                 left: np.ndarray, toeplitz: np.ndarray | None = None,
+                 hankel: np.ndarray | None = None):
+        self.__dict__.update(eigenvalue=eigenvalue, multiplicity=multiplicity, right=right,
+                             left=left, toeplitz=toeplitz, hankel=hankel)
 
 
-@dataclass(frozen=True, eq=False)
-class JordanChainSet:
+class JordanChainSet(Record):
     """Jordan chains of all clustered eigenvalues of ``system`` plus the full
     modal pair; ``poly`` and ``c_row`` only for a companion ``system``, made
     by jordan_chains_companion."""
 
-    system: LtiSystem
-    spectrum: Spectrum
-    blocks: list
-    modal: np.ndarray
-    modal_inverse: np.ndarray
-    poly: Polynomial | None = None
-    c_row: np.ndarray | None = None
+    def __init__(self, system: LtiSystem, spectrum: Spectrum, blocks: list, modal: np.ndarray,
+                 modal_inverse: np.ndarray, poly: Polynomial | None = None,
+                 c_row: np.ndarray | None = None):
+        self.__dict__.update(system=system, spectrum=spectrum, blocks=blocks, modal=modal,
+                             modal_inverse=modal_inverse, poly=poly, c_row=c_row)
 
     @classmethod
     def from_modal_matrices(cls, system, spec: Spectrum, modal, modal_inverse) -> JordanChainSet:

@@ -16,27 +16,27 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import Record, SchemaError
 from .spectrum import Spectrum
 
 SCHEMA_VERSION = 1
 _SOURCES = ("matrices", "char_poly", "eigenvalues")
 
 
-@dataclass(frozen=True, eq=False)
-class SystemDocument:
-    """Validated system description; exactly one source field is set."""
+class SystemDocument(Record):
+    """Validated system description; exactly one source field is set:
+    ``matrices`` (A, B) as float arrays, ``char_poly`` the ascending monic
+    coefficients, or ``eigenvalues`` as [(complex, multiplicity), ...]."""
 
-    matrices: tuple | None = None  # (A, B) as float arrays
-    char_poly: np.ndarray | None = None  # ascending monic coefficients
-    eigenvalues: list | None = None  # [(complex, multiplicity), ...]
-    initial_condition: np.ndarray | None = None
-    label: str | None = None
+    def __init__(self, matrices: tuple | None = None, char_poly: np.ndarray | None = None,
+                 eigenvalues: list | None = None, initial_condition: np.ndarray | None = None,
+                 label: str | None = None):
+        self.__dict__.update(matrices=matrices, char_poly=char_poly, eigenvalues=eigenvalues,
+                             initial_condition=initial_condition, label=label)
 
     @property
     def source(self) -> str:

@@ -9,11 +9,10 @@ trapezoid rule on (-T, 0) with T = 40 / min |Re lambda|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from .companion import EigenStructure
-from .errors import StabilityError
+from .errors import Record, StabilityError
 from .gramians import SpectralComponentSet, modulus
 
 QUADRATURE_POINTS = 40_000
@@ -41,15 +40,13 @@ def min_energy(x0, inv: SpectralComponentSet) -> float:
     return float(_real_quadratic_forms(x0, inv.symmetrized().total()[None])[0])
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyPartition:
+class EnergyPartition(Record):
     """Linear and quadratic splits of the minimum-energy quadratic form."""
 
-    total: float
-    linear: np.ndarray
-    quadratic: np.ndarray
-    x0: np.ndarray
-    interpretation_valid: bool
+    def __init__(self, total: float, linear: np.ndarray, quadratic: np.ndarray, x0: np.ndarray,
+                 interpretation_valid: bool):
+        self.__dict__.update(total=total, linear=linear, quadratic=quadratic, x0=x0,
+                             interpretation_valid=interpretation_valid)
 
 
 def energy_partition(
@@ -72,8 +69,7 @@ def energy_partition(
     return EnergyPartition(total, linear, quadratic, x0, stable)
 
 
-@dataclass(frozen=True, eq=False)
-class OptimalControlSignal:
+class OptimalControlSignal(Record):
     """Minimum-energy control u(t) on t <= 0 and its modal components.
 
     u_i(t) = kappa_i e^{-conj(lambda_i) t}; the modal components sum to the
@@ -81,9 +77,8 @@ class OptimalControlSignal:
     quadrature window 40 / min |Re lambda|.
     """
 
-    kappa: np.ndarray
-    rates: np.ndarray
-    horizon: float
+    def __init__(self, kappa: np.ndarray, rates: np.ndarray, horizon: float):
+        self.__dict__.update(kappa=kappa, rates=rates, horizon=horizon)
 
     def modal(self, t) -> np.ndarray:
         """Modal components, shape (n_modes,) + shape(t)."""
@@ -125,8 +120,7 @@ def control_energy_quadrature(signal: OptimalControlSignal) -> float:
     return float(np.trapezoid(u * u, t))
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapReport:
+class OverlapReport(Record):
     """Closed-form modal overlap integrals with their quadrature check.
 
     ``max_error`` is relative to the largest overlap magnitude; individual
@@ -134,9 +128,8 @@ class OverlapReport:
     energy), so absolute agreement is not the meaningful measure.
     """
 
-    closed_form: np.ndarray
-    quadrature: np.ndarray
-    max_error: float
+    def __init__(self, closed_form: np.ndarray, quadrature: np.ndarray, max_error: float):
+        self.__dict__.update(closed_form=closed_form, quadrature=quadrature, max_error=max_error)
 
 
 def modal_overlap_integrals(

@@ -1,4 +1,55 @@
-"""Exception hierarchy shared by all gramspec modules."""
+"""Exception hierarchy and the read-only record base shared by all gramspec
+modules."""
+
+
+class Record:
+    """Base of gramspec's read-only records.
+
+    A record's fields are the parameters of its own ``__init__``, in order,
+    which checks them and stores them in ``self.__dict__``; after that,
+    assignment and deletion raise AttributeError.  The repr is
+    ``Name(field=value, ...)``, ``_replace(**changes)`` rebuilds the record
+    through ``__init__`` (so its checks run again), and a record compares
+    and hashes by identity: most hold arrays, which have no truth value.
+    Values formed on first use (``functools.cached_property``) are stored in
+    the instance dict and are not fields.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class ValueRecord(Record):
+    """A record that compares and hashes by the values of its fields."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class GramspecError(Exception):

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
 
 from .companion import EigenStructure, JordanChainSet, SimilarityTransform, alternating_signs
-from .errors import ConditioningError
+from .errors import ConditioningError, Record
 from .spectrum import Polynomial, Spectrum
 
 ORBIT_IMAG_TOL = 1e-9  # imaginary part of a conjugate-orbit sum, relative to its entry scale
@@ -53,8 +52,7 @@ def _require_horizon(t: float):
         raise ValueError(f"horizon must be finite and nonnegative, got {t}")
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralComponentSet:
+class SpectralComponentSet(Record):
     """Eigen- or pair-indexed spectral components of a Gramian or of its
     inverse.
 
@@ -71,23 +69,19 @@ class SpectralComponentSet:
     stored components lossier.
     """
 
-    keys: tuple
-    stack: np.ndarray
-    kind: str  # 'eigen' | 'pair'
-    flavor: str = "raw"  # 'raw' | 'symmetrized'
-    coordinate: str = "companion"  # 'companion' | 'original'
-    poly: Polynomial | None = None
-    spectrum: Spectrum | None = None
-    accurate_total: np.ndarray | None = None
-
-    def __post_init__(self):
-        keys, stack = tuple(self.keys), np.asarray(self.stack).view()
+    def __init__(self, keys: tuple, stack: np.ndarray, kind: str, flavor: str = "raw",
+                 coordinate: str = "companion", poly: Polynomial | None = None,
+                 spectrum: Spectrum | None = None, accurate_total: np.ndarray | None = None):
+        # kind 'eigen' | 'pair', flavor 'raw' | 'symmetrized', coordinate
+        # 'companion' | 'original'
+        keys, stack = tuple(keys), np.asarray(stack).view()
         if stack.ndim != 3 or stack.shape[0] != len(keys) or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"{len(keys)} keys need a ({len(keys)}, n, n) stack, "
                              f"got shape {stack.shape}")
         stack.flags.writeable = False
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "stack", stack)
+        self.__dict__.update(keys=keys, stack=stack, kind=kind, flavor=flavor,
+                             coordinate=coordinate, poly=poly, spectrum=spectrum,
+                             accurate_total=accurate_total)
 
     @classmethod
     def from_parts(cls, parts: dict, kind: str, *args, **kwargs) -> "SpectralComponentSet":
@@ -104,8 +98,8 @@ class SpectralComponentSet:
     @functools.cached_property  # one symmetrization per set, however many callers
     def _hermitian(self) -> "SpectralComponentSet":
         total = None if self.accurate_total is None else hermitian_part(self.accurate_total)
-        return replace(self, stack=hermitian_part(self.stack), flavor="symmetrized",
-                       accurate_total=total)
+        return self._replace(stack=hermitian_part(self.stack), flavor="symmetrized",
+                             accurate_total=total)
 
     def total(self) -> np.ndarray:
         """The accurate total when there is one, else the components added
@@ -143,18 +137,15 @@ class SpectralComponentSet:
                 "spectrum is not conjugate closed"
             )
         total = None if self.accurate_total is None else self.accurate_total.real
-        return replace(self, keys=tuple(self.keys[k] for k in canon), stack=totals.real,
-                       accurate_total=total)
+        return self._replace(keys=tuple(self.keys[k] for k in canon), stack=totals.real,
+                             accurate_total=total)
 
 
-@dataclass(frozen=True, eq=False)
-class InitialCondition:
+class InitialCondition(Record):
     """Symmetric initial value P(0) of the differential Lyapunov equation."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+    def __init__(self, matrix: np.ndarray):
+        m = np.atleast_2d(np.asarray(matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"initial condition must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -162,15 +153,14 @@ class InitialCondition:
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.T)) > 1e-12 * scale:
             raise ValueError("initial condition must be symmetric")
-        object.__setattr__(self, "matrix", m)
+        self.__dict__["matrix"] = m
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Horizon:
+class Horizon(Record):
     """A simple-spectrum EigenStructure evaluated at one time t, once.
 
     ``growth[i]`` is e^{lambda_i t} and ``expm_transpose`` is e^{A_C^T t} =
@@ -180,10 +170,10 @@ class Horizon:
     exponential.  Made by horizon.
     """
 
-    structure: EigenStructure
-    t: float
-    growth: np.ndarray
-    expm_transpose: np.ndarray
+    def __init__(self, structure: EigenStructure, t: float, growth: np.ndarray,
+                 expm_transpose: np.ndarray):
+        self.__dict__.update(structure=structure, t=t, growth=growth,
+                             expm_transpose=expm_transpose)
 
 
 def horizon(es: EigenStructure, t: float) -> Horizon:
@@ -195,8 +185,7 @@ def horizon(es: EigenStructure, t: float) -> Horizon:
     return Horizon(es, t, growth, sum(g * r.T for g, r in zip(growth, residues)))
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGramianDecomposition:
+class FiniteGramianDecomposition(Record):
     """A Gramian decomposition evaluated at one horizon t.
 
     ``static`` holds the components of the algebraic solution and ``at_t``
@@ -205,10 +194,9 @@ class FiniteGramianDecomposition:
     made without a horizon carries ``static`` only.
     """
 
-    static: SpectralComponentSet
-    at_t: SpectralComponentSet | None = None
-    t: float | None = None
-    expm_transpose: np.ndarray | None = None
+    def __init__(self, static: SpectralComponentSet, at_t: SpectralComponentSet | None = None,
+                 t: float | None = None, expm_transpose: np.ndarray | None = None):
+        self.__dict__.update(static=static, at_t=at_t, t=t, expm_transpose=expm_transpose)
 
 
 def _plus_terms(static: SpectralComponentSet, terms: np.ndarray) -> SpectralComponentSet:
@@ -216,7 +204,7 @@ def _plus_terms(static: SpectralComponentSet, terms: np.ndarray) -> SpectralComp
     the stack of their sums, each started from 0, which turns a -0.0 entry
     into 0.0 (reports write the sign of a zero, and they keep their bytes
     with this order)."""
-    return replace(static, stack=static.stack + terms, accurate_total=None)
+    return static._replace(stack=static.stack + terms, accurate_total=None)
 
 
 def _eigenparts(es: EigenStructure) -> dict:
@@ -365,7 +353,7 @@ def lift_to_original(
 
     lifted = np.array([sandwich(x) for x in decomp.stack])
     total = None if decomp.accurate_total is None else sandwich(decomp.accurate_total)
-    return replace(decomp, stack=lifted, coordinate="original", accurate_total=total)
+    return decomp._replace(stack=lifted, coordinate="original", accurate_total=total)
 
 
 def resolvent_coefficients(chains: JordanChainSet) -> list:

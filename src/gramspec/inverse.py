@@ -12,13 +12,12 @@ numerical inverse exists only in the oracle module, as an independent check).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .companion import (EigenStructure, JordanChainSet, SimilarityTransform, _solve_dense,
                         alternating_signs)
-from .errors import ConditioningError
+from .errors import ConditioningError, Record, ValueRecord
 from .gramians import Horizon, InitialCondition, SpectralComponentSet, _pair_keys
 
 ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
@@ -26,13 +25,11 @@ PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the 
 CONDITION_CAPS = {False: 1e12, True: 1e17}  # normalization condition cap, by extended precision
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizationState:
+class NormalizationState(Record):
     """Normalization matrix data of the finite inverse at one time point."""
 
-    t: float
-    g_inverse: np.ndarray
-    condition: float
+    def __init__(self, t: float, g_inverse: np.ndarray, condition: float):
+        self.__dict__.update(t=t, g_inverse=g_inverse, condition=condition)
 
 
 def _inverse_eigenparts(es: EigenStructure) -> dict:
@@ -83,13 +80,11 @@ def inverse_pair_parts(es: EigenStructure) -> SpectralComponentSet:
                                 es.poly, es.spectrum)
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(ValueRecord):
     """Element-wise check of P_hat_i^C P_hat_j^{-C} = delta_ij R_i."""
 
-    max_violation: float
-    pairs_checked: int
-    ok: bool
+    def __init__(self, max_violation: float, pairs_checked: int, ok: bool):
+        self.__dict__.update(max_violation=max_violation, pairs_checked=pairs_checked, ok=ok)
 
 
 def orthogonality_certificate(
@@ -135,7 +130,7 @@ def riccati_general(
         return solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, xs))))
 
     total = None if inv.accurate_total is None else lift(inv.accurate_total[None])[0]
-    return replace(inv, stack=lift(inv.stack), coordinate="original", accurate_total=total)
+    return inv._replace(stack=lift(inv.stack), coordinate="original", accurate_total=total)
 
 
 def finite_inverse(h: Horizon, p0: InitialCondition):
@@ -156,9 +151,13 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     an entry outside the double range is refused as such, with condition inf.
     """
     es, t = h.structure, h.t
-    inv = SpectralComponentSet.from_parts(
-        _inverse_eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum
-    )
+
+    def inverse_set():  # formed once, and with P_0 = 0 only for a G(t) that passes
+        return SpectralComponentSet.from_parts(
+            _inverse_eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum
+        )
+
+    inv = None
     n = es.poly.degree
     signs = alternating_signs(n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -168,6 +167,7 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
         terms = -((signs[:, None] * np.swapaxes(es.residues, 1, 2) * signs) @ scaled_exp)
         scales = [1.0, *np.abs(terms).max(axis=(1, 2)).astype(float).tolist()]
         if np.any(p0.matrix):  # with P_0 = 0 the boundary terms vanish
+            inv = inverse_set()
             boundary = inv.stack @ p0.matrix @ scaled_exp
             terms = boundary + terms
             scales += np.abs(boundary).max(axis=(1, 2)).astype(float).tolist()
@@ -191,7 +191,8 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
             condition=condition,
         )
     state = NormalizationState(float(t), g_inv, condition)
-    return state, replace(inv, stack=_solve_dense(g_inv, inv.stack))
+    inv = inverse_set() if inv is None else inv
+    return state, inv._replace(stack=_solve_dense(g_inv, inv.stack))
 
 
 def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -25,23 +25,19 @@ is indeed (A P)[0, 0].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import SolvabilityError
+from .errors import Record, SolvabilityError
 
 ORACLE_DIMENSION_CAP = 32
 
 
-@dataclass(frozen=True, eq=False)
-class OracleResult:
-    """Result of a brute-force solve with its method tag and residual."""
+class OracleResult(Record):
+    """Result of a brute-force solve with its method tag ('kron' | 'rk4', or
+    'quadrature' for the tests' reference) and residual."""
 
-    matrix: np.ndarray
-    method: str  # 'kron' | 'rk4', or 'quadrature' for the tests' reference
-    residual: float
-    steps: int
+    def __init__(self, matrix: np.ndarray, method: str, residual: float, steps: int):
+        self.__dict__.update(matrix=matrix, method=method, residual=residual, steps=steps)
 
 
 def residual_lyapunov(a, q, p) -> float:

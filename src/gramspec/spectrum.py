@@ -18,53 +18,45 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, Record, ValueRecord
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(ValueRecord):
     """Relative tolerances used by the spectrum pipeline.
 
     All three scale with the problem (coefficient magnitude or spectral
     radius); see the operations that consume them.
     """
 
-    root: float = 1e-12
-    cluster: float = 1e-8
-    solvability: float = 1e-10
-
-    def __post_init__(self):
+    def __init__(self, root: float = 1e-12, cluster: float = 1e-8, solvability: float = 1e-10):
         # each field once, named with the command-line flag that sets it
-        for name, flag in (("root", "--tol-root"), ("cluster", "--tol-cluster"),
-                           ("solvability", "--tol-solve")):
-            value = getattr(self, name)
+        for value, name, flag in ((root, "root", "--tol-root"),
+                                  (cluster, "cluster", "--tol-cluster"),
+                                  (solvability, "solvability", "--tol-solve")):
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{flag}: {name} tolerance must be finite and > 0, got {value!r}")
+        self.__dict__.update(root=root, cluster=cluster, solvability=solvability)
 
 
 DEFAULT_TOLERANCES = Tolerances()
 CONJUGATE_TOL = 1e-9  # distance, relative to 1 + radius, of a conjugate partner
 
 
-@dataclass(frozen=True, eq=False)
-class Polynomial:
+class Polynomial(Record):
     """Monic real polynomial, coefficients ascending: a_0 + a_1 s + ... + s^n."""
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
+    def __init__(self, coeffs: np.ndarray):
+        coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 2:
             raise ValueError("polynomial needs degree >= 1 (at least two coefficients)")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("polynomial coefficients must be finite")
         if coeffs[-1] != 1.0:
             raise ValueError(f"polynomial must be monic, got leading coefficient {coeffs[-1]!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__["coeffs"] = coeffs
 
     @property
     def degree(self) -> int:
@@ -74,22 +66,17 @@ class Polynomial:
         return eval_with_derivative(self, s)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Record):
     """Clustered eigenvalues with multiplicities; total multiplicity is n."""
 
-    values: np.ndarray
-    multiplicities: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        mults = np.asarray(self.multiplicities, dtype=int)
+    def __init__(self, values: np.ndarray, multiplicities: np.ndarray):
+        values = np.asarray(values, dtype=complex)
+        mults = np.asarray(multiplicities, dtype=int)
         if values.ndim != 1 or values.shape != mults.shape:
             raise ValueError("values and multiplicities must be 1-d and equally long")
         if np.any(mults < 1):
             raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "multiplicities", mults)
+        self.__dict__.update(values=values, multiplicities=mults)
 
     @classmethod
     def simple(cls, values) -> "Spectrum":
@@ -138,13 +125,13 @@ class Spectrum:
         return partner
 
 
-@dataclass(frozen=True)
-class SolvabilityReport:
+class SolvabilityReport(ValueRecord):
     """Outcome of the pairwise check |lambda_i + lambda_j| > 0."""
 
-    ok: bool
-    violating_pairs: list = field(default_factory=list)
-    min_pair_magnitude: float = np.inf
+    def __init__(self, ok: bool, violating_pairs: list | None = None,
+                 min_pair_magnitude: float = np.inf):
+        pairs = [] if violating_pairs is None else violating_pairs
+        self.__dict__.update(ok=ok, violating_pairs=pairs, min_pair_magnitude=min_pair_magnitude)
 
 
 def _kahan_trace(m: np.ndarray):

@@ -1,8 +1,10 @@
 """Shared fixtures: the worked 3x3 and 5x5 systems, random generators and
 the bitwise comparison of the stacked-versus-loop tests."""
 
+import os
 import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,13 @@ from hypothesis.configuration import set_hypothesis_home_dir
 import gramspec as gs
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def child_env(**overrides) -> dict:
+    """The environment of a child interpreter that imports this checkout's gramspec."""
+    src = str(Path(gs.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **overrides)
 
 
 def pytest_configure(config):

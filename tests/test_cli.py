@@ -1,6 +1,5 @@
 import gc
 import json
-import os
 import re
 import subprocess
 import sys
@@ -21,6 +20,8 @@ from gramspec.cli import (
     main,
 )
 from gramspec.document import parse_system
+
+from conftest import child_env
 
 # a degree-8 analyze_ladder polynomial whose G(1) needs the extended-precision retry
 LADDER8_COEFFS = [2282.276472599614, 7061.767882988239, 8218.473821798005,
@@ -56,13 +57,6 @@ def stable_path(tmp_path):
         json.dumps({"eigenvalues": [[-1, 0, 1], [-2, 0, 1], [-3, 0, 1]], "label": "stable"})
     )
     return str(path)
-
-
-def _child_env(**overrides) -> dict:
-    """The environment of a child interpreter that imports this checkout's gramspec."""
-    src = str(Path(gs.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p), **overrides)
 
 
 def matrix_from(entry):
@@ -211,7 +205,7 @@ class TestExitCodes:
         ("example1_path", "200", False, "P(t)"),
         ("example1_path", "200", True, "normalization matrix inverse G^-1(t)"),
         ("example1_path", "400", False, "e^(A t)"),
-        ("example1_path", "400", True, "normalization matrix inverse G^-1(t)"),
+        ("example1_path", "400", True, "e^(A t)"),
         ("jordan_path", "200", False, "P(t)"),
         ("jordan_path", "200", True, "P(t)"),
         ("jordan_path", "400", False, "e^(A t)"),
@@ -225,7 +219,7 @@ class TestExitCodes:
         argv += ["--inverse"] * inverse
         result = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", "-m", "gramspec.cli",
-             *argv], capture_output=True, text=True, env=_child_env(), timeout=120)
+             *argv], capture_output=True, text=True, env=child_env(), timeout=120)
         assert result.returncode == EXIT_CONDITIONING, result.stderr
         suffix = " (condition estimate inf)" if refusal.startswith("normalization") else ""
         assert result.stderr == (f"conditioning error: {refusal} leaves the double range "
@@ -763,10 +757,13 @@ class TestWorkOnce:
     builder; only the finite-inverse retry adds one extended structure.  No
     command builds the homogeneous pair half, e^{A^T t} is formed once per
     structure and horizon, and the inverse eigen set is built once and
-    passed on.  A matrices document's characteristic polynomial and
-    controllability check are computed once per command, analyze evaluates
-    the finite components once per decomposition, and the Gramian eigen
-    parts are built once per structure."""
+    passed on; the finite inverse forms its own only for a G(t) that
+    passes, unless the boundary terms of an initial condition need it first.
+    A matrices document's characteristic polynomial and controllability
+    check are computed once per command, analyze evaluates the finite
+    components once per decomposition, and the Gramian eigen parts are built
+    once per structure.  An e^(A t) past the double range is refused before
+    the extended retry."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -777,7 +774,7 @@ class TestWorkOnce:
         counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0,
                   "expm": [], "homogeneous_pairs": 0, "inverse_eigenparts": 0,
                   "char_poly": 0, "require_controllable": 0, "finite_components": 0,
-                  "eigenparts": 0}
+                  "eigenparts": 0, "inverse_parts": 0}
         evaluate, polish, horizon = (
             companion._evaluate, companion._newton_polish, gramians.horizon
         )
@@ -816,6 +813,8 @@ class TestWorkOnce:
              counted("homogeneous_pairs", gramians.homogeneous_pair_subgramians)),
             (inverse.inverse_eigenparts,
              counted("inverse_eigenparts", inverse.inverse_eigenparts)),
+            (inverse._inverse_eigenparts,
+             counted("inverse_parts", inverse._inverse_eigenparts)),
             (gs.char_poly, counted("char_poly", gs.char_poly)),
             (companion.require_controllable,
              counted("require_controllable", companion.require_controllable)),
@@ -844,6 +843,42 @@ class TestWorkOnce:
         assert counts["finite_components"] == 3
         # the Gramian eigen parts: once per structure
         assert counts["eigenparts"] == 2
+        # the inverse eigen parts: analyze's inverse block, then each finite
+        # inverse before its check, for the boundary terms of P_0
+        assert counts["inverse_parts"] == 3
+
+    def test_analyze_with_extended_retry_without_initial_condition(self, tmp_path, capsys,
+                                                                  counts):
+        # the refused double G(1) forms no inverse eigen set
+        path = tmp_path / "ladder8.json"
+        path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
+        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
+        assert code == EXIT_OK
+        assert "extended precision" in capsys.readouterr().out
+        assert counts["extended"] == 1
+        assert counts["inverse_parts"] == 2
+
+    def test_refused_finite_inverse_forms_no_inverse_set(self, tmp_path, capsys, counts):
+        # the degree-16 document of TestRenderLast: G(1) is refused in double
+        # and in the extended retry, and only the inverse block forms its set
+        coeffs = gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real
+        path = tmp_path / "ladder16.json"
+        path.write_text(json.dumps({"char_poly": coeffs.tolist()}))
+        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
+        assert code == EXIT_CONDITIONING
+        assert "normalization matrix G(t) is numerically singular" in capsys.readouterr().err
+        assert counts["extended"] == 1
+        assert counts["inverse_parts"] == 1
+
+    def test_exponential_out_of_range_refused_before_retry(self, example1_path, capsys,
+                                                           counts):
+        # e^(A t) already leaves the double range: refused as without
+        # --inverse, and no 80-bit root is polished
+        code = main(["analyze", "--inverse", "--finite", "400", example1_path])
+        assert code == EXIT_CONDITIONING
+        assert capsys.readouterr().err == (
+            "conditioning error: e^(A t) leaves the double range at t = 400.0\n")
+        assert counts["polish"] == 0 and counts["extended"] == 0
 
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
@@ -935,15 +970,17 @@ class TestRenderLast:
 
 class TestImportFootprint:
     @staticmethod
-    def loaded_after(script: str) -> str:
-        """The sorted list, as printed, of the slow-to-import top-level
-        modules that ``script`` loads in a fresh interpreter."""
-        script += (
-            "print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'scipy', 'mpmath', 'fractions', 'decimal'}))\n"
+    def loaded_after(script: str, modules=("scipy", "mpmath", "fractions", "decimal")) -> str:
+        """The sorted list, as printed, of the ``modules`` (by default the
+        slow-to-import top-level ones) that ``script`` loads in a fresh
+        interpreter."""
+        script = (
+            f"import sys\n{script}"
+            "print(sorted(({m.split('.')[0] for m in sys.modules} | set(sys.modules))"
+            f" & {set(modules)!r}))\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(),
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(),
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
@@ -960,6 +997,30 @@ class TestImportFootprint:
             f"main(['verify', {example1_path!r}])\n"
         )
         assert self.loaded_after(script) == "[]"
+
+    def test_cli_import_loads_no_energy_or_dataclasses(self):
+        # the records are plain classes, and only energy and verify run energy
+        loaded = self.loaded_after("import gramspec.cli\n", ["gramspec.energy", "dataclasses"])
+        assert loaded == "[]"
+
+    def test_energy_loaded_only_by_its_commands(self, example1_path):
+        commands = {
+            "roots": ["roots"],
+            "analyze": ["analyze", "--pairs", "--inverse", "--finite", "1"],
+            "energy": ["energy", "--x0=1,0,0"],
+            "verify": ["verify"],
+        }
+        loaded = {}
+        for name, argv in commands.items():
+            script = (
+                "import contextlib, io\n"
+                "from gramspec.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert main({argv + [example1_path]!r}) == 0\n"
+            )
+            loaded[name] = self.loaded_after(script, ["gramspec.energy"])
+        energy = "['gramspec.energy']"
+        assert loaded == {"roots": "[]", "analyze": "[]", "energy": energy, "verify": energy}
 
     def test_extended_retry_loads_no_mpmath(self, tmp_path):
         # the degree-8 document of TestWorkOnce.test_analyze_with_extended_retry:
@@ -998,7 +1059,7 @@ class TestImportFootprint:
             "assert code == 0 and 'extended precision' in out.getvalue(), code\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                                env=_child_env(), timeout=120)
+                                env=child_env(), timeout=120)
         assert result.returncode == 0, result.stderr
 
 
@@ -1036,7 +1097,7 @@ class TestProcessEntry:
         assert main(argv) == status
         expected = capsys.readouterr()
         result = subprocess.run([sys.executable, *self.ENTRIES[entry], *argv],
-                                capture_output=True, env=_child_env(), timeout=120)
+                                capture_output=True, env=child_env(), timeout=120)
         assert result.returncode == status, result.stderr
         assert result.stdout == expected.out.encode()
         assert result.stderr == expected.err.encode()
@@ -1063,7 +1124,7 @@ class TestProcessEntry:
         with subprocess.Popen(
             [sys.executable, "-m", "gramspec.cli", "roots", example1_path],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=_child_env(PYTHONUNBUFFERED=unbuffered),
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
         ) as proc:
             proc.stdout.close()
             err = proc.stderr.read()
