@@ -19,9 +19,10 @@ Exit codes: 0 success, 1 usage or schema error (also an unwritable
 failure (uncontrollable system, ill-conditioned chains, singular
 normalization, near-multiple eigenvalues), 4 failed verification checks.
 
-Only ``energy`` and ``verify`` run the energy module, so they alone import
-it (``energy`` also ``csv``); a process that runs ``analyze`` or ``roots``
-never loads either.
+Each command imports only the modules it runs: ``inverse`` is loaded for
+``analyze``, ``verify`` and ``energy``, ``oracle`` for ``analyze`` and
+``verify``, ``energy`` for ``energy`` and ``verify``, and ``csv`` only for an
+``energy`` time-series table; a ``roots`` process loads none of them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import sys
 
 import numpy as np
 
-from . import oracle
 from .companion import (
     EigenStructure,
     LtiSystem,
@@ -77,14 +77,6 @@ from .gramians import (
     multiple_eig_gramian,
     pair_collisions,
     zero_plaid_defect,
-)
-from .inverse import (
-    finite_inverse,
-    inverse_eigenparts,
-    inverse_multiple_eig,
-    inverse_pair_parts,
-    orthogonality_certificate,
-    riccati_general,
 )
 from .spectrum import (
     Polynomial,
@@ -328,6 +320,9 @@ def cmd_analyze(
     refused document then never does.  The report is rendered once the last
     builder has returned.
     """
+    from .inverse import (finite_inverse, inverse_eigenparts, inverse_multiple_eig,
+                          inverse_pair_parts, riccati_general)
+
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
     spec, poly, es = resolved.spectrum, resolved.poly, resolved.structure
@@ -389,7 +384,7 @@ def cmd_analyze(
                     if not np.all(np.isfinite(h.expm_transpose)):
                         # refused as without --inverse, before the 80-bit retry
                         _require_double_range(decomp, finite_sum)
-                    h = horizon(eigen_structure(poly, spec, tols.solvability, extended=True), t)
+                    h = horizon(es.to_extended(), t)
                     state, inv_finite = finite_inverse(h, p0c)
                     gram_t = finite_subgramians(h).at_t.total()
                     warnings.append(
@@ -431,6 +426,8 @@ def _render_analysis(
     resolved: ResolvedSystem, tols: Tolerances, flavor: str, warnings: list, built: dict
 ) -> dict:
     """The analyze report of the built sets, with every residual."""
+    from .oracle import residual_lyapunov, residual_riccati
+
     spec, poly, system = resolved.spectrum, resolved.poly, resolved.sys
     a_c, b_c = resolved.cr.a_c, resolved.cr.b_c
     bbt = np.outer(b_c, b_c)
@@ -449,14 +446,14 @@ def _render_analysis(
         gramian={
             "coordinate": "companion",
             "eigen": _component_block(gram_set, a_c, spec, flavor),
-            "sum": MatrixEntry(gram_sum, oracle.residual_lyapunov(a_c, bbt, gram_sum)),
+            "sum": MatrixEntry(gram_sum, residual_lyapunov(a_c, bbt, gram_sum)),
         },
     )
     if "pair" in built:
         report["gramian"]["pair"] = _component_block(built["pair"], a_c, spec, flavor)
     if "lifted" in built:
         lifted_sum = built["lifted"].symmetrized().total()
-        residual = oracle.residual_lyapunov(system.a, system.b @ system.b.T, lifted_sum)
+        residual = residual_lyapunov(system.a, system.b @ system.b.T, lifted_sum)
         report["gramian_original"] = {"coordinate": "original",
                                       "sum": MatrixEntry(lifted_sum, residual)}
 
@@ -466,7 +463,7 @@ def _render_analysis(
         report["inverse"] = {
             "coordinate": "companion",
             "eigen": _component_block(inv_set, a_c, spec, flavor, side="right"),
-            "sum": MatrixEntry(inv_sum, oracle.residual_riccati(a_c, b_c, inv_sum)),
+            "sum": MatrixEntry(inv_sum, residual_riccati(a_c, b_c, inv_sum)),
             "product_residual": float(np.max(np.abs(inv_set.total() @ gram_set.total() - eye))),
         }
     if "inverse_pair" in built:
@@ -475,7 +472,7 @@ def _render_analysis(
         )
     if "inverse_original" in built:
         osum = built["inverse_original"].symmetrized().total()
-        residual = oracle.residual_riccati(system.a, system.b, osum)
+        residual = residual_riccati(system.a, system.b, osum)
         report["inverse_original"] = {"coordinate": "original", "sum": MatrixEntry(osum, residual)}
 
     if "finite" in built:
@@ -533,13 +530,17 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     they refuse exits as under analyze.
     """
     from .energy import energy_partition
+    from .inverse import (inverse_eigenparts, inverse_multiple_eig, inverse_pair_parts,
+                          orthogonality_certificate)
+    from .oracle import (integrate_lyapunov, kron_operator, require_dimension,
+                         residual_lyapunov, residual_riccati, solve_lyapunov_dense)
 
     resolved = resolve_document(doc, tols)
     _require_solvable_or_raise(resolved)
     transform = _similarity(resolved)
     spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
     n = poly.degree
-    oracle.require_dimension(n)
+    require_dimension(n)
     a_c, b_c = cr.a_c, cr.b_c
     bbt = np.outer(b_c, b_c)
     rng = np.random.default_rng(0 if seed is None else seed)
@@ -581,8 +582,8 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     gram_sym, inv_sym = gram_set.symmetrized(), inv_set.symmetrized()
 
     # one Kronecker operator for both oracles
-    operator = oracle.kron_operator(a_c)
-    reference = oracle.solve_lyapunov_dense(a_c, bbt, operator=operator)
+    operator = kron_operator(a_c)
+    reference = solve_lyapunov_dense(a_c, bbt, operator=operator)
     ref_norm = max(1e-300, float(np.linalg.norm(reference.matrix)))
     gram_sum = gram_sym.total().real
     checks.append(
@@ -593,7 +594,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         )
     )
     checks.append(
-        _check("lyapunov_residual", oracle.residual_lyapunov(a_c, bbt, gram_sum), 1e-8)
+        _check("lyapunov_residual", residual_lyapunov(a_c, bbt, gram_sum), 1e-8)
     )
 
     inv_sum = inv_sym.total().real
@@ -607,7 +608,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         )
     )
     checks.append(
-        _check("riccati_residual", oracle.residual_riccati(a_c, b_c, inv_sum), 1e-7)
+        _check("riccati_residual", residual_riccati(a_c, b_c, inv_sum), 1e-7)
     )
     checks.append(
         _check(
@@ -636,8 +637,8 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
 
         t_probe = 1.0
         closed_t = finite_subgramians(horizon(es, t_probe), gram_set).at_t.total().real
-        rk4 = oracle.integrate_lyapunov(a_c, bbt, np.zeros((n, n)), t_probe, steps=10_000,
-                                        operator=operator)
+        rk4 = integrate_lyapunov(a_c, bbt, np.zeros((n, n)), t_probe, steps=10_000,
+                                 operator=operator)
         checks.append(
             _check(
                 "finite_rk4_agreement",
@@ -694,9 +695,8 @@ def cmd_energy(
     Returns (report, csv_text_or_None); the CSV holds the optimal control and
     its modal components when a stable time series was requested.
     """
-    import csv
-
     from .energy import control_energy_quadrature, energy_partition, optimal_control
+    from .inverse import inverse_eigenparts, inverse_pair_parts
 
     if time_series is not None:
         t0, t1, steps = time_series
@@ -744,6 +744,8 @@ def cmd_energy(
     }
     csv_text = None
     if signal is not None:
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         header = ["t", "u"]

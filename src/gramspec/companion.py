@@ -207,13 +207,14 @@ class EigenStructure(Record):
     one-eigenvalue structures of left_eigenvector and residue_companion).
     Every simple-spectrum closed form (Gramian eigen and pair parts, inverse
     parts, residues, finite-horizon and homogeneous terms) is built from it.
-    Row i of ``right`` is the Vandermonde vector x_i; ``derivs[i]`` is
-    N'(lambda_i) and ``mirrors[i]`` is N(-lambda_i), both by Horner.  Two
-    more entries are formed on first use, each behind the check that guards
-    it: ``left`` (row i is y_i = H_l x_i / lambda_i^n) raises ValueError for
-    an eigenvalue at the origin, and ``residues`` (R_i = x_i y_i^T /
-    (-N'(lambda_i))) raises MultipleEigenvalueError when |N'(lambda_i)| is at
-    or below DERIV_FLOOR max|a_k|.
+    Row i of ``right`` is the Vandermonde vector x_i, one array power for
+    all eigenvalues; ``derivs[i]`` is N'(lambda_i) by Horner.  Three more
+    entries are formed on first use, so work that no builder reads is never
+    done: ``mirrors[i]`` is N(-lambda_i) by Horner; ``left`` (row i is y_i =
+    H_l x_i / lambda_i^n) raises ValueError for an eigenvalue at the origin;
+    and ``residues`` (R_i = x_i y_i^T / (-N'(lambda_i))) raises
+    MultipleEigenvalueError when |N'(lambda_i)| is at or below DERIV_FLOOR
+    max|a_k|.
 
     The working precision is the dtype of ``eigenvalues``: complex128, or
     clongdouble for an ``extended`` structure, whose eigenvalues are the
@@ -224,14 +225,24 @@ class EigenStructure(Record):
     """
 
     def __init__(self, poly: Polynomial, spectrum: Spectrum, eigenvalues: np.ndarray,
-                 right: np.ndarray, derivs: np.ndarray, mirrors: np.ndarray,
+                 right: np.ndarray, derivs: np.ndarray,
                  solvability: SolvabilityReport | None = None):
         self.__dict__.update(poly=poly, spectrum=spectrum, eigenvalues=eigenvalues, right=right,
-                             derivs=derivs, mirrors=mirrors, solvability=solvability)
+                             derivs=derivs, solvability=solvability)
 
     @property
     def extended(self) -> bool:
         return self.eigenvalues.dtype == np.clongdouble
+
+    def to_extended(self) -> EigenStructure:
+        """The extended structure of the same spectrum, admitted by this
+        structure's solvability report: admission reads the spectrum only,
+        so it is not checked again."""
+        return _extended(self.poly, self.spectrum, self.solvability)
+
+    @cached_property
+    def mirrors(self) -> np.ndarray:
+        return np.array([eval_with_derivative(self.poly, -lam)[0] for lam in self.eigenvalues])
 
     @cached_property
     def left(self) -> np.ndarray:
@@ -288,16 +299,19 @@ def _evaluate(
     values: np.ndarray,
     solvability: SolvabilityReport | None = None,
 ) -> EigenStructure:
-    n = p.degree
     return EigenStructure(
         p,
         spec,
         values,
-        np.stack([right_eigenvector(lam, n) for lam in values]),
+        values[:, None] ** np.arange(p.degree, dtype=float),
         np.array([eval_with_derivative(p, lam)[1] for lam in values]),
-        np.array([eval_with_derivative(p, -lam)[0] for lam in values]),
         solvability,
     )
+
+
+def _extended(p: Polynomial, spec: Spectrum, solvability: SolvabilityReport | None):
+    """The structure of an admitted ``spec`` at roots polished in 80-bit."""
+    return _evaluate(p, spec, _newton_polish(p, spec.values.astype(np.clongdouble)), solvability)
 
 
 def _solve_dense(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -354,7 +368,9 @@ def eigen_structure(
     by the Newton steps of find_roots (spectrum._newton_polish) and evaluates
     in 80-bit precision, for stiff problems: component magnitudes can exceed their sum
     by many orders (near-degenerate spectra) and finite Gramians of unstable
-    systems at large t span ranges double precision cannot resolve.
+    systems at large t span ranges double precision cannot resolve.  A
+    double structure that turns out too coarse gives its extended one by
+    EigenStructure.to_extended, without a second admission.
     """
     report = require_solvable(spec, solvability_tol)
     if not spec.is_simple:
@@ -362,9 +378,7 @@ def eigen_structure(
             "spectrum has multiple eigenvalues; use the multiple-eigenvalue "
             "decomposition (multiple_eig_gramian / inverse_multiple_eig)"
         )
-    if not extended:
-        return _evaluate(p, spec, spec.values, report)
-    return _evaluate(p, spec, _newton_polish(p, spec.values.astype(np.clongdouble)), report)
+    return _extended(p, spec, report) if extended else _evaluate(p, spec, spec.values, report)
 
 
 class JordanBlockChain(Record):

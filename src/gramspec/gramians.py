@@ -454,12 +454,12 @@ def exponent_collisions(spec: Spectrum, tol: float = 1e-10) -> list:
     scale = tol * (1.0 + spec.radius)
     flat = (lams[:, None] + np.conj(lams)[None, :]).ravel()  # index i * n + j
     order = np.argsort(flat.real).tolist()
-    sums = flat.tolist()
+    sums, reals = flat.tolist(), flat.real.tolist()
     hits = []
     for p, a in enumerate(order):
         for q in range(p + 1, len(order)):
             b = order[q]
-            if sums[b].real - sums[a].real > scale:
+            if reals[b] - reals[a] > scale:
                 break
             if abs(sums[a] - sums[b]) <= scale:
                 hits.append((min(a, b), max(a, b)))

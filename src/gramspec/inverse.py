@@ -162,9 +162,10 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     signs = alternating_signs(n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         # per eigenvalue, the boundary term minus the decay term; the largest
-        # entry of each is its scale, rounded to double as the condition is
+        # entry of each is its scale, rounded to double as the condition is.
+        # J R^T J is one exact multiply by the +-1 checkerboard
         scaled_exp = h.growth[:, None, None] * h.expm_transpose
-        terms = -((signs[:, None] * np.swapaxes(es.residues, 1, 2) * signs) @ scaled_exp)
+        terms = -((np.swapaxes(es.residues, 1, 2) * (signs[:, None] * signs)) @ scaled_exp)
         scales = [1.0, *np.abs(terms).max(axis=(1, 2)).astype(float).tolist()]
         if np.any(p0.matrix):  # with P_0 = 0 the boundary terms vanish
             inv = inverse_set()

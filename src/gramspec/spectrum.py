@@ -244,12 +244,23 @@ def _exact_values(p: Polynomial, roots: np.ndarray) -> np.ndarray:
     """N(z) at each root, exact and rounded once to the roots' dtype:
     coefficients and roots are dyadic rationals, so on a power-of-two scale
     Horner runs on Python ints, and one int/int true division (complex128)
-    or _to_longdouble (clongdouble) rounds each part correctly."""
+    or _to_longdouble (clongdouble) rounds each part correctly.
+
+    The coefficients are real, so on the integers N(conj z) = conj N(z)
+    exactly: a root that is the exact conjugate of one already evaluated
+    (or a repeat of a real one) reuses its integers, the imaginary one
+    negated.  Negating the integer, not the rounded part, keeps the sign of
+    a zero."""
     coeffs, t = dyadic_coefficients(p)
+    conjugates = {}  # (x, -y, s) of each evaluated root -> its (re, -im)
     out = np.empty(roots.size, dtype=roots.dtype)
     for i, z in enumerate(roots.tolist()):
         x, y, s = dyadic_point(z)
-        re, im = exact_horner(coeffs, x, y, s)
+        if (x, y, s) in conjugates:
+            re, im = conjugates[x, y, s]
+        else:
+            re, im = exact_horner(coeffs, x, y, s)
+            conjugates[x, -y, s] = re, -im
         exp = t + s * p.degree
         if roots.dtype == np.clongdouble:
             out[i] = _to_longdouble(re, -exp) + 1j * _to_longdouble(im, -exp)

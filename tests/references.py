@@ -10,7 +10,8 @@ from gramspec.document import MatrixBlock, MatrixEntry
 from gramspec.errors import MultipleEigenvalueError
 from gramspec.inverse import _inverse_eigenparts
 from gramspec.oracle import OracleResult, _symmetry_defect
-from gramspec.spectrum import CONJUGATE_TOL, Polynomial, Spectrum
+from gramspec.spectrum import (CONJUGATE_TOL, Polynomial, Spectrum, _to_longdouble,
+                                dyadic_coefficients, dyadic_point, exact_horner)
 
 SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
 
@@ -360,6 +361,23 @@ def pair_partition_each(pairs, eigen) -> float:
             / max(1.0, float(np.max(np.abs(eigen.components[i])))),
         )
     return partition
+
+
+def exact_values_each(p: Polynomial, roots: np.ndarray) -> np.ndarray:
+    """N(z) at each root, exact on the integers and rounded once to the
+    roots' dtype, every root evaluated on its own (no reuse between
+    conjugates)."""
+    coeffs, t = dyadic_coefficients(p)
+    out = np.empty(roots.size, dtype=roots.dtype)
+    for i, z in enumerate(roots.tolist()):
+        x, y, s = dyadic_point(z)
+        re, im = exact_horner(coeffs, x, y, s)
+        exp = t + s * p.degree
+        if roots.dtype == np.clongdouble:
+            out[i] = _to_longdouble(re, -exp) + 1j * _to_longdouble(im, -exp)
+        else:
+            out[i] = complex(re / (1 << exp), im / (1 << exp))
+    return out
 
 
 def conjugate_partner_each(spectrum: Spectrum) -> np.ndarray:

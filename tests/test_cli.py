@@ -754,7 +754,8 @@ class TestCollisionWarning:
 
 class TestWorkOnce:
     """Each command evaluates one eigen structure and passes it to every
-    builder; only the finite-inverse retry adds one extended structure.  No
+    builder; only the finite-inverse retry adds one extended structure, made
+    from the double one without a second solvability scan.  No
     command builds the homogeneous pair half, e^{A^T t} is formed once per
     structure and horizon, and the inverse eigen set is built once and
     passed on; the finite inverse forms its own only for a G(t) that
@@ -774,7 +775,7 @@ class TestWorkOnce:
         counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0,
                   "expm": [], "homogeneous_pairs": 0, "inverse_eigenparts": 0,
                   "char_poly": 0, "require_controllable": 0, "finite_components": 0,
-                  "eigenparts": 0, "inverse_parts": 0}
+                  "eigenparts": 0, "inverse_parts": 0, "structures": []}
         evaluate, polish, horizon = (
             companion._evaluate, companion._newton_polish, gramians.horizon
         )
@@ -782,7 +783,8 @@ class TestWorkOnce:
         def counted_evaluate(p, spec, values, *args):
             kind = {np.dtype(complex): "complex128", np.dtype(np.clongdouble): "extended"}
             counts[kind.get(values.dtype, "mpmath")] += 1
-            return evaluate(p, spec, values, *args)
+            counts["structures"].append(evaluate(p, spec, values, *args))
+            return counts["structures"][-1]
 
         def counted(key, fn):
             def wrapper(*args):
@@ -836,7 +838,7 @@ class TestWorkOnce:
         assert "extended precision" in capsys.readouterr().out
         assert counts["complex128"] == 1 and counts["extended"] == 1 and counts["mpmath"] == 0
         assert counts["polish"] == 1
-        assert counts["solvability"] <= 2
+        assert counts["solvability"] == 1
         assert counts["homogeneous_pairs"] == 0
         double, extended = np.dtype(complex), np.dtype(np.clongdouble)
         assert counts["expm"] == [(double, 1.0), (double, 0.0), (extended, 1.0)]
@@ -869,6 +871,10 @@ class TestWorkOnce:
         assert "normalization matrix G(t) is numerically singular" in capsys.readouterr().err
         assert counts["extended"] == 1
         assert counts["inverse_parts"] == 1
+        # nor does the refused retry evaluate N(-lambda) in 80-bit
+        assert counts["solvability"] == 1
+        extended = counts["structures"][-1]
+        assert extended.extended and "mirrors" not in extended.__dict__
 
     def test_exponential_out_of_range_refused_before_retry(self, example1_path, capsys,
                                                            counts):
@@ -883,7 +889,7 @@ class TestWorkOnce:
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
         assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
-        assert counts["solvability"] <= 2
+        assert counts["solvability"] == 1
         assert counts["homogeneous_pairs"] == 0
         assert counts["expm"] == [(np.dtype(complex), 1.0), (np.dtype(complex), 0.0)]
         assert counts["eigenparts"] == 1
@@ -895,7 +901,7 @@ class TestWorkOnce:
         assert code == EXIT_OK
         assert "quadrature" in capsys.readouterr().err
         assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
-        assert counts["solvability"] <= 2
+        assert counts["solvability"] == 1
         assert counts["inverse_eigenparts"] == 1
 
     @pytest.fixture
@@ -937,8 +943,10 @@ class TestRenderLast:
         # degree 16: the finite inverse is refused at t = 1 even in extended
         # precision.  The pair sets are built only after every builder that
         # can refuse the document, so none of the three pair builders runs,
-        # and no matrix is rendered
+        # and no matrix is rendered.  cli imports the inverse builders when
+        # analyze runs, so that one is patched in its own module
         import gramspec.cli as cli
+        import gramspec.inverse as inverse
 
         rendered, pair_builds = [], []
         matrix_entry, matrix_block = cli.MatrixEntry, cli.MatrixBlock
@@ -946,10 +954,10 @@ class TestRenderLast:
                             lambda *args: rendered.append(1) or matrix_entry(*args))
         monkeypatch.setattr(cli, "MatrixBlock",
                             lambda *args: rendered.append(1) or matrix_block(*args))
-        for name in ("infinite_pair_subgramians", "inverse_pair_parts",
-                     "finite_pair_subgramians"):
-            builder = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *args, name=name, builder=builder:
+        for module, name in ((cli, "infinite_pair_subgramians"), (inverse, "inverse_pair_parts"),
+                             (cli, "finite_pair_subgramians")):
+            builder = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, builder=builder:
                                 pair_builds.append(name) or builder(*args))
         coeffs = gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real
         path = tmp_path / "ladder16.json"
@@ -1003,24 +1011,36 @@ class TestImportFootprint:
         loaded = self.loaded_after("import gramspec.cli\n", ["gramspec.energy", "dataclasses"])
         assert loaded == "[]"
 
-    def test_energy_loaded_only_by_its_commands(self, example1_path):
+    def test_commands_load_only_the_modules_they_run(self, example1_path, stable_poly_path,
+                                                      tmp_path):
+        # roots loads none of inverse, oracle and energy; csv is loaded only
+        # to write an energy time-series table (of a stable system)
+        series = ["--time-series", "0", "1", "3", "--format", "csv",
+                  "--output", str(tmp_path / "series.csv")]
         commands = {
-            "roots": ["roots"],
-            "analyze": ["analyze", "--pairs", "--inverse", "--finite", "1"],
-            "energy": ["energy", "--x0=1,0,0"],
-            "verify": ["verify"],
+            "roots": ["roots", example1_path],
+            "analyze": ["analyze", "--pairs", "--inverse", "--finite", "1", example1_path],
+            "energy": ["energy", "--x0=1,0,0", example1_path],
+            "energy_series": ["energy", "--x0=1,1,2", *series, stable_poly_path],
+            "verify": ["verify", example1_path],
         }
+        watched = ["gramspec.inverse", "gramspec.oracle", "gramspec.energy", "csv"]
         loaded = {}
         for name, argv in commands.items():
             script = (
                 "import contextlib, io\n"
                 "from gramspec.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    assert main({argv + [example1_path]!r}) == 0\n"
+                f"    assert main({argv!r}) == 0\n"
             )
-            loaded[name] = self.loaded_after(script, ["gramspec.energy"])
-        energy = "['gramspec.energy']"
-        assert loaded == {"roots": "[]", "analyze": "[]", "energy": energy, "verify": energy}
+            loaded[name] = self.loaded_after(script, watched)
+        assert loaded == {
+            "roots": "[]",
+            "analyze": "['gramspec.inverse', 'gramspec.oracle']",
+            "energy": "['gramspec.energy', 'gramspec.inverse']",
+            "energy_series": "['csv', 'gramspec.energy', 'gramspec.inverse']",
+            "verify": "['gramspec.energy', 'gramspec.inverse', 'gramspec.oracle']",
+        }
 
     def test_extended_retry_loads_no_mpmath(self, tmp_path):
         # the degree-8 document of TestWorkOnce.test_analyze_with_extended_retry:

@@ -388,6 +388,41 @@ class TestEigenStructure:
         with pytest.raises(gs.MultipleEigenvalueError, match="multiple"):
             gs.eigen_structure(poly, spec)
 
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_entries_are_the_per_eigenvalue_forms(self, extended):
+        # the Vandermonde rows are one array power, bitwise the power of each
+        # eigenvalue alone; N(-lambda) is formed on first use
+        def same_bits(a, b):
+            return a.dtype == b.dtype and all(
+                np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+                for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+        rng = np.random.default_rng(2203)
+        for n in range(1, 13):
+            poly, _, spec = random_companion(rng, n)
+            es = gs.eigen_structure(poly, spec, extended=extended)
+            assert "mirrors" not in es.__dict__
+            lams = es.eigenvalues
+            assert same_bits(es.right, np.stack([gs.right_eigenvector(lam, n) for lam in lams]))
+            mirrors = np.array([gs.eval_with_derivative(poly, -lam)[0] for lam in lams])
+            assert same_bits(es.mirrors, mirrors) and "mirrors" in es.__dict__
+
+    def test_to_extended_reuses_the_admission(self, monkeypatch):
+        import gramspec.companion as companion
+
+        rng = np.random.default_rng(2204)
+        for n in range(2, 9):
+            poly, _, spec = random_companion(rng, n)
+            double = gs.eigen_structure(poly, spec)
+            expected = gs.eigen_structure(poly, spec, extended=True)
+            monkeypatch.setattr(companion, "check_solvability", None)  # no second scan
+            extended = double.to_extended()
+            monkeypatch.undo()
+            assert extended.extended and extended.solvability is double.solvability
+            assert extended.spectrum is spec
+            for name in ("eigenvalues", "right", "derivs", "mirrors"):
+                assert np.array_equal(getattr(extended, name), getattr(expected, name)), name
+
 
 def _ladder_polynomials(sizes) -> list:
     """The analyze_ladder catalogue polynomials of the given degrees, from the

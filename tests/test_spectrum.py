@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import gramspec as gs
-from gramspec.spectrum import _pair_conjugates, _sort_roots, eval_with_derivative
+from gramspec.spectrum import _exact_values, _pair_conjugates, _sort_roots, eval_with_derivative
 
 from conftest import random_companion, random_stable_eigenvalues
-from references import conjugate_partner_each
+from references import conjugate_partner_each, exact_values_each
 
 
 class TestCharPoly:
@@ -147,6 +147,66 @@ class TestCorrectRounding:
             warnings.simplefilter("error")
             roots = gs.find_roots(gs.Polynomial([1e308, 1e308, 1.0]))
         assert np.array_equal(roots, [-1e308, -1.0])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal signs, zeros included, in both parts."""
+    return a.dtype == b.dtype and all(
+        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
+class TestExactValues:
+    """_exact_values reuses the exact integers of a root for its exact
+    conjugate; every value is bitwise that of evaluating each root alone."""
+
+    @staticmethod
+    def conjugate_closed(rng, dtype) -> np.ndarray:
+        """Shuffled conjugate pairs (so most are neither adjacent nor
+        sorted), real roots, a repeated real root and a repeated pair; in
+        80-bit the parts carry bits beyond the double significand."""
+        k = int(rng.integers(1, 6))
+        pairs = (rng.uniform(-5, 5, k) + 1j * rng.uniform(0.1, 5, k)).astype(dtype)
+        real = rng.uniform(-5, 5, int(rng.integers(1, 4))).astype(dtype)
+        if dtype == np.clongdouble:
+            fine = np.longdouble(2.0) ** -60 * rng.standard_normal((3, 5))
+            pairs = pairs.real * (1 + fine[0, :k]) + 1j * (pairs.imag * (1 + fine[1, :k]))
+            real = real * (1 + fine[2, : real.size])
+        roots = np.concatenate([pairs, np.conj(pairs), real, real[:1], pairs[:1],
+                                np.conj(pairs[:1])])
+        return roots[rng.permutation(roots.size)]
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+    def test_conjugate_reuse_is_bitwise(self, dtype):
+        rng = np.random.default_rng(2201)
+        for p in _random_polynomials(2202, 40):
+            roots = self.conjugate_closed(rng, dtype)
+            assert _same_bits(_exact_values(p, roots), exact_values_each(p, roots)), p
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+    def test_zero_imaginary_part_keeps_its_sign(self, dtype):
+        # N(s) = s^2 + 1 is real on the imaginary axis: N(+-2i) = -3 with an
+        # exact zero imaginary part, which stays +0.0 for the reused conjugate
+        p = gs.Polynomial([1.0, 0.0, 1.0])
+        roots = np.array([2j, -1.0, -2j, 2j], dtype=dtype)
+        got = _exact_values(p, roots)
+        assert _same_bits(got, exact_values_each(p, roots))
+        assert np.array_equal(got, [-3.0, 2.0, -3.0, -3.0])
+        assert not np.any(np.signbit(got.imag))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+    def test_each_conjugate_pair_evaluated_once(self, dtype, monkeypatch):
+        import gramspec.spectrum as spectrum
+
+        p = gs.poly_from_roots([-1.0, -2.0 + 1j, -2.0 - 1j, -0.5 + 3j, -0.5 - 3j])
+        roots = gs.find_roots(p).astype(dtype)
+        calls = []
+        horner = spectrum.exact_horner
+        monkeypatch.setattr(spectrum, "exact_horner",
+                            lambda *args: calls.append(args[1:]) or horner(*args))
+        spectrum._exact_values(p, roots)
+        assert len(calls) == 3 and len(set(calls)) == 3
 
 
 def _assignment_pairing(roots):
