@@ -195,13 +195,27 @@ def _finite_block(component_set, key) -> MatrixBlock:
 class ResolvedSystem(Record):
     """A document after the spectrum pipeline: ``roots`` are the unclustered
     roots (None for an eigenvalues document) and ``structure`` the eigen
-    structure (None for a multiple or unsolvable spectrum)."""
+    structure (None for a multiple or unsolvable spectrum).  ``warnings`` are
+    the pipeline's ``notes``, then the pair-exponent collisions, scanned on
+    first read: when a report is rendered."""
 
     def __init__(self, doc: SystemDocument, poly: Polynomial, spectrum, solvability, cr,
-                 sys: LtiSystem | None, warnings: list, roots: np.ndarray | None,
+                 sys: LtiSystem | None, notes: list, roots: np.ndarray | None,
                  structure: EigenStructure | None):
         self.__dict__.update(doc=doc, poly=poly, spectrum=spectrum, solvability=solvability,
-                             cr=cr, sys=sys, warnings=warnings, roots=roots, structure=structure)
+                             cr=cr, sys=sys, notes=notes, roots=roots, structure=structure)
+
+    @functools.cached_property
+    def warnings(self) -> list:
+        warnings = list(self.notes)
+        collisions = pair_collisions(self.spectrum)
+        if collisions:
+            pairs = "; ".join(f"{_pair_key(a)} ~ {_pair_key(b)}" for a, b in collisions)
+            warnings.append(
+                f"pair-component exponents collide ({pairs}); pair components are "
+                "not unique, their sums are"
+            )
+        return warnings
 
 
 def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
@@ -210,7 +224,7 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
     A simple spectrum gets its eigen structure here, once; every builder of
     the command reads it, and its admission check is the solvability report.
     """
-    warnings = [SIGN_CONVENTION_NOTE]
+    notes = [SIGN_CONVENTION_NOTE]
     system = None
     roots = None
     if doc.source == "eigenvalues":
@@ -240,18 +254,11 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
         )
         scale = float(np.max(np.abs(poly.coeffs)))
         if np.min(derivs) <= 1e-6 * scale:
-            warnings.append(
+            notes.append(
                 "spectrum is numerically close to a multiple eigenvalue; "
                 "consider a looser --tol-cluster to trigger the Jordan-chain path"
             )
-    collisions = pair_collisions(spec)
-    if collisions:
-        pairs = "; ".join(f"{_pair_key(a)} ~ {_pair_key(b)}" for a, b in collisions)
-        warnings.append(
-            f"pair-component exponents collide ({pairs}); pair components are "
-            "not unique, their sums are"
-        )
-    return ResolvedSystem(doc, poly, spec, solvability, cr, system, warnings, roots, structure)
+    return ResolvedSystem(doc, poly, spec, solvability, cr, system, notes, roots, structure)
 
 
 def _require_solvable_or_raise(resolved: ResolvedSystem):
@@ -313,12 +320,13 @@ def cmd_analyze(
     """Full spectral analysis of a system document.
 
     Selects the simple or multiple-eigenvalue path automatically and attaches
-    oracle residuals to every emitted matrix.  Each set is built by one
-    builder call, in the order of the report's blocks, so the first builder
-    that refuses the document decides the error.  The pair sets come last:
-    their builders refuse nothing, and they are the O(n^4) work, which a
-    refused document then never does.  The report is rendered once the last
-    builder has returned.
+    oracle residuals to every emitted matrix.  A simple spectrum is admitted
+    first: every step that can refuse it runs before any set that only the
+    report reads is built.  The Jordan path builds each set in the order of
+    the report's blocks, so the first builder that refuses the document
+    decides the error.  The pair sets come last: their builders refuse
+    nothing, and they are the O(n^4) work.  The report is rendered once the
+    last builder has returned.
     """
     from .inverse import (finite_inverse, inverse_eigenparts, inverse_multiple_eig,
                           inverse_pair_parts, riccati_general)
@@ -329,7 +337,8 @@ def cmd_analyze(
     flavor = "raw" if raw else "symmetrized"
     p0 = doc.initial_condition if initial is None else initial
     multiple = not spec.is_simple
-    warnings = list(resolved.warnings)
+    t = None if finite is None else float(finite)
+    warnings = []  # the command's own, after the document's
     built = {}  # the sets of the report's blocks; a block the report leaves out has no key
     if multiple:
         chains = jordan_chains_companion(spec, poly)
@@ -338,14 +347,40 @@ def cmd_analyze(
         built["gram"] = gram_decomp.static
         if pairs:
             warnings.append("pair components are only defined for simple spectra; skipped")
-    else:
-        built["gram"] = infinite_subgramians(es)
     transform = _similarity(resolved)
+    if inverse and transform is not None and transform.t is None:
+        warnings.append("inverse in original coordinates is only evaluated for "
+                        "single-input systems; skipped")
+    if t is not None and not multiple:
+        if inverse:  # the inverse eigen set refuses an eigenvalue at the origin first
+            es.left
+        # values past the double range come out inf or nan, without a
+        # warning: finite_inverse, then _require_double_range, refuse them
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = h_inverse = horizon(es, t)  # the extended retry has its own horizon
+            if p0 is not None:
+                p0c = _companion_initial(p0, transform)
+            elif inverse:
+                p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
+            if inverse:
+                try:
+                    state, inv_finite = finite_inverse(h, p0c)
+                except ConditioningError:
+                    if not np.all(np.isfinite(h.expm_transpose)):
+                        # refused as without --inverse, before the 80-bit retry
+                        decomp = finite_subgramians(h)
+                        _require_double_range(decomp, decomp.at_t.total())
+                    h_inverse = horizon(es.to_extended(), t)
+                    state, inv_finite = finite_inverse(h_inverse, p0c)
+                    warnings.append(
+                        "finite inverse evaluated in extended precision "
+                        "(normalization matrix ill-conditioned at this horizon)"
+                    )
+
+    if not multiple:
+        built["gram"] = infinite_subgramians(es)
     if transform is not None:
         built["lifted"] = lift_to_original(built["gram"], transform)
-        if inverse and transform.t is None:
-            warnings.append("inverse in original coordinates is only evaluated for "
-                            "single-input systems; skipped")
     if inverse and multiple:
         built["inverse"] = inverse_multiple_eig(chains)
     elif inverse:
@@ -353,44 +388,22 @@ def cmd_analyze(
     if inverse and transform is not None and transform.t is not None:
         built["inverse_original"] = riccati_general(transform, built["inverse"])
 
-    if finite is not None:
-        t = float(finite)
-        # values past the double range come out inf or nan, without a
-        # warning: finite_inverse, then _require_double_range, refuse them
+    if t is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            if multiple:
-                decomp = gram_decomp
-            else:  # one horizon per structure: this one, and the extended one of the retry
-                h = horizon(es, t)
-                decomp = finite_subgramians(h, built["gram"])
+            decomp = gram_decomp if multiple else finite_subgramians(h, built["gram"])
             finite_sum = decomp.at_t.total()
             built["finite"] = (decomp, finite_sum)
             if p0 is not None and multiple:
                 warnings.append("initial condition is only evaluated for simple spectra; skipped")
             elif p0 is not None:
-                p0c = _companion_initial(p0, transform)
                 hom_t = homogeneous_subgramians(h, p0c)
                 built["homogeneous"] = (p0c, hom_t,
                                         homogeneous_subgramians(horizon(es, 0.0), p0c))
             if inverse and multiple:
                 warnings.append("finite inverse is only evaluated for simple spectra; skipped")
             elif inverse:
-                if p0 is None:
-                    p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
-                try:
-                    state, inv_finite = finite_inverse(h, p0c)
-                    gram_t = finite_sum
-                except ConditioningError:
-                    if not np.all(np.isfinite(h.expm_transpose)):
-                        # refused as without --inverse, before the 80-bit retry
-                        _require_double_range(decomp, finite_sum)
-                    h = horizon(es.to_extended(), t)
-                    state, inv_finite = finite_inverse(h, p0c)
-                    gram_t = finite_subgramians(h).at_t.total()
-                    warnings.append(
-                        "finite inverse evaluated in extended precision "
-                        "(normalization matrix ill-conditioned at this horizon)"
-                    )
+                gram_t = (finite_sum if h_inverse is h
+                          else finite_subgramians(h_inverse).at_t.total())
                 if p0 is not None:
                     gram_t = gram_t + hom_t.total()
                 built["finite_inverse"] = (state, inv_finite, gram_t)
@@ -399,9 +412,9 @@ def cmd_analyze(
         built["pair"] = infinite_pair_subgramians(es)
         if inverse:
             built["inverse_pair"] = inverse_pair_parts(es)
-        if finite is not None:
+        if t is not None:
             built["finite_pair"] = finite_pair_subgramians(built["pair"], t)
-    return _render_analysis(resolved, tols, flavor, warnings, built)
+    return _render_analysis(resolved, tols, flavor, resolved.warnings + warnings, built)
 
 
 def _require_double_range(decomp: FiniteGramianDecomposition, finite_sum: np.ndarray):
@@ -526,8 +539,9 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     target) so reports are reproducible byte for byte.  The closed forms run
     in companion coordinates, which describe a matrices document's system
     only when it is controllable, so an uncontrollable one is refused.  The
-    closed forms are built before the Kronecker oracle solves, so a document
-    they refuse exits as under analyze.
+    Jordan closed forms are built before the Kronecker oracle solves, so a
+    document they refuse exits as under analyze; a simple spectrum's, which
+    refuse only an eigenvalue at the origin (checked first), after it.
     """
     from .energy import energy_partition
     from .inverse import (inverse_eigenparts, inverse_multiple_eig, inverse_pair_parts,
@@ -576,14 +590,17 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
                 recursion_defect, defect / max(1.0, float(np.linalg.norm(block.right)))
             )
         checks.append(_check("jordan_chain_recursion", recursion_defect, 1e-8))
-    else:
+    else:  # the inverse eigen set refuses an eigenvalue at the origin first
+        es.left
+
+    # one Kronecker operator for both oracles; its solve can refuse the
+    # document, so a simple spectrum's closed forms are built after it
+    operator = kron_operator(a_c)
+    reference = solve_lyapunov_dense(a_c, bbt, operator=operator)
+    if not multiple:
         gram_set = infinite_subgramians(es)
         inv_set = inverse_eigenparts(es)
     gram_sym, inv_sym = gram_set.symmetrized(), inv_set.symmetrized()
-
-    # one Kronecker operator for both oracles
-    operator = kron_operator(a_c)
-    reference = solve_lyapunov_dense(a_c, bbt, operator=operator)
     ref_norm = max(1e-300, float(np.linalg.norm(reference.matrix)))
     gram_sum = gram_sym.total().real
     checks.append(

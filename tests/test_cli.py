@@ -14,10 +14,12 @@ from gramspec.cli import (
     EXIT_OK,
     EXIT_SOLVABILITY,
     EXIT_USAGE,
+    SIGN_CONVENTION_NOTE,
     cmd_analyze,
     cmd_energy,
     cmd_verify,
     main,
+    resolve_document,
 )
 from gramspec.document import parse_system
 
@@ -224,6 +226,64 @@ class TestExitCodes:
         suffix = " (condition estimate inf)" if refusal.startswith("normalization") else ""
         assert result.stderr == (f"conditioning error: {refusal} leaves the double range "
                                  f"at t = {horizon}.0{suffix}\n")
+
+    # one document per step that can refuse analyze, in the order the steps
+    # run; each is refused with its own exit code and stderr line, whatever
+    # the command builds before or after that step
+    REFUSALS = {
+        "uncontrollable": (
+            {"matrices": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]]}}, "1",
+            EXIT_CONDITIONING,
+            "conditioning error: system is uncontrollable or nearly so (condition estimate inf)"),
+        "origin_and_near_multiple": (  # the inverse set refuses the origin before horizon
+            {"eigenvalues": [[-1e-7, 0, 1], [-100, 0, 1], [-100.0000001, 0, 1], [-300, 0, 1]]},
+            "1", EXIT_USAGE, "error: left eigenvector undefined for eigenvalue at the origin"),
+        "near_multiple": (
+            {"eigenvalues": [[-1, 0, 1], [-1.00000002, 0, 1], [-2, 0, 1]]}, "1",
+            EXIT_CONDITIONING,
+            "conditioning error: |N'((-1+0j))| = 2.000e-08 is below tolerance; eigenvalue is "
+            "numerically multiple, use the Jordan-chain decomposition"),
+        "multi_input_initial": (
+            {"matrices": {"A": [[-1.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -3.0]],
+                          "B": [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]},
+             "initial_condition": np.eye(3).tolist()}, "1", EXIT_CONDITIONING,
+            "conditioning error: initial conditions for multi-input matrix documents are not "
+            "supported"),
+        **{f"example1_t{t}": (
+            {"char_poly": [-6, 11, -6, 1]}, t, EXIT_CONDITIONING,
+            "conditioning error: normalization matrix inverse G^-1(t) leaves the double range "
+            f"at t = {t}.0 (condition estimate inf)") for t in ("118", "200")},
+        "example1_t400": (
+            {"char_poly": [-6, 11, -6, 1]}, "400", EXIT_CONDITIONING,
+            "conditioning error: e^(A t) leaves the double range at t = 400.0"),
+        "ladder16": (  # the condition estimate of the 80-bit retry
+            {"char_poly": gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real.tolist()},
+            "1", EXIT_CONDITIONING,
+            "conditioning error: normalization matrix G(t) is numerically singular at t = 1.0 "
+            "(condition estimate 1.016e+27)"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refusal_precedence(self, tmp_path, capsys, case):
+        document, horizon, code, line = self.REFUSALS[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        argv = ["analyze", str(path), "--pairs", "--inverse", "--finite", horizon]
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", line + "\n")
+
+    def test_verify_refusal_precedence(self, tmp_path, capsys):
+        # the inverse set's refusal of an eigenvalue at the origin comes
+        # before the Kronecker oracle's of this document (exit 2)
+        path = tmp_path / "origin.json"
+        path.write_text(json.dumps(
+            {"eigenvalues": [[-1e-3, 0, 1], *([-10.0 * k, 0, 1] for k in range(1, 9))]}))
+        assert main(["verify", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: left eigenvector undefined for eigenvalue at the origin\n")
+        resolved = resolve_document(parse_system(json.loads(path.read_text())), gs.Tolerances())
+        with pytest.raises(gs.SolvabilityError, match="Kronecker"):
+            gs.solve_lyapunov_dense(resolved.cr.a_c, np.outer(resolved.cr.b_c, resolved.cr.b_c))
 
     def test_conditioning_exit(self, tmp_path, capsys):
         path = tmp_path / "uncontrollable.json"
@@ -752,6 +812,35 @@ class TestCollisionWarning:
         assert "(1,3 ~ 2,2; 2,2 ~ 3,1)" in warning
 
 
+    def test_warning_order_under_every_command(self, tmp_path, capsys):
+        # the collision warning follows the resolve notes and precedes the
+        # command's own warnings, whenever the scan runs
+        sign = SIGN_CONVENTION_NOTE
+        collide = ("pair-component exponents collide (1,3 ~ 2,2; 2,2 ~ 3,1); pair components "
+                   "are not unique, their sums are")
+        path = tmp_path / "example1.json"
+        path.write_text(json.dumps({"char_poly": [-6, 11, -6, 1]}))
+        two_inputs = tmp_path / "two_inputs.json"
+        two_inputs.write_text(json.dumps({"matrices": {
+            "A": [[-1.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -3.0]],
+            "B": [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]],
+        }}))
+        expected = {
+            ("analyze", "--pairs", "--inverse", "--finite", "1", path): [sign, collide],
+            ("verify", path): [sign, collide],
+            ("energy", "--x0=1,0,0", path): [
+                sign, collide, "spectrum is not strictly stable: the quadratic forms are "
+                "reported but do not measure control energy"],
+            ("roots", path): [sign, collide],
+            ("analyze", "--inverse", two_inputs): [
+                sign, collide, "inverse in original coordinates is only evaluated for "
+                "single-input systems; skipped"],
+        }
+        for argv, warnings in expected.items():
+            assert main([str(arg) for arg in argv]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["warnings"] == warnings, argv
+
+
 class TestWorkOnce:
     """Each command evaluates one eigen structure and passes it to every
     builder; only the finite-inverse retry adds one extended structure, made
@@ -841,7 +930,9 @@ class TestWorkOnce:
         assert counts["solvability"] == 1
         assert counts["homogeneous_pairs"] == 0
         double, extended = np.dtype(complex), np.dtype(np.clongdouble)
-        assert counts["expm"] == [(double, 1.0), (double, 0.0), (extended, 1.0)]
+        # admission (the finite inverse and its retry) comes before the
+        # homogeneous set's horizon at t = 0
+        assert counts["expm"] == [(double, 1.0), (extended, 1.0), (double, 0.0)]
         assert counts["finite_components"] == 3
         # the Gramian eigen parts: once per structure
         assert counts["eigenparts"] == 2
@@ -860,9 +951,18 @@ class TestWorkOnce:
         assert counts["extended"] == 1
         assert counts["inverse_parts"] == 2
 
-    def test_refused_finite_inverse_forms_no_inverse_set(self, tmp_path, capsys, counts):
+    def test_refused_finite_inverse_forms_no_inverse_set(self, tmp_path, capsys, counts,
+                                                         monkeypatch):
         # the degree-16 document of TestRenderLast: G(1) is refused in double
-        # and in the extended retry, and only the inverse block forms its set
+        # and in the extended retry, which run before any set that only the
+        # report reads, so no Gramian, inverse or finite set is built and the
+        # pair exponents are never scanned for collisions
+        import gramspec.gramians as gramians
+
+        scans = []
+        scan = gramians.exponent_collisions
+        monkeypatch.setattr(gramians, "exponent_collisions",
+                            lambda *args: scans.append(1) or scan(*args))
         coeffs = gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real
         path = tmp_path / "ladder16.json"
         path.write_text(json.dumps({"char_poly": coeffs.tolist()}))
@@ -870,7 +970,9 @@ class TestWorkOnce:
         assert code == EXIT_CONDITIONING
         assert "normalization matrix G(t) is numerically singular" in capsys.readouterr().err
         assert counts["extended"] == 1
-        assert counts["inverse_parts"] == 1
+        assert counts["inverse_parts"] == 0
+        assert counts["eigenparts"] == 0 and counts["finite_components"] == 0
+        assert scans == []
         # nor does the refused retry evaluate N(-lambda) in 80-bit
         assert counts["solvability"] == 1
         extended = counts["structures"][-1]
