@@ -14,8 +14,7 @@ _EXPORTS = {
         "CompanionRealization", "EigenStructure", "JordanBlockChain", "JordanChainSet",
         "LtiSystem", "SimilarityTransform", "build_companion", "controllability_matrix",
         "eigen_structure", "hankel_lower", "hankel_upper", "jordan_chains_companion",
-        "left_eigenvector", "residue_companion", "require_controllable", "right_eigenvector",
-        "similarity_transform",
+        "require_controllable", "similarity_transform",
     ),
     "document": ("SystemDocument", "parse_system"),
     "energy": (

@@ -17,7 +17,8 @@ their own).  Time series are CSV.
 Exit codes: 0 success, 1 usage or schema error (also an unwritable
 ``--output`` or a closed stdout), 2 solvability violation, 3 conditioning
 failure (uncontrollable system, ill-conditioned chains, singular
-normalization, near-multiple eigenvalues), 4 failed verification checks.
+normalization, near-multiple eigenvalues, an eigenvalue at the origin), 4
+failed verification checks.
 
 Each command imports only the modules it runs: ``inverse`` is loaded for
 ``analyze``, ``verify`` and ``energy``, ``oracle`` for ``analyze`` and
@@ -541,7 +542,8 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     only when it is controllable, so an uncontrollable one is refused.  The
     Jordan closed forms are built before the Kronecker oracle solves, so a
     document they refuse exits as under analyze; a simple spectrum's, which
-    refuse only an eigenvalue at the origin (checked first), after it.
+    refuse only an eigenvalue at the origin (checked first), after it, once
+    the initial condition of a multi-input document has been refused.
     """
     from .energy import energy_partition
     from .inverse import (inverse_eigenparts, inverse_multiple_eig, inverse_pair_parts,
@@ -598,6 +600,14 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     operator = kron_operator(a_c)
     reference = solve_lyapunov_dense(a_c, bbt, operator=operator)
     if not multiple:
+        # the document's P_0 is pulled back to companion coordinates, which
+        # refuses a multi-input document before any closed form is built;
+        # the random probe is drawn in them
+        if doc.initial_condition is not None:
+            p0c = _companion_initial(doc.initial_condition, transform)
+        else:
+            probe = rng.standard_normal((n, n))
+            p0c = InitialCondition(0.5 * (probe + probe.T))
         gram_set = infinite_subgramians(es)
         inv_set = inverse_eigenparts(es)
     gram_sym, inv_sym = gram_set.symmetrized(), inv_set.symmetrized()
@@ -665,13 +675,6 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
             )
         )
 
-        # the document's P_0 is pulled back to companion coordinates; the
-        # random probe is drawn in them
-        if doc.initial_condition is not None:
-            p0c = _companion_initial(doc.initial_condition, transform)
-        else:
-            probe = rng.standard_normal((n, n))
-            p0c = InitialCondition(0.5 * (probe + probe.T))
         hom0 = homogeneous_subgramians(horizon(es, 0.0), p0c)
         checks.append(
             _check(

@@ -181,52 +181,34 @@ def similarity_transform(sys: LtiSystem, poly: Polynomial) -> SimilarityTransfor
     return SimilarityTransform(t, h_u, ctrb, poly)
 
 
-def right_eigenvector(lam: complex, n: int) -> np.ndarray:
-    """Vandermonde eigenvector (1, lam, lam^2, ..., lam^{n-1})."""
-    return lam ** np.arange(n, dtype=float)
-
-
-def left_eigenvector(lam: complex, p: Polynomial) -> np.ndarray:
-    """Left eigenvector y = H_l x / lam^n, normalized so the last entry is -1.
-
-    lam = 0 (excluded by the solvability condition with i = j) is rejected.
-    """
-    return _evaluate(p, Spectrum.simple([lam]), np.asarray([lam])).left[0]
-
-
-def residue_companion(lam: complex, p: Polynomial) -> np.ndarray:
-    """Resolvent residue R = x y^T / (-N'(lam)) for a simple eigenvalue."""
-    return _evaluate(p, Spectrum.simple([lam]), np.asarray([lam])).residues[0]
-
-
 class EigenStructure(Record):
     """Per-eigenvalue data of a simple companion spectrum, evaluated once.
 
     Made by eigen_structure, which admits only a simple, solvable
-    ``spectrum``; ``solvability`` is the report it passed (None for the
-    one-eigenvalue structures of left_eigenvector and residue_companion).
-    Every simple-spectrum closed form (Gramian eigen and pair parts, inverse
-    parts, residues, finite-horizon and homogeneous terms) is built from it.
-    Row i of ``right`` is the Vandermonde vector x_i, one array power for
-    all eigenvalues; ``derivs[i]`` is N'(lambda_i) by Horner.  Three more
-    entries are formed on first use, so work that no builder reads is never
-    done: ``mirrors[i]`` is N(-lambda_i) by Horner; ``left`` (row i is y_i =
-    H_l x_i / lambda_i^n) raises ValueError for an eigenvalue at the origin;
-    and ``residues`` (R_i = x_i y_i^T / (-N'(lambda_i))) raises
-    MultipleEigenvalueError when |N'(lambda_i)| is at or below DERIV_FLOOR
-    max|a_k|.
+    ``spectrum``; ``solvability`` is the report it passed.  Every
+    simple-spectrum closed form (Gramian eigen and pair parts, inverse
+    parts, residues, finite-horizon and homogeneous terms) is built from it,
+    and it is the one place that holds the per-eigenvalue quantities x_i,
+    y_i and R_i.  Row i of ``right`` is the Vandermonde vector x_i, one
+    array power for all eigenvalues; ``derivs[i]`` is N'(lambda_i) by
+    Horner.  Three more entries are formed on first use, so work that no
+    builder reads is never done: ``mirrors[i]`` is N(-lambda_i) by Horner;
+    ``left`` (row i is y_i = H_l x_i / lambda_i^n, whose last entry is -1)
+    raises ConditioningError for an eigenvalue within ORIGIN_TOL (1 +
+    max|a_k|) of the origin; and ``residues`` (R_i = x_i y_i^T /
+    (-N'(lambda_i))) raises MultipleEigenvalueError when |N'(lambda_i)| is
+    at or below DERIV_FLOOR max|a_k|.
 
     The working precision is the dtype of ``eigenvalues``: complex128, or
-    clongdouble for an ``extended`` structure, whose eigenvalues are the
-    roots polished by the Newton steps of find_roots run in 80-bit, on the
-    exact residual rounded once to 80 bits; an extended structure also
-    carries ``exact_totals``.  Builders combine the entries one eigenvalue
-    at a time, in scalar arithmetic.
+    clongdouble for the ``extended`` structure of ``to_extended``, whose
+    eigenvalues are the roots polished by the Newton steps of find_roots run
+    in 80-bit, on the exact residual rounded once to 80 bits; an extended
+    structure also carries ``exact_totals``.  Builders combine the entries
+    one eigenvalue at a time, in scalar arithmetic.
     """
 
     def __init__(self, poly: Polynomial, spectrum: Spectrum, eigenvalues: np.ndarray,
-                 right: np.ndarray, derivs: np.ndarray,
-                 solvability: SolvabilityReport | None = None):
+                 right: np.ndarray, derivs: np.ndarray, solvability: SolvabilityReport):
         self.__dict__.update(poly=poly, spectrum=spectrum, eigenvalues=eigenvalues, right=right,
                              derivs=derivs, solvability=solvability)
 
@@ -235,10 +217,15 @@ class EigenStructure(Record):
         return self.eigenvalues.dtype == np.clongdouble
 
     def to_extended(self) -> EigenStructure:
-        """The extended structure of the same spectrum, admitted by this
+        """The extended structure of the same spectrum, at its roots polished
+        in 80-bit (spectrum._newton_polish), for stiff problems: component
+        magnitudes can exceed their sum by many orders (near-degenerate
+        spectra) and finite Gramians of unstable systems at large t span
+        ranges double precision cannot resolve.  It is admitted by this
         structure's solvability report: admission reads the spectrum only,
         so it is not checked again."""
-        return _extended(self.poly, self.spectrum, self.solvability)
+        values = _newton_polish(self.poly, self.spectrum.values.astype(np.clongdouble))
+        return _evaluate(self.poly, self.spectrum, values, self.solvability)
 
     @cached_property
     def mirrors(self) -> np.ndarray:
@@ -247,8 +234,12 @@ class EigenStructure(Record):
     @cached_property
     def left(self) -> np.ndarray:
         scale = ORIGIN_TOL * (1.0 + np.max(np.abs(self.poly.coeffs)))
-        if any(abs(lam) <= scale for lam in self.eigenvalues):
-            raise ValueError("left eigenvector undefined for eigenvalue at the origin")
+        for lam in self.eigenvalues:
+            if abs(lam) <= scale:
+                raise ConditioningError(
+                    f"left eigenvector undefined for eigenvalue {complex(lam)} at the origin: "
+                    f"|lambda| = {float(abs(lam)):.3e} is at or below {scale:.3e}"
+                )
         h_l = hankel_lower(self.poly)
         n = self.poly.degree
         return np.stack([(h_l @ x) / lam**n for lam, x in zip(self.eigenvalues, self.right)])
@@ -294,10 +285,7 @@ class EigenStructure(Record):
 
 
 def _evaluate(
-    p: Polynomial,
-    spec: Spectrum,
-    values: np.ndarray,
-    solvability: SolvabilityReport | None = None,
+    p: Polynomial, spec: Spectrum, values: np.ndarray, solvability: SolvabilityReport
 ) -> EigenStructure:
     return EigenStructure(
         p,
@@ -307,11 +295,6 @@ def _evaluate(
         np.array([eval_with_derivative(p, lam)[1] for lam in values]),
         solvability,
     )
-
-
-def _extended(p: Polynomial, spec: Spectrum, solvability: SolvabilityReport | None):
-    """The structure of an admitted ``spec`` at roots polished in 80-bit."""
-    return _evaluate(p, spec, _newton_polish(p, spec.values.astype(np.clongdouble)), solvability)
 
 
 def _solve_dense(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -358,19 +341,14 @@ def eigen_structure(
     p: Polynomial,
     spec: Spectrum,
     solvability_tol: float = DEFAULT_TOLERANCES.solvability,
-    extended: bool = False,
 ) -> EigenStructure:
-    """The EigenStructure of a simple, solvable spectrum.
+    """The double-precision EigenStructure of a simple, solvable spectrum.
 
     Raises SolvabilityError when some |lambda_i + lambda_j| is at or below
     ``solvability_tol`` (1 + radius), then MultipleEigenvalueError for a
-    spectrum with multiplicities.  ``extended`` polishes the roots in 80-bit
-    by the Newton steps of find_roots (spectrum._newton_polish) and evaluates
-    in 80-bit precision, for stiff problems: component magnitudes can exceed their sum
-    by many orders (near-degenerate spectra) and finite Gramians of unstable
-    systems at large t span ranges double precision cannot resolve.  A
-    double structure that turns out too coarse gives its extended one by
-    EigenStructure.to_extended, without a second admission.
+    spectrum with multiplicities.  A structure that turns out too coarse
+    gives its 80-bit one by EigenStructure.to_extended, without a second
+    admission.
     """
     report = require_solvable(spec, solvability_tol)
     if not spec.is_simple:
@@ -378,54 +356,32 @@ def eigen_structure(
             "spectrum has multiple eigenvalues; use the multiple-eigenvalue "
             "decomposition (multiple_eig_gramian / inverse_multiple_eig)"
         )
-    return _extended(p, spec, report) if extended else _evaluate(p, spec, spec.values, report)
+    return _evaluate(p, spec, spec.values, report)
 
 
 class JordanBlockChain(Record):
-    """Chain data for one clustered eigenvalue.
+    """Companion chain data for one clustered eigenvalue.
 
     ``right`` holds the chain columns x_1..x_{n_i} (n x n_i), ``left`` the
-    matching rows of the inverse modal matrix (n_i x n).  ``toeplitz`` and
-    ``hankel`` are the companion-only factor matrices (None when the chains
-    came from a non-companion system).
+    matching rows of the inverse modal matrix (n_i x n), and ``toeplitz``
+    and ``hankel`` the factor matrices of the inverse components.
     """
 
     def __init__(self, eigenvalue: complex, multiplicity: int, right: np.ndarray,
-                 left: np.ndarray, toeplitz: np.ndarray | None = None,
-                 hankel: np.ndarray | None = None):
+                 left: np.ndarray, toeplitz: np.ndarray, hankel: np.ndarray):
         self.__dict__.update(eigenvalue=eigenvalue, multiplicity=multiplicity, right=right,
                              left=left, toeplitz=toeplitz, hankel=hankel)
 
 
 class JordanChainSet(Record):
-    """Jordan chains of all clustered eigenvalues of ``system`` plus the full
-    modal pair; ``poly`` and ``c_row`` only for a companion ``system``, made
-    by jordan_chains_companion."""
+    """Jordan chains of all clustered eigenvalues of the companion ``system``
+    of ``poly`` plus the full modal pair and the row ``c_row`` of the
+    Toeplitz factors; made by jordan_chains_companion."""
 
     def __init__(self, system: LtiSystem, spectrum: Spectrum, blocks: list, modal: np.ndarray,
-                 modal_inverse: np.ndarray, poly: Polynomial | None = None,
-                 c_row: np.ndarray | None = None):
+                 modal_inverse: np.ndarray, poly: Polynomial, c_row: np.ndarray):
         self.__dict__.update(system=system, spectrum=spectrum, blocks=blocks, modal=modal,
                              modal_inverse=modal_inverse, poly=poly, c_row=c_row)
-
-    @classmethod
-    def from_modal_matrices(cls, system, spec: Spectrum, modal, modal_inverse) -> JordanChainSet:
-        """Wrap chains supplied for a general ``system``; raises
-        SolvabilityError for an unsolvable spectrum."""
-        require_solvable(spec)
-        modal = np.asarray(modal, dtype=complex)
-        modal_inverse = np.asarray(modal_inverse, dtype=complex)
-        blocks = []
-        start = 0
-        for lam, mult in zip(spec.values, spec.multiplicities):
-            blocks.append(
-                JordanBlockChain(
-                    lam, int(mult), modal[:, start : start + mult],
-                    modal_inverse[start : start + mult, :],
-                )
-            )
-            start += mult
-        return cls(system, spec, blocks, modal, modal_inverse)
 
 
 def _chain_columns(lam: complex, mult: int, n: int) -> np.ndarray:
@@ -455,14 +411,16 @@ def jordan_chains_companion(spec: Spectrum, p: Polynomial) -> JordanChainSet:
     ``p``; the one admission of the multiple-eigenvalue closed forms.
 
     The left chains come from inverting the full modal matrix once.  Refuses
-    a spectrum entry that is not a root or lies at the origin, then an
-    ill-conditioned modal matrix (condition above 1e12, typically from
+    a spectrum entry that is not a root (ValueError) or lies within ROOT_TOL
+    (1 + radius) of the origin (ConditioningError), then an ill-conditioned
+    modal matrix (condition above 1e12, typically from
     under-clustered nearly-multiple eigenvalues), then an unsolvable spectrum.
     """
     n = p.degree
     if spec.n != n:
         raise ValueError("total spectrum multiplicity does not match the polynomial degree")
     scale = np.max(np.abs(p.coeffs))
+    origin = ROOT_TOL * (1.0 + spec.radius)
     for lam in spec.values:
         value, _ = eval_with_derivative(p, lam)
         if abs(value) > ROOT_TOL * scale * max(1.0, abs(lam)) ** n:
@@ -470,8 +428,11 @@ def jordan_chains_companion(spec: Spectrum, p: Polynomial) -> JordanChainSet:
                 f"spectrum entry {lam} is not a root of the polynomial "
                 f"(|N| = {abs(value):.3e})"
             )
-        if abs(lam) <= ROOT_TOL * (1.0 + spec.radius):
-            raise ValueError("Jordan chains undefined for an eigenvalue at the origin")
+        if abs(lam) <= origin:
+            raise ConditioningError(
+                f"Jordan chains undefined for eigenvalue {complex(lam)} at the origin: "
+                f"|lambda| = {abs(lam):.3e} is at or below {origin:.3e}"
+            )
 
     modal = np.hstack(
         [

@@ -1,14 +1,14 @@
-"""System document schema: parsing, validation and serialization.
+"""System document schema and parsing, and the JSON text of reports.
 
 A document describes the system under analysis in exactly one of three ways:
 state-space matrices, monic characteristic-polynomial coefficients, or an
 explicit eigenvalue list with multiplicities.  An optional symmetric initial
-condition and a label may ride along.  Serialization is plain JSON with
-sorted keys; complex numbers never appear (eigenvalues are (re, im,
-multiplicity) triples).  ``json_text`` writes that JSON for documents and
-reports alike; a report's keyed component blocks are ``MatrixBlock``
-mappings and its single matrices ``MatrixEntry`` mappings, which it writes
-from their arrays with one table of float texts per report.
+condition and a label may ride along.  Complex numbers never appear in a
+document (eigenvalues are (re, im, multiplicity) triples).  ``json_text``
+writes a report as plain JSON with sorted keys; its keyed component blocks
+are ``MatrixBlock`` mappings and its single matrices ``MatrixEntry``
+mappings, which it writes from their arrays with one table of float texts
+per report.
 """
 
 from __future__ import annotations
@@ -61,26 +61,6 @@ class SystemDocument(Record):
         values = np.array([lam for lam, _ in self.eigenvalues])
         mults = np.array([mult for _, mult in self.eigenvalues])
         return Spectrum(values, mults)
-
-    def to_dict(self) -> dict:
-        out: dict = {"schema": SCHEMA_VERSION}
-        if self.label is not None:
-            out["label"] = self.label
-        if self.matrices is not None:
-            a, b = self.matrices
-            out["matrices"] = {"A": a.tolist(), "B": b.tolist()}
-        if self.char_poly is not None:
-            out["char_poly"] = self.char_poly.tolist()
-        if self.eigenvalues is not None:
-            out["eigenvalues"] = [
-                [float(lam.real), float(lam.imag), int(mult)] for lam, mult in self.eigenvalues
-            ]
-        if self.initial_condition is not None:
-            out["initial_condition"] = self.initial_condition.tolist()
-        return out
-
-    def to_json(self) -> str:
-        return json_text(self.to_dict()) + "\n"
 
 
 class MatrixBlock(Mapping):

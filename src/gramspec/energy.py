@@ -64,7 +64,7 @@ def energy_partition(
     k = len(sym.keys)
     linear = _real_quadratic_forms(x0, sym.stack)
     quadratic = _real_quadratic_forms(x0, inv_pairs.symmetrized().stack).reshape(k, k)
-    total = float(_real_quadratic_forms(x0, sym.total()[None])[0])
+    total = min_energy(x0, inv)
     stable = bool(inv.spectrum.is_stable) if inv.spectrum is not None else False
     return EnergyPartition(total, linear, quadratic, x0, stable)
 

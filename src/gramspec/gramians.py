@@ -383,15 +383,14 @@ def _poly_exp(lam: complex, power: int, t: float):
 def multiple_eig_gramian(
     chains: JordanChainSet, t: float | None = None
 ) -> FiniteGramianDecomposition:
-    """Eigen-indexed Gramian decomposition of the system of ``chains``, for
-    spectra with multiplicities.
+    """Eigen-indexed Gramian decomposition of the companion system of
+    ``chains``, for spectra with multiplicities, in companion coordinates.
 
     Component i of the algebraic solution is
     sum_k A_hat_k^{(i)} B B^T (-lambda_i I - A^T)^{-k}; the finite-horizon
     terms subtract the polynomial-in-t exponentials, evaluated once at ``t``
-    (without ``t`` only the algebraic components are built).  Companion
-    chains give companion-coordinate components, others components in their
-    system's own coordinates.  A singular resolvent raises ConditioningError.
+    (without ``t`` only the algebraic components are built).  A singular
+    resolvent raises ConditioningError.
     """
     a, b, poly, spec = chains.system.a, chains.system.b, chains.poly, chains.spectrum
     n = a.shape[0]
@@ -415,8 +414,7 @@ def multiple_eig_gramian(
             a_k @ rights[i][k] for k, a_k in enumerate(block_coeffs)
         )
 
-    coordinate = "original" if poly is None else "companion"
-    static = SpectralComponentSet.from_parts(statics, "eigen", "raw", coordinate, poly, spec)
+    static = SpectralComponentSet.from_parts(statics, "eigen", "raw", "companion", poly, spec)
     if t is None:
         return FiniteGramianDecomposition(static)
     _require_horizon(t)

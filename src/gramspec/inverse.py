@@ -215,15 +215,13 @@ def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:
     """Eigen-indexed inverse decomposition for multiple eigenvalues, from
-    companion chains only (jordan_chains_companion).
+    the companion chains of jordan_chains_companion.
 
     Component j is J (M_j^{(-1)})^T T_j H_j^{-1} M_j^{(-1)}; the chain Hankel
     H_j is anti-triangular and inverted by back-substitution.  A vanishing
     anti-diagonal (last left-chain vector with zero final entry) makes the
     chain degenerate.
     """
-    if chains.poly is None:
-        raise ValueError("inverse decomposition needs companion Jordan chains")
     n = chains.poly.degree
     signs = alternating_signs(n)
     parts = {}

@@ -62,9 +62,6 @@ class Polynomial(Record):
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def __call__(self, s):
-        return eval_with_derivative(self, s)[0]
-
 
 class Spectrum(Record):
     """Clustered eigenvalues with multiplicities; total multiplicity is n."""

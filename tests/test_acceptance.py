@@ -205,7 +205,7 @@ def test_criterion_4_example4_product_identity(example1):
     # evaluated in extended precision so the product identity is resolvable
     p0 = gs.InitialCondition(np.zeros((3, 3)))
     product_defect = 0.0
-    es_extended = gs.eigen_structure(cr.poly, spec, extended=True)
+    es_extended = gs.eigen_structure(cr.poly, spec).to_extended()
     for t in (0.1, 1.0, 5.0):
         h = gs.horizon(es_extended, t)
         _, inv_t = gs.finite_inverse(h, p0)
@@ -263,7 +263,7 @@ def test_criterion_6_randomized_oracle_equivalence():
         spec = gs.cluster(gs.find_roots(poly))
         bbt = np.outer(cr.b_c, cr.b_c)
         reference = gs.solve_lyapunov_dense(cr.a_c, bbt).matrix
-        es = gs.eigen_structure(poly, spec, extended=True)
+        es = gs.eigen_structure(poly, spec).to_extended()
         static = (
             gs.infinite_subgramians(es)
             .symmetrized().total().real.astype(float)

@@ -237,7 +237,13 @@ class TestExitCodes:
             "conditioning error: system is uncontrollable or nearly so (condition estimate inf)"),
         "origin_and_near_multiple": (  # the inverse set refuses the origin before horizon
             {"eigenvalues": [[-1e-7, 0, 1], [-100, 0, 1], [-100.0000001, 0, 1], [-300, 0, 1]]},
-            "1", EXIT_USAGE, "error: left eigenvector undefined for eigenvalue at the origin"),
+            "1", EXIT_CONDITIONING,
+            "conditioning error: left eigenvector undefined for eigenvalue (-1e-07+0j) at the "
+            "origin: |lambda| = 1.000e-07 is at or below 3.000e-06"),
+        "jordan_origin": (
+            {"eigenvalues": [[-1e-9, 0, 2], [-1, 0, 1]]}, "1", EXIT_CONDITIONING,
+            "conditioning error: Jordan chains undefined for eigenvalue (-1e-09+0j) at the "
+            "origin: |lambda| = 1.000e-09 is at or below 2.000e-08"),
         "near_multiple": (
             {"eigenvalues": [[-1, 0, 1], [-1.00000002, 0, 1], [-2, 0, 1]]}, "1",
             EXIT_CONDITIONING,
@@ -278,12 +284,21 @@ class TestExitCodes:
         path = tmp_path / "origin.json"
         path.write_text(json.dumps(
             {"eigenvalues": [[-1e-3, 0, 1], *([-10.0 * k, 0, 1] for k in range(1, 9))]}))
-        assert main(["verify", str(path)]) == EXIT_USAGE
+        assert main(["verify", str(path)]) == EXIT_CONDITIONING
         assert capsys.readouterr() == (
-            "", "error: left eigenvector undefined for eigenvalue at the origin\n")
+            "", "conditioning error: left eigenvector undefined for eigenvalue (-0.001+0j) at "
+            "the origin: |lambda| = 1.000e-03 is at or below 4.033e+00\n")
         resolved = resolve_document(parse_system(json.loads(path.read_text())), gs.Tolerances())
         with pytest.raises(gs.SolvabilityError, match="Kronecker"):
             gs.solve_lyapunov_dense(resolved.cr.a_c, np.outer(resolved.cr.b_c, resolved.cr.b_c))
+
+    def test_verify_jordan_origin_refusal(self, tmp_path, capsys):
+        # solvable at the default tolerance, refused by the Jordan chains
+        document, _, code, line = self.REFUSALS["jordan_origin"]
+        path = tmp_path / "origin.json"
+        path.write_text(json.dumps(document))
+        assert main(["verify", str(path)]) == code
+        assert capsys.readouterr() == ("", line + "\n")
 
     def test_conditioning_exit(self, tmp_path, capsys):
         path = tmp_path / "uncontrollable.json"
@@ -344,6 +359,29 @@ class TestExitCodes:
         }}))
         assert main(["verify", str(path)]) == EXIT_OK
         assert "FAIL" not in capsys.readouterr().err
+
+    def test_verify_refuses_two_input_initial_before_closed_forms(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the initial condition is pulled back right after the Kronecker
+        # solve: no closed-form set is built and the RK4 oracle never runs
+        import gramspec.cli as cli
+        import gramspec.inverse as inverse
+        import gramspec.oracle as oracle
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("called before the refusal")
+
+        for module, names in ((cli, ("infinite_subgramians", "infinite_pair_subgramians",
+                                     "finite_subgramians", "homogeneous_subgramians")),
+                              (inverse, ("inverse_eigenparts", "inverse_pair_parts")),
+                              (oracle, ("integrate_lyapunov",))):
+            for name in names:
+                monkeypatch.setattr(module, name, unreached)
+        document, _, code, line = self.REFUSALS["multi_input_initial"]
+        path = tmp_path / "two_inputs_initial.json"
+        path.write_text(json.dumps(document))
+        assert main(["verify", str(path)]) == code
+        assert capsys.readouterr() == ("", line + "\n")
 
     def test_verify_success(self, example1_path, capsys):
         assert main(["verify", example1_path, "--seed", "3"]) == EXIT_OK
@@ -1172,7 +1210,7 @@ class TestImportFootprint:
             "import gramspec as gs\n"
             "from gramspec.cli import main\n"
             f"poly = gs.Polynomial({LADDER8_COEFFS!r})\n"
-            "es = gs.eigen_structure(poly, gs.cluster(gs.find_roots(poly)), extended=True)\n"
+            "es = gs.eigen_structure(poly, gs.cluster(gs.find_roots(poly))).to_extended()\n"
             "assert gs.infinite_subgramians(es).accurate_total is not None\n"
             "assert gs.inverse_eigenparts(es).accurate_total is not None\n"
             "out = io.StringIO()\n"

@@ -93,77 +93,79 @@ class TestToCompanion:
 
 
 class TestEigenvectors:
-    def test_right_eigenvector_values(self):
-        assert np.array_equal(gs.right_eigenvector(2.0, 3), [1.0, 2.0, 4.0])
-        assert np.array_equal(gs.right_eigenvector(1.0, 5), np.ones(5))
+    def test_right_eigenvector_values(self, example1):
+        poly, _, spec = example1
+        right = gs.eigen_structure(poly, spec).right
+        assert np.array_equal(right, [[1.0, 1.0, 1.0], [1.0, 2.0, 4.0], [1.0, 3.0, 9.0]])
 
     def test_right_eigenvector_residual(self):
         lam = -1.0 + 2.0j
-        p = gs.poly_from_roots([lam, np.conj(lam), -2.0, -3.0])
+        values = [lam, np.conj(lam), -2.0, -3.0]
+        p = gs.poly_from_roots(values)
         cr = gs.build_companion(p)
-        x = gs.right_eigenvector(lam, 4)
+        x = gs.eigen_structure(p, gs.Spectrum.simple(values)).right[0]
         assert np.max(np.abs(cr.a_c @ x - lam * x)) < 1e-10
 
     def test_left_eigenvector_example(self, example1):
-        poly, _, _ = example1
-        assert np.allclose(gs.left_eigenvector(1.0, poly), [-6.0, 5.0, -1.0])
+        poly, _, spec = example1
+        assert np.allclose(gs.eigen_structure(poly, spec).left[0], [-6.0, 5.0, -1.0])
 
     def test_left_eigenvector_normalization(self):
         p = gs.Polynomial([1.0, 1.0])
-        assert np.allclose(gs.left_eigenvector(-1.0, p), [-1.0])
+        assert np.allclose(gs.eigen_structure(p, gs.Spectrum.simple([-1.0])).left, [[-1.0]])
 
-    def test_left_eigenvector_origin_rejected(self, example1):
-        poly, _, _ = example1
-        with pytest.raises(ValueError, match="origin"):
-            gs.left_eigenvector(0.0, poly)
+    def test_left_eigenvector_origin_rejected(self):
+        # solvable (|2 lambda| = 2e-7 is above 1e-10 (1 + 300)), yet within
+        # 1e-12 (1 + max|a_k|) of the origin
+        values = [-1e-7, -100.0, -200.0, -300.0]
+        es = gs.eigen_structure(gs.poly_from_roots(values), gs.Spectrum.simple(values))
+        with pytest.raises(gs.ConditioningError, match=r"\(-1e-07\+0j\) at the origin"):
+            es.left
 
     def test_inner_product_identity(self):
         rng = np.random.default_rng(31)
         poly, _, spec = random_companion(rng, 6)
-        for lam in spec.values:
-            x = gs.right_eigenvector(lam, 6)
-            y = gs.left_eigenvector(lam, poly)
-            _, deriv = gs.eval_with_derivative(poly, lam)
+        es = gs.eigen_structure(poly, spec)
+        for x, y, deriv in zip(es.right, es.left, es.derivs):
             assert abs(x @ y + deriv) <= 1e-9 * max(1.0, abs(deriv))
 
     def test_left_eigen_residual(self):
         rng = np.random.default_rng(33)
         poly, cr, spec = random_companion(rng, 5)
-        for lam in spec.values:
-            y = gs.left_eigenvector(lam, poly)
+        for lam, y in zip(spec.values, gs.eigen_structure(poly, spec).left):
             resid = np.max(np.abs(y @ cr.a_c - lam * y))
             assert resid <= 1e-9 * (1.0 + abs(lam)) * np.max(np.abs(y))
 
     def test_orthogonality_cross_terms(self):
         rng = np.random.default_rng(35)
         poly, _, spec = random_companion(rng, 6)
-        n = 6
-        for i, li in enumerate(spec.values):
-            for j, lj in enumerate(spec.values):
+        es = gs.eigen_structure(poly, spec)
+        for i, x in enumerate(es.right):
+            for j, y in enumerate(es.left):
                 if i != j:
-                    x = gs.right_eigenvector(li, n)
-                    y = gs.left_eigenvector(lj, poly)
                     assert abs(x @ y) <= 1e-9 * np.max(np.abs(x)) * np.max(np.abs(y))
 
 
 class TestResidues:
     def test_example_residue(self, example1):
-        poly, _, _ = example1
+        poly, _, spec = example1
         expected = 0.5 * np.array([[6.0, -5.0, 1.0]] * 3)
-        assert np.max(np.abs(gs.residue_companion(1.0, poly) - expected)) < 1e-12
+        assert np.max(np.abs(gs.eigen_structure(poly, spec).residues[0] - expected)) < 1e-12
 
     def test_scalar(self):
-        assert np.allclose(gs.residue_companion(-1.0, gs.Polynomial([1.0, 1.0])), [[1.0]])
+        es = gs.eigen_structure(gs.Polynomial([1.0, 1.0]), gs.Spectrum.simple([-1.0]))
+        assert np.allclose(es.residues, [[[1.0]]])
 
     def test_residues_sum_to_identity(self, example1):
         poly, _, spec = example1
-        total = sum(gs.residue_companion(lam, poly) for lam in spec.values)
+        total = gs.eigen_structure(poly, spec).residues.sum(axis=0)
         assert np.max(np.abs(total - np.eye(3))) < 1e-9
 
-    def test_near_multiple_rejected(self, example5):
-        poly, _, _ = example5
+    def test_near_multiple_rejected(self):
+        values = [1.0, 1.0 + 1e-9, 2.0]
+        es = gs.eigen_structure(gs.poly_from_roots(values), gs.Spectrum.simple(values))
         with pytest.raises(gs.MultipleEigenvalueError, match="Jordan"):
-            gs.residue_companion(1.0 + 1e-12, poly)
+            es.residues
 
     def test_residue_algebra(self):
         rng = np.random.default_rng(41)
@@ -180,8 +182,7 @@ class TestResiduesGeneral:
     def test_matches_companion_path(self, example1):
         poly, cr, spec = example1
         lagrange = residues_general(cr.a_c, spec)
-        for i, lam in enumerate(spec.values):
-            direct = gs.residue_companion(lam, poly)
+        for i, direct in enumerate(gs.eigen_structure(poly, spec).residues):
             assert np.max(np.abs(lagrange[i] - direct)) < 1e-10
 
     def test_scalar(self):
@@ -284,7 +285,7 @@ class TestJordanChains:
         poly, _, spec = mirrored_stable
         chains = gs.jordan_chains_companion(spec, poly)
         for block, lam in zip(chains.blocks, spec.values):
-            x = gs.right_eigenvector(lam, 3)
+            x = lam ** np.arange(3)
             assert np.max(np.abs(block.right[:, 0] - x)) < 1e-10
 
     def test_inconsistent_spectrum_rejected(self, example5):
@@ -298,14 +299,11 @@ class TestJordanChains:
         poly = gs.poly_from_roots(spec.expanded())
         with pytest.raises(gs.SolvabilityError):
             gs.jordan_chains_companion(spec, poly)
-        system = gs.build_companion(poly).system()
-        with pytest.raises(gs.SolvabilityError):
-            gs.JordanChainSet.from_modal_matrices(system, spec, np.eye(3), np.eye(3))
 
     def test_chain_checks_come_before_solvability(self):
         # an eigenvalue at the origin is unsolvable too, but refused as such first
         spec = gs.Spectrum([0.0, -1.0], [2, 1])
-        with pytest.raises(ValueError, match="origin"):
+        with pytest.raises(gs.ConditioningError, match="origin"):
             gs.jordan_chains_companion(spec, gs.poly_from_roots(spec.expanded()))
 
     def test_chains_carry_their_system(self, example5):
@@ -358,11 +356,12 @@ class TestEigenStructure:
         rng = np.random.default_rng(616)
         for n in range(2, 9):
             poly, _, spec = random_companion(rng, n)
-            double = _structure_entries(gs.eigen_structure(poly, spec))
-            extended = _structure_entries(gs.eigen_structure(poly, spec, extended=True))
+            es = gs.eigen_structure(poly, spec)
+            double = _structure_entries(es)
+            extended = _structure_entries(es.to_extended())
             with mp.workdps(40):
                 exact = _structure_entries(
-                    _evaluate(poly, spec, mp_polished_roots(poly, spec.values))
+                    _evaluate(poly, spec, mp_polished_roots(poly, spec.values), es.solvability)
                 )
             for name, reference in exact.items():
                 scale = np.max(np.abs(reference))
@@ -400,28 +399,38 @@ class TestEigenStructure:
         rng = np.random.default_rng(2203)
         for n in range(1, 13):
             poly, _, spec = random_companion(rng, n)
-            es = gs.eigen_structure(poly, spec, extended=extended)
+            es = gs.eigen_structure(poly, spec)
+            if extended:
+                es = es.to_extended()
             assert "mirrors" not in es.__dict__
             lams = es.eigenvalues
-            assert same_bits(es.right, np.stack([gs.right_eigenvector(lam, n) for lam in lams]))
+            assert same_bits(es.right, np.stack([lam ** np.arange(n, dtype=float) for lam in lams]))
             mirrors = np.array([gs.eval_with_derivative(poly, -lam)[0] for lam in lams])
             assert same_bits(es.mirrors, mirrors) and "mirrors" in es.__dict__
 
     def test_to_extended_reuses_the_admission(self, monkeypatch):
+        # the entries at the roots polished in 80-bit, without a second scan
         import gramspec.companion as companion
+        from gramspec.spectrum import _newton_polish
 
         rng = np.random.default_rng(2204)
         for n in range(2, 9):
             poly, _, spec = random_companion(rng, n)
             double = gs.eigen_structure(poly, spec)
-            expected = gs.eigen_structure(poly, spec, extended=True)
-            monkeypatch.setattr(companion, "check_solvability", None)  # no second scan
+            monkeypatch.setattr(companion, "check_solvability", None)
             extended = double.to_extended()
             monkeypatch.undo()
             assert extended.extended and extended.solvability is double.solvability
             assert extended.spectrum is spec
-            for name in ("eigenvalues", "right", "derivs", "mirrors"):
-                assert np.array_equal(getattr(extended, name), getattr(expected, name)), name
+            lams = _newton_polish(poly, spec.values.astype(np.clongdouble))
+            expected = {
+                "eigenvalues": lams,
+                "right": lams[:, None] ** np.arange(n, dtype=float),
+                "derivs": [gs.eval_with_derivative(poly, lam)[1] for lam in lams],
+                "mirrors": [gs.eval_with_derivative(poly, -lam)[0] for lam in lams],
+            }
+            for name, want in expected.items():
+                assert np.array_equal(getattr(extended, name), want), name
 
 
 def _ladder_polynomials(sizes) -> list:
@@ -512,9 +521,11 @@ class TestExactPolish:
 
         eps = np.finfo(np.longdouble).eps
         for poly, spec in cases:
-            gramian, inverse = gs.eigen_structure(poly, spec, extended=True).exact_totals
+            es = gs.eigen_structure(poly, spec)
+            gramian, inverse = es.to_extended().exact_totals
             with mp.workdps(80):
-                mp_es = _evaluate(poly, spec, mp_polished_roots(poly, spec.values, dps=80))
+                mp_values = mp_polished_roots(poly, spec.values, dps=80)
+                mp_es = _evaluate(poly, spec, mp_values, es.solvability)
                 gramian_want, inverse_want = (
                     np.array([[rounded(z.real) + 1j * rounded(z.imag) for z in row]
                               for row in sum(parts(mp_es).values())], dtype=np.clongdouble)

@@ -157,29 +157,6 @@ class TestNumbersOnly:
         assert "char_poly[2]: must be a number, got True" in capsys.readouterr().err
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            EXAMPLE1_DOC,
-            {"schema": 1, "eigenvalues": [[1, 0, 2], [2, 0, 3]], "label": "example-5"},
-            {"schema": 1, "matrices": {"A": [[0.0, 1.0], [-2.0, -3.0]], "B": [[0.0], [1.0]]}},
-            {
-                "schema": 1,
-                "char_poly": [-6, 11, -6, 1],
-                "initial_condition": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
-            },
-            {"schema": 1, "eigenvalues": [[-1, 2, 1], [-1, -2, 1], [-3, 0, 1]]},
-        ],
-    )
-    def test_parse_emit_parse_identity(self, doc):
-        first = parse_system(doc)
-        emitted = first.to_json()
-        second = parse_system(emitted)
-        assert first.to_dict() == second.to_dict()
-        assert second.to_json() == emitted
-
-
 # floats whose text or table entry the emitter could get wrong: equal zeros of
 # either sign, the non-finite values, exponent forms, and values equal to ints
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 1.0, -1.0])

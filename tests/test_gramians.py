@@ -271,16 +271,6 @@ class TestMultipleEigenvalues:
         simple = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
         assert np.max(np.abs(dec.static.total() - simple.total())) < 1e-8
 
-    def test_jordan_block_against_oracle(self):
-        a = np.array([[-1.0, 1.0], [0.0, -1.0]])
-        b = np.array([0.0, 1.0])
-        spec = gs.Spectrum([-1.0], [2])
-        system = gs.LtiSystem(a, b)
-        chains = gs.JordanChainSet.from_modal_matrices(system, spec, np.eye(2), np.eye(2))
-        dec = gs.multiple_eig_gramian(chains)
-        reference = gs.solve_lyapunov_dense(a, np.outer(b, b)).matrix
-        assert np.max(np.abs(dec.static.total().real - reference)) < 1e-8
-
     def test_example_exact_solution(self, example5):
         _, cr, spec = example5
         dec = gs.multiple_eig_gramian(gs.jordan_chains_companion(spec, cr.poly))

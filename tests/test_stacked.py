@@ -146,7 +146,7 @@ def test_finite_inverse(case):
     n = cr.n
     m = np.random.default_rng(100 + n).standard_normal((n, n))
     initial = (np.zeros((n, n)), 0.5 * (m + m.T))
-    extended = gs.eigen_structure(cr.poly, spec, extended=True)
+    extended = gs.eigen_structure(cr.poly, spec).to_extended()
     for h in (gs.horizon(es, 1.0), gs.horizon(extended, 1.0), gs.horizon(es, 0.25)):
         for p0 in map(gs.InitialCondition, initial):
             g_inv, term_scale = normalization_each(h, p0)

@@ -90,7 +90,7 @@ def test_zero_plaid_defect(case):
 @pytest.mark.parametrize("case", CASES)
 def test_orthogonality_certificate(case):
     system = resolved(case)[1]
-    extended = gs.eigen_structure(system.poly, system.spectrum, extended=True)
+    extended = gs.eigen_structure(system.poly, system.spectrum).to_extended()
     for es in (system.structure, extended):
         gram, inv = gs.infinite_subgramians(es), gs.inverse_eigenparts(es)
         report = gs.orthogonality_certificate(es, gram, inv)
@@ -107,7 +107,7 @@ def test_quadratic_forms(case):
     inv = gs.inverse_eigenparts(es).symmetrized()
     inv_pairs = gs.inverse_pair_parts(es).symmetrized()
     extended = gs.inverse_eigenparts(
-        gs.eigen_structure(system.poly, system.spectrum, extended=True)).symmetrized()
+        gs.eigen_structure(system.poly, system.spectrum).to_extended()).symmetrized()
     stacks = [inv.stack, inv_pairs.stack, inv.total()[None], extended.stack, extended.total()[None]]
     for stack in stacks:
         assert_same_outcome(outcome(_real_quadratic_forms, x0, stack), forms_each(x0, stack))
