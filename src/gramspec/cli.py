@@ -22,8 +22,8 @@ failed verification checks.
 
 Each command imports only the modules it runs: ``inverse`` is loaded for
 ``analyze``, ``verify`` and ``energy``, ``oracle`` for ``analyze`` and
-``verify``, ``energy`` for ``energy`` and ``verify``, and ``csv`` only for an
-``energy`` time-series table; a ``roots`` process loads none of them.
+``verify``, and ``energy`` for ``energy`` and ``verify``; a ``roots`` process
+loads none of them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import io
 import json
 import os
 import sys
@@ -368,9 +367,9 @@ def cmd_analyze(
                     state, inv_finite = finite_inverse(h, p0c)
                 except ConditioningError:
                     if not np.all(np.isfinite(h.expm_transpose)):
-                        # refused as without --inverse, before the 80-bit retry
-                        decomp = finite_subgramians(h)
-                        _require_double_range(decomp, decomp.at_t.total())
+                        # refused as without --inverse, before the 80-bit
+                        # retry: P(t) cannot be finite either
+                        raise ConditioningError(f"e^(A t) leaves the double range at t = {h.t}")
                     h_inverse = horizon(es.to_extended(), t)
                     state, inv_finite = finite_inverse(h_inverse, p0c)
                     warnings.append(
@@ -576,21 +575,12 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         gram_set = multiple_eig_gramian(chains).static
         inv_set = inverse_multiple_eig(chains)
         recursion_defect = 0.0
-        for block in chains.blocks:
-            shifted = a_c - block.eigenvalue * np.eye(n)
-            defect = np.linalg.norm(shifted @ block.right[:, 0])
-            for k in range(1, block.multiplicity):
-                defect = max(
-                    defect,
-                    float(
-                        np.linalg.norm(
-                            shifted @ block.right[:, k] - block.right[:, k - 1]
-                        )
-                    ),
-                )
-            recursion_defect = max(
-                recursion_defect, defect / max(1.0, float(np.linalg.norm(block.right)))
-            )
+        for block in chains.blocks:  # (A_C - lambda I) X = X shifted right by one column
+            x = block.right
+            residual = (a_c - block.eigenvalue * np.eye(n)) @ x
+            residual[:, 1:] -= x[:, :-1]
+            recursion_defect = max(recursion_defect, float(np.linalg.norm(residual))
+                                   / max(1.0, float(np.linalg.norm(x))))
         checks.append(_check("jordan_chain_recursion", recursion_defect, 1e-8))
     else:  # the inverse eigen set refuses an eigenvalue at the origin first
         es.left
@@ -763,21 +753,17 @@ def cmd_energy(
         "interpretation_valid": partition.interpretation_valid,
     }
     csv_text = None
-    if signal is not None:
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+    if signal is not None:  # numbers and fixed names only: no field needs quoting
         header = ["t", "u"]
         for i in range(spec.values.size):
             header += [f"re_u{i + 1}", f"im_u{i + 1}"]
-        writer.writerow(header)
+        rows = [header]
         for k, t in enumerate(times):
             row = [f"{t:.12g}", f"{control[k]:.12g}"]
             for i in range(spec.values.size):
                 row += [f"{modes[i, k].real:.12g}", f"{modes[i, k].imag:.12g}"]
-            writer.writerow(row)
-        csv_text = buffer.getvalue()
+            rows.append(row)
+        csv_text = "".join(",".join(row) + "\n" for row in rows)
         energy["quadrature"] = quadrature
     report = _report("energy", resolved, warnings, solvability=False,
                      system={"n": cr.n, "source": doc.source}, x0=x0.tolist(), energy=energy)

@@ -360,19 +360,14 @@ def resolvent_coefficients(chains: JordanChainSet) -> list:
     """Partial-fraction coefficients of the resolvent from Jordan chains.
 
     For block i, coefficient k (1-based) is sum_l x_l (y_{k-1+l})^T over the
-    chain vectors; for a simple eigenvalue this is the residue R_i.
+    chain vectors, one product X_i[:, :n_i-k+1] Y_i[k-1:, :] of the block's
+    chain matrices; for a simple eigenvalue this is the residue R_i.
     """
-    out = []
-    for block in chains.blocks:
-        ni = block.multiplicity
-        coeffs = []
-        for k in range(1, ni + 1):
-            a_k = np.zeros((chains.modal.shape[0],) * 2, dtype=complex)
-            for l in range(ni + 1 - k):
-                a_k += np.outer(block.right[:, l], block.left[k - 1 + l, :])
-            coeffs.append(a_k)
-        out.append(coeffs)
-    return out
+    return [
+        [block.right[:, : block.multiplicity - k] @ block.left[k:, :]
+         for k in range(block.multiplicity)]
+        for block in chains.blocks
+    ]
 
 
 def _poly_exp(lam: complex, power: int, t: float):
@@ -387,10 +382,11 @@ def multiple_eig_gramian(
     ``chains``, for spectra with multiplicities, in companion coordinates.
 
     Component i of the algebraic solution is
-    sum_k A_hat_k^{(i)} B B^T (-lambda_i I - A^T)^{-k}; the finite-horizon
-    terms subtract the polynomial-in-t exponentials, evaluated once at ``t``
-    (without ``t`` only the algebraic components are built).  A singular
-    resolvent raises ConditioningError.
+    sum_k A_hat_k^{(i)} B B^T (-lambda_i I - A^T)^{-k}, accumulated power by
+    power.  At ``t`` the exponential e^{A t} = sum_i sum_k A_hat_k^{(i)}
+    e^{lambda_i t} t^{k-1}/(k-1)! is summed once, and the finite component is
+    P_i - e^{A t} P_i e^{A^T t} (without ``t`` only the algebraic components
+    are built).  A singular resolvent raises ConditioningError.
     """
     a, b, poly, spec = chains.system.a, chains.system.b, chains.poly, chains.spectrum
     n = a.shape[0]
@@ -398,41 +394,28 @@ def multiple_eig_gramian(
 
     bbt = b @ b.T
     statics = {}
-    rights = {}  # per block: B B^T (-lambda I - A^T)^{-k}, k = 1..n_i
     for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs)):
         try:
             inv = np.linalg.inv(-block.eigenvalue * np.eye(n) - a.T.astype(complex))
         except np.linalg.LinAlgError:
             msg = f"resolvent (-lambda_i I - A^T) is singular at lambda_i = {block.eigenvalue}"
             raise ConditioningError(msg, condition=np.inf) from None
-        g = bbt.astype(complex)
-        rights[i] = []
-        for _ in range(block.multiplicity):
+        g, statics[i] = bbt.astype(complex), 0
+        for a_k in block_coeffs:  # g = B B^T (-lambda I - A^T)^{-k}
             g = g @ inv
-            rights[i].append(g)
-        statics[i] = sum(
-            a_k @ rights[i][k] for k, a_k in enumerate(block_coeffs)
-        )
+            statics[i] += a_k @ g
 
     static = SpectralComponentSet.from_parts(statics, "eigen", "raw", "companion", poly, spec)
     if t is None:
         return FiniteGramianDecomposition(static)
     _require_horizon(t)
     t = float(t)
-    # e^{A t} = sum_i sum_k A_hat_k^{(i)} e^{lambda_i t} t^{k-1}/(k-1)!
     expm = np.zeros((n, n), dtype=complex)
     for block, block_coeffs in zip(chains.blocks, coeffs):
-        for k, a_k in enumerate(block_coeffs, start=1):
-            expm += a_k * _poly_exp(block.eigenvalue, k - 1, t)
+        for k, a_k in enumerate(block_coeffs):
+            expm += a_k * _poly_exp(block.eigenvalue, k, t)
     expm_transpose = expm.T
-    terms = np.array([
-        sum(
-            -(a_k @ rights[i][l - 1]) * _poly_exp(block.eigenvalue, k - l, t) @ expm_transpose
-            for k, a_k in enumerate(block_coeffs, start=1)
-            for l in range(1, k + 1)
-        )
-        for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs))
-    ])
+    terms = 0 + -(expm @ static.stack @ expm_transpose)
     return FiniteGramianDecomposition(static, _plus_terms(static, terms), t, expm_transpose)
 
 

@@ -196,44 +196,28 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     return state, inv._replace(stack=_solve_dense(g_inv, inv.stack))
 
 
-def _solve_upper_hankel(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve H X = rhs for the upper anti-triangular Hankel H[i, j] = h_{i+j}.
-
-    Back-substitution from the last row up; O(m^2) per column.
-    """
-    m = hvals.size
-    pivot = hvals[m - 1]
-    x = np.zeros_like(rhs, dtype=complex)
-    for r in range(m - 1, -1, -1):
-        idx = m - 1 - r
-        acc = rhs[r].astype(complex)
-        for j in range(idx):
-            acc = acc - hvals[r + j] * x[j]
-        x[idx] = acc / pivot
-    return x
-
-
 def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:
     """Eigen-indexed inverse decomposition for multiple eigenvalues, from
     the companion chains of jordan_chains_companion.
 
-    Component j is J (M_j^{(-1)})^T T_j H_j^{-1} M_j^{(-1)}; the chain Hankel
-    H_j is anti-triangular and inverted by back-substitution.  A vanishing
-    anti-diagonal (last left-chain vector with zero final entry) makes the
-    chain degenerate.
+    Component j is J (M_j^{(-1)})^T T_j H_j^{-1} M_j^{(-1)}, with the chain
+    Hankel H_j (``block.hankel``) solved against M_j^{(-1)} in one LAPACK
+    call.  H_j is upper anti-triangular with a constant anti-diagonal, the
+    final entry of the last left-chain vector; a vanishing one makes the
+    chain degenerate and is refused first, and any other makes H_j
+    nonsingular.
     """
     n = chains.poly.degree
     signs = alternating_signs(n)
     parts = {}
     for j, block in enumerate(chains.blocks):
-        hvals = block.left[:, n - 1]
         scale = max(1.0, float(np.max(np.abs(block.left))))
-        if abs(hvals[-1]) <= PIVOT_TOL * scale:
+        if abs(block.left[-1, n - 1]) <= PIVOT_TOL * scale:
             raise ConditioningError(
                 f"chain Hankel for eigenvalue {block.eigenvalue} is singular "
                 "(last left-chain vector has zero final entry)"
             )
-        x = _solve_upper_hankel(hvals, block.left)
+        x = np.linalg.solve(block.hankel, block.left)
         parts[j] = signs[:, None] * (block.left.T @ (block.toeplitz @ x))
     spec = chains.spectrum
     return SpectralComponentSet.from_parts(parts, "eigen", "raw", "companion", chains.poly, spec)

@@ -8,6 +8,7 @@ import numpy as np
 from gramspec.companion import alternating_signs
 from gramspec.document import MatrixBlock, MatrixEntry
 from gramspec.errors import MultipleEigenvalueError
+from gramspec.gramians import _poly_exp
 from gramspec.inverse import _inverse_eigenparts
 from gramspec.oracle import OracleResult, _symmetry_defect
 from gramspec.spectrum import (CONJUGATE_TOL, Polynomial, Spectrum, _to_longdouble,
@@ -361,6 +362,74 @@ def pair_partition_each(pairs, eigen) -> float:
             / max(1.0, float(np.max(np.abs(eigen.components[i])))),
         )
     return partition
+
+
+# ---------------------------------------------------------------------------
+# Jordan chains, one vector and one power at a time: the loops that the
+# multiple-eigenvalue builders replaced with products of a block's chain
+# matrices, with the finite components taken from the stored powers of the
+# resolvent and the chain Hankel inverted by back-substitution.
+
+
+def resolvent_coefficients_each(chains) -> list:
+    """Per block, the coefficients A_k = sum_l x_l y_{k-1+l}^T, k = 1..n_i,
+    as sums of outer products of the chain vectors."""
+    out = []
+    for block in chains.blocks:
+        ni = block.multiplicity
+        coeffs = []
+        for k in range(1, ni + 1):
+            a_k = np.zeros((chains.modal.shape[0],) * 2, dtype=complex)
+            for l in range(ni + 1 - k):
+                a_k += np.outer(block.right[:, l], block.left[k - 1 + l, :])
+            coeffs.append(a_k)
+        out.append(coeffs)
+    return out
+
+
+def multiple_eig_finite_each(chains, t: float) -> tuple:
+    """(static, finite) dicts of the raw Gramian components of a Jordan chain
+    set: static component i is sum_k A_k B B^T (-lambda_i I - A^T)^{-k} from
+    the stored resolvent powers, and its finite component at t subtracts
+    sum_{k, l <= k} A_k B B^T (-lambda_i I - A^T)^{-l} e^{lambda_i t}
+    t^(k-l)/(k-l)! e^{A^T t}, one term at a time."""
+    a, b = chains.system.a, chains.system.b
+    n = a.shape[0]
+    coeffs = resolvent_coefficients_each(chains)
+    expm = np.zeros((n, n), dtype=complex)
+    for block, block_coeffs in zip(chains.blocks, coeffs):
+        for k, a_k in enumerate(block_coeffs, start=1):
+            expm += a_k * _poly_exp(block.eigenvalue, k - 1, t)
+    static, finite = {}, {}
+    for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs)):
+        inv = np.linalg.inv(-block.eigenvalue * np.eye(n) - a.T.astype(complex))
+        g = (b @ b.T).astype(complex)
+        rights = []
+        for _ in range(block.multiplicity):
+            g = g @ inv
+            rights.append(g)
+        static[i] = sum(a_k @ rights[k] for k, a_k in enumerate(block_coeffs))
+        finite[i] = static[i] + sum(
+            -(a_k @ rights[l - 1]) * _poly_exp(block.eigenvalue, k - l, t) @ expm.T
+            for k, a_k in enumerate(block_coeffs, start=1)
+            for l in range(1, k + 1)
+        )
+    return static, finite
+
+
+def solve_upper_hankel_each(hvals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve H X = rhs for the upper anti-triangular Hankel H[i, j] = h_{i+j}
+    by back-substitution from the last row up."""
+    m = hvals.size
+    pivot = hvals[m - 1]
+    x = np.zeros_like(rhs, dtype=complex)
+    for r in range(m - 1, -1, -1):
+        idx = m - 1 - r
+        acc = rhs[r].astype(complex)
+        for j in range(idx):
+            acc = acc - hvals[r + j] * x[j]
+        x[idx] = acc / pivot
+    return x
 
 
 def exact_values_each(p: Polynomial, roots: np.ndarray) -> np.ndarray:

@@ -1025,6 +1025,7 @@ class TestWorkOnce:
         assert capsys.readouterr().err == (
             "conditioning error: e^(A t) leaves the double range at t = 400.0\n")
         assert counts["polish"] == 0 and counts["extended"] == 0
+        assert counts["eigenparts"] == 0
 
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
@@ -1153,8 +1154,8 @@ class TestImportFootprint:
 
     def test_commands_load_only_the_modules_they_run(self, example1_path, stable_poly_path,
                                                       tmp_path):
-        # roots loads none of inverse, oracle and energy; csv is loaded only
-        # to write an energy time-series table (of a stable system)
+        # roots loads none of inverse, oracle and energy; no command loads
+        # csv, not even to write an energy time-series table
         series = ["--time-series", "0", "1", "3", "--format", "csv",
                   "--output", str(tmp_path / "series.csv")]
         commands = {
@@ -1178,7 +1179,7 @@ class TestImportFootprint:
             "roots": "[]",
             "analyze": "['gramspec.inverse', 'gramspec.oracle']",
             "energy": "['gramspec.energy', 'gramspec.inverse']",
-            "energy_series": "['csv', 'gramspec.energy', 'gramspec.inverse']",
+            "energy_series": "['gramspec.energy', 'gramspec.inverse']",
             "verify": "['gramspec.energy', 'gramspec.inverse', 'gramspec.oracle']",
         }
 
