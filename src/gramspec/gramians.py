@@ -383,39 +383,50 @@ def multiple_eig_gramian(
 
     Component i of the algebraic solution is
     sum_k A_hat_k^{(i)} B B^T (-lambda_i I - A^T)^{-k}, accumulated power by
-    power.  At ``t`` the exponential e^{A t} = sum_i sum_k A_hat_k^{(i)}
-    e^{lambda_i t} t^{k-1}/(k-1)! is summed once, and the finite component is
-    P_i - e^{A t} P_i e^{A^T t} (without ``t`` only the algebraic components
-    are built).  A singular resolvent raises ConditioningError.
+    power.  At ``t`` the finite component is P_i - e^{A t} P_i e^{A^T t}.
+    The left factor e^{A t} P_i is accumulated with the same powers, as
+    sum_k S_k^{(i)} B B^T (-lambda_i I - A^T)^{-k} with S_k^{(i)} = e^{A t}
+    A_hat_k^{(i)} = sum_m A_hat_{k+m}^{(i)} e^{lambda_i t} t^m/m!: it holds
+    only block i's modes and multiplies no two chain coefficients, so a
+    component keeps its relative accuracy when other blocks grow faster or
+    the chains are ill-conditioned.  e^{A t} = sum_i S_1^{(i)} is summed once
+    (without ``t`` only the algebraic components are built).  An invalid
+    horizon raises ValueError, then a singular resolvent ConditioningError.
     """
     a, b, poly, spec = chains.system.a, chains.system.b, chains.poly, chains.spectrum
     n = a.shape[0]
     coeffs = resolvent_coefficients(chains)
+    if t is not None:
+        _require_horizon(t)
+        t = float(t)
 
     bbt = b @ b.T
-    statics = {}
+    statics, lefts = {}, []
+    expm = np.zeros((n, n), dtype=complex)
     for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs)):
         try:
             inv = np.linalg.inv(-block.eigenvalue * np.eye(n) - a.T.astype(complex))
         except np.linalg.LinAlgError:
             msg = f"resolvent (-lambda_i I - A^T) is singular at lambda_i = {block.eigenvalue}"
             raise ConditioningError(msg, condition=np.inf) from None
-        g, statics[i] = bbt.astype(complex), 0
-        for a_k in block_coeffs:  # g = B B^T (-lambda I - A^T)^{-k}
+        if t is not None:  # shifted[k] = S_{k+1}^{(i)}
+            weights = [_poly_exp(block.eigenvalue, m, t) for m in range(block.multiplicity)]
+            shifted = [sum(w * a_m for w, a_m in zip(weights, block_coeffs[k:]))
+                       for k in range(block.multiplicity)]
+            expm += shifted[0]
+        g, statics[i], left = bbt.astype(complex), 0, 0
+        for k, a_k in enumerate(block_coeffs):  # g = B B^T (-lambda I - A^T)^{-k}
             g = g @ inv
             statics[i] += a_k @ g
+            if t is not None:
+                left += shifted[k] @ g
+        lefts.append(left)
 
     static = SpectralComponentSet.from_parts(statics, "eigen", "raw", "companion", poly, spec)
     if t is None:
         return FiniteGramianDecomposition(static)
-    _require_horizon(t)
-    t = float(t)
-    expm = np.zeros((n, n), dtype=complex)
-    for block, block_coeffs in zip(chains.blocks, coeffs):
-        for k, a_k in enumerate(block_coeffs):
-            expm += a_k * _poly_exp(block.eigenvalue, k, t)
     expm_transpose = expm.T
-    terms = 0 + -(expm @ static.stack @ expm_transpose)
+    terms = 0 + -(np.array(lefts) @ expm_transpose)
     return FiniteGramianDecomposition(static, _plus_terms(static, terms), t, expm_transpose)
 
 

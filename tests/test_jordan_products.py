@@ -12,7 +12,9 @@ their static components.  Each finite sum also matches RK4.
 
 The spectra are seeded, of degree 3..8: simple roots with a real root of
 multiplicity 2, one of multiplicity 3 or a conjugate pair of multiplicity 2,
-and the worked example 5 (eigenvalues 1 and 2, multiplicities 2 and 3).
+the worked example 5 (eigenvalues 1 and 2, multiplicities 2 and 3) and a
+clustered spectrum whose components cancel in their sum, so the sum of the
+finite components is checked too, within 1e-11.
 """
 
 import numpy as np
@@ -29,7 +31,12 @@ from references import (multiple_eig_finite_each, resolvent_coefficients_each,
 KINDS = {"real2": 2, "real3": 3, "pair2": 4}  # kind of repeat -> its total multiplicity
 SEEDED = [(degree, kind) for degree in range(3, 9) for kind, size in KINDS.items()
           if size <= degree]
-CASES = [f"degree{d}-{kind}" for d, kind in SEEDED] + ["example5"]
+CASES = [f"degree{d}-{kind}" for d, kind in SEEDED] + ["example5", "clustered"]
+# a triple root amid close simple roots, from the benchmark's catalogue: its
+# chain coefficients are large and cancel, in sums over blocks and in products
+CLUSTERED = gs.Spectrum([-2.7193360971182083, -3.0346157323753844, -2.3358426094625724,
+                         -4.769163075886009 + 1.9569492876070436j,
+                         -4.769163075886009 - 1.9569492876070436j], [3, 1, 1, 1, 1])
 HORIZONS = (0.0, 0.25, 1.0)
 
 
@@ -56,6 +63,8 @@ def chains_of(case: str) -> gs.JordanChainSet:
     if case not in _CHAINS:
         if case == "example5":
             spec = gs.Spectrum([1.0, 2.0], [2, 3])
+        elif case == "clustered":
+            spec = CLUSTERED
         else:
             spec = seeded_spectrum(*SEEDED[CASES.index(case)])
         _CHAINS[case] = gs.jordan_chains_companion(spec, gs.poly_from_roots(spec.expanded()))
@@ -87,6 +96,9 @@ def test_gramian_components(case, t):
         assert relative_gap(part, static[i]) <= 1e-13
         scale = static[i] if t == 0.0 else finite[i]  # finite parts vanish at t = 0
         assert relative_gap(decomp.at_t.stack[i], finite[i], scale) <= 1e-9
+    want = sum(finite.values())
+    scale = sum(static.values()) if t == 0.0 else want
+    assert relative_gap(decomp.at_t.total(), want, scale) <= 1e-11
     a, b = chains.system.a, chains.system.b
     rk4 = gs.integrate_lyapunov(a, b @ b.T, np.zeros(a.shape), t, steps=20_000).matrix
     total = decomp.at_t.total()
@@ -110,3 +122,17 @@ def test_upper_hankel_reference_solves_the_stored_hankel():
         for block in chains_of(case).blocks:
             x = solve_upper_hankel_each(block.left[:, -1], block.left)
             assert relative_gap(block.hankel @ x, block.left) <= 1e-13
+
+
+@pytest.mark.parametrize("values, multiplicities", [([-1.0, 2.0], [2, 1]),
+                                                    ([1.0, 2.0], [2, 3])])
+def test_gramian_components_with_mixed_growth(values, multiplicities):
+    """Blocks that grow at different rates, at a horizon where e^{At} P_i
+    e^{A^T t} dominates P_i: each component keeps its relative accuracy only
+    if the left exponential holds the modes of its own block alone."""
+    spec = gs.Spectrum(values, multiplicities)
+    chains = gs.jordan_chains_companion(spec, gs.poly_from_roots(spec.expanded()))
+    decomp = gs.multiple_eig_gramian(chains, 10.0)
+    _, finite = multiple_eig_finite_each(chains, 10.0)
+    for i, part in enumerate(decomp.at_t.stack):
+        assert relative_gap(part, finite[i]) <= 1e-9
