@@ -62,16 +62,13 @@ class SpectralComponentSet(Record):
     to matrix.  Raw components preserve orthogonality relations (raw inverse
     eigen components are rank one and orthogonal against the Gramian
     eigenparts); symmetrized components are the Hermitian parts and carry the
-    physical (energy) interpretation.  ``accurate_total`` (set when the set
-    is built from an extended EigenStructure) is the component sum computed
-    exactly from the coefficients and rounded once to 80 bits
-    (EigenStructure.exact_totals); near degeneracy makes resummation of the
-    stored components lossier.
+    physical (energy) interpretation.  A simple spectrum's sets are made by
+    rank_one, from the factors of the EigenStructure.
     """
 
     def __init__(self, keys: tuple, stack: np.ndarray, kind: str, flavor: str = "raw",
                  coordinate: str = "companion", poly: Polynomial | None = None,
-                 spectrum: Spectrum | None = None, accurate_total: np.ndarray | None = None):
+                 spectrum: Spectrum | None = None):
         # kind 'eigen' | 'pair', flavor 'raw' | 'symmetrized', coordinate
         # 'companion' | 'original'
         keys, stack = tuple(keys), np.asarray(stack).view()
@@ -80,13 +77,30 @@ class SpectralComponentSet(Record):
                              f"got shape {stack.shape}")
         stack.flags.writeable = False
         self.__dict__.update(keys=keys, stack=stack, kind=kind, flavor=flavor,
-                             coordinate=coordinate, poly=poly, spectrum=spectrum,
-                             accurate_total=accurate_total)
+                             coordinate=coordinate, poly=poly, spectrum=spectrum)
 
     @classmethod
     def from_parts(cls, parts: dict, kind: str, *args, **kwargs) -> "SpectralComponentSet":
         """The set of the matrices in ``parts``, keyed as there."""
         return cls(tuple(parts), np.array(list(parts.values())), kind, *args, **kwargs)
+
+    @classmethod
+    def rank_one(cls, es: EigenStructure, kind: str, coeffs: np.ndarray, left: np.ndarray,
+                 right: np.ndarray) -> "SpectralComponentSet":
+        """The raw companion set of ``es`` of rank-one components, one
+        broadcast for all: with kind 'eigen', component i is coeffs[i] left[i]
+        right[i]^T; with 'pair', component (i, j), keyed row by row, is
+        coeffs[i k + j] left[i] right[j]^T.  Callers form ``coeffs`` one
+        scalar at a time, as numpy's array complex multiply rounds some
+        products differently."""
+        k = es.eigenvalues.size
+        if kind == "eigen":
+            keys = range(k)
+        else:
+            keys = ((i, j) for i in range(k) for j in range(k))
+            left, right = np.repeat(left, k, axis=0), np.tile(right, (k, 1))
+        stack = coeffs[:, None, None] * (left[:, :, None] * right[:, None, :])
+        return cls(keys, stack, kind, "raw", "companion", es.poly, es.spectrum)
 
     @functools.cached_property
     def components(self) -> MappingProxyType:
@@ -97,15 +111,11 @@ class SpectralComponentSet(Record):
 
     @functools.cached_property  # one symmetrization per set, however many callers
     def _hermitian(self) -> "SpectralComponentSet":
-        total = None if self.accurate_total is None else hermitian_part(self.accurate_total)
-        return self._replace(stack=hermitian_part(self.stack), flavor="symmetrized",
-                             accurate_total=total)
+        return self._replace(stack=hermitian_part(self.stack), flavor="symmetrized")
 
     def total(self) -> np.ndarray:
-        """The accurate total when there is one, else the components added
-        in key order from 0 (numpy's own reduction may add in another order)."""
-        if self.accurate_total is not None:
-            return self.accurate_total
+        """The components added in key order from 0 (numpy's own reduction
+        may add in another order)."""
         return functools.reduce(np.add, self.stack, 0)
 
     def merged_real(self) -> "SpectralComponentSet":
@@ -136,9 +146,7 @@ class SpectralComponentSet(Record):
                 "conjugate-orbit sum has a non-negligible imaginary part; "
                 "spectrum is not conjugate closed"
             )
-        total = None if self.accurate_total is None else self.accurate_total.real
-        return self._replace(keys=tuple(self.keys[k] for k in canon), stack=totals.real,
-                             accurate_total=total)
+        return self._replace(keys=tuple(self.keys[k] for k in canon), stack=totals.real)
 
 
 class InitialCondition(Record):
@@ -204,60 +212,38 @@ def _plus_terms(static: SpectralComponentSet, terms: np.ndarray) -> SpectralComp
     the stack of their sums, each started from 0, which turns a -0.0 entry
     into 0.0 (reports write the sign of a zero, and they keep their bytes
     with this order)."""
-    return static._replace(stack=static.stack + terms, accurate_total=None)
-
-
-def _eigenparts(es: EigenStructure) -> dict:
-    """Raw eigen components x_i x_i^T J / (-N'(lambda_i) N(-lambda_i))."""
-    signs = alternating_signs(es.poly.degree)
-    return {
-        i: np.outer(x, x) * signs[None, :] / (-deriv * mirror)
-        for i, (x, deriv, mirror) in enumerate(zip(es.right, es.derivs, es.mirrors))
-    }
+    return static._replace(stack=static.stack + terms)
 
 
 def infinite_subgramians(es: EigenStructure) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the algebraic Lyapunov solution.
 
-    Returns the raw components P_hat_i; their Hermitian parts (via
+    Returns the raw components P_hat_i = c_i x_i (J x_i)^T with c_i =
+    1/(-N'(lambda_i) N(-lambda_i)); their Hermitian parts (via
     ``symmetrized()``) sum to the same solution.  From an extended structure
-    the components are 80-bit and the structure's exact P is kept as
-    ``accurate_total``, which keeps the cancellation in the sum resolvable
-    when the spectrum is nearly degenerate.  Reads x_i, N'(lambda_i) and
-    N(-lambda_i) only, so a near-multiple simple spectrum is still decomposed.
+    the components are 80-bit.  Reads x_i, N'(lambda_i) and N(-lambda_i)
+    only, so a near-multiple simple spectrum is still decomposed.
     """
-    return SpectralComponentSet.from_parts(
-        _eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum,
-        es.exact_totals[0],
-    )
-
-
-def _pair_keys(k: int) -> tuple:
-    """The index pairs (i, j) of k eigenvalues, row by row."""
-    return tuple((i, j) for i in range(k) for j in range(k))
+    signs = alternating_signs(es.poly.degree)
+    coeffs = np.array([1 / (-deriv * mirror) for deriv, mirror in zip(es.derivs, es.mirrors)])
+    return SpectralComponentSet.rank_one(es, "eigen", coeffs, es.right, es.right * signs)
 
 
 def infinite_pair_subgramians(es: EigenStructure) -> SpectralComponentSet:
     """Pair-indexed decomposition; row sums reproduce the eigen components.
 
-    Component (i, j) is -x_i x_j^* / ((lambda_i + conj(lambda_j)) N'(lambda_i)
-    conj(N'(lambda_j))).  The k x k denominators are scalar products, whose
-    last bits differ from numpy's array multiply; the rank-one numerators
-    and the division are one broadcast.
+    Component (i, j) is c_ij x_i x_j^* with c_ij = -1/((lambda_i +
+    conj(lambda_j)) N'(lambda_i) conj(N'(lambda_j))), a k x k table of
+    scalars.
     """
     # N'(conj(lambda)) = conj(N'(lambda)) for real coefficients; adding 0
     # turns a negative zero imaginary part positive, as Horner returns it
     conj_derivs = np.conj(es.derivs) + 0
     lams, right, derivs = es.eigenvalues, es.right, es.derivs
-    k, n = right.shape
-    denominators = np.array([
-        [(lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j] for j in range(k)]
-        for i in range(k)
-    ])
-    outer = right[:, None, :, None] * np.conj(right)[None, :, None, :]
-    stack = -outer / denominators[:, :, None, None]
-    return SpectralComponentSet(_pair_keys(k), stack.reshape(k * k, n, n), "pair", "raw",
-                                "companion", es.poly, es.spectrum)
+    k = lams.size
+    coeffs = np.array([-1 / ((lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j])
+                       for i in range(k) for j in range(k)])
+    return SpectralComponentSet.rank_one(es, "pair", coeffs, right, np.conj(right))
 
 
 def finite_subgramians(
@@ -268,16 +254,13 @@ def finite_subgramians(
 
     Component i is P_hat_i (I - e^{(lambda_i I + A_C^T) t}).  The P_hat_i
     are ``static``, the raw infinite_subgramians set of the horizon's
-    structure, when the caller has built it, and are built here otherwise.
-    From an extended structure everything is built and evaluated in 80-bit
+    structure, which is built here when the caller passes none.  From an
+    extended structure everything is built and evaluated in 80-bit
     precision, which the product identity with the finite inverse needs at
     stiff horizons.
     """
-    es = h.structure
     if static is None:
-        static = SpectralComponentSet.from_parts(
-            _eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum
-        )
+        static = infinite_subgramians(h.structure)
     elif static.kind != "eigen" or static.flavor != "raw":
         raise ValueError("finite components expect the raw eigen-indexed Gramian set")
     terms = 0 + (-static.stack * h.growth[:, None, None]) @ h.expm_transpose
@@ -319,6 +302,7 @@ def homogeneous_pair_subgramians(
     """Pair-indexed decomposition of the homogeneous solution with P(0) = P_0,
     evaluated at t: components R_i P_0 R_j^* e^{(lambda_i + conj(lambda_j)) t},
     whose sum reproduces P_0 at t = 0."""
+    _require_horizon(t)
     _require_initial(es, p0)
     residues, lams = es.residues, es.eigenvalues
     parts = {
@@ -348,12 +332,8 @@ def lift_to_original(
     ctrb, h_u = transform.controllability, transform.hankel
     eye_m = np.eye(ctrb.shape[1] // ctrb.shape[0])  # C is n x (n m)
 
-    def sandwich(x):
-        return ctrb @ np.kron(h_u @ x @ h_u, eye_m) @ ctrb.T
-
-    lifted = np.array([sandwich(x) for x in decomp.stack])
-    total = None if decomp.accurate_total is None else sandwich(decomp.accurate_total)
-    return decomp._replace(stack=lifted, coordinate="original", accurate_total=total)
+    lifted = np.array([ctrb @ np.kron(h_u @ x @ h_u, eye_m) @ ctrb.T for x in decomp.stack])
+    return decomp._replace(stack=lifted, coordinate="original")
 
 
 def resolvent_coefficients(chains: JordanChainSet) -> list:

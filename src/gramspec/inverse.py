@@ -18,7 +18,7 @@ import numpy as np
 from .companion import (EigenStructure, JordanChainSet, SimilarityTransform, _solve_dense,
                         alternating_signs)
 from .errors import ConditioningError, Record, ValueRecord
-from .gramians import Horizon, InitialCondition, SpectralComponentSet, _pair_keys
+from .gramians import Horizon, InitialCondition, SpectralComponentSet
 
 ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
@@ -32,28 +32,17 @@ class NormalizationState(Record):
         self.__dict__.update(t=t, g_inverse=g_inverse, condition=condition)
 
 
-def _inverse_eigenparts(es: EigenStructure) -> dict:
-    """Raw inverse eigen components N(-lambda_i)/(-N'(lambda_i)) J y_i y_i^T."""
-    signs = alternating_signs(es.poly.degree)
-    return {
-        i: mirror / (-deriv) * (signs[:, None] * np.outer(y, y))
-        for i, (y, deriv, mirror) in enumerate(zip(es.left, es.derivs, es.mirrors))
-    }
-
-
 def inverse_eigenparts(es: EigenStructure) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the algebraic Riccati solution.
 
-    The raw components sum to the exact inverse of the Lyapunov solution;
-    each is rank one.  An extended structure gives 80-bit components and the
-    exact P^-1 as ``accurate_total`` (see the Gramian counterpart).  Reads
-    y_i, N'(lambda_i) and N(-lambda_i) and no residues, so a near-multiple
-    simple spectrum is still decomposed.
+    The raw components c_i (J y_i) y_i^T, with c_i = N(-lambda_i)/(-N'(lambda_i)),
+    sum to the exact inverse of the Lyapunov solution.  An extended structure
+    gives 80-bit components.  Reads y_i, N'(lambda_i) and N(-lambda_i) and no
+    residues, so a near-multiple simple spectrum is still decomposed.
     """
-    return SpectralComponentSet.from_parts(
-        _inverse_eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum,
-        es.exact_totals[1],
-    )
+    signs = alternating_signs(es.poly.degree)
+    coeffs = np.array([mirror / (-deriv) for deriv, mirror in zip(es.derivs, es.mirrors)])
+    return SpectralComponentSet.rank_one(es, "eigen", coeffs, signs * es.left, es.left)
 
 
 def inverse_pair_parts(es: EigenStructure) -> SpectralComponentSet:
@@ -62,22 +51,14 @@ def inverse_pair_parts(es: EigenStructure) -> SpectralComponentSet:
     Component (i, j) equals conj(R_i) P_hat_j, worked out through left
     eigenvectors only: the first factor is taken at conj(lambda_i), where
     real coefficients make y, N' and N(-.) the conjugates of those at
-    lambda_i.  The k x k coefficients are scalar arithmetic, whose last bits
-    differ from numpy's array multiply; the rank-one factors and the scaling
-    are one broadcast.
+    lambda_i.  It is c_ij conj(y_i) y_j^T with a k x k table of scalars c_ij.
     """
     lams, left, derivs, mirrors = es.eigenvalues, es.left, es.derivs, es.mirrors
-    k, n = left.shape
-    coefficients = np.array([
-        [(np.conj(mirrors[i]) * mirrors[j])
-         / (-(np.conj(derivs[i]) * derivs[j]) * (np.conj(lams[i]) + lams[j]))
-         for j in range(k)]
-        for i in range(k)
-    ])
-    outer = np.conj(left)[:, None, :, None] * left[None, :, None, :]
-    stack = coefficients[:, :, None, None] * outer
-    return SpectralComponentSet(_pair_keys(k), stack.reshape(k * k, n, n), "pair", "raw", "companion",
-                                es.poly, es.spectrum)
+    k = lams.size
+    coeffs = np.array([(np.conj(mirrors[i]) * mirrors[j])
+                       / (-(np.conj(derivs[i]) * derivs[j]) * (np.conj(lams[i]) + lams[j]))
+                       for i in range(k) for j in range(k)])
+    return SpectralComponentSet.rank_one(es, "pair", coeffs, np.conj(left), left)
 
 
 class OrthogonalityReport(ValueRecord):
@@ -113,8 +94,7 @@ def riccati_general(
     Components are (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1} of the companion
     eigen components X of ``inv``, an inverse eigen set of the transform's
     polynomial (inverse_eigenparts, or inverse_multiple_eig for a multiple
-    spectrum).  An extended set is lifted in its own precision, and its
-    accurate total with it.
+    spectrum).  An extended set is lifted in its own precision.
     """
     if transform.t is None:
         raise ValueError("the closed-form Riccati solution applies to single-input systems")
@@ -126,11 +106,8 @@ def riccati_general(
     def solve(a, xs):  # (a^{-1} X)^H of each X
         return _solve_dense(a, xs).conj().swapaxes(-1, -2)
 
-    def lift(xs):
-        return solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, xs))))
-
-    total = None if inv.accurate_total is None else lift(inv.accurate_total[None])[0]
-    return inv._replace(stack=lift(inv.stack), coordinate="original", accurate_total=total)
+    lifted = solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, inv.stack))))
+    return inv._replace(stack=lifted, coordinate="original")
 
 
 def finite_inverse(h: Horizon, p0: InitialCondition):
@@ -151,13 +128,7 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     an entry outside the double range is refused as such, with condition inf.
     """
     es, t = h.structure, h.t
-
-    def inverse_set():  # formed once, and with P_0 = 0 only for a G(t) that passes
-        return SpectralComponentSet.from_parts(
-            _inverse_eigenparts(es), "eigen", "raw", "companion", es.poly, es.spectrum
-        )
-
-    inv = None
+    inv = None  # the inverse eigen set: formed once, and with P_0 = 0 only for a G(t) that passes
     n = es.poly.degree
     signs = alternating_signs(n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -168,7 +139,7 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
         terms = -((np.swapaxes(es.residues, 1, 2) * (signs[:, None] * signs)) @ scaled_exp)
         scales = [1.0, *np.abs(terms).max(axis=(1, 2)).astype(float).tolist()]
         if np.any(p0.matrix):  # with P_0 = 0 the boundary terms vanish
-            inv = inverse_set()
+            inv = inverse_eigenparts(es)
             boundary = inv.stack @ p0.matrix @ scaled_exp
             terms = boundary + terms
             scales += np.abs(boundary).max(axis=(1, 2)).astype(float).tolist()
@@ -192,7 +163,7 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
             condition=condition,
         )
     state = NormalizationState(float(t), g_inv, condition)
-    inv = inverse_set() if inv is None else inv
+    inv = inverse_eigenparts(es) if inv is None else inv
     return state, inv._replace(stack=_solve_dense(g_inv, inv.stack))
 
 

@@ -9,7 +9,6 @@ from gramspec.companion import alternating_signs
 from gramspec.document import MatrixBlock, MatrixEntry
 from gramspec.errors import MultipleEigenvalueError
 from gramspec.gramians import _poly_exp
-from gramspec.inverse import _inverse_eigenparts
 from gramspec.oracle import OracleResult, _symmetry_defect
 from gramspec.spectrum import (CONJUGATE_TOL, Polynomial, Spectrum, _to_longdouble,
                                 dyadic_coefficients, dyadic_point, exact_horner)
@@ -195,15 +194,23 @@ def hermitian_part_each(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def inverse_eigenparts_each(es) -> dict:
+    """Raw inverse eigen components c_i (J y_i) y_i^T, c_i =
+    N(-lambda_i)/(-N'(lambda_i)), keyed i."""
+    signs = alternating_signs(es.poly.degree)
+    return {i: mirror / (-deriv) * np.outer(signs * y, y)
+            for i, (y, deriv, mirror) in enumerate(zip(es.left, es.derivs, es.mirrors))}
+
+
 def pair_subgramians_each(es) -> dict:
-    """Raw Gramian pair components -x_i x_j^* / ((lambda_i + conj(lambda_j))
-    N'(lambda_i) conj(N'(lambda_j))), keyed (i, j)."""
+    """Raw Gramian pair components c_ij x_i x_j^*, c_ij = -1/((lambda_i +
+    conj(lambda_j)) N'(lambda_i) conj(N'(lambda_j))), keyed (i, j)."""
     conj_derivs = np.conj(es.derivs) + 0
     lams, right, derivs = es.eigenvalues, es.right, es.derivs
     k = lams.size
     return {
-        (i, j): -np.outer(right[i], np.conj(right[j]))
-        / ((lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j])
+        (i, j): -1 / ((lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j])
+        * np.outer(right[i], np.conj(right[j]))
         for i in range(k)
         for j in range(k)
     }
@@ -266,7 +273,7 @@ def merge_conjugate_each(components: dict, spectrum, kind: str) -> dict:
 def normalization_each(h, p0) -> tuple:
     """(G^{-1}(t), term scale) of the finite inverse, one eigenvalue at a time."""
     es = h.structure
-    inv_components = _inverse_eigenparts(es)
+    inv_components = inverse_eigenparts_each(es)
     residues = es.residues
     n = es.poly.degree
     signs = alternating_signs(n)
@@ -283,6 +290,48 @@ def normalization_each(h, p0) -> tuple:
             float(np.max(np.abs(boundary))),
         )
     return g_inv, term_scale
+
+
+# ---------------------------------------------------------------------------
+# The simple-spectrum components as divisions by their scalar denominators,
+# the forms the rank-one sets c u v^T replaced.  They round differently, so
+# they are accuracy references: the sets agree with them to a few ulps.
+
+
+def eigenparts_division(es) -> dict:
+    """Raw Gramian eigen components x_i x_i^T J / (-N'(lambda_i) N(-lambda_i))."""
+    signs = alternating_signs(es.poly.degree)
+    return {i: np.outer(x, x) * signs[None, :] / (-deriv * mirror)
+            for i, (x, deriv, mirror) in enumerate(zip(es.right, es.derivs, es.mirrors))}
+
+
+def inverse_eigenparts_division(es) -> dict:
+    """Raw inverse eigen components N(-lambda_i)/(-N'(lambda_i)) J y_i y_i^T."""
+    signs = alternating_signs(es.poly.degree)
+    return {i: mirror / (-deriv) * (signs[:, None] * np.outer(y, y))
+            for i, (y, deriv, mirror) in enumerate(zip(es.left, es.derivs, es.mirrors))}
+
+
+def pair_subgramians_division(es) -> dict:
+    """Raw Gramian pair components -x_i x_j^* / ((lambda_i + conj(lambda_j))
+    N'(lambda_i) conj(N'(lambda_j)))."""
+    conj_derivs = np.conj(es.derivs) + 0
+    lams, right, derivs = es.eigenvalues, es.right, es.derivs
+    k = lams.size
+    return {(i, j): -np.outer(right[i], np.conj(right[j]))
+            / ((lams[i] + np.conj(lams[j])) * derivs[i] * conj_derivs[j])
+            for i in range(k) for j in range(k)}
+
+
+def inverse_pair_parts_division(es) -> dict:
+    """Raw inverse pair components N(-conj(lambda_i)) N(-lambda_j) conj(y_i)
+    y_j^T / (-N'(conj(lambda_i)) N'(lambda_j) (conj(lambda_i) + lambda_j)),
+    divided entry by entry."""
+    lams, left, derivs, mirrors = es.eigenvalues, es.left, es.derivs, es.mirrors
+    k = lams.size
+    return {(i, j): np.conj(mirrors[i]) * mirrors[j] * np.outer(np.conj(left[i]), left[j])
+            / (-(np.conj(derivs[i]) * derivs[j]) * (np.conj(lams[i]) + lams[j]))
+            for i in range(k) for j in range(k)}
 
 
 def eigen_component_residual(a_c, lam, multiplicity, raw, side: str) -> float:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 import gramspec as gs
+from gramspec.gramians import hermitian_part
 
 from conftest import random_companion, random_stable_eigenvalues
 from references import inverse_eigenpart_counted
@@ -249,9 +250,10 @@ def test_criterion_5_example5_multiple_eigenvalues(example5):
 
 def test_criterion_6_randomized_oracle_equivalence():
     # eigenvalues in [-5,-0.1] x [-3,3]i with pairwise separation >= 0.1;
-    # the companion spectrum is re-derived from the rounded coefficients, and
-    # nearly degenerate draws need the extended-precision construction (the
-    # spectral components can exceed their sum by ~1e12)
+    # the companion spectrum is re-derived from the rounded coefficients.
+    # Nearly degenerate draws make the spectral components exceed their sum
+    # by ~1e12, so the infinite-horizon sums are the extended structure's
+    # exact totals, taken from the coefficients
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst_static = worst_inverse = worst_finite = 0.0
@@ -264,16 +266,10 @@ def test_criterion_6_randomized_oracle_equivalence():
         bbt = np.outer(cr.b_c, cr.b_c)
         reference = gs.solve_lyapunov_dense(cr.a_c, bbt).matrix
         es = gs.eigen_structure(poly, spec).to_extended()
-        static = (
-            gs.infinite_subgramians(es)
-            .symmetrized().total().real.astype(float)
-        )
+        static, inv_total = (hermitian_part(total).real.astype(float)
+                             for total in es.exact_totals)
         worst_static = max(
             worst_static, np.linalg.norm(static - reference) / np.linalg.norm(reference)
-        )
-        inv_total = (
-            gs.inverse_eigenparts(es)
-            .symmetrized().total().real.astype(float)
         )
         inv_reference = np.linalg.inv(reference)
         worst_inverse = max(

@@ -1,3 +1,4 @@
+import collections
 import gc
 import json
 import re
@@ -710,7 +711,7 @@ class TestReportBytes:
     """Every report is the text of json.dumps(report, sort_keys=True, indent=2)."""
 
     @pytest.mark.parametrize("argv", [
-        ["analyze", "--pairs", "--inverse", "--finite", "1"],
+        ["analyze", "--pairs", "--inverse", "--finite", "1", "--raw"],
         ["verify"],
         ["energy", "--x0=1,2,3"],
         ["roots"],
@@ -891,21 +892,28 @@ class TestWorkOnce:
     check are computed once per command, analyze evaluates the finite
     components once per decomposition, and the Gramian eigen parts are built
     once per structure.  An e^(A t) past the double range is refused before
-    the extended retry."""
+    the extended retry.  ``counts["sets"]`` counts the rank-one sets that
+    SpectralComponentSet.rank_one makes, keyed by the builder that asks for
+    one: infinite_subgramians, inverse_eigenparts, infinite_pair_subgramians
+    or inverse_pair_parts."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         import gramspec.companion as companion
         import gramspec.gramians as gramians
-        import gramspec.inverse as inverse
 
         counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0,
-                  "expm": [], "homogeneous_pairs": 0, "inverse_eigenparts": 0,
-                  "char_poly": 0, "require_controllable": 0, "finite_components": 0,
-                  "eigenparts": 0, "inverse_parts": 0, "structures": []}
+                  "expm": [], "homogeneous_pairs": 0, "char_poly": 0,
+                  "require_controllable": 0, "finite_components": 0,
+                  "sets": collections.Counter(), "structures": []}
         evaluate, polish, horizon = (
             companion._evaluate, companion._newton_polish, gramians.horizon
         )
+        rank_one = gramians.SpectralComponentSet.rank_one.__func__
+
+        def counted_rank_one(cls, *args):
+            counts["sets"][sys._getframe(1).f_code.co_name] += 1
+            return rank_one(cls, *args)
 
         def counted_evaluate(p, spec, values, *args):
             kind = {np.dtype(complex): "complex128", np.dtype(np.clongdouble): "extended"}
@@ -929,21 +937,18 @@ class TestWorkOnce:
             return horizon(es, t)
 
         monkeypatch.setattr(companion, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(gramians.SpectralComponentSet, "rank_one",
+                            classmethod(counted_rank_one))
         for original, replacement in [
             (polish, counted_polish),
             (companion.check_solvability, counted("solvability", companion.check_solvability)),
             (horizon, counted_horizon),
             (gramians.finite_subgramians,
              counted("finite_components", gramians.finite_subgramians)),
-            (gramians._eigenparts, counted("eigenparts", gramians._eigenparts)),
             (gramians.finite_pair_subgramians,
              counted("finite_components", gramians.finite_pair_subgramians)),
             (gramians.homogeneous_pair_subgramians,
              counted("homogeneous_pairs", gramians.homogeneous_pair_subgramians)),
-            (inverse.inverse_eigenparts,
-             counted("inverse_eigenparts", inverse.inverse_eigenparts)),
-            (inverse._inverse_eigenparts,
-             counted("inverse_parts", inverse._inverse_eigenparts)),
             (gs.char_poly, counted("char_poly", gs.char_poly)),
             (companion.require_controllable,
              counted("require_controllable", companion.require_controllable)),
@@ -972,11 +977,11 @@ class TestWorkOnce:
         # homogeneous set's horizon at t = 0
         assert counts["expm"] == [(double, 1.0), (extended, 1.0), (double, 0.0)]
         assert counts["finite_components"] == 3
-        # the Gramian eigen parts: once per structure
-        assert counts["eigenparts"] == 2
-        # the inverse eigen parts: analyze's inverse block, then each finite
-        # inverse before its check, for the boundary terms of P_0
-        assert counts["inverse_parts"] == 3
+        # the Gramian eigen parts: once per structure; the inverse eigen
+        # parts: each finite inverse before its check, for the boundary
+        # terms of P_0, then analyze's inverse block; each pair set once
+        assert counts["sets"] == {"infinite_subgramians": 2, "inverse_eigenparts": 3,
+                                  "infinite_pair_subgramians": 1, "inverse_pair_parts": 1}
 
     def test_analyze_with_extended_retry_without_initial_condition(self, tmp_path, capsys,
                                                                   counts):
@@ -987,7 +992,7 @@ class TestWorkOnce:
         assert code == EXIT_OK
         assert "extended precision" in capsys.readouterr().out
         assert counts["extended"] == 1
-        assert counts["inverse_parts"] == 2
+        assert counts["sets"]["inverse_eigenparts"] == 2
 
     def test_refused_finite_inverse_forms_no_inverse_set(self, tmp_path, capsys, counts,
                                                          monkeypatch):
@@ -1008,8 +1013,7 @@ class TestWorkOnce:
         assert code == EXIT_CONDITIONING
         assert "normalization matrix G(t) is numerically singular" in capsys.readouterr().err
         assert counts["extended"] == 1
-        assert counts["inverse_parts"] == 0
-        assert counts["eigenparts"] == 0 and counts["finite_components"] == 0
+        assert not counts["sets"] and counts["finite_components"] == 0
         assert scans == []
         # nor does the refused retry evaluate N(-lambda) in 80-bit
         assert counts["solvability"] == 1
@@ -1025,7 +1029,7 @@ class TestWorkOnce:
         assert capsys.readouterr().err == (
             "conditioning error: e^(A t) leaves the double range at t = 400.0\n")
         assert counts["polish"] == 0 and counts["extended"] == 0
-        assert counts["eigenparts"] == 0
+        assert counts["sets"]["infinite_subgramians"] == 0
 
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
@@ -1033,7 +1037,7 @@ class TestWorkOnce:
         assert counts["solvability"] == 1
         assert counts["homogeneous_pairs"] == 0
         assert counts["expm"] == [(np.dtype(complex), 1.0), (np.dtype(complex), 0.0)]
-        assert counts["eigenparts"] == 1
+        assert counts["sets"]["infinite_subgramians"] == 1
 
     def test_energy_time_series(self, stable_poly_path, tmp_path, capsys, counts):
         out = tmp_path / "series.csv"
@@ -1043,7 +1047,7 @@ class TestWorkOnce:
         assert "quadrature" in capsys.readouterr().err
         assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
         assert counts["solvability"] == 1
-        assert counts["inverse_eigenparts"] == 1
+        assert counts["sets"]["inverse_eigenparts"] == 1
 
     @pytest.fixture
     def matrices_path(self, tmp_path):
@@ -1067,10 +1071,12 @@ class TestWorkOnce:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert "inverse_original" in report and "homogeneous_sum" in report["finite"]
-        assert counts["inverse_eigenparts"] == 1
+        # the finite inverse's own set, for the boundary terms of P_0, and
+        # the report's, which the lift reuses
+        assert counts["sets"]["inverse_eigenparts"] == 2
         assert counts["homogeneous_pairs"] == 0
         assert counts["char_poly"] == 1 and counts["require_controllable"] == 1
-        assert counts["eigenparts"] == 1
+        assert counts["sets"]["infinite_subgramians"] == 1
 
     def test_verify_matrices_document_with_initial_condition(self, matrices_path, capsys,
                                                              counts):
@@ -1201,19 +1207,20 @@ class TestImportFootprint:
 
     def test_runs_without_mpmath(self, tmp_path):
         # numpy is the one runtime dependency: with mpmath unimportable, the
-        # extended infinite builders still carry their exact totals and the
-        # degree-8 extended retry still runs
+        # extended structure still forms its exact totals and the degree-8
+        # extended retry still runs
         path = tmp_path / "ladder8.json"
         path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
         script = (
             "import contextlib, io, sys\n"
             "sys.modules['mpmath'] = None\n"
+            "import numpy as np\n"
             "import gramspec as gs\n"
             "from gramspec.cli import main\n"
             f"poly = gs.Polynomial({LADDER8_COEFFS!r})\n"
             "es = gs.eigen_structure(poly, gs.cluster(gs.find_roots(poly))).to_extended()\n"
-            "assert gs.infinite_subgramians(es).accurate_total is not None\n"
-            "assert gs.inverse_eigenparts(es).accurate_total is not None\n"
+            "gramian, inverse = es.exact_totals\n"
+            "assert gramian.dtype == inverse.dtype == np.clongdouble\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    code = main(['analyze', '--pairs', '--inverse', '--finite', '1', {str(path)!r}])\n"

@@ -4,7 +4,8 @@ import pytest
 import gramspec as gs
 
 from conftest import random_companion, random_stable_eigenvalues
-from references import inverse_eigenpart_counted, mp_polished_roots, residues_general
+from references import (eigenparts_division, inverse_eigenpart_counted,
+                        inverse_eigenparts_division, mp_polished_roots, residues_general)
 
 
 class TestBuildCompanion:
@@ -507,8 +508,6 @@ class TestExactPolish:
         from mpmath import mp, nstr
 
         from gramspec.companion import _evaluate
-        from gramspec.gramians import _eigenparts
-        from gramspec.inverse import _inverse_eigenparts
 
         if sizes:
             cases = [(poly, gs.cluster(gs.find_roots(poly))) for poly in _ladder_polynomials(sizes)]
@@ -529,7 +528,7 @@ class TestExactPolish:
                 gramian_want, inverse_want = (
                     np.array([[rounded(z.real) + 1j * rounded(z.imag) for z in row]
                               for row in sum(parts(mp_es).values())], dtype=np.clongdouble)
-                    for parts in (_eigenparts, _inverse_eigenparts)
+                    for parts in (eigenparts_division, inverse_eigenparts_division)
                 )
             scale = np.max(np.abs(inverse_want))
             bound = eps * np.abs(inverse_want) + 1e-30 * scale

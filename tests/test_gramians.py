@@ -215,6 +215,14 @@ class TestHomogeneous:
         assert np.max(np.abs(sum(eigen.components.values()))) == 0.0
         assert np.max(np.abs(sum(pair.components.values()))) == 0.0
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_pair_set_refuses_a_bad_horizon(self, example1, t):
+        # as every horizon builder does: no NaN, zero or backward components
+        _, cr, spec = example1
+        p0 = gs.InitialCondition(np.eye(3))
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            gs.homogeneous_pair_subgramians(gs.eigen_structure(cr.poly, spec), p0, t)
+
 
 class TestLifting:
     def test_companion_input_is_identity_lift(self, mirrored_stable):

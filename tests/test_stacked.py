@@ -1,7 +1,8 @@
 """The stacked component sets against the per-component loops they replaced,
 bit for bit: the pair builders, the finite and homogeneous terms, the
 symmetrized stacks, the totals, the conjugate merges, the normalization
-matrix of the finite inverse and the residuals of the report blocks.
+matrix of the finite inverse and the residuals of the report blocks.  The
+rank-one sets are also held, within a few ulps, to the divisions they replaced.
 
 The spectra are the 24 analyze_ladder documents at n = 8, 12 and 16 of the
 benchmark catalogue, and random spectra at n = 1..16, stable and not, with
@@ -16,19 +17,24 @@ import pytest
 
 import gramspec as gs
 from gramspec.cli import _component_residuals
-from gramspec.inverse import CONDITION_CAPS, _inverse_eigenparts, _solve_dense
+from gramspec.inverse import CONDITION_CAPS, _solve_dense
 
 from conftest import assert_bitwise, random_companion
 from references import (
     eigen_component_residual,
+    eigenparts_division,
     finite_pair_subgramians_each,
     finite_subgramians_each,
     hermitian_part_each,
     homogeneous_subgramians_each,
+    inverse_eigenparts_division,
+    inverse_eigenparts_each,
+    inverse_pair_parts_division,
     inverse_pair_parts_each,
     merge_conjugate_each,
     normalization_each,
     pair_component_residual,
+    pair_subgramians_division,
     pair_subgramians_each,
 )
 
@@ -90,6 +96,24 @@ def test_pair_builders(case):
         assert_set_equals(gs.finite_pair_subgramians(built, t),
                           finite_pair_subgramians_each(pairs, spec.values, t),
                           f"finite pairs at {t}")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_rank_one_sets_match_the_divisions(case):
+    # each set is one broadcast c u v^T over a table of scalar coefficients;
+    # the divisions by the scalar denominators that it replaced round
+    # differently, and each component stays within a few ulps of them,
+    # relative to the component's Frobenius norm
+    _, _, es = structure(case)
+    eps = np.finfo(float).eps
+    for built, reference in ((gs.infinite_subgramians(es), eigenparts_division(es)),
+                             (gs.inverse_eigenparts(es), inverse_eigenparts_division(es)),
+                             (gs.infinite_pair_subgramians(es), pair_subgramians_division(es)),
+                             (gs.inverse_pair_parts(es), inverse_pair_parts_division(es))):
+        assert built.keys == tuple(reference)
+        want = np.array(list(reference.values()))
+        gap = np.linalg.norm(built.stack - want, axis=(1, 2))
+        assert np.all(gap <= 4 * eps * np.linalg.norm(want, axis=(1, 2))), built.kind
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -160,7 +184,8 @@ def test_finite_inverse(case):
             state, inv_t = gs.finite_inverse(h, p0)
             assert_bitwise(state.g_inverse, g_inv)
             assert state.condition == condition
-            want = _solve_dense(g_inv, np.array(list(_inverse_eigenparts(h.structure).values())))
+            parts = inverse_eigenparts_each(h.structure)
+            want = _solve_dense(g_inv, np.array(list(parts.values())))
             assert inv_t.keys == tuple(range(len(want)))
             for got, component in zip(inv_t.stack, want):
                 assert_bitwise(got, component)

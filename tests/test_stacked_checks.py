@@ -185,11 +185,13 @@ def test_quadratic_form_refusals_in_order():
     assert outcome(_real_quadratic_forms, x0, stack) == forms_each(x0, stack)
     assert "2.000e+00" in forms_each(x0, stack)
 
-    for eigen, pairs, total in (([real, real + lower], [real, real + upper, real, real], None),
-                                ([real, real], [real, real + upper, real + lower, real], None),
-                                ([real, real], [real] * 4, 2 * real + upper)):
-        inv = gs.SpectralComponentSet((0, 1), np.array(eigen), "eigen", "symmetrized",
-                                      accurate_total=total)
+    # the last eigen components cancel: each form is real within its own
+    # scale, and the total's, 5 + 2i, is not
+    cancelling = [1e10 * real + upper, (1 - 1e10) * real]
+    for eigen, pairs in (([real, real + lower], [real, real + upper, real, real]),
+                         ([real, real], [real, real + upper, real + lower, real]),
+                         (cancelling, [real] * 4)):
+        inv = gs.SpectralComponentSet((0, 1), np.array(eigen), "eigen", "symmetrized")
         inv_pairs = gs.SpectralComponentSet(((0, 0), (0, 1), (1, 0), (1, 1)), np.array(pairs),
                                             "pair", "symmetrized")
         want = next(x for x in (forms_each(x0, inv.stack), forms_each(x0, inv_pairs.stack),
