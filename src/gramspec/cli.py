@@ -363,15 +363,15 @@ def cmd_analyze(
             elif inverse:
                 p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
             if inverse:
-                try:
-                    state, inv_finite = finite_inverse(h, p0c)
+                try:  # a double finite inverse forms the report's inverse set
+                    state, inv_finite, built["inverse"] = finite_inverse(h, p0c)
                 except ConditioningError:
                     if not np.all(np.isfinite(h.expm_transpose)):
                         # refused as without --inverse, before the 80-bit
                         # retry: P(t) cannot be finite either
                         raise ConditioningError(f"e^(A t) leaves the double range at t = {h.t}")
                     h_inverse = horizon(es.to_extended(), t)
-                    state, inv_finite = finite_inverse(h_inverse, p0c)
+                    state, inv_finite, _ = finite_inverse(h_inverse, p0c)
                     warnings.append(
                         "finite inverse evaluated in extended precision "
                         "(normalization matrix ill-conditioned at this horizon)"
@@ -383,7 +383,7 @@ def cmd_analyze(
         built["lifted"] = lift_to_original(built["gram"], transform)
     if inverse and multiple:
         built["inverse"] = inverse_multiple_eig(chains)
-    elif inverse:
+    elif inverse and "inverse" not in built:
         built["inverse"] = inverse_eigenparts(es)
     if inverse and transform is not None and transform.t is not None:
         built["inverse_original"] = riccati_general(transform, built["inverse"])
@@ -465,10 +465,9 @@ def _render_analysis(
     if "pair" in built:
         report["gramian"]["pair"] = _component_block(built["pair"], a_c, spec, flavor)
     if "lifted" in built:
-        lifted_sum = built["lifted"].symmetrized().total()
-        residual = residual_lyapunov(system.a, system.b @ system.b.T, lifted_sum)
+        residual = residual_lyapunov(system.a, system.b @ system.b.T, built["lifted"])
         report["gramian_original"] = {"coordinate": "original",
-                                      "sum": MatrixEntry(lifted_sum, residual)}
+                                      "sum": MatrixEntry(built["lifted"], residual)}
 
     if "inverse" in built:
         inv_set = built["inverse"]
@@ -484,7 +483,7 @@ def _render_analysis(
             built["inverse_pair"], a_c, spec, flavor, side="right"
         )
     if "inverse_original" in built:
-        osum = built["inverse_original"].symmetrized().total()
+        osum = built["inverse_original"]
         residual = residual_riccati(system.a, system.b, osum)
         report["inverse_original"] = {"coordinate": "original", "sum": MatrixEntry(osum, residual)}
 

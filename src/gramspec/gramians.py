@@ -63,21 +63,21 @@ class SpectralComponentSet(Record):
     eigen components are rank one and orthogonal against the Gramian
     eigenparts); symmetrized components are the Hermitian parts and carry the
     physical (energy) interpretation.  A simple spectrum's sets are made by
-    rank_one, from the factors of the EigenStructure.
+    rank_one, from the factors of the EigenStructure.  Every set is in the
+    companion coordinates of ``poly``; lift_to_original and riccati_general
+    map its sum to a system's own.
     """
 
     def __init__(self, keys: tuple, stack: np.ndarray, kind: str, flavor: str = "raw",
-                 coordinate: str = "companion", poly: Polynomial | None = None,
-                 spectrum: Spectrum | None = None):
-        # kind 'eigen' | 'pair', flavor 'raw' | 'symmetrized', coordinate
-        # 'companion' | 'original'
+                 poly: Polynomial | None = None, spectrum: Spectrum | None = None):
+        # kind 'eigen' | 'pair', flavor 'raw' | 'symmetrized'
         keys, stack = tuple(keys), np.asarray(stack).view()
         if stack.ndim != 3 or stack.shape[0] != len(keys) or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"{len(keys)} keys need a ({len(keys)}, n, n) stack, "
                              f"got shape {stack.shape}")
         stack.flags.writeable = False
-        self.__dict__.update(keys=keys, stack=stack, kind=kind, flavor=flavor,
-                             coordinate=coordinate, poly=poly, spectrum=spectrum)
+        self.__dict__.update(keys=keys, stack=stack, kind=kind, flavor=flavor, poly=poly,
+                             spectrum=spectrum)
 
     @classmethod
     def from_parts(cls, parts: dict, kind: str, *args, **kwargs) -> "SpectralComponentSet":
@@ -100,7 +100,7 @@ class SpectralComponentSet(Record):
             keys = ((i, j) for i in range(k) for j in range(k))
             left, right = np.repeat(left, k, axis=0), np.tile(right, (k, 1))
         stack = coeffs[:, None, None] * (left[:, :, None] * right[:, None, :])
-        return cls(keys, stack, kind, "raw", "companion", es.poly, es.spectrum)
+        return cls(keys, stack, kind, "raw", es.poly, es.spectrum)
 
     @functools.cached_property
     def components(self) -> MappingProxyType:
@@ -292,8 +292,8 @@ def homogeneous_subgramians(h: Horizon, p0: InitialCondition) -> SpectralCompone
     es = h.structure
     _require_initial(es, p0)
     stack = es.residues @ p0.matrix @ h.expm_transpose * h.growth[:, None, None]
-    return SpectralComponentSet(tuple(range(h.growth.size)), stack, "eigen", "raw",
-                                "companion", es.poly, es.spectrum)
+    return SpectralComponentSet(tuple(range(h.growth.size)), stack, "eigen", "raw", es.poly,
+                                es.spectrum)
 
 
 def homogeneous_pair_subgramians(
@@ -313,27 +313,23 @@ def homogeneous_pair_subgramians(
         for i in range(lams.size)
         for j in range(lams.size)
     }
-    return SpectralComponentSet.from_parts(parts, "pair", "raw", "companion", es.poly,
-                                           es.spectrum)
+    return SpectralComponentSet.from_parts(parts, "pair", "raw", es.poly, es.spectrum)
 
 
-def lift_to_original(
-    decomp: SpectralComponentSet, transform: SimilarityTransform
-) -> SpectralComponentSet:
-    """Map companion-coordinate components to the original basis of
-    ``transform``, which must be built for the decomposition's polynomial.
+def lift_to_original(decomp: SpectralComponentSet, transform: SimilarityTransform) -> np.ndarray:
+    """The Gramian of ``decomp`` in the original basis of ``transform``,
+    which must be built for the decomposition's polynomial.
 
-    Each component X becomes C (H_u X H_u (x) I_m) C^T with C the
-    controllability matrix; for single-input systems this equals T X T^T.
+    It is the Hermitian part of C (H_u X H_u (x) I_m) C^T, with X the
+    symmetrized sum of the components and C the controllability matrix (for
+    single-input systems T X T^T).  The map is linear, so it lifts the sum
+    once: lifted components would cancel in their sum.
     """
-    if decomp.coordinate != "companion":
-        raise ValueError("decomposition is not in companion coordinates")
     transform.require_polynomial(decomp.poly)
     ctrb, h_u = transform.controllability, transform.hankel
     eye_m = np.eye(ctrb.shape[1] // ctrb.shape[0])  # C is n x (n m)
-
-    lifted = np.array([ctrb @ np.kron(h_u @ x @ h_u, eye_m) @ ctrb.T for x in decomp.stack])
-    return decomp._replace(stack=lifted, coordinate="original")
+    x = decomp.symmetrized().total()
+    return hermitian_part(ctrb @ np.kron(h_u @ x @ h_u, eye_m) @ ctrb.T)
 
 
 def resolvent_coefficients(chains: JordanChainSet) -> list:
@@ -402,7 +398,7 @@ def multiple_eig_gramian(
                 left += shifted[k] @ g
         lefts.append(left)
 
-    static = SpectralComponentSet.from_parts(statics, "eigen", "raw", "companion", poly, spec)
+    static = SpectralComponentSet.from_parts(statics, "eigen", "raw", poly, spec)
     if t is None:
         return FiniteGramianDecomposition(static)
     expm_transpose = expm.T

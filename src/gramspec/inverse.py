@@ -18,7 +18,7 @@ import numpy as np
 from .companion import (EigenStructure, JordanChainSet, SimilarityTransform, _solve_dense,
                         alternating_signs)
 from .errors import ConditioningError, Record, ValueRecord
-from .gramians import Horizon, InitialCondition, SpectralComponentSet
+from .gramians import Horizon, InitialCondition, SpectralComponentSet, hermitian_part
 
 ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
@@ -85,29 +85,28 @@ def orthogonality_certificate(
     return OrthogonalityReport(worst / scale, count, worst / scale <= ORTHOGONALITY_TOL)
 
 
-def riccati_general(
-    transform: SimilarityTransform, inv: SpectralComponentSet
-) -> SpectralComponentSet:
-    """Closed-form decomposition of P^{-1} A + A^T P^{-1} = -P^{-1} b b^T P^{-1}
+def riccati_general(transform: SimilarityTransform, inv: SpectralComponentSet) -> np.ndarray:
+    """Closed-form solution of P^{-1} A + A^T P^{-1} = -P^{-1} b b^T P^{-1}
     for a controllable single-input system, in its original coordinates.
 
-    Components are (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1} of the companion
-    eigen components X of ``inv``, an inverse eigen set of the transform's
+    It is the Hermitian part of (C^T)^{-1} H_u^{-1} X H_u^{-1} C^{-1}, with X
+    the symmetrized sum of ``inv``, an inverse eigen set of the transform's
     polynomial (inverse_eigenparts, or inverse_multiple_eig for a multiple
-    spectrum).  An extended set is lifted in its own precision.
+    spectrum), lifted once as in lift_to_original.  An extended set is
+    lifted in its own precision.
     """
     if transform.t is None:
         raise ValueError("the closed-form Riccati solution applies to single-input systems")
-    if inv.kind != "eigen" or inv.coordinate != "companion":
+    if inv.kind != "eigen":
         raise ValueError("the Riccati lift expects the companion inverse eigen set")
     transform.require_polynomial(inv.poly)
     ctrb, h_u = transform.controllability, transform.hankel
 
-    def solve(a, xs):  # (a^{-1} X)^H of each X
-        return _solve_dense(a, xs).conj().swapaxes(-1, -2)
+    def solve(a, x):  # (a^{-1} X)^H
+        return _solve_dense(a, x).conj().swapaxes(-1, -2)
 
-    lifted = solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, inv.stack))))
-    return inv._replace(stack=lifted, coordinate="original")
+    total = inv.symmetrized().total()[None]
+    return hermitian_part(solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, total))))[0])
 
 
 def finite_inverse(h: Horizon, p0: InitialCondition):
@@ -117,8 +116,9 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     P^{-1}(t) = G(t) sum_j P_hat_j^{-C} with the normalization matrix defined
     through G^{-1}(t) = I - sum_i J R_i^T J e^{(lambda_i I + A^T) t}
     + sum_i P_hat_i^{-C} P_0 e^{(lambda_i I + A^T) t}.  Returns the
-    normalization state and the component set scaled by G(t); the product
-    with the matching finite Gramian is the identity.
+    normalization state, the component set scaled by G(t), whose product
+    with the matching finite Gramian is the identity, and the inverse eigen
+    set it scales (inverse_eigenparts of the structure).
 
     An extended structure evaluates in 80-bit precision; unstable systems at
     stiff horizons need it for the product identity to survive in floating
@@ -164,7 +164,7 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
         )
     state = NormalizationState(float(t), g_inv, condition)
     inv = inverse_eigenparts(es) if inv is None else inv
-    return state, inv._replace(stack=_solve_dense(g_inv, inv.stack))
+    return state, inv._replace(stack=_solve_dense(g_inv, inv.stack)), inv
 
 
 def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:
@@ -191,4 +191,4 @@ def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:
         x = np.linalg.solve(block.hankel, block.left)
         parts[j] = signs[:, None] * (block.left.T @ (block.toeplitz @ x))
     spec = chains.spectrum
-    return SpectralComponentSet.from_parts(parts, "eigen", "raw", "companion", chains.poly, spec)
+    return SpectralComponentSet.from_parts(parts, "eigen", "raw", chains.poly, spec)

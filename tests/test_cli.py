@@ -131,6 +131,32 @@ class TestAnalyze:
         inv_orig = matrix_from(report["inverse_original"]["sum"]).real
         assert np.max(np.abs(inv_orig - np.linalg.inv(reference))) < 1e-6
 
+    def test_catalogue_original_sums_within_bounds(self, monkeypatch):
+        # the 20 analyze_structured matrices documents (n = 3..7, one or two
+        # inputs) against their 60-digit references: both sums in original
+        # coordinates meet the benchmark's bounds, 1e-8 and 1e-7 relative.
+        # Lifting each component and adding the lifted stack lost up to
+        # 6.5e-8 and 2.0e-7 (n = 7) to cancellation
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import check
+        import generate
+        import reference
+
+        items = [item for round_ in generate.catalogue("analyze_structured") for item in round_
+                 if "matrices" in item["doc"]]
+        assert len(items) == 20 and items[0]["argv"] == ["analyze", "--inverse", "--finite", "1"]
+        checked = collections.Counter()
+        for item in items:
+            report = cmd_analyze(parse_system(item["doc"]), inverse=True, finite=1.0)
+            ref = reference.build_reference(item["doc"], horizon=1.0)
+            for name in ("gramian_original.sum", "inverse_original.sum"):
+                block = name.split(".")[0]
+                if block in report:
+                    error = check.relative_error(ref, name, matrix_from(report[block]["sum"]))
+                    assert error <= check.BOUNDS[name], (item["n"], name, error)
+                    checked[name] += 1
+        assert checked == {"gramian_original.sum": 20, "inverse_original.sum": 10}
+
     def test_finite_residual_uses_exact_derivative(self):
         # with dP/dt = e^{At} b b^T e^{A^T t} taken from the residue or
         # Jordan-chain expansion, the residual is at rounding level
@@ -886,8 +912,9 @@ class TestWorkOnce:
     from the double one without a second solvability scan.  No
     command builds the homogeneous pair half, e^{A^T t} is formed once per
     structure and horizon, and the inverse eigen set is built once and
-    passed on; the finite inverse forms its own only for a G(t) that
-    passes, unless the boundary terms of an initial condition need it first.
+    passed on; the finite inverse forms it only for a G(t) that passes,
+    unless the boundary terms of an initial condition need it first, and
+    analyze's inverse block reads the set of a double finite inverse.
     A matrices document's characteristic polynomial and controllability
     check are computed once per command, analyze evaluates the finite
     components once per decomposition, and the Gramian eigen parts are built
@@ -1064,6 +1091,7 @@ class TestWorkOnce:
     def test_matrices_document_with_initial_condition(self, matrices_path, tmp_path, capsys,
                                                       counts):
         # the original-coordinate Riccati lift reuses the companion inverse set
+        # that the finite inverse formed for the boundary terms of P_0
         out = tmp_path / "report.json"
         code = main(["analyze", matrices_path, "--pairs", "--inverse", "--finite", "1",
                      "--output", str(out)])
@@ -1071,12 +1099,19 @@ class TestWorkOnce:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert "inverse_original" in report and "homogeneous_sum" in report["finite"]
-        # the finite inverse's own set, for the boundary terms of P_0, and
-        # the report's, which the lift reuses
-        assert counts["sets"]["inverse_eigenparts"] == 2
+        assert counts["sets"]["inverse_eigenparts"] == 1
         assert counts["homogeneous_pairs"] == 0
         assert counts["char_poly"] == 1 and counts["require_controllable"] == 1
         assert counts["sets"]["infinite_subgramians"] == 1
+
+    def test_finite_inverse_set_without_initial_condition(self, stable_poly_path, capsys,
+                                                           counts):
+        # with P_0 = 0 the finite inverse forms its set once G(t) passes,
+        # and the report's inverse block reads that set
+        assert main(["analyze", "--inverse", "--finite", "1", stable_poly_path]) == EXIT_OK
+        capsys.readouterr()
+        assert counts["extended"] == 0
+        assert counts["sets"]["inverse_eigenparts"] == 1
 
     def test_verify_matrices_document_with_initial_condition(self, matrices_path, capsys,
                                                              counts):

@@ -28,7 +28,7 @@ def _records() -> dict:
     es = gs.eigen_structure(poly, spec)
     h = gs.horizon(es, 1.0)
     inv = gs.inverse_eigenparts(es)
-    state, _ = gs.finite_inverse(h, gs.InitialCondition(np.zeros((3, 3))))
+    state, *_ = gs.finite_inverse(h, gs.InitialCondition(np.zeros((3, 3))))
     chains = gs.jordan_chains_companion(gs.Spectrum([-1.0, -2.0], [2, 1]),
                                         gs.poly_from_roots([-1.0, -1.0, -2.0]))
     x0 = [1.0, 0.0, 0.0]

@@ -181,13 +181,15 @@ def test_finite_inverse(case):
                     gs.finite_inverse(h, p0)
                 assert refusal.value.condition == condition
                 continue
-            state, inv_t = gs.finite_inverse(h, p0)
+            state, inv_t, inv = gs.finite_inverse(h, p0)
             assert_bitwise(state.g_inverse, g_inv)
             assert state.condition == condition
             parts = inverse_eigenparts_each(h.structure)
             want = _solve_dense(g_inv, np.array(list(parts.values())))
-            assert inv_t.keys == tuple(range(len(want)))
+            assert inv_t.keys == inv.keys == tuple(range(len(want)))
             for got, component in zip(inv_t.stack, want):
+                assert_bitwise(got, component)
+            for got, component in zip(inv.stack, parts.values()):  # the set G(t) scales
                 assert_bitwise(got, component)
 
 
