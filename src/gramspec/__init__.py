@@ -33,13 +33,11 @@ _EXPORTS = {
         "multiple_eig_gramian", "pair_collisions", "zero_plaid_defect",
     ),
     "inverse": (
-        "NormalizationState", "OrthogonalityReport", "finite_inverse", "inverse_eigenparts",
-        "inverse_multiple_eig", "inverse_pair_parts", "orthogonality_certificate",
-        "riccati_general",
+        "NormalizationState", "finite_inverse", "inverse_eigenparts", "inverse_multiple_eig",
+        "inverse_pair_parts", "orthogonality_certificate", "riccati_general",
     ),
     "oracle": (
-        "OracleResult", "integrate_lyapunov", "residual_lyapunov", "residual_riccati",
-        "solve_lyapunov_dense",
+        "integrate_lyapunov", "residual_lyapunov", "residual_riccati", "solve_lyapunov_dense",
     ),
     "spectrum": (
         "Polynomial", "SolvabilityReport", "Spectrum", "Tolerances", "char_poly",

@@ -261,11 +261,6 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
     return ResolvedSystem(doc, poly, spec, solvability, cr, system, notes, roots, structure)
 
 
-def _require_solvable_or_raise(resolved: ResolvedSystem):
-    if not resolved.solvability.ok:
-        raise SolvabilityError(resolved.solvability)
-
-
 def _similarity(resolved: ResolvedSystem) -> SimilarityTransform | None:
     """The similarity of a matrices document's system; None for other sources."""
     return None if resolved.sys is None else similarity_transform(resolved.sys, resolved.poly)
@@ -332,7 +327,7 @@ def cmd_analyze(
                           inverse_pair_parts, riccati_general)
 
     resolved = resolve_document(doc, tols)
-    _require_solvable_or_raise(resolved)
+    resolved.solvability.require()
     spec, poly, es = resolved.spectrum, resolved.poly, resolved.structure
     flavor = "raw" if raw else "symmetrized"
     p0 = doc.initial_condition if initial is None else initial
@@ -397,8 +392,7 @@ def cmd_analyze(
                 warnings.append("initial condition is only evaluated for simple spectra; skipped")
             elif p0 is not None:
                 hom_t = homogeneous_subgramians(h, p0c)
-                built["homogeneous"] = (p0c, hom_t,
-                                        homogeneous_subgramians(horizon(es, 0.0), p0c))
+                built["homogeneous"] = (hom_t, _initial_value_defect(es, p0c))
             if inverse and multiple:
                 warnings.append("finite inverse is only evaluated for simple spectra; skipped")
             elif inverse:
@@ -415,6 +409,12 @@ def cmd_analyze(
         if t is not None:
             built["finite_pair"] = finite_pair_subgramians(built["pair"], t)
     return _render_analysis(resolved, tols, flavor, resolved.warnings + warnings, built)
+
+
+def _initial_value_defect(es: EigenStructure, p0: InitialCondition) -> float:
+    """Largest entry of the homogeneous sum at t = 0 minus P_0, its initial value."""
+    hom_0 = homogeneous_subgramians(horizon(es, 0.0), p0)
+    return float(np.max(np.abs(hom_0.total() - p0.matrix)))
 
 
 def _require_double_range(decomp: FiniteGramianDecomposition, finite_sum: np.ndarray):
@@ -439,12 +439,11 @@ def _render_analysis(
     resolved: ResolvedSystem, tols: Tolerances, flavor: str, warnings: list, built: dict
 ) -> dict:
     """The analyze report of the built sets, with every residual."""
-    from .oracle import residual_lyapunov, residual_riccati
+    from .oracle import residual_lyapunov, residual_product, residual_riccati
 
     spec, poly, system = resolved.spectrum, resolved.poly, resolved.sys
     a_c, b_c = resolved.cr.a_c, resolved.cr.b_c
     bbt = np.outer(b_c, b_c)
-    eye = np.eye(poly.degree)
     gram_set = built["gram"]
     gram_sum = gram_set.symmetrized().total()
     report = _report(
@@ -476,7 +475,7 @@ def _render_analysis(
             "coordinate": "companion",
             "eigen": _component_block(inv_set, a_c, spec, flavor, side="right"),
             "sum": MatrixEntry(inv_sum, residual_riccati(a_c, b_c, inv_sum)),
-            "product_residual": float(np.max(np.abs(inv_set.total() @ gram_set.total() - eye))),
+            "product_residual": residual_product(inv_set.total(), gram_set.total()),
         }
     if "inverse_pair" in built:
         report["inverse"]["pair"] = _component_block(
@@ -504,8 +503,7 @@ def _render_analysis(
         pair_set = built["finite_pair"] if flavor == "raw" else built["finite_pair"].symmetrized()
         report["finite"]["pair"] = _finite_block(pair_set, _pair_key)
     if "homogeneous" in built:
-        p0c, hom_t, hom_0 = built["homogeneous"]
-        residual = float(np.max(np.abs(hom_0.total() - p0c.matrix)))
+        hom_t, residual = built["homogeneous"]
         report["finite"]["homogeneous_sum"] = MatrixEntry(hom_t.symmetrized().total(), residual)
     if "finite_inverse" in built:
         state, inv_finite, gram_t = built["finite_inverse"]
@@ -513,7 +511,7 @@ def _render_analysis(
         report["finite_inverse"] = {
             "t": state.t,
             "normalization_condition": state.condition,
-            "sum": MatrixEntry(inv_total, float(np.max(np.abs(inv_total @ gram_t - eye)))),
+            "sum": MatrixEntry(inv_total, residual_product(inv_total, gram_t)),
         }
     return report
 
@@ -522,13 +520,40 @@ def _render_analysis(
 # verify
 
 
-def _check(name: str, value: float, tolerance: float) -> dict:
+# the bound of each verify check, in report order: a check passes when its
+# value is at or below its bound
+VERIFY_BOUNDS = {
+    "solvability_margin": 1.0,
+    "jordan_chain_recursion": 1e-8,
+    "gramian_oracle_agreement": 1e-8,
+    "lyapunov_residual": 1e-8,
+    "inverse_oracle_agreement": 1e-7,
+    "riccati_residual": 1e-7,
+    "inverse_product_identity": 1e-7,
+    "zero_plaid_zeros": 1e-10,
+    "zero_plaid_alternation": 1e-10,
+    "inverse_zero_plaid_zeros": 1e-10,
+    "pair_partition": 1e-9,
+    "orthogonality": 1e-8,
+    "finite_rk4_agreement": 1e-6,
+    "homogeneous_initial_value": 1e-9,
+    "energy_partition_closure": 1e-9,
+}
+
+
+def _check(name: str, value: float) -> dict:
+    tolerance = VERIFY_BOUNDS[name]
     return {
         "name": name,
         "value": float(value),
-        "tolerance": float(tolerance),
+        "tolerance": tolerance,
         "pass": bool(value <= tolerance),
     }
+
+
+def _relative_distance(x: np.ndarray, reference: np.ndarray, floor: float) -> float:
+    """||x - reference||_F / max(floor, ||reference||_F)."""
+    return float(np.linalg.norm(x - reference)) / max(floor, float(np.linalg.norm(reference)))
 
 
 def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int | None = None) -> dict:
@@ -547,10 +572,11 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     from .inverse import (inverse_eigenparts, inverse_multiple_eig, inverse_pair_parts,
                           orthogonality_certificate)
     from .oracle import (integrate_lyapunov, kron_operator, require_dimension,
-                         residual_lyapunov, residual_riccati, solve_lyapunov_dense)
+                         residual_lyapunov, residual_product, residual_riccati,
+                         solve_lyapunov_dense)
 
     resolved = resolve_document(doc, tols)
-    _require_solvable_or_raise(resolved)
+    resolved.solvability.require()
     transform = _similarity(resolved)
     spec, cr, poly, es = resolved.spectrum, resolved.cr, resolved.poly, resolved.structure
     n = poly.degree
@@ -558,15 +584,10 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     a_c, b_c = cr.a_c, cr.b_c
     bbt = np.outer(b_c, b_c)
     rng = np.random.default_rng(0 if seed is None else seed)
-    checks = []
-
-    checks.append(
-        _check(
-            "solvability_margin",
-            tols.solvability * (1.0 + spec.radius) / max(resolved.solvability.min_pair_magnitude, 1e-300),
-            1.0,
-        )
-    )
+    values = {  # each check's value, by name, in report order
+        "solvability_margin": tols.solvability * (1.0 + spec.radius)
+        / max(resolved.solvability.min_pair_magnitude, 1e-300),
+    }
 
     multiple = not spec.is_simple
     if multiple:
@@ -580,7 +601,7 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
             residual[:, 1:] -= x[:, :-1]
             recursion_defect = max(recursion_defect, float(np.linalg.norm(residual))
                                    / max(1.0, float(np.linalg.norm(x))))
-        checks.append(_check("jordan_chain_recursion", recursion_defect, 1e-8))
+        values["jordan_chain_recursion"] = recursion_defect
     else:  # the inverse eigen set refuses an eigenvalue at the origin first
         es.left
 
@@ -600,88 +621,44 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
         gram_set = infinite_subgramians(es)
         inv_set = inverse_eigenparts(es)
     gram_sym, inv_sym = gram_set.symmetrized(), inv_set.symmetrized()
-    ref_norm = max(1e-300, float(np.linalg.norm(reference.matrix)))
     gram_sum = gram_sym.total().real
-    checks.append(
-        _check(
-            "gramian_oracle_agreement",
-            float(np.linalg.norm(gram_sum - reference.matrix)) / ref_norm,
-            1e-8,
-        )
-    )
-    checks.append(
-        _check("lyapunov_residual", residual_lyapunov(a_c, bbt, gram_sum), 1e-8)
-    )
-
+    values["gramian_oracle_agreement"] = _relative_distance(gram_sum, reference, 1e-300)
+    values["lyapunov_residual"] = residual_lyapunov(a_c, bbt, gram_sum)
     inv_sum = inv_sym.total().real
-    inv_reference = np.linalg.inv(reference.matrix)
-    checks.append(
-        _check(
-            "inverse_oracle_agreement",
-            float(np.linalg.norm(inv_sum - inv_reference))
-            / max(1e-300, float(np.linalg.norm(inv_reference))),
-            1e-7,
-        )
-    )
-    checks.append(
-        _check("riccati_residual", residual_riccati(a_c, b_c, inv_sum), 1e-7)
-    )
-    checks.append(
-        _check(
-            "inverse_product_identity",
-            float(np.max(np.abs(inv_set.total() @ gram_set.total() - np.eye(n)))),
-            1e-7,
-        )
-    )
+    values["inverse_oracle_agreement"] = _relative_distance(inv_sum, np.linalg.inv(reference),
+                                                            1e-300)
+    values["riccati_residual"] = residual_riccati(a_c, b_c, inv_sum)
+    values["inverse_product_identity"] = residual_product(inv_set.total(), gram_set.total())
 
-    plaid_odd, plaid_alt = zero_plaid_defect(gram_sym.merged_real().stack)
-    checks.append(_check("zero_plaid_zeros", plaid_odd, 1e-10))
-    checks.append(_check("zero_plaid_alternation", plaid_alt, 1e-10))
-    inv_plaid, _ = zero_plaid_defect(inv_sym.merged_real().stack)
-    checks.append(_check("inverse_zero_plaid_zeros", inv_plaid, 1e-10))
+    values["zero_plaid_zeros"], values["zero_plaid_alternation"] = zero_plaid_defect(
+        gram_sym.merged_real().stack)
+    values["inverse_zero_plaid_zeros"] = zero_plaid_defect(inv_sym.merged_real().stack)[0]
 
     if not multiple:
         k = spec.values.size
         pairs = infinite_pair_subgramians(es).symmetrized().stack.reshape(k, k, n, n)
         rows = functools.reduce(np.add, pairs.swapaxes(0, 1), 0)  # row i adds (i, j) in j order
         scale = np.fmax(1.0, np.abs(gram_sym.stack).max(axis=(1, 2)))
-        partition = np.abs(rows - gram_sym.stack).max(axis=(1, 2)) / scale
-        checks.append(_check("pair_partition", float(partition.max()), 1e-9))
-
-        certificate = orthogonality_certificate(es, gram_set, inv_set)
-        checks.append(_check("orthogonality", certificate.max_violation, 1e-8))
+        values["pair_partition"] = float(
+            (np.abs(rows - gram_sym.stack).max(axis=(1, 2)) / scale).max())
+        values["orthogonality"] = orthogonality_certificate(es, gram_set, inv_set)
 
         t_probe = 1.0
         closed_t = finite_subgramians(horizon(es, t_probe), gram_set).at_t.total().real
         rk4 = integrate_lyapunov(a_c, bbt, np.zeros((n, n)), t_probe, steps=10_000,
                                  operator=operator)
-        checks.append(
-            _check(
-                "finite_rk4_agreement",
-                float(np.linalg.norm(closed_t - rk4.matrix))
-                / max(1.0, float(np.linalg.norm(rk4.matrix))),
-                1e-6,
-            )
-        )
-
-        hom0 = homogeneous_subgramians(horizon(es, 0.0), p0c)
-        checks.append(
-            _check(
-                "homogeneous_initial_value",
-                float(np.max(np.abs(hom0.total() - p0c.matrix)))
-                / max(1.0, float(np.max(np.abs(p0c.matrix)))),
-                1e-9,
-            )
-        )
+        values["finite_rk4_agreement"] = _relative_distance(closed_t, rk4, 1.0)
+        values["homogeneous_initial_value"] = (
+            _initial_value_defect(es, p0c) / max(1.0, float(np.max(np.abs(p0c.matrix)))))
 
         x0 = rng.standard_normal(n)
-        partition_report = energy_partition(x0, inv_sym, inverse_pair_parts(es))
-        closure = max(
-            abs(np.sum(partition_report.linear) - partition_report.total),
-            abs(np.sum(partition_report.quadratic) - partition_report.total),
-        ) / max(1.0, abs(partition_report.total))
-        checks.append(_check("energy_partition_closure", closure, 1e-9))
+        partition = energy_partition(x0, inv_sym, inverse_pair_parts(es))
+        values["energy_partition_closure"] = max(
+            abs(np.sum(partition.linear) - partition.total),
+            abs(np.sum(partition.quadratic) - partition.total),
+        ) / max(1.0, abs(partition.total))
 
+    checks = [_check(name, value) for name, value in values.items()]
     return _report("verify", resolved, resolved.warnings, seed=seed,
                    system={"n": n, "source": doc.source}, checks=checks,
                    all_passed=all(c["pass"] for c in checks))
@@ -701,8 +678,10 @@ def cmd_energy(
     coordinates on every document; those describe a matrices document's
     system only when it is controllable, so an uncontrollable one is refused.
 
-    Returns (report, csv_text_or_None); the CSV holds the optimal control and
-    its modal components when a stable time series was requested.
+    Returns (report, series); when a stable time series was requested,
+    ``series`` holds the times, the modal components of the optimal control
+    and the control (``_series_csv`` writes them as CSV), and otherwise it is
+    None.
     """
     from .energy import control_energy_quadrature, energy_partition, optimal_control
     from .inverse import inverse_eigenparts, inverse_pair_parts
@@ -712,7 +691,7 @@ def cmd_energy(
         if not (np.isfinite(t0) and np.isfinite(t1)) or steps < 1:
             raise ValueError(f"time series needs finite T0, T1 and STEPS >= 1, got {time_series}")
     resolved = resolve_document(doc, tols)
-    _require_solvable_or_raise(resolved)
+    resolved.solvability.require()
     _similarity(resolved)  # refuses an uncontrollable matrices document
     spec, cr, es = resolved.spectrum, resolved.cr, resolved.structure
     if not spec.is_simple:
@@ -732,7 +711,13 @@ def cmd_energy(
             "spectrum is not strictly stable: the quadratic forms are reported "
             "but do not measure control energy"
         )
-    signal = None
+    energy = {
+        "total": partition.total,
+        "linear": partition.linear.tolist(),
+        "quadratic": partition.quadratic.tolist(),
+        "interpretation_valid": partition.interpretation_valid,
+    }
+    series = None
     if time_series is not None:
         if not spec.is_stable:
             warnings.append(
@@ -741,32 +726,26 @@ def cmd_energy(
         else:
             signal = optimal_control(x0, es, inv_set)
             times = np.linspace(float(t0), float(t1), int(steps))
-            modes = signal.modal(times)
-            control = signal.control(times)
-            quadrature = control_energy_quadrature(signal)
-
-    energy = {
-        "total": partition.total,
-        "linear": partition.linear.tolist(),
-        "quadratic": partition.quadratic.tolist(),
-        "interpretation_valid": partition.interpretation_valid,
-    }
-    csv_text = None
-    if signal is not None:  # numbers and fixed names only: no field needs quoting
-        header = ["t", "u"]
-        for i in range(spec.values.size):
-            header += [f"re_u{i + 1}", f"im_u{i + 1}"]
-        rows = [header]
-        for k, t in enumerate(times):
-            row = [f"{t:.12g}", f"{control[k]:.12g}"]
-            for i in range(spec.values.size):
-                row += [f"{modes[i, k].real:.12g}", f"{modes[i, k].imag:.12g}"]
-            rows.append(row)
-        csv_text = "".join(",".join(row) + "\n" for row in rows)
-        energy["quadrature"] = quadrature
+            series = (times, signal.modal(times), signal.control(times))
+            energy["quadrature"] = control_energy_quadrature(signal)
     report = _report("energy", resolved, warnings, solvability=False,
                      system={"n": cr.n, "source": doc.source}, x0=x0.tolist(), energy=energy)
-    return report, csv_text
+    return report, series
+
+
+def _series_csv(times: np.ndarray, modes: np.ndarray, control: np.ndarray) -> str:
+    """The time-series table: t, u, then the real and imaginary part of each
+    modal component.  Numbers and fixed names only: no field needs quoting."""
+    header = ["t", "u"]
+    for i in range(modes.shape[0]):
+        header += [f"re_u{i + 1}", f"im_u{i + 1}"]
+    rows = [header]
+    for k, t in enumerate(times):
+        row = [f"{t:.12g}", f"{control[k]:.12g}"]
+        for i in range(modes.shape[0]):
+            row += [f"{modes[i, k].real:.12g}", f"{modes[i, k].imag:.12g}"]
+        rows.append(row)
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -918,15 +897,15 @@ def main(argv=None) -> int:
             if args.format == "csv" and args.time_series is None:
                 raise ValueError("--format csv writes the --time-series table and needs it")
             x0 = [float(v) for v in args.x0.split(",")]
-            series = None
+            window = None
             if args.time_series is not None:
-                series = (float(args.time_series[0]), float(args.time_series[1]),
+                window = (float(args.time_series[0]), float(args.time_series[1]),
                           int(args.time_series[2]))
                 if args.format == "csv" and args.output is None:
                     raise ValueError("--time-series with csv format requires --output")
-            report, csv_text = cmd_energy(doc, x0, tols, time_series=series)
-            if csv_text is not None and args.format == "csv":
-                _emit(csv_text, args.output)
+            report, series = cmd_energy(doc, x0, tols, time_series=window)
+            if series is not None and args.format == "csv":
+                _emit(_series_csv(*series), args.output)
                 sys.stderr.write(_dump_report(report))
             else:
                 _emit(_dump_report(report), args.output)

@@ -24,7 +24,6 @@ from .errors import (
     ControllabilityError,
     MultipleEigenvalueError,
     Record,
-    SolvabilityError,
 )
 from .spectrum import (
     DEFAULT_TOLERANCES,
@@ -327,16 +326,6 @@ def _solve_dense(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return x.reshape(n, count, n).transpose(1, 0, 2)
 
 
-def require_solvable(
-    spec: Spectrum, tol: float = DEFAULT_TOLERANCES.solvability
-) -> SolvabilityReport:
-    """The solvability report of a spectrum; raises SolvabilityError unless ok."""
-    report = check_solvability(spec, tol)
-    if not report.ok:
-        raise SolvabilityError(report)
-    return report
-
-
 def eigen_structure(
     p: Polynomial,
     spec: Spectrum,
@@ -350,7 +339,7 @@ def eigen_structure(
     gives its 80-bit one by EigenStructure.to_extended, without a second
     admission.
     """
-    report = require_solvable(spec, solvability_tol)
+    report = check_solvability(spec, solvability_tol).require()
     if not spec.is_simple:
         raise MultipleEigenvalueError(
             "spectrum has multiple eigenvalues; use the multiple-eigenvalue "
@@ -445,7 +434,7 @@ def jordan_chains_companion(spec: Spectrum, p: Polynomial) -> JordanChainSet:
         raise ConditioningError(
             "modal matrix of Jordan chains is numerically singular", condition=float(cond)
         )
-    require_solvable(spec)
+    check_solvability(spec).require()
     modal_inverse = np.linalg.inv(modal)
 
     signs = alternating_signs(n)

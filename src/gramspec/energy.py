@@ -43,9 +43,9 @@ def min_energy(x0, inv: SpectralComponentSet) -> float:
 class EnergyPartition(Record):
     """Linear and quadratic splits of the minimum-energy quadratic form."""
 
-    def __init__(self, total: float, linear: np.ndarray, quadratic: np.ndarray, x0: np.ndarray,
+    def __init__(self, total: float, linear: np.ndarray, quadratic: np.ndarray,
                  interpretation_valid: bool):
-        self.__dict__.update(total=total, linear=linear, quadratic=quadratic, x0=x0,
+        self.__dict__.update(total=total, linear=linear, quadratic=quadratic,
                              interpretation_valid=interpretation_valid)
 
 
@@ -66,7 +66,7 @@ def energy_partition(
     quadratic = _real_quadratic_forms(x0, inv_pairs.symmetrized().stack).reshape(k, k)
     total = min_energy(x0, inv)
     stable = bool(inv.spectrum.is_stable) if inv.spectrum is not None else False
-    return EnergyPartition(total, linear, quadratic, x0, stable)
+    return EnergyPartition(total, linear, quadratic, stable)
 
 
 class OptimalControlSignal(Record):

@@ -17,10 +17,9 @@ import numpy as np
 
 from .companion import (EigenStructure, JordanChainSet, SimilarityTransform, _solve_dense,
                         alternating_signs)
-from .errors import ConditioningError, Record, ValueRecord
+from .errors import ConditioningError, Record
 from .gramians import Horizon, InitialCondition, SpectralComponentSet, hermitian_part
 
-ORTHOGONALITY_TOL = 1e-8  # violation of P_i P_j^-C = delta_ij R_i, relative to the residue scale
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
 CONDITION_CAPS = {False: 1e12, True: 1e17}  # normalization condition cap, by extended precision
 
@@ -61,18 +60,12 @@ def inverse_pair_parts(es: EigenStructure) -> SpectralComponentSet:
     return SpectralComponentSet.rank_one(es, "pair", coeffs, np.conj(left), left)
 
 
-class OrthogonalityReport(ValueRecord):
-    """Element-wise check of P_hat_i^C P_hat_j^{-C} = delta_ij R_i."""
-
-    def __init__(self, max_violation: float, pairs_checked: int, ok: bool):
-        self.__dict__.update(max_violation=max_violation, pairs_checked=pairs_checked, ok=ok)
-
-
 def orthogonality_certificate(
     es: EigenStructure, gram: SpectralComponentSet, inv: SpectralComponentSet
-) -> OrthogonalityReport:
-    """Verify the raw eigenparts of the Gramian and its inverse are
-    mutually orthogonal with products delta_ij R_i, the residues of ``es``."""
+) -> float:
+    """The largest entry of P_hat_i^C P_hat_j^{-C} - delta_ij R_i over all
+    pairs (i, j) of raw eigenparts of the Gramian and its inverse, with R_i
+    the residues of ``es``, relative to max(1, max |R_i|)."""
     if gram.flavor != "raw" or inv.flavor != "raw":
         raise ValueError("orthogonality holds for the raw (unsymmetrized) components")
     residues = es.residues
@@ -80,9 +73,7 @@ def orthogonality_certificate(
     products = gram.stack[:, None] @ inv.stack[None]  # (i, j) -> P_hat_i P_hat_j^{-C}
     diagonal = np.arange(len(residues))
     products[diagonal, diagonal] -= residues
-    worst = float(np.max(np.abs(products)))
-    count = products.shape[0] * products.shape[1]
-    return OrthogonalityReport(worst / scale, count, worst / scale <= ORTHOGONALITY_TOL)
+    return float(np.max(np.abs(products))) / scale
 
 
 def riccati_general(transform: SimilarityTransform, inv: SpectralComponentSet) -> np.ndarray:

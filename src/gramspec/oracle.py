@@ -27,17 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Record, SolvabilityError
+from .errors import SolvabilityError
 
 ORACLE_DIMENSION_CAP = 32
-
-
-class OracleResult(Record):
-    """Result of a brute-force solve with its method tag ('kron' | 'rk4', or
-    'quadrature' for the tests' reference) and residual."""
-
-    def __init__(self, matrix: np.ndarray, method: str, residual: float, steps: int):
-        self.__dict__.update(matrix=matrix, method=method, residual=residual, steps=steps)
 
 
 def residual_lyapunov(a, q, p) -> float:
@@ -58,8 +50,9 @@ def residual_riccati(a, b, p_inv) -> float:
     return float(np.linalg.norm(r) / scale)
 
 
-def _symmetry_defect(p) -> float:
-    return float(np.linalg.norm(p - p.T) / max(1.0, np.linalg.norm(p)))
+def residual_product(p_inv, p) -> float:
+    """Largest entry of P^{-1} P - I, the product identity of an inverse and its Gramian."""
+    return float(np.max(np.abs(p_inv @ p - np.eye(p.shape[0]))))
 
 
 def require_dimension(n: int):
@@ -76,7 +69,7 @@ def kron_operator(a) -> np.ndarray:
     return np.kron(eye, a) + np.kron(a, eye)
 
 
-def solve_lyapunov_dense(a, q, operator=None) -> OracleResult:
+def solve_lyapunov_dense(a, q, operator=None) -> np.ndarray:
     """Solve A P + P A^T = -Q by dense elimination on the n^2 x n^2 operator.
 
     The result is symmetrized.  A numerically singular operator means the
@@ -96,11 +89,10 @@ def solve_lyapunov_dense(a, q, operator=None) -> OracleResult:
         )
     vec_p = np.linalg.solve(operator, -q.reshape(-1, order="F"))
     p = vec_p.reshape(n, n, order="F")
-    p = 0.5 * (p + p.T)
-    return OracleResult(p, "kron", residual_lyapunov(a, q, p), steps=1)
+    return 0.5 * (p + p.T)
 
 
-def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000, operator=None) -> OracleResult:
+def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000, operator=None) -> np.ndarray:
     """Classical RK4 on dP/dt = A P + P A^T + Q from P(0) = P_0.
 
     Takes `steps` RK4 steps of size h = t / steps, each as the exact affine
@@ -140,5 +132,4 @@ def integrate_lyapunov(a, q, p0, t: float, steps: int = 10_000, operator=None) -
             break
         c = 2.0 * c + d @ c
         d = 2.0 * d + d @ d
-    p = y.reshape(n, n, order="F")
-    return OracleResult(p, "rk4", _symmetry_defect(p), steps=steps)
+    return y.reshape(n, n, order="F")

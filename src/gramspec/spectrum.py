@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, Record, ValueRecord
+from .errors import ConvergenceError, Record, SolvabilityError, ValueRecord
 
 
 class Tolerances(ValueRecord):
@@ -129,6 +129,12 @@ class SolvabilityReport(ValueRecord):
                  min_pair_magnitude: float = np.inf):
         pairs = [] if violating_pairs is None else violating_pairs
         self.__dict__.update(ok=ok, violating_pairs=pairs, min_pair_magnitude=min_pair_magnitude)
+
+    def require(self) -> SolvabilityReport:
+        """This report; raises SolvabilityError unless ok."""
+        if not self.ok:
+            raise SolvabilityError(self)
+        return self
 
 
 def _kahan_trace(m: np.ndarray):
@@ -388,7 +394,8 @@ def check_solvability(
 ) -> SolvabilityReport:
     """Check |lambda_i + lambda_j| > tol * (1 + spectral radius) for all i <= j.
 
-    Callers must refuse any Gramian decomposition when the report is not ok.
+    Callers must refuse any Gramian decomposition when the report is not ok
+    (SolvabilityReport.require).
     """
     scale = tol * (1.0 + spec.radius)
     pairs = []

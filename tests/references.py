@@ -9,7 +9,6 @@ from gramspec.companion import alternating_signs
 from gramspec.document import MatrixBlock, MatrixEntry
 from gramspec.errors import MultipleEigenvalueError
 from gramspec.gramians import _poly_exp
-from gramspec.oracle import OracleResult, _symmetry_defect
 from gramspec.spectrum import (CONJUGATE_TOL, Polynomial, Spectrum, _to_longdouble,
                                 dyadic_coefficients, dyadic_point, exact_horner)
 
@@ -157,7 +156,12 @@ def matrix_exp_reference(m, t: float = 1.0) -> np.ndarray:
     return expm(m * t)
 
 
-def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:
+def symmetry_defect(p) -> float:
+    """||P - P^T||_F / max(1, ||P||_F)."""
+    return float(np.linalg.norm(p - p.T) / max(1.0, np.linalg.norm(p)))
+
+
+def gramian_quadrature(a, b, t: float, intervals: int = 512) -> np.ndarray:
     """Finite Gramian int_0^t e^{A tau} B B^T e^{A^T tau} d tau by composite
     Simpson quadrature with the reference exponential."""
     a = np.asarray(a, dtype=float)
@@ -168,7 +172,7 @@ def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:
         raise ValueError("need finite t >= 0")
     n = a.shape[0]
     if t == 0:
-        return OracleResult(np.zeros((n, n)), "quadrature", 0.0, steps=0)
+        return np.zeros((n, n))
     if intervals % 2:
         intervals += 1
     h = t / intervals
@@ -180,8 +184,7 @@ def gramian_quadrature(a, b, t: float, intervals: int = 512) -> OracleResult:
         weight = 1.0 if k in (0, intervals) else (4.0 if k % 2 else 2.0)
         total += weight * (e @ bbt @ e.T)
         e = step @ e
-    p = total * (h / 3.0)
-    return OracleResult(p, "quadrature", _symmetry_defect(p), steps=intervals)
+    return total * (h / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +376,18 @@ def zero_plaid_defect_each(m: np.ndarray, alternation: bool = True) -> tuple:
     return odd / scale, alt / scale
 
 
-def orthogonality_each(es, gram, inv) -> tuple:
-    """(max violation, pairs checked) of P_hat_i P_hat_j^{-C} = delta_ij R_i,
-    one product at a time."""
+def orthogonality_each(es, gram, inv) -> float:
+    """The max violation of P_hat_i P_hat_j^{-C} = delta_ij R_i, relative to
+    the residue scale, one product at a time."""
     residues = es.residues
     scale = max(1.0, max(float(np.max(np.abs(r))) for r in residues))
     worst = 0.0
-    count = 0
     for i, g_part in gram.components.items():
         for j, inv_part in inv.components.items():
             product = g_part @ inv_part
             expected = residues[i] if i == j else 0.0
             worst = max(worst, float(np.max(np.abs(product - expected))))
-            count += 1
-    return worst / scale, count
+    return worst / scale
 
 
 def real_quadratic_form_each(x0: np.ndarray, matrix: np.ndarray, tol: float = 1e-9) -> float:

@@ -53,9 +53,9 @@ def test_a_planted_change_shows_in_its_block_only(cases, references, tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = planted / "src" / "gramspec" / "cli.py"
     source = cli.read_text()
-    line = '"product_residual": float('
+    line = '"product_residual": residual_product('
     assert source.count(line) == 1
-    cli.write_text(source.replace(line, '"product_residual": 1.0 + float('))
+    cli.write_text(source.replace(line, '"product_residual": 1.0 + residual_product('))
 
     out = accuracy_diff.diff(str(ROOT), str(planted), cases)
     assert out["runs"] == [] and out["verify"] == [] and out["verdict_changes"] == []

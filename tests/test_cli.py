@@ -16,6 +16,7 @@ from gramspec.cli import (
     EXIT_SOLVABILITY,
     EXIT_USAGE,
     SIGN_CONVENTION_NOTE,
+    VERIFY_BOUNDS,
     cmd_analyze,
     cmd_energy,
     cmd_verify,
@@ -125,7 +126,7 @@ class TestAnalyze:
         a = np.array([[0.0, 1.0], [-2.0, -3.0]])
         b = np.array([[0.0], [1.0]])
         lifted = matrix_from(report["gramian_original"]["sum"]).real
-        reference = gs.solve_lyapunov_dense(a, b @ b.T).matrix
+        reference = gs.solve_lyapunov_dense(a, b @ b.T)
         assert np.max(np.abs(lifted - reference)) < 1e-8
         assert report["gramian_original"]["sum"]["residual"] < 1e-8
         inv_orig = matrix_from(report["inverse_original"]["sum"]).real
@@ -487,14 +488,47 @@ class TestVerifyCommand:
             cmd_verify(doc)
 
 
+class TestOneHomePerCheck:
+    def test_every_tolerance_is_its_table_row(self):
+        # a simple spectrum runs every check but the Jordan chain recursion,
+        # which only a spectrum with multiplicities runs; between them they
+        # use every row, each check in table order
+        used = set()
+        for document in ({"char_poly": [6, 11, 6, 1]}, {"eigenvalues": [[-1, 0, 2], [-2, 0, 1]]}):
+            checks = cmd_verify(parse_system(document))["checks"]
+            names = [check["name"] for check in checks]
+            assert names == [name for name in VERIFY_BOUNDS if name in names]
+            for check in checks:
+                assert check["tolerance"] == VERIFY_BOUNDS[check["name"]], check
+                assert check["pass"] == (check["value"] <= check["tolerance"])
+            used.update(names)
+        assert used == set(VERIFY_BOUNDS) and len(VERIFY_BOUNDS) == 15
+
+    def test_product_residual_is_the_verify_check(self, monkeypatch):
+        # analyze's inverse.product_residual and verify's
+        # inverse_product_identity are one function of the same two sums
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import generate
+
+        items = [item for round_ in generate.catalogue("verify_oracle") for item in round_
+                 if item["n"] in (3, 5)]
+        assert len(items) == 12
+        for item in items:
+            doc = parse_system(item["doc"])
+            analyzed = cmd_analyze(doc, inverse=True)["inverse"]["product_residual"]
+            checks = {check["name"]: check["value"] for check in cmd_verify(doc)["checks"]}
+            assert np.float64(analyzed).tobytes() == np.float64(
+                checks["inverse_product_identity"]).tobytes(), item["n"]
+
+
 class TestEnergyCommand:
     def test_example_energy(self):
         doc = parse_system({"char_poly": [-6, 11, -6, 1]})
-        report, csv_text = cmd_energy(doc, [0.0, 0.0, 1.0])
+        report, series = cmd_energy(doc, [0.0, 0.0, 1.0])
         assert abs(report["energy"]["total"] - (-12.0)) < 1e-8
         assert np.allclose(report["energy"]["linear"], [-12.0, 60.0, -60.0], atol=1e-7)
         assert report["energy"]["interpretation_valid"] is False
-        assert csv_text is None
+        assert series is None
 
     def test_time_series_csv(self, stable_path, tmp_path, capsys):
         out = tmp_path / "series.csv"
@@ -519,9 +553,28 @@ class TestEnergyCommand:
 
     def test_unstable_time_series_skipped(self):
         doc = parse_system({"char_poly": [-6, 11, -6, 1]})
-        report, csv_text = cmd_energy(doc, [0.0, 0.0, 1.0], time_series=(-1.0, 0.0, 10))
-        assert csv_text is None
+        report, series = cmd_energy(doc, [0.0, 0.0, 1.0], time_series=(-1.0, 0.0, 10))
+        assert series is None
         assert any("time series skipped" in w for w in report["warnings"])
+
+    def test_only_the_csv_format_forms_rows(self, stable_path, tmp_path, capsys, monkeypatch):
+        # a time series written as JSON carries only the quadrature, so no
+        # CSV row is formatted for it; the JSON report is the same either way
+        import gramspec.cli as cli
+
+        tables = []
+        series_csv = cli._series_csv
+        monkeypatch.setattr(cli, "_series_csv", lambda *series: tables.append(
+            series_csv(*series)) or tables[-1])
+        argv = ["energy", stable_path, "--x0", "1,0,0", "--time-series", "-1", "0", "3"]
+        assert main(argv) == EXIT_OK
+        json_report = capsys.readouterr().out
+        assert tables == []
+        out = tmp_path / "series.csv"
+        assert main([*argv, "--format", "csv", "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == json_report
+        assert len(tables) == 1 and out.read_text() == tables[0]
+        assert tables[0].count("\n") == 4 and tables[0].startswith("t,u,re_u1,im_u1,")
 
 
 class TestInitialConditionFlag:

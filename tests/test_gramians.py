@@ -39,7 +39,7 @@ class TestInfiniteSubgramians:
         _, cr, spec = random_companion(rng, 5)
         es = gs.eigen_structure(cr.poly, spec)
         total = gs.infinite_subgramians(es).symmetrized().total().real
-        reference = gs.solve_lyapunov_dense(cr.a_c, bbt(cr)).matrix
+        reference = gs.solve_lyapunov_dense(cr.a_c, bbt(cr))
         assert np.linalg.norm(total - reference) <= 1e-8 * np.linalg.norm(reference)
 
     def test_solvability_enforced(self):
@@ -105,7 +105,7 @@ class TestFiniteSubgramians:
         _, cr, spec = example1
         dec = gs.finite_subgramians(gs.horizon(gs.eigen_structure(cr.poly, spec), 1.0))
         rk4 = gs.integrate_lyapunov(cr.a_c, bbt(cr), np.zeros((3, 3)), 1.0, steps=10_000)
-        rel = np.linalg.norm(dec.at_t.total().real - rk4.matrix) / np.linalg.norm(rk4.matrix)
+        rel = np.linalg.norm(dec.at_t.total().real - rk4) / np.linalg.norm(rk4)
         assert rel < 1e-6
 
     def test_stable_limit(self, mirrored_stable):
@@ -204,7 +204,7 @@ class TestHomogeneous:
         eigen = gs.homogeneous_subgramians(gs.horizon(gs.eigen_structure(cr.poly, spec), 0.1), p0)
         rk4 = gs.integrate_lyapunov(cr.a_c, np.zeros((3, 3)), np.eye(3), 0.1, steps=10_000)
         total = sum(eigen.components.values()).real
-        assert np.linalg.norm(total - rk4.matrix) <= 1e-6 * np.linalg.norm(rk4.matrix)
+        assert np.linalg.norm(total - rk4) <= 1e-6 * np.linalg.norm(rk4)
 
     def test_zero_initial_condition(self, example1):
         _, cr, spec = example1
@@ -254,7 +254,7 @@ class TestLifting:
             gram = gs.infinite_subgramians(gs.eigen_structure(cr.poly, spec))
             transform = gs.similarity_transform(sys, gs.char_poly(sys.a))
             lifted = gs.lift_to_original(gram, transform).real
-            reference = gs.solve_lyapunov_dense(a, b @ b.T).matrix
+            reference = gs.solve_lyapunov_dense(a, b @ b.T)
             rel = np.linalg.norm(lifted - reference) / max(1.0, np.linalg.norm(reference))
             assert rel < 1e-7
 
@@ -329,7 +329,7 @@ class TestMultipleEigenvalues:
         chains = gs.jordan_chains_companion(spec, cr.poly)
         dec = gs.multiple_eig_gramian(chains, t=0.5)
         rk4 = gs.integrate_lyapunov(cr.a_c, bbt(cr), np.zeros((5, 5)), 0.5, steps=20_000)
-        rel = np.linalg.norm(dec.at_t.total().real - rk4.matrix) / max(1.0, np.linalg.norm(rk4.matrix))
+        rel = np.linalg.norm(dec.at_t.total().real - rk4) / max(1.0, np.linalg.norm(rk4))
         assert rel < 1e-7
         at_0 = gs.multiple_eig_gramian(chains, t=0.0).at_t
         assert np.max(np.abs(at_0.total())) < 1e-10
@@ -384,7 +384,7 @@ class TestStructuralProperties:
             _, cr, spec = random_companion(rng, n)
             es = gs.eigen_structure(cr.poly, spec)
             total = gs.infinite_subgramians(es).symmetrized().total().real
-            reference = gs.solve_lyapunov_dense(cr.a_c, bbt(cr)).matrix
+            reference = gs.solve_lyapunov_dense(cr.a_c, bbt(cr))
             assert np.linalg.norm(total - reference) <= 1e-8 * np.linalg.norm(reference)
 
 

@@ -100,7 +100,7 @@ def test_gramian_components(case, t):
     scale = sum(static.values()) if t == 0.0 else want
     assert relative_gap(decomp.at_t.total(), want, scale) <= 1e-11
     a, b = chains.system.a, chains.system.b
-    rk4 = gs.integrate_lyapunov(a, b @ b.T, np.zeros(a.shape), t, steps=20_000).matrix
+    rk4 = gs.integrate_lyapunov(a, b @ b.T, np.zeros(a.shape), t, steps=20_000)
     total = decomp.at_t.total()
     assert np.max(np.abs(total.imag)) <= 1e-9 * max(1.0, np.max(np.abs(total.real)))
     assert np.linalg.norm(total.real - rk4) / max(1.0, np.linalg.norm(rk4)) < 1e-7

@@ -17,7 +17,7 @@ import gramspec as gs
 from gramspec.cli import resolve_document
 from gramspec.errors import Record, ValueRecord
 
-SCALAR_RECORDS = {gs.Tolerances, gs.SolvabilityReport, gs.OrthogonalityReport}
+SCALAR_RECORDS = {gs.Tolerances, gs.SolvabilityReport}
 
 
 def _records() -> dict:
@@ -39,8 +39,7 @@ def _records() -> dict:
         gs.finite_subgramians(h), gs.energy_partition(x0, inv, gs.inverse_pair_parts(es)),
         gs.optimal_control(x0, es, inv),
         gs.modal_overlap_integrals(x0, gs.infinite_pair_subgramians(es), es, inv),
-        doc, state, gs.solve_lyapunov_dense(cr.a_c, np.outer(cr.b_c, cr.b_c)),
-        resolve_document(doc, gs.Tolerances()),
+        doc, state, resolve_document(doc, gs.Tolerances()),
     ]
     return {type(x): x for x in records}
 
@@ -63,8 +62,6 @@ ALL_RECORDS = {
     **RECORDS,
     gs.Tolerances: gs.Tolerances(),
     gs.SolvabilityReport: _es.solvability,
-    gs.OrthogonalityReport: gs.orthogonality_certificate(
-        _es, gs.infinite_subgramians(_es), RECORDS[gs.SpectralComponentSet]),
 }
 
 
@@ -90,7 +87,7 @@ def test_identity_equality_and_hash(kind):
 
 def test_scalar_records_keep_value_equality():
     assert gs.Tolerances() == gs.Tolerances() and hash(gs.Tolerances()) == hash(gs.Tolerances())
-    assert gs.OrthogonalityReport(0.0, 3, True) == gs.OrthogonalityReport(0.0, 3, True)
+    assert gs.SolvabilityReport(False, [(0, 1)], 0.5) == gs.SolvabilityReport(False, [(0, 1)], 0.5)
     assert gs.Tolerances() != gs.Tolerances(root=1e-10)
     assert repr(gs.Tolerances()) == "Tolerances(root=1e-12, cluster=1e-08, solvability=1e-10)"
 
