@@ -33,8 +33,8 @@ _EXPORTS = {
         "multiple_eig_gramian", "pair_collisions", "zero_plaid_defect",
     ),
     "inverse": (
-        "NormalizationState", "finite_inverse", "inverse_eigenparts", "inverse_multiple_eig",
-        "inverse_pair_parts", "orthogonality_certificate", "riccati_general",
+        "finite_inverse", "inverse_eigenparts", "inverse_multiple_eig", "inverse_pair_parts",
+        "orthogonality_certificate", "riccati_general",
     ),
     "oracle": (
         "integrate_lyapunov", "residual_lyapunov", "residual_riccati", "solve_lyapunov_dense",

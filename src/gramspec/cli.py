@@ -315,84 +315,75 @@ def cmd_analyze(
     """Full spectral analysis of a system document.
 
     Selects the simple or multiple-eigenvalue path automatically and attaches
-    oracle residuals to every emitted matrix.  A simple spectrum is admitted
-    first: every step that can refuse it runs before any set that only the
-    report reads is built.  The Jordan path builds each set in the order of
-    the report's blocks, so the first builder that refuses the document
-    decides the error.  The pair sets come last: their builders refuse
-    nothing, and they are the O(n^4) work.  The report is rendered once the
-    last builder has returned.
+    oracle residuals to every emitted matrix.  The document is admitted
+    first: every step that can refuse it runs, with the sets those steps
+    need, so the first that refuses decides the error and a refused document
+    renders nothing.  The report is then written block by block, and each
+    block builds the sets that only it reads.  The pair blocks come last:
+    their builders refuse nothing, and they are the O(n^4) work.
     """
     from .inverse import (finite_inverse, inverse_eigenparts, inverse_multiple_eig,
                           inverse_pair_parts, riccati_general)
+    from .oracle import residual_lyapunov, residual_product, residual_riccati
+    from .spectrum import _LONGDOUBLE_BITS
 
     resolved = resolve_document(doc, tols)
     resolved.solvability.require()
-    spec, poly, es = resolved.spectrum, resolved.poly, resolved.structure
-    flavor = "raw" if raw else "symmetrized"
+    spec, poly, es, system = resolved.spectrum, resolved.poly, resolved.structure, resolved.sys
     p0 = doc.initial_condition if initial is None else initial
     multiple = not spec.is_simple
     t = None if finite is None else float(finite)
     warnings = []  # the command's own, after the document's
-    built = {}  # the sets of the report's blocks; a block the report leaves out has no key
+    decomp = inv_set = None  # the Gramian decomposition and inverse eigen set, once built
+
+    # admission: every step that can refuse the document, in order
     if multiple:
         chains = jordan_chains_companion(spec, poly)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: _require_double_range
-            gram_decomp = multiple_eig_gramian(chains, finite)
-        built["gram"] = gram_decomp.static
+            decomp = multiple_eig_gramian(chains, finite)
         if pairs:
             warnings.append("pair components are only defined for simple spectra; skipped")
     transform = _similarity(resolved)
     if inverse and transform is not None and transform.t is None:
         warnings.append("inverse in original coordinates is only evaluated for "
                         "single-input systems; skipped")
-    if t is not None and not multiple:
-        if inverse:  # the inverse eigen set refuses an eigenvalue at the origin first
-            es.left
+    if inverse and multiple:
+        inv_set = inverse_multiple_eig(chains)
+    elif inverse:  # the inverse eigen set refuses an eigenvalue at the origin first
+        es.left
+    if t is not None:
         # values past the double range come out inf or nan, without a
         # warning: finite_inverse, then _require_double_range, refuse them
         with np.errstate(over="ignore", invalid="ignore"):
-            h = h_inverse = horizon(es, t)  # the extended retry has its own horizon
-            if p0 is not None:
-                p0c = _companion_initial(p0, transform)
-            elif inverse:
-                p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
-            if inverse:
-                try:  # a double finite inverse forms the report's inverse set
-                    state, inv_finite, built["inverse"] = finite_inverse(h, p0c)
-                except ConditioningError:
-                    if not np.all(np.isfinite(h.expm_transpose)):
-                        # refused as without --inverse, before the 80-bit
-                        # retry: P(t) cannot be finite either
-                        raise ConditioningError(f"e^(A t) leaves the double range at t = {h.t}")
-                    h_inverse = horizon(es.to_extended(), t)
-                    state, inv_finite, _ = finite_inverse(h_inverse, p0c)
-                    warnings.append(
-                        "finite inverse evaluated in extended precision "
-                        "(normalization matrix ill-conditioned at this horizon)"
-                    )
-
-    if not multiple:
-        built["gram"] = infinite_subgramians(es)
-    if transform is not None:
-        built["lifted"] = lift_to_original(built["gram"], transform)
-    if inverse and multiple:
-        built["inverse"] = inverse_multiple_eig(chains)
-    elif inverse and "inverse" not in built:
-        built["inverse"] = inverse_eigenparts(es)
-    if inverse and transform is not None and transform.t is not None:
-        built["inverse_original"] = riccati_general(transform, built["inverse"])
-
-    if t is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            decomp = gram_decomp if multiple else finite_subgramians(h, built["gram"])
+            if not multiple:
+                h = h_inverse = horizon(es, t)  # the extended retry has its own horizon
+                if p0 is not None:
+                    p0c = _companion_initial(p0, transform)
+                elif inverse:
+                    p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
+                if inverse:
+                    try:  # a double finite inverse forms the report's inverse set
+                        condition, inv_finite, inv_set = finite_inverse(h, p0c)
+                    except ConditioningError:
+                        if not np.all(np.isfinite(h.expm_transpose)):
+                            # refused as without --inverse, before the 80-bit
+                            # retry: P(t) cannot be finite either
+                            raise ConditioningError(f"e^(A t) leaves the double range at t = {h.t}")
+                        if _LONGDOUBLE_BITS <= 53:  # long double is double: no retry gains bits
+                            raise
+                        h_inverse = horizon(es.to_extended(), t)
+                        condition, inv_finite, _ = finite_inverse(h_inverse, p0c)
+                        warnings.append(
+                            "finite inverse evaluated in extended precision "
+                            "(normalization matrix ill-conditioned at this horizon)"
+                        )
+                decomp = finite_subgramians(h)
             finite_sum = decomp.at_t.total()
-            built["finite"] = (decomp, finite_sum)
             if p0 is not None and multiple:
                 warnings.append("initial condition is only evaluated for simple spectra; skipped")
             elif p0 is not None:
                 hom_t = homogeneous_subgramians(h, p0c)
-                built["homogeneous"] = (hom_t, _initial_value_defect(es, p0c))
+                hom_defect = _initial_value_defect(es, p0c)
             if inverse and multiple:
                 warnings.append("finite inverse is only evaluated for simple spectra; skipped")
             elif inverse:
@@ -400,15 +391,84 @@ def cmd_analyze(
                           else finite_subgramians(h_inverse).at_t.total())
                 if p0 is not None:
                     gram_t = gram_t + hom_t.total()
-                built["finite_inverse"] = (state, inv_finite, gram_t)
         _require_double_range(decomp, finite_sum)
+
+    # the report, block by block
+    flavor = "raw" if raw else "symmetrized"
+    a_c, b_c = resolved.cr.a_c, resolved.cr.b_c
+    bbt = np.outer(b_c, b_c)
+    gram_set = infinite_subgramians(es) if decomp is None else decomp.static
+    gram_sum = gram_set.symmetrized().total()
+    report = _report(
+        "analyze",
+        resolved,
+        resolved.warnings + warnings,
+        tolerances={"root": tols.root, "cluster": tols.cluster, "solvability": tols.solvability},
+        system={"n": poly.degree, "m": 1 if system is None else system.m,
+                "source": doc.source},
+        polynomial=poly.coeffs.tolist(),
+        flavor=flavor,
+        gramian={
+            "coordinate": "companion",
+            "eigen": _component_block(gram_set, a_c, spec, flavor),
+            "sum": MatrixEntry(gram_sum, residual_lyapunov(a_c, bbt, gram_sum)),
+        },
+    )
+    if transform is not None:
+        lifted = lift_to_original(gram_set, transform)
+        residual = residual_lyapunov(system.a, system.b @ system.b.T, lifted)
+        report["gramian_original"] = {"coordinate": "original",
+                                      "sum": MatrixEntry(lifted, residual)}
+
+    if inverse:
+        inv_set = inverse_eigenparts(es) if inv_set is None else inv_set
+        inv_sum = inv_set.symmetrized().total()
+        report["inverse"] = {
+            "coordinate": "companion",
+            "eigen": _component_block(inv_set, a_c, spec, flavor, side="right"),
+            "sum": MatrixEntry(inv_sum, residual_riccati(a_c, b_c, inv_sum)),
+            "product_residual": residual_product(inv_set.total(), gram_set.total()),
+        }
+        if transform is not None and transform.t is not None:
+            osum = riccati_general(transform, inv_set)
+            residual = residual_riccati(system.a, system.b, osum)
+            report["inverse_original"] = {"coordinate": "original",
+                                          "sum": MatrixEntry(osum, residual)}
+
+    if t is not None:
+        norm = np.linalg.norm(finite_sum)  # in range: _require_double_range
+        finite_set = decomp.at_t if raw else decomp.at_t.symmetrized()
+        # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
+        expm = decomp.expm_transpose.T
+        defect = -(expm @ bbt @ expm.T) + a_c @ finite_sum + finite_sum @ a_c.T + bbt
+        diff_residual = float(np.linalg.norm(defect) / max(1.0, norm))
+        report["finite"] = {
+            "t": decomp.t,
+            "eigen": _finite_block(finite_set, _eigen_key),
+            "sum": MatrixEntry(finite_sum, diff_residual),
+        }
+        if p0 is not None and not multiple:
+            report["finite"]["homogeneous_sum"] = MatrixEntry(hom_t.symmetrized().total(),
+                                                              hom_defect)
+        if inverse and not multiple:
+            inv_total = inv_finite.total()
+            report["finite_inverse"] = {
+                "t": t,
+                "normalization_condition": condition,
+                "sum": MatrixEntry(inv_total, residual_product(inv_total, gram_t)),
+            }
+
     if pairs and not multiple:
-        built["pair"] = infinite_pair_subgramians(es)
+        pair_set = infinite_pair_subgramians(es)
+        report["gramian"]["pair"] = _component_block(pair_set, a_c, spec, flavor)
         if inverse:
-            built["inverse_pair"] = inverse_pair_parts(es)
+            report["inverse"]["pair"] = _component_block(inverse_pair_parts(es), a_c, spec,
+                                                         flavor, side="right")
         if t is not None:
-            built["finite_pair"] = finite_pair_subgramians(built["pair"], t)
-    return _render_analysis(resolved, tols, flavor, resolved.warnings + warnings, built)
+            finite_pairs = finite_pair_subgramians(pair_set, t)
+            report["finite"]["pair"] = _finite_block(
+                finite_pairs if raw else finite_pairs.symmetrized(), _pair_key)
+    return report
 
 
 def _initial_value_defect(es: EigenStructure, p0: InitialCondition) -> float:
@@ -433,87 +493,6 @@ def _require_double_range(decomp: FiniteGramianDecomposition, finite_sum: np.nda
         quantity = "the Frobenius norm of P(t)"
     detail = f" (largest entry {largest:.3e})" if np.isfinite(largest) else ""
     raise ConditioningError(f"{quantity} leaves the double range at t = {decomp.t}{detail}")
-
-
-def _render_analysis(
-    resolved: ResolvedSystem, tols: Tolerances, flavor: str, warnings: list, built: dict
-) -> dict:
-    """The analyze report of the built sets, with every residual."""
-    from .oracle import residual_lyapunov, residual_product, residual_riccati
-
-    spec, poly, system = resolved.spectrum, resolved.poly, resolved.sys
-    a_c, b_c = resolved.cr.a_c, resolved.cr.b_c
-    bbt = np.outer(b_c, b_c)
-    gram_set = built["gram"]
-    gram_sum = gram_set.symmetrized().total()
-    report = _report(
-        "analyze",
-        resolved,
-        warnings,
-        tolerances={"root": tols.root, "cluster": tols.cluster, "solvability": tols.solvability},
-        system={"n": poly.degree, "m": 1 if system is None else system.m,
-                "source": resolved.doc.source},
-        polynomial=poly.coeffs.tolist(),
-        flavor=flavor,
-        gramian={
-            "coordinate": "companion",
-            "eigen": _component_block(gram_set, a_c, spec, flavor),
-            "sum": MatrixEntry(gram_sum, residual_lyapunov(a_c, bbt, gram_sum)),
-        },
-    )
-    if "pair" in built:
-        report["gramian"]["pair"] = _component_block(built["pair"], a_c, spec, flavor)
-    if "lifted" in built:
-        residual = residual_lyapunov(system.a, system.b @ system.b.T, built["lifted"])
-        report["gramian_original"] = {"coordinate": "original",
-                                      "sum": MatrixEntry(built["lifted"], residual)}
-
-    if "inverse" in built:
-        inv_set = built["inverse"]
-        inv_sum = inv_set.symmetrized().total()
-        report["inverse"] = {
-            "coordinate": "companion",
-            "eigen": _component_block(inv_set, a_c, spec, flavor, side="right"),
-            "sum": MatrixEntry(inv_sum, residual_riccati(a_c, b_c, inv_sum)),
-            "product_residual": residual_product(inv_set.total(), gram_set.total()),
-        }
-    if "inverse_pair" in built:
-        report["inverse"]["pair"] = _component_block(
-            built["inverse_pair"], a_c, spec, flavor, side="right"
-        )
-    if "inverse_original" in built:
-        osum = built["inverse_original"]
-        residual = residual_riccati(system.a, system.b, osum)
-        report["inverse_original"] = {"coordinate": "original", "sum": MatrixEntry(osum, residual)}
-
-    if "finite" in built:
-        decomp, finite_sum = built["finite"]
-        norm = np.linalg.norm(finite_sum)  # in range: _require_double_range
-        finite_set = decomp.at_t if flavor == "raw" else decomp.at_t.symmetrized()
-        # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
-        expm = decomp.expm_transpose.T
-        defect = -(expm @ bbt @ expm.T) + a_c @ finite_sum + finite_sum @ a_c.T + bbt
-        diff_residual = float(np.linalg.norm(defect) / max(1.0, norm))
-        report["finite"] = {
-            "t": decomp.t,
-            "eigen": _finite_block(finite_set, _eigen_key),
-            "sum": MatrixEntry(finite_sum, diff_residual),
-        }
-    if "finite_pair" in built:
-        pair_set = built["finite_pair"] if flavor == "raw" else built["finite_pair"].symmetrized()
-        report["finite"]["pair"] = _finite_block(pair_set, _pair_key)
-    if "homogeneous" in built:
-        hom_t, residual = built["homogeneous"]
-        report["finite"]["homogeneous_sum"] = MatrixEntry(hom_t.symmetrized().total(), residual)
-    if "finite_inverse" in built:
-        state, inv_finite, gram_t = built["finite_inverse"]
-        inv_total = inv_finite.total()
-        report["finite_inverse"] = {
-            "t": state.t,
-            "normalization_condition": state.condition,
-            "sum": MatrixEntry(inv_total, residual_product(inv_total, gram_t)),
-        }
-    return report
 
 
 # ---------------------------------------------------------------------------

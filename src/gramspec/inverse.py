@@ -17,18 +17,11 @@ import numpy as np
 
 from .companion import (EigenStructure, JordanChainSet, SimilarityTransform, _solve_dense,
                         alternating_signs)
-from .errors import ConditioningError, Record
+from .errors import ConditioningError
 from .gramians import Horizon, InitialCondition, SpectralComponentSet, hermitian_part
 
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
 CONDITION_CAPS = {False: 1e12, True: 1e17}  # normalization condition cap, by extended precision
-
-
-class NormalizationState(Record):
-    """Normalization matrix data of the finite inverse at one time point."""
-
-    def __init__(self, t: float, g_inverse: np.ndarray, condition: float):
-        self.__dict__.update(t=t, g_inverse=g_inverse, condition=condition)
 
 
 def inverse_eigenparts(es: EigenStructure) -> SpectralComponentSet:
@@ -107,9 +100,9 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     P^{-1}(t) = G(t) sum_j P_hat_j^{-C} with the normalization matrix defined
     through G^{-1}(t) = I - sum_i J R_i^T J e^{(lambda_i I + A^T) t}
     + sum_i P_hat_i^{-C} P_0 e^{(lambda_i I + A^T) t}.  Returns the
-    normalization state, the component set scaled by G(t), whose product
-    with the matching finite Gramian is the identity, and the inverse eigen
-    set it scales (inverse_eigenparts of the structure).
+    condition of G(t), the component set scaled by G(t), whose product with
+    the matching finite Gramian is the identity, and the inverse eigen set it
+    scales (inverse_eigenparts of the structure).
 
     An extended structure evaluates in 80-bit precision; unstable systems at
     stiff horizons need it for the product identity to survive in floating
@@ -153,9 +146,8 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
             f"normalization matrix G(t) is numerically singular at t = {t}",
             condition=condition,
         )
-    state = NormalizationState(float(t), g_inv, condition)
     inv = inverse_eigenparts(es) if inv is None else inv
-    return state, inv._replace(stack=_solve_dense(g_inv, inv.stack)), inv
+    return condition, inv._replace(stack=_solve_dense(g_inv, inv.stack)), inv
 
 
 def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:

@@ -76,3 +76,7 @@ def test_agreement_counts_digits_per_matrix():
     assert accuracy_diff.agreement(matrix, signed) == 16.0
     assert accuracy_diff.agreement({"a": 1.0}, {"b": 1.0}) == 0.0
     assert accuracy_diff.agreement(2.0, 2.5) == pytest.approx(-math.log10(0.25))
+    # a roots report's entries are complex numbers, relative to the largest
+    roots = [{"re": -4.0, "im": 3.0}, {"re": -4.0, "im": -3.0}, {"re": -1.0, "im": 0.0}]
+    polished = [{"re": -4.0, "im": 3.0}, {"re": -4.0, "im": -3.0}, {"re": -1.0 + 5e-9, "im": 0.0}]
+    assert accuracy_diff.agreement(roots, polished) == pytest.approx(9.0)

@@ -1111,6 +1111,25 @@ class TestWorkOnce:
         assert counts["polish"] == 0 and counts["extended"] == 0
         assert counts["sets"]["infinite_subgramians"] == 0
 
+    def test_no_retry_where_long_double_is_double(self, tmp_path, capsys, counts,
+                                                  monkeypatch):
+        # where np.longdouble has a 53-bit significand (macOS arm64, Windows)
+        # the retry gains no precision, yet would admit G(t) up to the
+        # extended cap: the double refusal stands, and no 80-bit root is
+        # polished
+        import gramspec.spectrum as spectrum
+
+        monkeypatch.setattr(spectrum, "_LONGDOUBLE_BITS", 53)
+        path = tmp_path / "ladder8.json"
+        path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
+        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
+        assert code == EXIT_CONDITIONING
+        err = capsys.readouterr().err
+        assert err.startswith("conditioning error: normalization matrix G(t) is numerically "
+                              "singular at t = 1.0") and err.count("\n") == 1
+        assert counts["polish"] == 0 and counts["extended"] == 0
+        assert not counts["sets"] and counts["finite_components"] == 0
+
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
         assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
@@ -1174,7 +1193,18 @@ class TestWorkOnce:
 
 
 class TestRenderLast:
-    def test_refused_document_renders_nothing(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """A list that grows by one for each MatrixEntry or MatrixBlock cli builds."""
+        import gramspec.cli as cli
+
+        rendered = []
+        for name in ("MatrixEntry", "MatrixBlock"):
+            monkeypatch.setattr(cli, name, lambda *args, cls=getattr(cli, name):
+                                rendered.append(1) or cls(*args))
+        return rendered
+
+    def test_refused_document_renders_nothing(self, tmp_path, capsys, monkeypatch, rendered):
         # degree 16: the finite inverse is refused at t = 1 even in extended
         # precision.  The pair sets are built only after every builder that
         # can refuse the document, so none of the three pair builders runs,
@@ -1183,12 +1213,7 @@ class TestRenderLast:
         import gramspec.cli as cli
         import gramspec.inverse as inverse
 
-        rendered, pair_builds = [], []
-        matrix_entry, matrix_block = cli.MatrixEntry, cli.MatrixBlock
-        monkeypatch.setattr(cli, "MatrixEntry",
-                            lambda *args: rendered.append(1) or matrix_entry(*args))
-        monkeypatch.setattr(cli, "MatrixBlock",
-                            lambda *args: rendered.append(1) or matrix_block(*args))
+        pair_builds = []
         for module, name in ((cli, "infinite_pair_subgramians"), (inverse, "inverse_pair_parts"),
                              (cli, "finite_pair_subgramians")):
             builder = getattr(module, name)
@@ -1209,6 +1234,24 @@ class TestRenderLast:
         capsys.readouterr()
         assert sorted(pair_builds) == ["finite_pair_subgramians", "infinite_pair_subgramians",
                                        "inverse_pair_parts"]
+
+    @pytest.mark.parametrize("doc, argv, line", [
+        # without --finite the inverse eigen set is built only for the
+        # report, yet its refusal comes before the Gramian block is rendered
+        ({"eigenvalues": [[-1e-7, 0, 1], [-100, 0, 1], [-200, 0, 1], [-300, 0, 1]]},
+         ["--inverse"], "eigenvalue (-1e-07+0j) at the origin"),
+        # P(t) past the double range, without the finite inverse
+        ({"char_poly": [-6, 11, -6, 1]}, ["--finite", "400"],
+         "e^(A t) leaves the double range at t = 400.0"),
+    ], ids=["origin", "double_range"])
+    def test_refused_without_finite_inverse_renders_nothing(self, tmp_path, capsys, rendered,
+                                                            doc, argv, line):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", *argv, str(path)]) == EXIT_CONDITIONING
+        err = capsys.readouterr().err
+        assert line in err and err.count("\n") == 1
+        assert rendered == []
 
 
 class TestImportFootprint:

@@ -19,8 +19,8 @@ ALL = [
     "CompanionRealization", "ConditioningError", "ControllabilityError", "ConvergenceError",
     "EigenStructure", "EnergyPartition", "FiniteGramianDecomposition", "GramspecError",
     "Horizon", "InitialCondition", "JordanBlockChain", "JordanChainSet", "LtiSystem",
-    "MultipleEigenvalueError", "NormalizationState", "OptimalControlSignal", "OverlapReport",
-    "Polynomial", "SchemaError",
+    "MultipleEigenvalueError", "OptimalControlSignal", "OverlapReport", "Polynomial",
+    "SchemaError",
     "SimilarityTransform", "SolvabilityError", "SolvabilityReport", "SpectralComponentSet",
     "Spectrum", "StabilityError", "SystemDocument", "Tolerances", "build_companion",
     "char_poly", "check_solvability", "cluster", "companion", "control_energy_quadrature",
@@ -50,7 +50,7 @@ def _run(script: str):
 
 
 def test_all_is_unchanged():
-    assert len(ALL) == 77 and gs.__all__ == ALL
+    assert len(ALL) == 76 and gs.__all__ == ALL
     assert set(SUBMODULES) < set(ALL)
 
 

@@ -28,7 +28,6 @@ def _records() -> dict:
     es = gs.eigen_structure(poly, spec)
     h = gs.horizon(es, 1.0)
     inv = gs.inverse_eigenparts(es)
-    state, *_ = gs.finite_inverse(h, gs.InitialCondition(np.zeros((3, 3))))
     chains = gs.jordan_chains_companion(gs.Spectrum([-1.0, -2.0], [2, 1]),
                                         gs.poly_from_roots([-1.0, -1.0, -2.0]))
     x0 = [1.0, 0.0, 0.0]
@@ -39,7 +38,7 @@ def _records() -> dict:
         gs.finite_subgramians(h), gs.energy_partition(x0, inv, gs.inverse_pair_parts(es)),
         gs.optimal_control(x0, es, inv),
         gs.modal_overlap_integrals(x0, gs.infinite_pair_subgramians(es), es, inv),
-        doc, state, resolve_document(doc, gs.Tolerances()),
+        doc, resolve_document(doc, gs.Tolerances()),
     ]
     return {type(x): x for x in records}
 

@@ -102,10 +102,14 @@ def blocks(report: dict | None) -> dict:
 
 def _leaves(value, matrices: list, numbers: list, others: list) -> None:
     """Split a block into its matrices (re + i im), its other numbers and
-    its other leaves, each in document order."""
+    its other leaves, each in document order.  An {re, im} pair of scalars
+    (a ``roots`` entry) is one complex number."""
     if isinstance(value, dict) and set(value) == {"re", "im"}:
-        matrices.append(np.array(value["re"], dtype=float)
-                        + 1j * np.array(value["im"], dtype=float))
+        z = np.array(value["re"], dtype=float) + 1j * np.array(value["im"], dtype=float)
+        if z.ndim:
+            matrices.append(z)
+        else:
+            numbers.append(complex(z))
     elif isinstance(value, dict):
         for key in sorted(value):
             others.append(key)

@@ -1,4 +1,4 @@
-"""One sha256 over gramspec's reports on a fixed set of 232 cases.
+"""One sha256 over gramspec's reports on a fixed set of 276 cases.
 
     python tools/report_digest.py CHECKOUT
 
@@ -18,7 +18,9 @@ checkout:
   argv, under ``verify`` and under ``analyze --inverse --finite 2.5 --raw``;
 - the 44 analyze_structured documents under ``analyze --pairs --inverse
   --finite 1 --raw``: the raw Jordan-chain and matrices reports, and the pair
-  blocks of the matrices documents.
+  blocks of the matrices documents;
+- the same 44 documents under ``verify``: the Jordan-chain checks and the
+  checks of a matrices document's companion forms.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ def cases() -> list:
             out.append((f"ladder_p0/{k}/{' '.join(argv)}", doc, list(argv)))
     structured = [item for round_ in generate.catalogue("analyze_structured") for item in round_]
     out += [(f"structured_raw/{k}", item["doc"], list(STRUCTURED_RAW_ARGV))
+            for k, item in enumerate(structured)]
+    out += [(f"structured_verify/{k}", item["doc"], ["verify"])
             for k, item in enumerate(structured)]
     return out
 
