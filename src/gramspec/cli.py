@@ -321,11 +321,13 @@ def cmd_analyze(
     renders nothing.  The report is then written block by block, and each
     block builds the sets that only it reads.  The pair blocks come last:
     their builders refuse nothing, and they are the O(n^4) work.
+
+    On a simple spectrum the finite inverse and its product residual's P(t)
+    run on one 80-bit to_extended() horizon, once e^(A t) is in double range.
     """
     from .inverse import (finite_inverse, inverse_eigenparts, inverse_multiple_eig,
                           inverse_pair_parts, riccati_general)
     from .oracle import residual_lyapunov, residual_product, residual_riccati
-    from .spectrum import _LONGDOUBLE_BITS
 
     resolved = resolve_document(doc, tols)
     resolved.solvability.require()
@@ -353,30 +355,21 @@ def cmd_analyze(
         es.left
     if t is not None:
         # values past the double range come out inf or nan, without a
-        # warning: finite_inverse, then _require_double_range, refuse them
+        # warning: the checks below and _require_double_range refuse them
         with np.errstate(over="ignore", invalid="ignore"):
             if not multiple:
-                h = h_inverse = horizon(es, t)  # the extended retry has its own horizon
+                h = horizon(es, t)
                 if p0 is not None:
                     p0c = _companion_initial(p0, transform)
                 elif inverse:
                     p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
                 if inverse:
-                    try:  # a double finite inverse forms the report's inverse set
-                        condition, inv_finite, inv_set = finite_inverse(h, p0c)
-                    except ConditioningError:
-                        if not np.all(np.isfinite(h.expm_transpose)):
-                            # refused as without --inverse, before the 80-bit
-                            # retry: P(t) cannot be finite either
-                            raise ConditioningError(f"e^(A t) leaves the double range at t = {h.t}")
-                        if _LONGDOUBLE_BITS <= 53:  # long double is double: no retry gains bits
-                            raise
-                        h_inverse = horizon(es.to_extended(), t)
-                        condition, inv_finite, _ = finite_inverse(h_inverse, p0c)
-                        warnings.append(
-                            "finite inverse evaluated in extended precision "
-                            "(normalization matrix ill-conditioned at this horizon)"
-                        )
+                    if not np.all(np.isfinite(h.expm_transpose)):
+                        # refused as without --inverse, before any 80-bit
+                        # work: P(t) cannot be finite either
+                        raise ConditioningError(f"e^(A t) leaves the double range at t = {t}")
+                    h_wide = horizon(es.to_extended(), t)
+                    condition, inv_finite = finite_inverse(h_wide, p0c)
                 decomp = finite_subgramians(h)
             finite_sum = decomp.at_t.total()
             if p0 is not None and multiple:
@@ -386,11 +379,10 @@ def cmd_analyze(
                 hom_defect = _initial_value_defect(es, p0c)
             if inverse and multiple:
                 warnings.append("finite inverse is only evaluated for simple spectra; skipped")
-            elif inverse:
-                gram_t = (finite_sum if h_inverse is h
-                          else finite_subgramians(h_inverse).at_t.total())
+            elif inverse:  # the product residual's P(t), on the finite inverse's horizon
+                gram_t = finite_subgramians(h_wide).at_t.total()
                 if p0 is not None:
-                    gram_t = gram_t + hom_t.total()
+                    gram_t = gram_t + homogeneous_subgramians(h_wide, p0c).total()
         _require_double_range(decomp, finite_sum)
 
     # the report, block by block

@@ -21,7 +21,7 @@ from .errors import ConditioningError
 from .gramians import Horizon, InitialCondition, SpectralComponentSet, hermitian_part
 
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
-CONDITION_CAPS = {False: 1e12, True: 1e17}  # normalization condition cap, by extended precision
+CONDITION_CAPS = {53: 1e12, 64: 1e17}  # normalization condition cap, by significand bits
 
 
 def inverse_eigenparts(es: EigenStructure) -> SpectralComponentSet:
@@ -100,18 +100,19 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     P^{-1}(t) = G(t) sum_j P_hat_j^{-C} with the normalization matrix defined
     through G^{-1}(t) = I - sum_i J R_i^T J e^{(lambda_i I + A^T) t}
     + sum_i P_hat_i^{-C} P_0 e^{(lambda_i I + A^T) t}.  Returns the
-    condition of G(t), the component set scaled by G(t), whose product with
-    the matching finite Gramian is the identity, and the inverse eigen set it
-    scales (inverse_eigenparts of the structure).
+    condition of G(t) and the inverse eigen set (inverse_eigenparts of the
+    structure) scaled by G(t), whose product with the finite Gramian of the
+    same horizon is the identity.
 
-    An extended structure evaluates in 80-bit precision; unstable systems at
+    An extended horizon evaluates in 80-bit precision; unstable systems at
     stiff horizons need it for the product identity to survive in floating
-    point (pair it with the finite Gramian of the same horizon).  G(t) is
-    refused (ConditioningError) when its condition exceeds the cap of the
-    structure's precision: 1e12 in double, 1e17 extended.  A G^{-1}(t) with
-    an entry outside the double range is refused as such, with condition inf.
+    point.  G(t) is refused (ConditioningError) when its condition exceeds
+    the CONDITION_CAPS cap of the significand bits of the horizon's format:
+    1e12 for 53 (double), 1e17 for 64 or more.  A G^{-1}(t) with an entry
+    outside the double range is refused as such, with condition inf.
     """
     es, t = h.structure, h.t
+    cap = CONDITION_CAPS[min(np.finfo(h.expm_transpose.dtype).nmant + 1, 64)]
     inv = None  # the inverse eigen set: formed once, and with P_0 = 0 only for a G(t) that passes
     n = es.poly.degree
     signs = alternating_signs(n)
@@ -141,13 +142,13 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
     term_scale = max(scales)
     svals = np.linalg.svd(g_double, compute_uv=False)
     condition = float(term_scale / max(svals[-1], 1e-300))
-    if not np.isfinite(condition) or condition > CONDITION_CAPS[es.extended]:
+    if not np.isfinite(condition) or condition > cap:
         raise ConditioningError(
             f"normalization matrix G(t) is numerically singular at t = {t}",
             condition=condition,
         )
     inv = inverse_eigenparts(es) if inv is None else inv
-    return condition, inv._replace(stack=_solve_dense(g_inv, inv.stack)), inv
+    return condition, inv._replace(stack=_solve_dense(g_inv, inv.stack))
 
 
 def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:

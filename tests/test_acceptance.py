@@ -209,7 +209,7 @@ def test_criterion_4_example4_product_identity(example1):
     es_extended = gs.eigen_structure(cr.poly, spec).to_extended()
     for t in (0.1, 1.0, 5.0):
         h = gs.horizon(es_extended, t)
-        _, inv_t, _ = gs.finite_inverse(h, p0)
+        _, inv_t = gs.finite_inverse(h, p0)
         gram_t = gs.finite_subgramians(h).at_t.total()
         eye = np.eye(3, dtype=np.clongdouble)
         product_defect = max(

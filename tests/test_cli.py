@@ -27,7 +27,7 @@ from gramspec.document import parse_system
 
 from conftest import child_env
 
-# a degree-8 analyze_ladder polynomial whose G(1) needs the extended-precision retry
+# a degree-8 analyze_ladder polynomial whose G(1) is numerically singular in double
 LADDER8_COEFFS = [2282.276472599614, 7061.767882988239, 8218.473821798005,
                   5356.9141176459, 2307.2249191441088, 685.287995824171,
                   136.87347552892803, 16.96216946824925, 1.0]
@@ -137,7 +137,9 @@ class TestAnalyze:
         # inputs) against their 60-digit references: both sums in original
         # coordinates meet the benchmark's bounds, 1e-8 and 1e-7 relative.
         # Lifting each component and adding the lifted stack lost up to
-        # 6.5e-8 and 2.0e-7 (n = 7) to cancellation
+        # 6.5e-8 and 2.0e-7 (n = 7) to cancellation.  So does the finite
+        # inverse at t = 1 (1e-7), which on the n = 7 documents needs its
+        # 80-bit horizon: in double it was off by up to 7.6e-6
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import check
         import generate
@@ -150,13 +152,14 @@ class TestAnalyze:
         for item in items:
             report = cmd_analyze(parse_system(item["doc"]), inverse=True, finite=1.0)
             ref = reference.build_reference(item["doc"], horizon=1.0)
-            for name in ("gramian_original.sum", "inverse_original.sum"):
+            for name in ("gramian_original.sum", "inverse_original.sum", "finite_inverse.sum"):
                 block = name.split(".")[0]
                 if block in report:
                     error = check.relative_error(ref, name, matrix_from(report[block]["sum"]))
                     assert error <= check.BOUNDS[name], (item["n"], name, error)
                     checked[name] += 1
-        assert checked == {"gramian_original.sum": 20, "inverse_original.sum": 10}
+        assert checked == {"gramian_original.sum": 20, "inverse_original.sum": 10,
+                           "finite_inverse.sum": 20}
 
     def test_finite_residual_uses_exact_derivative(self):
         # with dP/dt = e^{At} b b^T e^{A^T t} taken from the residue or
@@ -222,8 +225,8 @@ class TestExitCodes:
         )
 
     def test_unstable_horizon_non_finite_normalization(self, example1_path, capsys):
-        # at t = 118 the terms of G^-1(t) overflow, in double and in the
-        # extended retry's conversion to double
+        # at t = 118 the terms of G^-1(t) overflow in the 80-bit finite
+        # inverse's conversion to double
         argv = ["analyze", "--inverse", "--finite", "118", example1_path]
         assert main(argv) == EXIT_CONDITIONING
         assert capsys.readouterr().err == (
@@ -290,7 +293,7 @@ class TestExitCodes:
         "example1_t400": (
             {"char_poly": [-6, 11, -6, 1]}, "400", EXIT_CONDITIONING,
             "conditioning error: e^(A t) leaves the double range at t = 400.0"),
-        "ladder16": (  # the condition estimate of the 80-bit retry
+        "ladder16": (  # the condition estimate of the 80-bit finite inverse
             {"char_poly": gs.poly_from_roots(-0.5 - 0.3 * np.arange(16)).coeffs.real.tolist()},
             "1", EXIT_CONDITIONING,
             "conditioning error: normalization matrix G(t) is numerically singular at t = 1.0 "
@@ -593,9 +596,9 @@ class TestInitialConditionFlag:
         assert report["finite_inverse"]["sum"]["residual"] < 1e-6
 
     def test_extended_retry_with_initial_condition(self, tmp_path, capsys):
-        # degree 8: G(1) is numerically singular in double precision, so the
-        # finite inverse needs the extended-precision retry; an initial
-        # condition must not switch that retry off
+        # degree 8: G(1) is numerically singular in double precision, and the
+        # finite inverse, on its one 80-bit horizon, admits it with an
+        # initial condition too; no warning names the precision
         p0 = np.random.default_rng(1002).standard_normal((8, 8))
         path = tmp_path / "ladder8.json"
         path.write_text(json.dumps(
@@ -607,7 +610,7 @@ class TestInitialConditionFlag:
         capsys.readouterr()
         assert code == EXIT_OK
         report = json.loads(out.read_text())
-        assert any("extended precision" in w for w in report["warnings"])
+        assert not any("extended precision" in w for w in report["warnings"])
         assert report["finite_inverse"]["normalization_condition"] > 1e12
         assert "homogeneous_sum" in report["finite"]
 
@@ -961,18 +964,18 @@ class TestCollisionWarning:
 
 class TestWorkOnce:
     """Each command evaluates one eigen structure and passes it to every
-    builder; only the finite-inverse retry adds one extended structure, made
-    from the double one without a second solvability scan.  No
-    command builds the homogeneous pair half, e^{A^T t} is formed once per
-    structure and horizon, and the inverse eigen set is built once and
-    passed on; the finite inverse forms it only for a G(t) that passes,
-    unless the boundary terms of an initial condition need it first, and
-    analyze's inverse block reads the set of a double finite inverse.
-    A matrices document's characteristic polynomial and controllability
-    check are computed once per command, analyze evaluates the finite
-    components once per decomposition, and the Gramian eigen parts are built
-    once per structure.  An e^(A t) past the double range is refused before
-    the extended retry.  ``counts["sets"]`` counts the rank-one sets that
+    builder; only the finite inverse adds one extended structure, made from
+    the double one without a second solvability scan.  No command builds
+    the homogeneous pair half, e^{A^T t} is formed once per structure and
+    horizon, and the inverse eigen set is built once per structure: the
+    80-bit finite inverse forms its own only for a G(t) that passes, unless
+    the boundary terms of an initial condition need it first, and analyze's
+    inverse block builds the double one.  A matrices document's
+    characteristic polynomial and controllability check are computed once
+    per command, analyze evaluates the finite components once per
+    decomposition, and the Gramian eigen parts are built once per structure.
+    An e^(A t) past the double range is refused before any 80-bit work.
+    ``counts["sets"]`` counts the rank-one sets that
     SpectralComponentSet.rank_one makes, keyed by the builder that asks for
     one: infinite_subgramians, inverse_eigenparts, infinite_pair_subgramians
     or inverse_pair_parts."""
@@ -1047,37 +1050,40 @@ class TestWorkOnce:
         ))
         code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
         assert code == EXIT_OK
-        assert "extended precision" in capsys.readouterr().out
+        assert "extended precision" not in capsys.readouterr().out
         assert counts["complex128"] == 1 and counts["extended"] == 1 and counts["mpmath"] == 0
         assert counts["polish"] == 1
         assert counts["solvability"] == 1
         assert counts["homogeneous_pairs"] == 0
         double, extended = np.dtype(complex), np.dtype(np.clongdouble)
-        # admission (the finite inverse and its retry) comes before the
-        # homogeneous set's horizon at t = 0
+        # admission (the double horizon, then the finite inverse's 80-bit
+        # one) comes before the homogeneous set's horizon at t = 0
         assert counts["expm"] == [(double, 1.0), (extended, 1.0), (double, 0.0)]
+        # the finite Gramian on each horizon, the 80-bit one the product
+        # residual's partner, and the finite pair set
         assert counts["finite_components"] == 3
         # the Gramian eigen parts: once per structure; the inverse eigen
-        # parts: each finite inverse before its check, for the boundary
-        # terms of P_0, then analyze's inverse block; each pair set once
-        assert counts["sets"] == {"infinite_subgramians": 2, "inverse_eigenparts": 3,
+        # parts: the 80-bit finite inverse before its check, for the
+        # boundary terms of P_0, then analyze's inverse block; each pair set once
+        assert counts["sets"] == {"infinite_subgramians": 2, "inverse_eigenparts": 2,
                                   "infinite_pair_subgramians": 1, "inverse_pair_parts": 1}
 
     def test_analyze_with_extended_retry_without_initial_condition(self, tmp_path, capsys,
                                                                   counts):
-        # the refused double G(1) forms no inverse eigen set
+        # with P_0 = 0 the 80-bit finite inverse forms its set after G(1)
+        # passes, and the inverse block builds the double one
         path = tmp_path / "ladder8.json"
         path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
         code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
         assert code == EXIT_OK
-        assert "extended precision" in capsys.readouterr().out
+        assert "extended precision" not in capsys.readouterr().out
         assert counts["extended"] == 1
         assert counts["sets"]["inverse_eigenparts"] == 2
 
     def test_refused_finite_inverse_forms_no_inverse_set(self, tmp_path, capsys, counts,
                                                          monkeypatch):
-        # the degree-16 document of TestRenderLast: G(1) is refused in double
-        # and in the extended retry, which run before any set that only the
+        # the degree-16 document of TestRenderLast: G(1) is refused by the
+        # 80-bit finite inverse, which runs before any set that only the
         # report reads, so no Gramian, inverse or finite set is built and the
         # pair exponents are never scanned for collisions
         import gramspec.gramians as gramians
@@ -1095,7 +1101,7 @@ class TestWorkOnce:
         assert counts["extended"] == 1
         assert not counts["sets"] and counts["finite_components"] == 0
         assert scans == []
-        # nor does the refused retry evaluate N(-lambda) in 80-bit
+        # nor does the refused finite inverse evaluate N(-lambda) in 80-bit
         assert counts["solvability"] == 1
         extended = counts["structures"][-1]
         assert extended.extended and "mirrors" not in extended.__dict__
@@ -1111,24 +1117,25 @@ class TestWorkOnce:
         assert counts["polish"] == 0 and counts["extended"] == 0
         assert counts["sets"]["infinite_subgramians"] == 0
 
-    def test_no_retry_where_long_double_is_double(self, tmp_path, capsys, counts,
-                                                  monkeypatch):
-        # where np.longdouble has a 53-bit significand (macOS arm64, Windows)
-        # the retry gains no precision, yet would admit G(t) up to the
-        # extended cap: the double refusal stands, and no 80-bit root is
-        # polished
-        import gramspec.spectrum as spectrum
+    def test_condition_cap_follows_format_bits(self):
+        # the cap of G(t) is keyed by the significand bits of the horizon's
+        # format: 53 (complex128, and a long double that is double, as on
+        # macOS arm64 and Windows) refuses the degree-8 G(1) at 1e12, and
+        # 64 (the 80-bit to_extended() horizon) admits it under 1e17
+        from gramspec.inverse import CONDITION_CAPS
 
-        monkeypatch.setattr(spectrum, "_LONGDOUBLE_BITS", 53)
-        path = tmp_path / "ladder8.json"
-        path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
-        code = main(["analyze", str(path), "--pairs", "--inverse", "--finite", "1"])
-        assert code == EXIT_CONDITIONING
-        err = capsys.readouterr().err
-        assert err.startswith("conditioning error: normalization matrix G(t) is numerically "
-                              "singular at t = 1.0") and err.count("\n") == 1
-        assert counts["polish"] == 0 and counts["extended"] == 0
-        assert not counts["sets"] and counts["finite_components"] == 0
+        poly = gs.Polynomial(LADDER8_COEFFS)
+        es = gs.eigen_structure(poly, gs.cluster(gs.find_roots(poly)))
+        p0 = gs.InitialCondition(np.zeros((8, 8)))
+        assert CONDITION_CAPS == {53: 1e12, 64: 1e17}
+        with pytest.raises(gs.ConditioningError,
+                           match=r"^normalization matrix G\(t\) is numerically singular at "
+                                 r"t = 1\.0") as refusal:
+            gs.finite_inverse(gs.horizon(es, 1.0), p0)
+        assert refusal.value.condition > 1e12
+        condition, inv_t = gs.finite_inverse(gs.horizon(es.to_extended(), 1.0), p0)
+        assert 1e12 < condition <= 1e17
+        assert inv_t.stack.dtype == np.clongdouble
 
     def test_verify(self, example1_path, capsys, counts):
         assert main(["verify", example1_path]) == EXIT_OK
@@ -1162,8 +1169,10 @@ class TestWorkOnce:
 
     def test_matrices_document_with_initial_condition(self, matrices_path, tmp_path, capsys,
                                                       counts):
-        # the original-coordinate Riccati lift reuses the companion inverse set
-        # that the finite inverse formed for the boundary terms of P_0
+        # two inverse eigen sets: the 80-bit one the finite inverse forms for
+        # the boundary terms of P_0, and the double one of the inverse block,
+        # which the original-coordinate Riccati lift reuses.  The Gramian
+        # eigen parts are built once per structure
         out = tmp_path / "report.json"
         code = main(["analyze", matrices_path, "--pairs", "--inverse", "--finite", "1",
                      "--output", str(out)])
@@ -1171,19 +1180,19 @@ class TestWorkOnce:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert "inverse_original" in report and "homogeneous_sum" in report["finite"]
-        assert counts["sets"]["inverse_eigenparts"] == 1
+        assert counts["sets"]["inverse_eigenparts"] == 2
         assert counts["homogeneous_pairs"] == 0
         assert counts["char_poly"] == 1 and counts["require_controllable"] == 1
-        assert counts["sets"]["infinite_subgramians"] == 1
+        assert counts["sets"]["infinite_subgramians"] == 2
 
     def test_finite_inverse_set_without_initial_condition(self, stable_poly_path, capsys,
                                                            counts):
-        # with P_0 = 0 the finite inverse forms its set once G(t) passes,
-        # and the report's inverse block reads that set
+        # with P_0 = 0 the 80-bit finite inverse forms its set once G(t)
+        # passes, and the report's inverse block builds the double one
         assert main(["analyze", "--inverse", "--finite", "1", stable_poly_path]) == EXIT_OK
         capsys.readouterr()
-        assert counts["extended"] == 0
-        assert counts["sets"]["inverse_eigenparts"] == 1
+        assert counts["extended"] == 1
+        assert counts["sets"]["inverse_eigenparts"] == 2
 
     def test_verify_matrices_document_with_initial_condition(self, matrices_path, capsys,
                                                              counts):
@@ -1322,8 +1331,8 @@ class TestImportFootprint:
 
     def test_extended_retry_loads_no_mpmath(self, tmp_path):
         # the degree-8 document of TestWorkOnce.test_analyze_with_extended_retry:
-        # its finite inverse is evaluated in 80-bit precision from roots
-        # polished on Python ints
+        # its finite inverse, whose G(1) double would refuse, is evaluated in
+        # 80-bit precision from roots polished on Python ints
         path = tmp_path / "ladder8.json"
         path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
         script = (
@@ -1332,14 +1341,14 @@ class TestImportFootprint:
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    code = main(['analyze', '--pairs', '--inverse', '--finite', '1', {str(path)!r}])\n"
-            "assert code == 0 and 'extended precision' in out.getvalue(), code\n"
+            "assert code == 0 and 'finite_inverse' in out.getvalue(), code\n"
         )
         assert self.loaded_after(script) == "[]"
 
     def test_runs_without_mpmath(self, tmp_path):
         # numpy is the one runtime dependency: with mpmath unimportable, the
         # extended structure still forms its exact totals and the degree-8
-        # extended retry still runs
+        # 80-bit finite inverse still runs
         path = tmp_path / "ladder8.json"
         path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
         script = (
@@ -1355,7 +1364,7 @@ class TestImportFootprint:
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    code = main(['analyze', '--pairs', '--inverse', '--finite', '1', {str(path)!r}])\n"
-            "assert code == 0 and 'extended precision' in out.getvalue(), code\n"
+            "assert code == 0 and 'finite_inverse' in out.getvalue(), code\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env=child_env(), timeout=120)

@@ -225,14 +225,14 @@ class TestFiniteInverse:
         _, cr, spec = mirrored_stable
         es = gs.eigen_structure(cr.poly, spec)
         p0 = gs.InitialCondition(np.zeros((3, 3)))
-        _, inv_t, _ = gs.finite_inverse(gs.horizon(es, 30.0), p0)
+        _, inv_t = gs.finite_inverse(gs.horizon(es, 30.0), p0)
         algebraic = gs.inverse_eigenparts(es)
         assert rel_err(inv_t.total(), algebraic.total()) < 1e-6
 
     def test_identity_initial_condition(self, example1):
         _, cr, spec = example1
         es = gs.eigen_structure(cr.poly, spec)
-        _, inv_0, _ = gs.finite_inverse(gs.horizon(es, 0.0), gs.InitialCondition(np.eye(3)))
+        _, inv_0 = gs.finite_inverse(gs.horizon(es, 0.0), gs.InitialCondition(np.eye(3)))
         assert np.max(np.abs(inv_0.total() - np.eye(3))) < 1e-7
 
     def test_initial_inverse_consistency(self, example1):
@@ -241,7 +241,7 @@ class TestFiniteInverse:
         rng = np.random.default_rng(223)
         s = rng.standard_normal((3, 3))
         p0 = gs.InitialCondition(0.5 * (s + s.T) + 4.0 * np.eye(3))
-        condition, inv_0, _ = gs.finite_inverse(
+        condition, inv_0 = gs.finite_inverse(
             gs.horizon(gs.eigen_structure(cr.poly, spec), 0.0), p0)
         assert np.max(np.abs(inv_0.total() @ p0.matrix - np.eye(3))) < 1e-7
         assert np.isfinite(condition)
@@ -251,7 +251,7 @@ class TestFiniteInverse:
         es = gs.eigen_structure(cr.poly, spec)
         p0 = gs.InitialCondition(np.zeros((3, 3)))
         h = gs.horizon(es, 0.5)
-        _, inv_t, _ = gs.finite_inverse(h, p0)
+        _, inv_t = gs.finite_inverse(h, p0)
         gram_t = gs.finite_subgramians(h).at_t.total()
         assert np.max(np.abs(inv_t.total() @ gram_t - np.eye(3))) < 1e-6
 
@@ -263,7 +263,7 @@ class TestFiniteInverse:
         p0 = gs.InitialCondition(0.5 * (s + s.T) + 3.0 * np.eye(3))
         t = 0.4
         h = gs.horizon(es, t)
-        _, inv_t, _ = gs.finite_inverse(h, p0)
+        _, inv_t = gs.finite_inverse(h, p0)
         eigen_h = gs.homogeneous_subgramians(h, p0)
         gram_t = gs.finite_subgramians(h).at_t.total() + sum(eigen_h.components.values())
         assert np.max(np.abs(inv_t.total() @ gram_t - np.eye(3))) < 1e-6
@@ -280,7 +280,7 @@ class TestFiniteInverse:
         p0 = gs.InitialCondition(np.zeros((3, 3)))
         es = gs.eigen_structure(cr.poly, spec).to_extended()
         h = gs.horizon(es, 5.0)
-        _, inv_t, _ = gs.finite_inverse(h, p0)
+        _, inv_t = gs.finite_inverse(h, p0)
         gram_t = gs.finite_subgramians(h).at_t.total()
         n = np.eye(3, dtype=np.clongdouble)
         assert float(np.max(np.abs(inv_t.total() @ gram_t - n))) < 1e-6

@@ -176,19 +176,17 @@ def test_finite_inverse(case):
             g_inv, term_scale = normalization_each(h, p0)
             svals = np.linalg.svd(g_inv.astype(complex), compute_uv=False)
             condition = float(term_scale / max(svals[-1], 1e-300))
-            if not condition <= CONDITION_CAPS[h.structure.extended]:
+            if not condition <= CONDITION_CAPS[np.finfo(h.expm_transpose.dtype).nmant + 1]:
                 with pytest.raises(gs.ConditioningError) as refusal:
                     gs.finite_inverse(h, p0)
                 assert refusal.value.condition == condition
                 continue
-            got_condition, inv_t, inv = gs.finite_inverse(h, p0)
+            got_condition, inv_t = gs.finite_inverse(h, p0)
             assert got_condition == condition
             parts = inverse_eigenparts_each(h.structure)
             want = _solve_dense(g_inv, np.array(list(parts.values())))
-            assert inv_t.keys == inv.keys == tuple(range(len(want)))
+            assert inv_t.keys == tuple(range(len(want)))
             for got, component in zip(inv_t.stack, want):
-                assert_bitwise(got, component)
-            for got, component in zip(inv.stack, parts.values()):  # the set G(t) scales
                 assert_bitwise(got, component)
 
 

@@ -1,4 +1,4 @@
-"""One sha256 over gramspec's reports on a fixed set of 276 cases.
+"""One sha256 over gramspec's reports on a fixed set of 296 cases.
 
     python tools/report_digest.py CHECKOUT
 
@@ -20,7 +20,12 @@ checkout:
   --finite 1 --raw``: the raw Jordan-chain and matrices reports, and the pair
   blocks of the matrices documents;
 - the same 44 documents under ``verify``: the Jordan-chain checks and the
-  checks of a matrices document's companion forms.
+  checks of a matrices document's companion forms;
+- the 20 analyze_structured matrices documents, document k (in catalogue
+  order) given the symmetric initial condition (M + M^T)/2 with M standard
+  normal from default_rng(2000 + k), under ``analyze --inverse --finite 1``:
+  the pull-back of P_0 through the similarity of the 10 single-input
+  documents, and the refusal of the 10 two-input ones.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ LADDER_P0_ARGVS = (
     ["analyze", "--inverse", "--finite", "2.5", "--raw"],
 )
 STRUCTURED_RAW_ARGV = ["analyze", "--pairs", "--inverse", "--finite", "1", "--raw"]
+MATRICES_P0_ARGV = ["analyze", "--inverse", "--finite", "1"]
 
 
 def cases() -> list:
@@ -71,6 +77,10 @@ def cases() -> list:
             for k, item in enumerate(structured)]
     out += [(f"structured_verify/{k}", item["doc"], ["verify"])
             for k, item in enumerate(structured)]
+    for k, item in enumerate(item for item in structured if "matrices" in item["doc"]):
+        m = np.random.default_rng(2000 + k).standard_normal((item["n"], item["n"]))
+        doc = dict(item["doc"], initial_condition=(0.5 * (m + m.T)).tolist())
+        out.append((f"matrices_p0/{k}", doc, list(MATRICES_P0_ARGV)))
     return out
 
 
