@@ -225,17 +225,12 @@ def resolve_document(doc: SystemDocument, tols: Tolerances) -> ResolvedSystem:
     the command reads it, and its admission check is the solvability report.
     """
     notes = [SIGN_CONVENTION_NOTE]
-    system = None
-    roots = None
-    if doc.source == "eigenvalues":
-        spec = doc.spectrum()
+    system, roots = doc.system, None
+    if doc.spectrum is not None:
+        spec = doc.spectrum
         poly = poly_from_roots(spec.expanded())
     else:
-        if doc.source == "char_poly":
-            poly = Polynomial(doc.char_poly)
-        else:
-            system = LtiSystem(*doc.matrices)
-            poly = char_poly(system.a)
+        poly = doc.poly if system is None else char_poly(system.a)
         roots = find_roots(poly, tols.root)
         spec = cluster(roots, tols.cluster)
     structure = None
@@ -266,20 +261,21 @@ def _similarity(resolved: ResolvedSystem) -> SimilarityTransform | None:
     return None if resolved.sys is None else similarity_transform(resolved.sys, resolved.poly)
 
 
-def _companion_initial(p0: np.ndarray, transform: SimilarityTransform | None) -> InitialCondition:
+def _companion_initial(p0: InitialCondition,
+                       transform: SimilarityTransform | None) -> InitialCondition:
     """Initial condition in companion coordinates.
 
     Matrix documents state P_0 in their own coordinates; it is pulled back
     through the similarity transform (single-input systems only).
     """
     if transform is None:
-        return InitialCondition(p0)
+        return p0
     if transform.t is None:
         raise ControllabilityError(
             "initial conditions for multi-input matrix documents are not supported"
         )
     t_inv = np.linalg.inv(transform.t)
-    return InitialCondition(t_inv @ p0 @ t_inv.T)
+    return InitialCondition(t_inv @ p0.matrix @ t_inv.T)
 
 
 def _report(command: str, resolved: ResolvedSystem, warnings: list, solvability: bool = True,
@@ -309,7 +305,6 @@ def cmd_analyze(
     pairs: bool = False,
     finite: float | None = None,
     inverse: bool = False,
-    initial: np.ndarray | None = None,
     raw: bool = False,
 ) -> dict:
     """Full spectral analysis of a system document.
@@ -332,7 +327,7 @@ def cmd_analyze(
     resolved = resolve_document(doc, tols)
     resolved.solvability.require()
     spec, poly, es, system = resolved.spectrum, resolved.poly, resolved.structure, resolved.sys
-    p0 = doc.initial_condition if initial is None else initial
+    p0 = doc.initial_condition
     multiple = not spec.is_simple
     t = None if finite is None else float(finite)
     warnings = []  # the command's own, after the document's
@@ -805,9 +800,7 @@ def _load_document(path: str) -> SystemDocument:
     return parse_system(text)
 
 
-def _load_initial(path: str | None, n: int) -> np.ndarray | None:
-    if path is None:
-        return None
+def _load_initial(path: str, n: int) -> InitialCondition:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -841,17 +834,12 @@ def main(argv=None) -> int:
         tols = Tolerances(root=args.tol_root, cluster=args.tol_cluster, solvability=args.tol_solve)
         doc = _load_document(args.system)
         if args.command == "analyze":
-            if args.initial is not None and args.finite is None:
-                raise ValueError("--initial sets P_0 of the finite Gramian and needs --finite")
-            report = cmd_analyze(
-                doc,
-                tols,
-                pairs=args.pairs,
-                finite=args.finite,
-                inverse=args.inverse,
-                initial=_load_initial(args.initial, doc.n),
-                raw=args.raw,
-            )
+            if args.initial is not None:
+                if args.finite is None:
+                    raise ValueError("--initial sets P_0 of the finite Gramian and needs --finite")
+                doc = doc._replace(initial_condition=_load_initial(args.initial, doc.n))
+            report = cmd_analyze(doc, tols, pairs=args.pairs, finite=args.finite,
+                                 inverse=args.inverse, raw=args.raw)
             _emit(_dump_report(report), args.output)
             return EXIT_OK
         if args.command == "verify":
@@ -881,11 +869,9 @@ def main(argv=None) -> int:
             else:
                 _emit(_dump_report(report), args.output)
             return EXIT_OK
-        if args.command == "roots":
-            report = cmd_roots(doc, tols)
-            _emit(_dump_report(report), args.output)
-            return EXIT_OK
-        parser.error(f"unknown command {args.command}")
+        report = cmd_roots(doc, tols)  # the subparsers allow no other command
+        _emit(_dump_report(report), args.output)
+        return EXIT_OK
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return EXIT_USAGE
@@ -899,7 +885,6 @@ def main(argv=None) -> int:
     except (ValueError, GramspecError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def console_main() -> int:

@@ -56,8 +56,11 @@ class LtiSystem(Record):
             raise ValueError(f"A must be square, got shape {a.shape}")
         if b.shape[0] != a.shape[0]:
             raise ValueError(f"B must have {a.shape[0]} rows, got shape {b.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("system matrices must have finite entries")
+        if not b.shape[1]:
+            raise ValueError(f"B must have at least one column, got shape {b.shape}")
+        for name, m in (("A", a), ("B", b)):
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} must have finite entries")
         self.__dict__.update(a=a, b=b)
 
     @property

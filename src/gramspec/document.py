@@ -4,7 +4,10 @@ A document describes the system under analysis in exactly one of three ways:
 state-space matrices, monic characteristic-polynomial coefficients, or an
 explicit eigenvalue list with multiplicities.  An optional symmetric initial
 condition and a label may ride along.  Complex numbers never appear in a
-document (eigenvalues are (re, im, multiplicity) triples).  ``json_text``
+document (eigenvalues are (re, im, multiplicity) triples).  ``parse_system``
+builds the records the document describes, and each record's constructor
+checks its own values: the parser checks only what JSON leaves open, and a
+record's refusal becomes a SchemaError at its field.  ``json_text``
 writes a report as plain JSON with sorted keys; its keyed component blocks
 are ``MatrixBlock`` mappings and its single matrices ``MatrixEntry``
 mappings, which it writes from their arrays with one table of float texts
@@ -20,47 +23,41 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .companion import LtiSystem
 from .errors import Record, SchemaError
-from .spectrum import Spectrum
+from .gramians import InitialCondition
+from .spectrum import Polynomial, Spectrum
 
 SCHEMA_VERSION = 1
 _SOURCES = ("matrices", "char_poly", "eigenvalues")
 
 
 class SystemDocument(Record):
-    """Validated system description; exactly one source field is set:
-    ``matrices`` (A, B) as float arrays, ``char_poly`` the ascending monic
-    coefficients, or ``eigenvalues`` as [(complex, multiplicity), ...]."""
+    """A parsed system document: the records the pipeline runs on.
 
-    def __init__(self, matrices: tuple | None = None, char_poly: np.ndarray | None = None,
-                 eigenvalues: list | None = None, initial_condition: np.ndarray | None = None,
-                 label: str | None = None):
-        self.__dict__.update(matrices=matrices, char_poly=char_poly, eigenvalues=eigenvalues,
+    Exactly one source is set: ``system`` (the LtiSystem of a ``matrices``
+    document), ``poly`` (the Polynomial of a ``char_poly`` one) or
+    ``spectrum`` (the Spectrum of an ``eigenvalues`` one).
+    ``initial_condition`` is an InitialCondition or None.
+    """
+
+    def __init__(self, system: LtiSystem | None = None, poly: Polynomial | None = None,
+                 spectrum: Spectrum | None = None,
+                 initial_condition: InitialCondition | None = None, label: str | None = None):
+        self.__dict__.update(system=system, poly=poly, spectrum=spectrum,
                              initial_condition=initial_condition, label=label)
 
     @property
     def source(self) -> str:
-        if self.matrices is not None:
+        if self.system is not None:
             return "matrices"
-        if self.char_poly is not None:
-            return "char_poly"
-        return "eigenvalues"
+        return "char_poly" if self.poly is not None else "eigenvalues"
 
     @property
     def n(self) -> int:
-        if self.matrices is not None:
-            return self.matrices[0].shape[0]
-        if self.char_poly is not None:
-            return self.char_poly.size - 1
-        return int(sum(mult for _, mult in self.eigenvalues))
-
-    def spectrum(self) -> Spectrum | None:
-        """The explicit spectrum, when the document carries one."""
-        if self.eigenvalues is None:
-            return None
-        values = np.array([lam for lam, _ in self.eigenvalues])
-        mults = np.array([mult for _, mult in self.eigenvalues])
-        return Spectrum(values, mults)
+        if self.system is not None:
+            return self.system.n
+        return self.poly.degree if self.poly is not None else self.spectrum.n
 
 
 class MatrixBlock(Mapping):
@@ -297,12 +294,14 @@ def _matrices_text(holder, floats: list, indent: str) -> str:
 
 
 _NUMBERS = (int, float, np.integer, np.floating)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _require_numbers(raw, path: str) -> None:
     """Refuse (SchemaError at its path) a str, bool, null or any other
-    non-number in ``raw``, a number or nested lists of numbers; a numeric
-    numpy array passes as it is.  numpy would convert "-1" and true."""
+    non-number in ``raw``, a number or nested lists of numbers, and an
+    integer past the float range; a numeric numpy array passes as it is.
+    numpy would convert "-1" and true, and float() overflows on the integer."""
     pending = [(raw, path)]
     while pending:
         item, where = pending.pop()
@@ -313,9 +312,22 @@ def _require_numbers(raw, path: str) -> None:
             pending += [(sub, f"{where}[{k}]") for k, sub in reversed(list(enumerate(item)))]
         elif isinstance(item, bool) or not isinstance(item, _NUMBERS):
             raise SchemaError(where, f"must be a number, got {item!r}")
+        elif isinstance(item, int) and not -_FLOAT_MAX <= item <= _FLOAT_MAX:
+            raise SchemaError(where, f"must be a number in the float range, got an integer "
+                                     f"of {item.bit_length()} bits")
+
+
+def _record(path: str, cls, *args):
+    """``cls(*args)``: a record, whose constructor checks its values; its
+    ValueError becomes a SchemaError at ``path``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 def _as_float_matrix(raw, path: str) -> np.ndarray:
+    """A JSON list of rows of numbers as a float array."""
     _require_numbers(raw, path)
     try:
         m = np.array(raw, dtype=float)
@@ -323,39 +335,18 @@ def _as_float_matrix(raw, path: str) -> np.ndarray:
         raise SchemaError(path, f"not a numeric matrix: {exc}") from None
     if m.ndim != 2:
         raise SchemaError(path, f"expected a matrix (list of rows), got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise SchemaError(path, "entries must be finite")
     return m
 
 
-def _parse_matrices(raw, path: str):
+def _parse_matrices(raw, path: str) -> LtiSystem:
     if not isinstance(raw, dict) or set(raw) != {"A", "B"}:
         raise SchemaError(path, "must be an object with exactly the keys 'A' and 'B'")
     a = _as_float_matrix(raw["A"], f"{path}.A")
-    if a.shape[0] != a.shape[1]:
-        raise SchemaError(f"{path}.A", f"must be square, got shape {a.shape}")
     b = _as_float_matrix(raw["B"], f"{path}.B")
-    if b.shape[0] != a.shape[0]:
-        raise SchemaError(f"{path}.B", f"must have {a.shape[0]} rows, got {b.shape[0]}")
-    return a, b
+    return _record(path, LtiSystem, a, b)
 
 
-def _parse_char_poly(raw, path: str) -> np.ndarray:
-    _require_numbers(raw, path)
-    try:
-        coeffs = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(path, f"not a numeric list: {exc}") from None
-    if coeffs.ndim != 1 or coeffs.size < 2:
-        raise SchemaError(path, "must be a flat list of at least two coefficients")
-    if not np.all(np.isfinite(coeffs)):
-        raise SchemaError(path, "coefficients must be finite")
-    if coeffs[-1] != 1.0:
-        raise SchemaError(path, f"must be monic (last coefficient 1), got {coeffs[-1]}")
-    return coeffs
-
-
-def _parse_eigenvalues(raw, path: str) -> list:
+def _parse_eigenvalues(raw, path: str) -> Spectrum:
     if not isinstance(raw, list) or not raw:
         raise SchemaError(path, "must be a non-empty list of [re, im, multiplicity] triples")
     entries = []
@@ -382,24 +373,22 @@ def _parse_eigenvalues(raw, path: str) -> list:
                 path,
                 f"complex eigenvalue {lam} needs its conjugate with the same multiplicity",
             )
-    return entries
+    values, mults = zip(*entries)
+    return _record(path, Spectrum, np.array(values), np.array(mults))
 
 
-def parse_initial_condition(raw, n: int) -> np.ndarray:
-    """A finite, symmetric n x n initial condition P_0."""
+def parse_initial_condition(raw, n: int) -> InitialCondition:
+    """The initial condition P_0 of an n-state system, an n x n list of rows."""
     initial = _as_float_matrix(raw, "initial_condition")
     if initial.shape != (n, n):
         raise SchemaError(
             "initial_condition", f"must be {n}x{n} to match the system, got {initial.shape}"
         )
-    scale = max(1.0, float(np.max(np.abs(initial))))
-    if np.max(np.abs(initial - initial.T)) > 1e-12 * scale:
-        raise SchemaError("initial_condition", "must be symmetric")
-    return initial
+    return _record("initial_condition", InitialCondition, initial)
 
 
 def parse_system(text_or_mapping) -> SystemDocument:
-    """Parse and validate a system document from JSON text or a mapping.
+    """Parse a system document from JSON text or a mapping into its records.
 
     Raises SchemaError with the offending field path.
     """
@@ -429,29 +418,19 @@ def parse_system(text_or_mapping) -> SystemDocument:
             "$", f"exactly one of {_SOURCES} must be present, got {present or 'none'}"
         )
 
-    matrices = char_poly = eigenvalues = None
     if present[0] == "matrices":
-        matrices = _parse_matrices(data["matrices"], "matrices")
-        n = matrices[0].shape[0]
+        doc = SystemDocument(system=_parse_matrices(data["matrices"], "matrices"))
     elif present[0] == "char_poly":
-        char_poly = _parse_char_poly(data["char_poly"], "char_poly")
-        n = char_poly.size - 1
+        _require_numbers(data["char_poly"], "char_poly")
+        doc = SystemDocument(poly=_record("char_poly", Polynomial, data["char_poly"]))
     else:
-        eigenvalues = _parse_eigenvalues(data["eigenvalues"], "eigenvalues")
-        n = sum(mult for _, mult in eigenvalues)
+        doc = SystemDocument(spectrum=_parse_eigenvalues(data["eigenvalues"], "eigenvalues"))
 
     initial = None
     if "initial_condition" in data:
-        initial = parse_initial_condition(data["initial_condition"], n)
+        initial = parse_initial_condition(data["initial_condition"], doc.n)
 
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise SchemaError("label", "must be a string")
-
-    return SystemDocument(
-        matrices=matrices,
-        char_poly=char_poly,
-        eigenvalues=eigenvalues,
-        initial_condition=initial,
-        label=label,
-    )
+    return doc._replace(initial_condition=initial, label=label)

@@ -59,7 +59,8 @@ class GramspecError(Exception):
 class SchemaError(GramspecError):
     """Input document violates the system-document schema.
 
-    ``path`` points at the offending field, e.g. ``"matrices.A"``.
+    ``path`` points at the offending field or entry, e.g. ``"matrices"``
+    for a record's refusal or ``"matrices.A[1][0]"`` for a non-number.
     """
 
     def __init__(self, path, message):

@@ -51,11 +51,13 @@ class Polynomial(Record):
     def __init__(self, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 2:
-            raise ValueError("polynomial needs degree >= 1 (at least two coefficients)")
+            raise ValueError("polynomial needs degree >= 1, a flat list of at least two "
+                             f"coefficients, got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("polynomial coefficients must be finite")
         if coeffs[-1] != 1.0:
-            raise ValueError(f"polynomial must be monic, got leading coefficient {coeffs[-1]!r}")
+            raise ValueError("polynomial must be monic, got leading coefficient "
+                             f"{float(coeffs[-1])!r}")
         self.__dict__["coeffs"] = coeffs
 
     @property
@@ -155,8 +157,13 @@ def char_poly(a) -> Polynomial:
 
     Uses the Faddeev-Leverrier recursion with compensated trace summation;
     returns ascending coefficients (a_0, ..., a_{n-1}, 1).  Intermediate
-    matrix powers grow like norm(A)^k, so the recursion runs in 80-bit floats
-    to keep the rounded coefficients accurate to better than 1e-12 relative.
+    matrix powers grow like norm(A)^k, so the recursion runs in 80-bit
+    floats; a non-normal A still loses digits.  On document 4 of the
+    benchmark's cli_cold catalogue (n = 6, cond(A) 5.0e4) the coefficients
+    are off by 1.73e-9 relative in the max norm against a 60-digit run of
+    the same recursion (worst coefficient 1.99e-9), and the spectrum misses
+    its 1e-8 bound (1.71e-7) while analyze exits 0.  ROADMAP item 6 plans
+    the replacement.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

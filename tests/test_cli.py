@@ -923,7 +923,7 @@ class TestCollisionWarning:
 
     def test_mirror_pairs_are_not_reported(self):
         doc = parse_system({"eigenvalues": [[-1, 0, 1], [-2, 1, 1], [-2, -1, 1]]})
-        assert len(gs.exponent_collisions(doc.spectrum())) == 3
+        assert len(gs.exponent_collisions(doc.spectrum)) == 3
         assert self.collision_warnings(cmd_analyze(doc, pairs=True)) == []
 
     def test_arithmetic_spectrum_still_warns(self):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import gramspec as gs
 from gramspec.cli import EXIT_USAGE, cmd_analyze, main
-from gramspec.document import MatrixBlock, MatrixEntry, json_text, parse_system
+from gramspec.document import (MatrixBlock, MatrixEntry, json_text, parse_initial_condition,
+                               parse_system)
 
 from references import json_text_each
 
@@ -26,18 +27,20 @@ class TestParsing:
         doc = parse_system(json.dumps(EXAMPLE1_DOC))
         assert doc.source == "char_poly"
         assert doc.n == 3
-        assert np.allclose(doc.char_poly, [-6, 11, -6, 1])
+        assert isinstance(doc.poly, gs.Polynomial) and doc.system is doc.spectrum is None
+        assert np.allclose(doc.poly.coeffs, [-6, 11, -6, 1])
 
     def test_matrices_document(self):
         doc = parse_system({"matrices": {"A": [[-1.0]], "B": [[1.0]]}})
         assert doc.source == "matrices"
         assert doc.n == 1
-        a, b = doc.matrices
-        assert a.shape == (1, 1) and b.shape == (1, 1)
+        assert isinstance(doc.system, gs.LtiSystem) and doc.poly is doc.spectrum is None
+        assert doc.system.a.shape == (1, 1) and doc.system.b.shape == (1, 1)
 
     def test_eigenvalue_document(self):
         doc = parse_system({"eigenvalues": [[1, 0, 2], [2, 0, 3]]})
-        spec = doc.spectrum()
+        spec = doc.spectrum
+        assert isinstance(spec, gs.Spectrum) and doc.system is doc.poly is None
         assert spec.n == 5
         assert spec.multiplicities.tolist() == [2, 3]
 
@@ -52,11 +55,12 @@ class TestParsing:
             parse_system({"char_poly": [1, 2, 2]})
 
     def test_dimension_mismatch_path(self):
-        with pytest.raises(gs.SchemaError, match="matrices.B"):
+        with pytest.raises(gs.SchemaError, match=r"^matrices: B must have 2 rows"):
             parse_system({"matrices": {"A": [[0, 1], [-1, -2]], "B": [[1]]}})
 
     def test_non_square_a(self):
-        with pytest.raises(gs.SchemaError, match="matrices.A"):
+        with pytest.raises(gs.SchemaError,
+                           match=r"^matrices: A must be square, got shape \(2, 3\)$"):
             parse_system({"matrices": {"A": [[0, 1, 2], [1, 2, 3]], "B": [[1], [1]]}})
 
     def test_conjugate_closure_required(self):
@@ -142,7 +146,7 @@ class TestNumbersOnly:
             "matrices": {"A": np.array([[0, 1], [-2, -3]]), "B": np.array([[0.0], [1.0]])},
             "initial_condition": np.eye(2, dtype=np.float32),
         })
-        assert doc.matrices[0].dtype == float and doc.initial_condition[1, 1] == 1.0
+        assert doc.system.a.dtype == float and doc.initial_condition.matrix[1, 1] == 1.0
         assert parse_system({"char_poly": np.array([2, 3, 1])}).n == 2
         assert parse_system({"eigenvalues": [[np.float64(-1.0), np.int64(0), 1]]}).n == 1
         with pytest.raises(gs.SchemaError, match=r"^char_poly\[1\]: must be a number"):
@@ -155,6 +159,88 @@ class TestNumbersOnly:
         path.write_text('{"char_poly": [6, 11, true, 1]}')
         assert main(["roots", str(path)]) == EXIT_USAGE
         assert "char_poly[2]: must be a number, got True" in capsys.readouterr().err
+
+
+BIG = 10 ** 400  # a JSON integer past the float range
+P0_DOC = {"char_poly": [2, 3, 1]}
+
+# each field's record, built from the field's value as the document writes it
+RECORD_OF = {
+    "char_poly": gs.Polynomial,
+    "matrices": lambda m: gs.LtiSystem(m["A"], m["B"]),
+    "eigenvalues": lambda e: gs.Spectrum([complex(re, im) for re, im, _ in e],
+                                         [mult for *_, mult in e]),
+    "initial_condition": gs.InitialCondition,
+}
+
+# name: (document, --initial value or None, path of the refusal); a path that
+# names a field is a check of its record, a path that names an entry an
+# integer the record cannot convert
+BOUNDARY_CASES = {
+    "char_poly ragged": ({"char_poly": [6, [11, 6], 1]}, None, "char_poly"),
+    "char_poly degree 0": ({"char_poly": [1]}, None, "char_poly"),
+    "char_poly non-finite": ({"char_poly": [6, math.inf, 6, 1]}, None, "char_poly"),
+    "char_poly not monic": ({"char_poly": [6, 11, 6, 2]}, None, "char_poly"),
+    "A not square": ({"matrices": {"A": [[0, 1, 2], [1, 2, 3]], "B": [[1], [1]]}}, None,
+                     "matrices"),
+    "B rows": ({"matrices": {"A": [[0, 1], [-2, -3]], "B": [[1]]}}, None, "matrices"),
+    "B no columns": ({"matrices": {"A": [[-1.0]], "B": [[]]}}, None, "matrices"),
+    "B non-finite": ({"matrices": {"A": [[0, 1], [-2, -3]], "B": [[0], [math.nan]]}}, None,
+                     "matrices"),
+    "P0 non-finite": (dict(P0_DOC, initial_condition=[[1, 0], [0, math.inf]]), None,
+                      "initial_condition"),
+    "P0 asymmetric": (dict(P0_DOC, initial_condition=[[1, 2], [0, 1]]), None,
+                      "initial_condition"),
+    "--initial non-finite": (P0_DOC, [[1, 0], [0, math.inf]], "initial_condition"),
+    "--initial asymmetric": (P0_DOC, [[1, 2], [0, 1]], "initial_condition"),
+    "char_poly oversized": ({"char_poly": [BIG, 1]}, None, "char_poly[0]"),
+    "eigenvalues oversized": ({"eigenvalues": [[-1, 0, 1], [-BIG, 0, 1]]}, None,
+                              "eigenvalues[1][0]"),
+    "matrices oversized": ({"matrices": {"A": [[-1.0]], "B": [[BIG]]}}, None,
+                           "matrices.B[0][0]"),
+    "P0 oversized": (dict(P0_DOC, initial_condition=[[1, 0], [0, BIG]]), None,
+                     "initial_condition[1][1]"),
+    "--initial oversized": (P0_DOC, [[1, 0], [0, BIG]], "initial_condition[1][1]"),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_CASES)
+def test_one_check_two_boundaries(name, tmp_path, capsys):
+    """Each check runs in one place.  A record's check refuses the value with
+    a ValueError, which the parser reports at the field with the record's
+    message; an integer past the float range, on which the record's float
+    conversion overflows, the parser refuses at the entry.  Every command
+    exits 1 with that one stderr line."""
+    doc, initial, path = BOUNDARY_CASES[name]
+    field = path.split("[")[0].split(".")[0]
+    with pytest.raises((ValueError, OverflowError)) as refusal:
+        RECORD_OF[field](doc[field] if initial is None else initial)
+    if path == field:
+        assert type(refusal.value) is ValueError
+        message = str(refusal.value)
+    else:
+        assert type(refusal.value) is OverflowError
+        message = f"must be a number in the float range, got an integer of {BIG.bit_length()} bits"
+
+    text = json.dumps(doc)
+    with pytest.raises(gs.SchemaError) as schema_error:
+        if initial is None:
+            parse_system(text)
+        else:
+            parse_initial_condition(json.loads(json.dumps(initial)), parse_system(text).n)
+    assert (schema_error.value.path, str(schema_error.value)) == (path, f"{path}: {message}")
+
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(text)
+    if initial is None:
+        runs = [["roots"], ["analyze"], ["verify"], ["energy", "--x0", "1"]]
+    else:
+        p0_path = tmp_path / "p0.json"
+        p0_path.write_text(json.dumps(initial))
+        runs = [["analyze", "--finite", "1", "--initial", str(p0_path)]]
+    for argv in runs:
+        assert main(argv + [str(doc_path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"schema error: {path}: {message}\n")
 
 
 # floats whose text or table entry the emitter could get wrong: equal zeros of
