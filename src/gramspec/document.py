@@ -295,6 +295,10 @@ def _matrices_text(holder, floats: list, indent: str) -> str:
 
 _NUMBERS = (int, float, np.integer, np.floating)
 _FLOAT_MAX = float(np.finfo(float).max)
+# the other sources write each coefficient or entry, but a multiplicity can
+# describe a degree far past its text; 1000 is well past the degree-16
+# envelope and keeps every n x n matrix a command forms small
+_MAX_DEGREE = 1000
 
 
 def _require_numbers(raw, path: str) -> None:
@@ -346,17 +350,30 @@ def _parse_matrices(raw, path: str) -> LtiSystem:
     return _record(path, LtiSystem, a, b)
 
 
+def _shown(value) -> str:
+    """repr(value), but an integer past 64 bits by its size alone."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 def _parse_eigenvalues(raw, path: str) -> Spectrum:
     if not isinstance(raw, list) or not raw:
         raise SchemaError(path, "must be a non-empty list of [re, im, multiplicity] triples")
     entries = []
+    degree = 0
     for k, item in enumerate(raw):
         p = f"{path}[{k}]"
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise SchemaError(p, "must be a [re, im, multiplicity] triple")
         re, im, mult = item
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise SchemaError(f"{p}[2]", f"multiplicity must be a positive integer, got {mult!r}")
+            raise SchemaError(f"{p}[2]",
+                              f"multiplicity must be a positive integer, got {_shown(mult)}")
+        if mult > _MAX_DEGREE - degree:
+            raise SchemaError(f"{p}[2]", f"multiplicity takes the degree past {_MAX_DEGREE}, "
+                                         f"got {_shown(mult)}")
+        degree += mult
         _require_numbers(re, f"{p}[0]")
         _require_numbers(im, f"{p}[1]")
         try:

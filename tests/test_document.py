@@ -173,6 +173,11 @@ RECORD_OF = {
     "initial_condition": gs.InitialCondition,
 }
 
+# the parser's message for an integer the record cannot convert, by the path
+# of its entry
+BIG_BITS = f"an integer of {BIG.bit_length()} bits"
+OVERSIZED = {"eigenvalues[0][2]": f"multiplicity takes the degree past 1000, got {BIG_BITS}"}
+
 # name: (document, --initial value or None, path of the refusal); a path that
 # names a field is a check of its record, a path that names an entry an
 # integer the record cannot convert
@@ -196,6 +201,7 @@ BOUNDARY_CASES = {
     "char_poly oversized": ({"char_poly": [BIG, 1]}, None, "char_poly[0]"),
     "eigenvalues oversized": ({"eigenvalues": [[-1, 0, 1], [-BIG, 0, 1]]}, None,
                               "eigenvalues[1][0]"),
+    "multiplicity oversized": ({"eigenvalues": [[-1, 0, BIG]]}, None, "eigenvalues[0][2]"),
     "matrices oversized": ({"matrices": {"A": [[-1.0]], "B": [[BIG]]}}, None,
                            "matrices.B[0][0]"),
     "P0 oversized": (dict(P0_DOC, initial_condition=[[1, 0], [0, BIG]]), None,
@@ -220,7 +226,7 @@ def test_one_check_two_boundaries(name, tmp_path, capsys):
         message = str(refusal.value)
     else:
         assert type(refusal.value) is OverflowError
-        message = f"must be a number in the float range, got an integer of {BIG.bit_length()} bits"
+        message = OVERSIZED.get(path, f"must be a number in the float range, got {BIG_BITS}")
 
     text = json.dumps(doc)
     with pytest.raises(gs.SchemaError) as schema_error:
@@ -241,6 +247,25 @@ def test_one_check_two_boundaries(name, tmp_path, capsys):
     for argv in runs:
         assert main(argv + [str(doc_path)]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"schema error: {path}: {message}\n")
+
+
+def test_eigenvalues_degree_cap():
+    """A multiplicity is an integer the Spectrum record holds as it is, so the
+    parser bounds the degree it describes; an integer past 64 bits is named by
+    its size, not echoed."""
+    assert parse_system({"eigenvalues": [[-1, 0, 600], [-2, 0, 400]]}).n == 1000
+    refused = {
+        "eigenvalues[0][2]: multiplicity takes the degree past 1000, got 4611686018427387904":
+            [[-1, 0, 2 ** 62]],
+        "eigenvalues[1][2]: multiplicity takes the degree past 1000, got 401":
+            [[-1, 0, 600], [-2, 0, 401]],
+        f"eigenvalues[0][2]: multiplicity must be a positive integer, got {BIG_BITS}":
+            [[-1, 0, -BIG]],
+    }
+    for message, entries in refused.items():
+        with pytest.raises(gs.SchemaError) as refusal:
+            parse_system({"eigenvalues": entries})
+        assert str(refusal.value) == message
 
 
 # floats whose text or table entry the emitter could get wrong: equal zeros of
