@@ -317,8 +317,8 @@ def cmd_analyze(
     block builds the sets that only it reads.  The pair blocks come last:
     their builders refuse nothing, and they are the O(n^4) work.
 
-    On a simple spectrum the finite inverse and its product residual's P(t)
-    run on one 80-bit to_extended() horizon, once e^(A t) is in double range.
+    On a simple spectrum every finite block reads one 80-bit to_extended()
+    horizon, and the report writes its values rounded once to double.
     """
     from .inverse import (finite_inverse, inverse_eigenparts, inverse_multiple_eig,
                           inverse_pair_parts, riccati_general)
@@ -353,38 +353,37 @@ def cmd_analyze(
         # warning: the checks below and _require_double_range refuse them
         with np.errstate(over="ignore", invalid="ignore"):
             if not multiple:
-                h = horizon(es, t)
+                es.residues  # a near-multiple eigenvalue is refused on the double structure
                 if p0 is not None:
                     p0c = _companion_initial(p0, transform)
                 elif inverse:
                     p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
+                # one 80-bit horizon for every finite block, once e^(A t) is in double range:
+                # its scalar factors before any 80-bit work, then its entries rounded
+                finite_growth = np.all(np.isfinite(np.exp(es.eigenvalues * t)))
+                h = horizon(es.to_extended(), t) if finite_growth else None
+                if h is None or not np.all(np.isfinite(h.expm_transpose.astype(complex))):
+                    raise ConditioningError(f"e^(A t) leaves the double range at t = {t}")
                 if inverse:
-                    if not np.all(np.isfinite(h.expm_transpose)):
-                        # refused as without --inverse, before any 80-bit
-                        # work: P(t) cannot be finite either
-                        raise ConditioningError(f"e^(A t) leaves the double range at t = {t}")
-                    h_wide = horizon(es.to_extended(), t)
-                    condition, inv_finite = finite_inverse(h_wide, p0c)
+                    condition, inv_finite = finite_inverse(h, p0c)
                 decomp = finite_subgramians(h)
-            finite_sum = decomp.at_t.total()
+            gram_t = decomp.at_t.total()  # in the horizon's format
+            finite_sum = gram_t.astype(complex)
             if p0 is not None and multiple:
                 warnings.append("initial condition is only evaluated for simple spectra; skipped")
             elif p0 is not None:
                 hom_t = homogeneous_subgramians(h, p0c)
-                hom_defect = _initial_value_defect(es, p0c)
+                hom_defect = _initial_value_defect(h.structure, p0c)
+                gram_t = gram_t + hom_t.total()  # the product residual's P(t), unrounded
             if inverse and multiple:
                 warnings.append("finite inverse is only evaluated for simple spectra; skipped")
-            elif inverse:  # the product residual's P(t), on the finite inverse's horizon
-                gram_t = finite_subgramians(h_wide).at_t.total()
-                if p0 is not None:
-                    gram_t = gram_t + homogeneous_subgramians(h_wide, p0c).total()
         _require_double_range(decomp, finite_sum)
 
     # the report, block by block
     flavor = "raw" if raw else "symmetrized"
     a_c, b_c = resolved.cr.a_c, resolved.cr.b_c
     bbt = np.outer(b_c, b_c)
-    gram_set = infinite_subgramians(es) if decomp is None else decomp.static
+    gram_set = decomp.static if multiple else infinite_subgramians(es)
     gram_sum = gram_set.symmetrized().total()
     report = _report(
         "analyze",
@@ -426,7 +425,7 @@ def cmd_analyze(
         norm = np.linalg.norm(finite_sum)  # in range: _require_double_range
         finite_set = decomp.at_t if raw else decomp.at_t.symmetrized()
         # exact derivative dP/dt = e^{A t} b b^T e^{A^T t}, from the same expansion
-        expm = decomp.expm_transpose.T
+        expm = decomp.expm_transpose.T.astype(complex)
         defect = -(expm @ bbt @ expm.T) + a_c @ finite_sum + finite_sum @ a_c.T + bbt
         diff_residual = float(np.linalg.norm(defect) / max(1.0, norm))
         report["finite"] = {
@@ -804,7 +803,7 @@ def _load_initial(path: str, n: int) -> InitialCondition:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also an integer past the int() digit limit
         raise SchemaError("initial_condition", f"cannot read {path}: {exc}") from None
     return parse_initial_condition(data, n)
 

@@ -412,7 +412,7 @@ def parse_system(text_or_mapping) -> SystemDocument:
     if isinstance(text_or_mapping, (str, bytes)):
         try:
             data = json.loads(text_or_mapping)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the int() digit limit
             raise SchemaError("$", f"invalid JSON: {exc}") from None
     else:
         data = text_or_mapping

@@ -614,6 +614,28 @@ class TestInitialConditionFlag:
         assert report["finite_inverse"]["normalization_condition"] > 1e12
         assert "homogeneous_sum" in report["finite"]
 
+    def test_one_horizon_holds_the_initial_value(self, tmp_path, monkeypatch):
+        # matrices_p0/19 of tools/report_digest.py, an n = 7 single-input
+        # matrices document with P_0: the residues R_i P_0 cancel in their
+        # sum, which a double horizon left 5.4e-7 from P_0 at t = 0, 540
+        # times verify's bound.  The one 80-bit horizon holds it, and the
+        # finite block is the same, byte for byte, with or without --inverse
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+        import report_digest
+
+        [(doc, argv)] = [(doc, argv) for name, doc, argv in report_digest.cases()
+                         if name == "matrices_p0/19"]
+        assert argv == ["analyze", "--inverse", "--finite", "1"]
+        blocks = []
+        for flags in (argv, ["analyze", "--finite", "1"]):
+            code, err, text = report_digest.run_case(main, str(tmp_path), doc, flags)
+            assert (code, err) == (EXIT_OK, "")
+            blocks.append(json.loads(text)["finite"])
+        with_inverse, without = blocks
+        defect = with_inverse["homogeneous_sum"]["residual"]
+        assert defect <= VERIFY_BOUNDS["homogeneous_initial_value"]
+        assert json.dumps(with_inverse) == json.dumps(without)
+
 
 @pytest.fixture
 def mirrored_path(tmp_path):
@@ -964,8 +986,8 @@ class TestCollisionWarning:
 
 class TestWorkOnce:
     """Each command evaluates one eigen structure and passes it to every
-    builder; only the finite inverse adds one extended structure, made from
-    the double one without a second solvability scan.  No command builds
+    builder; only analyze's finite horizon adds one extended structure, made
+    from the double one without a second solvability scan.  No command builds
     the homogeneous pair half, e^{A^T t} is formed once per structure and
     horizon, and the inverse eigen set is built once per structure: the
     80-bit finite inverse forms its own only for a G(t) that passes, unless
@@ -1055,16 +1077,18 @@ class TestWorkOnce:
         assert counts["polish"] == 1
         assert counts["solvability"] == 1
         assert counts["homogeneous_pairs"] == 0
-        double, extended = np.dtype(complex), np.dtype(np.clongdouble)
-        # admission (the double horizon, then the finite inverse's 80-bit
-        # one) comes before the homogeneous set's horizon at t = 0
-        assert counts["expm"] == [(double, 1.0), (extended, 1.0), (double, 0.0)]
-        # the finite Gramian on each horizon, the 80-bit one the product
-        # residual's partner, and the finite pair set
-        assert counts["finite_components"] == 3
-        # the Gramian eigen parts: once per structure; the inverse eigen
-        # parts: the 80-bit finite inverse before its check, for the
-        # boundary terms of P_0, then analyze's inverse block; each pair set once
+        extended = np.dtype(np.clongdouble)
+        # one 80-bit horizon at t = 1 for every finite block, then the
+        # homogeneous set's 80-bit horizon at t = 0 for its initial value
+        assert counts["expm"] == [(extended, 1.0), (extended, 0.0)]
+        # the finite Gramian once, on that horizon (the report's finite block
+        # and the product residual's P(t)), and the finite pair set
+        assert counts["finite_components"] == 2
+        # the Gramian eigen parts: once per structure, the 80-bit ones for
+        # the finite Gramian and the double ones for the infinite blocks; the
+        # inverse eigen parts: the 80-bit finite inverse before its check,
+        # for the boundary terms of P_0, then analyze's inverse block; each
+        # pair set once
         assert counts["sets"] == {"infinite_subgramians": 2, "inverse_eigenparts": 2,
                                   "infinite_pair_subgramians": 1, "inverse_pair_parts": 1}
 

@@ -249,6 +249,42 @@ def test_one_check_two_boundaries(name, tmp_path, capsys):
         assert capsys.readouterr() == ("", f"schema error: {path}: {message}\n")
 
 
+# a JSON integer of more digits than int() converts, which json.loads refuses,
+# in a document's char_poly and initial_condition
+HUGE = "1" + "0" * 5000
+HUGE_DOCS = ['{"schema": 1, "char_poly": [%s, 1]}' % HUGE,
+             '{"char_poly": [2, 3, 1], "initial_condition": [[1, 0], [0, %s]]}' % HUGE]
+
+
+def test_integer_past_digit_limit(tmp_path, capsys):
+    """json.loads refuses an integer past sys.get_int_max_str_digits() with
+    the plain ValueError of int(), which counts the digits without echoing
+    them.  The document parser and --initial's reader report it as a schema
+    error, and every command exits 1 with that one stderr line."""
+    with pytest.raises(ValueError) as refusal:
+        int(HUGE)
+    limit = str(refusal.value)
+    assert "5001 digits" in limit and HUGE[:100] not in limit
+
+    doc_path = tmp_path / "doc.json"
+    for text in HUGE_DOCS:
+        with pytest.raises(gs.SchemaError) as refusal:
+            parse_system(text)
+        assert (refusal.value.path, str(refusal.value)) == ("$", f"$: invalid JSON: {limit}")
+        doc_path.write_text(text)
+        for argv in (["roots"], ["analyze"], ["verify"], ["energy", "--x0", "1"]):
+            assert main(argv + [str(doc_path)]) == EXIT_USAGE
+            assert capsys.readouterr() == ("", f"schema error: $: invalid JSON: {limit}\n")
+
+    p0_path = tmp_path / "p0.json"
+    p0_path.write_text("[[1, 0], [0, %s]]" % HUGE)
+    doc_path.write_text(json.dumps(P0_DOC))
+    argv = ["analyze", "--finite", "1", "--initial", str(p0_path), str(doc_path)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"schema error: initial_condition: cannot read {p0_path}: {limit}\n")
+
+
 def test_eigenvalues_degree_cap():
     """A multiplicity is an integer the Spectrum record holds as it is, so the
     parser bounds the degree it describes; an integer past 64 bits is named by
