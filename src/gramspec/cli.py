@@ -794,7 +794,7 @@ def _load_document(path: str) -> SystemDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # also a file that is not UTF-8
         raise SchemaError("$", f"cannot read {path}: {exc}") from None
     return parse_system(text)
 

@@ -31,7 +31,7 @@ from .spectrum import (
     SolvabilityReport,
     Spectrum,
     _newton_polish,
-    _to_longdouble,
+    _round_longdouble,
     check_solvability,
     dyadic_coefficients,
     eval_with_derivative,
@@ -122,24 +122,20 @@ def build_companion(p: Polynomial) -> CompanionRealization:
     return CompanionRealization(p, a_c, b_c)
 
 
+def _hankel(entries: np.ndarray) -> np.ndarray:
+    """The n x n Hankel matrix H_ij = entries[i + j] of 2n - 1 entries."""
+    n = (entries.size + 1) // 2
+    return entries[np.add.outer(np.arange(n), np.arange(n))]
+
+
 def hankel_upper(p: Polynomial) -> np.ndarray:
     """Upper anti-triangular Hankel of coefficients, first row (a_1 ... a_{n-1} 1)."""
-    n = p.degree
-    h = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n - i):
-            h[i, j] = p.coeffs[i + j + 1]
-    return h
+    return _hankel(np.concatenate([p.coeffs[1:], np.zeros(p.degree - 1)]))
 
 
 def hankel_lower(p: Polynomial) -> np.ndarray:
     """Lower anti-triangular Hankel, last row (a_0 ... a_{n-1})."""
-    n = p.degree
-    h = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n - 1 - i, n):
-            h[i, j] = p.coeffs[i + j + 1 - n]
-    return h
+    return _hankel(np.concatenate([np.zeros(p.degree - 1), p.coeffs[:-1]]))
 
 
 def controllability_matrix(sys: LtiSystem) -> np.ndarray:
@@ -206,7 +202,12 @@ class EigenStructure(Record):
     eigenvalues are the roots polished by the Newton steps of find_roots run
     in 80-bit, on the exact residual rounded once to 80 bits; an extended
     structure also carries ``exact_totals``.  Builders combine the entries
-    one eigenvalue at a time, in scalar arithmetic.
+    one eigenvalue at a time, in scalar arithmetic.  An extended structure
+    forms ``derivs``, ``mirrors``, ``left`` and ``residues`` for all
+    eigenvalues in one array form each: clongdouble arithmetic has no SIMD
+    kernels, so its array operations round as its scalar ones do.  A double
+    structure forms them one eigenvalue at a time, because the vectorized
+    complex128 multiply does not.
     """
 
     def __init__(self, poly: Polynomial, spectrum: Spectrum, eigenvalues: np.ndarray,
@@ -231,7 +232,7 @@ class EigenStructure(Record):
 
     @cached_property
     def mirrors(self) -> np.ndarray:
-        return np.array([eval_with_derivative(self.poly, -lam)[0] for lam in self.eigenvalues])
+        return _each(self.eigenvalues, lambda lam: eval_with_derivative(self.poly, -lam)[0])
 
     @cached_property
     def left(self) -> np.ndarray:
@@ -244,6 +245,8 @@ class EigenStructure(Record):
                 )
         h_l = hankel_lower(self.poly)
         n = self.poly.degree
+        if self.extended:
+            return self.right @ h_l.T / self.eigenvalues[:, None] ** n
         return np.stack([(h_l @ x) / lam**n for lam, x in zip(self.eigenvalues, self.right)])
 
     @cached_property
@@ -255,6 +258,8 @@ class EigenStructure(Record):
                     f"|N'({lam})| = {float(abs(deriv)):.3e} is below tolerance; eigenvalue "
                     "is numerically multiple, use the Jordan-chain decomposition"
                 )
+        if self.extended:
+            return self.right[:, :, None] * self.left[:, None, :] / -self.derivs[:, None, None]
         return np.stack(
             [np.outer(x, y) / (-d) for x, y, d in zip(self.right, self.left, self.derivs)]
         )
@@ -276,14 +281,20 @@ class EigenStructure(Record):
         coeffs, t = dyadic_coefficients(self.poly)
         n = self.poly.degree
         mirror = [(-1) ** k * c for k, c in enumerate(coeffs)]
-        inverse = np.array([
-            [_to_longdouble((-1) ** i * sum(coeffs[i + k + 1] * mirror[j - k]
-                                            - mirror[i + k + 1] * coeffs[j - k]
-                                            for k in range(min(n - 1 - i, j) + 1)), -2 * t)
-             for j in range(n)]
-            for i in range(n)
-        ], dtype=np.clongdouble)
+        entries = [(-1) ** i * sum(coeffs[i + k + 1] * mirror[j - k]
+                                   - mirror[i + k + 1] * coeffs[j - k]
+                                   for k in range(min(n - 1 - i, j) + 1))
+                   for i in range(n) for j in range(n)]
+        inverse = _round_longdouble(entries, -2 * t).reshape(n, n).astype(np.clongdouble)
         return _solve_dense(inverse, np.eye(n, dtype=np.clongdouble)[None])[0], inverse
+
+
+def _each(values: np.ndarray, form) -> np.ndarray:
+    """``form`` at every eigenvalue: one call on the whole array in
+    clongdouble, one call per eigenvalue in complex128 (see EigenStructure)."""
+    if values.dtype == np.clongdouble:
+        return form(values)
+    return np.array([form(lam) for lam in values])
 
 
 def _evaluate(
@@ -294,7 +305,7 @@ def _evaluate(
         spec,
         values,
         values[:, None] ** np.arange(p.degree, dtype=float),
-        np.array([eval_with_derivative(p, lam)[1] for lam in values]),
+        _each(values, lambda lam: eval_with_derivative(p, lam)[1]),
         solvability,
     )
 

@@ -9,7 +9,7 @@ from gramspec.companion import alternating_signs
 from gramspec.document import MatrixBlock, MatrixEntry
 from gramspec.errors import MultipleEigenvalueError
 from gramspec.gramians import _poly_exp
-from gramspec.spectrum import (CONJUGATE_TOL, Polynomial, Spectrum, _to_longdouble,
+from gramspec.spectrum import (_LONGDOUBLE_BITS, CONJUGATE_TOL, Polynomial, Spectrum,
                                 dyadic_coefficients, dyadic_point, exact_horner)
 
 SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
@@ -493,10 +493,45 @@ def exact_values_each(p: Polynomial, roots: np.ndarray) -> np.ndarray:
         re, im = exact_horner(coeffs, x, y, s)
         exp = t + s * p.degree
         if roots.dtype == np.clongdouble:
-            out[i] = _to_longdouble(re, -exp) + 1j * _to_longdouble(im, -exp)
+            out[i] = to_longdouble_each(re, -exp) + 1j * to_longdouble_each(im, -exp)
         else:
             out[i] = complex(re / (1 << exp), im / (1 << exp))
     return out
+
+
+def to_longdouble_each(man: int, exp: int) -> np.longdouble:
+    """man * 2^exp correctly rounded (to nearest, ties to even) to the 80-bit
+    format, one integer at a time: the significand is rounded on the
+    integers, then scaled by a power of two."""
+    magnitude = abs(man)
+    shift = max(0, magnitude.bit_length() - _LONGDOUBLE_BITS)
+    if shift:
+        magnitude, rest = divmod(magnitude, 1 << shift)
+        half = 1 << (shift - 1)
+        if rest > half or (rest == half and magnitude & 1):
+            magnitude += 1
+    value = np.ldexp(np.longdouble(magnitude), exp + shift)
+    return -value if man < 0 else value
+
+
+def hankel_upper_loop(p: Polynomial) -> np.ndarray:
+    """Upper anti-triangular Hankel of coefficients, entry by entry."""
+    n = p.degree
+    h = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n - i):
+            h[i, j] = p.coeffs[i + j + 1]
+    return h
+
+
+def hankel_lower_loop(p: Polynomial) -> np.ndarray:
+    """Lower anti-triangular Hankel of coefficients, entry by entry."""
+    n = p.degree
+    h = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n - 1 - i, n):
+            h[i, j] = p.coeffs[i + j + 1 - n]
+    return h
 
 
 def conjugate_partner_each(spectrum: Spectrum) -> np.ndarray:

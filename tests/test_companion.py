@@ -3,9 +3,10 @@ import pytest
 
 import gramspec as gs
 
-from conftest import random_companion, random_stable_eigenvalues
-from references import (eigenparts_division, inverse_eigenpart_counted,
-                        inverse_eigenparts_division, mp_polished_roots, residues_general)
+from conftest import assert_bitwise, random_companion, random_stable_eigenvalues
+from references import (eigenparts_division, hankel_lower_loop, hankel_upper_loop,
+                        inverse_eigenpart_counted, inverse_eigenparts_division,
+                        mp_polished_roots, residues_general, to_longdouble_each)
 
 
 class TestBuildCompanion:
@@ -40,6 +41,17 @@ class TestHankelMatrices:
         p = gs.Polynomial([1.0, 1.0])
         assert np.array_equal(gs.hankel_upper(p), [[1.0]])
         assert np.array_equal(gs.hankel_lower(p), [[1.0]])
+
+    def test_index_forms_are_the_loop_forms(self):
+        # entries are copies, so the one index expression is bitwise the loop,
+        # a -0.0 coefficient included
+        rng = np.random.default_rng(3301)
+        for n in range(1, 17):
+            coeffs = np.append(rng.standard_normal(n), 1.0)
+            coeffs[rng.integers(n)] = -0.0
+            p = gs.Polynomial(coeffs)
+            assert_bitwise(gs.hankel_upper(p), hankel_upper_loop(p), f"upper n={n}")
+            assert_bitwise(gs.hankel_lower(p), hankel_lower_loop(p), f"lower n={n}")
 
 
 class TestToCompanion:
@@ -391,23 +403,32 @@ class TestEigenStructure:
     @pytest.mark.parametrize("extended", [False, True])
     def test_entries_are_the_per_eigenvalue_forms(self, extended):
         # the Vandermonde rows are one array power, bitwise the power of each
-        # eigenvalue alone; N(-lambda) is formed on first use
-        def same_bits(a, b):
-            return a.dtype == b.dtype and all(
-                np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
-                for x, y in ((a.real, b.real), (a.imag, b.imag)))
-
+        # eigenvalue alone; the extended structure's N'(lambda), N(-lambda),
+        # y and R are array forms, bitwise the scalar form of each eigenvalue
+        # alone; N(-lambda), y and R are formed on first use
         rng = np.random.default_rng(2203)
         for n in range(1, 13):
             poly, _, spec = random_companion(rng, n)
             es = gs.eigen_structure(poly, spec)
             if extended:
                 es = es.to_extended()
-            assert "mirrors" not in es.__dict__
+            assert not {"mirrors", "left", "residues"} & set(es.__dict__)
             lams = es.eigenvalues
-            assert same_bits(es.right, np.stack([lam ** np.arange(n, dtype=float) for lam in lams]))
-            mirrors = np.array([gs.eval_with_derivative(poly, -lam)[0] for lam in lams])
-            assert same_bits(es.mirrors, mirrors) and "mirrors" in es.__dict__
+            h_l = gs.hankel_lower(poly)
+            right = np.stack([lam ** np.arange(n, dtype=float) for lam in lams])
+            left = np.stack([(h_l @ x) / lam**n for lam, x in zip(lams, right)])
+            derivs = np.array([gs.eval_with_derivative(poly, lam)[1] for lam in lams])
+            expected = {
+                "right": right,
+                "derivs": derivs,
+                "mirrors": np.array([gs.eval_with_derivative(poly, -lam)[0] for lam in lams]),
+                "left": left,
+                "residues": np.stack([np.outer(x, y) / (-d)
+                                      for x, y, d in zip(right, left, derivs)]),
+            }
+            for name, want in expected.items():
+                assert_bitwise(getattr(es, name), want, f"{name} n={n}")
+            assert {"mirrors", "left", "residues"} <= set(es.__dict__)
 
     def test_to_extended_reuses_the_admission(self, monkeypatch):
         # the entries at the roots polished in 80-bit, without a second scan
@@ -535,6 +556,33 @@ class TestExactPolish:
             assert np.all(np.abs(inverse - inverse_want) <= bound), poly.degree
             scale = np.max(np.abs(gramian_want))
             assert np.max(np.abs(gramian - gramian_want)) <= 1e-16 * scale, poly.degree
+
+    def test_array_rounding_is_the_scalar_rounding(self):
+        # one _round_longdouble call on an array equals _to_longdouble and the
+        # one-integer reference entry by entry: ties to even (up to 2^64),
+        # negative values, shift 0 and integers of several hundred bits
+        from gramspec.spectrum import _round_longdouble, _to_longdouble
+
+        rng = np.random.default_rng(3302)
+        mans = [0, 1, -1, 2**64 - 1, 2**64 + 1, 2**64 + 3, 2**65 - 1, -(2**65 - 1),
+                (2**64 - 1) << 3 | 4, 3 * 2**100 + 1]
+        for bits in (10, 63, 64, 65, 66, 100, 300, 700):
+            for _ in range(25):
+                man = int(rng.integers(0, 2**62)) | 1 << 62
+                while man.bit_length() < bits:
+                    man = man << 62 | int(rng.integers(0, 2**62))
+                man >>= man.bit_length() - bits
+                shift = max(0, bits - 64)  # a tie: the dropped bits are exactly one half
+                tie = (man >> shift << shift) | 1 << (shift - 1) if shift else man
+                mans += [man, -man, tie, -tie]
+        exps = [int(e) for e in rng.integers(-1200, 200, len(mans))]
+        got = _round_longdouble(mans, exps)
+        assert got.dtype == np.longdouble and got.shape == (len(mans),)
+        for value, man, exp in zip(got, mans, exps):
+            for want in (_to_longdouble(man, exp), to_longdouble_each(man, exp)):
+                assert value == want and np.signbit(value) == np.signbit(want), (man, exp)
+        assert_bitwise(_round_longdouble(mans, -5), np.array(
+            [to_longdouble_each(man, -5) for man in mans], dtype=np.longdouble))
 
     def test_rounding_is_correct_to_nearest_even(self):
         from gramspec.spectrum import _to_longdouble

@@ -285,6 +285,19 @@ def test_integer_past_digit_limit(tmp_path, capsys):
         "", f"schema error: initial_condition: cannot read {p0_path}: {limit}\n")
 
 
+def test_document_not_utf8(tmp_path, capsys):
+    """A document file that does not decode as UTF-8 is a schema error at
+    ``$``, as an unreadable file is: every command exits 1 with one stderr
+    line and writes no report."""
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_bytes(b'{"schema": 1, "label": "\xff", "char_poly": [6, 11, 6, 1]}')
+    for argv in (["roots"], ["analyze"], ["verify"], ["energy", "--x0", "1,0,0"]):
+        assert main(argv + [str(doc_path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, (argv, err)
+        assert err.startswith(f"schema error: $: cannot read {doc_path}: 'utf-8' codec"), err
+
+
 def test_eigenvalues_degree_cap():
     """A multiplicity is an integer the Spectrum record holds as it is, so the
     parser bounds the degree it describes; an integer past 64 bits is named by

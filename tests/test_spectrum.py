@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -200,13 +202,49 @@ class TestExactValues:
         import gramspec.spectrum as spectrum
 
         p = gs.poly_from_roots([-1.0, -2.0 + 1j, -2.0 - 1j, -0.5 + 3j, -0.5 - 3j])
-        roots = gs.find_roots(p).astype(dtype)
+        # found on a copy: the values find_roots evaluates stay with that copy
+        roots = gs.find_roots(gs.Polynomial(p.coeffs)).astype(dtype)
         calls = []
         horner = spectrum.exact_horner
         monkeypatch.setattr(spectrum, "exact_horner",
                             lambda *args: calls.append(args[1:]) or horner(*args))
         spectrum._exact_values(p, roots)
         assert len(calls) == 3 and len(set(calls)) == 3
+
+    def test_each_point_evaluated_once_per_polynomial(self, monkeypatch):
+        # the double polish, the structure and its 80-bit polish evaluate
+        # each dyadic point, or its conjugate, once; the first 80-bit step is
+        # at the correctly rounded double roots, which the last double step
+        # evaluated
+        import gramspec.spectrum as spectrum
+        from gramspec.document import parse_system
+
+        roots = [-0.3, -2.1, -0.7 + 1.1j, -0.7 - 1.1j, -1.3 + 2.9j, -1.3 - 2.9j, -3.1 + 0.6j,
+                 -3.1 - 0.6j]
+        coeffs = gs.poly_from_roots(roots).coeffs.tolist()
+        p = parse_system(json.dumps({"schema": 1, "char_poly": coeffs})).poly
+        assert p.degree == 8
+        calls, points, steps = [], set(), []
+        horner, values = spectrum.exact_horner, spectrum._exact_values
+
+        def counted(coeffs, x, y, s):
+            calls.append((x, y, s))
+            return horner(coeffs, x, y, s)
+
+        def seen(p, roots):
+            before = len(calls)
+            points.update((x, abs(y), s) for x, y, s in map(spectrum.dyadic_point, roots.tolist()))
+            out = values(p, roots)
+            steps.append((roots.dtype, len(calls) - before))
+            return out
+
+        monkeypatch.setattr(spectrum, "exact_horner", counted)
+        monkeypatch.setattr(spectrum, "_exact_values", seen)
+        spec = gs.cluster(gs.find_roots(p))
+        double = len(steps)
+        gs.eigen_structure(p, spec).to_extended()
+        assert len(calls) == len({(x, abs(y), s) for x, y, s in calls}) == len(points)
+        assert steps[double] == (np.clongdouble, 0) and len(steps) > double + 1
 
 
 def _assignment_pairing(roots):
