@@ -353,7 +353,7 @@ def cmd_analyze(
         # warning: the checks below and _require_double_range refuse them
         with np.errstate(over="ignore", invalid="ignore"):
             if not multiple:
-                es.residues  # a near-multiple eigenvalue is refused on the double structure
+                es.require_simple()  # a near-multiple eigenvalue, on the double structure
                 if p0 is not None:
                     p0c = _companion_initial(p0, transform)
                 elif inverse:

@@ -184,30 +184,25 @@ class EigenStructure(Record):
 
     Made by eigen_structure, which admits only a simple, solvable
     ``spectrum``; ``solvability`` is the report it passed.  Every
-    simple-spectrum closed form (Gramian eigen and pair parts, inverse
-    parts, residues, finite-horizon and homogeneous terms) is built from it,
-    and it is the one place that holds the per-eigenvalue quantities x_i,
-    y_i and R_i.  Row i of ``right`` is the Vandermonde vector x_i, one
-    array power for all eigenvalues; ``derivs[i]`` is N'(lambda_i) by
-    Horner.  Three more entries are formed on first use, so work that no
-    builder reads is never done: ``mirrors[i]`` is N(-lambda_i) by Horner;
-    ``left`` (row i is y_i = H_l x_i / lambda_i^n, whose last entry is -1)
-    raises ConditioningError for an eigenvalue within ORIGIN_TOL (1 +
-    max|a_k|) of the origin; and ``residues`` (R_i = x_i y_i^T /
-    (-N'(lambda_i))) raises MultipleEigenvalueError when |N'(lambda_i)| is
-    at or below DERIV_FLOOR max|a_k|.
+    simple-spectrum closed form is built from it.  Row i of ``right`` is the
+    Vandermonde vector x_i; ``derivs[i]`` is N'(lambda_i) by Horner.  Three
+    more entries are formed on first use, so work no builder reads is never
+    done: ``mirrors[i]`` is N(-lambda_i) by Horner; ``left`` (row i is y_i =
+    H_l x_i / lambda_i^n, whose last entry is -1) raises ConditioningError
+    for an eigenvalue within ORIGIN_TOL (1 + max|a_k|) of the origin; and
+    ``residues`` stacks the rank-one R_i = x_i y_i^T / (-N'(lambda_i)), whose
+    factors the finite-horizon builders read instead.  require_simple, which
+    they run first, refuses |N'(lambda_i)| <= DERIV_FLOOR max|a_k|.
 
     The working precision is the dtype of ``eigenvalues``: complex128, or
     clongdouble for the ``extended`` structure of ``to_extended``, whose
     eigenvalues are the roots polished by the Newton steps of find_roots run
     in 80-bit, on the exact residual rounded once to 80 bits; an extended
-    structure also carries ``exact_totals``.  Builders combine the entries
-    one eigenvalue at a time, in scalar arithmetic.  An extended structure
-    forms ``derivs``, ``mirrors``, ``left`` and ``residues`` for all
-    eigenvalues in one array form each: clongdouble arithmetic has no SIMD
-    kernels, so its array operations round as its scalar ones do.  A double
-    structure forms them one eigenvalue at a time, because the vectorized
-    complex128 multiply does not.
+    structure also carries ``exact_totals``.  An extended structure forms
+    ``derivs``, ``mirrors`` and ``left`` in one array form each: clongdouble
+    arithmetic has no SIMD kernels, so its array operations round as its
+    scalar ones do, while the vectorized complex128 multiply does not, and
+    builders form their scalar coefficients one eigenvalue at a time.
     """
 
     def __init__(self, poly: Polynomial, spectrum: Spectrum, eigenvalues: np.ndarray,
@@ -249,8 +244,8 @@ class EigenStructure(Record):
             return self.right @ h_l.T / self.eigenvalues[:, None] ** n
         return np.stack([(h_l @ x) / lam**n for lam, x in zip(self.eigenvalues, self.right)])
 
-    @cached_property
-    def residues(self) -> np.ndarray:
+    def require_simple(self):
+        """Refuse (MultipleEigenvalueError) a numerically multiple eigenvalue."""
         scale = float(np.max(np.abs(self.poly.coeffs)))
         for lam, deriv in zip(self.eigenvalues, self.derivs):
             if abs(deriv) <= DERIV_FLOOR * scale:
@@ -258,8 +253,10 @@ class EigenStructure(Record):
                     f"|N'({lam})| = {float(abs(deriv)):.3e} is below tolerance; eigenvalue "
                     "is numerically multiple, use the Jordan-chain decomposition"
                 )
-        if self.extended:
-            return self.right[:, :, None] * self.left[:, None, :] / -self.derivs[:, None, None]
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        self.require_simple()
         return np.stack(
             [np.outer(x, y) / (-d) for x, y, d in zip(self.right, self.left, self.derivs)]
         )
@@ -286,7 +283,7 @@ class EigenStructure(Record):
                                    for k in range(min(n - 1 - i, j) + 1))
                    for i in range(n) for j in range(n)]
         inverse = _round_longdouble(entries, -2 * t).reshape(n, n).astype(np.clongdouble)
-        return _solve_dense(inverse, np.eye(n, dtype=np.clongdouble)[None])[0], inverse
+        return _solve_dense(inverse, np.eye(n, dtype=np.clongdouble)), inverse
 
 
 def _each(values: np.ndarray, form) -> np.ndarray:
@@ -310,21 +307,18 @@ def _evaluate(
     )
 
 
-def _solve_dense(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """The (k, n, n) stack of solutions X of a X = B, one for each matrix B
-    of the (k, n, n) ``stack``, also in the extended-precision dtype.
+def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The n x m solution X of a X = b, also in the extended-precision dtype.
 
-    In double this is one broadcast LAPACK solve.  LAPACK only covers
-    single/double, so clongdouble systems go through a plain Gaussian
-    elimination with partial pivoting (n is companion-sized), one
-    elimination for all right-hand sides side by side: each pivot updates
-    the trailing rows with one array operation.
+    In double this is one LAPACK solve.  LAPACK only covers single/double,
+    so clongdouble systems go through a plain Gaussian elimination with
+    partial pivoting (n is companion-sized), for all m columns side by side:
+    each pivot updates the trailing rows with one array operation.
     """
-    if a.dtype != np.clongdouble and stack.dtype != np.clongdouble:
-        return np.linalg.solve(a, stack)
-    a = a.astype(np.clongdouble)
-    count, n, _ = stack.shape
-    x = stack.astype(np.clongdouble).transpose(1, 0, 2).reshape(n, count * n)
+    if a.dtype != np.clongdouble and b.dtype != np.clongdouble:
+        return np.linalg.solve(a, b)
+    a, x = a.astype(np.clongdouble), b.astype(np.clongdouble)
+    n = a.shape[0]
     for k in range(n):
         pivot = k + int(np.argmax(np.abs(a[k:, k])))
         if a[pivot, k] == 0.0:
@@ -337,7 +331,7 @@ def _solve_dense(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
         x[k + 1 :] -= f * x[k]
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
-    return x.reshape(n, count, n).transpose(1, 0, 2)
+    return x
 
 
 def eigen_structure(

@@ -105,9 +105,10 @@ def optimal_control(
         raise StabilityError("optimal control requires a strictly stable spectrum")
     x0 = np.asarray(x0, dtype=float)
     w = inv.total() @ x0
-    residues = es.residues
-    n = es.poly.degree
-    kappa = np.array([np.conj(residues[i][:, n - 1]) @ w for i in range(spec.values.size)])
+    es.require_simple()
+    # column n of R_i from its factors, rounded as ``residues`` rounds it
+    kappa = np.array([np.conj(x * y[-1] / -deriv) @ w
+                      for x, y, deriv in zip(es.right, es.left, es.derivs)])
     rates = -np.conj(spec.values)
     horizon = 40.0 / float(np.min(np.abs(spec.values.real)))
     return OptimalControlSignal(kappa, rates, horizon)

@@ -52,6 +52,11 @@ def _require_horizon(t: float):
         raise ValueError(f"horizon must be finite and nonnegative, got {t}")
 
 
+def _outer_stack(coeffs: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The stack of the rank-one coeffs[i] left[i] right[i]^T, one broadcast."""
+    return coeffs[:, None, None] * (left[:, :, None] * right[:, None, :])
+
+
 class SpectralComponentSet(Record):
     """Eigen- or pair-indexed spectral components of a Gramian or of its
     inverse.
@@ -99,8 +104,7 @@ class SpectralComponentSet(Record):
         else:
             keys = ((i, j) for i in range(k) for j in range(k))
             left, right = np.repeat(left, k, axis=0), np.tile(right, (k, 1))
-        stack = coeffs[:, None, None] * (left[:, :, None] * right[:, None, :])
-        return cls(keys, stack, kind, "raw", es.poly, es.spectrum)
+        return cls(keys, _outer_stack(coeffs, left, right), kind, "raw", es.poly, es.spectrum)
 
     @functools.cached_property
     def components(self) -> MappingProxyType:
@@ -171,26 +175,33 @@ class InitialCondition(Record):
 class Horizon(Record):
     """A simple-spectrum EigenStructure evaluated at one time t, once.
 
-    ``growth[i]`` is e^{lambda_i t} and ``expm_transpose`` is e^{A_C^T t} =
-    sum_i e^{lambda_i t} R_i^T, in the structure's precision; every
-    finite-horizon builder at t reads them from here, and since the value
-    carries its structure, no builder can pair a structure with another's
-    exponential.  Made by horizon.
+    ``weights[i]`` is e^{lambda_i t} / (-N'(lambda_i)), ``expm_transpose``
+    is e^{A_C^T t} = sum_i e^{lambda_i t} R_i^T and row i of ``rows`` is (J
+    x_i)^T e^{A_C^T t}, in the structure's precision; every finite-horizon
+    builder at t reads them from here, and since the value carries its
+    structure, no builder can pair a structure with another's exponential.
+    Made by horizon.
     """
 
-    def __init__(self, structure: EigenStructure, t: float, growth: np.ndarray,
+    def __init__(self, structure: EigenStructure, t: float, weights: np.ndarray,
                  expm_transpose: np.ndarray):
-        self.__dict__.update(structure=structure, t=t, growth=growth,
+        self.__dict__.update(structure=structure, t=t, weights=weights,
                              expm_transpose=expm_transpose)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        signs = alternating_signs(self.structure.poly.degree)
+        return (self.structure.right * signs) @ self.expm_transpose
 
 
 def horizon(es: EigenStructure, t: float) -> Horizon:
-    """Evaluate ``es`` at the horizon t >= 0.  The exponential needs the
-    residues, so a near-multiple eigenvalue raises MultipleEigenvalueError."""
+    """Evaluate ``es`` at the horizon t >= 0.  The exponential is the
+    residue expansion as one product Y^T diag(weights) X of the eigenvector
+    rows, so a near-multiple eigenvalue raises MultipleEigenvalueError."""
     _require_horizon(t)
-    residues = es.residues
-    growth = np.array([np.exp(lam * t) for lam in es.eigenvalues])
-    return Horizon(es, t, growth, sum(g * r.T for g, r in zip(growth, residues)))
+    es.require_simple()
+    weights = np.array([np.exp(lam * t) / -deriv for lam, deriv in zip(es.eigenvalues, es.derivs)])
+    return Horizon(es, t, weights, es.left.T @ (weights[:, None] * es.right))
 
 
 class FiniteGramianDecomposition(Record):
@@ -252,18 +263,20 @@ def finite_subgramians(
     """Eigen-indexed decomposition of the finite Gramian with P(0) = 0 at the
     horizon's t.
 
-    Component i is P_hat_i (I - e^{(lambda_i I + A_C^T) t}).  The P_hat_i
-    are ``static``, the raw infinite_subgramians set of the horizon's
-    structure, which is built here when the caller passes none.  From an
-    extended structure everything is built and evaluated in 80-bit
-    precision, which the product identity with the finite inverse needs at
-    stiff horizons.
+    Component i is P_hat_i (I - e^{(lambda_i I + A_C^T) t}), the raw
+    infinite_subgramians component ``static`` (built here when the caller
+    passes none) plus the rank-one -(w_i / N(-lambda_i)) x_i r_i^T, w and r
+    the horizon's weights and rows.  From an extended structure everything is
+    in 80-bit precision, which the product identity with the finite inverse
+    needs at stiff horizons.
     """
+    es = h.structure
     if static is None:
-        static = infinite_subgramians(h.structure)
+        static = infinite_subgramians(es)
     elif static.kind != "eigen" or static.flavor != "raw":
         raise ValueError("finite components expect the raw eigen-indexed Gramian set")
-    terms = 0 + (-static.stack * h.growth[:, None, None]) @ h.expm_transpose
+    coeffs = np.array([-(w / mirror) for w, mirror in zip(h.weights, es.mirrors)])
+    terms = 0 + _outer_stack(coeffs, es.right, h.rows)
     return FiniteGramianDecomposition(static, _plus_terms(static, terms), h.t, h.expm_transpose)
 
 
@@ -288,12 +301,12 @@ def _require_initial(es: EigenStructure, p0: InitialCondition):
 def homogeneous_subgramians(h: Horizon, p0: InitialCondition) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the homogeneous solution with P(0) = P_0,
     evaluated at the horizon's t: components R_i P_0 e^{(lambda_i I + A_C^T) t},
-    whose sum reproduces P_0 at t = 0."""
+    whose sum reproduces P_0 at t = 0: the rank-one w_i x_i (y_i^T P_0
+    e^{A_C^T t}) with the horizon's weights, all rows in one product."""
     es = h.structure
     _require_initial(es, p0)
-    stack = es.residues @ p0.matrix @ h.expm_transpose * h.growth[:, None, None]
-    return SpectralComponentSet(tuple(range(h.growth.size)), stack, "eigen", "raw", es.poly,
-                                es.spectrum)
+    rows = es.left @ (p0.matrix @ h.expm_transpose)
+    return SpectralComponentSet.rank_one(es, "eigen", h.weights, es.right, rows)
 
 
 def homogeneous_pair_subgramians(
@@ -301,19 +314,17 @@ def homogeneous_pair_subgramians(
 ) -> SpectralComponentSet:
     """Pair-indexed decomposition of the homogeneous solution with P(0) = P_0,
     evaluated at t: components R_i P_0 R_j^* e^{(lambda_i + conj(lambda_j)) t},
-    whose sum reproduces P_0 at t = 0."""
+    whose sum reproduces P_0 at t = 0.  Each is rank one, c_ij x_i x_j^* with
+    c_ij = y_i^T P_0 conj(y_j) e^{(lambda_i + conj(lambda_j)) t} /
+    (N'(lambda_i) conj(N'(lambda_j)))."""
     _require_horizon(t)
     _require_initial(es, p0)
-    residues, lams = es.residues, es.eigenvalues
-    parts = {
-        (i, j): residues[i]
-        @ p0.matrix
-        @ residues[j].conj().T
-        * np.exp((lams[i] + np.conj(lams[j])) * t)
-        for i in range(lams.size)
-        for j in range(lams.size)
-    }
-    return SpectralComponentSet.from_parts(parts, "pair", "raw", es.poly, es.spectrum)
+    es.require_simple()
+    lams, derivs, k = es.eigenvalues, es.derivs, es.eigenvalues.size
+    inner = es.left @ p0.matrix @ es.left.conj().T
+    coeffs = np.array([inner[i, j] * np.exp((lams[i] + np.conj(lams[j])) * t)
+                       / (derivs[i] * np.conj(derivs[j])) for i in range(k) for j in range(k)])
+    return SpectralComponentSet.rank_one(es, "pair", coeffs, es.right, np.conj(es.right))
 
 
 def lift_to_original(decomp: SpectralComponentSet, transform: SimilarityTransform) -> np.ndarray:

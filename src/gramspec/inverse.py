@@ -18,23 +18,25 @@ import numpy as np
 from .companion import (EigenStructure, JordanChainSet, SimilarityTransform, _solve_dense,
                         alternating_signs)
 from .errors import ConditioningError
-from .gramians import Horizon, InitialCondition, SpectralComponentSet, hermitian_part
+from .gramians import Horizon, InitialCondition, SpectralComponentSet, _outer_stack, hermitian_part
 
 PIVOT_TOL = 1e-12  # final entry of the last left-chain vector, relative to the chain scale
 CONDITION_CAPS = {53: 1e12, 64: 1e17}  # normalization condition cap, by significand bits
 
 
-def inverse_eigenparts(es: EigenStructure) -> SpectralComponentSet:
+def inverse_eigenparts(es: EigenStructure, columns=None) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the algebraic Riccati solution.
 
     The raw components c_i (J y_i) y_i^T, with c_i = N(-lambda_i)/(-N'(lambda_i)),
     sum to the exact inverse of the Lyapunov solution.  An extended structure
     gives 80-bit components.  Reads y_i, N'(lambda_i) and N(-lambda_i) and no
-    residues, so a near-multiple simple spectrum is still decomposed.
+    residues, so a near-multiple simple spectrum is still decomposed.  Row i
+    of ``columns``, when given, takes the place of J y_i (finite_inverse).
     """
-    signs = alternating_signs(es.poly.degree)
+    if columns is None:
+        columns = alternating_signs(es.poly.degree) * es.left
     coeffs = np.array([mirror / (-deriv) for deriv, mirror in zip(es.derivs, es.mirrors)])
-    return SpectralComponentSet.rank_one(es, "eigen", coeffs, signs * es.left, es.left)
+    return SpectralComponentSet.rank_one(es, "eigen", coeffs, columns, es.left)
 
 
 def inverse_pair_parts(es: EigenStructure) -> SpectralComponentSet:
@@ -87,10 +89,10 @@ def riccati_general(transform: SimilarityTransform, inv: SpectralComponentSet) -
     ctrb, h_u = transform.controllability, transform.hankel
 
     def solve(a, x):  # (a^{-1} X)^H
-        return _solve_dense(a, x).conj().swapaxes(-1, -2)
+        return _solve_dense(a, x).conj().T
 
-    total = inv.symmetrized().total()[None]
-    return hermitian_part(solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, total))))[0])
+    total = inv.symmetrized().total()
+    return hermitian_part(solve(ctrb.T, solve(ctrb.T, solve(h_u, solve(h_u, total)))))
 
 
 def finite_inverse(h: Horizon, p0: InitialCondition):
@@ -99,33 +101,30 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
 
     P^{-1}(t) = G(t) sum_j P_hat_j^{-C} with the normalization matrix defined
     through G^{-1}(t) = I - sum_i J R_i^T J e^{(lambda_i I + A^T) t}
-    + sum_i P_hat_i^{-C} P_0 e^{(lambda_i I + A^T) t}.  Returns the
-    condition of G(t) and the inverse eigen set (inverse_eigenparts of the
-    structure) scaled by G(t), whose product with the finite Gramian of the
-    same horizon is the identity.
-
-    An extended horizon evaluates in 80-bit precision; unstable systems at
-    stiff horizons need it for the product identity to survive in floating
-    point.  G(t) is refused (ConditioningError) when its condition exceeds
-    the CONDITION_CAPS cap of the significand bits of the horizon's format:
-    1e12 for 53 (double), 1e17 for 64 or more.  A G^{-1}(t) with an entry
-    outside the double range is refused as such, with condition inf.
+    + sum_i P_hat_i^{-C} P_0 e^{(lambda_i I + A^T) t}: rank-one terms -w_i
+    (J y_i) r_i^T and N(-lambda_i) w_i (J y_i) (y_i^T P_0 e^{A^T t}), with
+    the horizon's weights w and rows r.  Returns the condition of G(t) and
+    the inverse eigen set scaled by G(t), its columns G(t) J y_i solved for
+    all k at once, whose product with the finite Gramian of the same horizon
+    is the identity.  An extended horizon evaluates in 80-bit precision,
+    which unstable systems at stiff horizons need.  G(t) is refused
+    (ConditioningError) when its condition exceeds the CONDITION_CAPS cap of
+    the significand bits of the horizon's format: 1e12 for 53 (double), 1e17
+    for 64 or more.  A G^{-1}(t) with an entry outside the double range is
+    refused as such, with condition inf.
     """
     es, t = h.structure, h.t
     cap = CONDITION_CAPS[min(np.finfo(h.expm_transpose.dtype).nmant + 1, 64)]
-    inv = None  # the inverse eigen set: formed once, and with P_0 = 0 only for a G(t) that passes
     n = es.poly.degree
-    signs = alternating_signs(n)
+    columns = alternating_signs(n) * es.left  # row i is J y_i
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        # per eigenvalue, the boundary term minus the decay term; the largest
-        # entry of each is its scale, rounded to double as the condition is.
-        # J R^T J is one exact multiply by the +-1 checkerboard
-        scaled_exp = h.growth[:, None, None] * h.expm_transpose
-        terms = -((np.swapaxes(es.residues, 1, 2) * (signs[:, None] * signs)) @ scaled_exp)
+        # per eigenvalue, the boundary term plus the decay term; the largest
+        # entry of each is its scale, rounded to double as the condition is
+        terms = _outer_stack(-h.weights, columns, h.rows)
         scales = [1.0, *np.abs(terms).max(axis=(1, 2)).astype(float).tolist()]
         if np.any(p0.matrix):  # with P_0 = 0 the boundary terms vanish
-            inv = inverse_eigenparts(es)
-            boundary = inv.stack @ p0.matrix @ scaled_exp
+            scaled = np.array([m * w for m, w in zip(es.mirrors, h.weights)])
+            boundary = _outer_stack(scaled, columns, es.left @ (p0.matrix @ h.expm_transpose))
             terms = boundary + terms
             scales += np.abs(boundary).max(axis=(1, 2)).astype(float).tolist()
         # added one term at a time, in eigenvalue order
@@ -147,8 +146,7 @@ def finite_inverse(h: Horizon, p0: InitialCondition):
             f"normalization matrix G(t) is numerically singular at t = {t}",
             condition=condition,
         )
-    inv = inverse_eigenparts(es) if inv is None else inv
-    return condition, inv._replace(stack=_solve_dense(g_inv, inv.stack))
+    return condition, inverse_eigenparts(es, _solve_dense(g_inv, columns.T).T)
 
 
 def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:

@@ -254,11 +254,6 @@ def _round_longdouble(mans, exps) -> np.ndarray:
     return np.negative(values, out=values, where=np.array(negative, dtype=bool))
 
 
-def _to_longdouble(man: int, exp: int) -> np.longdouble:
-    """man * 2^exp correctly rounded to the 80-bit format (_round_longdouble)."""
-    return _round_longdouble([man], exp)[0]
-
-
 def dyadic_point(z) -> tuple:
     """(x, y, s) with z = (x + i y) / 2^s exactly, x and y integers; z is a
     complex or an 80-bit complex scalar."""

@@ -5,7 +5,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from gramspec.companion import alternating_signs
+from gramspec.companion import _solve_dense, alternating_signs
 from gramspec.document import MatrixBlock, MatrixEntry
 from gramspec.errors import MultipleEigenvalueError
 from gramspec.gramians import _poly_exp
@@ -240,16 +240,101 @@ def finite_pair_subgramians_each(pairs: dict, values: np.ndarray, t: float) -> d
     }
 
 
+def growth_each(h) -> np.ndarray:
+    """e^{lambda_i t} at the horizon ``h``, one eigenvalue at a time."""
+    return np.array([np.exp(lam * h.t) for lam in h.structure.eigenvalues])
+
+
 def finite_subgramians_each(parts: dict, h) -> dict:
     """Finite eigen components at the horizon ``h`` of the raw eigen parts."""
-    return {i: part + sum([(-part * h.growth[i]) @ h.expm_transpose])
+    growth = growth_each(h)
+    return {i: part + sum([(-part * growth[i]) @ h.expm_transpose])
             for i, part in parts.items()}
 
 
 def homogeneous_subgramians_each(h, p0) -> dict:
     residues = h.structure.residues
-    return {i: residues[i] @ p0.matrix @ h.expm_transpose * h.growth[i]
-            for i in range(h.growth.size)}
+    return {i: residues[i] @ p0.matrix @ h.expm_transpose * g
+            for i, g in enumerate(growth_each(h))}
+
+
+def horizon_each(es, t: float) -> tuple:
+    """(weights, e^{A_C^T t}) of the horizon: e^{lambda_i t}/(-N'(lambda_i))
+    and sum_i y_i (weights[i] x_i)^T, added one eigenvalue at a time from 0."""
+    weights = np.array([np.exp(lam * t) / -deriv for lam, deriv in zip(es.eigenvalues, es.derivs)])
+    expm_transpose = 0
+    for y, w, x in zip(es.left, weights, es.right):
+        expm_transpose = expm_transpose + np.outer(y, w * x)
+    return weights, expm_transpose
+
+
+def rows_each(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Row i is vectors[i]^T matrix, one vector product at a time."""
+    return np.array([v @ matrix for v in vectors])
+
+
+# The finite-horizon terms as rank-one c_i u_i v_i^T, one eigenvalue at a
+# time.  Each reads its rows v_i as the package forms them, one matrix
+# product for all i (Horizon.rows, and initial_rows below): a BLAS matrix product
+# rounds its rows differently from a vector product, so the rows are
+# compared with rows_each on their own.
+
+
+def initial_rows(h, p0) -> np.ndarray:
+    """Row i is y_i^T P_0 e^{A_C^T t}, all in one product."""
+    return h.structure.left @ (p0.matrix @ h.expm_transpose)
+
+
+def finite_subgramians_rank_one_each(parts: dict, h) -> dict:
+    """Finite eigen components P_hat_i - w_i / N(-lambda_i) x_i r_i^T of the
+    raw eigen parts, with w_i = e^{lambda_i t}/(-N'(lambda_i)) and r_i = (J
+    x_i)^T e^{A_C^T t}."""
+    es = h.structure
+    out = {}
+    for (i, part), x, deriv, mirror, g, row in zip(parts.items(), es.right, es.derivs,
+                                                   es.mirrors, growth_each(h), h.rows):
+        out[i] = part + sum([-(g / -deriv / mirror) * np.outer(x, row)])
+    return out
+
+
+def homogeneous_subgramians_rank_one_each(h, p0) -> dict:
+    """Homogeneous components e^{lambda_i t}/(-N'(lambda_i)) x_i s_i^T with
+    s_i = y_i^T P_0 e^{A_C^T t}."""
+    es = h.structure
+    rows = initial_rows(h, p0)
+    return {i: g / -deriv * np.outer(x, row)
+            for i, (x, deriv, g, row) in enumerate(zip(es.right, es.derivs, growth_each(h), rows))}
+
+
+def normalization_rank_one_each(h, p0) -> tuple:
+    """(G^{-1}(t), term scale) of the finite inverse from its rank-one terms
+    (J y_i) (-w_i r_i + N(-lambda_i) w_i s_i)^T, w_i = e^{lambda_i
+    t}/(-N'(lambda_i)), added one eigenvalue at a time."""
+    es = h.structure
+    signs = alternating_signs(es.poly.degree)
+    boundary_rows = initial_rows(h, p0) if np.any(p0.matrix) else None
+    g_inv = np.eye(es.poly.degree, dtype=h.expm_transpose.dtype)
+    term_scale = 1.0
+    for i, (y, deriv, mirror, g) in enumerate(zip(es.left, es.derivs, es.mirrors,
+                                                  growth_each(h))):
+        term = -(g / -deriv) * np.outer(signs * y, h.rows[i])
+        term_scale = max(term_scale, float(np.max(np.abs(term))))
+        if boundary_rows is not None:
+            boundary = mirror * (g / -deriv) * np.outer(signs * y, boundary_rows[i])
+            term_scale = max(term_scale, float(np.max(np.abs(boundary))))
+            term = boundary + term
+        g_inv = g_inv + term
+    return g_inv, term_scale
+
+
+def finite_inverse_rank_one_each(es, g_inv) -> dict:
+    """Finite inverse components c_i z_i y_i^T with G^{-1}(t) z_i = J y_i,
+    the k columns solved together by the package's elimination."""
+    signs = alternating_signs(es.poly.degree)
+    solved = _solve_dense(g_inv, (signs * es.left).T).T
+    return {i: mirror / (-deriv) * np.outer(z, y)
+            for i, (z, y, deriv, mirror) in enumerate(zip(solved, es.left, es.derivs,
+                                                            es.mirrors))}
 
 
 def merge_conjugate_each(components: dict, spectrum, kind: str) -> dict:
@@ -282,7 +367,7 @@ def normalization_each(h, p0) -> tuple:
     signs = alternating_signs(n)
     g_inv = np.eye(n, dtype=h.expm_transpose.dtype)
     term_scale = 1.0
-    for i, growth in enumerate(h.growth):
+    for i, growth in enumerate(growth_each(h)):
         scaled_exp = growth * h.expm_transpose
         decay = (signs[:, None] * residues[i].T * signs[None, :]) @ scaled_exp
         boundary = inv_components[i] @ p0.matrix @ scaled_exp

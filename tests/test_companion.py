@@ -558,10 +558,11 @@ class TestExactPolish:
             assert np.max(np.abs(gramian - gramian_want)) <= 1e-16 * scale, poly.degree
 
     def test_array_rounding_is_the_scalar_rounding(self):
-        # one _round_longdouble call on an array equals _to_longdouble and the
-        # one-integer reference entry by entry: ties to even (up to 2^64),
-        # negative values, shift 0 and integers of several hundred bits
-        from gramspec.spectrum import _round_longdouble, _to_longdouble
+        # one _round_longdouble call on an array equals its call on one
+        # integer and the one-integer reference entry by entry: ties to even
+        # (up to 2^64), negative values, shift 0 and integers of several
+        # hundred bits
+        from gramspec.spectrum import _round_longdouble
 
         rng = np.random.default_rng(3302)
         mans = [0, 1, -1, 2**64 - 1, 2**64 + 1, 2**64 + 3, 2**65 - 1, -(2**65 - 1),
@@ -579,13 +580,16 @@ class TestExactPolish:
         got = _round_longdouble(mans, exps)
         assert got.dtype == np.longdouble and got.shape == (len(mans),)
         for value, man, exp in zip(got, mans, exps):
-            for want in (_to_longdouble(man, exp), to_longdouble_each(man, exp)):
+            for want in (_round_longdouble([man], exp)[0], to_longdouble_each(man, exp)):
                 assert value == want and np.signbit(value) == np.signbit(want), (man, exp)
         assert_bitwise(_round_longdouble(mans, -5), np.array(
             [to_longdouble_each(man, -5) for man in mans], dtype=np.longdouble))
 
     def test_rounding_is_correct_to_nearest_even(self):
-        from gramspec.spectrum import _to_longdouble
+        from gramspec.spectrum import _round_longdouble
+
+        def _to_longdouble(man, exp):
+            return _round_longdouble([man], exp)[0]
 
         # 2^64 + 1 and 2^64 + 3 are ties between 80-bit neighbours
         for man, exp in [(2**64 + 1, 0), (2**64 + 3, 0), (-(2**64 + 3), -70), (0, 5),

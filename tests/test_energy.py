@@ -3,7 +3,7 @@ import pytest
 
 import gramspec as gs
 
-from conftest import random_companion
+from conftest import assert_bitwise, random_companion
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,23 @@ class TestOptimalControl:
         scale = max(1.0, np.max(np.abs(control)))
         assert np.max(np.abs(total - control)) <= 1e-9 * scale
         assert np.max(np.abs(total.imag)) <= 1e-9 * scale
+
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_modal_weights_read_the_residue_column(self, n):
+        # kappa_i is conj(R_i[:, n - 1]) @ P^-1 x_0 with the residue's column
+        # formed from the factors, x_i y_i[n - 1] / (-N'(lambda_i)): bit for
+        # bit the column of the residue stack, which energy no longer builds
+        rng = np.random.default_rng(400 + n)
+        _, cr, spec = random_companion(rng, n)
+        x0 = rng.standard_normal(n)
+        es = gs.eigen_structure(cr.poly, spec)
+        inv = gs.inverse_eigenparts(es)
+        signal = gs.optimal_control(x0, es, inv)
+        assert "residues" not in es.__dict__
+        w = inv.total() @ x0
+        want = np.array([np.conj(r[:, n - 1]) @ w for r in es.residues])
+        assert_bitwise(signal.kappa, want)
 
 
 class TestEnergyPartition:

@@ -215,6 +215,24 @@ class TestHomogeneous:
         assert np.max(np.abs(sum(eigen.components.values()))) == 0.0
         assert np.max(np.abs(sum(pair.components.values()))) == 0.0
 
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_pair_set_is_the_residue_products(self, n):
+        # component (i, j) is the rank-one c_ij x_i x_j^* with c_ij from
+        # y_i^T P_0 conj(y_j): the residue products R_i P_0 R_j^* e^{s t}
+        # within a few ulps of the largest entry of their absolute values
+        rng = np.random.default_rng(120 + n)
+        _, cr, spec = random_companion(rng, n)
+        m = rng.standard_normal((n, n))
+        p0 = gs.InitialCondition(0.5 * (m + m.T))
+        es = gs.eigen_structure(cr.poly, spec)
+        pair = gs.homogeneous_pair_subgramians(es, p0, 0.4)
+        r, lams = es.residues, spec.values
+        for (i, j), got in pair.components.items():
+            factors = np.abs(r[i]) @ np.abs(p0.matrix) @ np.abs(r[j]).T
+            want = r[i] @ p0.matrix @ r[j].conj().T * np.exp((lams[i] + np.conj(lams[j])) * 0.4)
+            scale = factors.max() * abs(np.exp((lams[i] + np.conj(lams[j])) * 0.4))
+            assert np.max(np.abs(got - want)) <= 8 * n * np.finfo(float).eps * scale, (i, j)
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
     def test_pair_set_refuses_a_bad_horizon(self, example1, t):
         # as every horizon builder does: no NaN, zero or backward components

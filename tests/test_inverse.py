@@ -3,6 +3,7 @@ import pytest
 
 import gramspec as gs
 from gramspec.cli import VERIFY_BOUNDS
+from gramspec.companion import alternating_signs
 
 from conftest import random_companion
 from references import inverse_eigenpart_counted, normalization_each, solve_dense_columns
@@ -286,31 +287,32 @@ class TestFiniteInverse:
         assert float(np.max(np.abs(inv_t.total() @ gram_t - n))) < 1e-6
 
     def test_one_elimination_matches_per_column_reference(self, example1):
-        # the 80-bit normalization solve eliminates once for every component;
-        # it is bitwise the row-by-row elimination of one right-hand side
+        # the 80-bit normalization solve eliminates once for all columns of
+        # its right-hand side, n x n or the n x k of the finite inverse's
+        # columns J y_i; it is bitwise the row-by-row elimination
         from gramspec.inverse import _solve_dense
 
         _, cr, spec = example1
         es = gs.eigen_structure(cr.poly, spec).to_extended()
         g_inv, _ = normalization_each(gs.horizon(es, 5.0), gs.InitialCondition(np.eye(3)))
-        systems = [(g_inv, gs.inverse_eigenparts(es).stack)]
+        columns = alternating_signs(3) * es.left
+        systems = [(g_inv, columns.T), *((g_inv, m) for m in gs.inverse_eigenparts(es).stack)]
         rng = np.random.default_rng(31)
         for n in (1, 2, 5, 8, 16):
             a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).astype(
                 np.clongdouble)
-            systems.append((a, rng.standard_normal((n, n, n)).astype(np.clongdouble)))
-        for a, rhs in systems:
-            for got, b in zip(_solve_dense(a, rhs), rhs, strict=True):
-                want = solve_dense_columns(a, b)
-                assert got.dtype == np.clongdouble
-                assert np.array_equal(got, want), a.shape
+            systems += [(a, rng.standard_normal((n, m)).astype(np.clongdouble)) for m in (n, 3)]
+        for a, b in systems:
+            got = _solve_dense(a, b)
+            assert got.dtype == np.clongdouble
+            assert np.array_equal(got, solve_dense_columns(a, b)), a.shape
 
     def test_one_elimination_refuses_singular_matrix(self):
         from gramspec.inverse import _solve_dense
 
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=np.clongdouble)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            _solve_dense(a, np.array([np.eye(2, dtype=np.clongdouble), np.ones((2, 2))]))
+            _solve_dense(a, np.ones((2, 3), dtype=np.clongdouble))
 
 
 class TestInverseMultiple:
