@@ -57,7 +57,6 @@ from .document import (
 from .errors import (
     ConditioningError,
     ControllabilityError,
-    ConvergenceError,
     GramspecError,
     MultipleEigenvalueError,
     Record,
@@ -65,8 +64,8 @@ from .errors import (
     SolvabilityError,
 )
 from .gramians import (
-    FiniteGramianDecomposition,
     InitialCondition,
+    _require_horizon,
     finite_pair_subgramians,
     finite_subgramians,
     homogeneous_subgramians,
@@ -317,7 +316,8 @@ def cmd_analyze(
     block builds the sets that only it reads.  The pair blocks come last:
     their builders refuse nothing, and they are the O(n^4) work.
 
-    On a simple spectrum every finite block reads one 80-bit to_extended()
+    A bad horizon is refused (ValueError) before any spectral work.  On a
+    simple spectrum every finite block reads one 80-bit to_extended()
     horizon, and the report writes its values rounded once to double.
     """
     from .inverse import (finite_inverse, inverse_eigenparts, inverse_multiple_eig,
@@ -330,13 +330,15 @@ def cmd_analyze(
     p0 = doc.initial_condition
     multiple = not spec.is_simple
     t = None if finite is None else float(finite)
+    if t is not None:
+        _require_horizon(t)
     warnings = []  # the command's own, after the document's
     decomp = inv_set = None  # the Gramian decomposition and inverse eigen set, once built
 
     # admission: every step that can refuse the document, in order
     if multiple:
         chains = jordan_chains_companion(spec, poly)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow: _require_double_range
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: refused below
             decomp = multiple_eig_gramian(chains, finite)
         if pairs:
             warnings.append("pair components are only defined for simple spectra; skipped")
@@ -350,9 +352,11 @@ def cmd_analyze(
         es.left
     if t is not None:
         # values past the double range come out inf or nan, without a
-        # warning: the checks below and _require_double_range refuse them
+        # warning: _require_exp_range and _require_double_range refuse them
         with np.errstate(over="ignore", invalid="ignore"):
-            if not multiple:
+            if multiple:
+                _require_exp_range(decomp.expm_transpose, t)
+            else:
                 es.require_simple()  # a near-multiple eigenvalue, on the double structure
                 if p0 is not None:
                     p0c = _companion_initial(p0, transform)
@@ -360,10 +364,9 @@ def cmd_analyze(
                     p0c = InitialCondition(np.zeros((poly.degree, poly.degree)))
                 # one 80-bit horizon for every finite block, once e^(A t) is in double range:
                 # its scalar factors before any 80-bit work, then its entries rounded
-                finite_growth = np.all(np.isfinite(np.exp(es.eigenvalues * t)))
-                h = horizon(es.to_extended(), t) if finite_growth else None
-                if h is None or not np.all(np.isfinite(h.expm_transpose.astype(complex))):
-                    raise ConditioningError(f"e^(A t) leaves the double range at t = {t}")
+                _require_exp_range(np.exp(es.eigenvalues * t), t)
+                h = horizon(es.to_extended(), t)
+                _require_exp_range(h.expm_transpose, t)
                 if inverse:
                     condition, inv_finite = finite_inverse(h, p0c)
                 decomp = finite_subgramians(h)
@@ -377,7 +380,7 @@ def cmd_analyze(
                 gram_t = gram_t + hom_t.total()  # the product residual's P(t), unrounded
             if inverse and multiple:
                 warnings.append("finite inverse is only evaluated for simple spectra; skipped")
-        _require_double_range(decomp, finite_sum)
+        _require_double_range(finite_sum, t)
 
     # the report, block by block
     flavor = "raw" if raw else "symmetrized"
@@ -463,22 +466,26 @@ def _initial_value_defect(es: EigenStructure, p0: InitialCondition) -> float:
     return float(np.max(np.abs(hom_0.total() - p0.matrix)))
 
 
-def _require_double_range(decomp: FiniteGramianDecomposition, finite_sum: np.ndarray):
+def _require_exp_range(values: np.ndarray, t: float):
+    """Refuse (ConditioningError) a horizon at which e^(A t), its entries or
+    its scalar factors e^(lambda_i t), leaves the double range; 80-bit values
+    are judged rounded to double."""
+    if not np.all(np.isfinite(values.astype(complex))):
+        raise ConditioningError(f"e^(A t) leaves the double range at t = {t}")
+
+
+def _require_double_range(finite_sum: np.ndarray, t: float):
     """Refuse (ConditioningError) a horizon at which the Frobenius norm of
     P(t), the scale of its residual, leaves the double range, naming what
-    left it first: e^(A t), an entry of P(t), or only the norm."""
+    left it first: an entry of P(t), or only the norm."""
     with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154 overflow
         if np.isfinite(np.linalg.norm(finite_sum)):
             return
         largest = np.max(np.abs(finite_sum))
-    if not np.all(np.isfinite(decomp.expm_transpose)):
-        quantity = "e^(A t)"
-    elif not np.isfinite(largest):
-        quantity = "P(t)"
-    else:
-        quantity = "the Frobenius norm of P(t)"
-    detail = f" (largest entry {largest:.3e})" if np.isfinite(largest) else ""
-    raise ConditioningError(f"{quantity} leaves the double range at t = {decomp.t}{detail}")
+    if np.isfinite(largest):
+        raise ConditioningError(f"the Frobenius norm of P(t) leaves the double range at "
+                                f"t = {t} (largest entry {largest:.3e})")
+    raise ConditioningError(f"P(t) leaves the double range at t = {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +884,7 @@ def main(argv=None) -> int:
     except SolvabilityError as exc:
         sys.stderr.write(f"solvability error: {exc}\n")
         return EXIT_SOLVABILITY
-    except (ControllabilityError, ConditioningError, ConvergenceError,
-            MultipleEigenvalueError) as exc:
+    except ConditioningError as exc:  # every exit-3 refusal
         sys.stderr.write(f"conditioning error: {exc}\n")
         return EXIT_CONDITIONING
     except (ValueError, GramspecError) as exc:

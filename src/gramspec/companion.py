@@ -454,16 +454,11 @@ def jordan_chains_companion(spec: Spectrum, p: Polynomial) -> JordanChainSet:
         mult = int(mult)
         right = modal[:, start : start + mult]
         left = modal_inverse[start : start + mult, :]
-        tvals = c_row @ right
-        toeplitz = np.zeros((mult, mult), dtype=complex)
-        for i in range(mult):
-            for j in range(i + 1):
-                toeplitz[i, j] = tvals[i - j]
-        hvals = left[:, n - 1]
-        hankel = np.zeros((mult, mult), dtype=complex)
-        for i in range(mult):
-            for j in range(mult - i):
-                hankel[i, j] = hvals[i + j]
+        pad = np.zeros(mult - 1)
+        # the lower triangular Toeplitz (c_row @ right)[i - j]: a Hankel with its columns
+        # reversed, copied contiguous so that products with it take the BLAS path
+        toeplitz = _hankel(np.concatenate([pad, c_row @ right]))[:, ::-1].copy()
+        hankel = _hankel(np.concatenate([left[:, n - 1], pad]))  # upper anti-triangular
         blocks.append(JordanBlockChain(lam, mult, right, left, toeplitz, hankel))
         start += mult
     return JordanChainSet(build_companion(p).system(), spec, blocks, modal, modal_inverse, p, c_row)

@@ -85,19 +85,11 @@ class SolvabilityError(GramspecError):
         )
 
 
-class ControllabilityError(GramspecError):
-    """Controllability matrix is rank deficient or numerically near-singular."""
-
-    def __init__(self, message, condition=None):
-        self.condition = condition
-        if condition is not None:
-            message = f"{message} (condition estimate {condition:.3e})"
-        super().__init__(message)
-
-
 class ConditioningError(GramspecError):
     """A closed-form construction is numerically unusable (ill-conditioned
-    Jordan chains, singular normalization matrix, degenerate chain Hankel)."""
+    Jordan chains, singular normalization matrix, degenerate chain Hankel,
+    values past the double range).  The base of every refusal that the
+    command line reports with exit code 3."""
 
     def __init__(self, message, condition=None):
         self.condition = condition
@@ -106,7 +98,11 @@ class ConditioningError(GramspecError):
         super().__init__(message)
 
 
-class MultipleEigenvalueError(GramspecError):
+class ControllabilityError(ConditioningError):
+    """Controllability matrix is rank deficient or numerically near-singular."""
+
+
+class MultipleEigenvalueError(ConditioningError):
     """A simple-spectrum operation received a multiple (or numerically
     near-multiple) eigenvalue; the Jordan-chain path handles these."""
 
@@ -115,7 +111,7 @@ class StabilityError(GramspecError):
     """Operation requires a strictly stable spectrum (all Re lambda < 0)."""
 
 
-class ConvergenceError(GramspecError):
+class ConvergenceError(ConditioningError):
     """Iterative root finding failed to reach the residual bound."""
 
     def __init__(self, message, worst_residual=None):

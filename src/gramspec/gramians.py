@@ -85,11 +85,6 @@ class SpectralComponentSet(Record):
                              spectrum=spectrum)
 
     @classmethod
-    def from_parts(cls, parts: dict, kind: str, *args, **kwargs) -> "SpectralComponentSet":
-        """The set of the matrices in ``parts``, keyed as there."""
-        return cls(tuple(parts), np.array(list(parts.values())), kind, *args, **kwargs)
-
-    @classmethod
     def rank_one(cls, es: EigenStructure, kind: str, coeffs: np.ndarray, left: np.ndarray,
                  right: np.ndarray) -> "SpectralComponentSet":
         """The raw companion set of ``es`` of rank-one components, one
@@ -358,8 +353,10 @@ def resolvent_coefficients(chains: JordanChainSet) -> list:
 
 
 def _poly_exp(lam: complex, power: int, t: float):
-    """e^{lam t} t^power / power!"""
-    return np.exp(lam * t) * t**power / math.factorial(power)
+    """e^{lam t} t^power / power!; 0 where the exponential vanishes, and inf,
+    not an OverflowError, where t^power leaves the double range."""
+    growth = np.exp(lam * t)
+    return growth * np.float64(t)**power / math.factorial(power) if growth else growth
 
 
 def multiple_eig_gramian(
@@ -378,7 +375,8 @@ def multiple_eig_gramian(
     component keeps its relative accuracy when other blocks grow faster or
     the chains are ill-conditioned.  e^{A t} = sum_i S_1^{(i)} is summed once
     (without ``t`` only the algebraic components are built).  An invalid
-    horizon raises ValueError, then a singular resolvent ConditioningError.
+    horizon raises ValueError, then a singular resolvent ConditioningError;
+    an e^{A t} past the double range is left inf or nan, for the caller.
     """
     a, b, poly, spec = chains.system.a, chains.system.b, chains.poly, chains.spectrum
     n = a.shape[0]
@@ -388,9 +386,9 @@ def multiple_eig_gramian(
         t = float(t)
 
     bbt = b @ b.T
-    statics, lefts = {}, []
+    statics, lefts = [], []
     expm = np.zeros((n, n), dtype=complex)
-    for i, (block, block_coeffs) in enumerate(zip(chains.blocks, coeffs)):
+    for block, block_coeffs in zip(chains.blocks, coeffs):
         try:
             inv = np.linalg.inv(-block.eigenvalue * np.eye(n) - a.T.astype(complex))
         except np.linalg.LinAlgError:
@@ -401,15 +399,16 @@ def multiple_eig_gramian(
             shifted = [sum(w * a_m for w, a_m in zip(weights, block_coeffs[k:]))
                        for k in range(block.multiplicity)]
             expm += shifted[0]
-        g, statics[i], left = bbt.astype(complex), 0, 0
+        g, static, left = bbt.astype(complex), 0, 0
         for k, a_k in enumerate(block_coeffs):  # g = B B^T (-lambda I - A^T)^{-k}
             g = g @ inv
-            statics[i] += a_k @ g
+            static += a_k @ g
             if t is not None:
                 left += shifted[k] @ g
+        statics.append(static)
         lefts.append(left)
 
-    static = SpectralComponentSet.from_parts(statics, "eigen", "raw", poly, spec)
+    static = SpectralComponentSet(range(len(coeffs)), np.array(statics), "eigen", "raw", poly, spec)
     if t is None:
         return FiniteGramianDecomposition(static)
     expm_transpose = expm.T

@@ -162,8 +162,8 @@ def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:
     """
     n = chains.poly.degree
     signs = alternating_signs(n)
-    parts = {}
-    for j, block in enumerate(chains.blocks):
+    parts = []
+    for block in chains.blocks:
         scale = max(1.0, float(np.max(np.abs(block.left))))
         if abs(block.left[-1, n - 1]) <= PIVOT_TOL * scale:
             raise ConditioningError(
@@ -171,6 +171,6 @@ def inverse_multiple_eig(chains: JordanChainSet) -> SpectralComponentSet:
                 "(last left-chain vector has zero final entry)"
             )
         x = np.linalg.solve(block.hankel, block.left)
-        parts[j] = signs[:, None] * (block.left.T @ (block.toeplitz @ x))
-    spec = chains.spectrum
-    return SpectralComponentSet.from_parts(parts, "eigen", "raw", chains.poly, spec)
+        parts.append(signs[:, None] * (block.left.T @ (block.toeplitz @ x)))
+    return SpectralComponentSet(range(len(parts)), np.array(parts), "eigen", "raw", chains.poly,
+                                chains.spectrum)

@@ -599,6 +599,26 @@ def to_longdouble_each(man: int, exp: int) -> np.longdouble:
     return -value if man < 0 else value
 
 
+def jordan_factors_loop(chains) -> list:
+    """Each block's (toeplitz, hankel) factor pair, entry by entry: T_ij =
+    c_row x_{i-j} for i >= j and H_ij = (last left-chain column)[i + j] for
+    i + j < m, zero elsewhere."""
+    n = chains.poly.degree
+    factors = []
+    for block in chains.blocks:
+        m = block.multiplicity
+        tvals, hvals = chains.c_row @ block.right, block.left[:, n - 1]
+        toeplitz = np.zeros((m, m), dtype=complex)
+        hankel = np.zeros((m, m), dtype=complex)
+        for i in range(m):
+            for j in range(i + 1):
+                toeplitz[i, j] = tvals[i - j]
+            for j in range(m - i):
+                hankel[i, j] = hvals[i + j]
+        factors.append((toeplitz, hankel))
+    return factors
+
+
 def hankel_upper_loop(p: Polynomial) -> np.ndarray:
     """Upper anti-triangular Hankel of coefficients, entry by entry."""
     n = p.degree

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,41 @@ class TestExitCodes:
         suffix = " (condition estimate inf)" if refusal.startswith("normalization") else ""
         assert result.stderr == (f"conditioning error: {refusal} leaves the double range "
                                  f"at t = {horizon}.0{suffix}\n")
+
+    # a simple and a Jordan spectrum, stable and unstable: both paths apply
+    # one horizon rule before any spectral work, and one range check to e^(A t)
+    HORIZON_DOCUMENTS = {
+        "simple_stable": {"char_poly": [6, 11, 6, 1]},
+        "jordan_stable": {"eigenvalues": [[-1, 0, 3]]},
+        "simple_unstable": {"char_poly": [-6, 11, -6, 1]},
+        "jordan_unstable": {"eigenvalues": [[1, 0, 3]]},
+    }
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-1", "1e200"])
+    @pytest.mark.parametrize("document", HORIZON_DOCUMENTS)
+    def test_both_paths_refuse_a_horizon_alike(self, tmp_path, capsys, document, horizon):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"schema": 1, **self.HORIZON_DOCUMENTS[document]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["analyze", "--finite", horizon, str(path)])
+        out, err = capsys.readouterr()
+        if horizon != "1e200":
+            assert (code, err) == (EXIT_USAGE, "error: horizon must be finite and "
+                                               f"nonnegative, got {float(horizon)}\n")
+        elif document.endswith("unstable"):
+            assert (code, err) == (EXIT_CONDITIONING, "conditioning error: e^(A t) leaves "
+                                                      "the double range at t = 1e+200\n")
+        else:  # every mode has decayed: P(t) is the algebraic Gramian
+            assert (code, err) == (EXIT_OK, "")
+            report = json.loads(out)
+            finite, gramian = (matrix_from(report[block]["sum"]) for block in ("finite", "gramian"))
+            assert np.linalg.norm(finite - gramian) <= 1e-12 * np.linalg.norm(gramian)
+
+    def test_exit_three_refusals_are_conditioning_errors(self):
+        for error in (gs.ControllabilityError, gs.MultipleEigenvalueError, gs.ConvergenceError):
+            assert issubclass(error, gs.ConditioningError)
+        assert "__init__" not in vars(gs.ControllabilityError)
 
     # one document per step that can refuse analyze, in the order the steps
     # run; each is refused with its own exit code and stderr line, whatever

@@ -6,7 +6,8 @@ import gramspec as gs
 from conftest import assert_bitwise, random_companion, random_stable_eigenvalues
 from references import (eigenparts_division, hankel_lower_loop, hankel_upper_loop,
                         inverse_eigenpart_counted, inverse_eigenparts_division,
-                        mp_polished_roots, residues_general, to_longdouble_each)
+                        jordan_factors_loop, mp_polished_roots, residues_general,
+                        to_longdouble_each)
 
 
 class TestBuildCompanion:
@@ -248,6 +249,22 @@ class TestJordanChains:
         assert np.max(np.abs(h1 - [[-2, -1], [-1, 0]])) < 1e-10
         t2 = chains.blocks[1].toeplitz
         assert np.max(np.abs(t2 - [[576, 0, 0], [1104, 576, 0], [1012, 1104, 576]])) < 1e-9
+
+    @pytest.mark.parametrize("values, mults", [
+        ([-1.0], [3]),
+        ([-1.0, -2.0], [2, 3]),
+        ([-0.7 + 1.3j, -0.7 - 1.3j, -2.1], [2, 2, 1]),
+        ([-1.5, -0.4, -3.2], [1, 4, 2]),
+    ])
+    def test_factor_index_forms_are_the_loop_forms(self, values, mults):
+        # entries are copies, so the Hankel index expressions are bitwise the
+        # loop, and the Toeplitz factor is contiguous like the loop's
+        spec = gs.Spectrum(values, mults)
+        chains = gs.jordan_chains_companion(spec, gs.poly_from_roots(spec.expanded()))
+        for block, (toeplitz, hankel) in zip(chains.blocks, jordan_factors_loop(chains)):
+            assert_bitwise(block.toeplitz, toeplitz, f"toeplitz {block.eigenvalue}")
+            assert_bitwise(block.hankel, hankel, f"hankel {block.eigenvalue}")
+            assert block.toeplitz.flags.c_contiguous
 
     def test_chain_recursion(self, example5):
         poly, cr, spec = example5
