@@ -18,8 +18,8 @@ _EXPORTS = {
     ),
     "document": ("SystemDocument", "parse_system"),
     "energy": (
-        "EnergyPartition", "OptimalControlSignal", "OverlapReport", "control_energy_quadrature",
-        "energy_partition", "min_energy", "modal_overlap_integrals", "optimal_control",
+        "EnergyPartition", "OptimalControlSignal", "control_energy_quadrature",
+        "energy_partition", "min_energy", "optimal_control",
     ),
     "errors": (
         "ConditioningError", "ControllabilityError", "ConvergenceError", "GramspecError",
@@ -28,7 +28,7 @@ _EXPORTS = {
     "gramians": (
         "FiniteGramianDecomposition", "Horizon", "InitialCondition", "SpectralComponentSet",
         "exponent_collisions", "finite_pair_subgramians", "finite_subgramians",
-        "homogeneous_pair_subgramians", "homogeneous_subgramians", "horizon",
+        "homogeneous_subgramians", "horizon",
         "infinite_pair_subgramians", "infinite_subgramians", "lift_to_original",
         "multiple_eig_gramian", "pair_collisions", "zero_plaid_defect",
     ),

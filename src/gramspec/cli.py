@@ -538,7 +538,8 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
     Jordan closed forms are built before the Kronecker oracle solves, so a
     document they refuse exits as under analyze; a simple spectrum's, which
     refuse only an eigenvalue at the origin (checked first), after it, once
-    the initial condition of a multi-input document has been refused.
+    the initial condition of a multi-input document has been refused.  The
+    finite-horizon checks read the double horizon, not analyze's 80-bit one.
     """
     from .energy import energy_partition
     from .inverse import (inverse_eigenparts, inverse_multiple_eig, inverse_pair_parts,
@@ -639,6 +640,9 @@ def cmd_verify(doc: SystemDocument, tols: Tolerances = Tolerances(), seed: int |
 # ---------------------------------------------------------------------------
 # energy
 
+# the most rows a time-series table may have: the table is formed in memory
+TIME_SERIES_MAX_STEPS = 10**6
+
 
 def cmd_energy(
     doc: SystemDocument,
@@ -653,15 +657,19 @@ def cmd_energy(
     Returns (report, series); when a stable time series was requested,
     ``series`` holds the times, the modal components of the optimal control
     and the control (``_series_csv`` writes them as CSV), and otherwise it is
-    None.
+    None.  The minimum-energy control exists on t <= 0 only, so the window
+    (T0, T1, STEPS) needs T0, T1 <= 0 and 1 <= STEPS <= TIME_SERIES_MAX_STEPS.
     """
     from .energy import control_energy_quadrature, energy_partition, optimal_control
     from .inverse import inverse_eigenparts, inverse_pair_parts
 
     if time_series is not None:
         t0, t1, steps = time_series
-        if not (np.isfinite(t0) and np.isfinite(t1)) or steps < 1:
-            raise ValueError(f"time series needs finite T0, T1 and STEPS >= 1, got {time_series}")
+        if not (-np.inf < t0 <= 0.0 and -np.inf < t1 <= 0.0
+                and 1 <= steps <= TIME_SERIES_MAX_STEPS):
+            raise ValueError("time series needs finite T0, T1 <= 0 (the control exists on "
+                             f"t <= 0) and 1 <= STEPS <= {TIME_SERIES_MAX_STEPS}, "
+                             f"got {time_series}")
     resolved = resolve_document(doc, tols)
     resolved.solvability.require()
     _similarity(resolved)  # refuses an uncontrollable matrices document

@@ -119,42 +119,3 @@ def control_energy_quadrature(signal: OptimalControlSignal) -> float:
     t = np.linspace(-signal.horizon, 0.0, QUADRATURE_POINTS)
     u = signal.control(t)
     return float(np.trapezoid(u * u, t))
-
-
-class OverlapReport(Record):
-    """Closed-form modal overlap integrals with their quadrature check.
-
-    ``max_error`` is relative to the largest overlap magnitude; individual
-    overlaps can be orders of magnitude larger than their sum (the minimum
-    energy), so absolute agreement is not the meaningful measure.
-    """
-
-    def __init__(self, closed_form: np.ndarray, quadrature: np.ndarray, max_error: float):
-        self.__dict__.update(closed_form=closed_form, quadrature=quadrature, max_error=max_error)
-
-
-def modal_overlap_integrals(
-    x0, gram_pairs: SpectralComponentSet, es: EigenStructure, inv: SpectralComponentSet
-) -> OverlapReport:
-    """Certify x_0^T P^{-1} P_ij^C P^{-1} x_0 against the overlap integrals
-    (1/2) int (conj(u_i) u_j + conj(u_j) u_i) dt of the modal controls;
-    P^{-1} is the sum of ``inv``, the inverse eigen set of ``es``."""
-    spec = es.spectrum
-    if not spec.is_stable:
-        raise StabilityError("overlap integrals require a strictly stable spectrum")
-    if gram_pairs.kind != "pair":
-        raise ValueError("overlap integrals expect the pair-indexed Gramian set")
-    x0 = np.asarray(x0, dtype=float)
-    w = (inv.total() @ x0).real
-    k = spec.values.size
-    closed = _real_quadratic_forms(w, gram_pairs.symmetrized().stack).reshape(k, k)
-    signal = optimal_control(x0, es, inv)
-    t = np.linspace(-signal.horizon, 0.0, QUADRATURE_POINTS)
-    modes = signal.modal(t)
-    quad = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            integrand = 0.5 * (np.conj(modes[i]) * modes[j] + np.conj(modes[j]) * modes[i])
-            quad[i, j] = float(np.trapezoid(integrand.real, t))
-    scale = max(1.0, float(np.max(np.abs(closed))))
-    return OverlapReport(closed, quad, float(np.max(np.abs(closed - quad))) / scale)

@@ -288,38 +288,16 @@ def finite_pair_subgramians(pairs: SpectralComponentSet, t: float) -> SpectralCo
     return _plus_terms(pairs, 0 + -pairs.stack * growth[:, None, None])
 
 
-def _require_initial(es: EigenStructure, p0: InitialCondition):
-    if p0.n != es.poly.degree:
-        raise ValueError("initial condition dimension does not match the system")
-
-
 def homogeneous_subgramians(h: Horizon, p0: InitialCondition) -> SpectralComponentSet:
     """Eigen-indexed decomposition of the homogeneous solution with P(0) = P_0,
     evaluated at the horizon's t: components R_i P_0 e^{(lambda_i I + A_C^T) t},
     whose sum reproduces P_0 at t = 0: the rank-one w_i x_i (y_i^T P_0
     e^{A_C^T t}) with the horizon's weights, all rows in one product."""
     es = h.structure
-    _require_initial(es, p0)
+    if p0.n != es.poly.degree:
+        raise ValueError("initial condition dimension does not match the system")
     rows = es.left @ (p0.matrix @ h.expm_transpose)
     return SpectralComponentSet.rank_one(es, "eigen", h.weights, es.right, rows)
-
-
-def homogeneous_pair_subgramians(
-    es: EigenStructure, p0: InitialCondition, t: float
-) -> SpectralComponentSet:
-    """Pair-indexed decomposition of the homogeneous solution with P(0) = P_0,
-    evaluated at t: components R_i P_0 R_j^* e^{(lambda_i + conj(lambda_j)) t},
-    whose sum reproduces P_0 at t = 0.  Each is rank one, c_ij x_i x_j^* with
-    c_ij = y_i^T P_0 conj(y_j) e^{(lambda_i + conj(lambda_j)) t} /
-    (N'(lambda_i) conj(N'(lambda_j)))."""
-    _require_horizon(t)
-    _require_initial(es, p0)
-    es.require_simple()
-    lams, derivs, k = es.eigenvalues, es.derivs, es.eigenvalues.size
-    inner = es.left @ p0.matrix @ es.left.conj().T
-    coeffs = np.array([inner[i, j] * np.exp((lams[i] + np.conj(lams[j])) * t)
-                       / (derivs[i] * np.conj(derivs[j])) for i in range(k) for j in range(k)])
-    return SpectralComponentSet.rank_one(es, "pair", coeffs, es.right, np.conj(es.right))
 
 
 def lift_to_original(decomp: SpectralComponentSet, transform: SimilarityTransform) -> np.ndarray:

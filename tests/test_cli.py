@@ -782,7 +782,10 @@ class TestInputChecks:
         assert main(["energy", stable_poly_path, "--x0=nan,1,2"]) == EXIT_USAGE
         assert "x0 must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("series", [["nan", "0", "5"], ["0", "inf", "5"], ["-1", "0", "0"]])
+    # the control exists on t <= 0 only, and the table is formed in memory:
+    # a window past t = 0 or with more than 10**6 rows is refused
+    @pytest.mark.parametrize("series", [["nan", "0", "5"], ["0", "inf", "5"], ["-1", "0", "0"],
+                                        ["0", "1000", "3"], ["-1", "0", str(10**15)]])
     def test_time_series_checked(self, stable_poly_path, tmp_path, capsys, series):
         out = tmp_path / "series.csv"
         code = main(["energy", stable_poly_path, "--x0=1,1,2", "--time-series", *series,
@@ -1026,11 +1029,11 @@ class TestCollisionWarning:
 class TestWorkOnce:
     """Each command evaluates one eigen structure and passes it to every
     builder; only analyze's finite horizon adds one extended structure, made
-    from the double one without a second solvability scan.  No command builds
-    the homogeneous pair half, e^{A^T t} is formed once per structure and
-    horizon, and analyze builds no residue stack: every finite term is
-    rank one in the structure's factors.  The inverse eigen set is built once
-    per structure: the 80-bit finite inverse forms its own, with the columns
+    from the double one without a second solvability scan.  e^{A^T t} is
+    formed once per structure and horizon, and analyze builds no residue
+    stack: every finite term is rank one in the structure's factors.  The
+    inverse eigen set is built once per structure: the 80-bit finite
+    inverse forms its own, with the columns
     G(t) J y_i, only for a G(t) that passes (the boundary terms of an
     initial condition need no set), and analyze's inverse block builds the
     double one.  A matrices document's
@@ -1050,7 +1053,7 @@ class TestWorkOnce:
         import gramspec.gramians as gramians
 
         counts = {"complex128": 0, "extended": 0, "mpmath": 0, "polish": 0, "solvability": 0,
-                  "expm": [], "homogeneous_pairs": 0, "char_poly": 0,
+                  "expm": [], "char_poly": 0,
                   "require_controllable": 0, "finite_components": 0,
                   "sets": collections.Counter(), "structures": [], "residues": []}
         evaluate, polish, horizon = (
@@ -1100,8 +1103,6 @@ class TestWorkOnce:
              counted("finite_components", gramians.finite_subgramians)),
             (gramians.finite_pair_subgramians,
              counted("finite_components", gramians.finite_pair_subgramians)),
-            (gramians.homogeneous_pair_subgramians,
-             counted("homogeneous_pairs", gramians.homogeneous_pair_subgramians)),
             (gs.char_poly, counted("char_poly", gs.char_poly)),
             (companion.require_controllable,
              counted("require_controllable", companion.require_controllable)),
@@ -1124,7 +1125,6 @@ class TestWorkOnce:
         assert counts["complex128"] == 1 and counts["extended"] == 1 and counts["mpmath"] == 0
         assert counts["polish"] == 1
         assert counts["solvability"] == 1
-        assert counts["homogeneous_pairs"] == 0
         extended = np.dtype(np.clongdouble)
         # one 80-bit horizon at t = 1 for every finite block, then the
         # homogeneous set's 80-bit horizon at t = 0 for its initial value
@@ -1252,7 +1252,6 @@ class TestWorkOnce:
         assert main(["verify", example1_path]) == EXIT_OK
         assert counts["complex128"] == 1 and counts["extended"] == counts["mpmath"] == 0
         assert counts["solvability"] == 1
-        assert counts["homogeneous_pairs"] == 0
         assert counts["expm"] == [(np.dtype(complex), 1.0), (np.dtype(complex), 0.0)]
         assert counts["sets"]["infinite_subgramians"] == 1
 
@@ -1293,7 +1292,6 @@ class TestWorkOnce:
         report = json.loads(out.read_text())
         assert "inverse_original" in report and "homogeneous_sum" in report["finite"]
         assert counts["sets"]["inverse_eigenparts"] == 2
-        assert counts["homogeneous_pairs"] == 0
         assert counts["char_poly"] == 1 and counts["require_controllable"] == 1
         assert counts["sets"]["infinite_subgramians"] == 2
 
@@ -1414,7 +1412,7 @@ class TestImportFootprint:
                                                       tmp_path):
         # roots loads none of inverse, oracle and energy; no command loads
         # csv, not even to write an energy time-series table
-        series = ["--time-series", "0", "1", "3", "--format", "csv",
+        series = ["--time-series", "-1", "0", "3", "--format", "csv",
                   "--output", str(tmp_path / "series.csv")]
         commands = {
             "roots": ["roots", example1_path],

@@ -9,6 +9,9 @@ and `inverse.sum` must lie within the `gramian_oracle_agreement` and
 `bench/reference.py` (relative, in the Frobenius norm).  Otherwise it must
 refuse the document with exit 2 or 3 and one stderr line.  A document whose
 reference fails its own certificate is not judged, as in the benchmark.
+
+The same rule holds for `analyze --inverse --finite T` at short horizons,
+where `finite_inverse.sum` is judged at the benchmark's bound as well.
 """
 
 import contextlib
@@ -26,6 +29,33 @@ from gramspec.cli import EXIT_CONDITIONING, EXIT_OK, EXIT_SOLVABILITY, VERIFY_BO
 
 BOUNDS = {"gramian.sum": VERIFY_BOUNDS["gramian_oracle_agreement"],
           "inverse.sum": VERIFY_BOUNDS["inverse_oracle_agreement"]}
+# {-1, -2 +- 0.5i, -3.5}: within bound at T = 0.125 (9.7 digits), and its
+# finite_inverse.sum off by 1.16e-7 at T = 0.05 and by 4.72e-6 at T = 0.03
+SHORT_HORIZON_DOC = {"schema": 1, "eigenvalues": [[-1.0, 0.0, 1], [-2.0, 0.5, 1],
+                                                  [-2.0, -0.5, 1], [-3.5, 0.0, 1]]}
+
+
+def _admitted_report(doc: dict, tmp_path, *flags):
+    """The report of ``analyze *flags`` on ``doc`` when it exits 0, or None
+    once its refusal is checked: exit 2 or 3 with one stderr line."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", *flags, str(path)])
+    if code != EXIT_OK:
+        assert code in (EXIT_SOLVABILITY, EXIT_CONDITIONING), (doc, code, err.getvalue())
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+        return None
+    return json.loads(out.getvalue())
+
+
+def _assert_within(report: dict, ref, bounds: dict, check):
+    for name, bound in bounds.items():
+        block, key = name.split(".")
+        entry = report[block][key]["matrix"]
+        error = check.relative_error(ref, name, np.array(entry["re"]) + 1j * np.array(entry["im"]))
+        assert error <= bound, (name, error)
 
 
 def _gap(draw) -> float:
@@ -80,22 +110,35 @@ def test_exit_0_means_within_bound(doc, tmp_path, monkeypatch):
     import check
     import reference
 
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["analyze", "--inverse", str(path)])
-    if code != EXIT_OK:
-        assert code in (EXIT_SOLVABILITY, EXIT_CONDITIONING), (doc, code, err.getvalue())
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+    report = _admitted_report(doc, tmp_path, "--inverse")
+    if report is None:
         return
-    report = json.loads(out.getvalue())
     try:
         ref = reference.build_reference(doc)
     except reference.ReferenceError:  # a reference that fails its certificate judges nothing
         reject()
-    for name, bound in BOUNDS.items():
-        block, key = name.split(".")
-        entry = report[block][key]["matrix"]
-        error = check.relative_error(ref, name, np.array(entry["re"]) + 1j * np.array(entry["im"]))
-        assert error <= bound, (doc, name, error)
+    _assert_within(report, ref, BOUNDS, check)
+
+
+SHORT_HORIZON_XFAIL = pytest.mark.xfail(
+    strict=True,
+    reason="analyze --finite T exits 0 with finite_inverse.sum beyond its bound at short "
+    "horizons: an entrywise-accurate P(t) from divided differences (ROADMAP item 21) and "
+    "refusal by predicted error (item 16) are the fix",
+)
+
+
+@pytest.mark.parametrize("t", [0.125, pytest.param(0.05, marks=SHORT_HORIZON_XFAIL),
+                               pytest.param(0.03, marks=SHORT_HORIZON_XFAIL)])
+def test_short_horizon_exit_0_means_within_bound(t, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import check
+    import reference
+
+    report = _admitted_report(SHORT_HORIZON_DOC, tmp_path, "--inverse", "--finite", str(t))
+    if report is None:
+        return
+    ref = reference.build_reference(SHORT_HORIZON_DOC, horizon=t)
+    _assert_within(report, ref, {**BOUNDS, "finite.sum": check.BOUNDS["finite.sum"],
+                                 "finite_inverse.sum": check.BOUNDS["finite_inverse.sum"]},
+                   check)

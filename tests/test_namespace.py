@@ -1,6 +1,6 @@
 """The package namespace: ``import gramspec`` loads no submodule, every
 public name is loaded from its module on first use (PEP 562), and every
-public function is run by a command or is library API only."""
+public function is run by a command."""
 
 import inspect
 import json
@@ -19,26 +19,21 @@ ALL = [
     "CompanionRealization", "ConditioningError", "ControllabilityError", "ConvergenceError",
     "EigenStructure", "EnergyPartition", "FiniteGramianDecomposition", "GramspecError",
     "Horizon", "InitialCondition", "JordanBlockChain", "JordanChainSet", "LtiSystem",
-    "MultipleEigenvalueError", "OptimalControlSignal", "OverlapReport", "Polynomial",
-    "SchemaError",
+    "MultipleEigenvalueError", "OptimalControlSignal", "Polynomial", "SchemaError",
     "SimilarityTransform", "SolvabilityError", "SolvabilityReport", "SpectralComponentSet",
     "Spectrum", "StabilityError", "SystemDocument", "Tolerances", "build_companion",
     "char_poly", "check_solvability", "cluster", "companion", "control_energy_quadrature",
     "controllability_matrix", "document", "eigen_structure", "energy", "energy_partition",
     "errors", "eval_with_derivative", "exponent_collisions", "find_roots", "finite_inverse",
     "finite_pair_subgramians", "finite_subgramians", "gramians", "hankel_lower",
-    "hankel_upper", "homogeneous_pair_subgramians", "homogeneous_subgramians", "horizon",
-    "infinite_pair_subgramians", "infinite_subgramians", "integrate_lyapunov", "inverse",
-    "inverse_eigenparts", "inverse_multiple_eig", "inverse_pair_parts",
-    "jordan_chains_companion", "lift_to_original", "min_energy",
-    "modal_overlap_integrals", "multiple_eig_gramian", "optimal_control", "oracle",
+    "hankel_upper", "homogeneous_subgramians", "horizon", "infinite_pair_subgramians",
+    "infinite_subgramians", "integrate_lyapunov", "inverse", "inverse_eigenparts",
+    "inverse_multiple_eig", "inverse_pair_parts", "jordan_chains_companion",
+    "lift_to_original", "min_energy", "multiple_eig_gramian", "optimal_control", "oracle",
     "orthogonality_certificate", "pair_collisions", "parse_system", "poly_from_roots",
     "require_controllable", "residual_lyapunov", "residual_riccati", "riccati_general",
-    "similarity_transform", "solve_lyapunov_dense",
-    "spectrum", "zero_plaid_defect",
+    "similarity_transform", "solve_lyapunov_dense", "spectrum", "zero_plaid_defect",
 ]
-# the paper's pair-interaction quantities, which no command reports
-LIBRARY_API = {"homogeneous_pair_subgramians", "modal_overlap_integrals"}
 
 
 def _run(script: str):
@@ -50,7 +45,7 @@ def _run(script: str):
 
 
 def test_all_is_unchanged():
-    assert len(ALL) == 76 and gs.__all__ == ALL
+    assert len(ALL) == 73 and gs.__all__ == ALL
     assert set(SUBMODULES) < set(ALL)
 
 
@@ -118,4 +113,4 @@ def test_every_public_function_is_run_by_a_command(tmp_path, capsys):
     assert codes == [0] * len(runs)
     unreached = {name for name in gs.__all__
                  if inspect.isfunction(value := getattr(gs, name)) and value.__code__ not in called}
-    assert unreached <= LIBRARY_API, sorted(unreached - LIBRARY_API)
+    assert not unreached, sorted(unreached)

@@ -37,7 +37,6 @@ def _records() -> dict:
         chains.blocks[0], chains, inv, gs.InitialCondition(np.eye(3)), h,
         gs.finite_subgramians(h), gs.energy_partition(x0, inv, gs.inverse_pair_parts(es)),
         gs.optimal_control(x0, es, inv),
-        gs.modal_overlap_integrals(x0, gs.infinite_pair_subgramians(es), es, inv),
         doc, resolve_document(doc, gs.Tolerances()),
     ]
     return {type(x): x for x in records}

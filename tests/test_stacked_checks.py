@@ -125,15 +125,14 @@ def test_quadratic_forms(case):
 
 @pytest.mark.parametrize("case", [c for c in CASES if "mixed" not in c])
 def test_overlap_closed_forms(case):
+    # the closed forms x_0^T P^{-1} P_ij P^{-1} x_0 of the modal overlap
+    # integrals, as one stacked form over the pair Gramian set
     doc, system = resolved(case)
     es, n = system.structure, doc.n
     x0 = np.random.default_rng(n).standard_normal(n)
-    inv = gs.inverse_eigenparts(es)
-    pairs = gs.infinite_pair_subgramians(es)
-    w = (inv.total() @ x0).real
-    want = forms_each(w, pairs.symmetrized().stack)
-    got = outcome(lambda: gs.modal_overlap_integrals(x0, pairs, es, inv).closed_form)
-    assert_same_outcome(got, want if isinstance(want, str) else want.reshape(n, n))
+    w = (gs.inverse_eigenparts(es).total() @ x0).real
+    stack = gs.infinite_pair_subgramians(es).symmetrized().stack
+    assert_same_outcome(outcome(_real_quadratic_forms, w, stack), forms_each(w, stack))
 
 
 @pytest.mark.parametrize("case", CASES)
