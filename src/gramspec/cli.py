@@ -749,7 +749,15 @@ def cmd_roots(doc: SystemDocument, tols: Tolerances = Tolerances()) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors, which is reserved for
-    solvability violations here; remap to the usage code."""
+    solvability violations here; remap to the usage code.  Any number, or a
+    comma list that starts with one (-1e1, -inf, -0.001,0,0), is a value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string.partition(",")[0])  # no option name reads as a number
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
     def error(self, message):
         self.print_usage(sys.stderr)

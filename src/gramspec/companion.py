@@ -31,9 +31,7 @@ from .spectrum import (
     SolvabilityReport,
     Spectrum,
     _newton_polish,
-    _round_longdouble,
     check_solvability,
-    dyadic_coefficients,
     eval_with_derivative,
 )
 
@@ -197,12 +195,12 @@ class EigenStructure(Record):
     The working precision is the dtype of ``eigenvalues``: complex128, or
     clongdouble for the ``extended`` structure of ``to_extended``, whose
     eigenvalues are the roots polished by the Newton steps of find_roots run
-    in 80-bit, on the exact residual rounded once to 80 bits; an extended
-    structure also carries ``exact_totals``.  An extended structure forms
-    ``derivs``, ``mirrors`` and ``left`` in one array form each: clongdouble
-    arithmetic has no SIMD kernels, so its array operations round as its
-    scalar ones do, while the vectorized complex128 multiply does not, and
-    builders form their scalar coefficients one eigenvalue at a time.
+    in 80-bit, on the exact residual rounded once to 80 bits.  An extended
+    structure forms ``derivs``, ``mirrors`` and ``left`` in one array form
+    each: clongdouble arithmetic has no SIMD kernels, so its array
+    operations round as its scalar ones do, while the vectorized complex128
+    multiply does not, and builders form their scalar coefficients one
+    eigenvalue at a time.
     """
 
     def __init__(self, poly: Polynomial, spectrum: Spectrum, eigenvalues: np.ndarray,
@@ -260,30 +258,6 @@ class EigenStructure(Record):
         return np.stack(
             [np.outer(x, y) / (-d) for x, y, d in zip(self.right, self.left, self.derivs)]
         )
-
-    @cached_property
-    def exact_totals(self) -> tuple:
-        """The sums (P, P^-1) of the Gramian and inverse eigen components of
-        an extended structure, from the coefficients; (None, None) in double.
-
-        Near-degenerate spectra make components exceed their sum by many
-        orders, which a sum of stored components cannot resolve.  Here P^-1 =
-        diag((-1)^i) Bez(N(s), N(-s)) (Hermite-Fujiwara), with g_k = (-1)^k a_k
-        and Bez_ij = sum_{k=0}^{min(n-1-i, j)} (a_{i+k+1} g_{j-k} - g_{i+k+1}
-        a_{j-k}), is formed exactly on the integers of dyadic_coefficients and
-        rounded once per entry to 80 bits; P is one 80-bit solve with it.
-        """
-        if not self.extended:
-            return None, None
-        coeffs, t = dyadic_coefficients(self.poly)
-        n = self.poly.degree
-        mirror = [(-1) ** k * c for k, c in enumerate(coeffs)]
-        entries = [(-1) ** i * sum(coeffs[i + k + 1] * mirror[j - k]
-                                   - mirror[i + k + 1] * coeffs[j - k]
-                                   for k in range(min(n - 1 - i, j) + 1))
-                   for i in range(n) for j in range(n)]
-        inverse = _round_longdouble(entries, -2 * t).reshape(n, n).astype(np.clongdouble)
-        return _solve_dense(inverse, np.eye(n, dtype=np.clongdouble)), inverse
 
 
 def _each(values: np.ndarray, form) -> np.ndarray:

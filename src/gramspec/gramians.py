@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from types import MappingProxyType
 
 import numpy as np
 
@@ -63,14 +62,13 @@ class SpectralComponentSet(Record):
 
     ``keys`` lists the eigen indices i (or index pairs (i, j)) and ``stack``
     holds their complex n x n matrices as one read-only (k, n, n) array, in
-    the order of the keys; ``components`` is the read-only mapping from key
-    to matrix.  Raw components preserve orthogonality relations (raw inverse
-    eigen components are rank one and orthogonal against the Gramian
-    eigenparts); symmetrized components are the Hermitian parts and carry the
-    physical (energy) interpretation.  A simple spectrum's sets are made by
-    rank_one, from the factors of the EigenStructure.  Every set is in the
-    companion coordinates of ``poly``; lift_to_original and riccati_general
-    map its sum to a system's own.
+    the order of the keys.  Raw components preserve orthogonality relations
+    (raw inverse eigen components are rank one and orthogonal against the
+    Gramian eigenparts); symmetrized components are the Hermitian parts and
+    carry the physical (energy) interpretation.  A simple spectrum's sets
+    are made by rank_one, from the factors of the EigenStructure.  Every set
+    is in the companion coordinates of ``poly``; lift_to_original and
+    riccati_general map its sum to a system's own.
     """
 
     def __init__(self, keys: tuple, stack: np.ndarray, kind: str, flavor: str = "raw",
@@ -100,10 +98,6 @@ class SpectralComponentSet(Record):
             keys = ((i, j) for i in range(k) for j in range(k))
             left, right = np.repeat(left, k, axis=0), np.tile(right, (k, 1))
         return cls(keys, _outer_stack(coeffs, left, right), kind, "raw", es.poly, es.spectrum)
-
-    @functools.cached_property
-    def components(self) -> MappingProxyType:
-        return MappingProxyType(dict(zip(self.keys, self.stack)))
 
     def symmetrized(self) -> "SpectralComponentSet":
         return self if self.flavor == "symmetrized" else self._hermitian

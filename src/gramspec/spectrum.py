@@ -95,11 +95,6 @@ class Spectrum(Record):
             raise ValueError("multiplicities must be positive")
         self.__dict__.update(values=values, multiplicities=mults)
 
-    @classmethod
-    def simple(cls, values) -> "Spectrum":
-        values = np.asarray(values, dtype=complex)
-        return cls(values, np.ones(values.size, dtype=int))
-
     @property
     def n(self) -> int:
         return int(self.multiplicities.sum())
@@ -226,12 +221,6 @@ _NEWTON_STEPS = 8  # cap for multiple-root clouds, where Newton never settles
 _LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1  # significand bits of the 80-bit format
 
 
-def dyadic_coefficients(p: Polynomial) -> tuple:
-    """The coefficients as integers on one power-of-two scale: (C, t) with
-    a_k = C_k / 2^t exactly; formed once per polynomial."""
-    return p._dyadic
-
-
 def _round_longdouble(mans, exps) -> np.ndarray:
     """Each mans[i] * 2^exps[i] correctly rounded (to nearest, ties to even)
     to the 80-bit format, as one array: the integer division happens on the
@@ -264,7 +253,7 @@ def dyadic_point(z) -> tuple:
 
 def exact_horner(coeffs: list, x: int, y: int, s: int) -> tuple:
     """N(z) at z = (x + i y) / 2^s, exactly: Horner on Gaussian integers for
-    the integer coefficients C of dyadic_coefficients (scale 2^t).  Returns
+    the integer coefficients C of Polynomial._dyadic (scale 2^t).  Returns
     (re, im) with N(z) = (re + i im) / 2^(t + s n)."""
     n = len(coeffs) - 1
     re, im = coeffs[n], 0

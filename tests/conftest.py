@@ -89,7 +89,7 @@ def random_companion(rng, n, **kwargs):
     poly = gs.poly_from_roots(values)
     cr = gs.build_companion(poly)
     order = np.lexsort((values.imag, np.abs(values.imag), values.real))
-    spec = gs.Spectrum.simple(values[order])
+    spec = gs.Spectrum(values[order], np.ones(n, dtype=int))
     return poly, cr, spec
 
 

@@ -10,7 +10,7 @@ from gramspec.document import MatrixBlock, MatrixEntry
 from gramspec.errors import MultipleEigenvalueError
 from gramspec.gramians import _poly_exp
 from gramspec.spectrum import (_LONGDOUBLE_BITS, CONJUGATE_TOL, Polynomial, Spectrum,
-                                dyadic_coefficients, dyadic_point, exact_horner)
+                                _round_longdouble, dyadic_point, exact_horner)
 
 SEPARATION_TOL = 1e-8  # eigenvalue separation, relative to 1 + radius, for Lagrange residues
 
@@ -144,6 +144,39 @@ def solve_dense_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
     return x
+
+
+def dyadic_coefficients(p: Polynomial) -> tuple:
+    """The coefficients as integers on one power-of-two scale: (C, t) with
+    a_k = C_k / 2^t exactly; formed once per polynomial."""
+    return p._dyadic
+
+
+def exact_totals(p: Polynomial) -> tuple:
+    """The sums (P, P^-1) of the Gramian and inverse eigen components of the
+    companion system of ``p``, in 80-bit, from the coefficients.
+
+    Near-degenerate spectra make components exceed their sum by many
+    orders, which a sum of stored components cannot resolve.  Here P^-1 =
+    diag((-1)^i) Bez(N(s), N(-s)) (Hermite-Fujiwara), with g_k = (-1)^k a_k
+    and Bez_ij = sum_{k=0}^{min(n-1-i, j)} (a_{i+k+1} g_{j-k} - g_{i+k+1}
+    a_{j-k}), is formed exactly on the integers of dyadic_coefficients and
+    rounded once per entry to 80 bits; P is one 80-bit solve with it.
+    """
+    coeffs, t = dyadic_coefficients(p)
+    n = p.degree
+    mirror = [(-1) ** k * c for k, c in enumerate(coeffs)]
+    entries = [(-1) ** i * sum(coeffs[i + k + 1] * mirror[j - k]
+                               - mirror[i + k + 1] * coeffs[j - k]
+                               for k in range(min(n - 1 - i, j) + 1))
+               for i in range(n) for j in range(n)]
+    inverse = _round_longdouble(entries, -2 * t).reshape(n, n).astype(np.clongdouble)
+    return _solve_dense(inverse, np.eye(n, dtype=np.clongdouble)), inverse
+
+
+def components(component_set) -> dict:
+    """Each component of a SpectralComponentSet by its key, over its stack."""
+    return dict(zip(component_set.keys, component_set.stack))
 
 
 def matrix_exp_reference(m, t: float = 1.0) -> np.ndarray:
@@ -467,8 +500,9 @@ def orthogonality_each(es, gram, inv) -> float:
     residues = es.residues
     scale = max(1.0, max(float(np.max(np.abs(r))) for r in residues))
     worst = 0.0
-    for i, g_part in gram.components.items():
-        for j, inv_part in inv.components.items():
+    inv_parts = components(inv)
+    for i, g_part in components(gram).items():
+        for j, inv_part in inv_parts.items():
             product = g_part @ inv_part
             expected = residues[i] if i == j else 0.0
             worst = max(worst, float(np.max(np.abs(product - expected))))
@@ -488,13 +522,13 @@ def pair_partition_each(pairs, eigen) -> float:
     """Worst relative gap between the row sums of the symmetrized pair set,
     added in j order from 0, and the symmetrized eigen components."""
     k = len(eigen.keys)
+    pairs, eigen = components(pairs), components(eigen)
     partition = 0.0
     for i in range(k):
-        row = sum(pairs.components[(i, j)] for j in range(k))
+        row = sum(pairs[(i, j)] for j in range(k))
         partition = max(
             partition,
-            float(np.max(np.abs(row - eigen.components[i])))
-            / max(1.0, float(np.max(np.abs(eigen.components[i])))),
+            float(np.max(np.abs(row - eigen[i]))) / max(1.0, float(np.max(np.abs(eigen[i])))),
         )
     return partition
 

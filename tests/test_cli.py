@@ -268,7 +268,7 @@ class TestExitCodes:
         "jordan_unstable": {"eigenvalues": [[1, 0, 3]]},
     }
 
-    @pytest.mark.parametrize("horizon", ["nan", "inf", "-1", "1e200"])
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-1", "-inf", "-1e-3", "1e200"])
     @pytest.mark.parametrize("document", HORIZON_DOCUMENTS)
     def test_both_paths_refuse_a_horizon_alike(self, tmp_path, capsys, document, horizon):
         path = tmp_path / "doc.json"
@@ -785,7 +785,8 @@ class TestInputChecks:
     # the control exists on t <= 0 only, and the table is formed in memory:
     # a window past t = 0 or with more than 10**6 rows is refused
     @pytest.mark.parametrize("series", [["nan", "0", "5"], ["0", "inf", "5"], ["-1", "0", "0"],
-                                        ["0", "1000", "3"], ["-1", "0", str(10**15)]])
+                                        ["0", "1000", "3"], ["-1", "0", str(10**15)],
+                                        ["-inf", "0", "3"]])
     def test_time_series_checked(self, stable_poly_path, tmp_path, capsys, series):
         out = tmp_path / "series.csv"
         code = main(["energy", stable_poly_path, "--x0=1,1,2", "--time-series", *series,
@@ -793,6 +794,19 @@ class TestInputChecks:
         assert code == EXIT_USAGE
         assert "time series" in capsys.readouterr().err
         assert not out.exists()
+
+    # argparse alone reads only the forms -1 and -.5 as values; any number,
+    # or a comma list that starts with one, is a value here, as after "="
+    @pytest.mark.parametrize("argv, same", [
+        (["--x0", "-0.001,0,0"], ["--x0=-0.001,0,0"]),
+        (["--x0", "1,0,0", "--time-series", "-1e1", "0", "3"],
+         ["--x0=1,0,0", "--time-series", "-10", "0", "3"]),
+    ], ids=["x0", "time-series"])
+    def test_numbers_are_values(self, stable_poly_path, capsys, argv, same):
+        assert main(["energy", stable_poly_path, *same]) == EXIT_OK
+        want = capsys.readouterr()
+        assert main(["energy", stable_poly_path, *argv]) == EXIT_OK
+        assert capsys.readouterr() == want
 
     def test_csv_format_needs_time_series(self, stable_poly_path, tmp_path, capsys):
         out = tmp_path / "series.csv"
@@ -1457,20 +1471,13 @@ class TestImportFootprint:
 
     def test_runs_without_mpmath(self, tmp_path):
         # numpy is the one runtime dependency: with mpmath unimportable, the
-        # extended structure still forms its exact totals and the degree-8
-        # 80-bit finite inverse still runs
+        # degree-8 80-bit finite inverse still runs
         path = tmp_path / "ladder8.json"
         path.write_text(json.dumps({"char_poly": LADDER8_COEFFS}))
         script = (
             "import contextlib, io, sys\n"
             "sys.modules['mpmath'] = None\n"
-            "import numpy as np\n"
-            "import gramspec as gs\n"
             "from gramspec.cli import main\n"
-            f"poly = gs.Polynomial({LADDER8_COEFFS!r})\n"
-            "es = gs.eigen_structure(poly, gs.cluster(gs.find_roots(poly))).to_extended()\n"
-            "gramian, inverse = es.exact_totals\n"
-            "assert gramian.dtype == inverse.dtype == np.clongdouble\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             f"    code = main(['analyze', '--pairs', '--inverse', '--finite', '1', {str(path)!r}])\n"

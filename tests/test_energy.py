@@ -10,7 +10,7 @@ from conftest import assert_bitwise, random_companion
 def scalar_system():
     poly = gs.Polynomial([1.0, 1.0])
     cr = gs.build_companion(poly)
-    spec = gs.Spectrum.simple([-1.0])
+    spec = gs.Spectrum([-1.0], [1])
     return poly, cr, spec
 
 

@@ -11,7 +11,8 @@ refuse the document with exit 2 or 3 and one stderr line.  A document whose
 reference fails its own certificate is not judged, as in the benchmark.
 
 The same rule holds for `analyze --inverse --finite T` at short horizons,
-where `finite_inverse.sum` is judged at the benchmark's bound as well.
+where `finite_inverse.sum` is judged at the benchmark's bound as well, and
+for `analyze --finite 1` on a slow spectrum, where `finite.sum` is.
 """
 
 import contextlib
@@ -33,6 +34,11 @@ BOUNDS = {"gramian.sum": VERIFY_BOUNDS["gramian_oracle_agreement"],
 # finite_inverse.sum off by 1.16e-7 at T = 0.05 and by 4.72e-6 at T = 0.03
 SHORT_HORIZON_DOC = {"schema": 1, "eigenvalues": [[-1.0, 0.0, 1], [-2.0, 0.5, 1],
                                                   [-2.0, -0.5, 1], [-3.5, 0.0, 1]]}
+# {-1, -1.5 +- 0.7i, -2.5, -3 +- 1.2i}, to be scaled by 2^-k: under analyze
+# --finite 1 within bound at k = 3 (10.8 digits), finite.sum off by 2.43e-5
+# at k = 5, and refused (exit 3) at k = 6 by the N'(lambda) floor of
+# require_simple
+SLOW_SPECTRUM = [(-1.0, 0.0), (-1.5, 0.7), (-1.5, -0.7), (-2.5, 0.0), (-3.0, 1.2), (-3.0, -1.2)]
 
 
 def _admitted_report(doc: dict, tmp_path, *flags):
@@ -142,3 +148,27 @@ def test_short_horizon_exit_0_means_within_bound(t, tmp_path, monkeypatch):
     _assert_within(report, ref, {**BOUNDS, "finite.sum": check.BOUNDS["finite.sum"],
                                  "finite_inverse.sum": check.BOUNDS["finite_inverse.sum"]},
                    check)
+
+
+SLOW_SPECTRUM_XFAIL = pytest.mark.xfail(
+    strict=True,
+    reason="analyze --finite 1 exits 0 with finite.sum beyond its bound on a slow spectrum: "
+    "an entrywise-accurate P(t) from divided differences (ROADMAP item 21) and admission "
+    "in the spectrum's own time scale (item 20) are the fix",
+)
+
+
+@pytest.mark.parametrize("k", [3, pytest.param(5, marks=SLOW_SPECTRUM_XFAIL), 6])
+def test_slow_spectrum_exit_0_means_within_bound(k, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import check
+    import reference
+
+    scale = 2.0 ** -k
+    doc = {"schema": 1, "eigenvalues": [[re * scale, im * scale, 1] for re, im in SLOW_SPECTRUM]}
+    report = _admitted_report(doc, tmp_path, "--finite", "1")
+    if report is None:
+        return
+    ref = reference.build_reference(doc, horizon=1.0)
+    _assert_within(report, ref, {"gramian.sum": BOUNDS["gramian.sum"],
+                                 "finite.sum": check.BOUNDS["finite.sum"]}, check)

@@ -1,7 +1,9 @@
 """The package namespace: ``import gramspec`` loads no submodule, every
 public name is loaded from its module on first use (PEP 562), and every
-public function is run by a command."""
+public function, and every public method and property of an exported class,
+is run by a command."""
 
+import functools
 import inspect
 import json
 import subprocess
@@ -72,6 +74,28 @@ def test_star_import_binds_every_name():
     assert names == ALL
 
 
+def _public_code() -> dict:
+    """The code object of every public function in ``gramspec.__all__`` and
+    of every public method, property, cached property and class or static
+    method that an exported class defines itself, by qualified name."""
+    codes = {}
+    for name in gs.__all__:
+        value = getattr(gs, name)
+        if inspect.isfunction(value):
+            codes[name] = value.__code__
+        elif inspect.isclass(value):
+            for member_name, member in vars(value).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
+                if not member_name.startswith("_") and inspect.isfunction(member):
+                    codes[f"{name}.{member_name}"] = member.__code__
+    return codes
+
+
 def test_every_public_function_is_run_by_a_command(tmp_path, capsys):
     from gramspec.cli import main
 
@@ -111,6 +135,5 @@ def test_every_public_function_is_run_by_a_command(tmp_path, capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert codes == [0] * len(runs)
-    unreached = {name for name in gs.__all__
-                 if inspect.isfunction(value := getattr(gs, name)) and value.__code__ not in called}
+    unreached = {name for name, code in _public_code().items() if code not in called}
     assert not unreached, sorted(unreached)

@@ -345,12 +345,12 @@ class TestSolvability:
         assert gs.check_solvability(spec).ok
 
     def test_imaginary_pair(self):
-        report = gs.check_solvability(gs.Spectrum.simple([1j, -1j]))
+        report = gs.check_solvability(gs.Spectrum([1j, -1j], [1, 1]))
         assert not report.ok
         assert (0, 1) in report.violating_pairs
 
     def test_origin(self):
-        report = gs.check_solvability(gs.Spectrum.simple([0.0]))
+        report = gs.check_solvability(gs.Spectrum([0.0], [1]))
         assert not report.ok
         assert (0, 0) in report.violating_pairs
         assert report.min_pair_magnitude == 0.0
@@ -392,7 +392,7 @@ class TestPolynomialType:
 
 
 def test_spectrum_conjugate_partner():
-    spec = gs.Spectrum.simple([-1 + 2j, -1 - 2j, -3.0])
+    spec = gs.Spectrum([-1 + 2j, -1 - 2j, -3.0], [1, 1, 1])
     partner = spec.conjugate_partner()
     assert partner[0] == 1 and partner[1] == 0 and partner[2] == 2
 
@@ -418,7 +418,7 @@ def _partner_spectra():
 
 @pytest.mark.parametrize("values", list(_partner_spectra()))
 def test_conjugate_partner_matches_loop(values):
-    spec = gs.Spectrum.simple(values)
+    spec = gs.Spectrum(values, np.ones(len(values), dtype=int))
     partner = spec.conjugate_partner()
     assert partner.dtype == conjugate_partner_each(spec).dtype
     assert partner.tolist() == conjugate_partner_each(spec).tolist()

@@ -20,6 +20,7 @@ from gramspec.energy import _real_quadratic_forms
 
 from conftest import assert_bitwise, random_companion
 from references import (
+    components,
     orthogonality_each,
     pair_partition_each,
     real_quadratic_form_each,
@@ -153,8 +154,8 @@ def test_verify_check_values(case, monkeypatch):
     rng.standard_normal((n, n))  # the probe initial condition comes first
     x0 = rng.standard_normal(n)
     inv_sym, inv_pairs = inv.symmetrized(), gs.inverse_pair_parts(es).symmetrized()
-    linear = np.array([real_quadratic_form_each(x0, inv_sym.components[i]) for i in range(n)])
-    quadratic = np.array([[real_quadratic_form_each(x0, inv_pairs.components[(i, j)])
+    linear = np.array([real_quadratic_form_each(x0, components(inv_sym)[i]) for i in range(n)])
+    quadratic = np.array([[real_quadratic_form_each(x0, components(inv_pairs)[(i, j)])
                            for j in range(n)] for i in range(n)])
     total = real_quadratic_form_each(x0, inv_sym.total())
     closure = max(abs(np.sum(linear) - total), abs(np.sum(quadratic) - total)) / max(1.0, abs(total))
